@@ -32,13 +32,12 @@ from . import __version__
 from .errors import ConfigError, FockError
 from .kernels import eval_functional_norm, kernel, measure_density
 from .operators import (
-    OperatorContext,
     RealLinearMap,
     SpaceContext,
     build_context,
     to_complex_coords,
 )
-from .quadrature import QuadratureRule
+from .report import complex_json
 from .symbolic import GaussPoly, Polynomial
 from .transforms import (
     coherent_state,
@@ -77,16 +76,6 @@ OPERATOR_SCHEMA = {
             "additionalProperties": False,
         },
     ]
-}
-
-QUADRATURE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "nodes": {"type": "integer", "minimum": 2},
-        "mc_samples": {"type": "integer", "minimum": 1000},
-        "seed": {"type": "integer"},
-    },
-    "additionalProperties": False,
 }
 
 POINT_SCHEMA = {
@@ -138,7 +127,6 @@ CONFIG_SCHEMAS = {
         "type": "object",
         "properties": {
             "operator": OPERATOR_SCHEMA,
-            "quadrature": QUADRATURE_SCHEMA,
             "eval": {
                 "type": "object",
                 "properties": {
@@ -225,10 +213,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _complex_json(value: complex) -> dict:
-    return {"re": float(np.real(value)), "im": float(np.imag(value))}
-
-
 def load_config(path: str | None, command: str, overrides: dict) -> dict:
     if path is None:
         config = {}
@@ -257,10 +241,6 @@ def operator_from_config(data: dict) -> RealLinearMap:
     return RealLinearMap.from_blocks(R, T)
 
 
-def context_payload(ctx: OperatorContext) -> dict:
-    return ctx.summary()
-
-
 def cmd_decompose(config: dict) -> dict:
     A = operator_from_config(config["operator"])
     ctx = build_context(A)  # raises with kind not_symmetric / not_positive_definite
@@ -280,7 +260,7 @@ def cmd_decompose(config: dict) -> dict:
     return {
         "command": "decompose",
         "config": config,
-        "context": context_payload(ctx),
+        "context": ctx.summary(),
         "matrices": matrices,
         "residuals": residuals,
         "pass": all(v <= 1e-12 for v in residuals.values()),
@@ -327,7 +307,7 @@ def _point_vector(point: dict, key: str, length: int, what: str) -> np.ndarray:
     return vec
 
 
-def _eval_single(target: str, ctx, point: dict, fn, rule) -> complex | float:
+def _eval_single(target: str, ctx, point: dict, fn) -> complex | float:
     n = ctx.n
     if target == "measure_density":
         z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
@@ -349,11 +329,11 @@ def _eval_single(target: str, ctx, point: dict, fn, rule) -> complex | float:
         return coherent_state(ctx, x, z)
     z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
     if target == "classical_transform":
-        return segal_bargmann_classical(fn, z, rule)
+        return segal_bargmann_classical(fn, z)
     if target == "weighted_transform":
-        return segal_bargmann(ctx, fn, z, rule)
+        return segal_bargmann(ctx, fn, z)
     if target == "gaussian_transform":
-        return segal_bargmann_gaussian(ctx, fn, z, rule)
+        return segal_bargmann_gaussian(ctx, fn, z)
     raise ConfigError(f"unknown target {target!r}")
 
 
@@ -368,16 +348,12 @@ def cmd_eval(config: dict) -> dict:
         if "function" not in spec:
             raise ConfigError(f"target {target!r} needs a 'function' entry")
         fn = _build_function(spec["function"], ctx.n)
-    quadrature = config.get("quadrature", {})
-    rule = None
-    if "nodes" in quadrature:
-        rule = QuadratureRule(dim=ctx.n, nodes_per_axis=quadrature["nodes"])
 
     values = []
     for point in spec["points"]:
         try:
-            out = _eval_single(target, ctx, point, fn, rule)
-            values.append({"point": point, "value": _complex_json(complex(out))})
+            out = _eval_single(target, ctx, point, fn)
+            values.append({"point": point, "value": complex_json(complex(out))})
         except ConfigError:
             raise
         except FockError as err:
@@ -385,7 +361,7 @@ def cmd_eval(config: dict) -> dict:
     return {
         "command": "eval",
         "config": config,
-        "context": context_payload(ctx),
+        "context": ctx.summary(),
         "values": values,
         "pass": all("error" not in v for v in values),
     }
@@ -475,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} command")
         p.add_argument("--config", help="path to a JSON configuration file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--nodes", type=int, help="override quadrature nodes per axis")
         p.add_argument(
             "--timing",
             action="store_true",
@@ -484,6 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name == "eval":
             p.add_argument("--csv", help="also write values as CSV")
+        if name == "verify":
+            p.add_argument("--seed", type=int, help="override the configured seed")
+            p.add_argument("--nodes", type=int, help="override quadrature nodes per axis")
     return parser
 
 
@@ -500,14 +477,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         config = load_config(args.config, args.command, overrides)
-        if args.command == "eval":
-            quad = dict(config.get("quadrature", {}))
-            if args.nodes is not None:
-                quad["nodes"] = args.nodes
-            if args.seed is not None:
-                quad["seed"] = args.seed
-            if quad:
-                config["quadrature"] = quad
         report = COMMANDS[args.command](config)
     except FockError as err:
         payload = {"error": err.payload()}

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RangeOverflowError
+from .errors import ConfigError, DimensionMismatchError, RangeOverflowError
 from .operators import OperatorContext, RealLinearMap, build_context, real_inner
 from .quadrature import QuadratureRule, integrate
 from .report import CheckResult, make_bound_check, make_check
@@ -142,13 +142,19 @@ def fock_inner_product(
     G: HolomorphicFunction,
     rule: QuadratureRule | None = None,
 ) -> complex:
-    """<F, G> in the weighted space, by tensor quadrature."""
+    """<F, G> in the weighted space, by tensor quadrature.
+
+    A given rule must be one :func:`fock_rule` builds for ``ctx``: a rule
+    for another Gaussian would weight the integrand wrongly.
+    """
     if rule is None:
         rule = fock_rule(ctx)
     if rule.dim != 2 * ctx.n:
         raise DimensionMismatchError(
             f"rule dimension {rule.dim} does not match 2n = {2 * ctx.n}"
         )
+    if not np.array_equal(rule.scaling, 2.0 * ctx.A.entries):
+        raise ConfigError("rule scaling is not 2A; build the rule with fock_rule(ctx, nodes)")
 
     def integrand(X):
         Z = _to_points(X)

@@ -142,49 +142,20 @@ class RealLinearMap:
         M[n:, n:] = Y
         return cls(SpaceContext(n), M)
 
-    @classmethod
-    def from_complex_linear(cls, M: np.ndarray) -> "RealLinearMap":
-        """Real form of the complex-linear map z -> M z."""
-        M = np.asarray(M, dtype=complex)
-        n = M.shape[0]
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = M.real
-        out[:n, n:] = -M.imag
-        out[n:, :n] = M.imag
-        out[n:, n:] = M.real
-        return cls(SpaceContext(n), out)
-
-    @classmethod
-    def from_conjugate_linear(cls, C: np.ndarray) -> "RealLinearMap":
-        """Real form of the conjugate-linear map z -> C conj(z)."""
-        C = np.asarray(C, dtype=complex)
-        n = C.shape[0]
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, :n] = C.real
-        out[:n, n:] = C.imag
-        out[n:, :n] = C.imag
-        out[n:, n:] = -C.real
-        return cls(SpaceContext(n), out)
-
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Apply to a complex vector."""
         return to_complex_coords(self.entries @ to_real_coords(z))
-
-    def apply_real(self, v: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(v, dtype=float)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries, 2))
 
     def complex_linear_matrix(self) -> np.ndarray:
-        """The n x n complex matrix of a map that commutes with J."""
-        n = self.space.n
-        E = self.entries
-        return E[:n, :n] + 1j * E[n:, :n]
+        """The n x n complex matrix M with map(z) = M z for a map that
+        commutes with J, or M conj(z) for one that anticommutes with J.
 
-    def conjugate_linear_matrix(self) -> np.ndarray:
-        """The n x n complex matrix C with map(z) = C conj(z), for a map
-        that anticommutes with J."""
+        Both cases read the same block: the first block column is the
+        map's action on real vectors, where z = conj(z).
+        """
         n = self.space.n
         E = self.entries
         return E[:n, :n] + 1j * E[n:, :n]
@@ -321,10 +292,6 @@ class OperatorContext:
         return float(np.exp(self.log_det_v_a))
 
     @property
-    def det_v_h(self) -> float:
-        return float(np.exp(2.0 * self.log_det_h))
-
-    @property
     def det_h(self) -> float:
         """Determinant of the complex-linear part on an n-dimensional real form."""
         return float(np.exp(self.log_det_h))
@@ -343,11 +310,6 @@ class OperatorContext:
     def det_s(self) -> float:
         self.require_real_form()
         return float(np.linalg.det(self.S))
-
-    @property
-    def T1(self) -> RealLinearMap:
-        """Inverse square root of the complex-linear part, as a real map."""
-        return RealLinearMap.from_complex_linear(self.inv_sqrt_H_matrix)
 
     def require_real_form(self) -> None:
         if not self.real_preserving:
@@ -402,7 +364,7 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     n = A.space.n
 
     Hc = H.complex_linear_matrix()
-    Kc = K.conjugate_linear_matrix()
+    Kc = K.complex_linear_matrix()
     h_vals, sqrt_Hc, inv_sqrt_Hc = _hermitian_sqrt(Hc)
 
     a_vals = np.linalg.eigvalsh(0.5 * (A.entries + A.entries.T))

@@ -3,6 +3,7 @@ verification command and the tests."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -56,6 +57,10 @@ def make_check(
 
 
 def make_bound_check(name: str, value: float, bound: float, tolerance: float) -> CheckResult:
-    """Check value <= bound + tolerance, reporting the overshoot."""
-    overshoot = max(0.0, value - bound)
+    """Check value <= bound + tolerance, reporting the overshoot.  A
+    non-finite value or bound fails with a NaN overshoot."""
+    if math.isfinite(value) and math.isfinite(bound):
+        overshoot = max(0.0, value - bound)
+    else:
+        overshoot = math.nan
     return CheckResult(name, value, bound, overshoot, tolerance, overshoot <= tolerance)

@@ -330,9 +330,6 @@ class HolomorphicFunction:
     def times_scalar(self, c: complex) -> "HolomorphicFunction":
         return HolomorphicFunction(self.n, [(p * c, g) for p, g in self.terms])
 
-    def times_poly(self, q: Polynomial) -> "HolomorphicFunction":
-        return HolomorphicFunction(self.n, [(p * q, g) for p, g in self.terms])
-
     def times_exp(self, e: ExpQuadratic) -> "HolomorphicFunction":
         return HolomorphicFunction(self.n, [(p, g * e) for p, g in self.terms])
 

@@ -2,12 +2,13 @@
 Segal-Bargmann transforms attached to a weight operator.
 
 All integral operators here have two evaluation routes that serve as
-each other's oracle:
+each other's oracle, and the type of the input picks between them:
 
 * a closed form obtained by completing the square inside the symbolic
   polynomial-times-Gaussian class (:class:`~fockops.symbolic.GaussPoly`),
 * tensor Gauss-Hermite quadrature for black-box integrands
-  (:class:`~fockops.symbolic.CallableField`).
+  (:class:`~fockops.symbolic.CallableField`), with a rule scaled to the
+  kernel and a fixed node count (``QUADRATURE_NODES``).
 
 Conventions: ``x`` and ``y`` denote points of the real subspace (real
 n-vectors), ``z`` and ``w`` points of the complexification.  Operators
@@ -66,6 +67,9 @@ __all__ = [
     "weighted_ground_state",
 ]
 
+# Nodes per axis of the quadrature route, in every dimension.
+QUADRATURE_NODES = 40
+
 
 # -- translation representation ---------------------------------------------
 
@@ -117,22 +121,19 @@ def restrict(ctx: OperatorContext, F: HolomorphicFunction) -> GaussPoly:
     )
 
 
-def _convolve_at(prefactor: complex, G: np.ndarray, h, z: np.ndarray,
-                 rule: QuadratureRule | None) -> complex:
-    """Quadrature value of prefactor * (exp(-u.Gu/2) * h)(z) at complex z.
+def _convolve_at(G: np.ndarray, h, z: np.ndarray) -> complex:
+    """Quadrature value of the convolution (exp(-u.Gu/2) * h)(z) at complex z.
 
-    The Gaussian kernel recentred at Re(z) becomes the quadrature weight;
-    the leftover imaginary shift is a bounded oscillatory factor.
+    The rule is built here, scaled to G and recentred at Re(z), so its
+    weight is the kernel itself; the leftover imaginary shift is a
+    bounded oscillatory factor.
     """
-    G = np.asarray(G, dtype=float)
     n = G.shape[0]
     a, imag = z.real, z.imag
-    if rule is None:
-        rule = QuadratureRule(dim=n, nodes_per_axis=40, scaling=G)
+    rule = QuadratureRule(dim=n, nodes_per_axis=QUADRATURE_NODES, scaling=G)
     log_det = float(np.sum(np.log(np.linalg.eigvalsh(G))))
     const = (
-        prefactor
-        * (2.0 * math.pi) ** (n / 2.0)
+        (2.0 * math.pi) ** (n / 2.0)
         * math.exp(-0.5 * log_det)
         * complex(np.exp(0.5 * np.dot(imag, G @ imag)))
     )
@@ -145,48 +146,70 @@ def _convolve_at(prefactor: complex, G: np.ndarray, h, z: np.ndarray,
     return const * integrate_shifted(rule, a, integrand)
 
 
-def restrict_adjoint(ctx: OperatorContext, h, z, rule: QuadratureRule | None = None) -> complex:
-    """Adjoint of the weighted restriction, evaluated at a complex point.
+def _closed_form(h: GaussPoly, kernel):
+    """s exp(z.Ez/2) (exp(-u.Gu/2) * h)(z) for kernel = (s, G, E), by
+    completing the square; E None means no envelope, and the result then
+    stays a GaussPoly."""
+    s, G, E = kernel
+    if E is None:
+        return convolve_gaussian(s, G, h)
+    envelope = ExpQuadratic(E, np.zeros(h.n), 0.0)
+    return convolve_gaussian(1.0, G, h).as_holomorphic().times_exp(envelope).times_scalar(s)
 
-    For a GaussPoly the Gaussian convolution is done in closed form; a
-    CallableField goes through quadrature.
+
+def _evaluate(h, z, kernel, closed) -> complex:
+    """The transform with kernel = (s, G, E) of h at z:
+
+        s exp(z.Ez/2) integral exp(-(z-x).G(z-x)/2) h(x) dx.
+
+    The input's type picks the route.  A GaussPoly is mapped by the
+    symbolic ``closed`` and evaluated; anything else with ``evaluate_many``
+    is integrated by tensor Gauss-Hermite quadrature with QUADRATURE_NODES
+    nodes per axis.  The routes share no arithmetic beyond the kernel, so
+    each is the other's oracle.
     """
-    ctx.require_real_form()
     z = np.asarray(z, dtype=complex)
-    Hn = 0.5 * (ctx.R + ctx.T)
-    front = (
-        ctx.c_a**-2
-        * ctx.c_restriction
-        * complex(checked_exp(0.5 * np.dot(z, ctx.R @ z)))
-    )
     if isinstance(h, GaussPoly):
-        conv = convolve_gaussian(1.0, Hn, h)
-        return front * conv.evaluate(z)
-    return front * _convolve_at(1.0, Hn, h, z, rule)
+        return closed(h).evaluate(z)
+    s, G, E = kernel
+    front = s if E is None else s * complex(checked_exp(0.5 * np.dot(z, E @ z)))
+    return front * _convolve_at(G, h, z)
 
 
-def restriction_gram(ctx: OperatorContext, h, x, rule: QuadratureRule | None = None) -> complex:
+def _adjoint_kernel(ctx: OperatorContext):
+    ctx.require_real_form()
+    return ctx.c_a**-2 * ctx.c_restriction, 0.5 * (ctx.R + ctx.T), ctx.R
+
+
+def restrict_adjoint(ctx: OperatorContext, h, z) -> complex:
+    """Adjoint of the weighted restriction, evaluated at a complex point."""
+    kernel = _adjoint_kernel(ctx)
+    return _evaluate(h, z, kernel, lambda g: _closed_form(g, kernel))
+
+
+def restriction_gram(ctx: OperatorContext, h, x) -> complex:
     """The Gram operator R R* of the restriction map, at a real point."""
     ctx.require_real_form()
     x = np.asarray(x, dtype=float)
     damp = ctx.c_restriction * math.exp(-0.5 * float(np.dot(x, ctx.R @ x)))
-    return damp * restrict_adjoint(ctx, h, x.astype(complex), rule)
+    return damp * restrict_adjoint(ctx, h, x.astype(complex))
+
+
+def _modulus_kernel(ctx: OperatorContext):
+    """The heat kernel of (R + T)/2 at half time."""
+    ctx.require_real_form()
+    G = ctx.R + ctx.T
+    return _heat_coeff(G), G, None
 
 
 def restriction_modulus(ctx: OperatorContext, h: GaussPoly) -> GaussPoly:
     """|R*| h in closed form: heat convolution at half time."""
-    ctx.require_real_form()
-    return heat_convolve(0.5 * (ctx.R + ctx.T), 0.5, h)
+    return _closed_form(h, _modulus_kernel(ctx))
 
 
-def restriction_modulus_at(ctx: OperatorContext, h, x, rule: QuadratureRule | None = None) -> complex:
-    ctx.require_real_form()
+def restriction_modulus_at(ctx: OperatorContext, h, x) -> complex:
     x = np.asarray(x, dtype=float)
-    if isinstance(h, GaussPoly):
-        return restriction_modulus(ctx, h).evaluate(x)
-    Hn = 0.5 * (ctx.R + ctx.T)
-    pref = _heat_coeff(2.0 * Hn)
-    return _convolve_at(pref, 2.0 * Hn, h, x.astype(complex), rule)
+    return _evaluate(h, x, _modulus_kernel(ctx), lambda g: restriction_modulus(ctx, g))
 
 
 # -- heat kernels -------------------------------------------------------------
@@ -257,53 +280,40 @@ def phase_operator(ctx: OperatorContext, h, x) -> complex:
 # -- Segal-Bargmann transforms -------------------------------------------------
 
 
+def _classical_kernel(n: int):
+    eye = np.eye(n)
+    return (2.0 / math.pi) ** (n / 4.0), 2.0 * eye, eye
+
+
 def segal_bargmann_classical_fn(g: GaussPoly) -> HolomorphicFunction:
     """Classical transform of a GaussPoly, as a symbolic holomorphic function."""
-    n = g.n
-    conv = convolve_gaussian(1.0, 2.0 * np.eye(n), g)
-    envelope = ExpQuadratic(np.eye(n), np.zeros(n), 0.0)
-    return conv.as_holomorphic().times_exp(envelope).times_scalar((2.0 / math.pi) ** (n / 4.0))
+    return _closed_form(g, _classical_kernel(g.n))
 
 
-def segal_bargmann_classical(g, z, rule: QuadratureRule | None = None) -> complex:
+def segal_bargmann_classical(g, z) -> complex:
     """Classical Segal-Bargmann transform evaluated at a complex point."""
     z = np.asarray(z, dtype=complex)
-    if isinstance(g, GaussPoly):
-        return segal_bargmann_classical_fn(g).evaluate(z)
-    n = z.shape[0]
-    front = (2.0 / math.pi) ** (n / 4.0) * complex(checked_exp(0.5 * np.dot(z, z)))
-    return front * _convolve_at(1.0, 2.0 * np.eye(n), g, z, rule)
+    return _evaluate(g, z, _classical_kernel(z.shape[0]), segal_bargmann_classical_fn)
 
 
-def _sb_prefactor(ctx: OperatorContext) -> float:
-    return (2.0 / math.pi) ** (ctx.n / 4.0) * math.exp(
+def _sb_kernel(ctx: OperatorContext):
+    """Kernel exp(-(z-y).H(z-y)), Gaussian because the complex-linear part
+    is positive, under the entire envelope exp(z.Rz/2)."""
+    ctx.require_real_form()
+    prefactor = (2.0 / math.pi) ** (ctx.n / 4.0) * math.exp(
         0.75 * ctx.log_det_h - 0.25 * ctx.log_det_v_a
     )
+    return prefactor, ctx.R + ctx.T, ctx.R
 
 
 def segal_bargmann_fn(ctx: OperatorContext, f: GaussPoly) -> HolomorphicFunction:
-    """Weighted Segal-Bargmann transform of a GaussPoly, symbolically.
-
-    The integral kernel is exp(-(z-y).H(z-y)), Gaussian because the
-    complex-linear part is positive; the result is the convolution times
-    the entire envelope exp(z.Rz/2).
-    """
-    ctx.require_real_form()
-    Hn = 0.5 * (ctx.R + ctx.T)
-    conv = convolve_gaussian(1.0, 2.0 * Hn, f)
-    envelope = ExpQuadratic(ctx.R.astype(complex), np.zeros(ctx.n), 0.0)
-    return conv.as_holomorphic().times_exp(envelope).times_scalar(_sb_prefactor(ctx))
+    """Weighted Segal-Bargmann transform of a GaussPoly, symbolically."""
+    return _closed_form(f, _sb_kernel(ctx))
 
 
-def segal_bargmann(ctx: OperatorContext, f, z, rule: QuadratureRule | None = None) -> complex:
+def segal_bargmann(ctx: OperatorContext, f, z) -> complex:
     """Weighted Segal-Bargmann transform at a complex point."""
-    ctx.require_real_form()
-    z = np.asarray(z, dtype=complex)
-    if isinstance(f, GaussPoly):
-        return segal_bargmann_fn(ctx, f).evaluate(z)
-    Hn = 0.5 * (ctx.R + ctx.T)
-    front = _sb_prefactor(ctx) * complex(checked_exp(0.5 * np.dot(z, ctx.R @ z)))
-    return front * _convolve_at(1.0, 2.0 * Hn, f, z, rule)
+    return _evaluate(f, z, _sb_kernel(ctx), lambda g: segal_bargmann_fn(ctx, g))
 
 
 def density_t(ctx: OperatorContext) -> GaussPoly:
@@ -319,20 +329,19 @@ def density_s(ctx: OperatorContext) -> GaussPoly:
     return GaussPoly.gaussian(ctx.S, coeff=_heat_coeff(ctx.S))
 
 
+def _gaussian_kernel(ctx: OperatorContext):
+    """Convolution with the T-block density, no envelope."""
+    ctx.require_real_form()
+    return _heat_coeff(ctx.T), ctx.T, None
+
+
 def segal_bargmann_gaussian_fn(ctx: OperatorContext, f: GaussPoly) -> HolomorphicFunction:
-    """Gaussian-measure form of the transform: convolution with the
-    T-block density."""
-    ctx.require_real_form()
-    conv = convolve_gaussian(_heat_coeff(ctx.T), ctx.T, f)
-    return conv.as_holomorphic()
+    """Gaussian-measure form of the transform, symbolically."""
+    return _closed_form(f, _gaussian_kernel(ctx)).as_holomorphic()
 
 
-def segal_bargmann_gaussian(ctx: OperatorContext, f, z, rule: QuadratureRule | None = None) -> complex:
-    ctx.require_real_form()
-    z = np.asarray(z, dtype=complex)
-    if isinstance(f, GaussPoly):
-        return segal_bargmann_gaussian_fn(ctx, f).evaluate(z)
-    return _convolve_at(_heat_coeff(ctx.T), ctx.T, f, z, rule)
+def segal_bargmann_gaussian(ctx: OperatorContext, f, z) -> complex:
+    return _evaluate(f, z, _gaussian_kernel(ctx), lambda g: segal_bargmann_gaussian_fn(ctx, g))
 
 
 # -- coherent states -----------------------------------------------------------
@@ -369,7 +378,7 @@ def coherent_inner(ctx: OperatorContext, w, z) -> complex:
     )
 
 
-def kernel_from_densities(ctx: OperatorContext, z, w, rule: QuadratureRule | None = None) -> complex:
+def kernel_from_densities(ctx: OperatorContext, z, w) -> complex:
     """Reproducing kernel as a Gaussian-density integral, by quadrature.
 
     The integrand (two shifted T-densities over the S-density) decays
@@ -381,8 +390,7 @@ def kernel_from_densities(ctx: OperatorContext, z, w, rule: QuadratureRule | Non
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     decay = 2.0 * ctx.T - ctx.S
-    if rule is None:
-        rule = QuadratureRule(dim=ctx.n, nodes_per_axis=40, scaling=decay)
+    rule = QuadratureRule(dim=ctx.n, nodes_per_axis=QUADRATURE_NODES, scaling=decay)
     total = (
         coherent_state_fn(ctx, z)
         * coherent_state_fn(ctx, np.conj(w))

@@ -90,6 +90,8 @@ def _tail_estimate(increments: np.ndarray) -> tuple[bool, float | None, str]:
     tiny = 1e-15
     if float(increments[-1]) <= tiny and float(np.max(increments[n // 2 :])) <= tiny:
         return True, 0.0, "increments vanish; partial sums are constant"
+    if n < 3:
+        return False, None, f"too few terms ({n}) to extrapolate the tail"
     window = max(3, min(20, n // 2))
     ks = np.arange(n - window + 1, n + 1, dtype=float)
     ds = np.maximum(increments[-window:], 1e-300)

@@ -205,6 +205,47 @@ def test_truncate_constant_and_explicit(tmp_path, capsys):
     assert json.loads(out)["sequence"]["bounded"] is True
 
 
+def test_eval_quadrature_block_rejected(tmp_path, capsys):
+    # every eval function is closed-form, so a quadrature block could do nothing
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {
+            **DIAG,
+            "quadrature": {"nodes": 8},
+            "eval": {"target": "kernel", "points": [{"z": [0.0, 0.0], "w": [0.0, 0.0]}]},
+        },
+    )
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--nodes", "4"],
+    ["eval", "--nodes", "100000"],
+    ["truncate", "--seed", "1"],
+])
+def test_seed_and_nodes_only_on_verify(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_seed_and_nodes_override_config(tmp_path, capsys, monkeypatch):
+    import fockops.cli
+
+    def echo(config):
+        return {"command": "verify", "config": config, "pass": True}
+
+    monkeypatch.setitem(fockops.cli.COMMANDS, "verify", echo)
+    cfg = write_config(tmp_path, "cfg.json", {"seed": 5, "pairs": 3})
+    code, out = run_cli(capsys, "verify", "--config", cfg, "--seed", "7", "--nodes", "12")
+    assert code == 0
+    assert json.loads(out)["config"] == {"seed": 7, "nodes": 12, "pairs": 3}
+
+
 SMALL_VERIFY = {
     "seed": 11,
     "decompositionSamples": 30,

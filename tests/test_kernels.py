@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fockops import (
+    ConfigError,
     HolomorphicFunction,
+    QuadratureRule,
     Polynomial,
     RangeOverflowError,
     RealLinearMap,
@@ -181,6 +183,18 @@ def test_reproducing_property_quadrature():
         lhs = fock_inner_product(ctx, F, section, rule)
         rhs = F.evaluate(w)
         assert abs(lhs - rhs) <= 1e-6 * (1 + abs(rhs))
+
+
+def test_fock_rule_for_another_gaussian_is_rejected():
+    # an identity-scaled rule would weight the integrand by the wrong
+    # Gaussian and return 1.414 for a norm of 0.791
+    ctx = diag_ctx()
+    z = HolomorphicFunction.monomial(1, (1,))
+    with pytest.raises(ConfigError):
+        fock_norm(ctx, z, QuadratureRule(dim=2, nodes_per_axis=40))
+    with pytest.raises(ConfigError):
+        fock_inner_product(ctx, z, z, fock_rule(diag_ctx(2.0, 1.0), 40))
+    assert fock_norm(ctx, z, fock_rule(ctx, 40)) == pytest.approx(0.7905694150420949, rel=1e-8)
 
 
 def test_classical_to_weighted_identity_weight_is_identity_map():

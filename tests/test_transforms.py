@@ -1,5 +1,6 @@
 """Translation, restriction, heat semigroup, and the three transforms."""
 
+import inspect
 import math
 
 import numpy as np
@@ -519,6 +520,42 @@ def test_gaussian_transform_unitary_from_weighted_l2():
             src = l2_inner_product(fams[i], fams[j], weight=rho_s)
             img = fock_inner_product(ctx, images[i], images[j], rule)
             assert abs(src - img) <= 1e-6 * max(1.0, abs(src))
+
+
+# -- both routes of every point-evaluating transform ----------------------------------
+
+
+POINT_TRANSFORMS = {
+    "restrict_adjoint": restrict_adjoint,
+    "restriction_modulus_at": lambda ctx, h, z: restriction_modulus_at(ctx, h, z.real),
+    "segal_bargmann_classical": lambda ctx, h, z: segal_bargmann_classical(h, z),
+    "segal_bargmann": segal_bargmann,
+    "segal_bargmann_gaussian": segal_bargmann_gaussian,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", sorted(POINT_TRANSFORMS))
+def test_closed_and_quadrature_routes_agree(name, n):
+    transform = POINT_TRANSFORMS[name]
+    rng = np.random.default_rng(30 + n)
+    ctx = build_context(random_real_preserving_map(rng, n, 0.5, 2.5))
+    f = hermite_function((2,) * n)
+    field = CallableField(n, f.evaluate_many)
+    for _ in range(3):
+        z = 0.6 * rng.standard_normal(n) + 0.4j * rng.standard_normal(n)
+        closed = transform(ctx, f, z)
+        quad = transform(ctx, field, z)
+        assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize("fn", [
+    restrict_adjoint, restriction_gram, restriction_modulus_at, segal_bargmann_classical,
+    segal_bargmann, segal_bargmann_gaussian, kernel_from_densities,
+])
+def test_transforms_take_no_quadrature_rule(fn):
+    # the rule is built from the kernel; a caller's rule could only be wrong
+    assert "rule" not in inspect.signature(fn).parameters
 
 
 # -- reference functions -------------------------------------------------------------

@@ -84,3 +84,12 @@ def test_json_payload_shape():
     assert set(data) == {"logCaInv", "increments", "bounded", "tailBound", "note"}
     assert isinstance(seq, CaSequence)
     assert len(data["logCaInv"]) == 5
+
+
+@pytest.mark.parametrize("max_n", [1, 2])
+def test_too_few_terms_give_no_verdict(max_n):
+    seq = ca_sequence(TruncationSpec.constant(4.0, 1.0, max_n))
+    assert seq.log_ca_inv[-1] == pytest.approx(scalar_log_ca_inv(4.0, 1.0, max_n), rel=1e-13)
+    assert not seq.bounded
+    assert seq.tail_bound is None
+    assert "too few terms" in seq.verdict_note
