@@ -49,7 +49,6 @@ from .operators import (
 from .quadrature import QuadratureRule, integrate, integrate_shifted, mc_integrate
 from .symbolic import (
     CallableField,
-    ExpQuadratic,
     GaussPoly,
     HolomorphicFunction,
     Polynomial,

@@ -367,15 +367,19 @@ def cmd_eval(config: dict) -> dict:
     }
 
 
+# verify config keys -> VerifyConfig fields; unset keys keep the field defaults
+VERIFY_FIELDS = {
+    "seed": "seed",
+    "nodes": "nodes",
+    "nodes2d": "nodes_2d",
+    "decompositionSamples": "decomposition_samples",
+    "pairs": "pairs",
+    "mcSamples": "mc_samples",
+}
+
+
 def cmd_verify(config: dict) -> dict:
-    cfg = VerifyConfig(
-        seed=config.get("seed", 2024),
-        nodes=config.get("nodes", 40),
-        nodes_2d=config.get("nodes2d", 20),
-        decomposition_samples=config.get("decompositionSamples", 200),
-        pairs=config.get("pairs", 100),
-        mc_samples=config.get("mcSamples", 100_000),
-    )
+    cfg = VerifyConfig(**{VERIFY_FIELDS[key]: value for key, value in config.items()})
     report = run_verification(cfg)
     report["config"] = config
     return report
@@ -483,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
         log.error("%s failed: %s", args.command, err)
         return 2
-    except FileNotFoundError as err:
+    except (OSError, json.JSONDecodeError) as err:
         print(json.dumps({"error": {"kind": "config_invalid", "message": str(err)}},
                          sort_keys=True, indent=2))
         return 2

@@ -80,7 +80,7 @@ class NodeBudgetError(FockError):
 
 
 class EvaluatorError(FockError):
-    """An integrand produced NaN or otherwise failed at quadrature nodes."""
+    """An integrand produced NaN or inf or otherwise failed at quadrature nodes."""
 
     kind = "evaluator_failure"
 

@@ -29,7 +29,7 @@ from .errors import ConfigError, DimensionMismatchError, RangeOverflowError
 from .operators import OperatorContext, RealLinearMap, build_context, real_inner
 from .quadrature import QuadratureRule, integrate
 from .report import CheckResult, make_bound_check, make_check
-from .symbolic import EXP_OVERFLOW, ExpQuadratic, HolomorphicFunction
+from .symbolic import EXP_OVERFLOW, GaussPoly, HolomorphicFunction
 
 __all__ = [
     "measure_density",
@@ -85,10 +85,9 @@ def kernel_section(ctx: OperatorContext, w) -> HolomorphicFunction:
     w = np.asarray(w, dtype=complex)
     wbar = np.conj(w)
     C = ctx.K_matrix
-    gauss = ExpQuadratic(
-        np.conj(C), ctx.H_matrix.T @ wbar, 0.5 * np.dot(wbar, C @ wbar)
-    )
-    return HolomorphicFunction.from_exp_quadratic(gauss).times_scalar(ctx.c_a**-2)
+    return GaussPoly.gaussian(
+        -np.conj(C), ctx.H_matrix.T @ wbar, 0.5 * np.dot(wbar, C @ wbar), ctx.c_a**-2
+    ).as_holomorphic()
 
 
 def eval_functional_norm(ctx: OperatorContext, z) -> float:
@@ -105,7 +104,7 @@ def weighted_to_classical(ctx: OperatorContext, F: HolomorphicFunction) -> Holom
     The substitution w -> sqrt(H) v turns the classical Gaussian into the
     weighted one, which is what makes this direction the isometry."""
     T1 = ctx.inv_sqrt_H_matrix
-    twist = ExpQuadratic(-(T1.T @ np.conj(ctx.K_matrix) @ T1), np.zeros(ctx.n), 0.0)
+    twist = GaussPoly.gaussian(T1.T @ np.conj(ctx.K_matrix) @ T1)
     return F.compose_linear(T1).times_exp(twist).times_scalar(ctx.c_a)
 
 
@@ -113,7 +112,7 @@ def classical_to_weighted(ctx: OperatorContext, F: HolomorphicFunction) -> Holom
     """Inverse (= adjoint) of :func:`weighted_to_classical`:
 
         (1/c_a) exp(conj(<Kw, w>)/2) F(sqrt(H) w)."""
-    twist = ExpQuadratic(np.conj(ctx.K_matrix), np.zeros(ctx.n), 0.0)
+    twist = GaussPoly.gaussian(-np.conj(ctx.K_matrix))
     return F.compose_linear(ctx.sqrt_H_matrix).times_exp(twist).times_scalar(1.0 / ctx.c_a)
 
 

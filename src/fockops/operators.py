@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -122,6 +123,9 @@ class RealLinearMap:
             raise DimensionMismatchError(
                 f"expected a {d}x{d} matrix for n={self.space.n}, got {entries.shape}"
             )
+        if not np.all(np.isfinite(entries)):
+            i, j = np.argwhere(~np.isfinite(entries))[0]
+            raise ConfigError(f"operator entry ({i}, {j}) is {entries[i, j]}, not finite")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 

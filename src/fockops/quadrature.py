@@ -85,11 +85,18 @@ class QuadratureRule:
         return X, W
 
 
+def _require_finite(values: np.ndarray, where: str) -> None:
+    """Raise naming the first non-finite value, before any weighting can
+    turn an inf into a NaN or hide it."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        kind = "NaN" if np.isnan(values[bad[0]]) else "inf"
+        raise EvaluatorError(f"integrand produced {kind} at {where} {bad[0]}")
+
+
 def _reduce(values: np.ndarray, weights: np.ndarray) -> complex:
+    _require_finite(values, "node")
     prods = values * weights
-    if np.any(np.isnan(prods)):
-        bad = int(np.nonzero(np.isnan(prods))[0][0])
-        raise EvaluatorError(f"integrand produced NaN at node {bad}")
     return complex(math.fsum(prods.real), math.fsum(prods.imag))
 
 
@@ -122,8 +129,7 @@ def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     xi = rng.standard_normal((samples, dim))
     X = xi @ inv_sqrt_spd(scaling).T
     values = np.asarray(f(X), dtype=complex)
-    if np.any(np.isnan(values)):
-        raise EvaluatorError("integrand produced NaN in a Monte Carlo sample")
+    _require_finite(values, "sample")
     estimate = complex(
         math.fsum(values.real) / samples, math.fsum(values.imag) / samples
     )

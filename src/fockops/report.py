@@ -16,6 +16,16 @@ def complex_json(value):
     return float(value)
 
 
+def fold(pick, acc: float, value: float) -> float:
+    """One step of a running ``max`` or ``min`` (``pick``) that keeps a NaN.
+
+    The builtins drop a NaN in second place (``max(0.0, nan)`` is 0.0), so a
+    residual that went NaN would otherwise be folded away and pass."""
+    if math.isnan(acc) or math.isnan(value):
+        return math.nan
+    return pick(acc, value)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str

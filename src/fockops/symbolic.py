@@ -1,31 +1,33 @@
 """Closed-form calculus for polynomial-times-Gaussian functions.
 
-Two families are kept in exact symbolic form:
+One term type carries the whole closed class:
 
-* :class:`HolomorphicFunction`: finite sums of ``p(z) * exp(z.Qz/2 + b.z + g)``
-  with ``p`` a polynomial and ``Q`` complex symmetric; ``z.Qz`` is the
-  symmetric bilinear form (no conjugation).  The family is closed under
-  composition with complex-linear maps, argument shifts, and
-  multiplication by exponential-quadratics, which is exactly what every
-  transform in this package produces.
+* :class:`GaussPoly`: ``p(x) * exp(-x.Px/2 + b.x + g)`` with ``p`` a
+  :class:`Polynomial` and ``P`` complex symmetric; ``x.Px`` is the
+  symmetric bilinear form (no conjugation), and evaluation at complex
+  arguments is the analytic continuation.  Terms are closed under
+  products, composition with linear maps, argument shifts and Gaussian
+  convolution, which is exactly what every transform in this package
+  produces.
 
-* :class:`GaussPoly`: functions ``p(x) * exp(-x.Px/2 + b.x + g)`` on the
-  real subspace.  Closed under products, Gaussian convolution and
-  multiplication by Gaussian densities; evaluation at complex arguments
-  is the analytic continuation.
+* :class:`HolomorphicFunction`: a finite sum of such terms, read as a
+  function of a complex argument (the elements of the Fock spaces).
+  Terms whose Gaussian parts agree bit for bit are merged.
 
-Gaussian integrals of either family are evaluated by completing the
-square; polynomial factors reduce to moments of a (complex symmetric)
-covariance via the Isserlis/Wick recursion.  Complex symmetric quadratic
-forms with positive-definite real part keep their eigenvalues in the
-right half plane, so the principal branch of ``det^{-1/2}`` used here is
-the analytic continuation of the real SPD formula.
+Gaussian integrals and convolutions are evaluated by completing the
+square; the polynomial factor is averaged against the centred Gaussian
+of covariance ``Q^{-1}`` by one binomial-times-Isserlis/Wick expansion
+(:func:`_smoothed`).  Complex symmetric quadratic forms with
+positive-definite real part keep their eigenvalues in the right half
+plane, so the principal branch of ``det^{-1/2}`` used here is the
+analytic continuation of the real SPD formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -33,9 +35,8 @@ from .errors import DivergenceError, RangeOverflowError, UnsupportedFormError
 
 __all__ = [
     "Polynomial",
-    "ExpQuadratic",
-    "HolomorphicFunction",
     "GaussPoly",
+    "HolomorphicFunction",
     "CallableField",
     "gaussian_integral",
     "integrate_gausspoly",
@@ -132,12 +133,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def power(self, k: int) -> "Polynomial":
-        out = Polynomial.constant(self.n, 1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def conjugate_coefficients(self) -> "Polynomial":
         return Polynomial(self.n, {a: np.conj(c) for a, c in self.terms.items()})
 
@@ -163,12 +158,16 @@ class Polynomial:
         M = np.asarray(M, dtype=complex)
         d = np.zeros(n, dtype=complex) if d is None else _as_complex_vector(d, n)
         lines = [Polynomial.linear(M[j, :], d[j]) for j in range(n)]
+        # powers[j][k] is the k-th power of the j-th linear form, built on demand
+        powers = [[Polynomial.constant(n, 1.0)] for _ in range(n)]
         out = Polynomial(n, {})
         for alpha, coeff in self.terms.items():
             term = Polynomial.constant(n, coeff)
             for j, a in enumerate(alpha):
+                while len(powers[j]) <= a:
+                    powers[j].append(powers[j][-1] * lines[j])
                 if a:
-                    term = term * lines[j].power(a)
+                    term = term * powers[j][a]
             out = out + term
         return out
 
@@ -176,246 +175,15 @@ class Polynomial:
         """The polynomial z -> p(z + d)."""
         return self.compose_affine(None, d)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "polynomial",
-            "n": self.n,
-            "terms": [
-                {"alpha": list(a), "re": c.real, "im": c.imag}
-                for a, c in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Polynomial":
-        return cls(
-            data["n"],
-            {
-                tuple(t["alpha"]): complex(t["re"], t.get("im", 0.0))
-                for t in data["terms"]
-            },
-        )
-
-
-@dataclass(frozen=True)
-class ExpQuadratic:
-    """exp(z.Qz/2 + b.z + gamma) with Q complex symmetric (bilinear, no conjugation)."""
-
-    Q: np.ndarray
-    b: np.ndarray
-    gamma: complex
-
-    def __post_init__(self):
-        Q = _sym(np.asarray(self.Q, dtype=complex))
-        b = np.asarray(self.b, dtype=complex)
-        if Q.shape != (b.shape[0], b.shape[0]):
-            raise UnsupportedFormError("quadratic/linear dimensions disagree")
-        Q.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "gamma", complex(self.gamma))
-
-    @property
-    def n(self) -> int:
-        return self.b.shape[0]
-
-    @classmethod
-    def zero(cls, n: int) -> "ExpQuadratic":
-        return cls(np.zeros((n, n)), np.zeros(n), 0.0)
-
-    def is_trivial(self, tol: float = 0.0) -> bool:
-        return (
-            float(np.max(np.abs(self.Q), initial=0.0)) <= tol
-            and float(np.max(np.abs(self.b), initial=0.0)) <= tol
-            and abs(self.gamma) <= tol
-        )
-
-    def exponent_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        return 0.5 * np.einsum("ij,jk,ik->i", Z, self.Q, Z) + Z @ self.b + self.gamma
-
-    def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        return checked_exp(self.exponent_many(Z))
-
-    def evaluate(self, z) -> complex:
-        return complex(self.evaluate_many(np.asarray(z, dtype=complex)[None, :])[0])
-
-    def __mul__(self, other: "ExpQuadratic") -> "ExpQuadratic":
-        return ExpQuadratic(self.Q + other.Q, self.b + other.b, self.gamma + other.gamma)
-
-    def compose_linear(self, M: np.ndarray) -> "ExpQuadratic":
-        M = np.asarray(M, dtype=complex)
-        return ExpQuadratic(M.T @ self.Q @ M, M.T @ self.b, self.gamma)
-
-    def shifted(self, d) -> "ExpQuadratic":
-        d = _as_complex_vector(d, self.n)
-        return ExpQuadratic(
-            self.Q,
-            self.b + self.Q @ d,
-            self.gamma + 0.5 * np.dot(d, self.Q @ d) + np.dot(self.b, d),
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "exp_quadratic",
-            "n": self.n,
-            "Q": [[{"re": v.real, "im": v.imag} for v in row] for row in self.Q],
-            "b": [{"re": v.real, "im": v.imag} for v in self.b],
-            "gamma": {"re": self.gamma.real, "im": self.gamma.imag},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExpQuadratic":
-        jc = lambda d: complex(d["re"], d.get("im", 0.0))
-        Q = np.array([[jc(v) for v in row] for row in data["Q"]], dtype=complex)
-        b = np.array([jc(v) for v in data["b"]], dtype=complex)
-        return cls(Q, b, jc(data["gamma"]))
-
-
-class HolomorphicFunction:
-    """Finite sum of polynomial-times-exponential-quadratic terms."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms):
-        self.n = int(n)
-        # merge terms whose exponential parts agree bit for bit, so sums of
-        # polynomials stay a single term
-        merged: dict[tuple, tuple[Polynomial, ExpQuadratic]] = {}
-        for poly, gauss in terms:
-            if poly.n != self.n or gauss.n != self.n:
-                raise UnsupportedFormError("term dimension mismatch")
-            if poly.is_zero():
-                continue
-            key = (gauss.Q.tobytes(), gauss.b.tobytes(), gauss.gamma)
-            if key in merged:
-                prev_poly, prev_gauss = merged[key]
-                merged[key] = (prev_poly + poly, prev_gauss)
-            else:
-                merged[key] = (poly, gauss)
-        self.terms = tuple(
-            (p, g) for p, g in merged.values() if not p.is_zero()
-        )
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "HolomorphicFunction":
-        return cls(poly.n, [(poly, ExpQuadratic.zero(poly.n))])
-
-    @classmethod
-    def from_exp_quadratic(cls, gauss: ExpQuadratic) -> "HolomorphicFunction":
-        return cls(gauss.n, [(Polynomial.constant(gauss.n, 1.0), gauss)])
-
-    @classmethod
-    def constant(cls, n: int, value: complex) -> "HolomorphicFunction":
-        return cls.from_polynomial(Polynomial.constant(n, value))
-
-    @classmethod
-    def monomial(cls, n: int, alpha, coeff: complex = 1.0) -> "HolomorphicFunction":
-        return cls.from_polynomial(Polynomial.monomial(n, alpha, coeff))
-
-    def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        out = np.zeros(Z.shape[0], dtype=complex)
-        for poly, gauss in self.terms:
-            out += poly.evaluate_many(Z) * gauss.evaluate_many(Z)
-        return out
-
-    def evaluate(self, z) -> complex:
-        return complex(self.evaluate_many(np.asarray(z, dtype=complex)[None, :])[0])
-
-    def __add__(self, other: "HolomorphicFunction") -> "HolomorphicFunction":
-        return HolomorphicFunction(self.n, self.terms + other.terms)
-
-    def times_scalar(self, c: complex) -> "HolomorphicFunction":
-        return HolomorphicFunction(self.n, [(p * c, g) for p, g in self.terms])
-
-    def times_exp(self, e: ExpQuadratic) -> "HolomorphicFunction":
-        return HolomorphicFunction(self.n, [(p, g * e) for p, g in self.terms])
-
-    def compose_linear(self, M: np.ndarray) -> "HolomorphicFunction":
-        """The function w -> F(M w)."""
-        return HolomorphicFunction(
-            self.n,
-            [(p.compose_affine(M), g.compose_linear(M)) for p, g in self.terms],
-        )
-
-    def shifted(self, d) -> "HolomorphicFunction":
-        """The function z -> F(z + d)."""
-        return HolomorphicFunction(
-            self.n, [(p.shifted(d), g.shifted(d)) for p, g in self.terms]
-        )
-
-    def single_term(self) -> tuple[Polynomial, ExpQuadratic]:
-        if len(self.terms) == 1:
-            return self.terms[0]
-        if not self.terms:
-            return Polynomial(self.n, {}), ExpQuadratic.zero(self.n)
-        raise UnsupportedFormError("function is a sum of several exponential terms")
-
-    def as_polynomial(self, tol: float = 1e-12) -> Polynomial:
-        """Collapse to a plain polynomial; the exponential parts must be
-        trivial up to ``tol`` (their residual scalar is folded in)."""
-        out = Polynomial(self.n, {})
-        for poly, gauss in self.terms:
-            worst = max(
-                float(np.max(np.abs(gauss.Q), initial=0.0)),
-                float(np.max(np.abs(gauss.b), initial=0.0)),
-            )
-            if worst > tol:
-                raise UnsupportedFormError(
-                    f"exponential part deviates from trivial by {worst:.2e} (> {tol})"
-                )
-            out = out + poly * complex(np.exp(gauss.gamma))
-        return out
-
-    def to_json(self) -> dict:
-        if len(self.terms) == 1:
-            poly, gauss = self.terms[0]
-            if gauss.is_trivial():
-                return poly.to_json()
-            if poly.terms == {(0,) * self.n: 1.0 + 0.0j}:
-                return gauss.to_json()
-            return {"kind": "product", "poly": poly.to_json(), "gauss": gauss.to_json()}
-        return {
-            "kind": "sum",
-            "n": self.n,
-            "terms": [
-                {"kind": "product", "poly": p.to_json(), "gauss": g.to_json()}
-                for p, g in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HolomorphicFunction":
-        kind = data.get("kind")
-        if kind == "polynomial":
-            return cls.from_polynomial(Polynomial.from_json(data))
-        if kind == "exp_quadratic":
-            return cls.from_exp_quadratic(ExpQuadratic.from_json(data))
-        if kind == "product":
-            poly = Polynomial.from_json(data["poly"])
-            gauss = ExpQuadratic.from_json(data["gauss"])
-            return cls(poly.n, [(poly, gauss)])
-        if kind == "sum":
-            out = None
-            for term in data["terms"]:
-                f = cls.from_json(term)
-                out = f if out is None else out + f
-            if out is None:
-                raise UnsupportedFormError("empty sum")
-            return out
-        raise UnsupportedFormError(f"unknown symbolic kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class GaussPoly:
-    """p(x) * exp(-x.Px/2 + b.x + gamma) on the real subspace.
+    """p(x) * exp(-x.Px/2 + b.x + gamma), the one term type.
 
-    P is stored complex symmetric (it is real in every standard use);
-    positivity of the total Gaussian decay is checked where an integral
-    is actually taken, not here, because legitimate members of weighted
-    L^2 spaces can grow against Lebesgue measure.
+    P is stored complex symmetric; positivity of the total Gaussian decay
+    is checked where an integral is actually taken, not here, because
+    legitimate members of weighted L^2 spaces can grow against Lebesgue
+    measure, and Fock-space terms grow along imaginary directions.
     """
 
     poly: Polynomial
@@ -440,7 +208,7 @@ class GaussPoly:
 
     @classmethod
     def gaussian(cls, P, b=None, gamma: complex = 0.0, coeff: complex = 1.0) -> "GaussPoly":
-        P = np.asarray(P, dtype=float)
+        P = np.asarray(P)
         n = P.shape[0]
         b = np.zeros(n) if b is None else b
         return cls(Polynomial.constant(n, coeff), P, b, gamma)
@@ -477,11 +245,110 @@ class GaussPoly:
             self.gamma + other.gamma,
         )
 
-    def as_holomorphic(self) -> HolomorphicFunction:
-        """Reinterpret over complex arguments (Q = -P)."""
-        return HolomorphicFunction(
-            self.n, [(self.poly, ExpQuadratic(-self.P, self.b, self.gamma))]
+    def compose_linear(self, M: np.ndarray) -> "GaussPoly":
+        """The function x -> f(M x)."""
+        M = np.asarray(M, dtype=complex)
+        return GaussPoly(self.poly.compose_affine(M), M.T @ self.P @ M, M.T @ self.b, self.gamma)
+
+    def shifted(self, d) -> "GaussPoly":
+        """The function x -> f(x + d)."""
+        d = _as_complex_vector(d, self.n)
+        return GaussPoly(
+            self.poly.shifted(d),
+            self.P,
+            self.b - self.P @ d,
+            self.gamma - 0.5 * np.dot(d, self.P @ d) + np.dot(self.b, d),
         )
+
+    def as_holomorphic(self) -> "HolomorphicFunction":
+        """The same term as a one-term function of a complex argument."""
+        return HolomorphicFunction(self.n, [self])
+
+
+class HolomorphicFunction:
+    """Finite sum of :class:`GaussPoly` terms on the complexification."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms):
+        self.n = int(n)
+        # merge terms whose Gaussian parts agree bit for bit, so sums of
+        # polynomials stay a single term
+        merged: dict[tuple, GaussPoly] = {}
+        for term in terms:
+            if term.n != self.n:
+                raise UnsupportedFormError("term dimension mismatch")
+            if term.poly.is_zero():
+                continue
+            key = (term.P.tobytes(), term.b.tobytes(), term.gamma)
+            prev = merged.get(key)
+            merged[key] = term if prev is None else GaussPoly(
+                prev.poly + term.poly, prev.P, prev.b, prev.gamma
+            )
+        self.terms = tuple(t for t in merged.values() if not t.poly.is_zero())
+
+    @classmethod
+    def from_polynomial(cls, poly: Polynomial) -> "HolomorphicFunction":
+        n = poly.n
+        return cls(n, [GaussPoly(poly, np.zeros((n, n)), np.zeros(n), 0.0)])
+
+    @classmethod
+    def constant(cls, n: int, value: complex) -> "HolomorphicFunction":
+        return cls.from_polynomial(Polynomial.constant(n, value))
+
+    @classmethod
+    def monomial(cls, n: int, alpha, coeff: complex = 1.0) -> "HolomorphicFunction":
+        return cls.from_polynomial(Polynomial.monomial(n, alpha, coeff))
+
+    def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
+        Z = np.asarray(Z, dtype=complex)
+        out = np.zeros(Z.shape[0], dtype=complex)
+        for term in self.terms:
+            out += term.evaluate_many(Z)
+        return out
+
+    def evaluate(self, z) -> complex:
+        return complex(self.evaluate_many(np.asarray(z, dtype=complex)[None, :])[0])
+
+    def __add__(self, other: "HolomorphicFunction") -> "HolomorphicFunction":
+        return HolomorphicFunction(self.n, self.terms + other.terms)
+
+    def times_scalar(self, c: complex) -> "HolomorphicFunction":
+        return HolomorphicFunction(self.n, [t.times_scalar(c) for t in self.terms])
+
+    def times_exp(self, e: GaussPoly) -> "HolomorphicFunction":
+        return HolomorphicFunction(self.n, [t * e for t in self.terms])
+
+    def compose_linear(self, M: np.ndarray) -> "HolomorphicFunction":
+        """The function w -> F(M w)."""
+        return HolomorphicFunction(self.n, [t.compose_linear(M) for t in self.terms])
+
+    def shifted(self, d) -> "HolomorphicFunction":
+        """The function z -> F(z + d)."""
+        return HolomorphicFunction(self.n, [t.shifted(d) for t in self.terms])
+
+    def single_term(self) -> GaussPoly:
+        if len(self.terms) == 1:
+            return self.terms[0]
+        if not self.terms:
+            return GaussPoly.one(self.n).times_scalar(0.0)
+        raise UnsupportedFormError("function is a sum of several exponential terms")
+
+    def as_polynomial(self, tol: float = 1e-12) -> Polynomial:
+        """Collapse to a plain polynomial; the exponential parts must be
+        trivial up to ``tol`` (their residual scalar is folded in)."""
+        out = Polynomial(self.n, {})
+        for term in self.terms:
+            worst = max(
+                float(np.max(np.abs(term.P), initial=0.0)),
+                float(np.max(np.abs(term.b), initial=0.0)),
+            )
+            if worst > tol:
+                raise UnsupportedFormError(
+                    f"exponential part deviates from trivial by {worst:.2e} (> {tol})"
+                )
+            out = out + term.poly * complex(np.exp(term.gamma))
+        return out
 
 
 @dataclass(frozen=True)
@@ -537,41 +404,28 @@ def _gaussian_moment(cov: np.ndarray, beta: tuple, memo: dict) -> complex:
     return total
 
 
-def _expect_polynomial(poly: Polynomial, mean: np.ndarray, cov: np.ndarray) -> complex:
-    """E[p(mean + u)] for u centered Gaussian with (complex symmetric) covariance."""
+def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
+    """The polynomial y -> E[p(y + u)] for u centred Gaussian with
+    (complex symmetric) covariance ``cov``: each monomial is expanded
+    binomially and the u-moments come from the Isserlis/Wick recursion."""
     memo: dict = {}
-    total = 0.0 + 0.0j
+    out: dict[tuple, complex] = {}
     for alpha, coeff in poly.terms.items():
-        ranges = [range(a + 1) for a in alpha]
-        acc = 0.0 + 0.0j
-        for beta in _iter_multi(ranges):
-            comb = 1.0
-            meanpow = 1.0 + 0.0j
-            for j, (a, bj) in enumerate(zip(alpha, beta)):
-                comb *= math.comb(a, bj)
-                if a - bj:
-                    meanpow *= mean[j] ** (a - bj)
-            mom = _gaussian_moment(cov, tuple(beta), memo)
-            if mom != 0:
-                acc += comb * meanpow * mom
-        total += coeff * acc
-    return total
-
-
-def _iter_multi(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _iter_multi(ranges[1:]):
-            yield (head,) + tail
+        for beta in product(*(range(a + 1) for a in alpha)):
+            mom = _gaussian_moment(cov, beta, memo)
+            if mom == 0:
+                continue
+            comb = math.prod(math.comb(a, bj) for a, bj in zip(alpha, beta))
+            rest = tuple(a - bj for a, bj in zip(alpha, beta))
+            out[rest] = out.get(rest, 0) + coeff * comb * mom
+    return Polynomial(poly.n, out)
 
 
 def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) -> complex:
     """Integral over R^n of p(y) exp(-y.Qy/2 + b.y + gamma) dy.
 
-    Q must have SPD real part; the polynomial factor is handled by Wick
-    moments of covariance Q^{-1} around the stationary point Q^{-1} b.
+    Q must have SPD real part; the polynomial factor is averaged with
+    covariance Q^{-1} around the stationary point Q^{-1} b.
     """
     Q = _sym(np.asarray(Q, dtype=complex))
     n = Q.shape[0]
@@ -583,10 +437,7 @@ def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) 
         * (2.0 * np.pi) ** (n / 2.0)
         * _sqrt_det_inv(Q)
     )
-    if poly.terms == {(0,) * n: 1.0 + 0.0j}:
-        return base
-    cov = np.linalg.inv(Q)
-    return base * _expect_polynomial(poly, mean, cov)
+    return base * _smoothed(poly, np.linalg.inv(Q)).evaluate(mean)
 
 
 def integrate_gausspoly(g: GaussPoly) -> complex:
@@ -614,32 +465,12 @@ def convolve_gaussian(prefactor: complex, G: np.ndarray, h: GaussPoly) -> GaussP
         raise UnsupportedFormError("kernel and function dimensions disagree")
     Q = G + h.P
     _require_decaying(Q, "gaussian convolution")
-    Qinv = np.linalg.inv(Q)
-    Qinv = _sym(Qinv)
+    Qinv = _sym(np.linalg.inv(Q))
     scale = prefactor * (2.0 * np.pi) ** (n / 2.0) * _sqrt_det_inv(Q)
 
-    P_new = _sym(G - G @ Qinv @ G)
-    b_new = G @ (Qinv @ h.b)
-    gamma_new = h.gamma + 0.5 * np.dot(h.b, Qinv @ h.b)
-
-    lin = Qinv @ G  # x0(z) = lin @ z + Qinv @ b
     c0 = Qinv @ h.b
-    lines = [Polynomial.linear(lin[j, :], c0[j]) for j in range(n)]
-
-    memo: dict = {}
-    poly_new = Polynomial(n, {})
-    for alpha, coeff in h.poly.terms.items():
-        ranges = [range(a + 1) for a in alpha]
-        for beta in _iter_multi(ranges):
-            mom = _gaussian_moment(Qinv, tuple(beta), memo)
-            if mom == 0:
-                continue
-            comb = 1.0
-            for a, bj in zip(alpha, beta):
-                comb *= math.comb(a, bj)
-            piece = Polynomial.constant(n, coeff * comb * mom)
-            for j, (a, bj) in enumerate(zip(alpha, beta)):
-                if a - bj:
-                    piece = piece * lines[j].power(a - bj)
-            poly_new = poly_new + piece
-    return GaussPoly(poly_new * scale, P_new, b_new, gamma_new)
+    P_new = _sym(G - G @ Qinv @ G)
+    gamma_new = h.gamma + 0.5 * np.dot(h.b, c0)
+    # h's polynomial averaged around the stationary point x0(z) = Qinv G z + c0
+    poly_new = _smoothed(h.poly, Qinv).compose_affine(Qinv @ G, c0)
+    return GaussPoly(poly_new * scale, P_new, G @ c0, gamma_new)

@@ -25,8 +25,8 @@ from numpy.polynomial.hermite import herm2poly
 
 from .operators import OperatorContext
 from .quadrature import QuadratureRule, integrate_shifted
+from .report import fold
 from .symbolic import (
-    ExpQuadratic,
     GaussPoly,
     HolomorphicFunction,
     Polynomial,
@@ -74,13 +74,13 @@ QUADRATURE_NODES = 40
 # -- translation representation ---------------------------------------------
 
 
-def multiplier_exponential(ctx: OperatorContext, x) -> ExpQuadratic:
+def multiplier_exponential(ctx: OperatorContext, x) -> GaussPoly:
     """The multiplier m(x, .) as a symbolic exponential-linear function of z."""
     x = np.asarray(x, dtype=float)
     Hc, C = ctx.H_matrix, ctx.K_matrix
     b = Hc.T @ x + C @ x
     weight_quad = complex(np.dot((Hc + C) @ x, x))
-    return ExpQuadratic(np.zeros((ctx.n, ctx.n)), b, -0.5 * weight_quad)
+    return GaussPoly.gaussian(np.zeros((ctx.n, ctx.n)), b, -0.5 * weight_quad)
 
 
 def multiplier(ctx: OperatorContext, x, z) -> complex:
@@ -112,13 +112,8 @@ def restrict(ctx: OperatorContext, F: HolomorphicFunction) -> GaussPoly:
     exp(-x.Rx/2) is what makes the restriction land in L^2).
     """
     ctx.require_real_form()
-    poly, gauss = F.single_term()
-    return GaussPoly(
-        poly * ctx.c_restriction,
-        ctx.R - gauss.Q,
-        gauss.b,
-        gauss.gamma,
-    )
+    g = F.single_term()
+    return GaussPoly(g.poly * ctx.c_restriction, ctx.R + g.P, g.b, g.gamma)
 
 
 def _convolve_at(G: np.ndarray, h, z: np.ndarray) -> complex:
@@ -153,7 +148,7 @@ def _closed_form(h: GaussPoly, kernel):
     s, G, E = kernel
     if E is None:
         return convolve_gaussian(s, G, h)
-    envelope = ExpQuadratic(E, np.zeros(h.n), 0.0)
+    envelope = GaussPoly.gaussian(-E)
     return convolve_gaussian(1.0, G, h).as_holomorphic().times_exp(envelope).times_scalar(s)
 
 
@@ -248,7 +243,7 @@ def semigroup_residual(P, t: float, s: float, points) -> float:
         x = np.asarray(x, dtype=float)
         target = heat_density(P, t + s, x)
         err = abs(composed.evaluate(x) - target) / max(1.0, abs(target))
-        worst = max(worst, err)
+        worst = fold(max, worst, err)
     return worst
 
 

@@ -58,6 +58,28 @@ def test_decompose_asymmetric_input_fails_with_kind(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "not_symmetric"
 
 
+def test_decompose_non_finite_operator_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"operator": {"n": 1, "A": [[NaN, 0.0], [0.0, 1.0]]}}')
+    code, out = run_cli(capsys, "decompose", "--config", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+def test_truncated_json_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"operator": {"n": 1, "R": [[4.0]]')
+    code, out = run_cli(capsys, "decompose", "--config", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+def test_directory_as_config_is_config_error(tmp_path, capsys):
+    code, out = run_cli(capsys, "decompose", "--config", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
 def test_unknown_config_keys_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {**DIAG, "bogus": 1})
     code, out = run_cli(capsys, "decompose", "--config", cfg)

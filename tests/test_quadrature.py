@@ -106,6 +106,31 @@ def test_nan_propagates_as_structured_error():
         integrate(rule, bad)
 
 
+def test_infinite_integrand_is_named_as_inf():
+    rule = QuadratureRule(dim=1, nodes_per_axis=5)
+    with pytest.raises(EvaluatorError, match="inf at node 0"):
+        integrate(rule, lambda X: np.full(X.shape[0], np.inf))
+
+    def late_nan(X):
+        out = np.full(X.shape[0], np.inf)
+        out[0] = 1.0
+        out[1] = np.nan
+        return out
+
+    with pytest.raises(EvaluatorError, match="NaN at node 1"):
+        integrate(rule, late_nan)
+
+
+def test_mc_rejects_infinite_samples():
+    def spike(X):
+        out = np.ones(X.shape[0])
+        out[3] = -np.inf
+        return out
+
+    with pytest.raises(EvaluatorError, match="inf at sample 3"):
+        mc_integrate(5, 1000, np.eye(1), spike)
+
+
 def test_integrate_deterministic_bitwise():
     rule = QuadratureRule(dim=2, nodes_per_axis=25, scaling=np.diag([2.0, 3.0]))
 

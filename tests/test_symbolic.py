@@ -9,7 +9,6 @@ import pytest
 
 from fockops import (
     DivergenceError,
-    ExpQuadratic,
     GaussPoly,
     HolomorphicFunction,
     Polynomial,
@@ -58,7 +57,7 @@ def test_exp_quadratic_shift_and_compose():
     rng = np.random.default_rng(1)
     Q = rng.standard_normal((2, 2))
     Q = Q + Q.T + 1j * np.eye(2) * 0.3
-    e = ExpQuadratic(Q, rng.standard_normal(2), 0.2 - 0.1j)
+    e = GaussPoly.gaussian(-Q, rng.standard_normal(2), 0.2 - 0.1j)
     d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     M = rng.standard_normal((2, 2))
     for _ in range(5):
@@ -71,20 +70,12 @@ def test_exp_quadratic_shift_and_compose():
 
 def test_holomorphic_sum_product_eval():
     p = Polynomial(1, {(2,): 1.0})
-    e = ExpQuadratic(np.array([[-0.5]]), np.array([0.3]), 0.0)
-    F = HolomorphicFunction(1, [(p, e)]) + HolomorphicFunction.constant(1, 2.0)
+    e = GaussPoly.gaussian(np.array([[0.5]]), np.array([0.3]))
+    term = GaussPoly(p, e.P, e.b, e.gamma)
+    F = HolomorphicFunction(1, [term]) + HolomorphicFunction.constant(1, 2.0)
     z = np.array([0.7 + 0.2j])
     expected = p.evaluate(z) * e.evaluate(z) + 2.0
     assert F.evaluate(z) == pytest.approx(expected, rel=1e-14)
-
-
-def test_holomorphic_json_roundtrip():
-    p = Polynomial(2, {(1, 0): 1.0 - 2.0j, (0, 0): 0.5})
-    e = ExpQuadratic(np.eye(2) * (0.1 + 0.2j), np.array([0.0, 1.0j]), 0.3)
-    F = HolomorphicFunction(2, [(p, e)])
-    G = HolomorphicFunction.from_json(F.to_json())
-    z = np.array([0.2 - 0.1j, 0.4])
-    assert G.evaluate(z) == pytest.approx(F.evaluate(z), rel=1e-14)
 
 
 def test_gaussian_integral_normalization_1d():
@@ -194,7 +185,7 @@ def test_convolution_divergence_guard():
 
 
 def test_overflow_guard_raises_structured_error():
-    e = ExpQuadratic(np.array([[2.0]]), np.zeros(1), 0.0)
+    e = GaussPoly.gaussian(np.array([[-2.0]]))
     with pytest.raises(RangeOverflowError) as err:
         e.evaluate(np.array([40.0]))
     assert err.value.exponent > 700
@@ -203,6 +194,6 @@ def test_overflow_guard_raises_structured_error():
 def test_as_polynomial_requires_trivial_exponential():
     F = HolomorphicFunction.from_polynomial(Polynomial(1, {(1,): 2.0}))
     assert F.as_polynomial().terms == {(1,): 2.0}
-    G = F.times_exp(ExpQuadratic(np.array([[0.5]]), np.zeros(1), 0.0))
+    G = F.times_exp(GaussPoly.gaussian(np.array([[-0.5]])))
     with pytest.raises(Exception):
         G.as_polynomial()

@@ -540,13 +540,16 @@ def test_closed_and_quadrature_routes_agree(name, n):
     transform = POINT_TRANSFORMS[name]
     rng = np.random.default_rng(30 + n)
     ctx = build_context(random_real_preserving_map(rng, n, 0.5, 2.5))
-    f = hermite_function((2,) * n)
-    field = CallableField(n, f.evaluate_many)
-    for _ in range(3):
-        z = 0.6 * rng.standard_normal(n) + 0.4j * rng.standard_normal(n)
-        closed = transform(ctx, f, z)
-        quad = transform(ctx, field, z)
-        assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
+    zs = [0.6 * rng.standard_normal(n) + 0.4j * rng.standard_normal(n) for _ in range(3)]
+    # odd degrees and degree > 2 per axis reach odd Wick moments and
+    # higher-order cross-covariance terms
+    inputs = [hermite_function((2,) * n)] + ([hermite_function((5, 3))] if n == 2 else [])
+    for f in inputs:
+        field = CallableField(n, f.evaluate_many)
+        for z in zs:
+            closed = transform(ctx, f, z)
+            quad = transform(ctx, field, z)
+            assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 
 @pytest.mark.parametrize("fn", [
