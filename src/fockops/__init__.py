@@ -25,6 +25,7 @@ from .kernels import (
     classical_to_weighted,
     det_identity_suite,
     eval_functional_norm,
+    fock_gram,
     fock_inner_product,
     fock_norm,
     fock_rule,

@@ -304,6 +304,8 @@ def _point_vector(point: dict, key: str, length: int, what: str) -> np.ndarray:
     vec = np.asarray(point[key], dtype=float)
     if vec.shape != (length,):
         raise ConfigError(f"'{key}' must have length {length}")
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"'{key}' has a non-finite coordinate")
     return vec
 
 
@@ -482,6 +484,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, args.command, overrides)
         report = COMMANDS[args.command](config)
+        elapsed = time.perf_counter() - started
+        text = render_report(report, elapsed if args.timing else None)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if args.command == "eval" and args.csv:
+            write_csv(args.csv, report)
     except FockError as err:
         payload = {"error": err.payload()}
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -492,15 +501,8 @@ def main(argv: list[str] | None = None) -> int:
                          sort_keys=True, indent=2))
         return 2
 
-    elapsed = time.perf_counter() - started
-    text = render_report(report, elapsed if args.timing else None)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
-    if args.command == "eval" and args.csv:
-        write_csv(args.csv, report)
     print(f"{args.command}: {'pass' if report['pass'] else 'FAIL'} in {elapsed:.2f}s",
           file=sys.stderr)
     return 0 if report["pass"] else 1

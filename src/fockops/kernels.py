@@ -21,13 +21,16 @@ quadrature.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
+from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, RangeOverflowError
 from .operators import OperatorContext, RealLinearMap, build_context, real_inner
-from .quadrature import QuadratureRule, integrate
+from .quadrature import QuadratureRule, _reduce, _require_finite
 from .report import CheckResult, make_bound_check, make_check
 from .symbolic import EXP_OVERFLOW, GaussPoly, HolomorphicFunction
 
@@ -39,6 +42,7 @@ __all__ = [
     "classical_to_weighted",
     "weighted_to_classical",
     "fock_rule",
+    "fock_gram",
     "fock_inner_product",
     "fock_norm",
     "normalized_monomial",
@@ -46,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_NODES_BY_DIM = {2: 40, 4: 20, 6: 10}
+
+log = logging.getLogger(__name__)
 
 
 def measure_density(ctx: OperatorContext, z) -> float:
@@ -130,19 +136,33 @@ def fock_rule(ctx: OperatorContext, nodes_per_axis: int | None = None) -> Quadra
     return QuadratureRule(dim=dim, nodes_per_axis=nodes_per_axis, scaling=2.0 * ctx.A.entries)
 
 
-def _to_points(X: np.ndarray) -> np.ndarray:
+def _complex_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's nodes as points of C^n, and their weights; the real
+    coordinates are not kept."""
+    X, W = rule.grid()
     n = X.shape[1] // 2
-    return X[:, :n] + 1j * X[:, n:]
+    return X[:, :n] + 1j * X[:, n:], W
 
 
-def fock_inner_product(
+def _evaluated(F, Z: np.ndarray) -> np.ndarray:
+    """F on the grid points, checked before a product can turn an inf
+    into a NaN."""
+    values = np.asarray(F.evaluate_many(Z), dtype=complex)
+    _require_finite(values, "node")
+    return values
+
+
+def fock_gram(
     ctx: OperatorContext,
-    F: HolomorphicFunction,
-    G: HolomorphicFunction,
+    Fs: Sequence[HolomorphicFunction],
+    Gs: Sequence[HolomorphicFunction],
     rule: QuadratureRule | None = None,
-) -> complex:
-    """<F, G> in the weighted space, by tensor quadrature.
+) -> np.ndarray:
+    """The matrix of <F_i, G_j> in the weighted space, by tensor quadrature.
 
+    The grid is built once and each G_j evaluated on it once; the F_i are
+    streamed one row at a time, so memory holds the G columns and one row.
+    Every entry is reduced exactly as a single inner product would be.
     A given rule must be one :func:`fock_rule` builds for ``ctx``: a rule
     for another Gaussian would weight the integrand wrongly.
     """
@@ -155,11 +175,27 @@ def fock_inner_product(
     if not np.array_equal(rule.scaling, 2.0 * ctx.A.entries):
         raise ConfigError("rule scaling is not 2A; build the rule with fock_rule(ctx, nodes)")
 
-    def integrand(X):
-        Z = _to_points(X)
-        return F.evaluate_many(Z) * np.conj(G.evaluate_many(Z))
+    started = time.perf_counter()
+    Z, W = _complex_grid(rule)
+    columns = [np.conj(_evaluated(G, Z)) for G in Gs]
+    out = np.empty((len(Fs), len(columns)), dtype=complex)
+    for i, F in enumerate(Fs):
+        row = _evaluated(F, Z)
+        for j, column in enumerate(columns):
+            out[i, j] = _reduce(row * column, W)
+    log.debug("fock_gram dim %d, %d nodes, %dx%d in %.3fs", rule.dim, W.shape[0],
+              out.shape[0], out.shape[1], time.perf_counter() - started)
+    return out
 
-    return integrate(rule, integrand)
+
+def fock_inner_product(
+    ctx: OperatorContext,
+    F: HolomorphicFunction,
+    G: HolomorphicFunction,
+    rule: QuadratureRule | None = None,
+) -> complex:
+    """<F, G> in the weighted space: the 1x1 case of :func:`fock_gram`."""
+    return complex(fock_gram(ctx, [F], [G], rule)[0, 0])
 
 
 def fock_norm(

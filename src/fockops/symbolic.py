@@ -219,6 +219,9 @@ class GaussPoly:
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
+        if not self.P.any() and not self.b.any():
+            # a pure polynomial: the exponent is gamma at every point
+            return self.poly.evaluate_many(X) * checked_exp(self.gamma)
         expo = -0.5 * np.einsum("ij,jk,ik->i", X, self.P, X) + X @ self.b + self.gamma
         return self.poly.evaluate_many(X) * checked_exp(expo)
 

@@ -80,6 +80,36 @@ def test_directory_as_config_is_config_error(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "config_invalid"
 
 
+def test_directory_as_out_is_structured_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", DIAG)
+    code, out = run_cli(capsys, "decompose", "--config", cfg, "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+def test_directory_as_csv_is_structured_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {**DIAG, "eval": {"target": "kernel", "points": [{"z": [0.0, 0.0], "w": [0.0, 0.0]}]}},
+    )
+    code, out = run_cli(capsys, "eval", "--config", cfg, "--csv", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_eval_rejects_non_finite_point(tmp_path, capsys, bad):
+    cfg = write_config(
+        tmp_path,
+        "cfg.json",
+        {**DIAG, "eval": {"target": "kernel", "points": [{"z": [bad, 0.0], "w": [1.0, 0.0]}]}},
+    )
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
 def test_unknown_config_keys_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {**DIAG, "bogus": 1})
     code, out = run_cli(capsys, "decompose", "--config", cfg)

@@ -1,6 +1,7 @@
 """Measure, reproducing kernel, the classical-to-weighted unitary, and
 the determinant identities."""
 
+import logging
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from fockops import (
     ConfigError,
+    EvaluatorError,
     HolomorphicFunction,
     QuadratureRule,
     Polynomial,
@@ -18,6 +20,7 @@ from fockops import (
     classical_to_weighted,
     det_identity_suite,
     eval_functional_norm,
+    fock_gram,
     fock_inner_product,
     fock_norm,
     fock_rule,
@@ -195,6 +198,59 @@ def test_fock_rule_for_another_gaussian_is_rejected():
     with pytest.raises(ConfigError):
         fock_inner_product(ctx, z, z, fock_rule(diag_ctx(2.0, 1.0), 40))
     assert fock_norm(ctx, z, fock_rule(ctx, 40)) == pytest.approx(0.7905694150420949, rel=1e-8)
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 40), (2, 12)])
+def test_fock_gram_entries_equal_single_inner_products_bit_for_bit(n, nodes):
+    rng = np.random.default_rng(61 + n)
+    ctx = build_context(random_real_preserving_map(rng, n))
+    rule = fock_rule(ctx, nodes)
+    w = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    Fs = [
+        HolomorphicFunction.monomial(n, (1,) + (0,) * (n - 1)),
+        kernel_section(ctx, w),
+        classical_to_weighted(ctx, normalized_monomial(n, (2,) * n)),
+    ]
+    Gs = [kernel_section(ctx, -w), HolomorphicFunction.constant(n, 0.5 - 1j)]
+    gram = fock_gram(ctx, Fs, Gs, rule)
+    assert gram.shape == (3, 2)
+    for i, F in enumerate(Fs):
+        for j, G in enumerate(Gs):
+            assert fock_inner_product(ctx, F, G, rule) == gram[i, j]
+
+
+class _Spike:
+    """Ones on the grid except one value at one node."""
+
+    def __init__(self, node, value):
+        self.node, self.value = node, value
+
+    def evaluate_many(self, Z):
+        out = np.ones(Z.shape[0], dtype=complex)
+        out[self.node] = self.value
+        return out
+
+
+@pytest.mark.parametrize("value, kind", [(np.nan, "NaN"), (np.inf, "inf"), (-np.inf, "inf")])
+def test_fock_gram_names_a_non_finite_column_value(value, kind):
+    ctx = diag_ctx()
+    one = HolomorphicFunction.constant(1, 1.0)
+    with pytest.raises(EvaluatorError, match=f"{kind} at node 7"):
+        fock_gram(ctx, [one, one], [one, _Spike(7, value)], fock_rule(ctx, 10))
+    with pytest.raises(EvaluatorError, match=f"{kind} at node 7"):
+        fock_gram(ctx, [_Spike(7, value)], [one], fock_rule(ctx, 10))
+
+
+def test_fock_gram_logs_one_debug_line_per_call(caplog):
+    ctx = diag_ctx()
+    fams = [normalized_monomial(1, (k,)) for k in range(3)]
+    with caplog.at_level(logging.DEBUG, logger="fockops"):
+        fock_gram(ctx, fams, fams[:2], fock_rule(ctx, 30))
+    records = [r for r in caplog.records if r.name == "fockops.kernels"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    assert records[0].args[:4] == (2, 900, 3, 2)
+    assert records[0].args[4] >= 0.0
 
 
 def test_classical_to_weighted_identity_weight_is_identity_map():

@@ -14,6 +14,7 @@ from fockops import (
     integrate_shifted,
     mc_integrate,
 )
+from fockops.quadrature import BLOCK, _block_sum
 
 
 def gaussian_moment(m):
@@ -174,3 +175,35 @@ def test_mc_reproducible_for_same_seed():
     a, _ = mc_integrate(42, 5000, np.eye(1), f)
     b, _ = mc_integrate(42, 5000, np.eye(1), f)
     assert a == b
+
+
+def _wide_range(rng, size):
+    signs = rng.choice([-1.0, 1.0], size=size)
+    return signs * 10.0 ** rng.uniform(-12.0, 12.0, size=size)
+
+
+def _cancelling(rng, size):
+    half = rng.standard_normal(size // 2) * 1e6
+    noise = rng.standard_normal(size // 2)
+    return rng.permutation(np.concatenate([half, -half + noise]))
+
+
+@pytest.mark.parametrize("make", [_wide_range, _cancelling])
+def test_block_sum_agrees_with_fsum(make):
+    rng = np.random.default_rng(11)
+    x = make(rng, 160_000)
+    got = _block_sum(x)
+    assert abs(got - math.fsum(x)) <= 1e-15 * float(np.sum(np.abs(x)))
+    assert _block_sum(x).hex() == got.hex()
+    # the real part of a complex array is a strided view; same order, same bits
+    z = x + 1j * rng.standard_normal(x.size)
+    assert _block_sum(z.real).hex() == got.hex()
+
+
+def test_block_sum_short_and_tail_inputs():
+    assert _block_sum(np.zeros(0)) == 0.0
+    # shorter than one block: the tail alone, summed pairwise
+    short = np.array([0.1, 0.2, 0.3])
+    assert _block_sum(short) == float(np.sum(short))
+    x = np.full(2 * BLOCK + 5, 0.5)
+    assert _block_sum(x) == 0.5 * x.size

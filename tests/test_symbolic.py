@@ -197,3 +197,18 @@ def test_as_polynomial_requires_trivial_exponential():
     G = F.times_exp(GaussPoly.gaussian(np.array([[-0.5]])))
     with pytest.raises(Exception):
         G.as_polynomial()
+
+
+def test_pure_polynomial_evaluation_skips_the_exponent_bit_for_bit():
+    rng = np.random.default_rng(17)
+    poly = Polynomial(2, {(0, 0): 0.5 - 1j, (2, 1): 1.5, (0, 3): -0.25j})
+    gamma = 0.3 - 0.7j
+    g = GaussPoly(poly, np.zeros((2, 2)), np.zeros(2), gamma)
+    X = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
+    got = g.evaluate_many(X)
+    np.testing.assert_array_equal(got, poly.evaluate_many(X) * np.exp(gamma))
+    # the general route with its zero quadratic form gives the same bits
+    expo = -0.5 * np.einsum("ij,jk,ik->i", X, g.P, X) + X @ g.b + g.gamma
+    np.testing.assert_array_equal(got, poly.evaluate_many(X) * np.exp(expo))
+    with pytest.raises(RangeOverflowError):
+        GaussPoly(poly, np.zeros((2, 2)), np.zeros(2), 800.0).evaluate_many(X)

@@ -1,10 +1,12 @@
-"""The verify suite itself: a NaN residual fails its check, and each group
-reports its progress on the debug log."""
+"""The verify suite itself: a NaN residual fails its check, each group
+reports its progress on the debug log, and the quadrature checks evaluate
+each function once per grid."""
 
 import logging
 import math
 
 import fockops.verification as verification
+from fockops import HolomorphicFunction, kernel_section
 from fockops.verification import VerifyConfig, run_verification
 
 
@@ -46,3 +48,28 @@ def test_each_group_logs_name_count_and_seconds(monkeypatch, caplog):
         assert record.levelno == logging.DEBUG
         assert record.args[:2] == (name, len(checks))
         assert record.args[2] >= 0.0
+
+
+def test_reproducing_property_evaluates_each_kernel_section_once(monkeypatch):
+    sections = []
+
+    def recorded_section(ctx, w):
+        section = kernel_section(ctx, w)
+        sections.append(section)
+        return section
+
+    calls = []
+    evaluate_many = HolomorphicFunction.evaluate_many
+
+    def counted(self, Z):
+        if any(self is s for s in sections):
+            calls.append(Z.shape[0])
+        return evaluate_many(self, Z)
+
+    monkeypatch.setattr(verification, "kernel_section", recorded_section)
+    monkeypatch.setattr(HolomorphicFunction, "evaluate_many", counted)
+    checks = verification.check_reproducing_property(VerifyConfig())
+    assert all(c.passed for c in checks)
+    # three contexts at n=1 and two at n=2, one section each
+    assert len(sections) == 5
+    assert len(calls) == 5
