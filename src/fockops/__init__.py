@@ -17,6 +17,7 @@ from .errors import (
     NodeBudgetError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    OutputUnwritableError,
     RangeOverflowError,
     RealFormError,
     UnsupportedFormError,

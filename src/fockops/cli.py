@@ -9,10 +9,16 @@ truncate    partial normalization constants along a diagonal tower
 
 Configuration is a JSON file (``--config``); unknown keys are rejected.
 Reports are JSON on stdout or ``--out``, with keys sorted so identical
-configurations and seeds produce byte-identical files; wall-clock timing
-goes to stderr unless ``--timing`` embeds it.  Exit codes: 0 success,
-1 verification failure, 2 usage or configuration errors.  Set FOCK_LOG
-to a level name (e.g. DEBUG) for progress logging.
+configurations and seeds produce byte-identical files; they are rendered
+by ``report.render_json``, with the bytes of
+``json.dumps(report, sort_keys=True, indent=2)``.  Wall-clock timing goes
+to stderr unless ``--timing`` embeds it.  Exit codes: 0 success,
+1 verification failure, 2 usage or configuration errors, reported as
+``{"error": {"kind": ...}}``: ``config_invalid`` for a config that cannot
+be read or fails its checks (a malformed or non-finite eval point,
+non-finite truncate eigenvalues, ...), ``output_unwritable`` for an
+``--out`` or ``--csv`` path that cannot be written.  Set FOCK_LOG to a
+level name (e.g. DEBUG) for progress logging.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ import logging
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import jsonschema
 
 from . import __version__
-from .errors import ConfigError, FockError
+from .errors import ConfigError, FockError, OutputUnwritableError
 from .kernels import eval_functional_norm, kernel, measure_density
 from .operators import (
     RealLinearMap,
@@ -37,7 +44,7 @@ from .operators import (
     build_context,
     to_complex_coords,
 )
-from .report import complex_json
+from .report import complex_json, render_json
 from .symbolic import GaussPoly, Polynomial
 from .transforms import (
     coherent_state,
@@ -78,11 +85,8 @@ OPERATOR_SCHEMA = {
     ]
 }
 
-POINT_SCHEMA = {
-    "type": "object",
-    "properties": {"z": NUMBER_LIST, "w": NUMBER_LIST, "x": NUMBER_LIST},
-    "additionalProperties": False,
-}
+# coordinate keys an eval point may carry; _check_points enforces the shape
+POINT_KEYS = frozenset({"z", "w", "x"})
 
 FUNCTION_SCHEMA = {
     "type": "object",
@@ -131,7 +135,7 @@ CONFIG_SCHEMAS = {
                 "type": "object",
                 "properties": {
                     "target": {"enum": EVAL_TARGETS},
-                    "points": {"type": "array", "items": POINT_SCHEMA, "minItems": 1},
+                    "points": {"type": "array", "minItems": 1},
                     "function": FUNCTION_SCHEMA,
                 },
                 "required": ["target", "points"],
@@ -213,17 +217,46 @@ REPORT_SCHEMA = {
 }
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, not bool (as jsonschema's "number")."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_points(points: list) -> None:
+    """Every eval point is an object of z/w/x keys, each a list of JSON numbers.
+
+    One pass over the batch in place of a schema descent per point; lengths
+    and finiteness are checked where each target reads its coordinates."""
+    for index, point in enumerate(points):
+        if not isinstance(point, dict):
+            raise ConfigError(f"invalid configuration: point {index} is not an object")
+        for key, coords in point.items():
+            if key not in POINT_KEYS:
+                raise ConfigError(
+                    f"invalid configuration: point {index} has unknown key {key!r}"
+                )
+            if not isinstance(coords, list) or not all(map(_is_number, coords)):
+                raise ConfigError(
+                    f"invalid configuration: point {index} '{key}' is not a list of numbers"
+                )
+
+
 def load_config(path: str | None, command: str, overrides: dict) -> dict:
     if path is None:
         config = {}
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as err:  # ValueError: bad JSON or bad UTF-8
+            raise ConfigError(str(err)) from err
     config = {**config, **{k: v for k, v in overrides.items() if v is not None}}
     try:
         jsonschema.validate(config, CONFIG_SCHEMAS[command])
     except jsonschema.ValidationError as err:
         raise ConfigError(f"invalid configuration: {err.message}") from err
+    if command == "eval":
+        _check_points(config["eval"]["points"])
     return config
 
 
@@ -309,7 +342,7 @@ def _point_vector(point: dict, key: str, length: int, what: str) -> np.ndarray:
     return vec
 
 
-def _eval_single(target: str, ctx, point: dict, fn) -> complex | float:
+def _eval_single(target: str, ctx, point: dict) -> complex | float:
     n = ctx.n
     if target == "measure_density":
         z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
@@ -329,14 +362,46 @@ def _eval_single(target: str, ctx, point: dict, fn) -> complex | float:
         x = _point_vector(point, "x", n, "real subspace point")
         z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
         return coherent_state(ctx, x, z)
-    z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
+    raise ConfigError(f"unknown target {target!r}")
+
+
+TRANSFORM_TARGETS = ("classical_transform", "weighted_transform", "gaussian_transform")
+
+
+def _transform(target: str, ctx, fn, z):
+    """The target's transform of ``fn`` at one point or at each row of a batch."""
     if target == "classical_transform":
         return segal_bargmann_classical(fn, z)
     if target == "weighted_transform":
         return segal_bargmann(ctx, fn, z)
-    if target == "gaussian_transform":
-        return segal_bargmann_gaussian(ctx, fn, z)
-    raise ConfigError(f"unknown target {target!r}")
+    return segal_bargmann_gaussian(ctx, fn, z)
+
+
+def _row(point: dict, compute) -> dict:
+    """The report row of one point: its value, or the FockError it raised."""
+    try:
+        return {"point": point, "value": complex_json(complex(compute()))}
+    except ConfigError:
+        raise
+    except FockError as err:
+        return {"point": point, "error": err.payload()}
+
+
+def _transform_rows(target: str, ctx, fn, points: list) -> list[dict]:
+    """One transform call for the whole batch, so the image of ``fn`` is
+    built once; if a point fails, one call per point, so that each failure
+    is the row of its own point."""
+    Z = np.array([
+        to_complex_coords(_point_vector(point, "z", 2 * ctx.n, "length-2n real coords"))
+        for point in points
+    ])
+    try:
+        values = _transform(target, ctx, fn, Z)
+    except FockError:
+        return [_row(point, partial(_transform, target, ctx, fn, z))
+                for point, z in zip(points, Z)]
+    return [{"point": point, "value": complex_json(complex(value))}
+            for point, value in zip(points, values)]
 
 
 def cmd_eval(config: dict) -> dict:
@@ -345,21 +410,14 @@ def cmd_eval(config: dict) -> dict:
     target = spec["target"]
     if target in ("weighted_transform", "gaussian_transform", "coherent_state"):
         ctx.require_real_form()
-    fn = None
-    if target in ("classical_transform", "weighted_transform", "gaussian_transform"):
+    if target in TRANSFORM_TARGETS:
         if "function" not in spec:
             raise ConfigError(f"target {target!r} needs a 'function' entry")
         fn = _build_function(spec["function"], ctx.n)
-
-    values = []
-    for point in spec["points"]:
-        try:
-            out = _eval_single(target, ctx, point, fn)
-            values.append({"point": point, "value": complex_json(complex(out))})
-        except ConfigError:
-            raise
-        except FockError as err:
-            values.append({"point": point, "error": err.payload()})
+        values = _transform_rows(target, ctx, fn, spec["points"])
+    else:
+        values = [_row(point, partial(_eval_single, target, ctx, point))
+                  for point in spec["points"]]
     return {
         "command": "eval",
         "config": config,
@@ -443,7 +501,20 @@ def render_report(report: dict, timing: float | None) -> str:
     report["versions"] = {"fockops": __version__, "numpy": np.__version__}
     if timing is not None:
         report["timingSeconds"] = timing
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return render_json(report) + "\n"
+
+
+def write_outputs(args: argparse.Namespace, text: str, report: dict) -> None:
+    """The report to ``--out`` and the values to ``--csv``, where given; a
+    file that cannot be written is an ``output_unwritable`` error."""
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if args.command == "eval" and args.csv:
+            write_csv(args.csv, report)
+    except OSError as err:
+        raise OutputUnwritableError(str(err)) from err
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,19 +557,10 @@ def main(argv: list[str] | None = None) -> int:
         report = COMMANDS[args.command](config)
         elapsed = time.perf_counter() - started
         text = render_report(report, elapsed if args.timing else None)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        if args.command == "eval" and args.csv:
-            write_csv(args.csv, report)
+        write_outputs(args, text, report)
     except FockError as err:
-        payload = {"error": err.payload()}
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(render_json({"error": err.payload()}))
         log.error("%s failed: %s", args.command, err)
-        return 2
-    except (OSError, json.JSONDecodeError) as err:
-        print(json.dumps({"error": {"kind": "config_invalid", "message": str(err)}},
-                         sort_keys=True, indent=2))
         return 2
 
     if not args.out:

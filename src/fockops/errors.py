@@ -93,3 +93,9 @@ class UnsupportedFormError(FockError):
 
 class ConfigError(FockError):
     kind = "config_invalid"
+
+
+class OutputUnwritableError(FockError):
+    """A report or CSV file could not be written."""
+
+    kind = "output_unwritable"

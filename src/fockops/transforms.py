@@ -152,7 +152,7 @@ def _closed_form(h: GaussPoly, kernel):
     return convolve_gaussian(1.0, G, h).as_holomorphic().times_exp(envelope).times_scalar(s)
 
 
-def _evaluate(h, z, kernel, closed) -> complex:
+def _evaluate(h, z, kernel, closed):
     """The transform with kernel = (s, G, E) of h at z:
 
         s exp(z.Ez/2) integral exp(-(z-x).G(z-x)/2) h(x) dx.
@@ -162,13 +162,25 @@ def _evaluate(h, z, kernel, closed) -> complex:
     is integrated by tensor Gauss-Hermite quadrature with QUADRATURE_NODES
     nodes per axis.  The routes share no arithmetic beyond the kernel, so
     each is the other's oracle.
+
+    ``z`` is one point (a complex value comes back) or an (m, n) batch (an
+    array of m values).  A batch maps h once and evaluates each row as a
+    single point, so its values carry the same bits as m single calls; a
+    FockError at any row is raised for the whole batch.
     """
     z = np.asarray(z, dtype=complex)
     if isinstance(h, GaussPoly):
-        return closed(h).evaluate(z)
-    s, G, E = kernel
-    front = s if E is None else s * complex(checked_exp(0.5 * np.dot(z, E @ z)))
-    return front * _convolve_at(G, h, z)
+        at = closed(h).evaluate
+    else:
+        s, G, E = kernel
+
+        def at(w):
+            front = s if E is None else s * complex(checked_exp(0.5 * np.dot(w, E @ w)))
+            return front * _convolve_at(G, h, w)
+
+    if z.ndim == 1:
+        return at(z)
+    return np.array([at(w) for w in z], dtype=complex)
 
 
 def _adjoint_kernel(ctx: OperatorContext):
@@ -285,10 +297,11 @@ def segal_bargmann_classical_fn(g: GaussPoly) -> HolomorphicFunction:
     return _closed_form(g, _classical_kernel(g.n))
 
 
-def segal_bargmann_classical(g, z) -> complex:
-    """Classical Segal-Bargmann transform evaluated at a complex point."""
+def segal_bargmann_classical(g, z):
+    """Classical Segal-Bargmann transform evaluated at a complex point, or
+    at each row of an (m, n) batch."""
     z = np.asarray(z, dtype=complex)
-    return _evaluate(g, z, _classical_kernel(z.shape[0]), segal_bargmann_classical_fn)
+    return _evaluate(g, z, _classical_kernel(z.shape[-1]), segal_bargmann_classical_fn)
 
 
 def _sb_kernel(ctx: OperatorContext):
@@ -306,8 +319,9 @@ def segal_bargmann_fn(ctx: OperatorContext, f: GaussPoly) -> HolomorphicFunction
     return _closed_form(f, _sb_kernel(ctx))
 
 
-def segal_bargmann(ctx: OperatorContext, f, z) -> complex:
-    """Weighted Segal-Bargmann transform at a complex point."""
+def segal_bargmann(ctx: OperatorContext, f, z):
+    """Weighted Segal-Bargmann transform at a complex point, or at each row
+    of an (m, n) batch."""
     return _evaluate(f, z, _sb_kernel(ctx), lambda g: segal_bargmann_fn(ctx, g))
 
 
@@ -335,7 +349,9 @@ def segal_bargmann_gaussian_fn(ctx: OperatorContext, f: GaussPoly) -> Holomorphi
     return _closed_form(f, _gaussian_kernel(ctx)).as_holomorphic()
 
 
-def segal_bargmann_gaussian(ctx: OperatorContext, f, z) -> complex:
+def segal_bargmann_gaussian(ctx: OperatorContext, f, z):
+    """Gaussian-measure form of the transform at a complex point, or at each
+    row of an (m, n) batch."""
     return _evaluate(f, z, _gaussian_kernel(ctx), lambda g: segal_bargmann_gaussian_fn(ctx, g))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,37 +28,47 @@ TAIL_BUDGET = 1e-3
 DECAY_MARGIN = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncationSpec:
-    """Simultaneous eigenvalue data for the two blocks, plus a depth."""
+    """Simultaneous eigenvalue data for the two blocks, plus a depth.
 
-    r_seq: tuple[float, ...]
-    t_seq: tuple[float, ...]
+    The sequences are kept as read-only float64 copies; every entry must be
+    positive and finite."""
+
+    r_seq: np.ndarray
+    t_seq: np.ndarray
     max_n: int
 
     def __post_init__(self):
-        r = tuple(float(v) for v in self.r_seq)
-        t = tuple(float(v) for v in self.t_seq)
+        r = np.array(self.r_seq, dtype=float)
+        t = np.array(self.t_seq, dtype=float)
+        r.flags.writeable = t.flags.writeable = False
         if self.max_n < 1:
             raise ConfigError("max_n must be positive")
         if len(r) < self.max_n or len(t) < self.max_n:
             raise ConfigError("eigenvalue sequences shorter than max_n")
-        if any(v <= 0 for v in r) or any(v <= 0 for v in t):
-            raise ConfigError("eigenvalues must be positive")
+        # one test for both conditions: NaN fails every comparison
+        if not ((r > 0) & (r < math.inf)).all() or not ((t > 0) & (t < math.inf)).all():
+            raise ConfigError("eigenvalues must be positive and finite")
         object.__setattr__(self, "r_seq", r)
         object.__setattr__(self, "t_seq", t)
 
     @classmethod
     def constant(cls, r: float, t: float, max_n: int) -> "TruncationSpec":
-        return cls((r,) * max_n, (t,) * max_n, max_n)
+        return cls([float(r)] * max_n, [float(t)] * max_n, max_n)
 
     @classmethod
     def perturbation(
         cls, base: float, amplitude: float, power: float, max_n: int
     ) -> "TruncationSpec":
-        """r_k = base + amplitude / k^power against t_k = base."""
-        r = tuple(base + amplitude / k**power for k in range(1, max_n + 1))
-        return cls(r, (base,) * max_n, max_n)
+        """r_k = base + amplitude / k^power against t_k = base.
+
+        k^power is Python's ``pow``, not numpy's: numpy's float64 power may
+        differ from it in the last bit (and is then usually the less
+        accurate), which would move the reported sequence."""
+        powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
+        r = base + amplitude / powers
+        return cls(r, np.full_like(r, base), max_n)
 
 
 @dataclass(frozen=True)
@@ -111,8 +122,8 @@ def _tail_estimate(increments: np.ndarray) -> tuple[bool, float | None, str]:
 
 def ca_sequence(spec: TruncationSpec) -> CaSequence:
     """Log-domain partial normalization constants plus a boundedness verdict."""
-    r = np.asarray(spec.r_seq[: spec.max_n])
-    t = np.asarray(spec.t_seq[: spec.max_n])
+    r = spec.r_seq[: spec.max_n]
+    t = spec.t_seq[: spec.max_n]
     factors = (r + t) / (2.0 * np.sqrt(r * t))
     low = float(np.min(factors))
     if low < 1.0 - 1e-15:

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import fockops as fo
 from fockops.cli import CONFIG_SCHEMAS, REPORT_SCHEMA, main
 
 
@@ -84,7 +85,7 @@ def test_directory_as_out_is_structured_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", DIAG)
     code, out = run_cli(capsys, "decompose", "--config", cfg, "--out", str(tmp_path))
     assert code == 2
-    assert json.loads(out)["error"]["kind"] == "config_invalid"
+    assert json.loads(out)["error"]["kind"] == "output_unwritable"
 
 
 def test_directory_as_csv_is_structured_error(tmp_path, capsys):
@@ -95,7 +96,46 @@ def test_directory_as_csv_is_structured_error(tmp_path, capsys):
     )
     code, out = run_cli(capsys, "eval", "--config", cfg, "--csv", str(tmp_path))
     assert code == 2
+    assert json.loads(out)["error"]["kind"] == "output_unwritable"
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"operator": "\xff"}')
+    code, out = run_cli(capsys, "decompose", "--config", str(path))
+    assert code == 2
     assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+@pytest.mark.parametrize("point", [
+    [0.0, 0.0],                            # not an object
+    "z",                                   # not an object
+    {"z": [0.0, 0.0], "q": [0.0]},         # unknown key
+    {"z": 0.0, "w": [0.0, 0.0]},           # value not a list
+    {"z": [True, 0.0], "w": [0.0, 0.0]},   # bool coordinate
+    {"z": ["0", 0.0], "w": [0.0, 0.0]},    # string coordinate
+    {"z": [None, 0.0], "w": [0.0, 0.0]},   # null coordinate
+    {"z": [[0.0], 0.0], "w": [0.0, 0.0]},  # nested list
+    {"z": [{}, 0.0], "w": [0.0, 0.0]},     # object coordinate
+])
+def test_eval_rejects_malformed_point(tmp_path, capsys, point):
+    good = {"z": [0.0, 0.0], "w": [0.0, 0.0]}
+    cfg = write_config(
+        tmp_path, "cfg.json", {**DIAG, "eval": {"target": "kernel", "points": [good, point]}}
+    )
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+def test_eval_accepts_integer_coordinates(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, "cfg.json",
+        {**DIAG, "eval": {"target": "kernel", "points": [{"z": [0, 0], "w": [0, 0]}]}},
+    )
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 0
+    assert json.loads(out)["values"][0]["value"]["re"] == pytest.approx(1.25, rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -200,6 +240,62 @@ def test_eval_range_error_surfaced_per_point(tmp_path, capsys):
     assert code == 1
 
 
+def _transform_config(tmp_path, target, n_points, far=(), far_point=None):
+    rng = np.random.default_rng(4)
+    points = [{"z": (0.5 * rng.standard_normal(2)).tolist()} for _ in range(n_points)]
+    for index in far:
+        points[index] = {"z": far_point}
+    return write_config(tmp_path, "cfg.json", {
+        **DIAG,
+        "eval": {"target": target, "points": points,
+                 "function": {"kind": "hermite", "alpha": [3]}},
+    })
+
+
+def test_eval_transform_builds_the_image_once(tmp_path, capsys, monkeypatch):
+    import fockops.transforms as transforms
+
+    calls = []
+    original = transforms.convolve_gaussian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "convolve_gaussian", counting)
+    cfg = _transform_config(tmp_path, "weighted_transform", 50)
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 0
+    assert len(json.loads(out)["values"]) == 50
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("target, single, far_point", [
+    ("classical_transform", lambda ctx, f, z: fo.segal_bargmann_classical(f, z), [100.0, 0.0]),
+    ("weighted_transform", fo.segal_bargmann, [40.0, 0.0]),
+    ("gaussian_transform", fo.segal_bargmann_gaussian, [0.0, 100.0]),
+])
+def test_eval_transform_rows_match_single_point_calls(tmp_path, capsys, target, single,
+                                                       far_point):
+    # the far points overflow: each is an error row of its own, the others
+    # carry the bits of a single-point call
+    cfg = _transform_config(tmp_path, target, 6, far=(1, 4), far_point=far_point)
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    report = json.loads(out)
+    ctx = fo.build_context(fo.RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]])))
+    f = fo.hermite_function((3,))
+    for index, row in enumerate(report["values"]):
+        z = fo.operators.to_complex_coords(np.array(row["point"]["z"]))
+        if index in (1, 4):
+            with pytest.raises(fo.RangeOverflowError) as err:
+                single(ctx, f, z)
+            assert row["error"] == err.value.payload()
+        else:
+            want = complex(single(ctx, f, z))
+            assert (row["value"]["re"], row["value"]["im"]) == (want.real, want.imag)
+    assert code == 1
+
+
 def test_eval_transform_values(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -255,6 +351,20 @@ def test_truncate_constant_and_explicit(tmp_path, capsys):
     code, out = run_cli(capsys, "truncate", "--config", cfg)
     assert code == 0
     assert json.loads(out)["sequence"]["bounded"] is True
+
+
+@pytest.mark.parametrize("text", [
+    '{"r": [NaN, 1.0], "t": [1.0, 1.0], "maxN": 2}',
+    '{"r": [1.0, 1.0], "t": [1.0, Infinity], "maxN": 2}',
+    '{"kind": "constant", "r": NaN, "t": 1.0, "maxN": 3}',
+    '{"kind": "perturbation", "base": 1.0, "amplitude": Infinity, "power": 2.0, "maxN": 4}',
+])
+def test_truncate_rejects_non_finite_eigenvalues(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, "truncate", "--config", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
 
 
 def test_eval_quadrature_block_rejected(tmp_path, capsys):

@@ -552,6 +552,23 @@ def test_closed_and_quadrature_routes_agree(name, n):
             assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 
+@pytest.mark.parametrize("name", sorted(POINT_TRANSFORMS))
+def test_batch_of_points_matches_single_point_calls(name):
+    # a batch maps the input once, then evaluates each row as one point:
+    # the same bits as single calls, on both routes
+    transform = POINT_TRANSFORMS[name]
+    rng = np.random.default_rng(41)
+    ctx = build_context(random_real_preserving_map(rng, 1, 0.5, 2.5))
+    Z = 0.6 * rng.standard_normal((4, 1)) + 0.4j * rng.standard_normal((4, 1))
+    f = hermite_function((3,))
+    for h in (f, CallableField(1, f.evaluate_many)):
+        batch = transform(ctx, h, Z)
+        assert batch.shape == (4,)
+        for z, value in zip(Z, batch):
+            single = complex(transform(ctx, h, z))
+            assert (value.real, value.imag) == (single.real, single.imag)
+
+
 @pytest.mark.parametrize("fn", [
     restrict_adjoint, restriction_gram, restriction_modulus_at, segal_bargmann_classical,
     segal_bargmann, segal_bargmann_gaussian, kernel_from_densities,

@@ -78,6 +78,31 @@ def test_validation_rejects_bad_specs():
         TruncationSpec((1.0, -1.0), (1.0, 1.0), 2)
 
 
+@pytest.mark.parametrize("r, t", [
+    ((np.nan, 1.0), (1.0, 1.0)),
+    ((1.0, 1.0), (1.0, np.inf)),
+    ((1.0, -np.inf), (1.0, 1.0)),
+])
+def test_non_finite_eigenvalues_rejected(r, t):
+    with pytest.raises(ConfigError, match="finite"):
+        TruncationSpec(r, t, 2)
+
+
+def test_perturbation_with_infinite_amplitude_rejected():
+    with pytest.raises(ConfigError, match="finite"):
+        TruncationSpec.perturbation(1.0, np.inf, 2.0, 4)
+
+
+@pytest.mark.parametrize("power", [0.6, 1.5, 2, 2.0, -1])
+def test_perturbation_matches_python_loop(power):
+    # the per-term formula in Python floats is the reference, to the bit
+    spec = TruncationSpec.perturbation(1.3, 0.7, power, 5000)
+    want = [1.3 + 0.7 / k**power for k in range(1, 5001)]
+    assert spec.r_seq.tolist() == want
+    assert spec.t_seq.tolist() == [1.3] * 5000
+    assert not spec.r_seq.flags.writeable
+
+
 def test_json_payload_shape():
     seq = ca_sequence(TruncationSpec.constant(2.0, 1.0, 5))
     data = seq.to_json()

@@ -73,3 +73,18 @@ def test_reproducing_property_evaluates_each_kernel_section_once(monkeypatch):
     # three contexts at n=1 and two at n=2, one section each
     assert len(sections) == 5
     assert len(calls) == 5
+
+
+def test_space_unitary_computes_each_classical_norm_once(monkeypatch):
+    calls = []
+    fock_norm = verification.fock_norm
+
+    def counted(ctx, F, rule=None):
+        calls.append(ctx.n)
+        return fock_norm(ctx, F, rule)
+
+    monkeypatch.setattr(verification, "fock_norm", counted)
+    checks = verification.check_unitary_between_spaces(VerifyConfig())
+    assert all(c.passed for c in checks)
+    # five classical norms plus five lifted norms for each of three weights
+    assert len(calls) == 20
