@@ -241,14 +241,21 @@ def _check_points(points: list) -> None:
                 )
 
 
+def _parse_int(text: str) -> int:
+    """A JSON integer; one beyond the float range is rejected here, once."""
+    if abs(value := int(text)) > sys.float_info.max:
+        raise ValueError(f"integer literal of {len(text)} digits is outside the float range")
+    return value
+
+
 def load_config(path: str | None, command: str, overrides: dict) -> dict:
     if path is None:
         config = {}
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, ValueError) as err:  # ValueError: bad JSON or bad UTF-8
+                config = json.load(fh, parse_int=_parse_int)
+        except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, huge int
             raise ConfigError(str(err)) from err
     config = {**config, **{k: v for k, v in overrides.items() if v is not None}}
     try:

@@ -363,8 +363,7 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     The normalization constant of the reproducing kernel is computed in
     log space from eigenvalues so that large dimensions do not overflow.
     """
-    require_spd(A)
-    H, K = decompose(A)
+    H, K = decompose(A)  # validates A
     n = A.space.n
 
     Hc = H.complex_linear_matrix()

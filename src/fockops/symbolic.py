@@ -2,6 +2,9 @@
 
 One term type carries the whole closed class:
 
+* :class:`Polynomial`: one read-only dense coefficient array, evaluated
+  and composed with affine maps by nested Horner.
+
 * :class:`GaussPoly`: ``p(x) * exp(-x.Px/2 + b.x + g)`` with ``p`` a
   :class:`Polynomial` and ``P`` complex symmetric; ``x.Px`` is the
   symmetric bilinear form (no conjugation), and evaluation at complex
@@ -16,8 +19,9 @@ One term type carries the whole closed class:
 
 Gaussian integrals and convolutions are evaluated by completing the
 square; the polynomial factor is averaged against the centred Gaussian
-of covariance ``Q^{-1}`` by one binomial-times-Isserlis/Wick expansion
-(:func:`_smoothed`).  Complex symmetric quadratic forms with
+of covariance ``C = Q^{-1}`` by the heat operator ``exp(½ ∂·C∂)``
+(:func:`_smoothed`), whose series ends after half the degree (the Wick
+sums, term by term).  Complex symmetric quadratic forms with
 positive-definite real part keep their eigenvalues in the right half
 plane, so the principal branch of ``det^{-1/2}`` used here is the
 analytic continuation of the real SPD formula.
@@ -25,11 +29,12 @@ analytic continuation of the real SPD formula.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import product
+from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder
 
 from .errors import DivergenceError, RangeOverflowError, UnsupportedFormError
 
@@ -70,22 +75,76 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-class Polynomial:
-    """Polynomial in n complex variables, stored as multi-index -> coefficient."""
+def _padded_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for coefficient arrays of any shapes; adds into a if a covers b."""
+    if any(sb > sa for sa, sb in zip(a.shape, b.shape)):
+        a = _padded_add(np.zeros(np.maximum(a.shape, b.shape), np.result_type(a, b)), a)
+    a[tuple(map(slice, b.shape))] += b
+    return a
 
-    __slots__ = ("n", "terms")
+
+def _horner(c: np.ndarray, columns: list):
+    """sum_a c[a] prod_j columns[j]**a_j by nested Horner along the first
+    axis, skipping all-zero slabs: a scalar or a fresh (m,) array."""
+    leaf, acc = c.ndim == 1, 0j
+    for slab in (c.tolist() if leaf else c)[::-1]:  # Python scalars on the last axis
+        if isinstance(acc, np.ndarray) or acc:  # nothing to scale before the first term
+            acc *= columns[0]
+        if slab if leaf else slab.any():
+            acc += slab if leaf else _horner(slab, columns[1:])  # in place once an array
+    return acc
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of coefficient arrays: a shifted-slice add per nonzero entry of
+    the sparser one."""
+    a, b = sorted((a, b), key=np.count_nonzero)
+    out = np.zeros(np.add(a.shape, b.shape) - 1, dtype=complex)
+    for alpha in np.argwhere(a):
+        out[tuple(map(slice, alpha, alpha + b.shape))] += a[tuple(alpha)] * b
+    return out
+
+
+def _compose(c: np.ndarray, lines: list) -> np.ndarray:
+    """Coefficients of q(L_1(w), ..., L_n(w)) for the linear forms ``lines``,
+    where c holds q's coefficients in the last c.ndim of them: nested Horner,
+    one product with a linear form per step."""
+    n = len(lines)
+    acc = np.zeros((1,) * n, dtype=complex)
+    for slab in c[::-1]:
+        if acc.any():
+            acc = _mul(acc, lines[n - c.ndim])
+        if slab.any():
+            acc = _padded_add(acc, np.reshape(slab, (1,) * n) if c.ndim == 1
+                              else _compose(slab, lines))
+    return acc
+
+
+class Polynomial:
+    """Polynomial in n complex variables: ``coeffs[a_1, ..., a_n]``, a read-only
+    complex array cut to the largest power of each variable present, is the
+    coefficient of x_1^a_1 ... x_n^a_n; ``terms`` views the nonzero ones."""
+
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, terms: dict | None = None):
-        self.n = int(n)
-        clean: dict[tuple, complex] = {}
-        for alpha, coeff in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.n or any(a < 0 for a in alpha):
-                raise UnsupportedFormError(f"bad multi-index {alpha} for n={self.n}")
-            c = complex(coeff)
-            if c != 0:
-                clean[alpha] = clean.get(alpha, 0) + c
-        self.terms = {a: c for a, c in clean.items() if c != 0}
+        n = int(n)
+        items = [(tuple(int(a) for a in alpha), complex(c)) for alpha, c in (terms or {}).items()]
+        for alpha, _ in items:
+            if len(alpha) != n or any(a < 0 for a in alpha):
+                raise UnsupportedFormError(f"bad multi-index {alpha} for n={n}")
+        c = np.zeros(np.max([a for a, _ in items], 0) + 1 if items else (1,) * n, complex)
+        for alpha, coeff in items:
+            c[alpha] += coeff
+        self.n, self.coeffs = n, Polynomial.from_coeffs(c).coeffs
+
+    @classmethod
+    def from_coeffs(cls, coeffs) -> "Polynomial":
+        """The polynomial with the dense coefficient array ``coeffs``."""
+        out, c = cls.__new__(cls), np.asarray(coeffs, dtype=complex)
+        out.coeffs = c[tuple(slice(ix.max() + 1 if ix.size else 1) for ix in np.nonzero(c))].copy()
+        out.coeffs.flags.writeable, out.n = False, c.ndim
+        return out
 
     @classmethod
     def constant(cls, n: int, value: complex) -> "Polynomial":
@@ -95,81 +154,46 @@ class Polynomial:
     def monomial(cls, n: int, alpha, coeff: complex = 1.0) -> "Polynomial":
         return cls(n, {tuple(alpha): coeff})
 
-    @classmethod
-    def linear(cls, coeffs, constant: complex = 0.0) -> "Polynomial":
-        coeffs = np.asarray(coeffs, dtype=complex)
-        n = coeffs.shape[0]
-        terms = {}
-        for j in range(n):
-            if coeffs[j] != 0:
-                alpha = [0] * n
-                alpha[j] = 1
-                terms[tuple(alpha)] = coeffs[j]
-        if constant != 0:
-            terms[(0,) * n] = constant
-        return cls(n, terms)
+    @property
+    def terms(self) -> MappingProxyType:
+        c = self.coeffs
+        return MappingProxyType({tuple(map(int, a)): complex(c[tuple(a)]) for a in np.argwhere(c)})
 
     def degree(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
+        return int(sum(np.nonzero(self.coeffs)).max(initial=0))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs.any()
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            out[a] = out.get(a, 0) + c
-        return Polynomial(self.n, out)
+        return Polynomial.from_coeffs(_padded_add(self.coeffs.copy(), other.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out: dict[tuple, complex] = {}
-            for a1, c1 in self.terms.items():
-                for a2, c2 in other.terms.items():
-                    a = tuple(i + j for i, j in zip(a1, a2))
-                    out[a] = out.get(a, 0) + c1 * c2
-            return Polynomial(self.n, out)
-        return Polynomial(self.n, {a: c * other for a, c in self.terms.items()})
+        if not isinstance(other, Polynomial):
+            return Polynomial.from_coeffs(self.coeffs * complex(other))
+        return Polynomial.from_coeffs(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def conjugate_coefficients(self) -> "Polynomial":
-        return Polynomial(self.n, {a: np.conj(c) for a, c in self.terms.items()})
+        return Polynomial.from_coeffs(np.conj(self.coeffs))
 
     def evaluate(self, z) -> complex:
         return complex(self.evaluate_many(np.asarray(z, dtype=complex)[None, :])[0])
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
         Z = np.asarray(Z, dtype=complex)
-        out = np.zeros(Z.shape[0], dtype=complex)
-        for alpha, coeff in self.terms.items():
-            term = np.full(Z.shape[0], coeff, dtype=complex)
-            for j, a in enumerate(alpha):
-                if a:
-                    term = term * Z[:, j] ** a
-            out += term
-        return out
+        out = _horner(self.coeffs, [Z[:, j] for j in range(self.n)])
+        return np.full(Z.shape[0], out, dtype=complex) if np.ndim(out) == 0 else out
 
     def compose_affine(self, M: np.ndarray | None, d=None) -> "Polynomial":
         """The polynomial w -> p(M w + d)."""
-        n = self.n
-        if M is None:
-            M = np.eye(n, dtype=complex)
-        M = np.asarray(M, dtype=complex)
-        d = np.zeros(n, dtype=complex) if d is None else _as_complex_vector(d, n)
-        lines = [Polynomial.linear(M[j, :], d[j]) for j in range(n)]
-        # powers[j][k] is the k-th power of the j-th linear form, built on demand
-        powers = [[Polynomial.constant(n, 1.0)] for _ in range(n)]
-        out = Polynomial(n, {})
-        for alpha, coeff in self.terms.items():
-            term = Polynomial.constant(n, coeff)
-            for j, a in enumerate(alpha):
-                while len(powers[j]) <= a:
-                    powers[j].append(powers[j][-1] * lines[j])
-                if a:
-                    term = term * powers[j][a]
-            out = out + term
-        return out
+        n, unit = self.n, np.eye(self.n, dtype=int)
+        M = unit if M is None else np.asarray(M, dtype=complex)
+        d = np.zeros(n) if d is None else _as_complex_vector(d, n)
+        lines = [Polynomial(n, {(0,) * n: d[j], **dict(zip(map(tuple, unit), M[j]))}).coeffs
+                 for j in range(n)]
+        return Polynomial.from_coeffs(_compose(self.coeffs, lines))
 
     def shifted(self, d) -> "Polynomial":
         """The polynomial z -> p(z + d)."""
@@ -281,8 +305,6 @@ class HolomorphicFunction:
         for term in terms:
             if term.n != self.n:
                 raise UnsupportedFormError("term dimension mismatch")
-            if term.poly.is_zero():
-                continue
             key = (term.P.tobytes(), term.b.tobytes(), term.gamma)
             prev = merged.get(key)
             merged[key] = term if prev is None else GaussPoly(
@@ -388,40 +410,17 @@ def _sqrt_det_inv(Q: np.ndarray) -> complex:
     return complex(np.exp(-0.5 * np.sum(np.log(vals))))
 
 
-def _gaussian_moment(cov: np.ndarray, beta: tuple, memo: dict) -> complex:
-    if not any(beta):
-        return 1.0 + 0.0j
-    got = memo.get(beta)
-    if got is not None:
-        return got
-    i = next(j for j, v in enumerate(beta) if v)
-    rest = list(beta)
-    rest[i] -= 1
-    total = 0.0 + 0.0j
-    for j, v in enumerate(rest):
-        if v and cov[i, j] != 0:
-            nxt = list(rest)
-            nxt[j] -= 1
-            total += cov[i, j] * v * _gaussian_moment(cov, tuple(nxt), memo)
-    memo[beta] = total
-    return total
-
-
 def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
-    """The polynomial y -> E[p(y + u)] for u centred Gaussian with
-    (complex symmetric) covariance ``cov``: each monomial is expanded
-    binomially and the u-moments come from the Isserlis/Wick recursion."""
-    memo: dict = {}
-    out: dict[tuple, complex] = {}
-    for alpha, coeff in poly.terms.items():
-        for beta in product(*(range(a + 1) for a in alpha)):
-            mom = _gaussian_moment(cov, beta, memo)
-            if mom == 0:
-                continue
-            comb = math.prod(math.comb(a, bj) for a, bj in zip(alpha, beta))
-            rest = tuple(a - bj for a, bj in zip(alpha, beta))
-            out[rest] = out.get(rest, 0) + coeff * comb * mom
-    return Polynomial(poly.n, out)
+    """y -> E[p(y + u)], u centred Gaussian of complex symmetric covariance
+    cov: the heat operator exp(d.cov d / 2) p, a series ending at half the degree.
+    Its terms can dwarf their sum (Hermite p): it runs in long double, rounded once."""
+    term = out = poly.coeffs.astype(np.clongdouble)
+    cov, axes = np.asarray(cov).astype(np.clongdouble), range(poly.n)
+    for k in range(1, poly.degree() // 2 + 1):
+        term = reduce(_padded_add, [cov[i, j] / (2 * k) * polyder(polyder(term, axis=i), axis=j)
+                                    for i in axes for j in axes])
+        out = _padded_add(out, term)
+    return Polynomial.from_coeffs(out.astype(complex))
 
 
 def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) -> complex:

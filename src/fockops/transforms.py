@@ -19,6 +19,7 @@ it; the phase operator and the multiplier do not.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 from numpy.polynomial.hermite import herm2poly
@@ -424,25 +425,17 @@ def kernel_from_densities(ctx: OperatorContext, z, w) -> complex:
 # -- reference real-domain functions -------------------------------------------
 
 
-def _hermite_poly_1d(n_vars: int, axis: int, degree: int, stretch: float = 1.0) -> Polynomial:
-    coeffs = herm2poly([0.0] * degree + [1.0]) if degree else np.ones(1)
-    terms = {}
-    for p, c in enumerate(np.atleast_1d(coeffs)):
-        if c == 0:
-            continue
-        alpha = [0] * n_vars
-        alpha[axis] = p
-        terms[tuple(alpha)] = c * stretch**p
-    return Polynomial(n_vars, terms)
+def _hermite_coeffs(degree: int, stretch: float = 1.0) -> np.ndarray:
+    """Monomial coefficients of the Hermite polynomial H_degree(stretch * x);
+    a product over the axes is the outer product of such vectors."""
+    return herm2poly([0.0] * degree + [1.0]) * stretch ** np.arange(degree + 1)
 
 
 def hermite_function(alpha) -> GaussPoly:
     """Product Hermite function: H_alpha(x) times exp(-|x|^2 / 2)."""
     alpha = tuple(int(a) for a in alpha)
     n = len(alpha)
-    poly = Polynomial.constant(n, 1.0)
-    for j, a in enumerate(alpha):
-        poly = poly * _hermite_poly_1d(n, j, a)
+    poly = Polynomial.from_coeffs(reduce(np.multiply.outer, [_hermite_coeffs(a) for a in alpha]))
     return GaussPoly(poly, np.eye(n), np.zeros(n), 0.0)
 
 
@@ -451,11 +444,10 @@ def sb_eigenfunction(alpha) -> GaussPoly:
     classical transform: scaled Hermite polynomials under exp(-|x|^2)."""
     alpha = tuple(int(a) for a in alpha)
     n = len(alpha)
-    poly = Polynomial.constant(n, (2.0 / math.pi) ** (n / 4.0))
-    for j, a in enumerate(alpha):
-        poly = poly * _hermite_poly_1d(n, j, a, stretch=math.sqrt(2.0))
-        poly = poly * (1.0 / math.sqrt(2.0**a * math.factorial(a)))
-    return GaussPoly(poly, 2.0 * np.eye(n), np.zeros(n), 0.0)
+    poly = Polynomial.from_coeffs(reduce(np.multiply.outer, [
+        _hermite_coeffs(a, math.sqrt(2.0)) / math.sqrt(2.0**a * math.factorial(a)) for a in alpha
+    ]))
+    return GaussPoly(poly * (2.0 / math.pi) ** (n / 4.0), 2.0 * np.eye(n), np.zeros(n), 0.0)
 
 
 def ground_state(n: int) -> GaussPoly:

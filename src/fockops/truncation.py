@@ -66,7 +66,10 @@ class TruncationSpec:
         k^power is Python's ``pow``, not numpy's: numpy's float64 power may
         differ from it in the last bit (and is then usually the less
         accurate), which would move the reported sequence."""
-        powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
+        try:
+            powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
+        except OverflowError as err:
+            raise ConfigError(f"k^power overflows for power {power}") from err
         r = base + amplitude / powers
         return cls(r, np.full_like(r, base), max_n)
 
@@ -89,7 +92,6 @@ class CaSequence:
     def to_json(self) -> dict:
         return {
             "logCaInv": self.log_ca_inv.tolist(),
-            "increments": self.increments.tolist(),
             "bounded": self.bounded,
             "tailBound": self.tail_bound,
             "note": self.verdict_note,

@@ -293,10 +293,8 @@ def check_unitary_between_spaces(cfg: VerifyConfig) -> list[CheckResult]:
         fwd = classical_to_weighted(ctx, weighted_to_classical(ctx, F)).as_polynomial(1e-11)
         want = F.as_polynomial()
         for got in (back, fwd):
-            for key in set(got.terms) | set(want.terms):
-                worst_round = fold(
-                    max, worst_round, abs(got.terms.get(key, 0) - want.terms.get(key, 0))
-                )
+            diff = (got + want * -1.0).coeffs.ravel().tolist()
+            worst_round = fold(max, worst_round, max(map(abs, diff)))
     return [
         make_bound_check("weighting_unitary_isometry_max_residual", worst_iso, 0.0, 1e-6),
         make_bound_check("weighting_unitary_roundtrip_max_residual", worst_round, 0.0, 1e-12),

@@ -367,6 +367,28 @@ def test_truncate_rejects_non_finite_eigenvalues(tmp_path, capsys, text):
     assert json.loads(out)["error"]["kind"] == "config_invalid"
 
 
+HUGE = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("command, text", [
+    ("truncate", '{"r": [%s, 1.0], "t": [1.0, 1.0], "maxN": 2}' % HUGE),
+    ("truncate", '{"kind": "perturbation", "base": 1.0, "amplitude": 1.0, '
+                 '"power": 1000.0, "maxN": 5}'),
+    ("eval", '{"operator": {"n": 1, "R": [[4.0]], "T": [[1.0]]}, "eval": {"target": '
+             '"kernel", "points": [{"z": [%s, 0.0], "w": [0.0, 0.0]}]}}' % HUGE),
+    ("decompose", '{"operator": {"n": 1, "R": [[%s]], "T": [[1.0]]}}' % HUGE),
+    ("eval", '{"operator": {"n": 1, "R": [[4.0]], "T": [[1.0]]}, "eval": {"target": '
+             '"weighted_transform", "points": [{"z": [0.0, 0.0]}], "function": '
+             '{"kind": "gaussian", "P": [[1.0]], "coeff": %s}}}' % HUGE),
+], ids=["truncate-r", "truncate-power", "eval-point", "operator-R", "function-coeff"])
+def test_numbers_beyond_float_range_are_config_errors(tmp_path, capsys, command, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, command, "--config", str(path))
+    assert code == 2  # and no OverflowError escapes main
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
 def test_eval_quadrature_block_rejected(tmp_path, capsys):
     # every eval function is closed-form, so a quadrature block could do nothing
     cfg = write_config(

@@ -1,8 +1,11 @@
 """Package-wide checks."""
 
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import fockops
@@ -17,3 +20,33 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert not missing
+
+
+def test_benchmark_tracer_still_binds_and_its_hooks_fire():
+    """The benchmark's per-layer tracer wraps functions by name and reads
+    ``Polynomial.terms`` in its hooks; a rename here would otherwise only
+    show up as a broken traced benchmark run."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    ctx = fockops.build_context(fockops.RealLinearMap.from_blocks(np.eye(2), 2.0 * np.eye(2)))
+    f = fockops.hermite_function((2, 1))
+    originals = (fockops.transforms.segal_bargmann_fn,
+                 vars(fockops.symbolic.Polynomial)["compose_affine"])
+    tr = tracer.Tracer()
+    tr.install()  # raises if a traced function is missing
+    try:
+        fockops.transforms.segal_bargmann_fn(ctx, f)
+        fockops.symbolic.convolve_gaussian(1.0, np.eye(2), f)
+    finally:
+        tr.uninstall()
+    records = tr.records
+    assert records["transforms.segal_bargmann_fn"]["calls"] == 1
+    assert len(records["transforms.segal_bargmann_fn"]["_keys"]) == 1
+    assert records["symbolic.convolve_gaussian"]["calls"] == 2
+    assert records["symbolic.convolve_gaussian"]["out_terms"] > 0
+    assert records["symbolic.compose_affine"]["calls"] >= 2
+    assert originals == (fockops.transforms.segal_bargmann_fn,
+                         vars(fockops.symbolic.Polynomial)["compose_affine"])

@@ -6,6 +6,9 @@ fine grids, which stays independent of the completing-the-square path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.polynomial.hermite_e import hermegauss
 
 from fockops import (
     DivergenceError,
@@ -13,11 +16,16 @@ from fockops import (
     HolomorphicFunction,
     Polynomial,
     RangeOverflowError,
+    RealLinearMap,
+    build_context,
     convolve_gaussian,
     gaussian_integral,
+    hermite_function,
     integrate_gausspoly,
     l2_inner_product,
+    segal_bargmann_fn,
 )
+from fockops.symbolic import _smoothed
 
 
 def brute_integral_1d(f, half_width=12.0, m=60001):
@@ -212,3 +220,128 @@ def test_pure_polynomial_evaluation_skips_the_exponent_bit_for_bit():
     np.testing.assert_array_equal(got, poly.evaluate_many(X) * np.exp(expo))
     with pytest.raises(RangeOverflowError):
         GaussPoly(poly, np.zeros((2, 2)), np.zeros(2), 800.0).evaluate_many(X)
+
+
+# -- properties of the dense coefficient algebra --------------------------------
+
+COEFF = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def polynomials(draw, n=None):
+    n = draw(st.integers(1, 3)) if n is None else n
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=n, max_size=n)))
+    return Polynomial.from_coeffs(draw(arrays(complex, shape, elements=COEFF)))
+
+
+def complex_arrays(shape):
+    return arrays(complex, shape, elements=st.complex_numbers(
+        max_magnitude=1.5, allow_nan=False, allow_infinity=False))
+
+
+def magnitude(p, Z):
+    """|p| with every coefficient replaced by its modulus, at |Z|: a bound on
+    the terms whose rounding the evaluated value carries."""
+    return Polynomial.from_coeffs(np.abs(p.coeffs)).evaluate_many(np.abs(Z)).real + 1e-300
+
+
+@PROPERTY
+@given(data=st.data())
+def test_compose_affine_matches_pointwise_property(data):
+    p = data.draw(polynomials())
+    n = p.n
+    M = data.draw(complex_arrays((n, n)))
+    d = data.draw(complex_arrays((n,)))
+    W = data.draw(complex_arrays((4, n)))
+    X = W @ M.T + d
+    got = p.compose_affine(M, d).evaluate_many(W)
+    assert np.all(np.abs(got - p.evaluate_many(X)) <= 1e-11 * magnitude(p, X))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_product_matches_pointwise_property(data):
+    p = data.draw(polynomials())
+    q = data.draw(polynomials(p.n))
+    Z = data.draw(complex_arrays((4, p.n)))
+    scale = magnitude(p, Z) * magnitude(q, Z)
+    assert np.all(np.abs((p * q).evaluate_many(Z) - p.evaluate_many(Z) * q.evaluate_many(Z))
+                  <= 1e-12 * scale)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_smoothed_matches_gauss_hermite_expectation_property(data):
+    p = data.draw(polynomials())
+    n = p.n
+    B = data.draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    C = B @ B.T + 0.2 * np.eye(n)
+    y = data.draw(complex_arrays((n,)))
+    # E[p(y + L xi)] with xi standard normal, C = L L^T; 10 nodes per axis
+    # integrate total degree 18 exactly
+    nodes, weights = hermegauss(10)
+    xi = np.stack(np.meshgrid(*[nodes] * n, indexing="ij"), -1).reshape(-1, n)
+    w = np.prod(np.stack(np.meshgrid(*[weights] * n, indexing="ij"), -1).reshape(-1, n), 1)
+    w = w / np.sqrt(2.0 * np.pi) ** n
+    X = y + xi @ np.linalg.cholesky(C).T
+    want = np.dot(w, p.evaluate_many(X))
+    got = _smoothed(p, C).evaluate(y)
+    assert abs(got - want) <= 1e-11 * np.dot(w, magnitude(p, X))
+
+
+@PROPERTY
+@given(p=polynomials())
+def test_terms_view_rebuilds_the_polynomial_property(p):
+    again = Polynomial(p.n, p.terms)
+    np.testing.assert_array_equal(again.coeffs, p.coeffs)
+    assert all(type(a) is int for alpha in p.terms for a in alpha)
+    with pytest.raises(TypeError):
+        p.terms[(0,) * p.n] = 1.0
+    with pytest.raises(ValueError):
+        p.coeffs[(0,) * p.n] = 1.0
+
+
+# The benchmark's ladder rung (1, 10) at seed 10: a block weight and eight
+# complex points.  The image of H_10 exp(-x^2/2) has monomial coefficients
+# of alternating sign far larger than its values, the hardest rung for the
+# closed route's rounding.
+LADDER_R, LADDER_T = 0.6269934709788463, 0.5599967114160922
+LADDER_POINTS = [
+    0.4361917635960086 + 0.5224696478276091j, 0.16821240526378267 + 0.0904031917728084j,
+    -0.08232945561879673 - 0.3651508009176074j, -0.5376904557935829 + 0.061363079647822165j,
+    -0.3142203221254905 + 0.016192595624466632j, 0.49253639132762134 + 0.33591145009309614j,
+    1.2712073009549056 + 0.14135697635295108j, 0.12492681648824613 + 0.7818961743612741j,
+]
+
+
+def test_segal_bargmann_of_hermite_10_against_mpmath():
+    """The weighted transform s exp(R z^2/2) int exp(-(R+T)(z-x)^2/2) h(x) dx
+    with s = (2/pi)^(1/4) ((R+T)/2)^(3/4) (RT)^(-1/4), by 50-digit quadrature.
+
+    The bound is the error of the dict-of-monomials implementation this
+    calculus replaced (2.49e-11 at the second point)."""
+    import mpmath
+    ctx = build_context(RealLinearMap.from_blocks(np.array([[LADDER_R]]),
+                                                  np.array([[LADDER_T]])))
+    F = segal_bargmann_fn(ctx, hermite_function((10,)))
+    h10 = [1024, 0, -23040, 0, 161280, 0, -403200, 0, 302400, 0, -30240]
+    with mpmath.workdps(50):
+        R, T = mpmath.mpf(LADDER_R), mpmath.mpf(LADDER_T)
+        s = (2 / mpmath.pi) ** 0.25 * ((R + T) / 2) ** 0.75 * (R * T) ** -0.25
+        worst = 0.0
+        for z0 in LADDER_POINTS:
+            z = mpmath.mpc(z0)
+            # beyond |x| = 16 the integrand is below 1e-95
+            integral = mpmath.quad(
+                lambda x: mpmath.exp(-(R + T) * (z - x) ** 2 / 2 - x**2 / 2)
+                * mpmath.polyval(h10, x),
+                [-16, -8, 0, 8, 16],
+            )
+            want = s * mpmath.exp(R * z**2 / 2) * integral
+            got = mpmath.mpc(F.evaluate(np.array([z0])))
+            worst = max(worst, float(abs(got - want) / abs(want)))
+    assert worst <= 2.5e-11

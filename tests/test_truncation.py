@@ -106,7 +106,7 @@ def test_perturbation_matches_python_loop(power):
 def test_json_payload_shape():
     seq = ca_sequence(TruncationSpec.constant(2.0, 1.0, 5))
     data = seq.to_json()
-    assert set(data) == {"logCaInv", "increments", "bounded", "tailBound", "note"}
+    assert set(data) == {"logCaInv", "bounded", "tailBound", "note"}
     assert isinstance(seq, CaSequence)
     assert len(data["logCaInv"]) == 5
 
