@@ -14,6 +14,7 @@ from .errors import (
     DivergenceError,
     EvaluatorError,
     FockError,
+    IllConditionedError,
     NodeBudgetError,
     NotPositiveDefiniteError,
     NotSymmetricError,

@@ -7,18 +7,21 @@ eval        evaluate kernels, transforms, and coherent states at points
 verify      run the full identity suite; exit 0 only if everything passes
 truncate    partial normalization constants along a diagonal tower
 
-Configuration is a JSON file (``--config``); unknown keys are rejected.
-Reports are JSON on stdout or ``--out``, with keys sorted so identical
-configurations and seeds produce byte-identical files; they are rendered
-by ``report.render_json``, with the bytes of
-``json.dumps(report, sort_keys=True, indent=2)``.  Wall-clock timing goes
-to stderr unless ``--timing`` embeds it.  Exit codes: 0 success,
-1 verification failure, 2 usage or configuration errors, reported as
-``{"error": {"kind": ...}}``: ``config_invalid`` for a config that cannot
-be read or fails its checks (a malformed or non-finite eval point,
-non-finite truncate eigenvalues, ...), ``output_unwritable`` for an
-``--out`` or ``--csv`` path that cannot be written.  Set FOCK_LOG to a
-level name (e.g. DEBUG) for progress logging.
+Configuration is a JSON file (``--config``); unknown keys are rejected,
+and so is an integer outside the 64-bit range, there or in ``--seed`` and
+``--nodes``.  Reports are strict JSON in UTF-8 on stdout or ``--out``,
+rendered by ``report.render_json`` with sorted keys, so identical
+configurations and seeds produce byte-identical files: a non-finite value
+is ``null``, a float is written with its shortest round-trip digits, in
+an exponent notation that may differ from Python's (``1e-8``, not
+``1e-08``).  Wall-clock timing goes to stderr unless ``--timing`` embeds
+it.  Exit codes: 0 success, 1 verification failure, 2 usage or
+configuration errors, reported as ``{"error": {"kind": ...}}``:
+``config_invalid`` for a config that cannot be read or fails its checks
+(a malformed or non-finite eval point, non-finite truncate eigenvalues,
+an eval function past MAX_FUNCTION_COEFFS, ...), ``output_unwritable``
+for an ``--out`` or ``--csv`` path that cannot be written.  Set FOCK_LOG
+to a level name (e.g. DEBUG) for progress logging.
 """
 
 from __future__ import annotations
@@ -27,23 +30,18 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
-from functools import partial
 
 import numpy as np
 import jsonschema
 
 from . import __version__
-from .errors import ConfigError, FockError, OutputUnwritableError
+from .errors import ConfigError, FockError, OutputUnwritableError, RangeOverflowError
 from .kernels import eval_functional_norm, kernel, measure_density
-from .operators import (
-    RealLinearMap,
-    SpaceContext,
-    build_context,
-    to_complex_coords,
-)
+from .operators import RealLinearMap, SpaceContext, build_context, to_complex_coords
 from .report import complex_json, render_json
 from .symbolic import GaussPoly, Polynomial
 from .transforms import (
@@ -85,8 +83,18 @@ OPERATOR_SCHEMA = {
     ]
 }
 
-# coordinate keys an eval point may carry; _check_points enforces the shape
-POINT_KEYS = frozenset({"z", "w", "x"})
+# coordinate keys an eval point may carry: length per complex dimension and
+# what they are; _check_points and _coordinates enforce the shape
+POINT_KEYS = {"z": (2, "length-2n real coords"), "w": (2, "length-2n real coords"),
+              "x": (1, "real subspace point")}
+
+# integers a report can echo
+INT64 = range(-2**63, 2**63)
+
+# largest dense coefficient array of an eval function's transform,
+# (|alpha| + 1)^n: the polynomial of degree |alpha| in n variables that a
+# transform of the function holds
+MAX_FUNCTION_COEFFS = 10_000
 
 FUNCTION_SCHEMA = {
     "type": "object",
@@ -109,16 +117,19 @@ FUNCTION_SCHEMA = {
     "additionalProperties": False,
 }
 
-EVAL_TARGETS = [
-    "measure_density",
-    "kernel",
-    "eval_norm",
-    "multiplier",
-    "coherent_state",
-    "classical_transform",
-    "weighted_transform",
-    "gaussian_transform",
-]
+# eval target -> the point coordinates it reads, in order, and its batch
+# evaluation at them; a lambda looks the function up when it runs, so a
+# wrapper installed on this module's name is the one called
+EVAL_TARGETS = {
+    "measure_density": (("z",), lambda ctx, fn, z: measure_density(ctx, z)),
+    "kernel": (("z", "w"), lambda ctx, fn, z, w: kernel(ctx, z, w)),
+    "eval_norm": (("z",), lambda ctx, fn, z: eval_functional_norm(ctx, z)),
+    "multiplier": (("x", "z"), lambda ctx, fn, x, z: multiplier(ctx, x, z)),
+    "coherent_state": (("x", "z"), lambda ctx, fn, x, z: coherent_state(ctx, x, z)),
+    "classical_transform": (("z",), lambda ctx, fn, z: segal_bargmann_classical(fn, z)),
+    "weighted_transform": (("z",), lambda ctx, fn, z: segal_bargmann(ctx, fn, z)),
+    "gaussian_transform": (("z",), lambda ctx, fn, z: segal_bargmann_gaussian(ctx, fn, z)),
+}
 
 CONFIG_SCHEMAS = {
     "decompose": {
@@ -134,7 +145,7 @@ CONFIG_SCHEMAS = {
             "eval": {
                 "type": "object",
                 "properties": {
-                    "target": {"enum": EVAL_TARGETS},
+                    "target": {"enum": list(EVAL_TARGETS)},
                     "points": {"type": "array", "minItems": 1},
                     "function": FUNCTION_SCHEMA,
                 },
@@ -148,7 +159,7 @@ CONFIG_SCHEMAS = {
     "verify": {
         "type": "object",
         "properties": {
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
             "nodes": {"type": "integer", "minimum": 2},
             "nodes2d": {"type": "integer", "minimum": 2},
             "decompositionSamples": {"type": "integer", "minimum": 1},
@@ -242,9 +253,9 @@ def _check_points(points: list) -> None:
 
 
 def _parse_int(text: str) -> int:
-    """A JSON integer; one beyond the float range is rejected here, once."""
-    if abs(value := int(text)) > sys.float_info.max:
-        raise ValueError(f"integer literal of {len(text)} digits is outside the float range")
+    """A JSON integer; one outside the 64-bit range is rejected here, once."""
+    if (value := int(text)) not in INT64:
+        raise ValueError(f"integer literal of {len(text)} digits is outside the 64-bit range")
     return value
 
 
@@ -257,7 +268,11 @@ def load_config(path: str | None, command: str, overrides: dict) -> dict:
                 config = json.load(fh, parse_int=_parse_int)
         except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, huge int
             raise ConfigError(str(err)) from err
-    config = {**config, **{k: v for k, v in overrides.items() if v is not None}}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    for key, value in overrides.items():
+        if value not in INT64:
+            raise ConfigError(f"invalid configuration: --{key} is outside the 64-bit range")
+    config = {**config, **overrides}
     try:
         jsonschema.validate(config, CONFIG_SCHEMAS[command])
     except jsonschema.ValidationError as err:
@@ -307,30 +322,36 @@ def cmd_decompose(config: dict) -> dict:
     }
 
 
+def _alpha(spec: dict, n: int) -> list[int]:
+    """The multi-index of a function spec, checked before anything is built:
+    its transform must fit in MAX_FUNCTION_COEFFS dense coefficients."""
+    alpha = spec.get("alpha", [0] * n)
+    if len(alpha) != n:
+        raise ConfigError(f"alpha must have length {n}")
+    if (sum(alpha) + 1) ** n > MAX_FUNCTION_COEFFS:
+        raise ConfigError(
+            f"alpha of total degree {sum(alpha)} in dimension {n} needs (degree + 1)^n "
+            f"coefficients, more than {MAX_FUNCTION_COEFFS}"
+        )
+    return alpha
+
+
 def _build_function(spec: dict, n: int):
     kind = spec["kind"]
     if kind == "hermite":
-        alpha = spec.get("alpha", [0] * n)
-        if len(alpha) != n:
-            raise ConfigError(f"alpha must have length {n}")
-        return hermite_function(alpha)
+        return hermite_function(_alpha(spec, n))
     if kind == "sb_eigenfunction":
-        alpha = spec.get("alpha", [0] * n)
-        if len(alpha) != n:
-            raise ConfigError(f"alpha must have length {n}")
-        return sb_eigenfunction(alpha)
+        return sb_eigenfunction(_alpha(spec, n))
     if kind == "ground_state":
         return ground_state(n)
     if kind in ("gaussian", "monomial_gaussian"):
+        alpha = _alpha(spec, n) if kind == "monomial_gaussian" else None
         P = np.asarray(spec.get("P", np.eye(n).tolist()), dtype=float)
         if P.shape != (n, n):
             raise ConfigError(f"P must be {n}x{n}")
         b = np.asarray(spec.get("b", np.zeros(n).tolist()), dtype=float)
         out = GaussPoly.gaussian(P, b=b, coeff=spec.get("coeff", 1.0))
-        if kind == "monomial_gaussian":
-            alpha = spec.get("alpha", [0] * n)
-            if len(alpha) != n:
-                raise ConfigError(f"alpha must have length {n}")
+        if alpha is not None:
             out = GaussPoly(
                 out.poly * Polynomial.monomial(n, alpha), out.P, out.b, out.gamma
             )
@@ -338,99 +359,52 @@ def _build_function(spec: dict, n: int):
     raise ConfigError(f"unknown function kind {kind!r}")
 
 
-def _point_vector(point: dict, key: str, length: int, what: str) -> np.ndarray:
-    if key not in point:
-        raise ConfigError(f"target needs '{key}' ({what}) in every point")
-    vec = np.asarray(point[key], dtype=float)
-    if vec.shape != (length,):
-        raise ConfigError(f"'{key}' must have length {length}")
-    if not np.isfinite(vec).all():
-        raise ConfigError(f"'{key}' has a non-finite coordinate")
-    return vec
-
-
-def _eval_single(target: str, ctx, point: dict) -> complex | float:
-    n = ctx.n
-    if target == "measure_density":
-        z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
-        return measure_density(ctx, z)
-    if target == "kernel":
-        z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
-        w = to_complex_coords(_point_vector(point, "w", 2 * n, "length-2n real coords"))
-        return kernel(ctx, z, w)
-    if target == "eval_norm":
-        z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
-        return eval_functional_norm(ctx, z)
-    if target == "multiplier":
-        x = _point_vector(point, "x", n, "real subspace point")
-        z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
-        return multiplier(ctx, x, z)
-    if target == "coherent_state":
-        x = _point_vector(point, "x", n, "real subspace point")
-        z = to_complex_coords(_point_vector(point, "z", 2 * n, "length-2n real coords"))
-        return coherent_state(ctx, x, z)
-    raise ConfigError(f"unknown target {target!r}")
-
-
-TRANSFORM_TARGETS = ("classical_transform", "weighted_transform", "gaussian_transform")
-
-
-def _transform(target: str, ctx, fn, z):
-    """The target's transform of ``fn`` at one point or at each row of a batch."""
-    if target == "classical_transform":
-        return segal_bargmann_classical(fn, z)
-    if target == "weighted_transform":
-        return segal_bargmann(ctx, fn, z)
-    return segal_bargmann_gaussian(ctx, fn, z)
-
-
-def _row(point: dict, compute) -> dict:
-    """The report row of one point: its value, or the FockError it raised."""
-    try:
-        return {"point": point, "value": complex_json(complex(compute()))}
-    except ConfigError:
-        raise
-    except FockError as err:
-        return {"point": point, "error": err.payload()}
-
-
-def _transform_rows(target: str, ctx, fn, points: list) -> list[dict]:
-    """One transform call for the whole batch, so the image of ``fn`` is
-    built once; if a point fails, one call per point, so that each failure
-    is the row of its own point."""
-    Z = np.array([
-        to_complex_coords(_point_vector(point, "z", 2 * ctx.n, "length-2n real coords"))
-        for point in points
-    ])
-    try:
-        values = _transform(target, ctx, fn, Z)
-    except FockError:
-        return [_row(point, partial(_transform, target, ctx, fn, z))
-                for point, z in zip(points, Z)]
-    return [{"point": point, "value": complex_json(complex(value))}
-            for point, value in zip(points, values)]
+def _coordinates(points: list, keys: tuple, n: int) -> list[np.ndarray]:
+    """The coordinates ``keys`` of every point as (m, length) float arrays,
+    checked point by point in the order the target reads them."""
+    for point in points:
+        for key in keys:
+            per_dim, what = POINT_KEYS[key]
+            if key not in point:
+                raise ConfigError(f"target needs '{key}' ({what}) in every point")
+            if len(point[key]) != per_dim * n:
+                raise ConfigError(f"'{key}' must have length {per_dim * n}")
+            if not all(map(math.isfinite, point[key])):
+                raise ConfigError(f"'{key}' has a non-finite coordinate")
+    return [np.array([point[key] for point in points], dtype=float) for key in keys]
 
 
 def cmd_eval(config: dict) -> dict:
     ctx = build_context(operator_from_config(config["operator"]))
     spec = config["eval"]
-    target = spec["target"]
+    target, points = spec["target"], spec["points"]
     if target in ("weighted_transform", "gaussian_transform", "coherent_state"):
         ctx.require_real_form()
-    if target in TRANSFORM_TARGETS:
+    fn = None
+    if target.endswith("_transform"):
         if "function" not in spec:
             raise ConfigError(f"target {target!r} needs a 'function' entry")
         fn = _build_function(spec["function"], ctx.n)
-        values = _transform_rows(target, ctx, fn, spec["points"])
-    else:
-        values = [_row(point, partial(_eval_single, target, ctx, point))
-                  for point in spec["points"]]
+    keys, evaluate = EVAL_TARGETS[target]
+    coords = [c if key == "x" else to_complex_coords(c)
+              for key, c in zip(keys, _coordinates(points, keys, ctx.n))]
+    try:
+        values, overflow = evaluate(ctx, fn, *coords), None
+    except RangeOverflowError as err:
+        if err.values is None:
+            raise
+        values, overflow = err.values, err
+    rows = [{"point": point, "value": complex_json(complex(value))}
+            for point, value in zip(points, values.tolist())]
+    if overflow is not None:  # the rows whose exponents left the range
+        for i in np.flatnonzero(~np.isnan(overflow.exponents)).tolist():
+            rows[i] = {"point": points[i], "error": overflow.row(i).payload()}
     return {
         "command": "eval",
         "config": config,
         "context": ctx.summary(),
-        "values": values,
-        "pass": all("error" not in v for v in values),
+        "values": rows,
+        "pass": overflow is None,
     }
 
 
@@ -511,6 +485,17 @@ def render_report(report: dict, timing: float | None) -> str:
     return render_json(report) + "\n"
 
 
+def write_stdout(text: str) -> None:
+    """``text`` as UTF-8 bytes on stdout, whatever the locale's encoding."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only replacement stream
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    buffer.write(text.encode("utf-8"))
+    buffer.flush()
+
+
 def write_outputs(args: argparse.Namespace, text: str, report: dict) -> None:
     """The report to ``--out`` and the values to ``--csv``, where given; a
     file that cannot be written is an ``output_unwritable`` error."""
@@ -566,12 +551,12 @@ def main(argv: list[str] | None = None) -> int:
         text = render_report(report, elapsed if args.timing else None)
         write_outputs(args, text, report)
     except FockError as err:
-        print(render_json({"error": err.payload()}))
+        write_stdout(render_json({"error": err.payload()}) + "\n")
         log.error("%s failed: %s", args.command, err)
         return 2
 
     if not args.out:
-        sys.stdout.write(text)
+        write_stdout(text)
     print(f"{args.command}: {'pass' if report['pass'] else 'FAIL'} in {elapsed:.2f}s",
           file=sys.stderr)
     return 0 if report["pass"] else 1

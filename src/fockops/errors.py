@@ -54,14 +54,45 @@ class RealFormError(FockError):
     kind = "requires_real_form"
 
 
+class IllConditionedError(NotPositiveDefiniteError):
+    """Positive definite, but the ratio of the smallest eigenvalue to the
+    largest is below the threshold that every downstream inverse and
+    square root needs; carries that ratio."""
+
+    kind = "ill_conditioned"
+
+    def __init__(self, message: str, min_eigenvalue: float, eigenvalue_ratio: float):
+        super().__init__(message, min_eigenvalue)
+        self.eigenvalue_ratio = eigenvalue_ratio
+
+    def payload(self) -> dict:
+        out = super().payload()
+        out["eigenvalue_ratio"] = self.eigenvalue_ratio
+        return out
+
+
 class RangeOverflowError(FockError):
-    """An exponent left the representable range; carries the exponent."""
+    """An exponent left the representable range; carries the exponent.
+
+    Raised by the evaluation of a batch of points, it also carries
+    ``exponents``, the exponent of each row that left the range (NaN at the
+    others), and ``values``, the value of each other row (NaN at those);
+    ``row(i)`` is the error a one-point call at row i raises, and the batch
+    error is the one of its largest exponent."""
 
     kind = "range_overflow"
 
-    def __init__(self, message: str, exponent: float):
+    def __init__(self, message: str, exponent: float, exponents=None, values=None,
+                 template: str | None = None):
         super().__init__(message)
         self.exponent = exponent
+        self.exponents = exponents
+        self.values = values
+        self.template = template
+
+    def row(self, index: int) -> "RangeOverflowError":
+        exponent = float(self.exponents[index])
+        return RangeOverflowError(self.template.format(exponent), exponent)
 
     def payload(self) -> dict:
         out = super().payload()

@@ -28,11 +28,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, RangeOverflowError
-from .operators import OperatorContext, RealLinearMap, build_context, real_inner
+from .errors import ConfigError, DimensionMismatchError
+from .operators import OperatorContext, RealLinearMap, build_context
 from .quadrature import QuadratureRule, _reduce, _require_finite
 from .report import CheckResult, make_bound_check, make_check
-from .symbolic import EXP_OVERFLOW, GaussPoly, HolomorphicFunction
+from .symbolic import GaussPoly, HolomorphicFunction, bilinear_rows, check_rows
 
 __all__ = [
     "measure_density",
@@ -54,36 +54,46 @@ DEFAULT_NODES_BY_DIM = {2: 40, 4: 20, 6: 10}
 log = logging.getLogger(__name__)
 
 
-def measure_density(ctx: OperatorContext, z) -> float:
-    """Density of the Gaussian measure at z (with respect to dx dy)."""
+KERNEL_OVERFLOW = "kernel exponent {:.1f} out of range"
+
+
+def measure_density(ctx: OperatorContext, z):
+    """Density of the Gaussian measure at z (with respect to dx dy).
+
+    z is one point (a float comes back) or an (m, n) batch (m values, each
+    with the bits of a one-point call)."""
     z = np.asarray(z, dtype=complex)
-    quad = real_inner(ctx.A(z), z)
-    return float(
-        math.pi ** (-ctx.n) * math.exp(0.5 * ctx.log_det_v_a - quad)
-    )
+    if z.ndim == 1:
+        return float(measure_density(ctx, z[None])[0].real)
+    V = np.concatenate([z.real, z.imag], axis=1)
+    expo = 0.5 * ctx.log_det_v_a - bilinear_rows(V, ctx.A.entries, V)
+    check_rows([expo], lambda ok: measure_density(ctx, z[ok]), len(z))
+    return math.pi ** (-ctx.n) * np.exp(expo)
 
 
-def _kernel_exponent(ctx: OperatorContext, z: np.ndarray, w: np.ndarray) -> complex:
+def _kernel_exponent(ctx: OperatorContext, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     C = ctx.K_matrix
-    Hc = ctx.H_matrix
     wbar = np.conj(w)
-    return complex(
-        0.5 * np.dot(z, np.conj(C) @ z)
-        + np.dot(Hc @ z, wbar)
-        + 0.5 * np.dot(wbar, C @ wbar)
-    )
+    return (
+        0.5 * bilinear_rows(z, np.conj(C), z)
+        + bilinear_rows(wbar, ctx.H_matrix, z)
+        + 0.5 * bilinear_rows(wbar, C, wbar)
+    ) - 2.0 * math.log(ctx.c_a)
 
 
-def kernel(ctx: OperatorContext, z, w) -> complex:
-    """Reproducing kernel at (z, w); holomorphic in z, antiholomorphic in w."""
+def kernel(ctx: OperatorContext, z, w):
+    """Reproducing kernel at (z, w); holomorphic in z, antiholomorphic in w.
+
+    z and w are points (a complex comes back) or (m, n) batches (m values,
+    each with the bits of a one-point call); a row whose exponent leaves the
+    range is a row of the RangeOverflowError raised for the batch."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    expo = _kernel_exponent(ctx, z, w) - 2.0 * math.log(ctx.c_a)
-    if expo.real > EXP_OVERFLOW:
-        raise RangeOverflowError(
-            f"kernel exponent {expo.real:.1f} out of range", exponent=expo.real
-        )
-    return complex(np.exp(expo))
+    if z.ndim == 1:
+        return complex(kernel(ctx, z[None], w[None])[0])
+    expo = _kernel_exponent(ctx, z, w)
+    check_rows([expo], lambda ok: kernel(ctx, z[ok], w[ok]), len(z), KERNEL_OVERFLOW)
+    return np.exp(expo)
 
 
 def kernel_section(ctx: OperatorContext, w) -> HolomorphicFunction:
@@ -96,10 +106,15 @@ def kernel_section(ctx: OperatorContext, w) -> HolomorphicFunction:
     ).as_holomorphic()
 
 
-def eval_functional_norm(ctx: OperatorContext, z) -> float:
-    """Operator norm of F -> F(z), the square root of the kernel diagonal."""
-    value = kernel(ctx, z, z)
-    return math.sqrt(value.real)
+def eval_functional_norm(ctx: OperatorContext, z):
+    """Operator norm of F -> F(z), the square root of the kernel diagonal;
+    at one point or at each row of a batch, as :func:`kernel`."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 1:
+        return float(eval_functional_norm(ctx, z[None])[0].real)
+    expo = _kernel_exponent(ctx, z, z)
+    check_rows([expo], lambda ok: eval_functional_norm(ctx, z[ok]), len(z), KERNEL_OVERFLOW)
+    return np.sqrt(np.exp(expo).real)
 
 
 def weighted_to_classical(ctx: OperatorContext, F: HolomorphicFunction) -> HolomorphicFunction:

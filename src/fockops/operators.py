@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionMismatchError,
+    IllConditionedError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     RealFormError,
@@ -43,7 +44,6 @@ __all__ = [
     "inv_sqrt_spd",
     "h_eigenbasis",
     "hermitian_inner",
-    "real_inner",
     "to_real_coords",
     "to_complex_coords",
 ]
@@ -58,11 +58,6 @@ def hermitian_inner(u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.dot(u, np.conj(v)))
 
 
-def real_inner(u: np.ndarray, v: np.ndarray) -> float:
-    """Real inner product (u, v) = Re <u, v>."""
-    return hermitian_inner(u, v).real
-
-
 def to_real_coords(z: np.ndarray) -> np.ndarray:
     """(x + iy) in C^n -> (x, y) in R^{2n}."""
     z = np.asarray(z, dtype=complex)
@@ -70,10 +65,10 @@ def to_real_coords(z: np.ndarray) -> np.ndarray:
 
 
 def to_complex_coords(v: np.ndarray) -> np.ndarray:
-    """(x, y) in R^{2n} -> x + iy in C^n."""
+    """(x, y) in R^{2n} -> x + iy in C^n, for one vector or each row of a batch."""
     v = np.asarray(v, dtype=float)
-    n = v.shape[0] // 2
-    return v[:n] + 1j * v[n:]
+    n = v.shape[-1] // 2
+    return v[..., :n] + 1j * v[..., n:]
 
 
 @dataclass(frozen=True)
@@ -205,6 +200,16 @@ def require_spd(A: RealLinearMap) -> SpdReport:
             asymmetry=report.asymmetry,
         )
     if not report.positive:
+        # a smallest eigenvalue above SPD_EIG_RTOL fails the threshold
+        # SPD_EIG_RTOL * max(norm, 1) only through its ratio to the norm
+        if report.min_eigenvalue > SPD_EIG_RTOL:
+            ratio = report.min_eigenvalue / report.norm
+            raise IllConditionedError(
+                f"operator is ill-conditioned (smallest to largest eigenvalue ratio "
+                f"{ratio:.3e}, below {SPD_EIG_RTOL:.0e})",
+                min_eigenvalue=report.min_eigenvalue,
+                eigenvalue_ratio=ratio,
+            )
         raise NotPositiveDefiniteError(
             f"operator is not positive definite (min eigenvalue {report.min_eigenvalue:.3e})",
             min_eigenvalue=report.min_eigenvalue,

@@ -6,75 +6,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
+import orjson
 
-def _scalar_json(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _render(value, indent: str, out: list) -> None:
-    """Append the chunks of ``value`` at the nesting whose line prefix is ``indent``."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        if type(value) is list and all(type(item) is float for item in value):
-            # One pass for the long float arrays; the repr of a finite float
-            # has no "n", so an "n" means a NaN or an inf, which JSON spells
-            # differently and the per-item path below handles.
-            text = ("," + inner).join(map(float.__repr__, value))
-            if "n" not in text:
-                out.append("[" + inner + text + indent + "]")
-                return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _render(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            name = key if isinstance(key, str) else _scalar_json(key)
-            out.append(sep + encode_basestring_ascii(name) + ": ")
-            _render(item, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    else:
-        out.append(_scalar_json(value))
+RENDER_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 def render_json(value) -> str:
-    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
-
-    The stdlib only uses its C encoder without ``indent``; its Python
-    encoder makes a chunk per list item, which dominates the rendering of
-    long float arrays such as the ``truncate`` sequences."""
-    out: list[str] = []
-    _render(value, "\n", out)
-    return "".join(out)
+    """Strict JSON text of ``value``: keys sorted, two-space indent, UTF-8
+    text unescaped, a non-finite float as ``null`` and every other float as
+    its shortest round-trip digits, in orjson's notation (``1e-7``,
+    ``1e16``, ``0.00001`` where Python writes ``1e-07``, ``1e+16``,
+    ``1e-05``).  float64 numpy arrays are encoded from their buffer.  What
+    orjson cannot encode, such as an integer outside 64 bits, raises
+    ``orjson.JSONEncodeError``, a TypeError."""
+    return orjson.dumps(value, option=RENDER_OPTIONS).decode()
 
 
 def complex_json(value):

@@ -47,21 +47,41 @@ __all__ = [
     "integrate_gausspoly",
     "convolve_gaussian",
     "l2_inner_product",
-    "checked_exp",
+    "check_rows",
+    "bilinear_rows",
 ]
 
 EXP_OVERFLOW = 700.0
+OVERFLOW_MESSAGE = "exponent {:.1f} exceeds the representable range"
 
 
-def checked_exp(w):
-    """exp with a structured error instead of a silent overflow to inf."""
-    w = np.asarray(w)
-    top = float(np.max(w.real)) if w.size else 0.0
-    if top > EXP_OVERFLOW:
-        raise RangeOverflowError(
-            f"exponent {top:.1f} exceeds the representable range", exponent=top
-        )
-    return np.exp(w)
+def check_rows(exponents, evaluate, size: int, message: str = OVERFLOW_MESSAGE) -> None:
+    """Nothing if every row of a batch of ``size`` rows keeps its exponents
+    (arrays or scalars, in the order a one-row call takes their exp) in
+    range.  Otherwise RangeOverflowError for the batch: a row out of range
+    carries its first exponent past EXP_OVERFLOW, and ``evaluate(ok)`` gives
+    the values at the rows in range (the mask ``ok``)."""
+    if not any(np.any(np.real(expo) > EXP_OVERFLOW) for expo in exponents):
+        return
+    first = np.full(size, np.nan)
+    for expo in exponents:
+        real = np.broadcast_to(np.real(expo), (size,))
+        new = (real > EXP_OVERFLOW) & np.isnan(first)
+        first[new] = real[new]
+    ok = np.isnan(first)
+    values = np.full(size, np.nan, dtype=complex)
+    if ok.any():
+        values[ok] = evaluate(ok)
+    worst = float(np.nanmax(first))
+    raise RangeOverflowError(message.format(worst), worst, first, values, message)
+
+
+def bilinear_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """x.My for each row x of X and the same row y of Y, summed over the axes
+    in a fixed order from elementwise products: a row's bits do not depend
+    on the rest of the batch, as they do under a matrix product's blocking."""
+    return sum(X[:, j] * sum(M[j, k] * Y[:, k] for k in range(M.shape[1]))
+               for j in range(M.shape[0]))
 
 
 def _as_complex_vector(v, n: int) -> np.ndarray:
@@ -88,8 +108,13 @@ def _horner(c: np.ndarray, columns: list):
     axis, skipping all-zero slabs: a scalar or a fresh (m,) array."""
     leaf, acc = c.ndim == 1, 0j
     for slab in (c.tolist() if leaf else c)[::-1]:  # Python scalars on the last axis
-        if isinstance(acc, np.ndarray) or acc:  # nothing to scale before the first term
+        # numpy rounds a one-element in-place complex product differently from
+        # the same product in a longer array, so a one-row batch (and the
+        # first scaling of a scalar) multiplies out of place
+        if isinstance(acc, np.ndarray) and acc.size > 1:
             acc *= columns[0]
+        elif isinstance(acc, np.ndarray) or acc:  # nothing to scale before the first term
+            acc = acc * columns[0]
         if slab if leaf else slab.any():
             acc += slab if leaf else _horner(slab, columns[1:])  # in place once an array
     return acc
@@ -241,13 +266,16 @@ class GaussPoly:
     def one(cls, n: int) -> "GaussPoly":
         return cls(Polynomial.constant(n, 1.0), np.zeros((n, n)), np.zeros(n), 0.0)
 
-    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
+    def exponent_many(self, X: np.ndarray):
+        """-x.Px/2 + b.x + gamma at each row of X, row by row; gamma itself
+        for a pure polynomial."""
         if not self.P.any() and not self.b.any():
-            # a pure polynomial: the exponent is gamma at every point
-            return self.poly.evaluate_many(X) * checked_exp(self.gamma)
-        expo = -0.5 * np.einsum("ij,jk,ik->i", X, self.P, X) + X @ self.b + self.gamma
-        return self.poly.evaluate_many(X) * checked_exp(expo)
+            return self.gamma
+        linear = sum(self.b[j] * X[:, j] for j in range(self.n))
+        return -0.5 * bilinear_rows(X, self.P, X) + linear + self.gamma
+
+    def evaluate_many(self, X: np.ndarray) -> np.ndarray:
+        return _evaluate_terms([self], X)
 
     def evaluate(self, x) -> complex:
         return complex(self.evaluate_many(np.asarray(x, dtype=complex)[None, :])[0])
@@ -292,6 +320,19 @@ class GaussPoly:
         return HolomorphicFunction(self.n, [self])
 
 
+def _evaluate_terms(terms, X) -> np.ndarray:
+    """The sum of the GaussPoly ``terms`` at the rows of X, each row with the
+    bits of a one-row call; rows out of range are those of the
+    RangeOverflowError raised."""
+    X = np.asarray(X, dtype=complex)
+    exponents = [term.exponent_many(X) for term in terms]
+    check_rows(exponents, lambda ok: _evaluate_terms(terms, X[ok]), X.shape[0])
+    out = np.zeros(X.shape[0], dtype=complex)
+    for term, expo in zip(terms, exponents):
+        out += term.poly.evaluate_many(X) * np.exp(expo)
+    return out
+
+
 class HolomorphicFunction:
     """Finite sum of :class:`GaussPoly` terms on the complexification."""
 
@@ -326,11 +367,7 @@ class HolomorphicFunction:
         return cls.from_polynomial(Polynomial.monomial(n, alpha, coeff))
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        out = np.zeros(Z.shape[0], dtype=complex)
-        for term in self.terms:
-            out += term.evaluate_many(Z)
-        return out
+        return _evaluate_terms(self.terms, Z)
 
     def evaluate(self, z) -> complex:
         return complex(self.evaluate_many(np.asarray(z, dtype=complex)[None, :])[0])

@@ -31,7 +31,8 @@ from .symbolic import (
     GaussPoly,
     HolomorphicFunction,
     Polynomial,
-    checked_exp,
+    bilinear_rows,
+    check_rows,
     convolve_gaussian,
     l2_inner_product,
 )
@@ -84,7 +85,7 @@ def multiplier_exponential(ctx: OperatorContext, x) -> GaussPoly:
     return GaussPoly.gaussian(np.zeros((ctx.n, ctx.n)), b, -0.5 * weight_quad)
 
 
-def multiplier(ctx: OperatorContext, x, z) -> complex:
+def multiplier(ctx: OperatorContext, x, z):
     """Cocycle m(x, z) making translation a representation on the space.
 
     m(x, z) = exp(<Hz, x> + <K conj(z), x> - <Ax, x>/2).  The cocycle law
@@ -93,8 +94,19 @@ def multiplier(ctx: OperatorContext, x, z) -> complex:
     preserves the real subspace (any block-diagonal weight, or one whose
     complex-linear part is real; not every SPD weight in these
     coordinates).
+
+    x and z are one point each (a complex comes back) or (m, n) batches
+    (m values, each with the bits of a one-point call; rows out of range
+    are rows of the RangeOverflowError raised).
     """
-    return multiplier_exponential(ctx, x).evaluate(np.asarray(z, dtype=complex))
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 1:
+        return complex(multiplier(ctx, x[None], z[None])[0])
+    Hc, C = ctx.H_matrix, ctx.K_matrix
+    expo = bilinear_rows(z, Hc.T + C, x) - 0.5 * bilinear_rows(x, Hc + C, x)
+    check_rows([expo], lambda ok: multiplier(ctx, x[ok], z[ok]), len(z))
+    return np.exp(expo)
 
 
 def translate(ctx: OperatorContext, x, F: HolomorphicFunction) -> HolomorphicFunction:
@@ -165,23 +177,23 @@ def _evaluate(h, z, kernel, closed):
     each is the other's oracle.
 
     ``z`` is one point (a complex value comes back) or an (m, n) batch (an
-    array of m values).  A batch maps h once and evaluates each row as a
-    single point, so its values carry the same bits as m single calls; a
-    FockError at any row is raised for the whole batch.
+    array of m values).  A batch maps h once, and a point is its one-row
+    batch: each row carries the bits of a one-point call, and the rows
+    whose exponents leave the range are rows of the RangeOverflowError
+    raised for the batch; any other FockError is raised for the batch.
     """
     z = np.asarray(z, dtype=complex)
-    if isinstance(h, GaussPoly):
-        at = closed(h).evaluate
-    else:
-        s, G, E = kernel
-
-        def at(w):
-            front = s if E is None else s * complex(checked_exp(0.5 * np.dot(w, E @ w)))
-            return front * _convolve_at(G, h, w)
-
     if z.ndim == 1:
-        return at(z)
-    return np.array([at(w) for w in z], dtype=complex)
+        return complex(_evaluate(h, z[None], kernel, closed)[0])
+    if isinstance(h, GaussPoly):
+        return closed(h).evaluate_many(z)
+    s, G, E = kernel
+    front = s
+    if E is not None:
+        expo = 0.5 * bilinear_rows(z, E, z)
+        check_rows([expo], lambda ok: _evaluate(h, z[ok], kernel, closed), len(z))
+        front = s * np.exp(expo)
+    return front * np.array([_convolve_at(G, h, w) for w in z], dtype=complex)
 
 
 def _adjoint_kernel(ctx: OperatorContext):
@@ -378,9 +390,22 @@ def coherent_state_fn(ctx: OperatorContext, z) -> GaussPoly:
     )
 
 
-def coherent_state(ctx: OperatorContext, x, z) -> complex:
-    """Pointwise coherent-state value; real when both arguments are real."""
-    return coherent_state_fn(ctx, z).evaluate(np.asarray(x, dtype=complex))
+def coherent_state(ctx: OperatorContext, x, z):
+    """Coherent-state value; real when both arguments are real.  x and z are
+    one point each (a complex comes back) or (m, n) batches (m values, each
+    with the bits of a one-point call; rows out of range are rows of the
+    RangeOverflowError raised)."""
+    ctx.require_real_form()
+    x = np.asarray(x, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    if z.ndim == 1:
+        return complex(coherent_state(ctx, x[None], z[None])[0])
+    T, S = ctx.T, ctx.S
+    coeff = _heat_coeff(T) / _heat_coeff(S)
+    expo = (-0.5 * bilinear_rows(x, T - S, x) + bilinear_rows(x, T, z)
+            - 0.5 * bilinear_rows(z, T, z))
+    check_rows([expo], lambda ok: coherent_state(ctx, x[ok], z[ok]), len(z))
+    return coeff * np.exp(expo)
 
 
 def coherent_inner(ctx: OperatorContext, w, z) -> complex:

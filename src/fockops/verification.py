@@ -227,7 +227,8 @@ def check_kernel_geometry(cfg: VerifyConfig) -> list[CheckResult]:
             max, worst_herm, abs(kzw - np.conj(kernel(ctx, w, z))) / max(1.0, abs(kzw))
         )
         pts = 0.8 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
-        gram = np.array([[kernel(ctx, zi, zj) for zj in pts] for zi in pts])
+        # one batch of the 36 pairs (pts[a], pts[b]), row 6a + b
+        gram = kernel(ctx, np.repeat(pts, 6, axis=0), np.tile(pts, (6, 1))).reshape(6, 6)
         lowest = np.linalg.eigvalsh(gram)[0]
         worst_gram = fold(max, worst_gram, -lowest / np.trace(gram).real)
     one = HolomorphicFunction.constant(1, 1.0)

@@ -1,6 +1,8 @@
 """Command-line interface: schemas, exit codes, reports, determinism."""
 
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -10,6 +12,8 @@ import pytest
 
 import fockops as fo
 from fockops.cli import CONFIG_SCHEMAS, REPORT_SCHEMA, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +242,24 @@ def test_eval_range_error_surfaced_per_point(tmp_path, capsys):
     assert report["values"][1]["error"]["kind"] == "range_overflow"
     assert report["pass"] is False
     assert code == 1
+
+
+def test_eval_error_rows_carry_their_own_exponent(tmp_path, capsys):
+    points = [{"z": [30.0, 0.0], "w": [30.0, 0.0]}, {"z": [0.1, 0.0], "w": [0.2, 0.0]},
+              {"z": [40.0, 0.0], "w": [40.0, 0.0]}]
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**DIAG, "eval": {"target": "kernel", "points": points}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    rows = json.loads(out)["values"]
+    assert code == 1
+    assert ["error" in row for row in rows] == [True, False, True]
+    ctx = fo.build_context(fo.RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]])))
+    for row, point in zip(rows, points):
+        if "error" in row:
+            z, w = (fo.operators.to_complex_coords(np.array(point[k])) for k in "zw")
+            with pytest.raises(fo.RangeOverflowError) as err:
+                fo.kernel(ctx, z, w)
+            assert row["error"] == err.value.payload()
 
 
 def _transform_config(tmp_path, target, n_points, far=(), far_point=None):
@@ -487,3 +509,126 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "fockops" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["decompose"], '{"operator": {"n": 1, "R": [[100000000000000000000]], "T": [[1.0]]}}'),
+    (["verify", "--seed", "100000000000000000000", "--nodes", "4"], None),
+    (["verify", "--seed", "1", "--nodes", str(2**63)], None),
+], ids=["config-file", "seed", "nodes"])
+def test_integers_outside_64_bits_are_config_errors(tmp_path, capsys, argv, text):
+    # a report echoes its configuration, and no integer past 64 bits can be encoded
+    if text is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        argv = argv + ["--config", str(path)]
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert "64-bit" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-5"], ["--nodes", "1"]])
+def test_verify_seed_and_nodes_below_their_minimum_are_config_errors(capsys, argv):
+    # a negative seed reached numpy's generator and died there in a ValueError
+    code, out = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+def test_64_bit_integers_are_echoed(tmp_path, capsys, monkeypatch):
+    import fockops.cli
+
+    monkeypatch.setitem(fockops.cli.COMMANDS, "verify",
+                        lambda config: {"command": "verify", "config": config, "pass": True})
+    code, out = run_cli(capsys, "verify", "--seed", str(2**63 - 1), "--nodes", "4")
+    assert code == 0
+    assert json.loads(out)["config"] == {"seed": 2**63 - 1, "nodes": 4}
+
+
+def test_error_report_is_utf8_under_an_ascii_locale(tmp_path):
+    # the OSError names the missing file; its non-ASCII name is written as
+    # UTF-8 bytes, whatever encoding the locale gives stdout
+    env = {**os.environ, "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fockops.cli", "decompose", "--config", "café.json"],
+        capture_output=True, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    error = json.loads(proc.stdout.decode("utf-8"))["error"]
+    assert error["kind"] == "config_invalid"
+    assert "café.json" in error["message"]
+
+
+def test_non_finite_residual_renders_as_null(tmp_path, capsys, monkeypatch):
+    import fockops.verification as verification
+    from fockops.report import make_check
+
+    monkeypatch.setattr(verification, "GROUPS",
+                        {"forced": lambda cfg: [make_check("forced", math.nan, 1.0, 1e-12)]})
+    code, out = run_cli(capsys, "verify")
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert code == 1
+    assert report["pass"] is False
+    check = report["groups"]["forced"][0]
+    assert check["pass"] is False
+    assert check["residual"] is None and check["lhs"] is None
+
+
+def test_ill_conditioned_weight_has_its_own_kind(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"operator": {"n": 1, "R": [[1e200]], "T": [[1.0]]}})
+    code, out = run_cli(capsys, "decompose", "--config", cfg)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "ill_conditioned"
+    assert error["eigenvalue_ratio"] == pytest.approx(1e-200, rel=1e-12)
+    assert error["min_eigenvalue"] == 1.0
+
+
+@pytest.mark.parametrize("function, allowed", [
+    ({"kind": "monomial_gaussian", "alpha": [4000, 4000]}, False),
+    ({"kind": "hermite", "alpha": [50, 50]}, False),      # (100 + 1)^2 coefficients
+    ({"kind": "sb_eigenfunction", "alpha": [10000]}, False),
+    ({"kind": "monomial_gaussian", "alpha": [49, 50]}, True),  # (99 + 1)^2, the cap
+], ids=["4000x4000", "hermite-over", "sb-over", "at-cap"])
+def test_eval_function_degree_is_bounded(tmp_path, capsys, function, allowed):
+    n = len(function["alpha"])
+    operator = {"n": n, "R": np.eye(n).tolist(), "T": (2.0 * np.eye(n)).tolist()}
+    cfg = write_config(tmp_path, "cfg.json", {"operator": operator, "eval": {
+        "target": "classical_transform", "points": [{"z": [0.1] * (2 * n)}],
+        "function": function}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    report = json.loads(out)
+    if allowed:
+        assert code == 0 and "value" in report["values"][0]
+    else:
+        assert code == 2
+        assert report["error"]["kind"] == "config_invalid"
+        assert str(fo.cli.MAX_FUNCTION_COEFFS) in report["error"]["message"]
+
+
+@pytest.mark.parametrize("target, points, message", [
+    ("kernel", [{"z": [0.0, 0.0], "w": [0.0, 0.0]}, {"z": [0.0, 0.0]}],
+     "target needs 'w' (length-2n real coords) in every point"),
+    ("multiplier", [{"x": [0.0], "z": [0.0, 0.0]}, {"x": [0.0, 1.0], "z": [0.0]}],
+     "'x' must have length 1"),
+    ("multiplier", [{"x": [0.0], "z": [0.0, float("inf")]}, {"z": [0.0, 0.0]}],
+     "'z' has a non-finite coordinate"),
+    ("weighted_transform", [{"z": [0.0, 0.0]}, {"w": [0.0, 0.0]}],
+     "target needs 'z' (length-2n real coords) in every point"),
+], ids=["missing", "length", "point-order", "transform"])
+def test_eval_point_errors_name_the_first_bad_coordinate(tmp_path, capsys, target, points,
+                                                          message):
+    # points are checked one by one, each coordinate in the order the target reads it
+    cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": {
+        "target": target, "points": points, "function": {"kind": "ground_state"}}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "config_invalid", "message": message}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fockops import (
+    IllConditionedError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     RealLinearMap,
@@ -70,6 +71,21 @@ def test_decompose_rejects_indefinite():
     A = RealLinearMap(SpaceContext(1), np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPositiveDefiniteError):
         decompose(A)
+
+
+@pytest.mark.parametrize("R, T, ill", [
+    ([[1e200]], [[1.0]], True),     # positive, eigenvalue ratio 1e-200
+    ([[2e11]], [[1.0]], True),      # ratio 5e-12, just past the threshold
+    ([[1e-12]], [[1e-12]], False),  # well conditioned, below the absolute floor
+    ([[1.0]], [[-1.0]], False),     # indefinite
+])
+def test_ill_conditioned_weight_is_told_from_an_indefinite_one(R, T, ill):
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        decompose(RealLinearMap.from_blocks(np.array(R), np.array(T)))
+    assert isinstance(err.value, IllConditionedError) is ill
+    if ill:
+        assert err.value.eigenvalue_ratio == pytest.approx(T[0][0] / R[0][0], rel=1e-12)
+        assert err.value.payload()["kind"] == "ill_conditioned"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

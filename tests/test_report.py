@@ -2,7 +2,9 @@
 
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from fockops.cli import cmd_truncate
@@ -27,28 +29,78 @@ def test_fold_keeps_nan_on_either_side(pick):
 
 
 CRAFTED = {
-    "floats": [0.1, -0.0, 1e-05, 1e16, 1.5e300, 5e-324, 2.0],
-    "withNan": [1.0, math.nan, 2.5],
-    "withInf": [math.inf, -math.inf, 0.5],
-    "scalars": {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "negzero": -0.0},
-    "ints": [0, -3, 10**20, 7],
+    "floats": [0.1, -0.0, 1e-05, 1.5e-06, 1e16, 1.5e300, 5e-324, 2.0, 1.2345678901234568e17],
+    "ints": [0, -3, 2**63 - 1, -2**63, 7],
     "mixed": [1, 2.0, True, None, "x", [], {}],
     "flags": [True, False, None],
     "empty": [],
     "emptyDict": {},
-    "text": "caf\u00e9 \u2211 \"quoted\" \\ tab\t\n",
+    "text": "caf\u00e9 \u2211 \"quoted\" \\ tab\t\n\u2028",
     "nested": [[1.0, 2.0], [[3.0], []], [{"b": 1, "a": [0.25, -1e-07]}]],
     "tuple": (1.0, 2.0),
+    "array": np.array([0.5, -0.0, 1e-300, 6.02e23]),
     "z": {"b": {"d": [], "c": {}}, "a": -1.0},
     "\u00fcber": 1,
 }
 
 
+def _same_bits(parsed, value) -> bool:
+    """parsed equals value, every float bit for bit (so -0.0 is not 0.0)."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, float):
+        return isinstance(parsed, float) and struct.pack("<d", parsed) == struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return (isinstance(parsed, list) and len(parsed) == len(value)
+                and all(map(_same_bits, parsed, value)))
+    if isinstance(value, dict):
+        return parsed.keys() == value.keys() and all(_same_bits(parsed[k], v)
+                                                     for k, v in value.items())
+    return type(parsed) is type(value) and parsed == value
+
+
+def _strict(text: str):
+    """json.loads that refuses NaN and Infinity, the non-standard tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("value", [
-    CRAFTED, [], {}, 1.0, math.nan, "s", None, True, 3, [math.nan], [1.0],
+    pytest.param([], id="value1"), pytest.param({}, id="value2"), 1.0, "s", None, True, 3,
+    pytest.param([1.0], id="value10"),
 ])
 def test_render_json_matches_stdlib_indent_2(value):
+    # Where neither escaping nor float notation differs, the bytes are still
+    # exactly those of the standard library.
     assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    CRAFTED, [], {}, 1.0, "s", None, True, 3, [1.0], -0.0, 5e-324,
+], ids=["crafted", "empty-list", "empty-dict", "1.0", "s", "None", "True", "3", "one-float",
+        "negative-zero", "subnormal"])
+def test_render_json_round_trips_bit_for_bit(value):
+    assert _same_bits(json.loads(render_json(value)), value)
+
+
+@pytest.mark.parametrize("value, want", [
+    (math.nan, None), (math.inf, None), (-math.inf, None),
+    ([1.0, math.nan, 2.5], [1.0, None, 2.5]),
+    ({"inf": math.inf, "ninf": -math.inf, "x": 0.5}, {"inf": None, "ninf": None, "x": 0.5}),
+    (np.array([math.nan, 1.0, math.inf]), [None, 1.0, None]),
+], ids=["nan", "inf", "ninf", "list", "dict", "array"])
+def test_render_json_writes_non_finite_as_null(value, want):
+    assert _strict(render_json(value)) == want
+
+
+def test_render_json_is_strict_json():
+    value = {**CRAFTED, "nan": math.nan, "infs": [math.inf, -math.inf]}
+    text = render_json(value)
+    parsed = _strict(text)  # no NaN/Infinity token, and valid JSON throughout
+    assert parsed["nan"] is None and parsed["infs"] == [None, None]
+    assert parsed["text"] == CRAFTED["text"]
+    assert "caf\u00e9" in text  # UTF-8 text is written as itself, not escaped
 
 
 def test_render_json_matches_stdlib_on_truncate_report():
