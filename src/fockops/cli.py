@@ -7,20 +7,26 @@ eval        evaluate kernels, transforms, and coherent states at points
 verify      run the full identity suite; exit 0 only if everything passes
 truncate    partial normalization constants along a diagonal tower
 
-Configuration is a JSON file (``--config``); unknown keys are rejected,
-and so is an integer outside the 64-bit range, there or in ``--seed`` and
-``--nodes``.  Reports are strict JSON in UTF-8 on stdout or ``--out``,
-rendered by ``report.render_json`` with sorted keys, so identical
-configurations and seeds produce byte-identical files: a non-finite value
-is ``null``, a float is written with its shortest round-trip digits, in
-an exponent notation that may differ from Python's (``1e-8``, not
-``1e-08``).  Wall-clock timing goes to stderr unless ``--timing`` embeds
-it.  Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration errors, reported as ``{"error": {"kind": ...}}``:
-``config_invalid`` for a config that cannot be read or fails its checks
-(a malformed or non-finite eval point, non-finite truncate eigenvalues,
-an eval function past MAX_FUNCTION_COEFFS, ...), ``output_unwritable``
-for an ``--out`` or ``--csv`` path that cannot be written.  Set FOCK_LOG
+Configuration is a JSON file (``--config``), checked against CONFIG_SCHEMAS
+by ``_schema_error``, an in-tree checker of the JSON Schema keywords those
+schemas use.  It decides as JSON Schema 2020-12 does, except that an
+``integer`` is a JSON integer literal (``10.0`` is not one), and its message
+names the path of the first bad value (``config.eval.target``).  Unknown
+keys are rejected, and so is an integer outside the 64-bit range, there or
+in ``--seed`` and ``--nodes``.  Reports are strict JSON in UTF-8 on stdout
+or ``--out``, rendered by ``report.render_json`` with sorted keys, so
+identical configurations and seeds produce byte-identical files: a
+non-finite value is ``null``, a float is written with its shortest
+round-trip digits, in an exponent notation that may differ from Python's
+(``1e-8``, not ``1e-08``).  Wall-clock timing goes to stderr unless
+``--timing`` embeds it.  Exit codes: 0 success, 1 verification failure (for
+``eval``, a row with an error: an exponent out of range or a non-finite
+value), 2 usage or configuration errors, reported as
+``{"error": {"kind": ...}}``: ``config_invalid`` for a config that cannot be
+read or fails its checks (a malformed or non-finite eval point, non-finite
+truncate eigenvalues, an eval function past MAX_FUNCTION_COEFFS or with
+coefficients beyond the float range, ...), ``output_unwritable`` for an
+``--out`` or ``--csv`` path that cannot be written.  Set FOCK_LOG
 to a level name (e.g. DEBUG) for progress logging.
 """
 
@@ -36,10 +42,15 @@ import sys
 import time
 
 import numpy as np
-import jsonschema
 
 from . import __version__
-from .errors import ConfigError, FockError, OutputUnwritableError, RangeOverflowError
+from .errors import (
+    ConfigError,
+    EvaluatorError,
+    FockError,
+    OutputUnwritableError,
+    RangeOverflowError,
+)
 from .kernels import eval_functional_norm, kernel, measure_density
 from .operators import RealLinearMap, SpaceContext, build_context, to_complex_coords
 from .report import complex_json, render_json
@@ -229,8 +240,70 @@ REPORT_SCHEMA = {
 
 
 def _is_number(value) -> bool:
-    """A JSON number: int or float, not bool (as jsonschema's "number")."""
+    """A JSON number: int or float, not bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the values each schema "type" admits; an integer is a JSON integer literal
+# (10.0 is none, unlike in JSON Schema) and a bool is no number
+SCHEMA_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "number": _is_number,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+}
+
+
+def _describe(value) -> str:
+    """A value as the JSON it was read from; a container by its type alone."""
+    if isinstance(value, (dict, list)):
+        return "an object" if isinstance(value, dict) else "an array"
+    return json.dumps(value)
+
+
+def _schema_error(value, schema: dict, path: str = "config") -> tuple[str, str] | None:
+    """The first place where ``value`` breaks ``schema``, as (path, what is
+    wrong), or None if it holds.
+
+    Knows the keywords of CONFIG_SCHEMAS and applies each as JSON Schema
+    2020-12 does, except for the integer rule of SCHEMA_TYPES: ``type``,
+    ``enum`` and ``const`` (of strings), ``minimum``, ``required``,
+    ``properties``, ``additionalProperties: false``, ``minItems``, ``items``
+    and ``oneOf`` (exactly one form holds; when none does, the fault of the
+    form that got furthest is reported)."""
+    if "oneOf" in schema:
+        errors = [_schema_error(value, form, path) for form in schema["oneOf"]]
+        if (matches := errors.count(None)) == 0:
+            return max(errors, key=lambda error: len(error[0]))
+        if matches > 1:
+            return path, f"matches {matches} of its {len(errors)} forms, not exactly one"
+    kind = schema.get("type")
+    if kind is not None and not SCHEMA_TYPES[kind](value):
+        return path, f"is {_describe(value)}, not {'an' if kind[0] in 'aio' else 'a'} {kind}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"is {_describe(value)}, not one of {', '.join(map(json.dumps, schema['enum']))}"
+    if "const" in schema and value != schema["const"]:
+        return path, f"is {_describe(value)}, not {json.dumps(schema['const'])}"
+    if "minimum" in schema and _is_number(value) and value < schema["minimum"]:
+        return path, f"is {_describe(value)}, below the minimum {schema['minimum']}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"lacks the required key {json.dumps(key)}"
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                if error := _schema_error(item, properties[key], f"{path}.{key}"):
+                    return error
+            elif schema.get("additionalProperties", True) is False:
+                return path, f"has the unknown key {json.dumps(key)}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"has {len(value)} items, fewer than {schema['minItems']}"
+        for index, item in enumerate(value if "items" in schema else ()):
+            if error := _schema_error(item, schema["items"], f"{path}[{index}]"):
+                return error
+    return None
 
 
 def _check_points(points: list) -> None:
@@ -273,10 +346,8 @@ def load_config(path: str | None, command: str, overrides: dict) -> dict:
         if value not in INT64:
             raise ConfigError(f"invalid configuration: --{key} is outside the 64-bit range")
     config = {**config, **overrides}
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMAS[command])
-    except jsonschema.ValidationError as err:
-        raise ConfigError(f"invalid configuration: {err.message}") from err
+    if error := _schema_error(config, CONFIG_SCHEMAS[command]):
+        raise ConfigError("invalid configuration: {} {}".format(*error))
     if command == "eval":
         _check_points(config["eval"]["points"])
     return config
@@ -396,15 +467,21 @@ def cmd_eval(config: dict) -> dict:
         values, overflow = err.values, err
     rows = [{"point": point, "value": complex_json(complex(value))}
             for point, value in zip(points, values.tolist())]
-    if overflow is not None:  # the rows whose exponents left the range
-        for i in np.flatnonzero(~np.isnan(overflow.exponents)).tolist():
-            rows[i] = {"point": points[i], "error": overflow.row(i).payload()}
+    # rows whose exponents left the range (NaN values), then any other
+    # non-finite value: each fails its row
+    failed = np.flatnonzero(~np.isfinite(values)).tolist()
+    for i in failed:
+        if overflow is not None and not math.isnan(overflow.exponents[i]):
+            error = overflow.row(i)
+        else:
+            error = EvaluatorError("the value at this point is not finite")
+        rows[i] = {"point": points[i], "error": error.payload()}
     return {
         "command": "eval",
         "config": config,
         "context": ctx.summary(),
         "values": rows,
-        "pass": overflow is None,
+        "pass": not failed,
     }
 
 

@@ -111,7 +111,8 @@ class NodeBudgetError(FockError):
 
 
 class EvaluatorError(FockError):
-    """An integrand produced NaN or inf or otherwise failed at quadrature nodes."""
+    """An integrand or an evaluated value was NaN or inf, or an integrand failed
+    at quadrature nodes."""
 
     kind = "evaluator_failure"
 

@@ -175,25 +175,42 @@ class SpdReport:
         return self.symmetric and self.positive
 
 
+def _two_norm(X: np.ndarray, tol: float) -> float:
+    """The 2-norm of X, or its Frobenius norm (an upper bound) when that is
+    within ``tol``: a comparison with ``tol`` comes out as the 2-norm's
+    would, and the SVD runs only when the bound cannot decide it."""
+    bound = float(np.linalg.norm(X))
+    return bound if bound <= tol else float(np.linalg.norm(X, 2))
+
+
+def _spd_report(A: RealLinearMap) -> tuple[SpdReport, np.ndarray]:
+    """The SpdReport of A and the ascending eigenvalues of its symmetric part."""
+    E = A.entries
+    norm = float(np.linalg.norm(E, 2))
+    asym = _two_norm(E - E.T, SYMMETRY_RTOL * max(norm, 1.0))
+    symmetric = asym <= SYMMETRY_RTOL * max(norm, 1.0)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (E + E.T))
+    min_eig = float(eigenvalues[0])
+    positive = min_eig > SPD_EIG_RTOL * max(norm, 1.0)
+    return SpdReport(symmetric, positive, asym, min_eig, norm), eigenvalues
+
+
 def validate_spd(A: RealLinearMap) -> SpdReport:
     """Check that A is symmetric and positive definite as a real matrix.
 
     Positivity uses the scale-aware threshold min_eig > 1e-10 * ||A||;
     near-singular weights are rejected because every downstream formula
-    inverts A or takes its square root.
+    inverts A or takes its square root.  ``asymmetry`` is ||A - A^T||_2, or
+    an upper bound for it (its Frobenius norm) when that is within the
+    symmetry tolerance.
     """
-    E = A.entries
-    norm = float(np.linalg.norm(E, 2))
-    asym = float(np.linalg.norm(E - E.T, 2))
-    symmetric = asym <= SYMMETRY_RTOL * max(norm, 1.0)
-    sym_part = 0.5 * (E + E.T)
-    min_eig = float(np.linalg.eigvalsh(sym_part)[0])
-    positive = min_eig > SPD_EIG_RTOL * max(norm, 1.0)
-    return SpdReport(symmetric, positive, asym, min_eig, norm)
+    return _spd_report(A)[0]
 
 
-def require_spd(A: RealLinearMap) -> SpdReport:
-    report = validate_spd(A)
+def require_spd(A: RealLinearMap) -> tuple[SpdReport, np.ndarray]:
+    """The SpdReport of A and the eigenvalues of its symmetric part; raises
+    the error of its kind if A is not symmetric positive definite."""
+    report, eigenvalues = _spd_report(A)
     if not report.symmetric:
         raise NotSymmetricError(
             f"operator is not symmetric (asymmetry {report.asymmetry:.3e})",
@@ -214,7 +231,14 @@ def require_spd(A: RealLinearMap) -> SpdReport:
             f"operator is not positive definite (min eigenvalue {report.min_eigenvalue:.3e})",
             min_eigenvalue=report.min_eigenvalue,
         )
-    return report
+    return report, eigenvalues
+
+
+def _split(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
+    J = A.space.J
+    E = A.entries
+    JAJ = J @ E @ J
+    return RealLinearMap(A.space, 0.5 * (E - JAJ)), RealLinearMap(A.space, 0.5 * (E + JAJ))
 
 
 def decompose(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
@@ -224,39 +248,33 @@ def decompose(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
     positive definite.
     """
     require_spd(A)
-    J = A.space.J
-    E = A.entries
-    JAJ = J @ E @ J
-    H = RealLinearMap(A.space, 0.5 * (E - JAJ))
-    K = RealLinearMap(A.space, 0.5 * (E + JAJ))
-    return H, K
+    return _split(A)
 
 
-def _check_spd_matrix(M: np.ndarray, what: str) -> None:
+def _spd_eigh(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the symmetric part of M, once M is
+    checked to be symmetric and positive definite."""
     M = np.asarray(M, dtype=float)
     asym = float(np.linalg.norm(M - M.T))
     scale = max(float(np.linalg.norm(M)), 1.0)
     if asym > 1e-10 * scale:
         raise NotSymmetricError(f"{what} is not symmetric", asymmetry=asym)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-    if min_eig <= 0.0:
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    if vals[0] <= 0.0:
         raise NotPositiveDefiniteError(
-            f"{what} is not positive definite", min_eigenvalue=min_eig
+            f"{what} is not positive definite", min_eigenvalue=float(vals[0])
         )
+    return vals, vecs
 
 
 def sqrt_spd(M: np.ndarray) -> np.ndarray:
     """Principal square root of an SPD matrix via symmetric eigendecomposition."""
-    _check_spd_matrix(M, "matrix")
-    M = 0.5 * (np.asarray(M, dtype=float) + np.asarray(M, dtype=float).T)
-    vals, vecs = np.linalg.eigh(M)
+    vals, vecs = _spd_eigh(M, "matrix")
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def inv_sqrt_spd(M: np.ndarray) -> np.ndarray:
-    _check_spd_matrix(M, "matrix")
-    M = 0.5 * (np.asarray(M, dtype=float) + np.asarray(M, dtype=float).T)
-    vals, vecs = np.linalg.eigh(M)
+    vals, vecs = _spd_eigh(M, "matrix")
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
@@ -368,14 +386,14 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     The normalization constant of the reproducing kernel is computed in
     log space from eigenvalues so that large dimensions do not overflow.
     """
-    H, K = decompose(A)  # validates A
+    report, a_vals = require_spd(A)
+    H, K = _split(A)
     n = A.space.n
 
     Hc = H.complex_linear_matrix()
     Kc = K.complex_linear_matrix()
     h_vals, sqrt_Hc, inv_sqrt_Hc = _hermitian_sqrt(Hc)
 
-    a_vals = np.linalg.eigvalsh(0.5 * (A.entries + A.entries.T))
     log_det_v_a = float(np.sum(np.log(a_vals)))
     log_det_h = float(np.sum(np.log(h_vals)))
 
@@ -388,9 +406,8 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     # The weight preserves the real subspace iff the off-diagonal block
     # (imaginary part of A applied to real basis vectors) vanishes.
     E = A.entries
-    norm_a = float(np.linalg.norm(E, 2))
-    off = float(np.linalg.norm(E[n:, :n], 2))
-    real_preserving = off <= REAL_FORM_RTOL * norm_a
+    tol = REAL_FORM_RTOL * report.norm
+    real_preserving = _two_norm(E[n:, :n], tol) <= tol
 
     R = T = S = L = M = D = None
     if real_preserving:
@@ -398,10 +415,9 @@ def build_context(A: RealLinearMap) -> OperatorContext:
         T = np.array(E[n:, n:])
         S = 2.0 * np.linalg.inv(np.linalg.inv(R) + np.linalg.inv(T))
         S = 0.5 * (S + S.T)
-        _check_spd_matrix(S, "derived block S")
-        two_t_minus_s = 2.0 * T - S
-        _check_spd_matrix(two_t_minus_s, "derived block 2T - S")
-        L = sqrt_spd(two_t_minus_s)
+        _spd_eigh(S, "derived block S")
+        vals, vecs = _spd_eigh(2.0 * T - S, "derived block 2T - S")
+        L = (vecs * np.sqrt(vals)) @ vecs.T
         M = np.linalg.solve(L, T)
         inv_sqrt_R = inv_sqrt_spd(R)
         D = sqrt_spd(sqrt_spd(inv_sqrt_R @ T @ inv_sqrt_R))

@@ -24,6 +24,7 @@ from functools import reduce
 import numpy as np
 from numpy.polynomial.hermite import herm2poly
 
+from .errors import ConfigError
 from .operators import OperatorContext
 from .quadrature import QuadratureRule, integrate_shifted
 from .report import fold
@@ -453,7 +454,22 @@ def kernel_from_densities(ctx: OperatorContext, z, w) -> complex:
 def _hermite_coeffs(degree: int, stretch: float = 1.0) -> np.ndarray:
     """Monomial coefficients of the Hermite polynomial H_degree(stretch * x);
     a product over the axes is the outer product of such vectors."""
-    return herm2poly([0.0] * degree + [1.0]) * stretch ** np.arange(degree + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = herm2poly([0.0] * degree + [1.0]) * stretch ** np.arange(degree + 1)
+    if not np.all(np.isfinite(coeffs)):
+        raise ConfigError(f"Hermite polynomial of degree {degree} has coefficients "
+                          "beyond the float range")
+    return coeffs
+
+
+def _sb_norm(degree: int) -> float:
+    """sqrt(2^degree degree!), the norm sb_eigenfunction divides by."""
+    try:
+        return math.sqrt(2.0**degree * math.factorial(degree))
+    except OverflowError as err:
+        raise ConfigError(
+            f"the norm sqrt(2^a a!) at a = {degree} is beyond the float range"
+        ) from err
 
 
 def hermite_function(alpha) -> GaussPoly:
@@ -470,7 +486,7 @@ def sb_eigenfunction(alpha) -> GaussPoly:
     alpha = tuple(int(a) for a in alpha)
     n = len(alpha)
     poly = Polynomial.from_coeffs(reduce(np.multiply.outer, [
-        _hermite_coeffs(a, math.sqrt(2.0)) / math.sqrt(2.0**a * math.factorial(a)) for a in alpha
+        _hermite_coeffs(a, math.sqrt(2.0)) / _sb_norm(a) for a in alpha
     ]))
     return GaussPoly(poly * (2.0 / math.pi) ** (n / 4.0), 2.0 * np.eye(n), np.zeros(n), 0.0)
 

@@ -632,3 +632,44 @@ def test_eval_point_errors_name_the_first_bad_coordinate(tmp_path, capsys, targe
     code, out = run_cli(capsys, "eval", "--config", cfg)
     assert code == 2
     assert json.loads(out)["error"] == {"kind": "config_invalid", "message": message}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("truncate", {"kind": "constant", "r": 4.0, "t": 1.0, "maxN": 10.0}),
+    ("verify", {"seed": 3.0}),
+    ("verify", {"nodes": 8.0}),
+    ("eval", {**DIAG, "eval": {"target": "classical_transform", "points": [{"z": [0.1, 0.0]}],
+                               "function": {"kind": "hermite", "alpha": [3.0]}}}),
+], ids=["maxN", "seed", "nodes", "alpha"])
+def test_integral_floats_are_not_integers(tmp_path, capsys, command, config):
+    # JSON Schema's "integer" takes 10.0, which then reached range() or
+    # numpy's SeedSequence and died in a traceback
+    code, out = run_cli(capsys, command, "--config", write_config(tmp_path, "cfg.json", config))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert "not an integer" in error["message"]
+
+
+def test_eval_non_finite_values_fail_their_rows(tmp_path, capsys):
+    # z^1000 has a finite coefficient, but its transform overflows to NaN everywhere
+    cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": {
+        "target": "weighted_transform", "points": [{"z": [0.1, 0.0]}, {"z": [0.0, 0.2]}],
+        "function": {"kind": "monomial_gaussian", "alpha": [1000]}}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    report = json.loads(out)
+    assert code == 1 and report["pass"] is False
+    assert [row["error"]["kind"] for row in report["values"]] == ["evaluator_failure"] * 2
+
+
+@pytest.mark.parametrize("function", [
+    {"kind": "hermite", "alpha": [300]},
+    {"kind": "sb_eigenfunction", "alpha": [200]},
+    {"kind": "sb_eigenfunction", "alpha": [171]},
+], ids=["hermite-coefficients", "sb-norm", "sb-first-overflow"])
+def test_eval_function_beyond_float_range_is_config_error(tmp_path, capsys, function):
+    cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": {
+        "target": "classical_transform", "points": [{"z": [0.1, 0.0]}], "function": function}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "config_invalid"
