@@ -281,7 +281,8 @@ def _schema_error(value, schema: dict, path: str = "config") -> tuple[str, str] 
     if kind is not None and not SCHEMA_TYPES[kind](value):
         return path, f"is {_describe(value)}, not {'an' if kind[0] in 'aio' else 'a'} {kind}"
     if "enum" in schema and value not in schema["enum"]:
-        return path, f"is {_describe(value)}, not one of {', '.join(map(json.dumps, schema['enum']))}"
+        names = ", ".join(map(json.dumps, schema["enum"]))
+        return path, f"is {_describe(value)}, not one of {names}"
     if "const" in schema and value != schema["const"]:
         return path, f"is {_describe(value)}, not {json.dumps(schema['const'])}"
     if "minimum" in schema and _is_number(value) and value < schema["minimum"]:

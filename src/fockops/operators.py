@@ -235,6 +235,7 @@ def require_spd(A: RealLinearMap) -> tuple[SpdReport, np.ndarray]:
 
 
 def _split(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
+    """(H, K) of ``decompose``, for a weight already validated."""
     J = A.space.J
     E = A.entries
     JAJ = J @ E @ J
