@@ -41,13 +41,12 @@ from .operators import (
     OperatorContext,
     RealLinearMap,
     SpaceContext,
-    SpdReport,
     build_context,
     decompose,
     h_eigenbasis,
     inv_sqrt_spd,
+    require_spd,
     sqrt_spd,
-    validate_spd,
 )
 from .quadrature import QuadratureRule, integrate, integrate_shifted, mc_integrate
 from .symbolic import (

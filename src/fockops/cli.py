@@ -23,11 +23,12 @@ round-trip digits, in an exponent notation that may differ from Python's
 ``eval``, a row with an error: an exponent out of range or a non-finite
 value), 2 usage or configuration errors, reported as
 ``{"error": {"kind": ...}}``: ``config_invalid`` for a config that cannot be
-read or fails its checks (a malformed or non-finite eval point, non-finite
-truncate eigenvalues, an eval function past MAX_FUNCTION_COEFFS or with
-coefficients beyond the float range, ...), ``output_unwritable`` for an
-``--out`` or ``--csv`` path that cannot be written.  Set FOCK_LOG
-to a level name (e.g. DEBUG) for progress logging.
+read or fails its checks (a malformed or non-finite eval point, a ragged or
+wrongly sized ``A``, ``R``, ``T``, ``P`` or ``b``, non-finite truncate
+eigenvalues, an eval function with a key its kind never reads, past
+MAX_FUNCTION_COEFFS or with coefficients beyond the float range, ...),
+``output_unwritable`` for an ``--out`` or ``--csv`` path that cannot be
+written.  Set FOCK_LOG to a level name (e.g. DEBUG) for progress logging.
 """
 
 from __future__ import annotations
@@ -52,7 +53,14 @@ from .errors import (
     RangeOverflowError,
 )
 from .kernels import eval_functional_norm, kernel, measure_density
-from .operators import RealLinearMap, SpaceContext, build_context, to_complex_coords
+from .operators import (
+    RealLinearMap,
+    SpaceContext,
+    build_context,
+    decompose,
+    decomposition_residuals,
+    to_complex_coords,
+)
 from .report import complex_json, render_json
 from .symbolic import GaussPoly, Polynomial
 from .transforms import (
@@ -107,25 +115,31 @@ INT64 = range(-2**63, 2**63)
 # transform of the function holds
 MAX_FUNCTION_COEFFS = 10_000
 
+ALPHA = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+GAUSSIAN_KEYS = {"P": NUMBER_GRID, "b": NUMBER_LIST, "coeff": {"type": "number"}}
+
+# eval function kind -> the keys its function reads besides "kind"
+FUNCTION_KEYS = {
+    "hermite": {"alpha": ALPHA},
+    "sb_eigenfunction": {"alpha": ALPHA},
+    "ground_state": {},
+    "gaussian": GAUSSIAN_KEYS,
+    "monomial_gaussian": {"alpha": ALPHA, **GAUSSIAN_KEYS},
+}
+
+# one form per kind, so a key the kind never reads is rejected
 FUNCTION_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {
-            "enum": [
-                "hermite",
-                "sb_eigenfunction",
-                "ground_state",
-                "gaussian",
-                "monomial_gaussian",
-            ]
-        },
-        "alpha": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "P": NUMBER_GRID,
-        "b": NUMBER_LIST,
-        "coeff": {"type": "number"},
-    },
+    "properties": {"kind": {"enum": list(FUNCTION_KEYS)}},
     "required": ["kind"],
-    "additionalProperties": False,
+    "oneOf": [
+        {
+            "type": "object",
+            "properties": {"kind": {"const": kind}, **keys},
+            "required": ["kind"],
+            "additionalProperties": False,
+        }
+        for kind, keys in FUNCTION_KEYS.items()
+    ],
 }
 
 # eval target -> the point coordinates it reads, in order, and its batch
@@ -261,6 +275,15 @@ def _describe(value) -> str:
     return json.dumps(value)
 
 
+def _picks(form: dict, value) -> bool:
+    """Whether ``form`` has ``const`` properties and ``value`` holds them all:
+    the form that a key such as "kind" selects."""
+    consts = {key: sub["const"] for key, sub in form.get("properties", {}).items()
+              if "const" in sub}
+    return bool(consts) and isinstance(value, dict) and all(
+        value.get(key) == const for key, const in consts.items())
+
+
 def _schema_error(value, schema: dict, path: str = "config") -> tuple[str, str] | None:
     """The first place where ``value`` breaks ``schema``, as (path, what is
     wrong), or None if it holds.
@@ -269,14 +292,9 @@ def _schema_error(value, schema: dict, path: str = "config") -> tuple[str, str] 
     2020-12 does, except for the integer rule of SCHEMA_TYPES: ``type``,
     ``enum`` and ``const`` (of strings), ``minimum``, ``required``,
     ``properties``, ``additionalProperties: false``, ``minItems``, ``items``
-    and ``oneOf`` (exactly one form holds; when none does, the fault of the
-    form that got furthest is reported)."""
-    if "oneOf" in schema:
-        errors = [_schema_error(value, form, path) for form in schema["oneOf"]]
-        if (matches := errors.count(None)) == 0:
-            return max(errors, key=lambda error: len(error[0]))
-        if matches > 1:
-            return path, f"matches {matches} of its {len(errors)} forms, not exactly one"
+    and, after the others, ``oneOf`` (exactly one form holds; when none
+    does, the fault of the form the value's ``const`` keys select is
+    reported, or else that of the form that got furthest)."""
     kind = schema.get("type")
     if kind is not None and not SCHEMA_TYPES[kind](value):
         return path, f"is {_describe(value)}, not {'an' if kind[0] in 'aio' else 'a'} {kind}"
@@ -304,6 +322,14 @@ def _schema_error(value, schema: dict, path: str = "config") -> tuple[str, str] 
         for index, item in enumerate(value if "items" in schema else ()):
             if error := _schema_error(item, schema["items"], f"{path}[{index}]"):
                 return error
+    if "oneOf" in schema:
+        forms = schema["oneOf"]
+        errors = [_schema_error(value, form, path) for form in forms]
+        if (matches := errors.count(None)) == 0:
+            return max(zip(errors, forms),
+                       key=lambda pair: (_picks(pair[1], value), len(pair[0][0])))[0]
+        if matches > 1:
+            return path, f"matches {matches} of its {len(errors)} forms, not exactly one"
     return None
 
 
@@ -354,31 +380,32 @@ def load_config(path: str | None, command: str, overrides: dict) -> dict:
     return config
 
 
+def _float_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The config value of ``key`` as a float array of ``shape``; a ragged or
+    wrongly sized one is a config error that names the key."""
+    what = f"{shape[0]}x{shape[1]}" if len(shape) == 2 else f"of length {shape[0]}"
+    try:
+        array = np.asarray(value, dtype=float)
+    except ValueError:  # rows of unequal lengths
+        raise ConfigError(f"{key} must be {what}, got ragged rows") from None
+    if array.shape != shape:
+        raise ConfigError(f"{key} must be {what}, got shape {array.shape}")
+    return array
+
+
 def operator_from_config(data: dict) -> RealLinearMap:
     n = data["n"]
     if "A" in data:
-        A = np.asarray(data["A"], dtype=float)
-        if A.shape != (2 * n, 2 * n):
-            raise ConfigError(f"A must be {2*n}x{2*n}, got {A.shape}")
-        return RealLinearMap(SpaceContext(n), A)
-    R = np.asarray(data["R"], dtype=float)
-    T = np.asarray(data["T"], dtype=float)
-    if R.shape != (n, n) or T.shape != (n, n):
-        raise ConfigError(f"R and T must be {n}x{n}")
-    return RealLinearMap.from_blocks(R, T)
+        return RealLinearMap(SpaceContext(n), _float_array(data["A"], "A", (2 * n, 2 * n)))
+    return RealLinearMap.from_blocks(_float_array(data["R"], "R", (n, n)),
+                                     _float_array(data["T"], "T", (n, n)))
 
 
 def cmd_decompose(config: dict) -> dict:
     A = operator_from_config(config["operator"])
     ctx = build_context(A)  # raises with kind not_symmetric / not_positive_definite
-    H, K = ctx.H, ctx.K
-    J = A.space.J
-    scale = A.norm()
-    residuals = {
-        "sum": float(np.linalg.norm(A.entries - H.entries - K.entries, 2) / scale),
-        "hCommutes": float(np.linalg.norm(H.entries @ J - J @ H.entries, 2) / scale),
-        "kAnticommutes": float(np.linalg.norm(K.entries @ J + J @ K.entries, 2) / scale),
-    }
+    H, K = decompose(A)
+    residuals = decomposition_residuals(A, H, K)
     matrices = {"H": H.entries.tolist(), "K": K.entries.tolist()}
     if ctx.real_preserving:
         matrices.update(
@@ -418,10 +445,8 @@ def _build_function(spec: dict, n: int):
         return ground_state(n)
     if kind in ("gaussian", "monomial_gaussian"):
         alpha = _alpha(spec, n) if kind == "monomial_gaussian" else None
-        P = np.asarray(spec.get("P", np.eye(n).tolist()), dtype=float)
-        if P.shape != (n, n):
-            raise ConfigError(f"P must be {n}x{n}")
-        b = np.asarray(spec.get("b", np.zeros(n).tolist()), dtype=float)
+        P = _float_array(spec.get("P", np.eye(n)), "P", (n, n))
+        b = _float_array(spec.get("b", np.zeros(n)), "b", (n,))
         out = GaussPoly.gaussian(P, b=b, coeff=spec.get("coeff", 1.0))
         if alpha is not None:
             out = GaussPoly(
@@ -461,7 +486,10 @@ def cmd_eval(config: dict) -> dict:
     coords = [c if key == "x" else to_complex_coords(c)
               for key, c in zip(keys, _coordinates(points, keys, ctx.n))]
     try:
-        values, overflow = evaluate(ctx, fn, *coords), None
+        # a transform that overflows yields non-finite values, and those fail
+        # their rows below: numpy need not warn of it on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, overflow = evaluate(ctx, fn, *coords), None
     except RangeOverflowError as err:
         if err.values is None:
             raise
@@ -535,19 +563,18 @@ def write_csv(path: str, report: dict) -> None:
         raise ConfigError("CSV export only applies to point evaluations")
     rows = report["values"]
     keys = sorted({k for row in rows for k in row["point"]})
+    widths = {key: max(len(row["point"].get(key, [])) for row in rows) for key in keys}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["index"]
         for key in keys:
-            width = max(len(row["point"].get(key, [])) for row in rows)
-            header.extend(f"{key}_{i}" for i in range(width))
+            header.extend(f"{key}_{i}" for i in range(widths[key]))
         writer.writerow(header + ["value_re", "value_im", "error"])
         for idx, row in enumerate(rows):
             record = [idx]
             for key in keys:
-                width = max(len(r["point"].get(key, [])) for r in rows)
                 coords = row["point"].get(key, [])
-                record.extend(list(coords) + [""] * (width - len(coords)))
+                record.extend(list(coords) + [""] * (widths[key] - len(coords)))
             if "value" in row:
                 record.extend([row["value"]["re"], row["value"]["im"], ""])
             else:

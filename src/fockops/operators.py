@@ -35,10 +35,10 @@ from .errors import (
 __all__ = [
     "SpaceContext",
     "RealLinearMap",
-    "SpdReport",
     "OperatorContext",
-    "validate_spd",
+    "require_spd",
     "decompose",
+    "decomposition_residuals",
     "build_context",
     "sqrt_spd",
     "inv_sqrt_spd",
@@ -148,32 +148,6 @@ class RealLinearMap:
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries, 2))
 
-    def complex_linear_matrix(self) -> np.ndarray:
-        """The n x n complex matrix M with map(z) = M z for a map that
-        commutes with J, or M conj(z) for one that anticommutes with J.
-
-        Both cases read the same block: the first block column is the
-        map's action on real vectors, where z = conj(z).
-        """
-        n = self.space.n
-        E = self.entries
-        return E[:n, :n] + 1j * E[n:, :n]
-
-
-@dataclass(frozen=True)
-class SpdReport:
-    """Outcome of a symmetry/positivity check with diagnostics."""
-
-    symmetric: bool
-    positive: bool
-    asymmetry: float
-    min_eigenvalue: float
-    norm: float
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetric and self.positive
-
 
 def _two_norm(X: np.ndarray, tol: float) -> float:
     """The 2-norm of X, or its Frobenius norm (an upper bound) when that is
@@ -183,63 +157,48 @@ def _two_norm(X: np.ndarray, tol: float) -> float:
     return bound if bound <= tol else float(np.linalg.norm(X, 2))
 
 
-def _spd_report(A: RealLinearMap) -> tuple[SpdReport, np.ndarray]:
-    """The SpdReport of A and the ascending eigenvalues of its symmetric part."""
+def require_spd(A: RealLinearMap) -> tuple[float, np.ndarray]:
+    """Check that A is symmetric and positive definite as a real matrix, and
+    return its 2-norm and the ascending eigenvalues of its symmetric part.
+
+    Symmetry means ||A - A^T||_2 <= 1e-12 * max(||A||, 1); positivity uses
+    the scale-aware threshold min_eig > 1e-10 * max(||A||, 1), because every
+    downstream formula inverts A or takes its square root.  Raises
+    NotSymmetricError, IllConditionedError (positive, but below the
+    threshold only through its ratio to the norm) or NotPositiveDefiniteError.
+    """
     E = A.entries
     norm = float(np.linalg.norm(E, 2))
-    asym = _two_norm(E - E.T, SYMMETRY_RTOL * max(norm, 1.0))
-    symmetric = asym <= SYMMETRY_RTOL * max(norm, 1.0)
+    scale = max(norm, 1.0)
+    asym = _two_norm(E - E.T, SYMMETRY_RTOL * scale)
+    if not asym <= SYMMETRY_RTOL * scale:  # a NaN fails
+        raise NotSymmetricError(
+            f"operator is not symmetric (asymmetry {asym:.3e})", asymmetry=asym
+        )
     eigenvalues = np.linalg.eigvalsh(0.5 * (E + E.T))
     min_eig = float(eigenvalues[0])
-    positive = min_eig > SPD_EIG_RTOL * max(norm, 1.0)
-    return SpdReport(symmetric, positive, asym, min_eig, norm), eigenvalues
-
-
-def validate_spd(A: RealLinearMap) -> SpdReport:
-    """Check that A is symmetric and positive definite as a real matrix.
-
-    Positivity uses the scale-aware threshold min_eig > 1e-10 * ||A||;
-    near-singular weights are rejected because every downstream formula
-    inverts A or takes its square root.  ``asymmetry`` is ||A - A^T||_2, or
-    an upper bound for it (its Frobenius norm) when that is within the
-    symmetry tolerance.
-    """
-    return _spd_report(A)[0]
-
-
-def require_spd(A: RealLinearMap) -> tuple[SpdReport, np.ndarray]:
-    """The SpdReport of A and the eigenvalues of its symmetric part; raises
-    the error of its kind if A is not symmetric positive definite."""
-    report, eigenvalues = _spd_report(A)
-    if not report.symmetric:
-        raise NotSymmetricError(
-            f"operator is not symmetric (asymmetry {report.asymmetry:.3e})",
-            asymmetry=report.asymmetry,
-        )
-    if not report.positive:
-        # a smallest eigenvalue above SPD_EIG_RTOL fails the threshold
-        # SPD_EIG_RTOL * max(norm, 1) only through its ratio to the norm
-        if report.min_eigenvalue > SPD_EIG_RTOL:
-            ratio = report.min_eigenvalue / report.norm
+    if not min_eig > SPD_EIG_RTOL * scale:  # a NaN fails
+        if min_eig > SPD_EIG_RTOL:
+            ratio = min_eig / norm
             raise IllConditionedError(
                 f"operator is ill-conditioned (smallest to largest eigenvalue ratio "
                 f"{ratio:.3e}, below {SPD_EIG_RTOL:.0e})",
-                min_eigenvalue=report.min_eigenvalue,
+                min_eigenvalue=min_eig,
                 eigenvalue_ratio=ratio,
             )
         raise NotPositiveDefiniteError(
-            f"operator is not positive definite (min eigenvalue {report.min_eigenvalue:.3e})",
-            min_eigenvalue=report.min_eigenvalue,
+            f"operator is not positive definite (min eigenvalue {min_eig:.3e})",
+            min_eigenvalue=min_eig,
         )
-    return report, eigenvalues
+    return norm, eigenvalues
 
 
-def _split(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
-    """(H, K) of ``decompose``, for a weight already validated."""
+def _split(A: RealLinearMap) -> tuple[np.ndarray, np.ndarray]:
+    """The real matrices of (H, K) of ``decompose``, for a weight already validated."""
     J = A.space.J
     E = A.entries
     JAJ = J @ E @ J
-    return RealLinearMap(A.space, 0.5 * (E - JAJ)), RealLinearMap(A.space, 0.5 * (E + JAJ))
+    return 0.5 * (E - JAJ), 0.5 * (E + JAJ)
 
 
 def decompose(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
@@ -249,18 +208,33 @@ def decompose(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
     positive definite.
     """
     require_spd(A)
-    return _split(A)
+    H, K = _split(A)
+    return RealLinearMap(A.space, H), RealLinearMap(A.space, K)
 
 
-def _spd_eigh(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the symmetric part of M, once M is
-    checked to be symmetric and positive definite."""
-    M = np.asarray(M, dtype=float)
-    asym = float(np.linalg.norm(M - M.T))
-    scale = max(float(np.linalg.norm(M)), 1.0)
-    if asym > 1e-10 * scale:
+def decomposition_residuals(A: RealLinearMap, H: RealLinearMap, K: RealLinearMap) -> dict:
+    """||A - H - K||, ||HJ - JH|| and ||KJ + JK|| in the 2-norm, each
+    relative to ||A||: zero up to rounding for (H, K) = decompose(A)."""
+    J = A.space.J
+    scale = A.norm()
+    return {
+        "sum": float(np.linalg.norm(A.entries - H.entries - K.entries, 2) / scale),
+        "hCommutes": float(np.linalg.norm(H.entries @ J - J @ H.entries, 2) / scale),
+        "kAnticommutes": float(np.linalg.norm(K.entries @ J + J @ K.entries, 2) / scale),
+    }
+
+
+def _eigh_pd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of a real symmetric
+    or complex Hermitian matrix M, once M is checked to be one (within
+    1e-10 of its Frobenius norm) and positive definite; raises the error of
+    its kind, naming ``what``, if it is not."""
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
+    adjoint = M.conj().T
+    asym = float(np.linalg.norm(M - adjoint))
+    if asym > 1e-10 * max(float(np.linalg.norm(M)), 1.0):
         raise NotSymmetricError(f"{what} is not symmetric", asymmetry=asym)
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    vals, vecs = np.linalg.eigh(0.5 * (M + adjoint))
     if vals[0] <= 0.0:
         raise NotPositiveDefiniteError(
             f"{what} is not positive definite", min_eigenvalue=float(vals[0])
@@ -268,32 +242,38 @@ def _spd_eigh(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _root(eig: tuple[np.ndarray, np.ndarray], inverse: bool = False) -> np.ndarray:
+    """M^{1/2}, or M^{-1/2} if ``inverse``, from the eigendecomposition of M."""
+    vals, vecs = eig
+    roots = np.sqrt(vals)
+    return (vecs / roots if inverse else vecs * roots) @ vecs.conj().T
+
+
 def sqrt_spd(M: np.ndarray) -> np.ndarray:
-    """Principal square root of an SPD matrix via symmetric eigendecomposition."""
-    vals, vecs = _spd_eigh(M, "matrix")
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    """Principal square root of an SPD (or Hermitian positive-definite) matrix."""
+    return _root(_eigh_pd(M, "matrix"))
 
 
 def inv_sqrt_spd(M: np.ndarray) -> np.ndarray:
-    vals, vecs = _spd_eigh(M, "matrix")
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    """Inverse of the principal square root of an SPD (or Hermitian
+    positive-definite) matrix."""
+    return _root(_eigh_pd(M, "matrix"), inverse=True)
 
 
 @dataclass(frozen=True)
 class OperatorContext:
     """A validated weight operator together with everything derived from it.
 
-    Attributes R, T, S, L, M, D are the n x n real blocks available only
-    when the weight maps the real subspace into itself (``real_preserving``);
-    transforms that integrate over the real subspace require them.
-    H_matrix is the complex n x n (Hermitian) matrix of the complex-linear
-    part, K_matrix the complex symmetric matrix C with K z = C conj(z).
+    Each part of the weight is held once: the real 2n x 2n parts H and K
+    are ``decompose(A)`` and the space is ``A.space``.  Attributes R, T, S,
+    L, M, D are the n x n real blocks available only when the weight maps
+    the real subspace into itself (``real_preserving``); transforms that
+    integrate over the real subspace require them.  H_matrix is the complex
+    n x n (Hermitian) matrix of the complex-linear part, K_matrix the
+    complex symmetric matrix C with K z = C conj(z).
     """
 
-    space: SpaceContext
     A: RealLinearMap
-    H: RealLinearMap
-    K: RealLinearMap
     H_matrix: np.ndarray
     K_matrix: np.ndarray
     sqrt_H_matrix: np.ndarray
@@ -312,7 +292,7 @@ class OperatorContext:
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return self.A.space.n
 
     @property
     def det_v_a(self) -> float:
@@ -366,37 +346,21 @@ class OperatorContext:
         return out
 
 
-def _hermitian_sqrt(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, principal square root and inverse square root of a
-    Hermitian positive-definite complex matrix."""
-    M = 0.5 * (M + M.conj().T)
-    vals, vecs = np.linalg.eigh(M)
-    if vals[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            "complex-linear part is not positive definite",
-            min_eigenvalue=float(vals[0]),
-        )
-    sq = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inv_sq = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return vals, sq, inv_sq
-
-
 def build_context(A: RealLinearMap) -> OperatorContext:
     """Validate a weight operator and assemble all derived quantities.
 
     The normalization constant of the reproducing kernel is computed in
     log space from eigenvalues so that large dimensions do not overflow.
     """
-    report, a_vals = require_spd(A)
-    H, K = _split(A)
+    norm, a_vals = require_spd(A)
     n = A.space.n
-
-    Hc = H.complex_linear_matrix()
-    Kc = K.complex_linear_matrix()
-    h_vals, sqrt_Hc, inv_sqrt_Hc = _hermitian_sqrt(Hc)
+    # the first block column of a map is its action on real vectors, where
+    # z = conj(z): H z = Hc z and K z = Kc conj(z) read the same block
+    Hc, Kc = (X[:n, :n] + 1j * X[n:, :n] for X in _split(A))
+    h_eig = _eigh_pd(Hc, "complex-linear part")
 
     log_det_v_a = float(np.sum(np.log(a_vals)))
-    log_det_h = float(np.sum(np.log(h_vals)))
+    log_det_h = float(np.sum(np.log(h_eig[0])))
 
     # c_a = (det_V A / det_V H)^{1/4} <= 1, with det_V H = (det H)^2.
     c_a = float(np.exp(0.25 * (log_det_v_a - 2.0 * log_det_h)))
@@ -407,7 +371,7 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     # The weight preserves the real subspace iff the off-diagonal block
     # (imaginary part of A applied to real basis vectors) vanishes.
     E = A.entries
-    tol = REAL_FORM_RTOL * report.norm
+    tol = REAL_FORM_RTOL * norm
     real_preserving = _two_norm(E[n:, :n], tol) <= tol
 
     R = T = S = L = M = D = None
@@ -416,9 +380,8 @@ def build_context(A: RealLinearMap) -> OperatorContext:
         T = np.array(E[n:, n:])
         S = 2.0 * np.linalg.inv(np.linalg.inv(R) + np.linalg.inv(T))
         S = 0.5 * (S + S.T)
-        _spd_eigh(S, "derived block S")
-        vals, vecs = _spd_eigh(2.0 * T - S, "derived block 2T - S")
-        L = (vecs * np.sqrt(vals)) @ vecs.T
+        _eigh_pd(S, "derived block S")
+        L = _root(_eigh_pd(2.0 * T - S, "derived block 2T - S"))
         M = np.linalg.solve(L, T)
         inv_sqrt_R = inv_sqrt_spd(R)
         D = sqrt_spd(sqrt_spd(inv_sqrt_R @ T @ inv_sqrt_R))
@@ -426,14 +389,11 @@ def build_context(A: RealLinearMap) -> OperatorContext:
             arr.flags.writeable = False
 
     return OperatorContext(
-        space=A.space,
         A=A,
-        H=H,
-        K=K,
         H_matrix=Hc,
         K_matrix=Kc,
-        sqrt_H_matrix=sqrt_Hc,
-        inv_sqrt_H_matrix=inv_sqrt_Hc,
+        sqrt_H_matrix=_root(h_eig),
+        inv_sqrt_H_matrix=_root(h_eig, inverse=True),
         real_preserving=real_preserving,
         R=R,
         T=T,

@@ -62,19 +62,11 @@ class CheckResult:
         }
 
 
-def make_check(
-    name: str,
-    lhs,
-    rhs,
-    tolerance: float,
-    scale: float | None = None,
-) -> CheckResult:
+def make_check(name: str, lhs, rhs, tolerance: float) -> CheckResult:
     """Relative-residual comparison of two scalars."""
     lhs_c = complex(lhs)
     rhs_c = complex(rhs)
-    if scale is None:
-        scale = max(abs(lhs_c), abs(rhs_c), 1e-300)
-    residual = abs(lhs_c - rhs_c) / scale
+    residual = abs(lhs_c - rhs_c) / max(abs(lhs_c), abs(rhs_c), 1e-300)
     if lhs_c.imag == 0 and rhs_c.imag == 0:
         lhs_out, rhs_out = lhs_c.real, rhs_c.real
     else:

@@ -34,7 +34,6 @@ from functools import reduce
 from types import MappingProxyType
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder
 
 from .errors import DivergenceError, RangeOverflowError, UnsupportedFormError
 
@@ -447,6 +446,18 @@ def _sqrt_det_inv(Q: np.ndarray) -> complex:
     return complex(np.exp(-0.5 * np.sum(np.log(vals))))
 
 
+def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
+    """d/dy_axis of a coefficient array: numpy's ``polyder`` along ``axis``
+    as one product in place of its Python loop over the degree.  It scales
+    by 1 first, as ``polyder`` does, which fixes the signs of zero
+    coefficients, and a constant axis keeps one zero row."""
+    c = np.moveaxis(c, axis, 0)
+    if len(c) == 1:
+        return np.moveaxis(c * 0, 0, axis)
+    powers = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return np.moveaxis(c[1:] * 1 * powers, 0, axis)
+
+
 def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
     """y -> E[p(y + u)], u centred Gaussian of complex symmetric covariance
     cov: the heat operator exp(d.cov d / 2) p, a series ending at half the degree.
@@ -454,7 +465,7 @@ def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
     term = out = poly.coeffs.astype(np.clongdouble)
     cov, axes = np.asarray(cov).astype(np.clongdouble), range(poly.n)
     for k in range(1, poly.degree() // 2 + 1):
-        term = reduce(_padded_add, [cov[i, j] / (2 * k) * polyder(polyder(term, axis=i), axis=j)
+        term = reduce(_padded_add, [cov[i, j] / (2 * k) * _derivative(_derivative(term, i), j)
                                     for i in axes for j in axes])
         out = _padded_add(out, term)
     return Polynomial.from_coeffs(out.astype(complex))

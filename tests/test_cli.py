@@ -673,3 +673,50 @@ def test_eval_function_beyond_float_range_is_config_error(tmp_path, capsys, func
     code, out = run_cli(capsys, "eval", "--config", cfg)
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "config_invalid"
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("decompose", {"operator": {"n": 1, "A": [[1.0, 0.0], [0.0]]}}, "A"),
+    ("decompose", {"operator": {"n": 2, "R": [[1.0, 0.0], [0.0]], "T": [[1.0, 0.0], [0.0, 1.0]]}},
+     "R"),
+    ("decompose", {"operator": {"n": 1, "R": [[1.0]], "T": [[1.0], []]}}, "T"),
+    ("eval", {**DIAG, "eval": {"target": "classical_transform", "points": [{"z": [0.1, 0.0]}],
+                               "function": {"kind": "gaussian", "P": [[1.0], []]}}}, "P"),
+    ("eval", {**DIAG, "eval": {"target": "classical_transform", "points": [{"z": [0.1, 0.0]}],
+                               "function": {"kind": "gaussian", "b": [0.1, 0.2, 0.3]}}}, "b"),
+], ids=["A-ragged", "R-ragged", "T-ragged", "P-ragged", "b-length"])
+def test_ragged_or_missized_arrays_are_config_errors(tmp_path, capsys, command, config, key):
+    # a ragged array died in np.asarray with a traceback; a long b was unsupported_form
+    code, out = run_cli(capsys, command, "--config", write_config(tmp_path, "cfg.json", config))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert error["message"].startswith(f"{key} must be ")
+
+
+@pytest.mark.parametrize("function, key", [
+    ({"kind": "hermite", "alpha": [2], "P": [[5.0]]}, "P"),
+    ({"kind": "ground_state", "alpha": [7], "coeff": 3.0}, "alpha"),
+    ({"kind": "gaussian", "alpha": [1]}, "alpha"),
+    ({"kind": "sb_eigenfunction", "b": [0.5]}, "b"),
+], ids=["hermite-P", "ground-state-alpha", "gaussian-alpha", "sb-b"])
+def test_eval_function_keys_its_kind_never_reads_are_rejected(tmp_path, capsys, function, key):
+    # these keys were ignored: the values came out as if they were absent
+    cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": {
+        "target": "classical_transform", "points": [{"z": [0.1, 0.0]}], "function": function}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "config_invalid",
+        "message": f'invalid configuration: config.eval.function has the unknown key "{key}"'}
+
+
+def test_eval_function_of_unknown_kind_names_the_kinds(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": {
+        "target": "classical_transform", "points": [{"z": [0.1, 0.0]}],
+        "function": {"kind": "laguerre"}}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        'invalid configuration: config.eval.function.kind is "laguerre", not one of '
+        '"hermite", "sb_eigenfunction", "ground_state", "gaussian", "monomial_gaussian"')

@@ -12,8 +12,8 @@ from fockops import (
     build_context,
     decompose,
     h_eigenbasis,
+    require_spd,
     sqrt_spd,
-    validate_spd,
 )
 from fockops.operators import hermitian_inner
 from fockops.testing import random_spd_map, random_real_preserving_map, rotated_weight
@@ -30,21 +30,24 @@ def test_space_context_structure_matrices():
     assert np.array_equal(sigma @ sigma, np.eye(6))
 
 
-def test_validate_spd_identity():
+def test_require_spd_identity():
     A = RealLinearMap.identity(SpaceContext(1))
-    assert validate_spd(A).ok
+    norm, eigenvalues = require_spd(A)
+    assert norm == 1.0 and np.array_equal(eigenvalues, [1.0, 1.0])
 
 
-def test_validate_spd_indefinite_reports_eigenvalue():
+def test_require_spd_indefinite_reports_eigenvalue():
     # eigenvalues of [[1, 2], [2, 1]] are 3 and -1
     A = RealLinearMap(SpaceContext(1), np.array([[1.0, 2.0], [2.0, 1.0]]))
-    report = validate_spd(A)
-    assert report.symmetric and not report.positive
-    assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        require_spd(A)
+    assert not isinstance(info.value, IllConditionedError)
+    assert info.value.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_validate_spd_diagonal():
-    assert validate_spd(diag_weight()).ok
+def test_require_spd_diagonal():
+    norm, eigenvalues = require_spd(diag_weight())
+    assert norm == pytest.approx(4.0) and np.allclose(eigenvalues, [1.0, 4.0])
 
 
 def test_decompose_identity():
@@ -207,7 +210,7 @@ def test_context_block_reconstruction_and_dets():
         # conjugate-linear part is (R_V - T_V)/2 followed by conjugation
         half_diff = 0.5 * (ctx.R - ctx.T)
         want_K = RealLinearMap.from_blocks(half_diff, half_diff).entries @ ctx.A.space.sigma
-        assert np.allclose(ctx.K.entries, want_K, atol=1e-12 * A.norm())
+        assert np.allclose(decompose(A)[1].entries, want_K, atol=1e-12 * A.norm())
         # M = L^{-1} T squares against 2T - S
         gram = ctx.M.T @ ctx.M
         want_gram = ctx.T @ np.linalg.inv(2 * ctx.T - ctx.S) @ ctx.T

@@ -25,7 +25,9 @@ from fockops import (
     l2_inner_product,
     segal_bargmann_fn,
 )
-from fockops.symbolic import _smoothed
+from numpy.polynomial.polynomial import polyder
+
+from fockops.symbolic import _derivative, _smoothed
 
 
 def brute_integral_1d(f, half_width=12.0, m=60001):
@@ -345,3 +347,20 @@ def test_segal_bargmann_of_hermite_10_against_mpmath():
             got = mpmath.mpc(F.evaluate(np.array([z0])))
             worst = max(worst, float(abs(got - want) / abs(want)))
     assert worst <= 2.5e-11
+
+
+def test_derivative_is_polyder_to_the_bit():
+    # numpy's polyder loops over the degree in Python; _derivative must give
+    # the same long-double values, the signs of zeros and shapes included
+    rng = np.random.default_rng(4)
+    pool = [0.0, -0.0, 1.5, -2.5, 1e300]
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
+        c = np.empty(shape, dtype=np.clongdouble)
+        c.real, c.imag = rng.choice(pool, size=shape), rng.choice(pool, size=shape)
+        axis = int(rng.integers(0, len(shape)))
+        got, want = _derivative(c, axis), polyder(c, axis=axis)
+        assert got.shape == want.shape
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(got), part(want))
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
