@@ -64,7 +64,6 @@ from .transforms import (
     coherent_state,
     coherent_state_fn,
     density_s,
-    density_t,
     ground_state,
     heat_convolve,
     heat_density,

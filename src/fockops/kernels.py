@@ -32,7 +32,7 @@ from .errors import ConfigError, DimensionMismatchError
 from .operators import OperatorContext, RealLinearMap, build_context
 from .quadrature import QuadratureRule, _reduce, _require_finite
 from .report import CheckResult, make_bound_check, make_check
-from .symbolic import GaussPoly, HolomorphicFunction, bilinear_rows, check_rows
+from .symbolic import GaussPoly, bilinear_rows, check_rows
 
 __all__ = [
     "measure_density",
@@ -67,7 +67,7 @@ def measure_density(ctx: OperatorContext, z):
         return float(measure_density(ctx, z[None])[0].real)
     V = np.concatenate([z.real, z.imag], axis=1)
     expo = 0.5 * ctx.log_det_v_a - bilinear_rows(V, ctx.A.entries, V)
-    check_rows([expo], lambda ok: measure_density(ctx, z[ok]), len(z))
+    check_rows(expo, lambda ok: measure_density(ctx, z[ok]), len(z))
     return math.pi ** (-ctx.n) * np.exp(expo)
 
 
@@ -92,18 +92,18 @@ def kernel(ctx: OperatorContext, z, w):
     if z.ndim == 1:
         return complex(kernel(ctx, z[None], w[None])[0])
     expo = _kernel_exponent(ctx, z, w)
-    check_rows([expo], lambda ok: kernel(ctx, z[ok], w[ok]), len(z), KERNEL_OVERFLOW)
+    check_rows(expo, lambda ok: kernel(ctx, z[ok], w[ok]), len(z), KERNEL_OVERFLOW)
     return np.exp(expo)
 
 
-def kernel_section(ctx: OperatorContext, w) -> HolomorphicFunction:
+def kernel_section(ctx: OperatorContext, w) -> GaussPoly:
     """The kernel at fixed second argument, as a symbolic function of z."""
     w = np.asarray(w, dtype=complex)
     wbar = np.conj(w)
     C = ctx.K_matrix
     return GaussPoly.gaussian(
         -np.conj(C), ctx.H_matrix.T @ wbar, 0.5 * np.dot(wbar, C @ wbar), ctx.c_a**-2
-    ).as_holomorphic()
+    )
 
 
 def eval_functional_norm(ctx: OperatorContext, z):
@@ -113,11 +113,11 @@ def eval_functional_norm(ctx: OperatorContext, z):
     if z.ndim == 1:
         return float(eval_functional_norm(ctx, z[None])[0].real)
     expo = _kernel_exponent(ctx, z, z)
-    check_rows([expo], lambda ok: eval_functional_norm(ctx, z[ok]), len(z), KERNEL_OVERFLOW)
+    check_rows(expo, lambda ok: eval_functional_norm(ctx, z[ok]), len(z), KERNEL_OVERFLOW)
     return np.sqrt(np.exp(expo).real)
 
 
-def weighted_to_classical(ctx: OperatorContext, F: HolomorphicFunction) -> HolomorphicFunction:
+def weighted_to_classical(ctx: OperatorContext, F: GaussPoly) -> GaussPoly:
     """Unitary from the weighted space onto the classical Fock space:
 
         (c_a) exp(-conj(<K H^{-1/2}w, H^{-1/2}w>)/2) F(H^{-1/2} w).
@@ -126,15 +126,15 @@ def weighted_to_classical(ctx: OperatorContext, F: HolomorphicFunction) -> Holom
     weighted one, which is what makes this direction the isometry."""
     T1 = ctx.inv_sqrt_H_matrix
     twist = GaussPoly.gaussian(T1.T @ np.conj(ctx.K_matrix) @ T1)
-    return F.compose_linear(T1).times_exp(twist).times_scalar(ctx.c_a)
+    return (F.compose_linear(T1) * twist).times_scalar(ctx.c_a)
 
 
-def classical_to_weighted(ctx: OperatorContext, F: HolomorphicFunction) -> HolomorphicFunction:
+def classical_to_weighted(ctx: OperatorContext, F: GaussPoly) -> GaussPoly:
     """Inverse (= adjoint) of :func:`weighted_to_classical`:
 
         (1/c_a) exp(conj(<Kw, w>)/2) F(sqrt(H) w)."""
     twist = GaussPoly.gaussian(-np.conj(ctx.K_matrix))
-    return F.compose_linear(ctx.sqrt_H_matrix).times_exp(twist).times_scalar(1.0 / ctx.c_a)
+    return (F.compose_linear(ctx.sqrt_H_matrix) * twist).times_scalar(1.0 / ctx.c_a)
 
 
 def fock_rule(ctx: OperatorContext, nodes_per_axis: int | None = None) -> QuadratureRule:
@@ -169,8 +169,8 @@ def _evaluated(F, Z: np.ndarray) -> np.ndarray:
 
 def fock_gram(
     ctx: OperatorContext,
-    Fs: Sequence[HolomorphicFunction],
-    Gs: Sequence[HolomorphicFunction],
+    Fs: Sequence[GaussPoly],
+    Gs: Sequence[GaussPoly],
     rule: QuadratureRule | None = None,
 ) -> np.ndarray:
     """The matrix of <F_i, G_j> in the weighted space, by tensor quadrature.
@@ -205,8 +205,8 @@ def fock_gram(
 
 def fock_inner_product(
     ctx: OperatorContext,
-    F: HolomorphicFunction,
-    G: HolomorphicFunction,
+    F: GaussPoly,
+    G: GaussPoly,
     rule: QuadratureRule | None = None,
 ) -> complex:
     """<F, G> in the weighted space: the 1x1 case of :func:`fock_gram`."""
@@ -214,17 +214,17 @@ def fock_inner_product(
 
 
 def fock_norm(
-    ctx: OperatorContext, F: HolomorphicFunction, rule: QuadratureRule | None = None
+    ctx: OperatorContext, F: GaussPoly, rule: QuadratureRule | None = None
 ) -> float:
     value = fock_inner_product(ctx, F, F, rule)
     return math.sqrt(max(value.real, 0.0))
 
 
-def normalized_monomial(n: int, alpha) -> HolomorphicFunction:
+def normalized_monomial(n: int, alpha) -> GaussPoly:
     """z^alpha / sqrt(alpha!), an orthonormal family in the classical space."""
     alpha = tuple(int(a) for a in alpha)
     norm = math.sqrt(math.prod(math.factorial(a) for a in alpha))
-    return HolomorphicFunction.monomial(n, alpha, 1.0 / norm)
+    return GaussPoly.monomial(n, alpha, 1.0 / norm)
 
 
 def det_identity_suite(R: np.ndarray, T: np.ndarray) -> list[CheckResult]:

@@ -18,6 +18,7 @@ constants) are assembled once into an :class:`OperatorContext`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -166,9 +167,14 @@ def require_spd(A: RealLinearMap) -> tuple[float, np.ndarray]:
     downstream formula inverts A or takes its square root.  Raises
     NotSymmetricError, IllConditionedError (positive, but below the
     threshold only through its ratio to the norm) or NotPositiveDefiniteError.
+    A weight whose doubled norm overflows, so that A + A^T cannot be formed,
+    is a ConfigError.
     """
     E = A.entries
     norm = float(np.linalg.norm(E, 2))
+    if not math.isfinite(2.0 * norm):
+        raise ConfigError(f"operator 2-norm {norm:.3e} is too large: twice it overflows "
+                          "the float range")
     scale = max(norm, 1.0)
     asym = _two_norm(E - E.T, SYMMETRY_RTOL * scale)
     if not asym <= SYMMETRY_RTOL * scale:  # a NaN fails

@@ -134,12 +134,18 @@ def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     """Monte Carlo Gaussian expectation with a counter-based generator.
 
     Returns the estimate and its standard error.  The same seed always
-    reproduces the same sample stream.
+    reproduces the same sample stream.  The samples hold at most
+    NODE_BUDGET coordinates, as a quadrature grid does.
     """
     if samples < 1000:
         raise ConfigError("mc_integrate needs at least 1000 samples")
     scaling = np.asarray(scaling, dtype=float)
     dim = scaling.shape[0]
+    if samples * dim > NODE_BUDGET:
+        raise NodeBudgetError(
+            f"{samples} samples in dimension {dim} = {samples * dim} coordinates exceeds "
+            f"the budget of {NODE_BUDGET}"
+        )
     rng = np.random.Generator(np.random.Philox(seed))
     xi = rng.standard_normal((samples, dim))
     X = xi @ inv_sqrt_spd(scaling).T

@@ -30,7 +30,6 @@ from .quadrature import QuadratureRule, integrate_shifted
 from .report import fold
 from .symbolic import (
     GaussPoly,
-    HolomorphicFunction,
     Polynomial,
     bilinear_rows,
     check_rows,
@@ -58,7 +57,6 @@ __all__ = [
     "segal_bargmann_fn",
     "segal_bargmann_gaussian",
     "segal_bargmann_gaussian_fn",
-    "density_t",
     "density_s",
     "coherent_state",
     "coherent_state_fn",
@@ -106,28 +104,27 @@ def multiplier(ctx: OperatorContext, x, z):
         return complex(multiplier(ctx, x[None], z[None])[0])
     Hc, C = ctx.H_matrix, ctx.K_matrix
     expo = bilinear_rows(z, Hc.T + C, x) - 0.5 * bilinear_rows(x, Hc + C, x)
-    check_rows([expo], lambda ok: multiplier(ctx, x[ok], z[ok]), len(z))
+    check_rows(expo, lambda ok: multiplier(ctx, x[ok], z[ok]), len(z))
     return np.exp(expo)
 
 
-def translate(ctx: OperatorContext, x, F: HolomorphicFunction) -> HolomorphicFunction:
+def translate(ctx: OperatorContext, x, F: GaussPoly) -> GaussPoly:
     """The (projective) translation T_x F = m(x, .) F(. - x)."""
     x = np.asarray(x, dtype=float)
-    return F.shifted(-x.astype(complex)).times_exp(multiplier_exponential(ctx, x))
+    return F.shifted(-x.astype(complex)) * multiplier_exponential(ctx, x)
 
 
 # -- restriction to the real subspace and its adjoint ------------------------
 
 
-def restrict(ctx: OperatorContext, F: HolomorphicFunction) -> GaussPoly:
+def restrict(ctx: OperatorContext, F: GaussPoly) -> GaussPoly:
     """Weighted restriction R F(x) = c exp(-<Ax, x>/2) F(x).
 
     Needs the weight to preserve the real subspace (the damping
     exp(-x.Rx/2) is what makes the restriction land in L^2).
     """
     ctx.require_real_form()
-    g = F.single_term()
-    return GaussPoly(g.poly * ctx.c_restriction, ctx.R + g.P, g.b, g.gamma)
+    return GaussPoly(F.poly * ctx.c_restriction, ctx.R + F.P, F.b, F.gamma)
 
 
 def _convolve_at(G: np.ndarray, h, z: np.ndarray) -> complex:
@@ -155,15 +152,13 @@ def _convolve_at(G: np.ndarray, h, z: np.ndarray) -> complex:
     return const * integrate_shifted(rule, a, integrand)
 
 
-def _closed_form(h: GaussPoly, kernel):
+def _closed_form(h: GaussPoly, kernel) -> GaussPoly:
     """s exp(z.Ez/2) (exp(-u.Gu/2) * h)(z) for kernel = (s, G, E), by
-    completing the square; E None means no envelope, and the result then
-    stays a GaussPoly."""
+    completing the square; E None means no envelope."""
     s, G, E = kernel
     if E is None:
         return convolve_gaussian(s, G, h)
-    envelope = GaussPoly.gaussian(-E)
-    return convolve_gaussian(1.0, G, h).as_holomorphic().times_exp(envelope).times_scalar(s)
+    return (convolve_gaussian(1.0, G, h) * GaussPoly.gaussian(-E)).times_scalar(s)
 
 
 def _evaluate(h, z, kernel, closed):
@@ -192,7 +187,7 @@ def _evaluate(h, z, kernel, closed):
     front = s
     if E is not None:
         expo = 0.5 * bilinear_rows(z, E, z)
-        check_rows([expo], lambda ok: _evaluate(h, z[ok], kernel, closed), len(z))
+        check_rows(expo, lambda ok: _evaluate(h, z[ok], kernel, closed), len(z))
         front = s * np.exp(expo)
     return front * np.array([_convolve_at(G, h, w) for w in z], dtype=complex)
 
@@ -306,7 +301,7 @@ def _classical_kernel(n: int):
     return (2.0 / math.pi) ** (n / 4.0), 2.0 * eye, eye
 
 
-def segal_bargmann_classical_fn(g: GaussPoly) -> HolomorphicFunction:
+def segal_bargmann_classical_fn(g: GaussPoly) -> GaussPoly:
     """Classical transform of a GaussPoly, as a symbolic holomorphic function."""
     return _closed_form(g, _classical_kernel(g.n))
 
@@ -328,7 +323,7 @@ def _sb_kernel(ctx: OperatorContext):
     return prefactor, ctx.R + ctx.T, ctx.R
 
 
-def segal_bargmann_fn(ctx: OperatorContext, f: GaussPoly) -> HolomorphicFunction:
+def segal_bargmann_fn(ctx: OperatorContext, f: GaussPoly) -> GaussPoly:
     """Weighted Segal-Bargmann transform of a GaussPoly, symbolically."""
     return _closed_form(f, _sb_kernel(ctx))
 
@@ -337,13 +332,6 @@ def segal_bargmann(ctx: OperatorContext, f, z):
     """Weighted Segal-Bargmann transform at a complex point, or at each row
     of an (m, n) batch."""
     return _evaluate(f, z, _sb_kernel(ctx), lambda g: segal_bargmann_fn(ctx, g))
-
-
-def density_t(ctx: OperatorContext) -> GaussPoly:
-    """The Gaussian probability density with precision given by the block
-    acting on the imaginary directions (holomorphically extendable)."""
-    ctx.require_real_form()
-    return GaussPoly.gaussian(ctx.T, coeff=_heat_coeff(ctx.T))
 
 
 def density_s(ctx: OperatorContext) -> GaussPoly:
@@ -358,9 +346,9 @@ def _gaussian_kernel(ctx: OperatorContext):
     return _heat_coeff(ctx.T), ctx.T, None
 
 
-def segal_bargmann_gaussian_fn(ctx: OperatorContext, f: GaussPoly) -> HolomorphicFunction:
+def segal_bargmann_gaussian_fn(ctx: OperatorContext, f: GaussPoly) -> GaussPoly:
     """Gaussian-measure form of the transform, symbolically."""
-    return _closed_form(f, _gaussian_kernel(ctx)).as_holomorphic()
+    return _closed_form(f, _gaussian_kernel(ctx))
 
 
 def segal_bargmann_gaussian(ctx: OperatorContext, f, z):
@@ -405,7 +393,7 @@ def coherent_state(ctx: OperatorContext, x, z):
     coeff = _heat_coeff(T) / _heat_coeff(S)
     expo = (-0.5 * bilinear_rows(x, T - S, x) + bilinear_rows(x, T, z)
             - 0.5 * bilinear_rows(z, T, z))
-    check_rows([expo], lambda ok: coherent_state(ctx, x[ok], z[ok]), len(z))
+    check_rows(expo, lambda ok: coherent_state(ctx, x[ok], z[ok]), len(z))
     return coeff * np.exp(expo)
 
 

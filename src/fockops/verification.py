@@ -36,7 +36,7 @@ from .operators import (
 )
 from .quadrature import QuadratureRule, integrate, mc_integrate
 from .report import CheckResult, fold, make_bound_check, make_check
-from .symbolic import GaussPoly, HolomorphicFunction, Polynomial, l2_inner_product
+from .symbolic import GaussPoly, Polynomial, l2_inner_product
 from .testing import random_real_preserving_map, random_spd_map, random_spd_matrix, rotated_weight
 from .transforms import (
     coherent_inner,
@@ -230,7 +230,7 @@ def check_kernel_geometry(cfg: VerifyConfig) -> list[CheckResult]:
         gram = kernel(ctx, np.repeat(pts, 6, axis=0), np.tile(pts, (6, 1))).reshape(6, 6)
         lowest = np.linalg.eigvalsh(gram)[0]
         worst_gram = fold(max, worst_gram, -lowest / np.trace(gram).real)
-    one = HolomorphicFunction.constant(1, 1.0)
+    one = GaussPoly.constant(1, 1.0)
     ctx1 = build_context(random_spd_map(rng, 1))
     unit = fock_norm(ctx1, one, fock_rule(ctx1, cfg.nodes))
     return [
@@ -253,7 +253,7 @@ def check_reproducing_property(cfg: VerifyConfig) -> list[CheckResult]:
             norm = np.linalg.norm(w)
             if norm > 1.0:
                 w = w / norm
-            monomials = [HolomorphicFunction.monomial(n, alpha) for alpha in _monomials(n, 4)]
+            monomials = [GaussPoly.monomial(n, alpha) for alpha in _monomials(n, 4)]
             gram = fock_gram(ctx, monomials, [kernel_section(ctx, w)], rule)
             for F, lhs in zip(monomials, gram[:, 0].tolist()):
                 rhs = F.evaluate(w)
@@ -288,7 +288,7 @@ def check_unitary_between_spaces(cfg: VerifyConfig) -> list[CheckResult]:
             )
             for _ in range(4)
         }
-        F = HolomorphicFunction.from_polynomial(Polynomial(n, terms))
+        F = GaussPoly.from_polynomial(Polynomial(n, terms))
         back = weighted_to_classical(ctx, classical_to_weighted(ctx, F)).as_polynomial(1e-11)
         fwd = classical_to_weighted(ctx, weighted_to_classical(ctx, F)).as_polynomial(1e-11)
         want = F.as_polynomial()
@@ -332,7 +332,7 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
     worst = 0.0
     for n in (1, 2):
         ctx = build_context(random_real_preserving_map(rng, n))
-        F = HolomorphicFunction.from_polynomial(
+        F = GaussPoly.from_polynomial(
             Polynomial(n, {tuple(np.eye(1, n, 0, dtype=int)[0]): 1.0, (0,) * n: 0.5})
         )
         y = rng.standard_normal(n)
@@ -350,7 +350,7 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
     )
     rule = fock_rule(ctx, cfg.nodes)
     worst = 0.0
-    for F in (HolomorphicFunction.constant(1, 1.0), HolomorphicFunction.monomial(1, (1,))):
+    for F in (GaussPoly.constant(1, 1.0), GaussPoly.monomial(1, (1,))):
         base = fock_norm(ctx, F, rule)
         moved = fock_norm(ctx, translate(ctx, [0.7], F), rule)
         worst = fold(max, worst, abs(moved - base))
@@ -358,7 +358,7 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
 
     mixed = build_context(rotated_weight(ctx.A, math.pi / 4))
     mixed_rule = fock_rule(mixed, max(cfg.nodes, 60))
-    one = HolomorphicFunction.constant(1, 1.0)
+    one = GaussPoly.constant(1, 1.0)
     change = abs(
         fock_norm(mixed, translate(mixed, [0.7], one), mixed_rule)
         - fock_norm(mixed, one, mixed_rule)

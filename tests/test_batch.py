@@ -129,17 +129,3 @@ def test_kernel_and_weighted_transform_rows_against_mpmath():
                               (transforms[i], _mp_weighted_transform(Rm, Tm, x))):
                 worst = max(worst, float(abs(mpmath.mpc(got) - want) / abs(want)))
     assert worst <= 1e-13
-
-
-def test_a_row_reports_the_first_term_out_of_range():
-    # as a one-point call always has: the terms are taken in order, and the
-    # first whose exponent leaves the range is the row's error
-    first = fo.GaussPoly.gaussian(np.array([[0.0]]), [1.0], 0.0)   # exponent x
-    second = fo.GaussPoly.gaussian(np.array([[0.0]]), [2.0], 0.0)  # exponent 2x
-    F = fo.HolomorphicFunction(1, [first, second])
-    X = np.array([[0.5], [800.0], [500.0]])
-    with pytest.raises(fo.RangeOverflowError) as caught:
-        F.evaluate_many(X)
-    assert [caught.value.row(i).exponent for i in (1, 2)] == [800.0, 1000.0]
-    assert caught.value.exponent == 1000.0
-    assert caught.value.values[0] == F.evaluate(X[0])

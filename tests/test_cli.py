@@ -592,6 +592,32 @@ def test_ill_conditioned_weight_has_its_own_kind(tmp_path, capsys):
     assert error["min_eigenvalue"] == 1.0
 
 
+@pytest.mark.parametrize("A, norm", [
+    ([[1e308, 0, 0, 0], [0, 1e308, 0, 0], [0, 0, 1e308, 1e308], [0, 0, 1e308, 1e308]], "inf"),
+    ([[1e308, 0], [0, 1e308]], "1.000e+308"),
+], ids=["norm-overflows", "twice-the-norm-overflows"])
+def test_weight_near_the_float_maximum_is_config_error(tmp_path, capsys, A, norm):
+    # the 2-norm itself overflows, or only twice it: A + A^T cannot be formed either way
+    cfg = write_config(tmp_path, "cfg.json", {"operator": {"n": len(A) // 2, "A": A}})
+    code, out = run_cli(capsys, "decompose", "--config", cfg)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert f"2-norm {norm} " in error["message"]
+
+
+def test_verify_monte_carlo_beyond_the_budget_is_node_budget_error(tmp_path, capsys,
+                                                                  monkeypatch):
+    import fockops.verification as verification
+
+    monkeypatch.setattr(verification, "GROUPS",
+                        {"quadrature": verification.GROUPS["quadrature"]})
+    cfg = write_config(tmp_path, "cfg.json", {"mcSamples": 10**14})
+    code, out = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "node_budget"
+
+
 @pytest.mark.parametrize("function, allowed", [
     ({"kind": "monomial_gaussian", "alpha": [4000, 4000]}, False),
     ({"kind": "hermite", "alpha": [50, 50]}, False),      # (100 + 1)^2 coefficients

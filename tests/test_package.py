@@ -24,8 +24,9 @@ def test_every_exported_name_resolves(module_name):
 
 def test_benchmark_tracer_still_binds_and_its_hooks_fire():
     """The benchmark's per-layer tracer wraps functions by name and reads
-    ``Polynomial.terms`` in its hooks; a rename here would otherwise only
-    show up as a broken traced benchmark run."""
+    ``Polynomial.terms`` in its hooks, and its timed ladder and layer rows
+    call ``GaussPoly.as_holomorphic`` and ``HolomorphicFunction.monomial``;
+    a rename here would otherwise only show up as a broken benchmark run."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -34,12 +35,14 @@ def test_benchmark_tracer_still_binds_and_its_hooks_fire():
     ctx = fockops.build_context(fockops.RealLinearMap.from_blocks(np.eye(2), 2.0 * np.eye(2)))
     f = fockops.hermite_function((2, 1))
     originals = (fockops.transforms.segal_bargmann_fn,
-                 vars(fockops.symbolic.Polynomial)["compose_affine"])
+                 vars(fockops.symbolic.Polynomial)["compose_affine"],
+                 vars(fockops.GaussPoly)["evaluate_many"])
     tr = tracer.Tracer()
     tr.install()  # raises if a traced function is missing
     try:
         fockops.transforms.segal_bargmann_fn(ctx, f)
         fockops.symbolic.convolve_gaussian(1.0, np.eye(2), f)
+        f.evaluate_many(np.zeros((3, 2)))
     finally:
         tr.uninstall()
     records = tr.records
@@ -48,5 +51,12 @@ def test_benchmark_tracer_still_binds_and_its_hooks_fire():
     assert records["symbolic.convolve_gaussian"]["calls"] == 2
     assert records["symbolic.convolve_gaussian"]["out_terms"] > 0
     assert records["symbolic.compose_affine"]["calls"] >= 2
+    assert records["symbolic.evaluate_many"]["calls"] >= 1
+    assert records["symbolic.evaluate_many"]["points"] >= 3
+    # both tracer rows wrap the one method; undone in reverse, it is the original again
     assert originals == (fockops.transforms.segal_bargmann_fn,
-                         vars(fockops.symbolic.Polynomial)["compose_affine"])
+                         vars(fockops.symbolic.Polynomial)["compose_affine"],
+                         vars(fockops.GaussPoly)["evaluate_many"])
+    assert f.as_holomorphic() is f
+    assert fockops.HolomorphicFunction is fockops.GaussPoly
+    assert fockops.HolomorphicFunction.monomial(2, (2, 1)).poly.terms == {(2, 1): 1.0}

@@ -132,6 +132,12 @@ def test_mc_rejects_infinite_samples():
         mc_integrate(5, 1000, np.eye(1), spike)
 
 
+def test_mc_sample_budget_is_checked_before_drawing():
+    # 10^14 two-dimensional samples would take 1.6 PB
+    with pytest.raises(NodeBudgetError, match="exceeds the budget"):
+        mc_integrate(0, 10**14, np.eye(2), lambda X: X[:, 0])
+
+
 def test_integrate_deterministic_bitwise():
     rule = QuadratureRule(dim=2, nodes_per_axis=25, scaling=np.diag([2.0, 3.0]))
 

@@ -17,6 +17,7 @@ from fockops import (
     Polynomial,
     RangeOverflowError,
     RealLinearMap,
+    UnsupportedFormError,
     build_context,
     convolve_gaussian,
     gaussian_integral,
@@ -78,14 +79,21 @@ def test_exp_quadratic_shift_and_compose():
         )
 
 
-def test_holomorphic_sum_product_eval():
-    p = Polynomial(1, {(2,): 1.0})
+def test_sum_of_terms_with_one_gaussian_part_evaluates_as_the_sum():
     e = GaussPoly.gaussian(np.array([[0.5]]), np.array([0.3]))
-    term = GaussPoly(p, e.P, e.b, e.gamma)
-    F = HolomorphicFunction(1, [term]) + HolomorphicFunction.constant(1, 2.0)
+    F = GaussPoly(Polynomial(1, {(2,): 1.0}), e.P, e.b, e.gamma)
+    G = GaussPoly(Polynomial(1, {(0,): 2.0}), e.P, e.b, e.gamma)
     z = np.array([0.7 + 0.2j])
-    expected = p.evaluate(z) * e.evaluate(z) + 2.0
-    assert F.evaluate(z) == pytest.approx(expected, rel=1e-14)
+    assert (F + G).evaluate(z) == pytest.approx(F.evaluate(z) + G.evaluate(z), rel=1e-14)
+
+
+def test_sum_of_terms_with_different_gaussian_parts_is_unsupported():
+    p = Polynomial(1, {(2,): 1.0})
+    term = GaussPoly(p, np.array([[0.5]]), np.array([0.3]), 0.0)
+    with pytest.raises(UnsupportedFormError):
+        term + HolomorphicFunction.constant(1, 2.0)
+    with pytest.raises(UnsupportedFormError):
+        term + GaussPoly(p, term.P, term.b, 1e-300)
 
 
 def test_gaussian_integral_normalization_1d():
@@ -204,7 +212,7 @@ def test_overflow_guard_raises_structured_error():
 def test_as_polynomial_requires_trivial_exponential():
     F = HolomorphicFunction.from_polynomial(Polynomial(1, {(1,): 2.0}))
     assert F.as_polynomial().terms == {(1,): 2.0}
-    G = F.times_exp(GaussPoly.gaussian(np.array([[-0.5]])))
+    G = F * GaussPoly.gaussian(np.array([[-0.5]]))
     with pytest.raises(Exception):
         G.as_polynomial()
 
