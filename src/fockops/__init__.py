@@ -25,7 +25,6 @@ from .errors import (
 )
 from .kernels import (
     classical_to_weighted,
-    det_identity_suite,
     eval_functional_norm,
     fock_gram,
     fock_inner_product,
@@ -40,7 +39,6 @@ from .kernels import (
 from .operators import (
     OperatorContext,
     RealLinearMap,
-    SpaceContext,
     build_context,
     decompose,
     h_eigenbasis,
@@ -72,7 +70,6 @@ from .transforms import (
     kernel_from_densities,
     multiplier,
     phase_factor,
-    phase_operator,
     restrict,
     restrict_adjoint,
     restriction_gram,
@@ -85,7 +82,6 @@ from .transforms import (
     segal_bargmann_fn,
     segal_bargmann_gaussian,
     segal_bargmann_gaussian_fn,
-    semigroup_residual,
     translate,
     weighted_ground_state,
 )

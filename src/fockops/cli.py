@@ -24,11 +24,14 @@ round-trip digits, in an exponent notation that may differ from Python's
 value), 2 usage or configuration errors, reported as
 ``{"error": {"kind": ...}}``: ``config_invalid`` for a config that cannot be
 read or fails its checks (a malformed or non-finite eval point, a ragged or
-wrongly sized ``A``, ``R``, ``T``, ``P`` or ``b``, non-finite truncate
-eigenvalues, an eval function with a key its kind never reads, past
-MAX_FUNCTION_COEFFS or with coefficients beyond the float range, ...),
+wrongly sized ``A``, ``R``, ``T``, ``P`` or ``b``, a weight whose reported
+determinant is beyond the float range, non-finite truncate eigenvalues, an
+eval function with a key its kind never reads, with a non-finite ``P``,
+``b`` or ``coeff``, past MAX_FUNCTION_COEFFS or with coefficients beyond the
+float range, ...),
 ``output_unwritable`` for an ``--out`` or ``--csv`` path that cannot be
-written.  Set FOCK_LOG to a level name (e.g. DEBUG) for progress logging.
+written.  Set FOCK_LOG to a level name (e.g. DEBUG) for progress logging;
+any other value means WARNING.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .errors import (
 from .kernels import eval_functional_norm, kernel, measure_density
 from .operators import (
     RealLinearMap,
-    SpaceContext,
     build_context,
     decompose,
     decomposition_residuals,
@@ -232,27 +234,6 @@ CONFIG_SCHEMAS = {
     },
 }
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "command": {"enum": ["decompose", "eval", "verify", "truncate"]},
-        "config": {"type": "object"},
-        "versions": {"type": "object"},
-        "pass": {"type": "boolean"},
-        "context": {"type": "object"},
-        "matrices": {"type": "object"},
-        "residuals": {"type": "object"},
-        "values": {"type": "array"},
-        "groups": {"type": "object"},
-        "checkCount": {"type": "integer"},
-        "sequence": {"type": "object"},
-        "timingSeconds": {"type": "number"},
-    },
-    "required": ["command", "config", "versions", "pass"],
-    "additionalProperties": False,
-}
-
-
 def _is_number(value) -> bool:
     """A JSON number: int or float, not bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -396,7 +377,7 @@ def _float_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
 def operator_from_config(data: dict) -> RealLinearMap:
     n = data["n"]
     if "A" in data:
-        return RealLinearMap(SpaceContext(n), _float_array(data["A"], "A", (2 * n, 2 * n)))
+        return RealLinearMap(_float_array(data["A"], "A", (2 * n, 2 * n)))
     return RealLinearMap.from_blocks(_float_array(data["R"], "R", (n, n)),
                                      _float_array(data["T"], "T", (n, n)))
 
@@ -447,7 +428,11 @@ def _build_function(spec: dict, n: int):
         alpha = _alpha(spec, n) if kind == "monomial_gaussian" else None
         P = _float_array(spec.get("P", np.eye(n)), "P", (n, n))
         b = _float_array(spec.get("b", np.zeros(n)), "b", (n,))
-        out = GaussPoly.gaussian(P, b=b, coeff=spec.get("coeff", 1.0))
+        coeff = spec.get("coeff", 1.0)
+        for key, value in (("P", P), ("b", b), ("coeff", coeff)):
+            if not np.all(np.isfinite(value)):
+                raise ConfigError(f"function key '{key}' holds a non-finite number")
+        out = GaussPoly.gaussian(P, b=b, coeff=coeff)
         if alpha is not None:
             out = GaussPoly(
                 out.poly * Polynomial.monomial(n, alpha), out.P, out.b, out.gamma
@@ -639,8 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("FOCK_LOG", "WARNING").upper()
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
+    # getLevelName maps a level name to its number and anything else to a string
+    level = logging.getLevelName(os.environ.get("FOCK_LOG", "WARNING").upper())
+    logging.basicConfig(stream=sys.stderr,
+                        level=level if isinstance(level, int) else logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
 

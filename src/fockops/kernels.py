@@ -29,9 +29,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .operators import OperatorContext, RealLinearMap, build_context
+from .operators import OperatorContext
 from .quadrature import QuadratureRule, _reduce, _require_finite
-from .report import CheckResult, make_bound_check, make_check
 from .symbolic import GaussPoly, bilinear_rows, check_rows
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "fock_inner_product",
     "fock_norm",
     "normalized_monomial",
-    "det_identity_suite",
 ]
 
 DEFAULT_NODES_BY_DIM = {2: 40, 4: 20, 6: 10}
@@ -177,6 +175,8 @@ def fock_gram(
 
     The grid is built once and each G_j evaluated on it once; the F_i are
     streamed one row at a time, so memory holds the G columns and one row.
+    An F_i that is also some G_j (the same object) takes the conjugate of
+    that column, bit for bit its values, instead of a second evaluation.
     Every entry is reduced exactly as a single inner product would be.
     A given rule must be one :func:`fock_rule` builds for ``ctx``: a rule
     for another Gaussian would weight the integrand wrongly.
@@ -193,9 +193,10 @@ def fock_gram(
     started = time.perf_counter()
     Z, W = _complex_grid(rule)
     columns = [np.conj(_evaluated(G, Z)) for G in Gs]
+    by_id = {id(G): column for G, column in zip(Gs, columns)}
     out = np.empty((len(Fs), len(columns)), dtype=complex)
     for i, F in enumerate(Fs):
-        row = _evaluated(F, Z)
+        row = np.conj(by_id[id(F)]) if id(F) in by_id else _evaluated(F, Z)
         for j, column in enumerate(columns):
             out[i, j] = _reduce(row * column, W)
     log.debug("fock_gram dim %d, %d nodes, %dx%d in %.3fs", rule.dim, W.shape[0],
@@ -226,54 +227,3 @@ def normalized_monomial(n: int, alpha) -> GaussPoly:
     norm = math.sqrt(math.prod(math.factorial(a) for a in alpha))
     return GaussPoly.monomial(n, alpha, 1.0 / norm)
 
-
-def det_identity_suite(R: np.ndarray, T: np.ndarray) -> list[CheckResult]:
-    """The four determinant identities tying the kernel normalization to
-    the block form of the weight.
-
-    (a) c_a^{-2} = det T / (sqrt(det S) det L) with L = (2T - S)^{1/2};
-    (b) det R det T / det((R+T)/2)^2 equals
-        det(I + (D/sqrt2 - D^{-1}/sqrt2)^2)^{-2} with D = (R^{-1/2} T R^{-1/2})^{1/4};
-    (c) sqrt(det R det T) <= det((R+T)/2), an arithmetic-geometric bound;
-    (d) c_a^{-2} c^2 = sqrt(det H) / (2 pi)^{n/2} for the restriction weight c.
-    """
-    R = np.asarray(R, dtype=float)
-    T = np.asarray(T, dtype=float)
-    n = R.shape[0]
-    ctx = build_context(RealLinearMap.from_blocks(R, T))
-
-    det_r = float(np.linalg.det(R))
-    det_t = float(np.linalg.det(T))
-    det_s = ctx.det_s
-    det_l = float(np.linalg.det(ctx.L))
-    ca_m2 = ctx.c_a**-2
-
-    checks = [
-        make_check(
-            "kernel_constant_block_form",
-            ca_m2,
-            det_t / (math.sqrt(det_s) * det_l),
-            1e-12,
-        )
-    ]
-
-    mean = 0.5 * (R + T)
-    lhs_b = det_r * det_t / float(np.linalg.det(mean)) ** 2
-    D = ctx.D
-    inner = (D - np.linalg.inv(D)) / math.sqrt(2.0)
-    rhs_b = float(np.linalg.det(np.eye(n) + inner @ inner)) ** -2
-    checks.append(make_check("determinant_identity", lhs_b, rhs_b, 1e-10))
-
-    checks.append(
-        make_bound_check(
-            "determinant_inequality",
-            math.sqrt(det_r * det_t),
-            float(np.linalg.det(mean)),
-            1e-12 * max(1.0, abs(float(np.linalg.det(mean)))),
-        )
-    )
-
-    lhs_d = ca_m2 * ctx.c_restriction**2
-    rhs_d = math.sqrt(ctx.det_h) / (2.0 * math.pi) ** (n / 2.0)
-    checks.append(make_check("constant_consistency", lhs_d, rhs_d, 1e-12))
-    return checks

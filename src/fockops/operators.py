@@ -34,7 +34,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SpaceContext",
     "RealLinearMap",
     "OperatorContext",
     "require_spd",
@@ -44,7 +43,6 @@ __all__ = [
     "sqrt_spd",
     "inv_sqrt_spd",
     "h_eigenbasis",
-    "hermitian_inner",
     "to_real_coords",
     "to_complex_coords",
 ]
@@ -52,11 +50,6 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 SPD_EIG_RTOL = 1e-10  # smallest eigenvalue must exceed this times ||A||
 REAL_FORM_RTOL = 1e-12
-
-
-def hermitian_inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Complex inner product <u, v> = sum_j u_j conj(v_j)."""
-    return complex(np.dot(u, np.conj(v)))
 
 
 def to_real_coords(z: np.ndarray) -> np.ndarray:
@@ -73,18 +66,29 @@ def to_complex_coords(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpaceContext:
-    """Complex dimension and the fixed real-basis conventions."""
+class RealLinearMap:
+    """A real-linear operator on C^n stored as its 2n x 2n real matrix; n and
+    the fixed real-basis conventions J and sigma are read off its size."""
 
-    n: int
+    entries: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatchError("complex dimension must be >= 1")
+        entries = np.array(self.entries, dtype=float)
+        d = entries.shape[0] if entries.ndim == 2 else 0
+        if entries.shape != (d, d) or d == 0 or d % 2:
+            raise DimensionMismatchError(
+                f"expected a 2n x 2n matrix with n >= 1, got shape {entries.shape}"
+            )
+        if not np.all(np.isfinite(entries)):
+            i, j = np.argwhere(~np.isfinite(entries))[0]
+            raise ConfigError(f"operator entry ({i}, {j}) is {entries[i, j]}, not finite")
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
-    def real_dim(self) -> int:
-        return 2 * self.n
+    def n(self) -> int:
+        """Complex dimension."""
+        return self.entries.shape[0] // 2
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -104,30 +108,9 @@ class SpaceContext:
         S.flags.writeable = False
         return S
 
-
-@dataclass(frozen=True)
-class RealLinearMap:
-    """A real-linear operator on C^n stored as its 2n x 2n real matrix."""
-
-    space: SpaceContext
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        d = self.space.real_dim
-        if entries.shape != (d, d):
-            raise DimensionMismatchError(
-                f"expected a {d}x{d} matrix for n={self.space.n}, got {entries.shape}"
-            )
-        if not np.all(np.isfinite(entries)):
-            i, j = np.argwhere(~np.isfinite(entries))[0]
-            raise ConfigError(f"operator entry ({i}, {j}) is {entries[i, j]}, not finite")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
     @classmethod
-    def identity(cls, space: SpaceContext) -> "RealLinearMap":
-        return cls(space, np.eye(space.real_dim))
+    def identity(cls, n: int) -> "RealLinearMap":
+        return cls(np.eye(2 * n))
 
     @classmethod
     def from_blocks(cls, X: np.ndarray, Y: np.ndarray) -> "RealLinearMap":
@@ -140,7 +123,7 @@ class RealLinearMap:
         M = np.zeros((2 * n, 2 * n))
         M[:n, :n] = X
         M[n:, n:] = Y
-        return cls(SpaceContext(n), M)
+        return cls(M)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """Apply to a complex vector."""
@@ -153,7 +136,8 @@ class RealLinearMap:
 def _two_norm(X: np.ndarray, tol: float) -> float:
     """The 2-norm of X, or its Frobenius norm (an upper bound) when that is
     within ``tol``: a comparison with ``tol`` comes out as the 2-norm's
-    would, and the SVD runs only when the bound cannot decide it."""
+    would, and the SVD runs only when the bound cannot decide it (or
+    overflows)."""
     bound = float(np.linalg.norm(X))
     return bound if bound <= tol else float(np.linalg.norm(X, 2))
 
@@ -201,7 +185,7 @@ def require_spd(A: RealLinearMap) -> tuple[float, np.ndarray]:
 
 def _split(A: RealLinearMap) -> tuple[np.ndarray, np.ndarray]:
     """The real matrices of (H, K) of ``decompose``, for a weight already validated."""
-    J = A.space.J
+    J = A.J
     E = A.entries
     JAJ = J @ E @ J
     return 0.5 * (E - JAJ), 0.5 * (E + JAJ)
@@ -215,13 +199,13 @@ def decompose(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
     """
     require_spd(A)
     H, K = _split(A)
-    return RealLinearMap(A.space, H), RealLinearMap(A.space, K)
+    return RealLinearMap(H), RealLinearMap(K)
 
 
 def decomposition_residuals(A: RealLinearMap, H: RealLinearMap, K: RealLinearMap) -> dict:
     """||A - H - K||, ||HJ - JH|| and ||KJ + JK|| in the 2-norm, each
     relative to ||A||: zero up to rounding for (H, K) = decompose(A)."""
-    J = A.space.J
+    J = A.J
     scale = A.norm()
     return {
         "sum": float(np.linalg.norm(A.entries - H.entries - K.entries, 2) / scale),
@@ -233,8 +217,8 @@ def decomposition_residuals(A: RealLinearMap, H: RealLinearMap, K: RealLinearMap
 def _eigh_pd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a real symmetric
     or complex Hermitian matrix M, once M is checked to be one (within
-    1e-10 of its Frobenius norm) and positive definite; raises the error of
-    its kind, naming ``what``, if it is not."""
+    1e-10 of its Frobenius norm, which may overflow) and positive definite;
+    raises the error of its kind, naming ``what``, if it is not."""
     M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     adjoint = M.conj().T
     asym = float(np.linalg.norm(M - adjoint))
@@ -271,7 +255,7 @@ class OperatorContext:
     """A validated weight operator together with everything derived from it.
 
     Each part of the weight is held once: the real 2n x 2n parts H and K
-    are ``decompose(A)`` and the space is ``A.space``.  Attributes R, T, S,
+    are ``decompose(A)`` and the dimension is ``A.n``.  Attributes R, T, S,
     L, M, D are the n x n real blocks available only when the weight maps
     the real subspace into itself (``real_preserving``); transforms that
     integrate over the real subspace require them.  H_matrix is the complex
@@ -298,7 +282,7 @@ class OperatorContext:
 
     @property
     def n(self) -> int:
-        return self.A.space.n
+        return self.A.n
 
     @property
     def det_v_a(self) -> float:
@@ -332,26 +316,31 @@ class OperatorContext:
             )
 
     def summary(self) -> dict:
+        """The scalars and blocks a report shows.  A determinant among them
+        that is beyond the float range is a ConfigError: the weight is too
+        large to be reported."""
+        with np.errstate(over="ignore"):
+            dets = {"detVA": self.det_v_a, "detH": self.det_h}
+            if self.real_preserving:
+                dets.update(detR=self.det_r, detT=self.det_t, detS=self.det_s)
+        for key, value in dets.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"the weight's determinant {key} is beyond the float range")
         out = {
             "n": self.n,
             "realPreserving": self.real_preserving,
             "cA": self.c_a,
             "c": self.c_restriction,
-            "detVA": self.det_v_a,
-            "detH": self.det_h,
+            **dets,
         }
         if self.real_preserving:
-            out.update(
-                detR=self.det_r,
-                detT=self.det_t,
-                detS=self.det_s,
-                R=self.R.tolist(),
-                T=self.T.tolist(),
-                S=self.S.tolist(),
-            )
+            out.update(R=self.R.tolist(), T=self.T.tolist(), S=self.S.tolist())
         return out
 
 
+# a weight near the float maximum overflows Frobenius norms, and each
+# use of them copes with an inf
+@np.errstate(over="ignore")
 def build_context(A: RealLinearMap) -> OperatorContext:
     """Validate a weight operator and assemble all derived quantities.
 
@@ -359,7 +348,7 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     log space from eigenvalues so that large dimensions do not overflow.
     """
     norm, a_vals = require_spd(A)
-    n = A.space.n
+    n = A.n
     # the first block column of a map is its action on real vectors, where
     # z = conj(z): H z = Hc z and K z = Kc conj(z) read the same block
     Hc, Kc = (X[:n, :n] + 1j * X[n:, :n] for X in _split(A))

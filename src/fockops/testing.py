@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import RealLinearMap, SpaceContext
+from .operators import RealLinearMap
 
 __all__ = [
     "random_spd_matrix",
@@ -33,7 +33,7 @@ def random_spd_matrix(rng: np.random.Generator, d: int,
 
 def random_spd_map(rng: np.random.Generator, n: int) -> RealLinearMap:
     """Random SPD weight on C^n (generally not real-preserving)."""
-    return RealLinearMap(SpaceContext(n), random_spd_matrix(rng, 2 * n))
+    return RealLinearMap(random_spd_matrix(rng, 2 * n))
 
 
 def random_real_preserving_map(
@@ -59,7 +59,7 @@ def rotated_weight(A: RealLinearMap, theta: float, axis: int = 0) -> RealLinearM
     Mixes the real and imaginary directions, producing weights that are
     SPD but do not preserve the real subspace.
     """
-    n = A.space.n
+    n = A.n
     d = 2 * n
     G = np.eye(d)
     i, j = axis, n + axis
@@ -68,4 +68,4 @@ def rotated_weight(A: RealLinearMap, theta: float, axis: int = 0) -> RealLinearM
     G[i, j] = -s
     G[j, i] = s
     G[j, j] = c
-    return RealLinearMap(A.space, G.T @ A.entries @ G)
+    return RealLinearMap(G.T @ A.entries @ G)

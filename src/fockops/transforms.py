@@ -13,7 +13,7 @@ each other's oracle, and the type of the input picks between them:
 Conventions: ``x`` and ``y`` denote points of the real subspace (real
 n-vectors), ``z`` and ``w`` points of the complexification.  Operators
 that integrate over the real subspace require a weight that preserves
-it; the phase operator and the multiplier do not.
+it; the phase factor and the multiplier do not.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from numpy.polynomial.hermite import herm2poly
 from .errors import ConfigError
 from .operators import OperatorContext
 from .quadrature import QuadratureRule, integrate_shifted
-from .report import fold
 from .symbolic import (
     GaussPoly,
     Polynomial,
@@ -45,9 +44,7 @@ __all__ = [
     "heat_density",
     "heat_kernel",
     "heat_convolve",
-    "semigroup_residual",
     "phase_factor",
-    "phase_operator",
     "restriction_gram",
     "restriction_modulus",
     "restriction_modulus_at",
@@ -255,20 +252,7 @@ def heat_convolve(P, t: float, h: GaussPoly) -> GaussPoly:
     return convolve_gaussian(_heat_coeff(Pt), Pt, h)
 
 
-def semigroup_residual(P, t: float, s: float, points) -> float:
-    """Max deviation of (kernel_t * kernel_s) from kernel_{t+s} on points."""
-    P = np.asarray(P, dtype=float)
-    composed = heat_convolve(P, t, heat_kernel(P, s))
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        target = heat_density(P, t + s, x)
-        err = abs(composed.evaluate(x) - target) / max(1.0, abs(target))
-        worst = fold(max, worst, err)
-    return worst
-
-
-# -- phase operator ------------------------------------------------------------
+# -- phase factor --------------------------------------------------------------
 
 
 def phase_factor(ctx: OperatorContext, x) -> complex:
@@ -277,20 +261,6 @@ def phase_factor(ctx: OperatorContext, x) -> complex:
     x = np.asarray(x, dtype=float)
     inner = complex(np.dot(x, np.conj(ctx.K_matrix @ x)))
     return complex(np.exp(1j * inner.imag))
-
-
-def phase_factor_from_weight(ctx: OperatorContext, x) -> complex:
-    """Same phase computed from the full weight, exp(i Im <x, Ax>)."""
-    x = np.asarray(x, dtype=float)
-    ax = ctx.A(x.astype(complex))
-    inner = complex(np.dot(x, np.conj(ax)))
-    return complex(np.exp(1j * inner.imag))
-
-
-def phase_operator(ctx: OperatorContext, h, x) -> complex:
-    """Multiplication by the unimodular phase; preserves |h(x)| exactly."""
-    x = np.asarray(x, dtype=float)
-    return phase_factor(ctx, x) * h.evaluate(x)
 
 
 # -- Segal-Bargmann transforms -------------------------------------------------

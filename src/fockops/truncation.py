@@ -84,11 +84,6 @@ class CaSequence:
     tail_bound: float | None
     verdict_note: str
 
-    def ca_inv(self) -> np.ndarray:
-        """Linear-domain values; may overflow to inf for divergent data."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_ca_inv)
-
     def to_json(self) -> dict:
         return {
             "logCaInv": self.log_ca_inv.tolist(),
@@ -137,7 +132,3 @@ def ca_sequence(spec: TruncationSpec) -> CaSequence:
     bounded, tail, note = _tail_estimate(increments)
     return CaSequence(log_ca_inv, increments, bounded, tail, note)
 
-
-def scalar_log_ca_inv(r: float, t: float, n: int) -> float:
-    """Closed form for constant eigenvalues: (n/2) log[(r+t)/(2 sqrt(rt))]."""
-    return 0.5 * n * math.log((r + t) / (2.0 * math.sqrt(r * t)))

@@ -11,9 +11,30 @@ import numpy as np
 import pytest
 
 import fockops as fo
-from fockops.cli import CONFIG_SCHEMAS, REPORT_SCHEMA, main
+from fockops.cli import CONFIG_SCHEMAS, main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# the shape every command's report has
+REPORT_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "command": {"enum": ["decompose", "eval", "verify", "truncate"]},
+        "config": {"type": "object"},
+        "versions": {"type": "object"},
+        "pass": {"type": "boolean"},
+        "context": {"type": "object"},
+        "matrices": {"type": "object"},
+        "residuals": {"type": "object"},
+        "values": {"type": "array"},
+        "groups": {"type": "object"},
+        "checkCount": {"type": "integer"},
+        "sequence": {"type": "object"},
+        "timingSeconds": {"type": "number"},
+    },
+    "required": ["command", "config", "versions", "pass"],
+    "additionalProperties": False,
+}
 
 
 def run_cli(capsys, *argv):
@@ -606,6 +627,24 @@ def test_weight_near_the_float_maximum_is_config_error(tmp_path, capsys, A, norm
     assert f"2-norm {norm} " in error["message"]
 
 
+@pytest.mark.parametrize("command, A", [
+    ("decompose", [[1e307, 0], [0, 1e307]]),
+    ("decompose", [[8e307, 0], [0, 8e307]]),
+    ("decompose", [[1e307, 5e306], [5e306, 1e307]]),
+    ("eval", [[1e307, 0], [0, 1e307]]),
+], ids=["decompose", "decompose-8e307", "decompose-full", "eval-kernel"])
+def test_weight_whose_determinant_overflows_is_config_error(tmp_path, capsys, command, A):
+    # det_V A = 1e614 was reported as null after three RuntimeWarnings, exit 0
+    config = {"operator": {"n": 1, "A": A}}
+    if command == "eval":
+        config["eval"] = {"target": "kernel", "points": [{"z": [0.1, 0.0], "w": [0.0, 0.0]}]}
+    code, out = run_cli(capsys, command, "--config", write_config(tmp_path, "cfg.json", config))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "config_invalid",
+        "message": "the weight's determinant detVA is beyond the float range"}
+
+
 def test_verify_monte_carlo_beyond_the_budget_is_node_budget_error(tmp_path, capsys,
                                                                   monkeypatch):
     import fockops.verification as verification
@@ -718,6 +757,41 @@ def test_ragged_or_missized_arrays_are_config_errors(tmp_path, capsys, command, 
     error = json.loads(out)["error"]
     assert error["kind"] == "config_invalid"
     assert error["message"].startswith(f"{key} must be ")
+
+
+@pytest.mark.parametrize("target", ["weighted_transform", "classical_transform"])
+@pytest.mark.parametrize("function, key", [
+    ('{"kind": "gaussian", "P": [[NaN]]}', "P"),
+    ('{"kind": "gaussian", "P": [[Infinity]]}', "P"),
+    ('{"kind": "gaussian", "P": [[1e400]]}', "P"),
+    ('{"kind": "gaussian", "b": [NaN]}', "b"),
+    ('{"kind": "gaussian", "coeff": Infinity}', "coeff"),
+    ('{"kind": "monomial_gaussian", "alpha": [1], "coeff": -1e400}', "coeff"),
+], ids=["P-nan", "P-inf", "P-1e400", "b-nan", "coeff-inf", "coeff-minus-1e400"])
+def test_eval_non_finite_function_parameters_are_config_errors(tmp_path, capsys, target,
+                                                               function, key):
+    # a non-finite P died in np.linalg.eigvals (exit 1); b and coeff gave
+    # evaluator_failure rows
+    path = tmp_path / "cfg.json"
+    path.write_text('{"operator": {"n": 1, "R": [[4.0]], "T": [[1.0]]}, "eval": '
+                    f'{{"target": "{target}", "points": [{{"z": [0.5, 0.1]}}], '
+                    f'"function": {function}}}}}')
+    code, out = run_cli(capsys, "eval", "--config", str(path))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "config_invalid", "message": f"function key '{key}' holds a non-finite number"}
+
+
+def test_fock_log_that_names_no_level_falls_back_to_warning(tmp_path):
+    # getattr(logging, "BASIC_FORMAT") is a format string, and basicConfig
+    # raised ValueError: Unknown level
+    env = {**os.environ, "FOCK_LOG": "basic_format",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "constant", "r": 4, "t": 1, "maxN": 3})
+    proc = subprocess.run([sys.executable, "-m", "fockops.cli", "truncate", "--config", cfg],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("truncate: pass in ")
 
 
 @pytest.mark.parametrize("function, key", [

@@ -10,15 +10,14 @@ import pytest
 from fockops import (
     ConfigError,
     EvaluatorError,
+    GaussPoly,
     HolomorphicFunction,
     QuadratureRule,
     Polynomial,
     RangeOverflowError,
     RealLinearMap,
-    SpaceContext,
     build_context,
     classical_to_weighted,
-    det_identity_suite,
     eval_functional_norm,
     fock_gram,
     fock_inner_product,
@@ -30,7 +29,12 @@ from fockops import (
     normalized_monomial,
     weighted_to_classical,
 )
-from fockops.testing import random_real_preserving_map, random_spd_map, random_spd_matrix
+from fockops.testing import random_real_preserving_map, random_spd_map
+from fockops.verification import (
+    VerifyConfig,
+    check_constant_identities,
+    check_determinant_identities,
+)
 
 
 def diag_ctx(r=4.0, t=1.0):
@@ -38,7 +42,7 @@ def diag_ctx(r=4.0, t=1.0):
 
 
 def identity_ctx(n=1):
-    return build_context(RealLinearMap.identity(SpaceContext(n)))
+    return build_context(RealLinearMap.identity(n))
 
 
 def test_measure_density_values():
@@ -241,6 +245,23 @@ def test_fock_gram_names_a_non_finite_column_value(value, kind):
         fock_gram(ctx, [_Spike(7, value)], [one], fock_rule(ctx, 10))
 
 
+def test_fock_gram_evaluates_a_function_given_as_row_and_column_once(monkeypatch):
+    ctx = diag_ctx()
+    rule = fock_rule(ctx, 20)
+    fams = [normalized_monomial(1, (k,)) for k in range(3)]
+    copies = [normalized_monomial(1, (k,)) for k in range(3)]
+    want = fock_gram(ctx, fams, copies, rule)
+    calls = []
+    evaluate_many = GaussPoly.evaluate_many
+    monkeypatch.setattr(GaussPoly, "evaluate_many",
+                        lambda self, Z: calls.append(self) or evaluate_many(self, Z))
+    gram = fock_gram(ctx, fams, fams, rule)
+    assert len(calls) == 3
+    assert np.array_equal(gram, want)
+    assert fock_norm(ctx, fams[1], rule) == math.sqrt(want[1, 1].real)
+    assert len(calls) == 4
+
+
 def test_fock_gram_logs_one_debug_line_per_call(caplog):
     ctx = diag_ctx()
     fams = [normalized_monomial(1, (k,)) for k in range(3)]
@@ -301,33 +322,10 @@ def test_weighted_map_is_isometry_on_monomials():
         assert abs(lhs - rhs) <= 1e-6
 
 
-def test_det_identity_suite_identity_blocks():
-    checks = det_identity_suite(np.eye(2), np.eye(2))
-    assert all(c.passed for c in checks)
-    ineq = next(c for c in checks if c.name == "determinant_inequality")
-    assert ineq.lhs == pytest.approx(ineq.rhs, rel=1e-14)
-
-
-def test_det_identity_suite_scalar_golden():
-    checks = det_identity_suite(np.array([[4.0]]), np.array([[1.0]]))
-    by_name = {c.name: c for c in checks}
-    det_id = by_name["determinant_identity"]
-    assert det_id.lhs == pytest.approx(0.64, abs=1e-12)
-    assert det_id.rhs == pytest.approx(0.64, abs=1e-12)
-    block = by_name["kernel_constant_block_form"]
-    assert block.lhs == pytest.approx(1.25, abs=1e-14)
-    assert all(c.passed for c in checks)
-
-
-def test_det_identity_suite_random_pairs():
-    rng = np.random.default_rng(83)
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        R = random_spd_matrix(rng, n)
-        T = random_spd_matrix(rng, n)
-        checks = det_identity_suite(R, T)
-        for c in checks:
-            assert c.passed, (c.name, c.residual)
-        if np.linalg.norm(R - T) > 1e-6:
-            ineq = next(c for c in checks if c.name == "determinant_inequality")
-            assert ineq.lhs < ineq.rhs - 1e-12
+def test_determinant_groups_pass_at_another_seed():
+    cfg = VerifyConfig(seed=83)
+    checks = check_constant_identities(cfg) + check_determinant_identities(cfg)
+    assert [c.name for c in checks if not c.passed] == []
+    # det R det T / det((R+T)/2)^2 = det(I + (D - D^-1)^2 / 2)^-2 = 0.64 at R = 4, T = 1
+    D = diag_ctx().D[0, 0]
+    assert (1.0 + (D - 1.0 / D) ** 2 / 2.0) ** -2 == pytest.approx(0.64, abs=1e-12)

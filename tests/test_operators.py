@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from fockops import (
+    ConfigError,
+    DimensionMismatchError,
     IllConditionedError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     RealLinearMap,
-    SpaceContext,
     build_context,
     decompose,
     h_eigenbasis,
     require_spd,
     sqrt_spd,
 )
-from fockops.operators import hermitian_inner
 from fockops.testing import random_spd_map, random_real_preserving_map, rotated_weight
 
 
@@ -23,22 +23,42 @@ def diag_weight(r=4.0, t=1.0):
     return RealLinearMap.from_blocks(np.array([[r]]), np.array([[t]]))
 
 
-def test_space_context_structure_matrices():
-    space = SpaceContext(3)
-    J, sigma = space.J, space.sigma
+def hermitian_inner(u: np.ndarray, v: np.ndarray) -> complex:
+    """Complex inner product <u, v> = sum_j u_j conj(v_j)."""
+    return complex(np.dot(u, np.conj(v)))
+
+
+def test_structure_matrices_are_read_off_the_size():
+    A = RealLinearMap(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+    assert A.n == 3
+    J, sigma = A.J, A.sigma
     assert np.array_equal(J @ J, -np.eye(6))
     assert np.array_equal(sigma @ sigma, np.eye(6))
+    assert np.array_equal(J, RealLinearMap.identity(3).J)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (0, 0), (4,)])
+def test_a_map_needs_an_even_square_matrix(shape):
+    with pytest.raises(DimensionMismatchError, match="2n x 2n"):
+        RealLinearMap(np.ones(shape))
+
+
+def test_a_determinant_beyond_the_float_range_is_config_error():
+    # det R = 1.4e5^60 overflows although det_V A = 2.8^60 does not
+    ctx = build_context(RealLinearMap.from_blocks(1.4e5 * np.eye(60), 2e-5 * np.eye(60)))
+    with pytest.raises(ConfigError, match="detR is beyond the float range"):
+        ctx.summary()
 
 
 def test_require_spd_identity():
-    A = RealLinearMap.identity(SpaceContext(1))
+    A = RealLinearMap.identity(1)
     norm, eigenvalues = require_spd(A)
     assert norm == 1.0 and np.array_equal(eigenvalues, [1.0, 1.0])
 
 
 def test_require_spd_indefinite_reports_eigenvalue():
     # eigenvalues of [[1, 2], [2, 1]] are 3 and -1
-    A = RealLinearMap(SpaceContext(1), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    A = RealLinearMap(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPositiveDefiniteError) as info:
         require_spd(A)
     assert not isinstance(info.value, IllConditionedError)
@@ -51,7 +71,7 @@ def test_require_spd_diagonal():
 
 
 def test_decompose_identity():
-    A = RealLinearMap.identity(SpaceContext(2))
+    A = RealLinearMap.identity(2)
     H, K = decompose(A)
     assert np.allclose(H.entries, np.eye(4), atol=1e-15)
     assert np.allclose(K.entries, 0.0, atol=1e-15)
@@ -65,13 +85,13 @@ def test_decompose_diagonal_weight_by_hand():
 
 
 def test_decompose_rejects_asymmetric():
-    A = RealLinearMap(SpaceContext(1), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    A = RealLinearMap(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(NotSymmetricError):
         decompose(A)
 
 
 def test_decompose_rejects_indefinite():
-    A = RealLinearMap(SpaceContext(1), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    A = RealLinearMap(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(NotPositiveDefiniteError):
         decompose(A)
 
@@ -97,7 +117,7 @@ def test_decompose_postconditions_random(n):
     for _ in range(60):
         A = random_spd_map(rng, n)
         H, K = decompose(A)
-        J = A.space.J
+        J = A.J
         scale = np.linalg.norm(A.entries, 2)
         assert np.linalg.norm(A.entries - H.entries - K.entries, 2) <= 1e-12 * scale
         assert np.linalg.norm(H.entries @ J - J @ H.entries, 2) <= 1e-12 * scale
@@ -125,7 +145,7 @@ def test_sigma_k_transpose_identity():
     for _ in range(20):
         A = random_spd_map(rng, 2)
         _, K = decompose(A)
-        sigma = A.space.sigma
+        sigma = A.sigma
         assert np.allclose((sigma @ K.entries).T, K.entries @ sigma, atol=1e-12)
 
 
@@ -168,7 +188,7 @@ def test_build_context_diagonal_goldens():
 
 
 def test_build_context_identity():
-    ctx = build_context(RealLinearMap.identity(SpaceContext(1)))
+    ctx = build_context(RealLinearMap.identity(1))
     assert ctx.real_preserving
     assert ctx.S[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert ctx.L[0, 0] == pytest.approx(1.0, abs=1e-14)
@@ -201,7 +221,7 @@ def test_context_block_reconstruction_and_dets():
             atol=1e-12 * np.linalg.norm(ctx.T),
         )
         assert np.allclose(
-            0.5 * (ctx.A.entries - ctx.A.space.J @ ctx.A.entries @ ctx.A.space.J),
+            0.5 * (ctx.A.entries - ctx.A.J @ ctx.A.entries @ ctx.A.J),
             RealLinearMap.from_blocks(
                 0.5 * (ctx.R + ctx.T), 0.5 * (ctx.R + ctx.T)
             ).entries,
@@ -209,7 +229,7 @@ def test_context_block_reconstruction_and_dets():
         )
         # conjugate-linear part is (R_V - T_V)/2 followed by conjugation
         half_diff = 0.5 * (ctx.R - ctx.T)
-        want_K = RealLinearMap.from_blocks(half_diff, half_diff).entries @ ctx.A.space.sigma
+        want_K = RealLinearMap.from_blocks(half_diff, half_diff).entries @ ctx.A.sigma
         assert np.allclose(decompose(A)[1].entries, want_K, atol=1e-12 * A.norm())
         # M = L^{-1} T squares against 2T - S
         gram = ctx.M.T @ ctx.M
@@ -239,7 +259,7 @@ def test_h_eigenbasis_scalar_and_identity():
     assert vals[0] == pytest.approx(2.5, abs=1e-14)
     assert vecs[0, 0] == pytest.approx(1.0, abs=1e-14)
 
-    vals2, vecs2 = h_eigenbasis(build_context(RealLinearMap.identity(SpaceContext(2))))
+    vals2, vecs2 = h_eigenbasis(build_context(RealLinearMap.identity(2)))
     assert np.allclose(vals2, [1.0, 1.0], atol=1e-14)
     assert np.allclose(vecs2, np.eye(2), atol=1e-12)
 
