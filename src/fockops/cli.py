@@ -22,13 +22,17 @@ round-trip digits, in an exponent notation that may differ from Python's
 ``--timing`` embeds it.  Exit codes: 0 success, 1 verification failure (for
 ``eval``, a row with an error: an exponent out of range or a non-finite
 value), 2 usage or configuration errors, reported as
-``{"error": {"kind": ...}}``: ``config_invalid`` for a config that cannot be
-read or fails its checks (a malformed or non-finite eval point, a ragged or
-wrongly sized ``A``, ``R``, ``T``, ``P`` or ``b``, a weight whose reported
-determinant is beyond the float range, non-finite truncate eigenvalues, an
-eval function with a key its kind never reads, with a non-finite ``P``,
-``b`` or ``coeff``, past MAX_FUNCTION_COEFFS or with coefficients beyond the
-float range, ...),
+``{"error": {"kind": ...}}``, a payload of the kind, the message and any
+details of the error (``asymmetry``, ``min_eigenvalue``,
+``eigenvalue_ratio``, ``exponent``): ``config_invalid`` for a config that
+cannot be read or fails its checks (a malformed or non-finite eval point,
+checked after the operator and the function, one point at a time; a ragged
+or wrongly sized ``A``, ``R``, ``T``, ``P`` or ``b``, a weight whose
+reported determinant is beyond the float range, non-finite truncate
+eigenvalues, an eval function with a key its kind never reads, with a
+non-finite ``P``, ``b`` or ``coeff``, past MAX_FUNCTION_COEFFS or with
+coefficients beyond the float range, ...), ``node_budget`` for a truncate
+generator's ``maxN`` or a verify ``mcSamples`` past NODE_BUDGET,
 ``output_unwritable`` for an ``--out`` or ``--csv`` path that cannot be
 written.  Set FOCK_LOG to a level name (e.g. DEBUG) for progress logging;
 any other value means WARNING.
@@ -105,7 +109,7 @@ OPERATOR_SCHEMA = {
 }
 
 # coordinate keys an eval point may carry: length per complex dimension and
-# what they are; _check_points and _coordinates enforce the shape
+# what they are; _coordinates enforces the shape
 POINT_KEYS = {"z": (2, "length-2n real coords"), "w": (2, "length-2n real coords"),
               "x": (1, "real subspace point")}
 
@@ -314,25 +318,6 @@ def _schema_error(value, schema: dict, path: str = "config") -> tuple[str, str] 
     return None
 
 
-def _check_points(points: list) -> None:
-    """Every eval point is an object of z/w/x keys, each a list of JSON numbers.
-
-    One pass over the batch in place of a schema descent per point; lengths
-    and finiteness are checked where each target reads its coordinates."""
-    for index, point in enumerate(points):
-        if not isinstance(point, dict):
-            raise ConfigError(f"invalid configuration: point {index} is not an object")
-        for key, coords in point.items():
-            if key not in POINT_KEYS:
-                raise ConfigError(
-                    f"invalid configuration: point {index} has unknown key {key!r}"
-                )
-            if not isinstance(coords, list) or not all(map(_is_number, coords)):
-                raise ConfigError(
-                    f"invalid configuration: point {index} '{key}' is not a list of numbers"
-                )
-
-
 def _parse_int(text: str) -> int:
     """A JSON integer; one outside the 64-bit range is rejected here, once."""
     if (value := int(text)) not in INT64:
@@ -356,8 +341,6 @@ def load_config(path: str | None, command: str, overrides: dict) -> dict:
     config = {**config, **overrides}
     if error := _schema_error(config, CONFIG_SCHEMAS[command]):
         raise ConfigError("invalid configuration: {} {}".format(*error))
-    if command == "eval":
-        _check_points(config["eval"]["points"])
     return config
 
 
@@ -438,13 +421,27 @@ def _build_function(spec: dict, n: int):
                 out.poly * Polynomial.monomial(n, alpha), out.P, out.b, out.gamma
             )
         return out
-    raise ConfigError(f"unknown function kind {kind!r}")
 
 
 def _coordinates(points: list, keys: tuple, n: int) -> list[np.ndarray]:
-    """The coordinates ``keys`` of every point as (m, length) float arrays,
-    checked point by point in the order the target reads them."""
-    for point in points:
+    """The coordinates ``keys`` of every point as (m, length) float arrays.
+
+    One pass over the batch in place of a schema descent per point: each
+    point is an object of z/w/x keys, each a list of JSON numbers, and then
+    holds the target's coordinates, checked in the order the target reads
+    them, at their length and finite."""
+    for index, point in enumerate(points):
+        if not isinstance(point, dict):
+            raise ConfigError(f"invalid configuration: point {index} is not an object")
+        for key, coords in point.items():
+            if key not in POINT_KEYS:
+                raise ConfigError(
+                    f"invalid configuration: point {index} has unknown key {key!r}"
+                )
+            if not isinstance(coords, list) or not all(map(_is_number, coords)):
+                raise ConfigError(
+                    f"invalid configuration: point {index} '{key}' is not a list of numbers"
+                )
         for key in keys:
             per_dim, what = POINT_KEYS[key]
             if key not in point:
@@ -476,8 +473,6 @@ def cmd_eval(config: dict) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):
             values, overflow = evaluate(ctx, fn, *coords), None
     except RangeOverflowError as err:
-        if err.values is None:
-            raise
         values, overflow = err.values, err
     rows = [{"point": point, "value": complex_json(complex(value))}
             for point, value in zip(points, values.tolist())]
@@ -544,8 +539,6 @@ COMMANDS = {
 
 
 def write_csv(path: str, report: dict) -> None:
-    if report["command"] != "eval":
-        raise ConfigError("CSV export only applies to point evaluations")
     rows = report["values"]
     keys = sorted({k for row in rows for k in row["point"]})
     widths = {key: max(len(row["point"].get(key, [])) for row in rows) for key in keys}

@@ -8,12 +8,18 @@ from __future__ import annotations
 
 
 class FockError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  Its keyword details are kept as
+    attributes and follow the kind and the message in its payload."""
 
     kind = "error"
 
+    def __init__(self, message: str, **details):
+        super().__init__(message)
+        self.details = details
+        vars(self).update(details)
+
     def payload(self) -> dict:
-        return {"kind": self.kind, "message": str(self)}
+        return {"kind": self.kind, "message": str(self), **self.details}
 
 
 class DimensionMismatchError(FockError):
@@ -23,29 +29,9 @@ class DimensionMismatchError(FockError):
 class NotSymmetricError(FockError):
     kind = "not_symmetric"
 
-    def __init__(self, message: str, asymmetry: float | None = None):
-        super().__init__(message)
-        self.asymmetry = asymmetry
-
-    def payload(self) -> dict:
-        out = super().payload()
-        if self.asymmetry is not None:
-            out["asymmetry"] = self.asymmetry
-        return out
-
 
 class NotPositiveDefiniteError(FockError):
     kind = "not_positive_definite"
-
-    def __init__(self, message: str, min_eigenvalue: float | None = None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
-    def payload(self) -> dict:
-        out = super().payload()
-        if self.min_eigenvalue is not None:
-            out["min_eigenvalue"] = self.min_eigenvalue
-        return out
 
 
 class RealFormError(FockError):
@@ -61,43 +47,22 @@ class IllConditionedError(NotPositiveDefiniteError):
 
     kind = "ill_conditioned"
 
-    def __init__(self, message: str, min_eigenvalue: float, eigenvalue_ratio: float):
-        super().__init__(message, min_eigenvalue)
-        self.eigenvalue_ratio = eigenvalue_ratio
-
-    def payload(self) -> dict:
-        out = super().payload()
-        out["eigenvalue_ratio"] = self.eigenvalue_ratio
-        return out
-
 
 class RangeOverflowError(FockError):
     """An exponent left the representable range; carries the exponent.
 
-    Raised by the evaluation of a batch of points, it also carries
-    ``exponents``, the exponent of each row that left the range (NaN at the
-    others), and ``values``, the value of each other row (NaN at those);
-    ``row(i)`` is the error a one-point call at row i raises, and the batch
-    error is the one of its largest exponent."""
+    Raised by the evaluation of a batch of points, it also carries, outside
+    its payload, ``exponents``, the exponent of each row that left the range
+    (NaN at the others), ``values``, the value of each other row (NaN at
+    those), and ``template``, its message format; ``row(i)`` is the error a
+    one-point call at row i raises, and the batch error is that of its
+    largest exponent."""
 
     kind = "range_overflow"
 
-    def __init__(self, message: str, exponent: float, exponents=None, values=None,
-                 template: str | None = None):
-        super().__init__(message)
-        self.exponent = exponent
-        self.exponents = exponents
-        self.values = values
-        self.template = template
-
     def row(self, index: int) -> "RangeOverflowError":
         exponent = float(self.exponents[index])
-        return RangeOverflowError(self.template.format(exponent), exponent)
-
-    def payload(self) -> dict:
-        out = super().payload()
-        out["exponent"] = self.exponent
-        return out
+        return RangeOverflowError(self.template.format(exponent), exponent=exponent)
 
 
 class DivergenceError(FockError):

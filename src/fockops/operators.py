@@ -216,13 +216,15 @@ def decomposition_residuals(A: RealLinearMap, H: RealLinearMap, K: RealLinearMap
 
 def _eigh_pd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a real symmetric
-    or complex Hermitian matrix M, once M is checked to be one (within
-    1e-10 of its Frobenius norm, which may overflow) and positive definite;
-    raises the error of its kind, naming ``what``, if it is not."""
+    or complex Hermitian matrix M, once M is checked to be one (a finite
+    asymmetry within 1e-10 of its Frobenius norm, which may overflow) and
+    positive definite; raises the error of its kind, naming ``what``, if not."""
     M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     adjoint = M.conj().T
-    asym = float(np.linalg.norm(M - adjoint))
-    if asym > 1e-10 * max(float(np.linalg.norm(M)), 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = float(np.linalg.norm(M - adjoint))
+        scale = max(float(np.linalg.norm(M)), 1.0)
+    if not (math.isfinite(asym) and asym <= 1e-10 * scale):
         raise NotSymmetricError(f"{what} is not symmetric", asymmetry=asym)
     vals, vecs = np.linalg.eigh(0.5 * (M + adjoint))
     if vals[0] <= 0.0:

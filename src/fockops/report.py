@@ -27,8 +27,6 @@ def complex_json(value):
     """Numbers serialize as-is; complex values as {"re": .., "im": ..}."""
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if value is None:
-        return None
     return float(value)
 
 
@@ -45,8 +43,8 @@ def fold(pick, acc: float, value: float) -> float:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    lhs: complex | float | None
-    rhs: complex | float | None
+    lhs: complex | float
+    rhs: complex | float
     residual: float
     tolerance: float
     passed: bool

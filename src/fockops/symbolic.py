@@ -69,7 +69,9 @@ def check_rows(expo, evaluate, size: int, message: str = OVERFLOW_MESSAGE) -> No
     if ok.any():
         values[ok] = evaluate(ok)
     worst = float(np.nanmax(first))
-    raise RangeOverflowError(message.format(worst), worst, first, values, message)
+    err = RangeOverflowError(message.format(worst), exponent=worst)
+    err.exponents, err.values, err.template = first, values, message
+    raise err
 
 
 def bilinear_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -374,9 +376,6 @@ class CallableField:
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=complex)
-
-    def evaluate(self, x) -> complex:
-        return complex(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _require_decaying(Q: np.ndarray, what: str) -> None:

@@ -20,7 +20,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NodeBudgetError
+from .quadrature import NODE_BUDGET
 
 __all__ = ["TruncationSpec", "CaSequence", "ca_sequence"]
 
@@ -55,6 +56,7 @@ class TruncationSpec:
 
     @classmethod
     def constant(cls, r: float, t: float, max_n: int) -> "TruncationSpec":
+        _require_budget(max_n)
         return cls([float(r)] * max_n, [float(t)] * max_n, max_n)
 
     @classmethod
@@ -66,12 +68,19 @@ class TruncationSpec:
         k^power is Python's ``pow``, not numpy's: numpy's float64 power may
         differ from it in the last bit (and is then usually the less
         accurate), which would move the reported sequence."""
+        _require_budget(max_n)
         try:
             powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
         except OverflowError as err:
             raise ConfigError(f"k^power overflows for power {power}") from err
         r = base + amplitude / powers
         return cls(r, np.full_like(r, base), max_n)
+
+
+def _require_budget(max_n: int) -> None:
+    """Refuse a generated tower of more than NODE_BUDGET terms before it is built."""
+    if max_n > NODE_BUDGET:
+        raise NodeBudgetError(f"max_n {max_n} exceeds the budget of {NODE_BUDGET} terms")
 
 
 @dataclass(frozen=True)

@@ -257,12 +257,14 @@ def test_eval_range_error_surfaced_per_point(tmp_path, capsys):
             },
         },
     )
-    code, out = run_cli(capsys, "eval", "--config", cfg)
+    csv_path = tmp_path / "vals.csv"
+    code, out = run_cli(capsys, "eval", "--config", cfg, "--csv", str(csv_path))
     report = json.loads(out)
     assert "value" in report["values"][0]
     assert report["values"][1]["error"]["kind"] == "range_overflow"
     assert report["pass"] is False
     assert code == 1
+    assert csv_path.read_text().splitlines()[2] == "1,40.0,0.0,40.0,0.0,,,range_overflow"
 
 
 def test_eval_error_rows_carry_their_own_exponent(tmp_path, capsys):
@@ -809,6 +811,29 @@ def test_eval_function_keys_its_kind_never_reads_are_rejected(tmp_path, capsys, 
     assert json.loads(out)["error"] == {
         "kind": "config_invalid",
         "message": f'invalid configuration: config.eval.function has the unknown key "{key}"'}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"target": "classical_transform", "points": [{"z": [0.1, 0.0]}],
+      "function": {"kind": "hermite", "alpha": [1, 2]}}, "alpha must have length 1"),
+    ({"target": "classical_transform", "points": [{"z": [0.1, 0.0]}]},
+     "target 'classical_transform' needs a 'function' entry"),
+    ({"target": "kernel", "points": []},
+     "invalid configuration: config.eval.points has 0 items, fewer than 1"),
+], ids=["alpha-length", "no-function", "no-points"])
+def test_eval_spec_errors_name_the_fault(tmp_path, capsys, spec, message):
+    cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": spec})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "config_invalid", "message": message}
+
+
+def test_truncate_beyond_the_budget_is_node_budget_error(tmp_path, capsys):
+    # the tower was allocated before any check and ended in a MemoryError
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "constant", "r": 4, "t": 1, "maxN": 2**62})
+    code, out = run_cli(capsys, "truncate", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "node_budget"
 
 
 def test_eval_function_of_unknown_kind_names_the_kinds(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from fockops import (
     ConfigError,
+    DimensionMismatchError,
     EvaluatorError,
     GaussPoly,
     HolomorphicFunction,
@@ -201,6 +202,8 @@ def test_fock_rule_for_another_gaussian_is_rejected():
         fock_norm(ctx, z, QuadratureRule(dim=2, nodes_per_axis=40))
     with pytest.raises(ConfigError):
         fock_inner_product(ctx, z, z, fock_rule(diag_ctx(2.0, 1.0), 40))
+    with pytest.raises(DimensionMismatchError, match="does not match 2n = 2"):
+        fock_gram(ctx, [z], [z], fock_rule(identity_ctx(2), 5))
     assert fock_norm(ctx, z, fock_rule(ctx, 40)) == pytest.approx(0.7905694150420949, rel=1e-8)
 
 

@@ -43,6 +43,16 @@ def test_a_map_needs_an_even_square_matrix(shape):
         RealLinearMap(np.ones(shape))
 
 
+@pytest.mark.parametrize("X, Y", [
+    (np.eye(2), np.eye(3)),
+    (np.ones((2, 3)), np.ones((2, 3))),
+    (np.ones(2), np.ones(2)),
+], ids=["unequal", "not-square", "vectors"])
+def test_blocks_must_be_square_matrices_of_equal_size(X, Y):
+    with pytest.raises(DimensionMismatchError, match="equal size"):
+        RealLinearMap.from_blocks(X, Y)
+
+
 def test_a_determinant_beyond_the_float_range_is_config_error():
     # det R = 1.4e5^60 overflows although det_V A = 2.8^60 does not
     ctx = build_context(RealLinearMap.from_blocks(1.4e5 * np.eye(60), 2e-5 * np.eye(60)))
@@ -168,6 +178,20 @@ def test_sqrt_spd_residual_random():
 def test_sqrt_spd_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         sqrt_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_sqrt_spd_rejects_an_asymmetry_that_overflows():
+    # the asymmetry and its bound were both inf, so the matrix passed and
+    # came out as NaN after three overflow warnings
+    with pytest.raises(NotSymmetricError) as err:
+        sqrt_spd(np.array([[1e308, -1e308], [1e308, 1e308]]))
+    assert err.value.asymmetry == np.inf
+
+
+def test_sqrt_spd_takes_a_symmetric_matrix_whose_norm_overflows():
+    # Frobenius norm sqrt(6) * 0.8e308 overflows; the asymmetry is 0
+    root = sqrt_spd(0.8e308 * np.eye(6))
+    np.testing.assert_allclose(root, np.sqrt(0.8e308) * np.eye(6), rtol=1e-15)
 
 
 def test_build_context_diagonal_goldens():

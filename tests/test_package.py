@@ -15,6 +15,22 @@ MODULES = ["fockops"] + [
 ]
 
 
+ERRORS = [value for value in vars(fockops).values()
+          if isinstance(value, type) and issubclass(value, fockops.FockError)]
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_every_error_payload_is_its_kind_message_and_details(cls):
+    err = cls("m", a=1)
+    assert err.payload() == {"kind": cls.kind, "message": "m", "a": 1}
+    assert err.a == 1
+
+
+def test_no_two_errors_share_a_kind():
+    kinds = [cls.kind for cls in ERRORS]
+    assert len(set(kinds)) == len(kinds) > 1
+
+
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)

@@ -95,6 +95,15 @@ def test_budget_rejected():
         QuadratureRule(dim=6, nodes_per_axis=40)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(dim=2, nodes_per_axis=0), "must be positive"),
+    (dict(dim=2, nodes_per_axis=5, scaling=np.eye(3)), "scaling must be 2x2"),
+], ids=["zero-nodes", "scaling-shape"])
+def test_malformed_rule_is_config_error(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        QuadratureRule(**kwargs)
+
+
 def test_nan_propagates_as_structured_error():
     rule = QuadratureRule(dim=1, nodes_per_axis=5)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fockops import CaSequence, RealLinearMap, TruncationSpec, build_context, ca_sequence
-from fockops.errors import ConfigError
+from fockops.errors import ConfigError, NodeBudgetError
+from fockops.quadrature import NODE_BUDGET
 
 
 def scalar_log_ca_inv(r: float, t: float, n: int) -> float:
@@ -92,6 +93,15 @@ def test_validation_rejects_bad_specs():
 def test_non_finite_eigenvalues_rejected(r, t):
     with pytest.raises(ConfigError, match="finite"):
         TruncationSpec(r, t, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda max_n: TruncationSpec.constant(4.0, 1.0, max_n),
+    lambda max_n: TruncationSpec.perturbation(1.0, 0.5, 2.0, max_n),
+], ids=["constant", "perturbation"])
+def test_generated_towers_beyond_the_budget_are_refused(make):
+    with pytest.raises(NodeBudgetError, match=str(NODE_BUDGET)):
+        make(NODE_BUDGET + 1)
 
 
 def test_perturbation_with_infinite_amplitude_rejected():
