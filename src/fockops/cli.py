@@ -26,7 +26,8 @@ value), 2 usage or configuration errors, reported as
 details of the error (``asymmetry``, ``min_eigenvalue``,
 ``eigenvalue_ratio``, ``exponent``): ``config_invalid`` for a config that
 cannot be read or fails its checks (a malformed or non-finite eval point,
-checked after the operator and the function, one point at a time; a ragged
+checked after the operator and the function, one point at a time, and
+before a target reads a real block and may raise ``requires_real_form``; a ragged
 or wrongly sized ``A``, ``R``, ``T``, ``P`` or ``b``, a weight whose
 reported determinant is beyond the float range, non-finite truncate
 eigenvalues, an eval function with a key its kind never reads, with a
@@ -457,8 +458,6 @@ def cmd_eval(config: dict) -> dict:
     ctx = build_context(operator_from_config(config["operator"]))
     spec = config["eval"]
     target, points = spec["target"], spec["points"]
-    if target in ("weighted_transform", "gaussian_transform", "coherent_state"):
-        ctx.require_real_form()
     fn = None
     if target.endswith("_transform"):
         if "function" not in spec:

@@ -11,9 +11,9 @@ Any real-linear map A splits as A = H + K with
     K = (A + J A J) / 2   (anticommutes with J: conjugate-linear).
 
 For a symmetric positive-definite weight A the derived objects needed by
-the kernel and transform modules (block restrictions R and T, the
-harmonic-mean block S, square roots, determinants, normalization
-constants) are assembled once into an :class:`OperatorContext`.
+the kernel and transform modules (square roots, determinants,
+normalization constants, and on first read the block restrictions R and
+T and the harmonic-mean block S) are held by an :class:`OperatorContext`.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _eigh_pd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         scale = max(float(np.linalg.norm(M)), 1.0)
     if not (math.isfinite(asym) and asym <= 1e-10 * scale):
         raise NotSymmetricError(f"{what} is not symmetric", asymmetry=asym)
-    vals, vecs = np.linalg.eigh(0.5 * (M + adjoint))
+    vals, vecs = np.linalg.eigh(0.5 * M + 0.5 * adjoint)
     if vals[0] <= 0.0:
         raise NotPositiveDefiniteError(
             f"{what} is not positive definite", min_eigenvalue=float(vals[0])
@@ -257,12 +257,12 @@ class OperatorContext:
     """A validated weight operator together with everything derived from it.
 
     Each part of the weight is held once: the real 2n x 2n parts H and K
-    are ``decompose(A)`` and the dimension is ``A.n``.  Attributes R, T, S,
-    L, M, D are the n x n real blocks available only when the weight maps
-    the real subspace into itself (``real_preserving``); transforms that
-    integrate over the real subspace require them.  H_matrix is the complex
-    n x n (Hermitian) matrix of the complex-linear part, K_matrix the
-    complex symmetric matrix C with K z = C conj(z).
+    are ``decompose(A)`` and the dimension is ``A.n``.  The n x n real
+    blocks R, T, S, L, M, D are derived, read-only, on first read; reading
+    one raises RealFormError unless the weight maps the real subspace into
+    itself (``real_preserving``).  H_matrix is the complex n x n
+    (Hermitian) matrix of the complex-linear part, K_matrix the complex
+    symmetric matrix C with K z = C conj(z).
     """
 
     A: RealLinearMap
@@ -271,12 +271,6 @@ class OperatorContext:
     sqrt_H_matrix: np.ndarray
     inv_sqrt_H_matrix: np.ndarray
     real_preserving: bool
-    R: np.ndarray | None
-    T: np.ndarray | None
-    S: np.ndarray | None
-    L: np.ndarray | None
-    M: np.ndarray | None
-    D: np.ndarray | None
     log_det_v_a: float
     log_det_h: float
     c_a: float
@@ -285,6 +279,44 @@ class OperatorContext:
     @property
     def n(self) -> int:
         return self.A.n
+
+    def _real_block(self, X: np.ndarray) -> np.ndarray:
+        """The block X, read-only; the one check of the real form."""
+        if not self.real_preserving:
+            raise RealFormError(
+                "operation requires a weight that preserves the real subspace"
+            )
+        X.flags.writeable = False
+        return X
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return self._real_block(np.array(self.A.entries[:self.n, :self.n]))
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        return self._real_block(np.array(self.A.entries[self.n:, self.n:]))
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """2 (R^-1 + T^-1)^-1, the harmonic-mean block."""
+        S = 2.0 * np.linalg.inv(np.linalg.inv(self.R) + np.linalg.inv(self.T))
+        S = 0.5 * (S + S.T)
+        _eigh_pd(S, "derived block S")
+        return self._real_block(S)
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        return self._real_block(_root(_eigh_pd(2.0 * self.T - self.S, "derived block 2T - S")))
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return self._real_block(np.linalg.solve(self.L, self.T))
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        inv_sqrt_R = inv_sqrt_spd(self.R)
+        return self._real_block(sqrt_spd(sqrt_spd(inv_sqrt_R @ self.T @ inv_sqrt_R)))
 
     @property
     def det_v_a(self) -> float:
@@ -298,24 +330,15 @@ class OperatorContext:
 
     @property
     def det_r(self) -> float:
-        self.require_real_form()
         return float(np.linalg.det(self.R))
 
     @property
     def det_t(self) -> float:
-        self.require_real_form()
         return float(np.linalg.det(self.T))
 
     @property
     def det_s(self) -> float:
-        self.require_real_form()
         return float(np.linalg.det(self.S))
-
-    def require_real_form(self) -> None:
-        if not self.real_preserving:
-            raise RealFormError(
-                "operation requires a weight that preserves the real subspace"
-            )
 
     def summary(self) -> dict:
         """The scalars and blocks a report shows.  A determinant among them
@@ -344,7 +367,7 @@ class OperatorContext:
 # use of them copes with an inf
 @np.errstate(over="ignore")
 def build_context(A: RealLinearMap) -> OperatorContext:
-    """Validate a weight operator and assemble all derived quantities.
+    """Validate a weight operator and assemble what every weight has.
 
     The normalization constant of the reproducing kernel is computed in
     log space from eigenvalues so that large dimensions do not overflow.
@@ -371,20 +394,6 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     tol = REAL_FORM_RTOL * norm
     real_preserving = _two_norm(E[n:, :n], tol) <= tol
 
-    R = T = S = L = M = D = None
-    if real_preserving:
-        R = np.array(E[:n, :n])
-        T = np.array(E[n:, n:])
-        S = 2.0 * np.linalg.inv(np.linalg.inv(R) + np.linalg.inv(T))
-        S = 0.5 * (S + S.T)
-        _eigh_pd(S, "derived block S")
-        L = _root(_eigh_pd(2.0 * T - S, "derived block 2T - S"))
-        M = np.linalg.solve(L, T)
-        inv_sqrt_R = inv_sqrt_spd(R)
-        D = sqrt_spd(sqrt_spd(inv_sqrt_R @ T @ inv_sqrt_R))
-        for arr in (R, T, S, L, M, D):
-            arr.flags.writeable = False
-
     return OperatorContext(
         A=A,
         H_matrix=Hc,
@@ -392,12 +401,6 @@ def build_context(A: RealLinearMap) -> OperatorContext:
         sqrt_H_matrix=_root(h_eig),
         inv_sqrt_H_matrix=_root(h_eig, inverse=True),
         real_preserving=real_preserving,
-        R=R,
-        T=T,
-        S=S,
-        L=L,
-        M=M,
-        D=D,
         log_det_v_a=log_det_v_a,
         log_det_h=log_det_h,
         c_a=c_a,

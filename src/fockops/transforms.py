@@ -12,8 +12,9 @@ each other's oracle, and the type of the input picks between them:
 
 Conventions: ``x`` and ``y`` denote points of the real subspace (real
 n-vectors), ``z`` and ``w`` points of the complexification.  Operators
-that integrate over the real subspace require a weight that preserves
-it; the phase factor and the multiplier do not.
+that integrate over the real subspace read the context's real blocks,
+which raise RealFormError for a weight that does not preserve it; the
+phase factor and the multiplier read none.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ def restrict(ctx: OperatorContext, F: GaussPoly) -> GaussPoly:
     Needs the weight to preserve the real subspace (the damping
     exp(-x.Rx/2) is what makes the restriction land in L^2).
     """
-    ctx.require_real_form()
     return GaussPoly(F.poly * ctx.c_restriction, ctx.R + F.P, F.b, F.gamma)
 
 
@@ -190,7 +190,6 @@ def _evaluate(h, z, kernel, closed):
 
 
 def _adjoint_kernel(ctx: OperatorContext):
-    ctx.require_real_form()
     return ctx.c_a**-2 * ctx.c_restriction, 0.5 * (ctx.R + ctx.T), ctx.R
 
 
@@ -202,7 +201,6 @@ def restrict_adjoint(ctx: OperatorContext, h, z) -> complex:
 
 def restriction_gram(ctx: OperatorContext, h, x) -> complex:
     """The Gram operator R R* of the restriction map, at a real point."""
-    ctx.require_real_form()
     x = np.asarray(x, dtype=float)
     damp = ctx.c_restriction * math.exp(-0.5 * float(np.dot(x, ctx.R @ x)))
     return damp * restrict_adjoint(ctx, h, x.astype(complex))
@@ -210,7 +208,6 @@ def restriction_gram(ctx: OperatorContext, h, x) -> complex:
 
 def _modulus_kernel(ctx: OperatorContext):
     """The heat kernel of (R + T)/2 at half time."""
-    ctx.require_real_form()
     G = ctx.R + ctx.T
     return _heat_coeff(G), G, None
 
@@ -286,7 +283,6 @@ def segal_bargmann_classical(g, z):
 def _sb_kernel(ctx: OperatorContext):
     """Kernel exp(-(z-y).H(z-y)), Gaussian because the complex-linear part
     is positive, under the entire envelope exp(z.Rz/2)."""
-    ctx.require_real_form()
     prefactor = (2.0 / math.pi) ** (ctx.n / 4.0) * math.exp(
         0.75 * ctx.log_det_h - 0.25 * ctx.log_det_v_a
     )
@@ -306,13 +302,11 @@ def segal_bargmann(ctx: OperatorContext, f, z):
 
 def density_s(ctx: OperatorContext) -> GaussPoly:
     """The Gaussian probability density for the harmonic-mean block."""
-    ctx.require_real_form()
     return GaussPoly.gaussian(ctx.S, coeff=_heat_coeff(ctx.S))
 
 
 def _gaussian_kernel(ctx: OperatorContext):
     """Convolution with the T-block density, no envelope."""
-    ctx.require_real_form()
     return _heat_coeff(ctx.T), ctx.T, None
 
 
@@ -337,7 +331,6 @@ def coherent_state_fn(ctx: OperatorContext, z) -> GaussPoly:
     membership in the S-weighted L^2 space is what the positivity of
     2T - S guarantees.
     """
-    ctx.require_real_form()
     z = np.asarray(z, dtype=complex)
     T, S = ctx.T, ctx.S
     coeff = _heat_coeff(T) / _heat_coeff(S)
@@ -354,7 +347,6 @@ def coherent_state(ctx: OperatorContext, x, z):
     one point each (a complex comes back) or (m, n) batches (m values, each
     with the bits of a one-point call; rows out of range are rows of the
     RangeOverflowError raised)."""
-    ctx.require_real_form()
     x = np.asarray(x, dtype=complex)
     z = np.asarray(z, dtype=complex)
     if z.ndim == 1:
@@ -382,7 +374,6 @@ def kernel_from_densities(ctx: OperatorContext, z, w) -> complex:
     recentered at the real part of the integrand's stationary point;
     what remains under the quadrature weight is bounded and analytic.
     """
-    ctx.require_real_form()
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     decay = 2.0 * ctx.T - ctx.S
@@ -455,7 +446,6 @@ def ground_state(n: int) -> GaussPoly:
 
 def weighted_ground_state(ctx: OperatorContext) -> GaussPoly:
     """Unit-norm Gaussian matched to the complex-linear part of the weight."""
-    ctx.require_real_form()
     Hn = 0.5 * (ctx.R + ctx.T)
     coeff = (2.0 / math.pi) ** (ctx.n / 4.0) * math.exp(0.25 * ctx.log_det_h)
     return GaussPoly.gaussian(2.0 * Hn, coeff=coeff)

@@ -207,6 +207,13 @@ def test_fock_rule_for_another_gaussian_is_rejected():
     assert fock_norm(ctx, z, fock_rule(ctx, 40)) == pytest.approx(0.7905694150420949, rel=1e-8)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_fock_rule_has_no_default_node_count_beyond_n_3(n):
+    ctx = build_context(RealLinearMap.identity(n))
+    with pytest.raises(DimensionMismatchError, match=f"dimension {2 * n}; pass nodes_per_axis"):
+        fock_rule(ctx)
+
+
 @pytest.mark.parametrize("n, nodes", [(1, 40), (2, 12)])
 def test_fock_gram_entries_equal_single_inner_products_bit_for_bit(n, nodes):
     rng = np.random.default_rng(61 + n)

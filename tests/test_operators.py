@@ -1,5 +1,7 @@
 """Decomposition, derived context, and matrix-square-root behaviour."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fockops import (
     IllConditionedError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    RealFormError,
     RealLinearMap,
     build_context,
     decompose,
@@ -194,6 +197,29 @@ def test_sqrt_spd_takes_a_symmetric_matrix_whose_norm_overflows():
     np.testing.assert_allclose(root, np.sqrt(0.8e308) * np.eye(6), rtol=1e-15)
 
 
+def test_sqrt_spd_halves_before_it_adds():
+    # 0.5 * (M + M^T) overflowed to a NaN root here
+    np.testing.assert_array_equal(sqrt_spd(np.diag([1e308, 1e308])), 1e154 * np.eye(2))
+
+
+def test_blocks_are_derived_on_first_read():
+    ctx = build_context(random_real_preserving_map(np.random.default_rng(4), 2))
+    # each block reads only those before it
+    for name in ("R", "T", "S", "L", "M", "D"):
+        assert name not in vars(ctx)
+        block = getattr(ctx, name)
+        assert vars(ctx)[name] is block and not block.flags.writeable
+
+
+def test_blocks_of_a_weight_near_the_float_maximum():
+    # built outside build_context: pytest turns a RuntimeWarning into an error
+    ctx = build_context(RealLinearMap.from_blocks(4e307 * np.eye(2), 2e307 * np.eye(2)))
+    want = {"R": 4e307, "T": 2e307, "S": 8e307 / 3, "L": math.sqrt(4e307 / 3),
+            "M": 2e307 / math.sqrt(4e307 / 3), "D": 0.5**0.25}
+    for name, value in want.items():
+        np.testing.assert_allclose(getattr(ctx, name), value * np.eye(2), rtol=1e-14)
+
+
 def test_build_context_diagonal_goldens():
     ctx = build_context(diag_weight())
     assert ctx.real_preserving
@@ -223,7 +249,9 @@ def test_build_context_identity():
 def test_build_context_rotated_weight_loses_real_form():
     ctx = build_context(rotated_weight(diag_weight(), np.pi / 4))
     assert not ctx.real_preserving
-    assert ctx.R is None and ctx.T is None and ctx.S is None
+    for block in ("R", "T", "S"):
+        with pytest.raises(RealFormError):
+            getattr(ctx, block)
     # first real basis vector acquires an imaginary component under A
     image = ctx.A(np.array([1.0 + 0.0j]))
     assert abs(image[0].imag) > 0.1

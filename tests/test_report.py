@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fockops.cli import cmd_truncate
-from fockops.report import fold, make_bound_check, render_json
+from fockops.report import fold, make_bound_check, make_check, render_json
 
 
 @pytest.mark.parametrize("value, bound", [
@@ -112,3 +112,12 @@ def test_render_json_matches_stdlib_on_truncate_report():
 def test_render_json_rejects_what_stdlib_rejects():
     with pytest.raises(TypeError):
         render_json({"x": object()})
+
+
+@pytest.mark.parametrize("lhs, rhs", [(1 + 2j, 1.0), (1.0, 1 - 2j)])
+def test_check_with_a_complex_side_renders_both_as_re_im(lhs, rhs):
+    out = make_check("c", lhs, rhs, 1e-12).to_json()
+    assert out["lhs"] == {"re": complex(lhs).real, "im": complex(lhs).imag}
+    assert out["rhs"] == {"re": complex(rhs).real, "im": complex(rhs).imag}
+    assert out["residual"] == pytest.approx(2 / math.sqrt(5), rel=1e-15)
+    assert out["pass"] is False

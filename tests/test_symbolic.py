@@ -372,3 +372,24 @@ def test_derivative_is_polyder_to_the_bit():
         for part in (np.real, np.imag):
             assert np.array_equal(part(got), part(want))
             assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Polynomial(2, {(1,): 1.0}), r"bad multi-index \(1,\) for n=2"),
+    (lambda: Polynomial(1, {(-1,): 1.0}), r"bad multi-index \(-1,\) for n=1"),
+    (lambda: GaussPoly(Polynomial.constant(2, 1.0), np.eye(1), np.zeros(2), 0.0),
+     "GaussPoly dimensions disagree"),
+    (lambda: GaussPoly(Polynomial.constant(1, 1.0), np.eye(1), np.zeros(2), 0.0),
+     "GaussPoly dimensions disagree"),
+    (lambda: GaussPoly.one(2).shifted([1.0]), r"expected a vector of length 2, got \(1,\)"),
+    (lambda: convolve_gaussian(1.0, np.eye(2), GaussPoly.one(1)),
+     "kernel and function dimensions disagree"),
+])
+def test_malformed_symbolic_terms_are_unsupported_forms(build, match):
+    with pytest.raises(UnsupportedFormError, match=match):
+        build()
+
+
+def test_zero_term_collapses_to_the_zero_polynomial_whatever_its_gaussian():
+    zero = GaussPoly(Polynomial(2), 3.0 * np.eye(2), np.ones(2), 1.0)
+    assert zero.as_polynomial().is_zero()

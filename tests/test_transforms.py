@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fockops import (
     RealFormError,
     RealLinearMap,
     build_context,
+    classical_to_weighted,
     coherent_inner,
     coherent_state,
     fock_inner_product,
@@ -430,6 +432,61 @@ def test_weighted_transform_requires_real_form():
         np.array([[4.0]]), np.array([[1.0]])), np.pi / 4))
     with pytest.raises(RealFormError):
         segal_bargmann(ctx, GaussPoly.one(1), [0.0])
+
+
+# A point of the real subspace, a complex point and a function, in n = 2.
+_X, _Z, _F = np.array([0.3, -0.2]), np.array([0.4 + 0.1j, -0.5 + 0.3j]), GaussPoly.one(2)
+
+# Everything that reads a real block of the weight, by the name it is known by.
+NEEDS_REAL_FORM = {
+    "restrict": lambda ctx: restrict(ctx, _F),
+    "restrict_adjoint": lambda ctx: restrict_adjoint(ctx, _F, _Z),
+    "restriction_gram": lambda ctx: restriction_gram(ctx, _F, _X),
+    "restriction_modulus": lambda ctx: restriction_modulus(ctx, _F),
+    "restriction_modulus_at": lambda ctx: restriction_modulus_at(ctx, _F, _X),
+    "segal_bargmann_fn": lambda ctx: segal_bargmann_fn(ctx, _F),
+    "segal_bargmann": lambda ctx: segal_bargmann(ctx, _F, _Z),
+    "segal_bargmann_gaussian_fn": lambda ctx: segal_bargmann_gaussian_fn(ctx, _F),
+    "segal_bargmann_gaussian": lambda ctx: segal_bargmann_gaussian(ctx, _F, _Z),
+    "density_s": density_s,
+    "coherent_state_fn": lambda ctx: coherent_state_fn(ctx, _Z),
+    "coherent_state": lambda ctx: coherent_state(ctx, _X, _Z),
+    "coherent_inner": lambda ctx: coherent_inner(ctx, _Z, _Z),
+    "kernel_from_densities": lambda ctx: kernel_from_densities(ctx, _Z, _Z),
+    "weighted_ground_state": weighted_ground_state,
+    **{f"ctx.{name}": attrgetter(name) for name in
+       ("R", "T", "S", "L", "M", "D", "det_r", "det_t", "det_s")},
+}
+
+# What every weight has, real form or not.
+NEEDS_NO_REAL_FORM = {
+    "kernel": lambda ctx: kernel(ctx, _Z, _Z),
+    "multiplier": lambda ctx: multiplier(ctx, _X, _Z),
+    "translate": lambda ctx: translate(ctx, _X, _F),
+    "phase_factor": lambda ctx: phase_factor(ctx, _X),
+    "classical_to_weighted": lambda ctx: classical_to_weighted(ctx, _F),
+    "summary": lambda ctx: ctx.summary(),
+}
+
+
+def _rotated_ctx():
+    rng = np.random.default_rng(9)
+    return build_context(rotated_weight(random_real_preserving_map(rng, 2), 0.6, axis=1))
+
+
+@pytest.mark.parametrize("name", NEEDS_REAL_FORM)
+def test_what_reads_a_real_block_refuses_a_rotated_weight(name):
+    ctx = _rotated_ctx()
+    assert not ctx.real_preserving
+    with pytest.raises(RealFormError, match="preserves the real subspace"):
+        NEEDS_REAL_FORM[name](ctx)
+
+
+@pytest.mark.parametrize("name", NEEDS_NO_REAL_FORM)
+def test_what_needs_no_real_block_works_on_a_rotated_weight(name):
+    ctx = _rotated_ctx()
+    NEEDS_NO_REAL_FORM[name](ctx)
+    assert not any(block in vars(ctx) for block in "RTSLMD")
 
 
 def test_weighted_transform_unitary_on_gram_matrix():

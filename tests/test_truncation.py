@@ -134,3 +134,9 @@ def test_too_few_terms_give_no_verdict(max_n):
     assert not seq.bounded
     assert seq.tail_bound is None
     assert "too few terms" in seq.verdict_note
+
+
+@pytest.mark.parametrize("max_n", [0, -3])
+def test_non_positive_depth_is_config_error(max_n):
+    with pytest.raises(ConfigError, match="max_n must be positive"):
+        TruncationSpec([1.0], [1.0], max_n)
