@@ -41,7 +41,6 @@ from .operators import (
     RealLinearMap,
     build_context,
     decompose,
-    h_eigenbasis,
     inv_sqrt_spd,
     require_spd,
     sqrt_spd,

@@ -30,9 +30,10 @@ checked after the operator and the function, one point at a time, and
 before a target reads a real block and may raise ``requires_real_form``; a ragged
 or wrongly sized ``A``, ``R``, ``T``, ``P`` or ``b``, a weight whose
 reported determinant is beyond the float range, non-finite truncate
-eigenvalues, an eval function with a key its kind never reads, with a
-non-finite ``P``, ``b`` or ``coeff``, past MAX_FUNCTION_COEFFS or with
-coefficients beyond the float range, ...), ``node_budget`` for a truncate
+eigenvalues or a pair whose product is not a normal float, an eval
+function with a key its kind never reads, with a non-finite ``P``, ``b``
+or ``coeff``, past MAX_FUNCTION_COEFFS or with coefficients beyond the
+float range, ...), ``node_budget`` for a truncate
 generator's ``maxN`` or a verify ``mcSamples`` past NODE_BUDGET,
 ``output_unwritable`` for an ``--out`` or ``--csv`` path that cannot be
 written.  Set FOCK_LOG to a level name (e.g. DEBUG) for progress logging;

@@ -47,8 +47,6 @@ __all__ = [
     "normalized_monomial",
 ]
 
-DEFAULT_NODES_BY_DIM = {2: 40, 4: 20, 6: 10}
-
 log = logging.getLogger(__name__)
 
 
@@ -135,18 +133,12 @@ def classical_to_weighted(ctx: OperatorContext, F: GaussPoly) -> GaussPoly:
     return (F.compose_linear(ctx.sqrt_H_matrix) * twist).times_scalar(1.0 / ctx.c_a)
 
 
-def fock_rule(ctx: OperatorContext, nodes_per_axis: int | None = None) -> QuadratureRule:
+def fock_rule(ctx: OperatorContext, nodes_per_axis: int) -> QuadratureRule:
     """Quadrature rule for the weighted Gaussian measure over all 2n real
     coordinates.  (The measure's density exp(-(Az,z)) has precision 2A in
     the probabilist convention used by :class:`QuadratureRule`.)"""
-    dim = 2 * ctx.n
-    if nodes_per_axis is None:
-        nodes_per_axis = DEFAULT_NODES_BY_DIM.get(dim)
-        if nodes_per_axis is None:
-            raise DimensionMismatchError(
-                f"no default node count for dimension {dim}; pass nodes_per_axis"
-            )
-    return QuadratureRule(dim=dim, nodes_per_axis=nodes_per_axis, scaling=2.0 * ctx.A.entries)
+    return QuadratureRule(dim=2 * ctx.n, nodes_per_axis=nodes_per_axis,
+                          scaling=2.0 * ctx.A.entries)
 
 
 def _complex_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +161,7 @@ def fock_gram(
     ctx: OperatorContext,
     Fs: Sequence[GaussPoly],
     Gs: Sequence[GaussPoly],
-    rule: QuadratureRule | None = None,
+    rule: QuadratureRule,
 ) -> np.ndarray:
     """The matrix of <F_i, G_j> in the weighted space, by tensor quadrature.
 
@@ -178,11 +170,9 @@ def fock_gram(
     An F_i that is also some G_j (the same object) takes the conjugate of
     that column, bit for bit its values, instead of a second evaluation.
     Every entry is reduced exactly as a single inner product would be.
-    A given rule must be one :func:`fock_rule` builds for ``ctx``: a rule
-    for another Gaussian would weight the integrand wrongly.
+    The rule must be one :func:`fock_rule` builds for ``ctx``: a rule for
+    another Gaussian would weight the integrand wrongly.
     """
-    if rule is None:
-        rule = fock_rule(ctx)
     if rule.dim != 2 * ctx.n:
         raise DimensionMismatchError(
             f"rule dimension {rule.dim} does not match 2n = {2 * ctx.n}"
@@ -205,18 +195,13 @@ def fock_gram(
 
 
 def fock_inner_product(
-    ctx: OperatorContext,
-    F: GaussPoly,
-    G: GaussPoly,
-    rule: QuadratureRule | None = None,
+    ctx: OperatorContext, F: GaussPoly, G: GaussPoly, rule: QuadratureRule
 ) -> complex:
     """<F, G> in the weighted space: the 1x1 case of :func:`fock_gram`."""
     return complex(fock_gram(ctx, [F], [G], rule)[0, 0])
 
 
-def fock_norm(
-    ctx: OperatorContext, F: GaussPoly, rule: QuadratureRule | None = None
-) -> float:
+def fock_norm(ctx: OperatorContext, F: GaussPoly, rule: QuadratureRule) -> float:
     value = fock_inner_product(ctx, F, F, rule)
     return math.sqrt(max(value.real, 0.0))
 

@@ -42,7 +42,6 @@ __all__ = [
     "build_context",
     "sqrt_spd",
     "inv_sqrt_spd",
-    "h_eigenbasis",
     "to_real_coords",
     "to_complex_coords",
 ]
@@ -65,7 +64,7 @@ def to_complex_coords(v: np.ndarray) -> np.ndarray:
     return v[..., :n] + 1j * v[..., n:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealLinearMap:
     """A real-linear operator on C^n stored as its 2n x 2n real matrix; n and
     the fixed real-basis conventions J and sigma are read off its size."""
@@ -252,7 +251,7 @@ def inv_sqrt_spd(M: np.ndarray) -> np.ndarray:
     return _root(_eigh_pd(M, "matrix"), inverse=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorContext:
     """A validated weight operator together with everything derived from it.
 
@@ -394,35 +393,18 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     tol = REAL_FORM_RTOL * norm
     real_preserving = _two_norm(E[n:, :n], tol) <= tol
 
+    roots = _root(h_eig), _root(h_eig, inverse=True)
+    for X in (Hc, Kc, *roots):
+        X.flags.writeable = False
     return OperatorContext(
         A=A,
         H_matrix=Hc,
         K_matrix=Kc,
-        sqrt_H_matrix=_root(h_eig),
-        inv_sqrt_H_matrix=_root(h_eig, inverse=True),
+        sqrt_H_matrix=roots[0],
+        inv_sqrt_H_matrix=roots[1],
         real_preserving=real_preserving,
         log_det_v_a=log_det_v_a,
         log_det_h=log_det_h,
         c_a=c_a,
         c_restriction=c_restriction,
     )
-
-
-def h_eigenbasis(ctx: OperatorContext) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal eigenbasis of the complex-linear part.
-
-    Returns eigenvalues sorted ascending and the matrix whose columns are
-    the eigenvectors.  Each eigenvector's phase is fixed so its
-    largest-modulus coordinate is real and positive; among coordinates
-    tied for largest modulus (within 1e-12) the lowest index wins.
-    """
-    vals, vecs = np.linalg.eigh(ctx.H_matrix)
-    out = np.array(vecs, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        idx = int(np.nonzero(mags >= top - 1e-12)[0][0])
-        phase = col[idx] / abs(col[idx])
-        out[:, j] = col / phase
-    return np.array(vals, dtype=float), out

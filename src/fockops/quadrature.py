@@ -40,7 +40,7 @@ def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Tensor Gauss-Hermite rule for one Gaussian weight.
 
@@ -49,7 +49,7 @@ class QuadratureRule:
     """
 
     dim: int
-    nodes_per_axis: int = 40
+    nodes_per_axis: int
     scaling: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):

@@ -90,7 +90,8 @@ def _as_complex_vector(v, n: int) -> np.ndarray:
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """The symmetric part of M, halved before the sum so no finite entry overflows."""
+    return 0.5 * M + 0.5 * M.T
 
 
 def _padded_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,7 +217,7 @@ class Polynomial:
         return Polynomial.from_coeffs(_compose(self.coeffs, lines))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussPoly:
     """p(x) * exp(-x.Px/2 + b.x + gamma), the one function type: a term of
     L^2 on the real subspace and, at complex arguments, a Fock-space element.
@@ -263,10 +264,6 @@ class GaussPoly:
     @classmethod
     def constant(cls, n: int, value: complex) -> "GaussPoly":
         return cls.from_polynomial(Polynomial.constant(n, value))
-
-    @classmethod
-    def one(cls, n: int) -> "GaussPoly":
-        return cls.constant(n, 1.0)
 
     @classmethod
     def monomial(cls, n: int, alpha, coeff: complex = 1.0) -> "GaussPoly":
@@ -379,7 +376,7 @@ class CallableField:
 
 
 def _require_decaying(Q: np.ndarray, what: str) -> None:
-    min_eig = float(np.linalg.eigvalsh(0.5 * (Q.real + Q.real.T))[0])
+    min_eig = float(np.linalg.eigvalsh(0.5 * Q.real + 0.5 * Q.real.T)[0])
     if min_eig <= 0.0:
         raise DivergenceError(
             f"{what}: quadratic form has non-positive real part "

@@ -230,7 +230,7 @@ def _heat_coeff(P: np.ndarray) -> float:
     return math.exp(0.5 * log_det) * (2.0 * math.pi) ** (-P.shape[0] / 2.0)
 
 
-def heat_kernel(P, t: float = 1.0) -> GaussPoly:
+def heat_kernel(P, t: float) -> GaussPoly:
     """Normalized Gaussian with precision P/t (so t acts as time)."""
     P = np.asarray(P, dtype=float)
     Pt = P / t

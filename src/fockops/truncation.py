@@ -34,7 +34,8 @@ class TruncationSpec:
     """Simultaneous eigenvalue data for the two blocks, plus a depth.
 
     The sequences are kept as read-only float64 copies; every entry must be
-    positive and finite."""
+    positive and finite, and each of the first max_n products r_k t_k a
+    normal float."""
 
     r_seq: np.ndarray
     t_seq: np.ndarray
@@ -51,6 +52,13 @@ class TruncationSpec:
         # one test for both conditions: NaN fails every comparison
         if not ((r > 0) & (r < math.inf)).all() or not ((t > 0) & (t < math.inf)).all():
             raise ConfigError("eigenvalues must be positive and finite")
+        with np.errstate(over="ignore"):
+            products = r[: self.max_n] * t[: self.max_n]
+        bad = np.flatnonzero(~((products >= np.finfo(float).tiny) & (products < math.inf)))
+        if bad.size:
+            k = int(bad[0])
+            raise ConfigError(f"eigenvalue product r_{k + 1} t_{k + 1} = {r[k]} * {t[k]} "
+                              "is not a normal float")
         object.__setattr__(self, "r_seq", r)
         object.__setattr__(self, "t_seq", t)
 
@@ -83,12 +91,11 @@ def _require_budget(max_n: int) -> None:
         raise NodeBudgetError(f"max_n {max_n} exceeds the budget of {NODE_BUDGET} terms")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaSequence:
     """Partial normalization constants and the boundedness verdict."""
 
     log_ca_inv: np.ndarray  # log c_n^{-1}, length max_n
-    increments: np.ndarray
     bounded: bool
     tail_bound: float | None
     verdict_note: str
@@ -131,13 +138,10 @@ def ca_sequence(spec: TruncationSpec) -> CaSequence:
     r = spec.r_seq[: spec.max_n]
     t = spec.t_seq[: spec.max_n]
     factors = (r + t) / (2.0 * np.sqrt(r * t))
-    low = float(np.min(factors))
-    if low < 1.0 - 1e-15:
-        raise ConfigError(
-            f"arithmetic-geometric factor {low} < 1; eigenvalue data is inconsistent"
-        )
+    # at least 1 - 4 * 2^-53 for a normal product r t; the clamp drops that rounding
     increments = 0.5 * np.log(np.maximum(factors, 1.0))
     log_ca_inv = np.cumsum(increments)
+    log_ca_inv.flags.writeable = False
     bounded, tail, note = _tail_estimate(increments)
-    return CaSequence(log_ca_inv, increments, bounded, tail, note)
+    return CaSequence(log_ca_inv, bounded, tail, note)
 

@@ -443,7 +443,7 @@ def _transform_gram_residual(ctx, cfg: VerifyConfig) -> float:
 
     rho_s = density_s(ctx)
     gaussian_sources = [
-        GaussPoly.one(1),
+        GaussPoly.constant(1, 1.0),
         coherent_state_fn(ctx, np.array([0.4 + 0.2j])),
         GaussPoly(Polynomial(1, {(1,): 1.0}), np.array([[0.5]]), np.zeros(1), 0.0),
         GaussPoly(Polynomial(1, {(2,): 0.7, (0,): 0.2}), np.array([[0.9]]), np.zeros(1), 0.0),
@@ -613,13 +613,12 @@ GROUPS = {
 }
 
 
-def run_verification(cfg: VerifyConfig | None = None) -> dict:
+def run_verification(cfg: VerifyConfig) -> dict:
     """Run every group and assemble a deterministic report payload.
 
     The payload has no ``config`` entry: the CLI records the configuration
     as the user gave it.  Each group's check count and wall time go to the
     debug log, never into the payload."""
-    cfg = cfg or VerifyConfig()
     groups = {}
     all_passed = True
     total = 0

@@ -1,5 +1,7 @@
 """Command-line interface: schemas, exit codes, reports, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -845,3 +847,52 @@ def test_eval_function_of_unknown_kind_names_the_kinds(tmp_path, capsys):
     assert json.loads(out)["error"]["message"] == (
         'invalid configuration: config.eval.function.kind is "laguerre", not one of '
         '"hermite", "sb_eigenfunction", "ground_state", "gaussian", "monomial_gaussian"')
+
+
+@pytest.mark.parametrize("target", ["classical_transform", "weighted_transform",
+                                    "gaussian_transform"])
+def test_eval_huge_gaussian_function_stays_finite(tmp_path, capsys, target):
+    # P + P^T overflowed in the symmetrization and eigvalsh died with LinAlgError
+    cfg = write_config(tmp_path, "cfg.json", {
+        "operator": {"n": 1, "R": [[1]], "T": [[2]]},
+        "eval": {"target": target, "points": [{"z": [0.1, 0.2]}],
+                 "function": {"kind": "gaussian", "P": [[1e308]]}}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 0
+    value = json.loads(out)["values"][0]["value"]
+    got = complex(value["re"], value["im"])
+    assert math.isfinite(got.real) and math.isfinite(got.imag) and got != 0
+    if target == "classical_transform":
+        # (2/pi)^(1/4) e^(z^2/2) sqrt(pi/(1 + P/2)) e^(-z^2 (P/2)/(1 + P/2)),
+        # where (P/2)/(1 + P/2) rounds to 1
+        z = 0.1 + 0.2j
+        want = (2 / math.pi) ** 0.25 * np.exp(-z * z / 2) * math.sqrt(math.pi / (1 + 0.5e308))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("config, k", [
+    ({"kind": "constant", "r": 1e-200, "t": 1e-200, "maxN": 3}, 1),
+    ({"kind": "constant", "r": 1e200, "t": 1e200, "maxN": 3}, 1),
+    ({"r": [1.0, 1e-160, 2.0], "t": [1.0, 1e-160, 3.0], "maxN": 3}, 2),
+], ids=["underflow", "overflow", "subnormal"])
+def test_truncate_products_outside_the_normal_range_are_config_errors(tmp_path, capsys,
+                                                                      config, k):
+    # 1e-200 exited 0 with "logCaInv": [null, null, null]; 1e200 was refused
+    # as inconsistent eigenvalue data
+    code, out = run_cli(capsys, "truncate", "--config", write_config(tmp_path, "cfg.json", config))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert f"product r_{k} t_{k} = " in error["message"]
+    assert error["message"].endswith("is not a normal float")
+
+
+def test_report_lands_on_a_text_only_stdout(tmp_path):
+    # a replacement stream without a byte buffer takes the text itself
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "constant", "r": 4.0, "t": 1.0, "maxN": 3})
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        code = main(["truncate", "--config", cfg])
+    assert code == 0
+    report = json.loads(stream.getvalue())
+    assert report["command"] == "truncate" and len(report["sequence"]["logCaInv"]) == 3

@@ -15,7 +15,6 @@ from fockops import (
     RealLinearMap,
     build_context,
     decompose,
-    h_eigenbasis,
     require_spd,
     sqrt_spd,
 )
@@ -306,32 +305,9 @@ def random_spd_matrix_like(rng):
     return M @ M.T + 0.8 * np.eye(2)
 
 
-def test_h_eigenbasis_scalar_and_identity():
-    vals, vecs = h_eigenbasis(build_context(diag_weight()))
-    assert vals[0] == pytest.approx(2.5, abs=1e-14)
-    assert vecs[0, 0] == pytest.approx(1.0, abs=1e-14)
-
-    vals2, vecs2 = h_eigenbasis(build_context(RealLinearMap.identity(2)))
-    assert np.allclose(vals2, [1.0, 1.0], atol=1e-14)
-    assert np.allclose(vecs2, np.eye(2), atol=1e-12)
-
-
-def test_h_eigenbasis_block_diagonal():
-    A = RealLinearMap.from_blocks(np.diag([1.0, 9.0]), np.eye(2))
-    vals, vecs = h_eigenbasis(build_context(A))
-    assert np.allclose(vals, [1.0, 5.0], atol=1e-13)
-    assert np.allclose(np.abs(vecs), np.eye(2), atol=1e-12)
-
-
-def test_h_eigenbasis_postconditions_random():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        ctx = build_context(random_spd_map(rng, 3))
-        vals, vecs = h_eigenbasis(ctx)
-        assert np.all(np.diff(vals) >= -1e-12)
-        gram = vecs.conj().T @ vecs
-        assert np.allclose(gram, np.eye(3), atol=1e-12)
-        for j in range(3):
-            assert np.linalg.norm(ctx.H_matrix @ vecs[:, j] - vals[j] * vecs[:, j]) <= 1e-10
-            top = vecs[np.argmax(np.abs(vecs[:, j])), j]
-            assert abs(top.imag) <= 1e-12 and top.real > 0
+def test_context_matrices_are_read_only():
+    # a write to H_matrix changed kernel() while c_a and the roots kept the old weight
+    ctx = build_context(rotated_weight(diag_weight(), 0.3))
+    for name in ("H_matrix", "K_matrix", "sqrt_H_matrix", "inv_sqrt_H_matrix"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ctx, name)[0, 0] = 50

@@ -13,7 +13,6 @@ from numpy.polynomial.hermite_e import hermegauss
 from fockops import (
     DivergenceError,
     GaussPoly,
-    HolomorphicFunction,
     Polynomial,
     RangeOverflowError,
     RealLinearMap,
@@ -91,7 +90,7 @@ def test_sum_of_terms_with_different_gaussian_parts_is_unsupported():
     p = Polynomial(1, {(2,): 1.0})
     term = GaussPoly(p, np.array([[0.5]]), np.array([0.3]), 0.0)
     with pytest.raises(UnsupportedFormError):
-        term + HolomorphicFunction.constant(1, 2.0)
+        term + GaussPoly.constant(1, 2.0)
     with pytest.raises(UnsupportedFormError):
         term + GaussPoly(p, term.P, term.b, 1e-300)
 
@@ -210,7 +209,7 @@ def test_overflow_guard_raises_structured_error():
 
 
 def test_as_polynomial_requires_trivial_exponential():
-    F = HolomorphicFunction.from_polynomial(Polynomial(1, {(1,): 2.0}))
+    F = GaussPoly.from_polynomial(Polynomial(1, {(1,): 2.0}))
     assert F.as_polynomial().terms == {(1,): 2.0}
     G = F * GaussPoly.gaussian(np.array([[-0.5]]))
     with pytest.raises(Exception):
@@ -381,8 +380,8 @@ def test_derivative_is_polyder_to_the_bit():
      "GaussPoly dimensions disagree"),
     (lambda: GaussPoly(Polynomial.constant(1, 1.0), np.eye(1), np.zeros(2), 0.0),
      "GaussPoly dimensions disagree"),
-    (lambda: GaussPoly.one(2).shifted([1.0]), r"expected a vector of length 2, got \(1,\)"),
-    (lambda: convolve_gaussian(1.0, np.eye(2), GaussPoly.one(1)),
+    (lambda: GaussPoly.constant(2, 1.0).shifted([1.0]), r"expected a vector of length 2, got \(1,\)"),
+    (lambda: convolve_gaussian(1.0, np.eye(2), GaussPoly.constant(1, 1.0)),
      "kernel and function dimensions disagree"),
 ])
 def test_malformed_symbolic_terms_are_unsupported_forms(build, match):

@@ -11,7 +11,6 @@ from fockops import (
     CallableField,
     GaussPoly,
     coherent_state_fn,
-    HolomorphicFunction,
     Polynomial,
     RealFormError,
     RealLinearMap,
@@ -118,7 +117,7 @@ def test_multiplier_modulus_for_real_preserving_weights():
 
 def test_translate_by_zero_is_identity():
     ctx = diag_ctx()
-    F = HolomorphicFunction.monomial(1, (2,), 1.5)
+    F = GaussPoly.monomial(1, (2,), 1.5)
     G = translate(ctx, [0.0], F)
     for z in (0.0, 1.0 - 0.5j):
         assert G.evaluate([z]) == pytest.approx(F.evaluate([z]), rel=1e-14)
@@ -128,7 +127,7 @@ def test_translate_classical_constant_golden():
     # identity weight sends 1 to exp(z x - |x|^2/2)
     ctx = identity_ctx()
     x = np.array([0.8])
-    G = translate(ctx, x, HolomorphicFunction.constant(1, 1.0))
+    G = translate(ctx, x, GaussPoly.constant(1, 1.0))
     for z in (0.0, 0.5 + 0.25j, -1.0):
         assert G.evaluate([z]) == pytest.approx(np.exp(z * 0.8 - 0.32), rel=1e-13)
 
@@ -136,7 +135,7 @@ def test_translate_classical_constant_golden():
 def test_translate_composes_additively():
     rng = np.random.default_rng(3)
     ctx = build_context(random_spd_map(rng, 1))
-    F = HolomorphicFunction.monomial(1, (1,)) + HolomorphicFunction.constant(1, 0.3)
+    F = GaussPoly.monomial(1, (1,)) + GaussPoly.constant(1, 0.3)
     x, y = rng.standard_normal(1), rng.standard_normal(1)
     lhs = translate(ctx, x, translate(ctx, y, F))
     rhs = translate(ctx, x + y, F)
@@ -148,7 +147,7 @@ def test_translate_composes_additively():
 def test_translate_preserves_norm_when_real_preserving():
     ctx = diag_ctx()
     rule = fock_rule(ctx, 40)
-    for F in (HolomorphicFunction.constant(1, 1.0), HolomorphicFunction.monomial(1, (1,))):
+    for F in (GaussPoly.constant(1, 1.0), GaussPoly.monomial(1, (1,))):
         base = fock_norm(ctx, F, rule)
         shifted = fock_norm(ctx, translate(ctx, [0.7], F), rule)
         assert abs(shifted - base) <= 1e-6 * max(1.0, base)
@@ -158,7 +157,7 @@ def test_translate_norm_changes_without_real_form():
     ctx = build_context(rotated_weight(RealLinearMap.from_blocks(
         np.array([[4.0]]), np.array([[1.0]])), np.pi / 4))
     rule = fock_rule(ctx, 60)
-    F = HolomorphicFunction.constant(1, 1.0)
+    F = GaussPoly.constant(1, 1.0)
     base = fock_norm(ctx, F, rule)
     moved = fock_norm(ctx, translate(ctx, [0.7], F), rule)
     assert abs(moved - base) > 1e-3
@@ -169,7 +168,7 @@ def test_translate_norm_changes_without_real_form():
 
 def test_restrict_classical_weight_profile():
     ctx = identity_ctx()
-    rf = restrict(ctx, HolomorphicFunction.constant(1, 1.0))
+    rf = restrict(ctx, GaussPoly.constant(1, 1.0))
     for x in (0.0, 0.7, -1.3):
         want = (2 * math.pi) ** -0.25 * math.exp(-0.5 * x * x)
         assert rf.evaluate([x]) == pytest.approx(want, rel=1e-14)
@@ -177,7 +176,7 @@ def test_restrict_classical_weight_profile():
 
 def test_restrict_diagonal_constant_at_origin():
     ctx = diag_ctx()
-    rf = restrict(ctx, HolomorphicFunction.constant(1, 1.0))
+    rf = restrict(ctx, GaussPoly.constant(1, 1.0))
     assert rf.evaluate([0.0]) == pytest.approx(ctx.c_restriction, rel=1e-14)
 
 
@@ -185,13 +184,13 @@ def test_restrict_requires_real_form():
     ctx = build_context(rotated_weight(RealLinearMap.from_blocks(
         np.array([[4.0]]), np.array([[1.0]])), np.pi / 4))
     with pytest.raises(RealFormError):
-        restrict(ctx, HolomorphicFunction.constant(1, 1.0))
+        restrict(ctx, GaussPoly.constant(1, 1.0))
 
 
 def test_restriction_intertwines_translation():
     rng = np.random.default_rng(5)
     ctx = build_context(random_real_preserving_map(rng, 2))
-    F = HolomorphicFunction.monomial(2, (1, 1)) + HolomorphicFunction.constant(2, 0.5)
+    F = GaussPoly.monomial(2, (1, 1)) + GaussPoly.constant(2, 0.5)
     y = rng.standard_normal(2)
     lhs = restrict(ctx, translate(ctx, y, F))
     plain = restrict(ctx, F)
@@ -321,7 +320,7 @@ def test_gram_classical_is_heat_convolution():
 
 def test_modulus_fixes_constants():
     ctx = diag_ctx()
-    one = GaussPoly.one(1)
+    one = GaussPoly.constant(1, 1.0)
     out = restriction_modulus(ctx, one)
     for x in ([0.0], [1.2]):
         assert out.evaluate(x) == pytest.approx(1.0, rel=1e-13)
@@ -388,7 +387,7 @@ def test_classical_transform_preserves_orthogonality():
     source = l2_inner_product(g0, g1)
     ctx = identity_ctx()
     image = fock_inner_product(
-        ctx, segal_bargmann_classical_fn(g0), segal_bargmann_classical_fn(g1)
+        ctx, segal_bargmann_classical_fn(g0), segal_bargmann_classical_fn(g1), fock_rule(ctx, 40)
     )
     assert abs(source) <= 1e-12
     assert abs(image) <= 1e-6
@@ -431,11 +430,11 @@ def test_weighted_transform_requires_real_form():
     ctx = build_context(rotated_weight(RealLinearMap.from_blocks(
         np.array([[4.0]]), np.array([[1.0]])), np.pi / 4))
     with pytest.raises(RealFormError):
-        segal_bargmann(ctx, GaussPoly.one(1), [0.0])
+        segal_bargmann(ctx, GaussPoly.constant(1, 1.0), [0.0])
 
 
 # A point of the real subspace, a complex point and a function, in n = 2.
-_X, _Z, _F = np.array([0.3, -0.2]), np.array([0.4 + 0.1j, -0.5 + 0.3j]), GaussPoly.one(2)
+_X, _Z, _F = np.array([0.3, -0.2]), np.array([0.4 + 0.1j, -0.5 + 0.3j]), GaussPoly.constant(2, 1.0)
 
 # Everything that reads a real block of the weight, by the name it is known by.
 NEEDS_REAL_FORM = {
@@ -512,7 +511,7 @@ def test_weighted_transform_unitary_on_gram_matrix():
 
 def test_gaussian_transform_fixes_constants_on_real_points():
     ctx = diag_ctx()
-    one = GaussPoly.one(1)
+    one = GaussPoly.constant(1, 1.0)
     for z in (0.0, 0.9, -1.7):
         assert segal_bargmann_gaussian(ctx, one, [z]) == pytest.approx(1.0, rel=1e-13)
 
@@ -581,7 +580,7 @@ def test_gaussian_transform_unitary_from_weighted_l2():
     rule = fock_rule(ctx, 40)
     rho_s = density_s(ctx)
     fams = [
-        GaussPoly.one(1),
+        GaussPoly.constant(1, 1.0),
         coherent_state_fn(ctx, np.array([0.4 + 0.2j])),
         GaussPoly(Polynomial(1, {(1,): 1.0}), np.array([[0.5]]), np.zeros(1), 0.0),
         GaussPoly(Polynomial(1, {(2,): 0.7, (0,): 0.2}), np.array([[0.9]]), np.zeros(1), 0.0),

@@ -52,16 +52,16 @@ def test_increments_nonnegative_and_monotone_partial_sums():
     r = rng.uniform(0.5, 3.0, size=64)
     t = rng.uniform(0.5, 3.0, size=64)
     seq = ca_sequence(TruncationSpec(tuple(r), tuple(t), 64))
-    assert np.all(seq.increments >= 0.0)
+    assert np.all(np.diff(seq.log_ca_inv, prepend=0.0) >= 0.0)
     assert np.all(np.diff(seq.log_ca_inv) >= 0.0)
 
 
 def test_per_term_factor_reaches_one_only_at_equality():
     spec = TruncationSpec((2.0, 3.0, 1.5), (2.0, 1.0, 1.5), 3)
-    seq = ca_sequence(spec)
-    assert seq.increments[0] == pytest.approx(0.0, abs=1e-15)
-    assert seq.increments[1] > 1e-2
-    assert seq.increments[2] == pytest.approx(0.0, abs=1e-15)
+    increments = np.diff(ca_sequence(spec).log_ca_inv, prepend=0.0)
+    assert increments[0] == pytest.approx(0.0, abs=1e-15)
+    assert increments[1] > 1e-2
+    assert increments[2] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_matches_operator_context_constant_for_explicit_blocks():
@@ -140,3 +140,28 @@ def test_too_few_terms_give_no_verdict(max_n):
 def test_non_positive_depth_is_config_error(max_n):
     with pytest.raises(ConfigError, match="max_n must be positive"):
         TruncationSpec([1.0], [1.0], max_n)
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda: TruncationSpec.constant(1e-200, 1e-200, 3), 1),
+    (lambda: TruncationSpec.constant(1e200, 1e200, 3), 1),
+    (lambda: TruncationSpec((1.0, 1e-160, 2.0), (1.0, 1e-160, 3.0), 3), 2),
+], ids=["underflow", "overflow", "subnormal"])
+def test_products_outside_the_normal_range_are_refused(make, k):
+    # an underflowing product gave null log c_n^{-1} and an overflowing one
+    # a false "eigenvalue data is inconsistent"
+    with pytest.raises(ConfigError, match=f"product r_{k} t_{k} = .* is not a normal float"):
+        make()
+
+
+@pytest.mark.parametrize("r", [1.5e-154, 1.3e154])
+def test_equal_blocks_at_the_edges_of_the_normal_range(r):
+    # only the first max_n products are read
+    spec = TruncationSpec((r, r, 1e-160), (r, r, 1e-160), 2)
+    assert ca_sequence(spec).log_ca_inv.tolist() == [0.0, 0.0]
+
+
+def test_sequence_is_read_only():
+    seq = ca_sequence(TruncationSpec.constant(4.0, 1.0, 3))
+    with pytest.raises(ValueError, match="read-only"):
+        seq.log_ca_inv[0] = 0.0

@@ -6,7 +6,7 @@ import logging
 import math
 
 import fockops.verification as verification
-from fockops import HolomorphicFunction, kernel_section
+from fockops import GaussPoly, kernel_section
 from fockops.verification import VerifyConfig, run_verification
 
 
@@ -59,7 +59,7 @@ def test_reproducing_property_evaluates_each_kernel_section_once(monkeypatch):
         return section
 
     calls = []
-    evaluate_many = HolomorphicFunction.evaluate_many
+    evaluate_many = GaussPoly.evaluate_many
 
     def counted(self, Z):
         if any(self is s for s in sections):
@@ -67,7 +67,7 @@ def test_reproducing_property_evaluates_each_kernel_section_once(monkeypatch):
         return evaluate_many(self, Z)
 
     monkeypatch.setattr(verification, "kernel_section", recorded_section)
-    monkeypatch.setattr(HolomorphicFunction, "evaluate_many", counted)
+    monkeypatch.setattr(GaussPoly, "evaluate_many", counted)
     checks = verification.check_reproducing_property(VerifyConfig())
     assert all(c.passed for c in checks)
     # three contexts at n=1 and two at n=2, one section each
