@@ -18,10 +18,12 @@ or ``--out``, rendered by ``report.render_json`` with sorted keys, so
 identical configurations and seeds produce byte-identical files: a
 non-finite value is ``null``, a float is written with its shortest
 round-trip digits, in an exponent notation that may differ from Python's
-(``1e-8``, not ``1e-08``).  Wall-clock timing goes to stderr unless
-``--timing`` embeds it.  Exit codes: 0 success, 1 verification failure (for
-``eval``, a row with an error: an exponent out of range or a non-finite
-value), 2 usage or configuration errors, reported as
+(``1e-8``, not ``1e-08``).  Wall-clock timing goes to stderr only.  A
+verify config holds ``seed`` and ``nodes``: ``--nodes`` sets the n=1 Fock
+rules, the n=2 rules keep 20 nodes and three checks take no fewer than 60;
+every other sample size is fixed.  Exit codes: 0 success, 1 verification
+failure (for ``eval``, a row with an error: an exponent out of range or a
+non-finite value), 2 usage or configuration errors, reported as
 ``{"error": {"kind": ...}}``, a payload of the kind, the message and any
 details of the error (``asymmetry``, ``min_eigenvalue``,
 ``eigenvalue_ratio``, ``exponent``): ``config_invalid`` for a config that
@@ -33,11 +35,11 @@ reported determinant is beyond the float range, non-finite truncate
 eigenvalues or a pair whose product is not a normal float, an eval
 function with a key its kind never reads, with a non-finite ``P``, ``b``
 or ``coeff``, past MAX_FUNCTION_COEFFS or with coefficients beyond the
-float range, ...), ``node_budget`` for a truncate
-generator's ``maxN`` or a verify ``mcSamples`` past NODE_BUDGET,
-``output_unwritable`` for an ``--out`` or ``--csv`` path that cannot be
-written.  Set FOCK_LOG to a level name (e.g. DEBUG) for progress logging;
-any other value means WARNING.
+float range, a verify ``nodes`` above 370, where the Gauss-Hermite rule
+leaves the float range, ...), ``node_budget`` for a truncate generator's
+``maxN`` past NODE_BUDGET, ``output_unwritable`` for an ``--out`` or
+``--csv`` path that cannot be written.  Set FOCK_LOG to a level name (e.g.
+DEBUG) for progress logging; any other value means WARNING.
 """
 
 from __future__ import annotations
@@ -194,10 +196,6 @@ CONFIG_SCHEMAS = {
         "properties": {
             "seed": {"type": "integer", "minimum": 0},
             "nodes": {"type": "integer", "minimum": 2},
-            "nodes2d": {"type": "integer", "minimum": 2},
-            "decompositionSamples": {"type": "integer", "minimum": 1},
-            "pairs": {"type": "integer", "minimum": 1},
-            "mcSamples": {"type": "integer", "minimum": 1000},
         },
         "additionalProperties": False,
     },
@@ -494,20 +492,8 @@ def cmd_eval(config: dict) -> dict:
     }
 
 
-# verify config keys -> VerifyConfig fields; unset keys keep the field defaults
-VERIFY_FIELDS = {
-    "seed": "seed",
-    "nodes": "nodes",
-    "nodes2d": "nodes_2d",
-    "decompositionSamples": "decomposition_samples",
-    "pairs": "pairs",
-    "mcSamples": "mc_samples",
-}
-
-
 def cmd_verify(config: dict) -> dict:
-    cfg = VerifyConfig(**{VERIFY_FIELDS[key]: value for key, value in config.items()})
-    report = run_verification(cfg)
+    report = run_verification(VerifyConfig(**config))
     report["config"] = config
     return report
 
@@ -560,11 +546,9 @@ def write_csv(path: str, report: dict) -> None:
             writer.writerow(record)
 
 
-def render_report(report: dict, timing: float | None) -> str:
+def render_report(report: dict) -> str:
     report = dict(report)
     report["versions"] = {"fockops": __version__, "numpy": np.__version__}
-    if timing is not None:
-        report["timingSeconds"] = timing
     return render_json(report) + "\n"
 
 
@@ -603,16 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} command")
         p.add_argument("--config", help="path to a JSON configuration file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument(
-            "--timing",
-            action="store_true",
-            help="embed wall-clock seconds in the report (breaks byte reproducibility)",
-        )
         if name == "eval":
             p.add_argument("--csv", help="also write values as CSV")
         if name == "verify":
             p.add_argument("--seed", type=int, help="override the configured seed")
-            p.add_argument("--nodes", type=int, help="override quadrature nodes per axis")
+            p.add_argument("--nodes", type=int,
+                           help="override the nodes per axis of the n=1 Fock rules (at most 370)")
     return parser
 
 
@@ -633,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, args.command, overrides)
         report = COMMANDS[args.command](config)
         elapsed = time.perf_counter() - started
-        text = render_report(report, elapsed if args.timing else None)
+        text = render_report(report)
         write_outputs(args, text, report)
     except FockError as err:
         write_stdout(render_json({"error": err.payload()}) + "\n")

@@ -34,7 +34,12 @@ BLOCK = 4096
 
 @lru_cache(maxsize=64)
 def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
-    u, w = hermgauss(k)
+    """numpy's k-node rule, refused unless its nodes are finite and its
+    weights sum to sqrt(pi): past 370 nodes they underflow, then are NaN."""
+    with np.errstate(all="ignore"):
+        u, w = hermgauss(k)
+    if not (np.isfinite(u).all() and abs(w.sum() - math.sqrt(math.pi)) <= 1e-12):
+        raise ConfigError(f"a Gauss-Hermite rule of {k} nodes per axis is beyond the float range")
     u.flags.writeable = False
     w.flags.writeable = False
     return u, w
@@ -61,6 +66,7 @@ class QuadratureRule:
                 f"{self.nodes_per_axis}^{self.dim} = {total} nodes exceeds the "
                 f"budget of {NODE_BUDGET}"
             )
+        _hermite_rule(self.nodes_per_axis)  # refuses a rule beyond the float range
         scaling = np.eye(self.dim) if self.scaling is None else np.asarray(self.scaling, float)
         if scaling.shape != (self.dim, self.dim):
             raise ConfigError(

@@ -14,8 +14,7 @@ One term type carries the whole closed class:
   onto the classical space and every Segal-Bargmann image are single
   terms.  Terms are closed under products, composition with linear maps,
   argument shifts and Gaussian convolution, which is exactly what every
-  transform in this package produces; two terms add only when their
-  Gaussian parts agree.
+  transform in this package produces.
 
 Gaussian integrals and convolutions are evaluated by completing the
 square; the polynomial factor is averaged against the centred Gaussian
@@ -305,15 +304,6 @@ class GaussPoly:
 
     def times_scalar(self, c: complex) -> "GaussPoly":
         return GaussPoly(self.poly * c, self.P, self.b, self.gamma)
-
-    def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        """The sum of two terms with one Gaussian part (P and b equal bit for
-        bit, gamma equal); any other sum is not a single term."""
-        if (self.P.tobytes(), self.b.tobytes(), self.gamma) != (
-            other.P.tobytes(), other.b.tobytes(), other.gamma
-        ):
-            raise UnsupportedFormError("a sum of terms with different Gaussian parts")
-        return GaussPoly(self.poly + other.poly, self.P, self.b, self.gamma)
 
     def __mul__(self, other: "GaussPoly") -> "GaussPoly":
         return GaussPoly(

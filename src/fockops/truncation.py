@@ -81,7 +81,9 @@ class TruncationSpec:
             powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
         except OverflowError as err:
             raise ConfigError(f"k^power overflows for power {power}") from err
-        r = base + amplitude / powers
+        # a term beyond the float range is refused with the others below
+        with np.errstate(all="ignore"):
+            r = base + amplitude / powers
         return cls(r, np.full_like(r, base), max_n)
 
 

@@ -32,7 +32,6 @@ REPORT_SCHEMA = {
         "groups": {"type": "object"},
         "checkCount": {"type": "integer"},
         "sequence": {"type": "object"},
-        "timingSeconds": {"type": "number"},
     },
     "required": ["command", "config", "versions", "pass"],
     "additionalProperties": False,
@@ -456,6 +455,8 @@ def test_eval_quadrature_block_rejected(tmp_path, capsys):
     ["decompose", "--nodes", "4"],
     ["eval", "--nodes", "100000"],
     ["truncate", "--seed", "1"],
+    ["verify", "--timing"],
+    ["decompose", "--timing"],
 ])
 def test_seed_and_nodes_only_on_verify(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -471,22 +472,26 @@ def test_verify_seed_and_nodes_override_config(tmp_path, capsys, monkeypatch):
         return {"command": "verify", "config": config, "pass": True}
 
     monkeypatch.setitem(fockops.cli.COMMANDS, "verify", echo)
-    cfg = write_config(tmp_path, "cfg.json", {"seed": 5, "pairs": 3})
-    code, out = run_cli(capsys, "verify", "--config", cfg, "--seed", "7", "--nodes", "12")
-    assert code == 0
-    assert json.loads(out)["config"] == {"seed": 7, "nodes": 12, "pairs": 3}
+    cfg = write_config(tmp_path, "cfg.json", {"seed": 5, "nodes": 30})
+    for flag, value, want in (("--seed", "7", {"seed": 7, "nodes": 30}),
+                              ("--nodes", "12", {"seed": 5, "nodes": 12})):
+        code, out = run_cli(capsys, "verify", "--config", cfg, flag, value)
+        assert code == 0
+        assert json.loads(out)["config"] == want
 
 
-SMALL_VERIFY = {
-    "seed": 11,
-    "decompositionSamples": 30,
-    "pairs": 15,
-    "mcSamples": 20000,
-}
+def _restrict_groups(monkeypatch, *names):
+    """Run only the named verify groups, so a CLI test does not run the
+    whole suite (test_acceptance runs it at the default config)."""
+    import fockops.verification as verification
+
+    monkeypatch.setattr(verification, "GROUPS",
+                        {name: verification.GROUPS[name] for name in names})
 
 
-def test_verify_small_deterministic(tmp_path, capsys):
-    cfg = write_config(tmp_path, "cfg.json", SMALL_VERIFY)
+def test_verify_small_deterministic(tmp_path, capsys, monkeypatch):
+    _restrict_groups(monkeypatch, "kernel-constants", "quadrature", "truncation-diagnostics")
+    cfg = write_config(tmp_path, "cfg.json", {"seed": 11})
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     assert main(["verify", "--config", cfg, "--out", str(out1)]) == 0
@@ -501,10 +506,9 @@ def test_verify_small_deterministic(tmp_path, capsys):
             assert check["residual"] <= check["tolerance"] or check["pass"]
 
 
-def test_verify_coarse_nodes_fail_reproducing(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, "cfg.json", {**SMALL_VERIFY, "nodes": 4, "nodes2d": 4}
-    )
+def test_verify_coarse_nodes_fail_reproducing(tmp_path, capsys, monkeypatch):
+    _restrict_groups(monkeypatch, "reproducing-property")
+    cfg = write_config(tmp_path, "cfg.json", {"seed": 11, "nodes": 4})
     code, out = run_cli(capsys, "verify", "--config", cfg)
     assert code == 1
     report = json.loads(out)
@@ -513,11 +517,31 @@ def test_verify_coarse_nodes_fail_reproducing(tmp_path, capsys):
     assert any(not c["pass"] and c["residual"] > 1e-6 for c in repro)
 
 
-def test_timing_flag_embeds_seconds(tmp_path, capsys):
-    cfg = write_config(tmp_path, "cfg.json", DIAG)
-    code, out = run_cli(capsys, "decompose", "--config", cfg, "--timing")
-    assert code == 0
-    assert "timingSeconds" in json.loads(out)
+@pytest.mark.parametrize("key, value", [
+    ("nodes2d", 4), ("decompositionSamples", 1), ("pairs", 1), ("mcSamples", 1000),
+])
+def test_verify_sample_sizes_are_not_config_keys(tmp_path, capsys, monkeypatch, key, value):
+    # only seed and nodes reach VerifyConfig; every other size is fixed in its group
+    _restrict_groups(monkeypatch)
+    cfg = write_config(tmp_path, "cfg.json", {key: value})
+    code, out = run_cli(capsys, "verify", "--config", cfg)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert f'has the unknown key "{key}"' in error["message"]
+
+
+def test_verify_nodes_past_the_hermite_range_are_config_errors(capsys, monkeypatch):
+    # numpy's 371-node rule has all-zero weights: the rule itself is at fault,
+    # not a check (exit 1) or the integrand (evaluator_failure)
+    _restrict_groups(monkeypatch, "kernel-geometry")
+    code = main(["verify", "--nodes", "371"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Warning" not in captured.err
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert "371 nodes per axis" in error["message"]
 
 
 def test_config_schemas_are_valid_json_schema():
@@ -647,18 +671,6 @@ def test_weight_whose_determinant_overflows_is_config_error(tmp_path, capsys, co
     assert json.loads(out)["error"] == {
         "kind": "config_invalid",
         "message": "the weight's determinant detVA is beyond the float range"}
-
-
-def test_verify_monte_carlo_beyond_the_budget_is_node_budget_error(tmp_path, capsys,
-                                                                  monkeypatch):
-    import fockops.verification as verification
-
-    monkeypatch.setattr(verification, "GROUPS",
-                        {"quadrature": verification.GROUPS["quadrature"]})
-    cfg = write_config(tmp_path, "cfg.json", {"mcSamples": 10**14})
-    code, out = run_cli(capsys, "verify", "--config", cfg)
-    assert code == 2
-    assert json.loads(out)["error"]["kind"] == "node_budget"
 
 
 @pytest.mark.parametrize("function, allowed", [

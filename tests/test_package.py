@@ -143,3 +143,14 @@ def test_value_types_compare_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+def test_verify_config_fields_are_the_verify_config_keys():
+    # cmd_verify passes the config keys to VerifyConfig as they are
+    from dataclasses import fields
+
+    from fockops.cli import CONFIG_SCHEMAS
+    from fockops.verification import VerifyConfig
+
+    keys = CONFIG_SCHEMAS["verify"]["properties"]
+    assert sorted(field.name for field in fields(VerifyConfig)) == sorted(keys)

@@ -95,6 +95,14 @@ def test_budget_rejected():
         QuadratureRule(dim=6, nodes_per_axis=40)
 
 
+@pytest.mark.parametrize("k", [371, 400])
+def test_hermite_rules_past_the_float_range_rejected(k):
+    # numpy's 371-node weights are all zero and from 380 nodes NaN; 370 is the last good rule
+    QuadratureRule(dim=1, nodes_per_axis=370)
+    with pytest.raises(ConfigError, match=f"{k} nodes per axis is beyond the float range"):
+        QuadratureRule(dim=1, nodes_per_axis=k)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(dim=2, nodes_per_axis=0), "must be positive"),
     (dict(dim=2, nodes_per_axis=5, scaling=np.eye(3)), "scaling must be 2x2"),

@@ -78,23 +78,6 @@ def test_exp_quadratic_shift_and_compose():
         )
 
 
-def test_sum_of_terms_with_one_gaussian_part_evaluates_as_the_sum():
-    e = GaussPoly.gaussian(np.array([[0.5]]), np.array([0.3]))
-    F = GaussPoly(Polynomial(1, {(2,): 1.0}), e.P, e.b, e.gamma)
-    G = GaussPoly(Polynomial(1, {(0,): 2.0}), e.P, e.b, e.gamma)
-    z = np.array([0.7 + 0.2j])
-    assert (F + G).evaluate(z) == pytest.approx(F.evaluate(z) + G.evaluate(z), rel=1e-14)
-
-
-def test_sum_of_terms_with_different_gaussian_parts_is_unsupported():
-    p = Polynomial(1, {(2,): 1.0})
-    term = GaussPoly(p, np.array([[0.5]]), np.array([0.3]), 0.0)
-    with pytest.raises(UnsupportedFormError):
-        term + GaussPoly.constant(1, 2.0)
-    with pytest.raises(UnsupportedFormError):
-        term + GaussPoly(p, term.P, term.b, 1e-300)
-
-
 def test_gaussian_integral_normalization_1d():
     # integral of exp(-q x^2 / 2) dx = sqrt(2 pi / q)
     one = Polynomial.constant(1, 1.0)

@@ -135,7 +135,7 @@ def test_translate_classical_constant_golden():
 def test_translate_composes_additively():
     rng = np.random.default_rng(3)
     ctx = build_context(random_spd_map(rng, 1))
-    F = GaussPoly.monomial(1, (1,)) + GaussPoly.constant(1, 0.3)
+    F = GaussPoly.from_polynomial(Polynomial(1, {(1,): 1.0, (0,): 0.3}))
     x, y = rng.standard_normal(1), rng.standard_normal(1)
     lhs = translate(ctx, x, translate(ctx, y, F))
     rhs = translate(ctx, x + y, F)
@@ -190,7 +190,7 @@ def test_restrict_requires_real_form():
 def test_restriction_intertwines_translation():
     rng = np.random.default_rng(5)
     ctx = build_context(random_real_preserving_map(rng, 2))
-    F = GaussPoly.monomial(2, (1, 1)) + GaussPoly.constant(2, 0.5)
+    F = GaussPoly.from_polynomial(Polynomial(2, {(1, 1): 1.0, (0, 0): 0.5}))
     y = rng.standard_normal(2)
     lhs = restrict(ctx, translate(ctx, y, F))
     plain = restrict(ctx, F)

@@ -109,6 +109,16 @@ def test_perturbation_with_infinite_amplitude_rejected():
         TruncationSpec.perturbation(1.0, np.inf, 2.0, 4)
 
 
+@pytest.mark.parametrize("base, amplitude, power", [
+    (1.0, 1.0, -2000.0),  # 2^-2000 underflows to 0, and amplitude / 0 divides by zero
+    (1e308, 1e308, 1.0),  # base + amplitude overflows
+], ids=["divide-by-zero", "overflow"])
+def test_perturbation_terms_beyond_the_float_range_rejected(base, amplitude, power):
+    # refused by the finiteness check, without a numpy warning on the way
+    with pytest.raises(ConfigError, match="finite"):
+        TruncationSpec.perturbation(base, amplitude, power, 3)
+
+
 @pytest.mark.parametrize("power", [0.6, 1.5, 2, 2.0, -1])
 def test_perturbation_matches_python_loop(power):
     # the per-term formula in Python floats is the reference, to the bit

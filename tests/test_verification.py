@@ -41,7 +41,7 @@ def test_each_group_logs_name_count_and_seconds(monkeypatch, caplog):
     }
     monkeypatch.setattr(verification, "GROUPS", groups)
     with caplog.at_level(logging.DEBUG, logger="fockops"):
-        report = run_verification(VerifyConfig(pairs=2))
+        report = run_verification(VerifyConfig())
     records = [r for r in caplog.records if r.name == "fockops.verification"]
     assert len(records) == len(groups)
     for record, (name, checks) in zip(records, report["groups"].items()):
