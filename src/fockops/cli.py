@@ -35,8 +35,10 @@ reported determinant is beyond the float range, non-finite truncate
 eigenvalues or a pair whose product is not a normal float, an eval
 function with a key its kind never reads, with a non-finite ``P``, ``b``
 or ``coeff``, past MAX_FUNCTION_COEFFS or with coefficients beyond the
-float range, a verify ``nodes`` above 370, where the Gauss-Hermite rule
-leaves the float range, ...), ``node_budget`` for a truncate generator's
+float range, a Gaussian whose form, added to a transform's kernel, is
+beyond the float range, a verify ``nodes`` above 370, where the
+Gauss-Hermite rule leaves the float range, refused before any group
+runs, ...), ``node_budget`` for a truncate generator's
 ``maxN`` past NODE_BUDGET, ``output_unwritable`` for an ``--out`` or
 ``--csv`` path that cannot be written.  Set FOCK_LOG to a level name (e.g.
 DEBUG) for progress logging; any other value means WARNING.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -30,16 +30,23 @@ __all__ = ["QuadratureRule", "integrate", "integrate_shifted", "mc_integrate"]
 
 NODE_BUDGET = 10_000_000
 BLOCK = 4096
+# the largest rule _hermite_rule accepts, for configs refused before any rule is built
+MAX_NODES_PER_AXIS = 370
+
+
+def rule_range_error(k: int) -> ConfigError:
+    return ConfigError(f"a Gauss-Hermite rule of {k} nodes per axis is beyond the float range")
 
 
 @lru_cache(maxsize=64)
 def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's k-node rule, refused unless its nodes are finite and its
-    weights sum to sqrt(pi): past 370 nodes they underflow, then are NaN."""
+    weights sum to sqrt(pi): past MAX_NODES_PER_AXIS they underflow, then
+    are NaN."""
     with np.errstate(all="ignore"):
         u, w = hermgauss(k)
     if not (np.isfinite(u).all() and abs(w.sum() - math.sqrt(math.pi)) <= 1e-12):
-        raise ConfigError(f"a Gauss-Hermite rule of {k} nodes per axis is beyond the float range")
+        raise rule_range_error(k)
     u.flags.writeable = False
     w.flags.writeable = False
     return u, w
@@ -84,13 +91,8 @@ class QuadratureRule:
     def grid(self, center: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """All nodes (lexicographic) and their probability weights."""
         u, w = self.nodes_1d()
-        mesh = np.meshgrid(*([u] * self.dim), indexing="ij")
-        U = np.stack([m.ravel() for m in mesh], axis=1)
-        wmesh = np.meshgrid(*([w] * self.dim), indexing="ij")
-        W = np.ones(U.shape[0])
-        for m in wmesh:
-            W = W * m.ravel()
-        W = W / math.pi ** (self.dim / 2.0)
+        U = u[np.indices((self.nodes_per_axis,) * self.dim).reshape(self.dim, -1).T]
+        W = reduce(np.multiply.outer, [w] * self.dim).ravel() / math.pi ** (self.dim / 2.0)
         X = U @ self._transform.T
         if center is not None:
             X = X + np.asarray(center, dtype=float)[None, :]

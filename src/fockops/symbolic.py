@@ -24,17 +24,26 @@ sums, term by term).  Complex symmetric quadratic forms with
 positive-definite real part keep their eigenvalues in the right half
 plane, so the principal branch of ``det^{-1/2}`` used here is the
 analytic continuation of the real SPD formula.
+
+Real terms at real points are evaluated in float64 with the same bits:
+at a float array of points (the quadrature routes pass one) the Horner
+scheme of real coefficients, and the exponent of real ``P``, ``b`` and
+``gamma``, run on float64 arrays, decided once when a term is built.  A
+complex product with zero imaginary parts rounds its real part once, as
+the real product does, so each value is that of the complex computation,
+returned as complex128.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DivergenceError, RangeOverflowError, UnsupportedFormError
+from .errors import ConfigError, DivergenceError, RangeOverflowError, UnsupportedFormError
 
 __all__ = [
     "Polynomial",
@@ -101,10 +110,18 @@ def _padded_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rows(X, real: bool) -> np.ndarray:
+    """The points X as float64 if ``real`` and X has no complex dtype, else
+    as complex128."""
+    X = np.asarray(X)
+    return X.astype(float if real and not np.iscomplexobj(X) else complex, copy=False)
+
+
 def _horner(c: np.ndarray, columns: list):
     """sum_a c[a] prod_j columns[j]**a_j by nested Horner along the first
-    axis, skipping all-zero slabs: a scalar or a fresh (m,) array."""
-    leaf, acc = c.ndim == 1, 0j
+    axis, skipping all-zero slabs: a scalar or a fresh (m,) array, real
+    for real c and real columns."""
+    leaf, acc = c.ndim == 1, 0j if np.iscomplexobj(c) else 0.0
     for slab in (c.tolist() if leaf else c)[::-1]:  # Python scalars on the last axis
         # numpy rounds a one-element in-place complex product differently from
         # the same product in a longer array, so a one-row batch (and the
@@ -146,9 +163,10 @@ def _compose(c: np.ndarray, lines: list) -> np.ndarray:
 class Polynomial:
     """Polynomial in n complex variables: ``coeffs[a_1, ..., a_n]``, a read-only
     complex array cut to the largest power of each variable present, is the
-    coefficient of x_1^a_1 ... x_n^a_n; ``terms`` views the nonzero ones."""
+    coefficient of x_1^a_1 ... x_n^a_n; ``terms`` views the nonzero ones.
+    ``_real`` is the real part of ``coeffs`` when it is all there is, else None."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "coeffs", "_real")
 
     def __init__(self, n: int, terms: dict | None = None):
         n = int(n)
@@ -159,7 +177,8 @@ class Polynomial:
         c = np.zeros(np.max([a for a, _ in items], 0) + 1 if items else (1,) * n, complex)
         for alpha, coeff in items:
             c[alpha] += coeff
-        self.n, self.coeffs = n, Polynomial.from_coeffs(c).coeffs
+        built = Polynomial.from_coeffs(c)
+        self.n, self.coeffs, self._real = n, built.coeffs, built._real
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "Polynomial":
@@ -167,6 +186,7 @@ class Polynomial:
         out, c = cls.__new__(cls), np.asarray(coeffs, dtype=complex)
         out.coeffs = c[tuple(slice(ix.max() + 1 if ix.size else 1) for ix in np.nonzero(c))].copy()
         out.coeffs.flags.writeable, out.n = False, c.ndim
+        out._real = None if out.coeffs.imag.any() else out.coeffs.real
         return out
 
     @classmethod
@@ -202,9 +222,13 @@ class Polynomial:
         return complex(self.evaluate_many(np.asarray(z, dtype=complex)[None, :])[0])
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        out = _horner(self.coeffs, [Z[:, j] for j in range(self.n)])
-        return np.full(Z.shape[0], out, dtype=complex) if np.ndim(out) == 0 else out
+        """p at the rows of Z, as complex values; real coefficients at real
+        rows run in float64, with the real parts of the complex run."""
+        Z = _rows(Z, self._real is not None)
+        c = self.coeffs if np.iscomplexobj(Z) else self._real
+        out = _horner(c, [Z[:, j] for j in range(self.n)])
+        return np.full(Z.shape[0], out, dtype=complex) if np.ndim(out) == 0 \
+            else out.astype(complex, copy=False)
 
     def compose_affine(self, M: np.ndarray | None, d=None) -> "Polynomial":
         """The polynomial w -> p(M w + d)."""
@@ -242,6 +266,10 @@ class GaussPoly:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "gamma", complex(self.gamma))
+        # the exponent's data in float64 when it has no imaginary parts
+        real = not (P.imag.any() or b.imag.any() or self.gamma.imag)
+        object.__setattr__(self, "_real_exponent",
+                           (P.real, b.real, self.gamma.real) if real else None)
 
     @property
     def n(self) -> int:
@@ -270,24 +298,29 @@ class GaussPoly:
 
     def exponent_many(self, X: np.ndarray):
         """-x.Px/2 + b.x + gamma at each row of X, row by row; gamma itself
-        for a pure polynomial."""
+        for a pure polynomial; a float64 array for real P, b and gamma at
+        real rows."""
         if not self.P.any() and not self.b.any():
             return self.gamma
-        linear = sum(self.b[j] * X[:, j] for j in range(self.n))
-        return -0.5 * bilinear_rows(X, self.P, X) + linear + self.gamma
+        X = _rows(X, self._real_exponent is not None)
+        P, b, gamma = (self.P, self.b, self.gamma) if np.iscomplexobj(X) else self._real_exponent
+        linear = sum(b[j] * X[:, j] for j in range(self.n))
+        return -0.5 * bilinear_rows(X, P, X) + linear + gamma
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """The term at the rows of X, each row with the bits of a one-row
         call; rows out of range are those of the RangeOverflowError raised.
         A zero polynomial is zero everywhere, its exponent unread."""
-        X = np.asarray(X, dtype=complex)
+        X = np.asarray(X)
         out = np.zeros(X.shape[0], dtype=complex)
         if self.poly.is_zero():
             return out
         expo = self.exponent_many(X)
         check_rows(expo, lambda ok: self.evaluate_many(X[ok]), X.shape[0])
-        # summed into zeros, so a value of -0 reads +0, the bits reports carry
-        out += self.poly.evaluate_many(X) * np.exp(expo)
+        # summed into zeros, so a value of -0 reads +0, the bits reports carry;
+        # exp of a real exponent is taken in complex, as numpy's real exp can
+        # differ from it in the last bit
+        out += self.poly.evaluate_many(X) * np.exp(np.asarray(expo, dtype=complex))
         return out
 
     def evaluate(self, x) -> complex:
@@ -366,6 +399,14 @@ class CallableField:
 
 
 def _require_decaying(Q: np.ndarray, what: str) -> None:
+    """Nothing if Q's real part is positive definite.  A Q whose Frobenius
+    norm (a scaled sum, as ``hypot`` takes it) overflows is refused as beyond
+    the float range before its eigenvalues, which would round a
+    positive-definite Q to a singular one."""
+    with np.errstate(over="ignore"):
+        if not math.isfinite(math.hypot(*np.abs(Q).ravel())):
+            raise ConfigError(f"{what}: quadratic form is beyond the float range "
+                              "(its Frobenius norm overflows)")
     min_eig = float(np.linalg.eigvalsh(0.5 * Q.real + 0.5 * Q.real.T)[0])
     if min_eig <= 0.0:
         raise DivergenceError(

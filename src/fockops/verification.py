@@ -32,7 +32,13 @@ from .operators import (
     decompose,
     decomposition_residuals,
 )
-from .quadrature import QuadratureRule, integrate, mc_integrate
+from .quadrature import (
+    MAX_NODES_PER_AXIS,
+    QuadratureRule,
+    integrate,
+    mc_integrate,
+    rule_range_error,
+)
 from .report import CheckResult, fold, make_bound_check, make_check
 from .symbolic import GaussPoly, Polynomial, l2_inner_product
 from .testing import random_real_preserving_map, random_spd_map, random_spd_matrix, rotated_weight
@@ -67,10 +73,16 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """The suite's seed and the nodes per axis of its n=1 Fock rules."""
+    """The suite's seed and the nodes per axis of its n=1 Fock rules; nodes
+    past the last Gauss-Hermite rule in the float range are refused here,
+    before any group runs."""
 
     seed: int = 2024
     nodes: int = 40
+
+    def __post_init__(self):
+        if self.nodes > MAX_NODES_PER_AXIS:
+            raise rule_range_error(self.nodes)
 
 
 def _monomials(n: int, max_degree: int):

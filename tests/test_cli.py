@@ -544,6 +544,34 @@ def test_verify_nodes_past_the_hermite_range_are_config_errors(capsys, monkeypat
     assert "371 nodes per axis" in error["message"]
 
 
+def test_verify_nodes_past_the_hermite_range_are_refused_before_any_group(capsys, monkeypatch):
+    def group(cfg):
+        raise AssertionError("a verify group ran")
+
+    monkeypatch.setattr(fo.verification, "GROUPS", {"operator-core": group})
+    code, out = run_cli(capsys, "verify", "--nodes", "1000")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "config_invalid",
+        "message": "a Gauss-Hermite rule of 1000 nodes per axis is beyond the float range",
+    }
+
+
+@pytest.mark.parametrize("target", ["weighted_transform", "classical_transform"])
+def test_gaussian_form_beyond_the_float_range_is_config_invalid(tmp_path, capsys, target):
+    # G + P is positive definite, but rounds to a singular form whose least
+    # eigenvalue reads 0: the float range is at fault, not a divergence
+    operator = {"n": 2, "R": np.eye(2).tolist(), "T": (2.0 * np.eye(2)).tolist()}
+    cfg = write_config(tmp_path, "cfg.json", {"operator": operator, "eval": {
+        "target": target, "points": [{"z": [0.1, 0.2, 0.3, 0.1]}],
+        "function": {"kind": "gaussian", "P": [[1e308, 1e308], [1e308, 1e308]]}}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert "beyond the float range" in error["message"]
+
+
 def test_config_schemas_are_valid_json_schema():
     for schema in CONFIG_SCHEMAS.values():
         jsonschema.Draft202012Validator.check_schema(schema)

@@ -11,7 +11,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.polynomial.hermite_e import hermegauss
 
 from fockops import (
+    CallableField,
     DivergenceError,
+    EvaluatorError,
     GaussPoly,
     Polynomial,
     RangeOverflowError,
@@ -23,6 +25,7 @@ from fockops import (
     hermite_function,
     integrate_gausspoly,
     l2_inner_product,
+    segal_bargmann,
     segal_bargmann_fn,
 )
 from numpy.polynomial.polynomial import polyder
@@ -295,6 +298,80 @@ def test_terms_view_rebuilds_the_polynomial_property(p):
         p.terms[(0,) * p.n] = 1.0
     with pytest.raises(ValueError):
         p.coeffs[(0,) * p.n] = 1.0
+
+
+# -- real terms at real points: float64 arithmetic, complex bits ----------------
+
+REAL = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """The raw bits of a complex array, both parts: -0 is not +0 here."""
+    return values.view(np.uint64)
+
+
+@st.composite
+def real_terms(draw):
+    """A real term at n <= 3, each axis of degree <= 6, with SPD P, and real
+    points to evaluate it at."""
+    n = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=n, max_size=n)))
+    coeffs = draw(arrays(float, shape, elements=REAL))
+    B = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    b = draw(arrays(float, (n,), elements=REAL))
+    term = GaussPoly(Polynomial.from_coeffs(coeffs), B @ B.T + 0.2 * np.eye(n), b,
+                     draw(REAL))
+    X = draw(arrays(float, (draw(st.integers(1, 8)), n), elements=st.floats(-3.0, 3.0)))
+    return term, X
+
+
+@PROPERTY
+@given(case=real_terms())
+def test_real_term_at_real_points_has_the_bits_of_the_complex_route_property(case):
+    f, X = case
+    got = f.evaluate_many(X)
+    assert got.dtype == complex
+    np.testing.assert_array_equal(bits(got), bits(f.evaluate_many(X.astype(complex))))
+    np.testing.assert_array_equal(
+        bits(got), bits(np.array([f.evaluate(x) for x in X], dtype=complex)))
+    # the polynomial alone keeps the bits of its real parts, and its
+    # imaginary parts are zero
+    p = f.poly.evaluate_many(X)
+    np.testing.assert_array_equal(bits(p.real), bits(f.poly.evaluate_many(X.astype(complex)).real))
+    assert not p.imag.any()
+
+
+@PROPERTY
+@given(case=real_terms(), part=st.sampled_from(["coeff", "P", "b", "gamma"]),
+       imag=st.floats(0.01, 1.0))
+def test_complex_data_at_real_points_keeps_the_complex_route_property(case, part, imag):
+    f, X = case
+    poly, P, b, gamma = f.poly.coeffs.copy(), f.P.copy(), f.b.copy(), f.gamma
+    if part == "coeff":
+        poly[(0,) * f.n] += 1j * imag
+    elif part == "P":
+        P = P + 1j * imag * np.eye(f.n)
+    elif part == "b":
+        b[0] += 1j * imag
+    else:
+        gamma += 1j * imag
+    g = GaussPoly(Polynomial.from_coeffs(poly), P, b, gamma)
+    np.testing.assert_array_equal(bits(g.evaluate_many(X)),
+                                  bits(g.evaluate_many(X.astype(complex))))
+
+
+def test_overflowing_real_polynomial_on_the_quadrature_route_is_an_evaluator_failure():
+    # 1e308 x^4 overflows at the outer nodes.  The real route's inf times
+    # the complex exponential has a NaN imaginary part, as the complex
+    # route's own products do: both name NaN at the same node.
+    ctx = build_context(RealLinearMap.from_blocks(np.eye(1), 2.0 * np.eye(1)))
+    f = GaussPoly(Polynomial.monomial(1, (4,), 1e308), np.eye(1), np.zeros(1), 0.0)
+    fields = [CallableField(1, f.evaluate_many),
+              CallableField(1, lambda X: f.evaluate_many(X.astype(complex)))]
+    for field in fields:
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EvaluatorError, match="integrand produced NaN at node 0$"):
+            segal_bargmann(ctx, field, np.array([0.3 + 0.1j]))
 
 
 # The benchmark's ladder rung (1, 10) at seed 10: a block weight and eight

@@ -1,12 +1,15 @@
 """The verify suite itself: a NaN residual fails its check, each group
-reports its progress on the debug log, and the quadrature checks evaluate
-each function once per grid."""
+reports its progress on the debug log, the quadrature checks evaluate
+each function once per grid, and its node count stays within the rules."""
 
 import logging
 import math
 
+import pytest
+
 import fockops.verification as verification
-from fockops import GaussPoly, kernel_section
+from fockops import ConfigError, GaussPoly, kernel_section
+from fockops.quadrature import MAX_NODES_PER_AXIS, _hermite_rule
 from fockops.verification import VerifyConfig, run_verification
 
 
@@ -88,3 +91,15 @@ def test_space_unitary_computes_each_classical_norm_once(monkeypatch):
     assert all(c.passed for c in checks)
     # five classical norms plus five lifted norms for each of three weights
     assert len(calls) == 20
+
+
+def test_verify_nodes_bound_is_the_last_hermite_rule_in_the_float_range():
+    # the config refuses what _hermite_rule would refuse, without building it
+    assert MAX_NODES_PER_AXIS == 370
+    _hermite_rule(370)
+    VerifyConfig(nodes=370)
+    with pytest.raises(ConfigError) as from_rule:
+        _hermite_rule(371)
+    with pytest.raises(ConfigError) as from_config:
+        VerifyConfig(nodes=371)
+    assert str(from_config.value) == str(from_rule.value)
