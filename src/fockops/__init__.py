@@ -73,13 +73,10 @@ from .transforms import (
     restrict_adjoint,
     restriction_gram,
     restriction_modulus,
-    restriction_modulus_at,
     sb_eigenfunction,
     segal_bargmann,
-    segal_bargmann_classical,
     segal_bargmann_classical_fn,
     segal_bargmann_fn,
-    segal_bargmann_gaussian,
     segal_bargmann_gaussian_fn,
     translate,
     weighted_ground_state,

@@ -82,8 +82,8 @@ from .transforms import (
     multiplier,
     sb_eigenfunction,
     segal_bargmann,
-    segal_bargmann_classical,
-    segal_bargmann_gaussian,
+    segal_bargmann_classical_fn,
+    segal_bargmann_gaussian_fn,
 )
 from .truncation import TruncationSpec, ca_sequence
 from .verification import VerifyConfig, run_verification
@@ -163,9 +163,9 @@ EVAL_TARGETS = {
     "eval_norm": (("z",), lambda ctx, fn, z: eval_functional_norm(ctx, z)),
     "multiplier": (("x", "z"), lambda ctx, fn, x, z: multiplier(ctx, x, z)),
     "coherent_state": (("x", "z"), lambda ctx, fn, x, z: coherent_state(ctx, x, z)),
-    "classical_transform": (("z",), lambda ctx, fn, z: segal_bargmann_classical(fn, z)),
+    "classical_transform": (("z",), lambda ctx, fn, z: segal_bargmann_classical_fn(fn).evaluate_many(z)),
     "weighted_transform": (("z",), lambda ctx, fn, z: segal_bargmann(ctx, fn, z)),
-    "gaussian_transform": (("z",), lambda ctx, fn, z: segal_bargmann_gaussian(ctx, fn, z)),
+    "gaussian_transform": (("z",), lambda ctx, fn, z: segal_bargmann_gaussian_fn(ctx, fn).evaluate_many(z)),
 }
 
 CONFIG_SCHEMAS = {

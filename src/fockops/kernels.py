@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
 from .operators import OperatorContext
-from .quadrature import QuadratureRule, _reduce, _require_finite
+from .quadrature import QuadratureRule, sampled, weighted_sum
 from .symbolic import GaussPoly, bilinear_rows, check_rows
 
 __all__ = [
@@ -149,14 +149,6 @@ def _complex_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     return X[:, :n] + 1j * X[:, n:], W
 
 
-def _evaluated(F, Z: np.ndarray) -> np.ndarray:
-    """F on the grid points, checked before a product can turn an inf
-    into a NaN."""
-    values = np.asarray(F.evaluate_many(Z), dtype=complex)
-    _require_finite(values, "node")
-    return values
-
-
 def fock_gram(
     ctx: OperatorContext,
     Fs: Sequence[GaussPoly],
@@ -182,13 +174,13 @@ def fock_gram(
 
     started = time.perf_counter()
     Z, W = _complex_grid(rule)
-    columns = [np.conj(_evaluated(G, Z)) for G in Gs]
+    columns = [np.conj(sampled(G.evaluate_many, Z)) for G in Gs]
     by_id = {id(G): column for G, column in zip(Gs, columns)}
     out = np.empty((len(Fs), len(columns)), dtype=complex)
     for i, F in enumerate(Fs):
-        row = np.conj(by_id[id(F)]) if id(F) in by_id else _evaluated(F, Z)
+        row = np.conj(by_id[id(F)]) if id(F) in by_id else sampled(F.evaluate_many, Z)
         for j, column in enumerate(columns):
-            out[i, j] = _reduce(row * column, W)
+            out[i, j] = weighted_sum(sampled(np.multiply, row, column), W)
     log.debug("fock_gram dim %d, %d nodes, %dx%d in %.3fs", rule.dim, W.shape[0],
               out.shape[0], out.shape[1], time.perf_counter() - started)
     return out

@@ -117,8 +117,19 @@ def _block_sum(x: np.ndarray) -> float:
     return math.fsum([*blocks.tolist(), float(x[whole:].sum())])
 
 
-def _reduce(values: np.ndarray, weights: np.ndarray) -> complex:
-    _require_finite(values, "node")
+def sampled(f, *args, where: str = "node") -> np.ndarray:
+    """``f(*args)`` as complex values: the one place an integrand is evaluated.
+    It runs under ``np.errstate``, so a value past the float range is not a
+    numpy warning but an inf or a NaN, which :func:`_require_finite` refuses."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(f(*args), dtype=complex)
+    _require_finite(values, where)
+    return values
+
+
+def weighted_sum(values: np.ndarray, weights: np.ndarray) -> complex:
+    """The sum of :func:`sampled` values times their weights, in the fixed
+    order of :func:`_block_sum`."""
     prods = values * weights
     return complex(_block_sum(prods.real), _block_sum(prods.imag))
 
@@ -129,13 +140,25 @@ def integrate(rule: QuadratureRule, f) -> complex:
     ``f`` maps an (m, dim) array of points to m values.
     """
     X, W = rule.grid()
-    return _reduce(np.asarray(f(X), dtype=complex), W)
+    return weighted_sum(sampled(f, X), W)
 
 
 def integrate_shifted(rule: QuadratureRule, center, f) -> complex:
     """Same expectation with the Gaussian recentered at ``center``."""
     X, W = rule.grid(center=np.asarray(center, dtype=float))
-    return _reduce(np.asarray(f(X), dtype=complex), W)
+    return weighted_sum(sampled(f, X), W)
+
+
+def lebesgue_integral(P, nodes_per_axis: int, center, f, factor: complex = 1.0) -> complex:
+    """``factor`` times the integral of exp(-(x-c).P(x-c)/2) f(x) dx over R^n, c =
+    ``center``: (2 pi)^{n/2} det(P)^{-1/2} factor, multiplied out first, times
+    :func:`integrate_shifted` on the rule of ``nodes_per_axis`` nodes scaled to P."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    rule = QuadratureRule(dim=n, nodes_per_axis=nodes_per_axis, scaling=P)
+    log_det = float(np.sum(np.log(np.linalg.eigvalsh(P))))
+    const = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * log_det) * factor
+    return const * integrate_shifted(rule, center, f)
 
 
 def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
@@ -157,8 +180,7 @@ def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     rng = np.random.Generator(np.random.Philox(seed))
     xi = rng.standard_normal((samples, dim))
     X = xi @ inv_sqrt_spd(scaling).T
-    values = np.asarray(f(X), dtype=complex)
-    _require_finite(values, "sample")
+    values = sampled(f, X, where="sample")
     estimate = complex(_block_sum(values.real) / samples, _block_sum(values.imag) / samples)
     spread = float(np.sqrt(np.mean(np.abs(values - estimate) ** 2)))
     return estimate, spread / math.sqrt(samples)

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 EXP_OVERFLOW = 700.0
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 OVERFLOW_MESSAGE = "exponent {:.1f} exceeds the representable range"
 
 
@@ -438,10 +439,29 @@ def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(c[1:] * 1 * powers, 0, axis)
 
 
+def _require_smoothable(poly: Polynomial, cov: np.ndarray) -> None:
+    """Refuse a one-term p = c y^alpha whose smoothing has a coefficient past
+    twice the largest float, which makes every value of the result non-finite:
+    the series puts one term, c alpha_i!/(k!(alpha_i - 2k)!) (cov_ii/2)^k, at
+    y^(alpha - 2k e_i), so its size is known before the series runs."""
+    terms = np.argwhere(poly.coeffs)
+    if len(terms) != 1:
+        return
+    log_c = math.log(abs(poly.coeffs[tuple(terms[0])]))
+    for i, a in enumerate(terms[0].tolist()):
+        k, var = np.arange(1.0, a // 2 + 1), abs(cov[i, i])
+        top = np.cumsum(np.log((a - 2 * k + 2) * (a - 2 * k + 1) * var / (2 * k))).max(initial=0.0)
+        if log_c + top > LOG_FLOAT_MAX + math.log(2.0):
+            raise ConfigError(f"smoothing y_{i + 1}^{a} by a Gaussian of variance {var:.3g} "
+                              f"gives a coefficient near 1e{(log_c + top) / math.log(10.0):.0f}, "
+                              f"past the largest float, {np.finfo(float).max:.3g}")
+
+
 def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
     """y -> E[p(y + u)], u centred Gaussian of complex symmetric covariance
     cov: the heat operator exp(d.cov d / 2) p, a series ending at half the degree.
     Its terms can dwarf their sum (Hermite p): it runs in long double, rounded once."""
+    _require_smoothable(poly, cov)
     term = out = poly.coeffs.astype(np.clongdouble)
     cov, axes = np.asarray(cov).astype(np.clongdouble), range(poly.n)
     for k in range(1, poly.degree() // 2 + 1):

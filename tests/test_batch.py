@@ -12,6 +12,14 @@ HERMITE = fo.hermite_function((3, 2))
 # a linear term in the exponent, so that the transform images have one too
 F = fo.GaussPoly(HERMITE.poly, HERMITE.P, [0.3, -0.2], 0.1)
 
+
+
+def _at(image, z):
+    """A closed image at one point, or at each row of a batch."""
+    z = np.asarray(z, dtype=complex)
+    return image.evaluate(z) if z.ndim == 1 else image.evaluate_many(z)
+
+
 # eval target -> (coordinates it reads, batch function of ctx and them)
 TARGETS = {
     "measure_density": (("z",), fo.measure_density),
@@ -19,9 +27,10 @@ TARGETS = {
     "eval_norm": (("z",), fo.eval_functional_norm),
     "multiplier": (("x", "z"), fo.multiplier),
     "coherent_state": (("x", "z"), fo.coherent_state),
-    "classical_transform": (("z",), lambda ctx, z: fo.segal_bargmann_classical(F, z)),
+    "classical_transform": (("z",), lambda ctx, z: _at(fo.segal_bargmann_classical_fn(F), z)),
     "weighted_transform": (("z",), lambda ctx, z: fo.segal_bargmann(ctx, F, z)),
-    "gaussian_transform": (("z",), lambda ctx, z: fo.segal_bargmann_gaussian(ctx, F, z)),
+    "gaussian_transform": (("z",),
+                           lambda ctx, z: _at(fo.segal_bargmann_gaussian_fn(ctx, F), z)),
 }
 
 

@@ -316,10 +316,15 @@ def test_eval_transform_builds_the_image_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def segal_bargmann_gaussian_at(ctx, f, z):
+    return fo.segal_bargmann_gaussian_fn(ctx, f).evaluate(z)
+
+
 @pytest.mark.parametrize("target, single, far_point", [
-    ("classical_transform", lambda ctx, f, z: fo.segal_bargmann_classical(f, z), [100.0, 0.0]),
+    ("classical_transform", lambda ctx, f, z: fo.segal_bargmann_classical_fn(f).evaluate(z),
+     [100.0, 0.0]),
     ("weighted_transform", fo.segal_bargmann, [40.0, 0.0]),
-    ("gaussian_transform", fo.segal_bargmann_gaussian, [0.0, 100.0]),
+    ("gaussian_transform", segal_bargmann_gaussian_at, [0.0, 100.0]),
 ])
 def test_eval_transform_rows_match_single_point_calls(tmp_path, capsys, target, single,
                                                        far_point):
@@ -761,14 +766,33 @@ def test_integral_floats_are_not_integers(tmp_path, capsys, command, config):
 
 
 def test_eval_non_finite_values_fail_their_rows(tmp_path, capsys):
-    # z^1000 has a finite coefficient, but its transform overflows to NaN everywhere
+    # the coefficient is finite, but its transform's overflows to inf everywhere
     cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": {
         "target": "weighted_transform", "points": [{"z": [0.1, 0.0]}, {"z": [0.0, 0.2]}],
-        "function": {"kind": "monomial_gaussian", "alpha": [1000]}}})
+        "function": {"kind": "gaussian", "coeff": 1.7e308}}})
     code, out = run_cli(capsys, "eval", "--config", cfg)
     report = json.loads(out)
     assert code == 1 and report["pass"] is False
     assert [row["error"]["kind"] for row in report["values"]] == ["evaluator_failure"] * 2
+
+
+@pytest.mark.parametrize("alpha", [500, 1000, 9999])
+def test_eval_monomial_whose_smoothing_leaves_the_float_range_is_refused_first(
+        tmp_path, capsys, monkeypatch, alpha):
+    # the series would take seconds at 9999 and end in non-finite rows; a
+    # derivative taken would mean the series started
+    import fockops.symbolic as symbolic
+
+    monkeypatch.setattr(symbolic, "_derivative", None)
+    cfg = write_config(tmp_path, "cfg.json", {
+        "operator": {"n": 1, "R": [[1.0]], "T": [[2.0]]}, "eval": {
+            "target": "weighted_transform", "points": [{"z": [0.1, 0.0]}],
+            "function": {"kind": "monomial_gaussian", "alpha": [alpha]}}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert error["message"].endswith("past the largest float, 1.8e+308")
 
 
 @pytest.mark.parametrize("function", [

@@ -250,6 +250,17 @@ def test_fock_gram_names_a_non_finite_column_value(value, kind):
         fock_gram(ctx, [_Spike(7, value)], [one], fock_rule(ctx, 10))
 
 
+@pytest.mark.parametrize("f", [
+    GaussPoly(Polynomial.monomial(1, (4,), 1e308), np.eye(1), np.zeros(1), 0.0),
+    GaussPoly.constant(1, 1e200),  # finite values whose product overflows
+], ids=["value", "product"])
+def test_fock_norm_that_overflows_is_an_evaluator_failure(f):
+    # under tier-1's -W error::RuntimeWarning a numpy warning would come first
+    ctx = diag_ctx()
+    with pytest.raises(EvaluatorError, match="integrand produced"):
+        fock_norm(ctx, f, fock_rule(ctx, 40))
+
+
 def test_fock_gram_evaluates_a_function_given_as_row_and_column_once(monkeypatch):
     ctx = diag_ctx()
     rule = fock_rule(ctx, 20)

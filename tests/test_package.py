@@ -85,7 +85,6 @@ def test_benchmark_tracer_still_binds_and_its_hooks_fire():
 # exported names no caller reaches, each kept for a reason
 UNREACHED_ON_PURPOSE = {
     "phase_factor": "a formula of the paper, tested against a reference",
-    "restriction_modulus_at": "the quadrature oracle of restriction_modulus",
 }
 
 
@@ -128,6 +127,18 @@ def test_every_exported_function_and_class_has_a_caller():
     unreached = sorted(set(exported) - uses.names - set(UNREACHED_ON_PURPOSE))
     assert not unreached
     assert set(UNREACHED_ON_PURPOSE) <= set(exported) - uses.names
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A leading underscore keeps a name inside its module; what a second
+    module needs is public where it is defined."""
+    private = []
+    for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                private += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private
 
 
 @pytest.mark.parametrize("make", [

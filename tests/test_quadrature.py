@@ -8,7 +8,9 @@ import pytest
 from fockops import (
     ConfigError,
     EvaluatorError,
+    GaussPoly,
     NodeBudgetError,
+    Polynomial,
     QuadratureRule,
     integrate,
     integrate_shifted,
@@ -147,6 +149,22 @@ def test_mc_rejects_infinite_samples():
 
     with pytest.raises(EvaluatorError, match="inf at sample 3"):
         mc_integrate(5, 1000, np.eye(1), spike)
+
+
+# 1e308 x^4 exp(-x^2/2) overflows at the outer nodes and at some samples
+_HUGE = GaussPoly(Polynomial.monomial(1, (4,), 1e308), np.eye(1), np.zeros(1), 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate(QuadratureRule(1, 40), _HUGE.evaluate_many),
+    lambda: integrate_shifted(QuadratureRule(1, 40), [0.5], _HUGE.evaluate_many),
+    lambda: mc_integrate(3, 1000, np.eye(1), _HUGE.evaluate_many),
+], ids=["integrate", "integrate_shifted", "mc_integrate"])
+def test_an_integrand_that_overflows_is_an_evaluator_failure(call):
+    # tier-1 turns RuntimeWarning into an error: numpy's overflow warning
+    # must not come before the structured error
+    with pytest.raises(EvaluatorError, match="integrand produced"):
+        call()
 
 
 def test_mc_sample_budget_is_checked_before_drawing():

@@ -12,6 +12,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from fockops import (
     CallableField,
+    ConfigError,
     DivergenceError,
     EvaluatorError,
     GaussPoly,
@@ -288,6 +289,31 @@ def test_smoothed_matches_gauss_hermite_expectation_property(data):
     assert abs(got - want) <= 1e-11 * np.dot(w, magnitude(p, X))
 
 
+# variance -> the first degree d at which smoothing y^d leaves the float range:
+# 1/4 is the weighted transform of x^d exp(-x^2/2) at R = 1, T = 2
+SMOOTHING_OVERFLOWS_AT = {1.0 / 6.0: 412, 0.25: 380, 0.5: 334}
+
+
+@pytest.mark.parametrize("var", sorted(SMOOTHING_OVERFLOWS_AT))
+def test_smoothing_is_refused_exactly_where_its_series_leaves_the_float_range(
+        var, monkeypatch):
+    import fockops.symbolic as symbolic
+
+    first = SMOOTHING_OVERFLOWS_AT[var]
+    cov = np.array([[var]])
+    for degree in range(first - 4, first + 5):
+        p = Polynomial.monomial(1, (degree,))
+        if degree < first:
+            assert np.isfinite(_smoothed(p, cov).coeffs).all()
+            continue
+        with pytest.raises(ConfigError, match="past the largest float"):
+            _smoothed(p, cov)
+        with monkeypatch.context() as unchecked, np.errstate(over="ignore", invalid="ignore"):
+            unchecked.setattr(symbolic, "_require_smoothable", lambda poly, cov: None)
+            assert not np.isfinite(_smoothed(p, cov).coeffs).all()
+    assert np.isfinite(_smoothed(Polynomial.monomial(1, (150,)), cov).coeffs).all()
+
+
 @PROPERTY
 @given(p=polynomials())
 def test_terms_view_rebuilds_the_polynomial_property(p):
@@ -363,14 +389,14 @@ def test_complex_data_at_real_points_keeps_the_complex_route_property(case, part
 def test_overflowing_real_polynomial_on_the_quadrature_route_is_an_evaluator_failure():
     # 1e308 x^4 overflows at the outer nodes.  The real route's inf times
     # the complex exponential has a NaN imaginary part, as the complex
-    # route's own products do: both name NaN at the same node.
+    # route's own products do: both name NaN at the same node.  The
+    # integrand runs under np.errstate, so no numpy warning comes first.
     ctx = build_context(RealLinearMap.from_blocks(np.eye(1), 2.0 * np.eye(1)))
     f = GaussPoly(Polynomial.monomial(1, (4,), 1e308), np.eye(1), np.zeros(1), 0.0)
     fields = [CallableField(1, f.evaluate_many),
               CallableField(1, lambda X: f.evaluate_many(X.astype(complex)))]
     for field in fields:
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(EvaluatorError, match="integrand produced NaN at node 0$"):
+        with pytest.raises(EvaluatorError, match="integrand produced NaN at node 0$"):
             segal_bargmann(ctx, field, np.array([0.3 + 0.1j]))
 
 

@@ -36,20 +36,25 @@ from fockops import (
     restrict_adjoint,
     restriction_gram,
     restriction_modulus,
-    restriction_modulus_at,
     sb_eigenfunction,
     segal_bargmann,
-    segal_bargmann_classical,
     segal_bargmann_classical_fn,
     segal_bargmann_fn,
-    segal_bargmann_gaussian,
     segal_bargmann_gaussian_fn,
     translate,
     weighted_ground_state,
 )
 from fockops.symbolic import integrate_gausspoly as _gp_integral
 from fockops.report import fold
-from fockops.transforms import density_s
+from fockops.transforms import (
+    _adjoint_kernel,
+    _classical_kernel,
+    _gaussian_kernel,
+    _modulus_kernel,
+    _quadrature,
+    _sb_kernel,
+    density_s,
+)
 from fockops.testing import random_real_preserving_map, random_spd_map, rotated_weight
 
 
@@ -207,7 +212,7 @@ def test_restrict_adjoint_classical_formula():
     conv = heat_convolve(np.eye(1), 1.0, g)
     for z in (0.0, 0.6, 0.3 - 0.8j):
         want = (2 * math.pi) ** 0.25 * np.exp(0.5 * z * z) * conv.evaluate([z])
-        got = restrict_adjoint(ctx, g, [z])
+        got = restrict_adjoint(ctx, g).evaluate([z])
         assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -217,15 +222,15 @@ def test_restrict_adjoint_dual_paths_agree():
     phi_h = heat_kernel(Hn, 1.0)
     callable_version = CallableField(1, lambda X: phi_h.evaluate_many(X))
     for z in ([0.0], [0.45], [0.2 - 0.3j]):
-        closed = restrict_adjoint(ctx, phi_h, z)
-        quad = restrict_adjoint(ctx, callable_version, np.asarray(z, dtype=complex))
+        closed = restrict_adjoint(ctx, phi_h).evaluate(z)
+        quad = _quadrature(_adjoint_kernel(ctx), callable_version, z)
         assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 
 def test_restrict_adjoint_annihilates_zero():
     ctx = diag_ctx()
     zero = GaussPoly(Polynomial(1, {}), np.eye(1), np.zeros(1), 0.0)
-    assert restrict_adjoint(ctx, zero, [0.3]) == 0.0
+    assert restrict_adjoint(ctx, zero).evaluate([0.3]) == 0.0
 
 
 def test_restrict_adjoint_divergence_guard():
@@ -234,7 +239,7 @@ def test_restrict_adjoint_divergence_guard():
     ctx = diag_ctx()
     growing = GaussPoly.gaussian(-3.0 * np.eye(1))  # outruns the kernel decay
     with pytest.raises(DivergenceError):
-        restrict_adjoint(ctx, growing, [0.0])
+        restrict_adjoint(ctx, growing)
 
 
 # -- heat family ------------------------------------------------------------------
@@ -341,8 +346,8 @@ def test_modulus_quadrature_path_matches_closed_form():
     h = heat_kernel(np.eye(1) * 1.3, 1.0)
     callable_version = CallableField(1, lambda X: h.evaluate_many(X))
     for x in ([0.0], [0.7]):
-        closed = restriction_modulus_at(ctx, h, x)
-        quad = restriction_modulus_at(ctx, callable_version, x)
+        closed = restriction_modulus(ctx, h).evaluate(x)
+        quad = _quadrature(_modulus_kernel(ctx), callable_version, x)
         assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 
@@ -357,7 +362,7 @@ def test_classical_transform_of_ground_state_is_one():
     # quadrature route for the callable version
     callable_version = CallableField(1, lambda X: g0.evaluate_many(X))
     for z in (0.0, 0.7 - 0.2j):
-        got = segal_bargmann_classical(callable_version, np.array([z], dtype=complex))
+        got = _quadrature(_classical_kernel(1), callable_version, [z])
         assert got == pytest.approx(1.0, rel=1e-8)
 
 
@@ -366,7 +371,7 @@ def test_classical_transform_value_at_origin():
     want = (2 / math.pi) ** 0.25 * _gp_integral(
         g * GaussPoly.gaussian(2.0 * np.eye(1))
     )
-    assert segal_bargmann_classical(g, [0.0]) == pytest.approx(want, rel=1e-13)
+    assert segal_bargmann_classical_fn(g).evaluate([0.0]) == pytest.approx(want, rel=1e-13)
 
 
 def test_classical_transform_sends_eigenfunctions_to_monomials():
@@ -402,7 +407,7 @@ def test_weighted_transform_reduces_to_classical_at_identity():
     grid = [0.0, 0.5, -0.8, 0.3 + 0.6j, 1.0 - 1.0j]
     for z in grid:
         lhs = segal_bargmann(ctx, f, [z])
-        rhs = segal_bargmann_classical(f, [z])
+        rhs = segal_bargmann_classical_fn(f).evaluate([z])
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -439,14 +444,12 @@ _X, _Z, _F = np.array([0.3, -0.2]), np.array([0.4 + 0.1j, -0.5 + 0.3j]), GaussPo
 # Everything that reads a real block of the weight, by the name it is known by.
 NEEDS_REAL_FORM = {
     "restrict": lambda ctx: restrict(ctx, _F),
-    "restrict_adjoint": lambda ctx: restrict_adjoint(ctx, _F, _Z),
+    "restrict_adjoint": lambda ctx: restrict_adjoint(ctx, _F),
     "restriction_gram": lambda ctx: restriction_gram(ctx, _F, _X),
     "restriction_modulus": lambda ctx: restriction_modulus(ctx, _F),
-    "restriction_modulus_at": lambda ctx: restriction_modulus_at(ctx, _F, _X),
     "segal_bargmann_fn": lambda ctx: segal_bargmann_fn(ctx, _F),
     "segal_bargmann": lambda ctx: segal_bargmann(ctx, _F, _Z),
     "segal_bargmann_gaussian_fn": lambda ctx: segal_bargmann_gaussian_fn(ctx, _F),
-    "segal_bargmann_gaussian": lambda ctx: segal_bargmann_gaussian(ctx, _F, _Z),
     "density_s": density_s,
     "coherent_state_fn": lambda ctx: coherent_state_fn(ctx, _Z),
     "coherent_state": lambda ctx: coherent_state(ctx, _X, _Z),
@@ -513,7 +516,7 @@ def test_gaussian_transform_fixes_constants_on_real_points():
     ctx = diag_ctx()
     one = GaussPoly.constant(1, 1.0)
     for z in (0.0, 0.9, -1.7):
-        assert segal_bargmann_gaussian(ctx, one, [z]) == pytest.approx(1.0, rel=1e-13)
+        assert segal_bargmann_gaussian_fn(ctx, one).evaluate([z]) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_coherent_state_golden_values():
@@ -533,7 +536,7 @@ def test_gaussian_transform_of_coherent_state_is_kernel_section():
         state = coherent_state_fn(ctx, w)
         for _ in range(3):
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            got = segal_bargmann_gaussian(ctx, state, z)
+            got = segal_bargmann_gaussian_fn(ctx, state).evaluate(z)
             want = kernel(ctx, z, np.conj(w))
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
@@ -593,56 +596,66 @@ def test_gaussian_transform_unitary_from_weighted_l2():
             assert abs(src - img) <= 1e-6 * max(1.0, abs(src))
 
 
-# -- both routes of every point-evaluating transform ----------------------------------
+# -- both routes of every transform ----------------------------------------------
 
 
-POINT_TRANSFORMS = {
-    "restrict_adjoint": restrict_adjoint,
-    "restriction_modulus_at": lambda ctx, h, z: restriction_modulus_at(ctx, h, z.real),
-    "segal_bargmann_classical": lambda ctx, h, z: segal_bargmann_classical(h, z),
-    "segal_bargmann": segal_bargmann,
-    "segal_bargmann_gaussian": segal_bargmann_gaussian,
+# map -> its closed entry point and the kernel of its quadrature route; the
+# modulus is read at the real part of each point
+ROUTES = {
+    "restrict_adjoint": (restrict_adjoint, _adjoint_kernel),
+    "restriction_modulus_at": (restriction_modulus, _modulus_kernel),
+    "segal_bargmann_classical": (lambda ctx, f: segal_bargmann_classical_fn(f),
+                                 lambda ctx: _classical_kernel(ctx.n)),
+    "segal_bargmann": (segal_bargmann_fn, _sb_kernel),
+    "segal_bargmann_gaussian": (segal_bargmann_gaussian_fn, _gaussian_kernel),
 }
 
 
+def _points(name, Z):
+    return Z.real.astype(complex) if name == "restriction_modulus_at" else Z
+
+
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("name", sorted(POINT_TRANSFORMS))
+@pytest.mark.parametrize("name", sorted(ROUTES))
 def test_closed_and_quadrature_routes_agree(name, n):
-    transform = POINT_TRANSFORMS[name]
+    closed, kernel = ROUTES[name]
     rng = np.random.default_rng(30 + n)
     ctx = build_context(random_real_preserving_map(rng, n, 0.5, 2.5))
-    zs = [0.6 * rng.standard_normal(n) + 0.4j * rng.standard_normal(n) for _ in range(3)]
+    Z = _points(name, np.array([0.6 * rng.standard_normal(n) + 0.4j * rng.standard_normal(n)
+                                for _ in range(3)]))
     # odd degrees and degree > 2 per axis reach odd Wick moments and
     # higher-order cross-covariance terms
     inputs = [hermite_function((2,) * n)] + ([hermite_function((5, 3))] if n == 2 else [])
     for f in inputs:
+        image = closed(ctx, f)
         field = CallableField(n, f.evaluate_many)
-        for z in zs:
-            closed = transform(ctx, f, z)
-            quad = transform(ctx, field, z)
-            assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
+        for z in Z:
+            want = image.evaluate(z)
+            got = _quadrature(kernel(ctx), field, z)
+            assert abs(want - got) <= 1e-8 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("name", sorted(POINT_TRANSFORMS))
+@pytest.mark.parametrize("name", sorted(ROUTES))
 def test_batch_of_points_matches_single_point_calls(name):
-    # a batch maps the input once, then evaluates each row as one point:
-    # the same bits as single calls, on both routes
-    transform = POINT_TRANSFORMS[name]
+    # a point is the one-row batch: a batch has the bits of single calls,
+    # on both routes
+    closed, kernel = ROUTES[name]
     rng = np.random.default_rng(41)
     ctx = build_context(random_real_preserving_map(rng, 1, 0.5, 2.5))
-    Z = 0.6 * rng.standard_normal((4, 1)) + 0.4j * rng.standard_normal((4, 1))
+    Z = _points(name, 0.6 * rng.standard_normal((4, 1)) + 0.4j * rng.standard_normal((4, 1)))
     f = hermite_function((3,))
-    for h in (f, CallableField(1, f.evaluate_many)):
-        batch = transform(ctx, h, Z)
+    image, field = closed(ctx, f), CallableField(1, f.evaluate_many)
+    for batch, single in ((image.evaluate_many(Z), image.evaluate),
+                          (_quadrature(kernel(ctx), field, Z),
+                           lambda z: _quadrature(kernel(ctx), field, z))):
         assert batch.shape == (4,)
         for z, value in zip(Z, batch):
-            single = complex(transform(ctx, h, z))
-            assert (value.real, value.imag) == (single.real, single.imag)
+            one = single(z)
+            assert (value.real, value.imag) == (one.real, one.imag)
 
 
 @pytest.mark.parametrize("fn", [
-    restrict_adjoint, restriction_gram, restriction_modulus_at, segal_bargmann_classical,
-    segal_bargmann, segal_bargmann_gaussian, kernel_from_densities,
+    restrict_adjoint, restriction_gram, segal_bargmann, kernel_from_densities, _quadrature,
 ])
 def test_transforms_take_no_quadrature_rule(fn):
     # the rule is built from the kernel; a caller's rule could only be wrong
