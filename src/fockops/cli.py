@@ -21,7 +21,9 @@ round-trip digits, in an exponent notation that may differ from Python's
 (``1e-8``, not ``1e-08``).  Wall-clock timing goes to stderr only.  A
 verify config holds ``seed`` and ``nodes``: ``--nodes`` sets the n=1 Fock
 rules, the n=2 rules keep 20 nodes and three checks take no fewer than 60;
-every other sample size is fixed.  Exit codes: 0 success, 1 verification
+every other sample size is fixed.  A verify check passes if and only if
+its ``residual`` is within its ``tolerance``; a ``null`` residual fails.  For
+a bound, ``lhs`` is the value checked and ``rhs`` its limit.  Exit codes: 0 success, 1 verification
 failure (for ``eval``, a row with an error: an exponent out of range or a
 non-finite value), 2 usage or configuration errors, reported as
 ``{"error": {"kind": ...}}``, a payload of the kind, the message and any

@@ -149,22 +149,23 @@ def integrate_shifted(rule: QuadratureRule, center, f) -> complex:
     return weighted_sum(sampled(f, X), W)
 
 
-def lebesgue_integral(P, nodes_per_axis: int, center, f, factor: complex = 1.0) -> complex:
-    """``factor`` times the integral of exp(-(x-c).P(x-c)/2) f(x) dx over R^n, c =
-    ``center``: (2 pi)^{n/2} det(P)^{-1/2} factor, multiplied out first, times
-    :func:`integrate_shifted` on the rule of ``nodes_per_axis`` nodes scaled to P."""
+def lebesgue_integral(P, nodes_per_axis: int, center, f) -> complex:
+    """The integral of exp(-(x-c).P(x-c)/2) f(x) dx over R^n, c = ``center``:
+    (2 pi)^{n/2} det(P)^{-1/2} times :func:`integrate_shifted` on the rule of
+    ``nodes_per_axis`` nodes scaled to P."""
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     rule = QuadratureRule(dim=n, nodes_per_axis=nodes_per_axis, scaling=P)
     log_det = float(np.sum(np.log(np.linalg.eigvalsh(P))))
-    const = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * log_det) * factor
+    const = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * log_det)
     return const * integrate_shifted(rule, center, f)
 
 
 def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     """Monte Carlo Gaussian expectation with a counter-based generator.
 
-    Returns the estimate and its standard error.  The same seed always
+    Returns the estimate and its standard error; a standard error beyond
+    the float range is an EvaluatorError.  The same seed always
     reproduces the same sample stream.  The samples hold at most
     NODE_BUDGET coordinates, as a quadrature grid does.
     """
@@ -182,5 +183,8 @@ def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     X = xi @ inv_sqrt_spd(scaling).T
     values = sampled(f, X, where="sample")
     estimate = complex(_block_sum(values.real) / samples, _block_sum(values.imag) / samples)
-    spread = float(np.sqrt(np.mean(np.abs(values - estimate) ** 2)))
+    with np.errstate(over="ignore"):
+        spread = float(np.sqrt(np.mean(np.abs(values - estimate) ** 2)))
+    if not math.isfinite(spread):
+        raise EvaluatorError("the Monte Carlo standard error is beyond the float range")
     return estimate, spread / math.sqrt(samples)

@@ -42,12 +42,19 @@ def fold(pick, acc: float, value: float) -> float:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: it passes if and only if its residual is within its
+    tolerance, so a NaN residual (``null`` in a report) fails.  For a bound,
+    ``lhs`` is the value checked and ``rhs`` its limit."""
+
     name: str
     lhs: complex | float
     rhs: complex | float
     residual: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tolerance)
 
     def to_json(self) -> dict:
         return {
@@ -56,7 +63,7 @@ class CheckResult:
             "rhs": complex_json(self.rhs),
             "residual": float(self.residual),
             "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
+            "pass": self.passed,
         }
 
 
@@ -69,7 +76,7 @@ def make_check(name: str, lhs, rhs, tolerance: float) -> CheckResult:
         lhs_out, rhs_out = lhs_c.real, rhs_c.real
     else:
         lhs_out, rhs_out = lhs_c, rhs_c
-    return CheckResult(name, lhs_out, rhs_out, residual, tolerance, residual <= tolerance)
+    return CheckResult(name, lhs_out, rhs_out, residual, tolerance)
 
 
 def make_bound_check(name: str, value: float, bound: float, tolerance: float) -> CheckResult:
@@ -79,4 +86,14 @@ def make_bound_check(name: str, value: float, bound: float, tolerance: float) ->
         overshoot = max(0.0, value - bound)
     else:
         overshoot = math.nan
-    return CheckResult(name, value, bound, overshoot, tolerance, overshoot <= tolerance)
+    return CheckResult(name, value, bound, overshoot, tolerance)
+
+
+def make_strict_check(name: str, value: float, limit: float, above: bool = True) -> CheckResult:
+    """Check value > limit (value < limit if not ``above``) with tolerance 0,
+    as the bound that the float next to ``limit`` on that side states, so
+    value == limit fails, and so does a non-finite value or limit."""
+    side = math.inf if above else -math.inf
+    edge = math.nextafter(limit, side) if math.isfinite(limit) else limit
+    low, high = (edge, value) if above else (value, edge)
+    return CheckResult(name, value, limit, make_bound_check(name, low, high, 0.0).residual, 0.0)

@@ -129,7 +129,7 @@ def _convolve_at(G: np.ndarray, h, z: np.ndarray) -> complex:
 
     The rule is scaled to G and recentred at Re(z), so its weight is the
     kernel itself; the leftover imaginary shift is a bounded oscillatory
-    factor.
+    factor times exp(Im z.G Im z/2), which is left to the caller.
     """
     a, imag = z.real, z.imag
     Gb = G @ imag
@@ -138,8 +138,7 @@ def _convolve_at(G: np.ndarray, h, z: np.ndarray) -> complex:
         osc = np.exp(-1j * ((a[None, :] - X) @ Gb))
         return h.evaluate_many(X) * osc
 
-    shift = complex(np.exp(0.5 * np.dot(imag, G @ imag)))
-    return lebesgue_integral(G, QUADRATURE_NODES, a, integrand, shift)
+    return lebesgue_integral(G, QUADRATURE_NODES, a, integrand)
 
 
 def _closed_form(h: GaussPoly, kernel) -> GaussPoly:
@@ -169,12 +168,12 @@ def _quadrature(kernel, field, z):
     if z.ndim == 1:
         return complex(_quadrature(kernel, field, z[None])[0])
     s, G, E = kernel
-    front = s
+    # the shift exp(Im z.G Im z/2) of _convolve_at and the envelope, as one exponent
+    expo = 0.5 * bilinear_rows(z.imag, G, z.imag)
     if E is not None:
-        expo = 0.5 * bilinear_rows(z, E, z)
-        check_rows(expo, lambda ok: _quadrature(kernel, field, z[ok]), len(z))
-        front = s * np.exp(expo)
-    return front * np.array([_convolve_at(G, field, w) for w in z], dtype=complex)
+        expo = expo + 0.5 * bilinear_rows(z, E, z)
+    check_rows(expo, lambda ok: _quadrature(kernel, field, z[ok]), len(z))
+    return s * np.exp(expo) * np.array([_convolve_at(G, field, w) for w in z], dtype=complex)
 
 
 def _adjoint_kernel(ctx: OperatorContext):

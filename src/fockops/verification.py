@@ -39,7 +39,7 @@ from .quadrature import (
     mc_integrate,
     rule_range_error,
 )
-from .report import CheckResult, fold, make_bound_check, make_check
+from .report import CheckResult, fold, make_bound_check, make_check, make_strict_check
 from .symbolic import GaussPoly, Polynomial, l2_inner_product
 from .testing import random_real_preserving_map, random_spd_map, random_spd_matrix, rotated_weight
 from .transforms import (
@@ -122,7 +122,7 @@ def check_operator_core(cfg: VerifyConfig) -> list[CheckResult]:
         make_bound_check("decompose_sum_residual", worst_sum, 0.0, 1e-12),
         make_bound_check("decompose_h_commutes_residual", worst_commute, 0.0, 1e-12),
         make_bound_check("decompose_k_anticommutes_residual", worst_anticommute, 0.0, 1e-12),
-        CheckResult("decompose_h_positive", worst_h_eig, 0.0, 0.0, 0.0, worst_h_eig > 0),
+        make_strict_check("decompose_h_positive", worst_h_eig, 0.0),
         make_bound_check("conjugate_part_symmetric_pairing", worst_k_sym, 0.0, 1e-12),
         make_bound_check("sigma_k_transpose_identity", worst_sigma_k, 0.0, 1e-12),
     ]
@@ -150,16 +150,8 @@ def check_operator_core(cfg: VerifyConfig) -> list[CheckResult]:
         make_check("normalization_equality_at_matching_blocks", equal.c_a, 1.0, 1e-12)
     )
     unequal = build_context(RealLinearMap.from_blocks(R, R + 0.4 * np.eye(2)))
-    checks.append(
-        CheckResult(
-            "normalization_strictly_below_one_when_blocks_differ",
-            unequal.c_a,
-            1.0,
-            1.0 - unequal.c_a,
-            1e-6,
-            unequal.c_a < 1.0 - 1e-6,
-        )
-    )
+    checks.append(make_strict_check("normalization_strictly_below_one_when_blocks_differ",
+                                    unequal.c_a, 1.0 - 1e-6, above=False))
     return checks
 
 
@@ -218,14 +210,7 @@ def check_determinant_identities(cfg: VerifyConfig) -> list[CheckResult]:
                        math.sqrt(det_r * det_r), float(np.linalg.det(0.5 * (R + R))), 1e-12)
     return [
         make_bound_check("determinant_identity_max_residual", worst_identity, 0.0, 1e-10),
-        CheckResult(
-            "determinant_inequality_strict_when_blocks_differ",
-            min_strict_margin,
-            0.0,
-            min_strict_margin,
-            0.0,
-            min_strict_margin > 0.0,
-        ),
+        make_strict_check("determinant_inequality_strict_when_blocks_differ", min_strict_margin, 0.0),
         equal,
     ]
 
@@ -380,16 +365,7 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
         fock_norm(mixed, translate(mixed, [0.7], one), mixed_rule)
         - fock_norm(mixed, one, mixed_rule)
     )
-    checks.append(
-        CheckResult(
-            "translation_norm_shifts_without_real_form",
-            change,
-            1e-3,
-            change,
-            1e-3,
-            change > 1e-3,
-        )
-    )
+    checks.append(make_strict_check("translation_norm_shifts_without_real_form", change, 1e-3))
 
     pts = [rng.standard_normal(2) for _ in range(3)]
     M = rng.standard_normal((2, 2))
@@ -558,9 +534,7 @@ def check_quadrature(cfg: VerifyConfig) -> list[CheckResult]:
     exact = integrate(QuadratureRule(dim=2, nodes_per_axis=15, scaling=precision), g)
     est, se = mc_integrate(cfg.seed, 100_000, precision, g)
     gap = abs(est.real - exact.real)
-    checks.append(
-        CheckResult("monte_carlo_three_sigma_agreement", gap, 3 * se, gap, 3 * se, gap <= 3 * se)
-    )
+    checks.append(make_bound_check("monte_carlo_three_sigma_agreement", gap, 0.0, 3 * se))
     return checks
 
 
@@ -573,28 +547,12 @@ def check_truncation(cfg: VerifyConfig) -> list[CheckResult]:
     for n in range(1, 21):
         want = 0.5 * n * math.log(1.25)
         worst = fold(max, worst, abs(seq.log_ca_inv[n - 1] - want) / want)
+    equal = ca_sequence(TruncationSpec.constant(2.5, 2.5, 20))
     checks = [
         make_bound_check("scalar_tower_power_law_max_residual", worst, 0.0, 1e-12),
-        CheckResult(
-            "scalar_tower_unequal_blocks_diverge",
-            float(not seq.bounded),
-            1.0,
-            0.0,
-            0.0,
-            not seq.bounded,
-        ),
+        make_check("scalar_tower_unequal_blocks_diverge", float(not seq.bounded), 1.0, 0.0),
+        make_check("scalar_tower_equal_blocks_bounded", float(equal.bounded), 1.0, 0.0),
     ]
-    equal = ca_sequence(TruncationSpec.constant(2.5, 2.5, 20))
-    checks.append(
-        CheckResult(
-            "scalar_tower_equal_blocks_bounded",
-            float(equal.bounded),
-            1.0,
-            0.0,
-            0.0,
-            equal.bounded,
-        )
-    )
     rng = np.random.default_rng(cfg.seed + 8)
     r = rng.uniform(0.5, 3.0, size=8)
     t = rng.uniform(0.5, 3.0, size=8)

@@ -508,7 +508,8 @@ def test_verify_small_deterministic(tmp_path, capsys, monkeypatch):
     assert report["pass"] is True
     for checks in report["groups"].values():
         for check in checks:
-            assert check["residual"] <= check["tolerance"] or check["pass"]
+            assert check["pass"] == (check["residual"] is not None
+                                     and check["residual"] <= check["tolerance"])
 
 
 def test_verify_coarse_nodes_fail_reproducing(tmp_path, capsys, monkeypatch):

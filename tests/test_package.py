@@ -141,6 +141,20 @@ def test_no_module_imports_a_private_name_of_another():
     assert not private
 
 
+def test_only_the_report_module_builds_a_check():
+    """Every check comes from a constructor in report.py, so none can state
+    its own pass rule."""
+    builders = []
+    for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "CheckResult" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.append(f"{path.name}:{node.lineno}")
+    assert not builders
+
+
 @pytest.mark.parametrize("make", [
     lambda: fockops.RealLinearMap.identity(1),
     lambda: fockops.build_context(fockops.RealLinearMap.identity(1)),

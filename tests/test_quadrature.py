@@ -167,6 +167,13 @@ def test_an_integrand_that_overflows_is_an_evaluator_failure(call):
         call()
 
 
+def test_mc_standard_error_beyond_the_float_range_is_an_evaluator_failure():
+    # finite samples near 1e200 square past the float range: numpy's
+    # overflow warning, or an inf standard error without the warning filter
+    with pytest.raises(EvaluatorError, match="standard error"):
+        mc_integrate(3, 1000, np.eye(1), lambda X: 1e200 * X[:, 0])
+
+
 def test_mc_sample_budget_is_checked_before_drawing():
     # 10^14 two-dimensional samples would take 1.6 PB
     with pytest.raises(NodeBudgetError, match="exceeds the budget"):

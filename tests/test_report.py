@@ -1,5 +1,6 @@
 """Structured check results."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from fockops.cli import cmd_truncate
-from fockops.report import fold, make_bound_check, make_check, render_json
+from fockops.report import (
+    CheckResult,
+    fold,
+    make_bound_check,
+    make_check,
+    make_strict_check,
+    render_json,
+)
 
 
 @pytest.mark.parametrize("value, bound", [
@@ -19,6 +27,45 @@ def test_bound_check_fails_on_non_finite_input(value, bound):
     assert not check.passed
     assert math.isnan(check.residual)
 
+
+@pytest.mark.parametrize("residual, tolerance, passed", [
+    (0.0, 0.0, True), (1e-13, 1e-12, True), (1e-12, 1e-12, True), (2e-12, 1e-12, False),
+    (math.nan, 1e-12, False), (math.inf, 1e-12, False), (math.nan, math.inf, False),
+])
+def test_a_check_passes_exactly_when_its_residual_is_within_its_tolerance(
+        residual, tolerance, passed):
+    check = CheckResult("x", 0.0, 0.0, residual, tolerance)
+    assert check.passed is passed
+    assert check.to_json()["pass"] is passed
+
+
+def test_pass_is_not_stored():
+    assert "passed" not in {f.name for f in dataclasses.fields(CheckResult)}
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-3, -2.5, 1.0 - 1e-6])
+def test_strict_check_is_the_bound_of_the_next_float(floor):
+    above = math.nextafter(floor, math.inf)
+    below = math.nextafter(floor, -math.inf)
+    assert not make_strict_check("x", floor, floor).passed
+    assert make_strict_check("x", above, floor).passed
+    assert not make_strict_check("x", below, floor).passed
+    assert not make_strict_check("x", floor, floor, above=False).passed
+    assert make_strict_check("x", below, floor, above=False).passed
+    assert not make_strict_check("x", above, floor, above=False).passed
+    check = make_strict_check("x", above, floor)
+    assert (check.lhs, check.rhs, check.residual, check.tolerance) == (above, floor, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value, floor", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+])
+@pytest.mark.parametrize("above", [True, False])
+def test_strict_check_fails_on_non_finite_input(value, floor, above):
+    check = make_strict_check("x", value, floor, above)
+    assert not check.passed
+    assert math.isnan(check.residual)
 
 
 @pytest.mark.parametrize("pick", [max, min])

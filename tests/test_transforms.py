@@ -12,6 +12,7 @@ from fockops import (
     GaussPoly,
     coherent_state_fn,
     Polynomial,
+    RangeOverflowError,
     RealFormError,
     RealLinearMap,
     build_context,
@@ -652,6 +653,22 @@ def test_batch_of_points_matches_single_point_calls(name):
         for z, value in zip(Z, batch):
             one = single(z)
             assert (value.real, value.imag) == (one.real, one.imag)
+
+
+def test_quadrature_route_refuses_a_point_whose_shift_leaves_the_range():
+    # exp(Im z.G Im z/2) overflowed outside np.errstate: numpy's warning, or
+    # nan+nanj without the warning filter.  With the envelope it is one
+    # exponent, a.Ra/2 + b.Tb/2 at z = a + ib, checked like any other
+    ctx = build_context(RealLinearMap.from_blocks(np.eye(1), 2.0 * np.eye(1)))
+    field = CallableField(1, hermite_function((2,)).evaluate_many)
+    Z = np.array([[0.3 + 30j], [0.3 + 0.2j]])
+    with pytest.raises(RangeOverflowError) as err:
+        segal_bargmann(ctx, field, Z)
+    assert err.value.exponent == pytest.approx(0.5 * 0.3**2 + 30.0**2)
+    assert np.isnan(err.value.values[0])
+    assert err.value.values[1] == segal_bargmann(ctx, field, Z[1])
+    with pytest.raises(RangeOverflowError):
+        segal_bargmann(ctx, field, Z[0])
 
 
 @pytest.mark.parametrize("fn", [
