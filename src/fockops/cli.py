@@ -469,13 +469,18 @@ def cmd_eval(config: dict) -> dict:
     keys, evaluate = EVAL_TARGETS[target]
     coords = [c if key == "x" else to_complex_coords(c)
               for key, c in zip(keys, _coordinates(points, keys, ctx.n))]
-    try:
-        # a transform that overflows yields non-finite values, and those fail
-        # their rows below: numpy need not warn of it on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            values, overflow = evaluate(ctx, fn, *coords), None
-    except RangeOverflowError as err:
-        values, overflow = err.values, err
+    overflow = None
+    # a transform that overflows yields non-finite values, and those fail
+    # their rows below: numpy need not warn of it on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            values = evaluate(ctx, fn, *coords)
+        except RangeOverflowError as err:
+            # the rows left in range (NaN exponents) are evaluated alone
+            overflow, ok = err, np.isnan(err.exponents)
+            values = np.full(len(points), np.nan, dtype=complex)
+            if ok.any():
+                values[ok] = evaluate(ctx, fn, *(c[ok] for c in coords))
     rows = [{"point": point, "value": complex_json(complex(value))}
             for point, value in zip(points, values.tolist())]
     # rows whose exponents left the range (NaN values), then any other

@@ -53,16 +53,20 @@ class RangeOverflowError(FockError):
 
     Raised by the evaluation of a batch of points, it also carries, outside
     its payload, ``exponents``, the exponent of each row that left the range
-    (NaN at the others), ``values``, the value of each other row (NaN at
-    those), and ``template``, its message format; ``row(i)`` is the error a
-    one-point call at row i raises, and the batch error is that of its
-    largest exponent."""
+    (NaN at the others); ``row(i)`` is the error a one-point call at row i
+    raises, and the batch error is that of its largest exponent.  Nothing of
+    the batch is evaluated: a caller that wants the other rows evaluates
+    them alone."""
 
     kind = "range_overflow"
 
+    @classmethod
+    def at(cls, exponent: float) -> "RangeOverflowError":
+        """The error of one exponent out of range."""
+        return cls(f"exponent {exponent:.1f} exceeds the representable range", exponent=exponent)
+
     def row(self, index: int) -> "RangeOverflowError":
-        exponent = float(self.exponents[index])
-        return RangeOverflowError(self.template.format(exponent), exponent=exponent)
+        return self.at(float(self.exponents[index]))
 
 
 class DivergenceError(FockError):

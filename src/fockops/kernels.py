@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError
 from .operators import OperatorContext
 from .quadrature import QuadratureRule, sampled, weighted_sum
-from .symbolic import GaussPoly, bilinear_rows, check_rows
+from .symbolic import GaussPoly, bilinear_rows, exp_rows
 
 __all__ = [
     "measure_density",
@@ -50,9 +50,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-KERNEL_OVERFLOW = "kernel exponent {:.1f} out of range"
-
-
 def measure_density(ctx: OperatorContext, z):
     """Density of the Gaussian measure at z (with respect to dx dy).
 
@@ -63,8 +60,7 @@ def measure_density(ctx: OperatorContext, z):
         return float(measure_density(ctx, z[None])[0].real)
     V = np.concatenate([z.real, z.imag], axis=1)
     expo = 0.5 * ctx.log_det_v_a - bilinear_rows(V, ctx.A.entries, V)
-    check_rows(expo, lambda ok: measure_density(ctx, z[ok]), len(z))
-    return math.pi ** (-ctx.n) * np.exp(expo)
+    return math.pi ** (-ctx.n) * exp_rows(expo, len(z))
 
 
 def _kernel_exponent(ctx: OperatorContext, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -82,14 +78,12 @@ def kernel(ctx: OperatorContext, z, w):
 
     z and w are points (a complex comes back) or (m, n) batches (m values,
     each with the bits of a one-point call); a row whose exponent leaves the
-    range is a row of the RangeOverflowError raised for the batch."""
+    range raises RangeOverflowError for the batch."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if z.ndim == 1:
         return complex(kernel(ctx, z[None], w[None])[0])
-    expo = _kernel_exponent(ctx, z, w)
-    check_rows(expo, lambda ok: kernel(ctx, z[ok], w[ok]), len(z), KERNEL_OVERFLOW)
-    return np.exp(expo)
+    return exp_rows(_kernel_exponent(ctx, z, w), len(z))
 
 
 def kernel_section(ctx: OperatorContext, w) -> GaussPoly:
@@ -105,12 +99,8 @@ def kernel_section(ctx: OperatorContext, w) -> GaussPoly:
 def eval_functional_norm(ctx: OperatorContext, z):
     """Operator norm of F -> F(z), the square root of the kernel diagonal;
     at one point or at each row of a batch, as :func:`kernel`."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 1:
-        return float(eval_functional_norm(ctx, z[None])[0].real)
-    expo = _kernel_exponent(ctx, z, z)
-    check_rows(expo, lambda ok: eval_functional_norm(ctx, z[ok]), len(z), KERNEL_OVERFLOW)
-    return np.sqrt(np.exp(expo).real)
+    norm = np.sqrt(np.real(kernel(ctx, z, z)))
+    return norm if np.ndim(z) > 1 else float(norm)
 
 
 def weighted_to_classical(ctx: OperatorContext, F: GaussPoly) -> GaussPoly:

@@ -164,10 +164,10 @@ def lebesgue_integral(P, nodes_per_axis: int, center, f) -> complex:
 def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     """Monte Carlo Gaussian expectation with a counter-based generator.
 
-    Returns the estimate and its standard error; a standard error beyond
-    the float range is an EvaluatorError.  The same seed always
-    reproduces the same sample stream.  The samples hold at most
-    NODE_BUDGET coordinates, as a quadrature grid does.
+    Returns the estimate and its standard error; a sum of the samples or a
+    standard error beyond the float range is an EvaluatorError.  The same
+    seed always reproduces the same sample stream.  The samples hold at
+    most NODE_BUDGET coordinates, as a quadrature grid does.
     """
     if samples < 1000:
         raise ConfigError("mc_integrate needs at least 1000 samples")
@@ -182,9 +182,13 @@ def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     xi = rng.standard_normal((samples, dim))
     X = xi @ inv_sqrt_spd(scaling).T
     values = sampled(f, X, where="sample")
-    estimate = complex(_block_sum(values.real) / samples, _block_sum(values.imag) / samples)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            estimate = complex(_block_sum(values.real) / samples, _block_sum(values.imag) / samples)
+        except (OverflowError, ValueError):  # fsum past the float range, or of inf and -inf
+            estimate = complex(math.inf)
+        # an estimate beyond the float range makes the spread inf or NaN
         spread = float(np.sqrt(np.mean(np.abs(values - estimate) ** 2)))
     if not math.isfinite(spread):
-        raise EvaluatorError("the Monte Carlo standard error is beyond the float range")
+        raise EvaluatorError("the Monte Carlo sum or standard error is beyond the float range")
     return estimate, spread / math.sqrt(samples)

@@ -32,6 +32,9 @@ scheme of real coefficients, and the exponent of real ``P``, ``b`` and
 complex product with zero imaginary parts rounds its real part once, as
 the real product does, so each value is that of the complex computation,
 returned as complex128.
+
+Every point function of the package ends in :func:`exp_rows`, the one
+guard of the float range for the exponential of its quadratic form.
 """
 
 from __future__ import annotations
@@ -54,33 +57,27 @@ __all__ = [
     "integrate_gausspoly",
     "convolve_gaussian",
     "l2_inner_product",
-    "check_rows",
+    "exp_rows",
     "bilinear_rows",
 ]
 
 EXP_OVERFLOW = 700.0
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-OVERFLOW_MESSAGE = "exponent {:.1f} exceeds the representable range"
 
 
-def check_rows(expo, evaluate, size: int, message: str = OVERFLOW_MESSAGE) -> None:
-    """Nothing if every row of a batch of ``size`` rows keeps its exponent
-    (an array, or a scalar shared by every row) in range.  Otherwise
-    RangeOverflowError for the batch: a row out of range carries its
-    exponent, and ``evaluate(ok)`` gives the values at the rows in range
-    (the mask ``ok``)."""
-    if not np.any(np.real(expo) > EXP_OVERFLOW):
-        return
-    real = np.broadcast_to(np.real(expo), (size,))
-    ok = ~(real > EXP_OVERFLOW)
-    first = np.where(ok, np.nan, real)
-    values = np.full(size, np.nan, dtype=complex)
-    if ok.any():
-        values[ok] = evaluate(ok)
-    worst = float(np.nanmax(first))
-    err = RangeOverflowError(message.format(worst), exponent=worst)
-    err.exponents, err.values, err.template = first, values, message
-    raise err
+def exp_rows(expo, size: int):
+    """``np.exp(expo)`` for a batch of ``size`` rows, the exponent an array
+    or a scalar shared by every row, in the exponent's own dtype.  If any
+    row's exponent is past EXP_OVERFLOW, RangeOverflowError for the batch
+    instead, carrying the exponent of each row out of range."""
+    real = np.real(expo)
+    over = real > EXP_OVERFLOW
+    if np.any(over):
+        exponents = np.where(over, np.broadcast_to(real, (size,)), np.nan)
+        err = RangeOverflowError.at(float(np.nanmax(exponents)))
+        err.exponents = exponents
+        raise err
+    return np.exp(expo)
 
 
 def bilinear_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -310,18 +307,17 @@ class GaussPoly:
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """The term at the rows of X, each row with the bits of a one-row
-        call; rows out of range are those of the RangeOverflowError raised.
+        call; a row out of range raises RangeOverflowError for the batch.
         A zero polynomial is zero everywhere, its exponent unread."""
         X = np.asarray(X)
         out = np.zeros(X.shape[0], dtype=complex)
         if self.poly.is_zero():
             return out
-        expo = self.exponent_many(X)
-        check_rows(expo, lambda ok: self.evaluate_many(X[ok]), X.shape[0])
-        # summed into zeros, so a value of -0 reads +0, the bits reports carry;
         # exp of a real exponent is taken in complex, as numpy's real exp can
         # differ from it in the last bit
-        out += self.poly.evaluate_many(X) * np.exp(np.asarray(expo, dtype=complex))
+        gauss = exp_rows(np.asarray(self.exponent_many(X), dtype=complex), X.shape[0])
+        # summed into zeros, so a value of -0 reads +0, the bits reports carry
+        out += self.poly.evaluate_many(X) * gauss
         return out
 
     def evaluate(self, x) -> complex:

@@ -35,8 +35,8 @@ from .symbolic import (
     GaussPoly,
     Polynomial,
     bilinear_rows,
-    check_rows,
     convolve_gaussian,
+    exp_rows,
     l2_inner_product,
 )
 
@@ -93,8 +93,8 @@ def multiplier(ctx: OperatorContext, x, z):
     coordinates).
 
     x and z are one point each (a complex comes back) or (m, n) batches
-    (m values, each with the bits of a one-point call; rows out of range
-    are rows of the RangeOverflowError raised).
+    (m values, each with the bits of a one-point call; a row out of range
+    raises RangeOverflowError for the batch).
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -102,8 +102,7 @@ def multiplier(ctx: OperatorContext, x, z):
         return complex(multiplier(ctx, x[None], z[None])[0])
     Hc, C = ctx.H_matrix, ctx.K_matrix
     expo = bilinear_rows(z, Hc.T + C, x) - 0.5 * bilinear_rows(x, Hc + C, x)
-    check_rows(expo, lambda ok: multiplier(ctx, x[ok], z[ok]), len(z))
-    return np.exp(expo)
+    return exp_rows(expo, len(z))
 
 
 def translate(ctx: OperatorContext, x, F: GaussPoly) -> GaussPoly:
@@ -161,8 +160,8 @@ def _quadrature(kernel, field, z):
 
     ``z`` is one point (a complex value comes back) or an (m, n) batch (an
     array of m values).  A point is its one-row batch: each row carries the
-    bits of a one-point call, and the rows whose exponents leave the range
-    are rows of the RangeOverflowError raised for the batch.
+    bits of a one-point call.  A row whose exponent leaves the range raises
+    RangeOverflowError for the batch before the field is evaluated anywhere.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 1:
@@ -172,8 +171,8 @@ def _quadrature(kernel, field, z):
     expo = 0.5 * bilinear_rows(z.imag, G, z.imag)
     if E is not None:
         expo = expo + 0.5 * bilinear_rows(z, E, z)
-    check_rows(expo, lambda ok: _quadrature(kernel, field, z[ok]), len(z))
-    return s * np.exp(expo) * np.array([_convolve_at(G, field, w) for w in z], dtype=complex)
+    envelope = s * exp_rows(expo, len(z))
+    return envelope * np.array([_convolve_at(G, field, w) for w in z], dtype=complex)
 
 
 def _adjoint_kernel(ctx: OperatorContext):
@@ -319,8 +318,8 @@ def coherent_state_fn(ctx: OperatorContext, z) -> GaussPoly:
 def coherent_state(ctx: OperatorContext, x, z):
     """Coherent-state value; real when both arguments are real.  x and z are
     one point each (a complex comes back) or (m, n) batches (m values, each
-    with the bits of a one-point call; rows out of range are rows of the
-    RangeOverflowError raised)."""
+    with the bits of a one-point call; a row out of range raises
+    RangeOverflowError for the batch)."""
     x = np.asarray(x, dtype=complex)
     z = np.asarray(z, dtype=complex)
     if z.ndim == 1:
@@ -329,8 +328,7 @@ def coherent_state(ctx: OperatorContext, x, z):
     coeff = _heat_coeff(T) / _heat_coeff(S)
     expo = (-0.5 * bilinear_rows(x, T - S, x) + bilinear_rows(x, T, z)
             - 0.5 * bilinear_rows(z, T, z))
-    check_rows(expo, lambda ok: coherent_state(ctx, x[ok], z[ok]), len(z))
-    return coeff * np.exp(expo)
+    return coeff * exp_rows(expo, len(z))
 
 
 def coherent_inner(ctx: OperatorContext, w, z) -> complex:

@@ -56,7 +56,6 @@ from .transforms import (
     restrict,
     restriction_gram,
     restriction_modulus,
-    segal_bargmann,
     segal_bargmann_classical_fn,
     segal_bargmann_fn,
     segal_bargmann_gaussian_fn,
@@ -402,9 +401,9 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
     identity_ctx = build_context(RealLinearMap.identity(1))
     worst = 0.0
     f = GaussPoly(Polynomial(1, {(1,): 0.5, (0,): 1.0}), np.array([[1.8]]), np.zeros(1), 0.1)
-    classical = segal_bargmann_classical_fn(f)
+    weighted, classical = segal_bargmann_fn(identity_ctx, f), segal_bargmann_classical_fn(f)
     for z in grid:
-        lhs = segal_bargmann(identity_ctx, f, [z])
+        lhs = weighted.evaluate([z])
         rhs = classical.evaluate([z])
         worst = fold(max, worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     checks.append(make_bound_check("weighted_transform_identity_reduction_max_residual", worst, 0.0, 1e-10))

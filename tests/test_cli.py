@@ -268,22 +268,51 @@ def test_eval_range_error_surfaced_per_point(tmp_path, capsys):
     assert csv_path.read_text().splitlines()[2] == "1,40.0,0.0,40.0,0.0,,,range_overflow"
 
 
-def test_eval_error_rows_carry_their_own_exponent(tmp_path, capsys):
-    points = [{"z": [30.0, 0.0], "w": [30.0, 0.0]}, {"z": [0.1, 0.0], "w": [0.2, 0.0]},
-              {"z": [40.0, 0.0], "w": [40.0, 0.0]}]
-    cfg = write_config(tmp_path, "cfg.json",
-                       {**DIAG, "eval": {"target": "kernel", "points": points}})
+def segal_bargmann_gaussian_at(ctx, f, z):
+    return fo.segal_bargmann_gaussian_fn(ctx, f).evaluate(z)
+
+
+# eval target whose exponent can leave the range -> (the coordinates it
+# reads, its one-point call, two scales at which its point overflows)
+OVERFLOW_TARGETS = {
+    "kernel": ("zw", lambda ctx, f, z, w: fo.kernel(ctx, z, w), (30.0, 40.0)),
+    "eval_norm": ("z", lambda ctx, f, z: fo.eval_functional_norm(ctx, z), (30.0, 40.0)),
+    "multiplier": ("xz", lambda ctx, f, x, z: fo.multiplier(ctx, x, z), (30.0, 40.0)),
+    "coherent_state": ("xz", lambda ctx, f, x, z: fo.coherent_state(ctx, x, z), (30.0, 40.0)),
+    "classical_transform": ("z", lambda ctx, f, z: fo.segal_bargmann_classical_fn(f).evaluate(z),
+                            (100.0, 120.0)),
+    "weighted_transform": ("z", fo.segal_bargmann, (30.0, 40.0)),
+    "gaussian_transform": ("z", segal_bargmann_gaussian_at, (100.0, 120.0)),
+}
+
+
+@pytest.mark.parametrize("target", sorted(OVERFLOW_TARGETS))
+def test_eval_error_rows_carry_their_own_exponent(tmp_path, capsys, target):
+    keys, single, far = OVERFLOW_TARGETS[target]
+    # the Gaussian transform leaves the range along the imaginary axis
+    along = (lambda s: [0.0, s]) if target == "gaussian_transform" else (lambda s: [s, 0.0])
+    points = [{key: [s] if key == "x" else along(s) for key in keys} for s in (far[0], 0.1, far[1])]
+    spec = {"target": target, "points": points}
+    if target.endswith("_transform"):
+        spec["function"] = {"kind": "hermite", "alpha": [3]}
+    cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": spec})
     code, out = run_cli(capsys, "eval", "--config", cfg)
     rows = json.loads(out)["values"]
     assert code == 1
     assert ["error" in row for row in rows] == [True, False, True]
+    assert rows[0]["error"]["exponent"] < rows[2]["error"]["exponent"]
     ctx = fo.build_context(fo.RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]])))
+    f = fo.hermite_function((3,))
     for row, point in zip(rows, points):
+        args = [np.array(point[key]) if key == "x"
+                else fo.operators.to_complex_coords(np.array(point[key])) for key in keys]
         if "error" in row:
-            z, w = (fo.operators.to_complex_coords(np.array(point[k])) for k in "zw")
             with pytest.raises(fo.RangeOverflowError) as err:
-                fo.kernel(ctx, z, w)
+                single(ctx, f, *args)
             assert row["error"] == err.value.payload()
+        else:
+            want = complex(single(ctx, f, *args))
+            assert (row["value"]["re"], row["value"]["im"]) == (want.real, want.imag)
 
 
 def _transform_config(tmp_path, target, n_points, far=(), far_point=None):
@@ -314,10 +343,6 @@ def test_eval_transform_builds_the_image_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["values"]) == 50
     assert len(calls) == 1
-
-
-def segal_bargmann_gaussian_at(ctx, f, z):
-    return fo.segal_bargmann_gaussian_fn(ctx, f).evaluate(z)
 
 
 @pytest.mark.parametrize("target, single, far_point", [

@@ -155,6 +155,27 @@ def test_only_the_report_module_builds_a_check():
     assert not builders
 
 
+def test_only_exp_rows_raises_a_range_overflow():
+    """One guarded exponential decides when a batch leaves the float range:
+    RangeOverflowError is built only in errors.py and in symbolic.exp_rows,
+    and no evaluator hands a callback (``lambda ok``) the rows left in range."""
+    found = []
+    for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        guard = {id(node) for function in ast.walk(tree)
+                 if isinstance(function, ast.FunctionDef) and function.name == "exp_rows"
+                 and path.name == "symbolic.py" for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            builds = (isinstance(node, ast.Call) and id(node) not in guard
+                      and "RangeOverflowError" in ast.unparse(node.func).split("."))
+            callback = isinstance(node, ast.Lambda) and [a.arg for a in node.args.args] == ["ok"]
+            if builds or callback:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
 @pytest.mark.parametrize("make", [
     lambda: fockops.RealLinearMap.identity(1),
     lambda: fockops.build_context(fockops.RealLinearMap.identity(1)),

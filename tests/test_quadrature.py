@@ -174,6 +174,16 @@ def test_mc_standard_error_beyond_the_float_range_is_an_evaluator_failure():
         mc_integrate(3, 1000, np.eye(1), lambda X: 1e200 * X[:, 0])
 
 
+@pytest.mark.parametrize("samples, value", [(1000, 1e306), (2 * BLOCK, 4e304)],
+                         ids=["in-a-block", "across-blocks"])
+def test_mc_sum_beyond_the_float_range_is_an_evaluator_failure(samples, value):
+    # finite samples whose sum passes the float maximum: numpy's overflow
+    # warning in one block's sum, or fsum's OverflowError across blocks,
+    # before the division by the sample count
+    with pytest.raises(EvaluatorError, match="sum or standard error"):
+        mc_integrate(3, samples, np.eye(1), lambda X: value * np.ones(len(X)))
+
+
 def test_mc_sample_budget_is_checked_before_drawing():
     # 10^14 two-dimensional samples would take 1.6 PB
     with pytest.raises(NodeBudgetError, match="exceeds the budget"):

@@ -665,10 +665,27 @@ def test_quadrature_route_refuses_a_point_whose_shift_leaves_the_range():
     with pytest.raises(RangeOverflowError) as err:
         segal_bargmann(ctx, field, Z)
     assert err.value.exponent == pytest.approx(0.5 * 0.3**2 + 30.0**2)
-    assert np.isnan(err.value.values[0])
-    assert err.value.values[1] == segal_bargmann(ctx, field, Z[1])
+    assert np.isnan(err.value.exponents).tolist() == [False, True]
     with pytest.raises(RangeOverflowError):
         segal_bargmann(ctx, field, Z[0])
+
+
+# the modulus is taken at real points, with no shift and no envelope to overflow
+@pytest.mark.parametrize("name", sorted(set(ROUTES) - {"restriction_modulus_at"}))
+def test_quadrature_route_integrates_nothing_of_a_batch_that_leaves_the_range(name):
+    # the batch error carries only the exponents: the row left in range is
+    # not integrated either, so the field is never called
+    _, kernel = ROUTES[name]
+    ctx = build_context(RealLinearMap.from_blocks(np.eye(1), 2.0 * np.eye(1)))
+    calls = []
+    f = hermite_function((2,))
+    field = CallableField(1, lambda X: calls.append(len(X)) or f.evaluate_many(X))
+    Z = _points(name, np.array([[0.3 + 0.2j], [60.0 + 60j]]))
+    with pytest.raises(RangeOverflowError):
+        _quadrature(kernel(ctx), field, Z)
+    assert calls == []
+    _quadrature(kernel(ctx), field, Z[:1])
+    assert calls
 
 
 @pytest.mark.parametrize("fn", [
