@@ -56,6 +56,7 @@ import math
 import os
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -427,13 +428,41 @@ def _build_function(spec: dict, n: int):
         return out
 
 
+def _checked_batch(points: list, keys: tuple, n: int) -> list[np.ndarray] | None:
+    """The coordinates ``keys`` of a batch with no fault, tested as whole
+    arrays, or None if any test fails.  Every point holds exactly the
+    target's keys, each a list of ints and floats: the types are tested
+    before any conversion, since ``np.array(["1.5"], dtype=float)`` parses
+    the string.  Each key's arrays then have their length and are finite."""
+    wanted = set(keys)
+    if not all(type(point) is dict and point.keys() == wanted for point in points):
+        return None
+    arrays = []
+    for key in keys:
+        column = [point[key] for point in points]
+        if (set(map(type, column)) != {list}
+                or not set(map(type, chain.from_iterable(column))) <= {int, float}):
+            return None
+        try:
+            array = np.array(column, dtype=float)
+        except (ValueError, OverflowError):  # ragged lists, an int beyond the float range
+            return None
+        if array.shape != (len(points), POINT_KEYS[key][0] * n) or not np.isfinite(array).all():
+            return None
+        arrays.append(array)
+    return arrays
+
+
 def _coordinates(points: list, keys: tuple, n: int) -> list[np.ndarray]:
     """The coordinates ``keys`` of every point as (m, length) float arrays.
 
-    One pass over the batch in place of a schema descent per point: each
-    point is an object of z/w/x keys, each a list of JSON numbers, and then
-    holds the target's coordinates, checked in the order the target reads
-    them, at their length and finite."""
+    A batch that passes ``_checked_batch`` is returned from there.  Any
+    other goes through one pass in place of a schema descent per point,
+    which names its first fault: each point is an object of z/w/x keys, each
+    a list of JSON numbers, and then holds the target's coordinates, checked
+    in the order the target reads them, at their length and finite."""
+    if (arrays := _checked_batch(points, keys, n)) is not None:
+        return arrays
     for index, point in enumerate(points):
         if not isinstance(point, dict):
             raise ConfigError(f"invalid configuration: point {index} is not an object")

@@ -65,7 +65,7 @@ class TruncationSpec:
     @classmethod
     def constant(cls, r: float, t: float, max_n: int) -> "TruncationSpec":
         _require_budget(max_n)
-        return cls([float(r)] * max_n, [float(t)] * max_n, max_n)
+        return cls(np.full(max_n, float(r)), np.full(max_n, float(t)), max_n)
 
     @classmethod
     def perturbation(
@@ -73,14 +73,25 @@ class TruncationSpec:
     ) -> "TruncationSpec":
         """r_k = base + amplitude / k^power against t_k = base.
 
-        k^power is Python's ``pow``, not numpy's: numpy's float64 power may
-        differ from it in the last bit (and is then usually the less
-        accurate), which would move the reported sequence."""
+        k^power is what Python's ``pow(k, power)`` gives, to the bit.  For a
+        float power that is the C library's ``pow``, which ``np.float_power``
+        runs over the whole tower; ``np.power`` may use a vectorized loop that
+        differs from it in the last bit.  An int power keeps Python's exact
+        integer power, rounded once to a float: from k^3 past 2^53 on, the
+        library ``pow`` can round it differently.  A finite power whose k^power
+        overflows is refused, as Python's ``pow`` raises there; an infinite or
+        NaN power is not, and its terms are checked with the others."""
         _require_budget(max_n)
-        try:
-            powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
-        except OverflowError as err:
-            raise ConfigError(f"k^power overflows for power {power}") from err
+        if isinstance(power, int):
+            try:
+                powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
+            except OverflowError as err:
+                raise ConfigError(f"k^power overflows for power {power}") from err
+        else:
+            with np.errstate(over="ignore", under="ignore"):
+                powers = np.float_power(np.arange(1.0, max_n + 1), power)
+            if math.isfinite(power) and np.isinf(powers).any():
+                raise ConfigError(f"k^power overflows for power {power}")
         # a term beyond the float range is refused with the others below
         with np.errstate(all="ignore"):
             r = base + amplitude / powers
@@ -104,7 +115,7 @@ class CaSequence:
 
     def to_json(self) -> dict:
         return {
-            "logCaInv": self.log_ca_inv.tolist(),
+            "logCaInv": self.log_ca_inv,  # rendered from its buffer
             "bounded": self.bounded,
             "tailBound": self.tail_bound,
             "note": self.verdict_note,

@@ -774,6 +774,49 @@ def test_eval_point_errors_name_the_first_bad_coordinate(tmp_path, capsys, targe
     assert json.loads(out)["error"] == {"kind": "config_invalid", "message": message}
 
 
+NOT_NUMBERS = "invalid configuration: point 9999 'z' is not a list of numbers"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.0, 0.0], "invalid configuration: point 9999 is not an object"),
+    ({"z": [0.0, 0.0], "w": [0.0, 0.0], "q": [0.0]},
+     "invalid configuration: point 9999 has unknown key 'q'"),
+    ({"z": [0.0, 0.0]}, "target needs 'w' (length-2n real coords) in every point"),
+    ({"z": 0.0, "w": [0.0, 0.0]}, NOT_NUMBERS),
+    ({"z": [True, 0.0], "w": [0.0, 0.0]}, NOT_NUMBERS),
+    ({"z": ["1.5", 0.0], "w": [0.0, 0.0]}, NOT_NUMBERS),  # numpy would parse the string
+    ({"z": [[0.0], 0.0], "w": [0.0, 0.0]}, NOT_NUMBERS),
+    ({"z": [0.0, 0.0, 0.0], "w": [0.0, 0.0]}, "'z' must have length 2"),
+    ({"z": [0.0, 0.0], "w": [0.0, math.inf]}, "'w' has a non-finite coordinate"),
+], ids=["not-object", "unknown-key", "missing-key", "non-list", "bool", "string",
+        "nested-list", "length", "infinity"])
+def test_eval_names_a_fault_in_the_last_of_10000_points(tmp_path, capsys, bad, message):
+    # a batch that fails the whole-array tests is checked point by point,
+    # so the first faulty point is named as in a batch of one
+    rng = np.random.default_rng(11)
+    points = [{"z": z, "w": w} for z, w in zip(rng.normal(size=(9999, 2)).tolist(),
+                                               rng.integers(-3, 4, size=(9999, 2)).tolist())]
+    cfg = write_config(tmp_path, "cfg.json",
+                       {**DIAG, "eval": {"target": "kernel", "points": points + [bad]}})
+    code, out = run_cli(capsys, "eval", "--config", cfg)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "config_invalid", "message": message}
+
+
+def test_eval_point_with_a_key_its_target_does_not_read_is_evaluated(tmp_path, capsys):
+    # the whole-array tests want exactly the target's keys; the point-by-point
+    # check accepts the others, and the values are the same
+    points = [{"z": [0.5, -1.0], "w": [2, 0.25]}, {"z": [0.0, 1.5], "w": [-1.0, 3]}]
+    reports = []
+    for extra in ({}, {"x": [7.0]}):
+        cfg = write_config(tmp_path, "cfg.json", {**DIAG, "eval": {
+            "target": "kernel", "points": [{**points[0], **extra}, points[1]]}})
+        code, out = run_cli(capsys, "eval", "--config", cfg)
+        assert code == 0
+        reports.append([row["value"] for row in json.loads(out)["values"]])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command, config", [
     ("truncate", {"kind": "constant", "r": 4.0, "t": 1.0, "maxN": 10.0}),
     ("verify", {"seed": 3.0}),

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockops.cli import cmd_truncate
 from fockops.report import (
@@ -151,9 +153,26 @@ def test_render_json_is_strict_json():
 
 
 def test_render_json_matches_stdlib_on_truncate_report():
+    # the report holds logCaInv as a float64 array; the standard library
+    # writes it as the list of its Python floats
     report = cmd_truncate({"kind": "perturbation", "base": 1.2, "amplitude": 0.4,
                            "power": 1.7, "maxN": 2000})
-    assert render_json(report) == json.dumps(report, sort_keys=True, indent=2)
+    assert render_json(report) == json.dumps(report, sort_keys=True, indent=2,
+                                             default=np.ndarray.tolist)
+
+
+# float64 arrays of any bit pattern: NaNs of every payload, infinities, -0.0
+# and subnormals among them
+FLOAT64_ARRAYS = st.lists(st.integers(0, 2**64 - 1), max_size=64).map(
+    lambda bits: np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(array=FLOAT64_ARRAYS)
+def test_render_json_writes_an_array_as_its_list(array):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308])
+    for value in (array, np.concatenate([array, special])):
+        assert render_json({"a": value}) == render_json({"a": value.tolist()})
 
 
 def test_render_json_rejects_what_stdlib_rejects():

@@ -1,11 +1,14 @@
 """Partial normalization constants along growing diagonal towers."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fockops import CaSequence, RealLinearMap, TruncationSpec, build_context, ca_sequence
+from fockops.cli import main
 from fockops.errors import ConfigError, NodeBudgetError
 from fockops.quadrature import NODE_BUDGET
 
@@ -119,14 +122,47 @@ def test_perturbation_terms_beyond_the_float_range_rejected(base, amplitude, pow
         TruncationSpec.perturbation(base, amplitude, power, 3)
 
 
-@pytest.mark.parametrize("power", [0.6, 1.5, 2, 2.0, -1])
+@pytest.mark.parametrize("power", [0.6, 1.5, 1.7321, 1.9, 2, 2.0, -1, 3])
 def test_perturbation_matches_python_loop(power):
-    # the per-term formula in Python floats is the reference, to the bit
-    spec = TruncationSpec.perturbation(1.3, 0.7, power, 5000)
-    want = [1.3 + 0.7 / k**power for k in range(1, 5001)]
-    assert spec.r_seq.tolist() == want
-    assert spec.t_seq.tolist() == [1.3] * 5000
-    assert not spec.r_seq.flags.writeable
+    # the per-term formula in Python floats is the reference, to the bit; at
+    # 300,000 terms k^3 passes 2^53, where the exact integer power and the
+    # C library's pow round differently.  A base of 1e-100 vanishes in the
+    # sum, so that r_k shows every bit of amplitude / k^power.
+    max_n = 300_000
+    for base in (1.3, 1e-100):
+        spec = TruncationSpec.perturbation(base, 0.7, power, max_n)
+        want = [base + 0.7 / k**power for k in range(1, max_n + 1)]
+        assert spec.r_seq.tolist() == want
+        assert spec.t_seq.tolist() == [base] * max_n
+        assert not spec.r_seq.flags.writeable
+
+
+@pytest.mark.parametrize("power, message", [
+    (math.inf, None),  # k^inf is inf past k = 1, so r_k = base: no overflow
+    (-math.inf, "eigenvalues must be positive and finite"),  # amplitude / 0
+    (math.nan, "eigenvalues must be positive and finite"),
+    (60.0, "k^power overflows for power 60.0"),
+], ids=["inf", "-inf", "nan", "60.0"])
+def test_perturbation_power_outcomes_follow_python_pow(power, message):
+    max_n = 10**6
+    if message is None:
+        spec = TruncationSpec.perturbation(1.3, 0.7, power, max_n)
+        assert spec.r_seq[0] == 1.3 + 0.7
+        assert (spec.r_seq[1:] == 1.3).all()
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TruncationSpec.perturbation(1.3, 0.7, power, max_n)
+
+
+def test_truncate_with_an_infinite_power_exits_0(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"kind": "perturbation", "base": 1.0, "amplitude": 1.0, '
+                    '"power": Infinity, "maxN": 50}')
+    assert main(["truncate", "--config", str(path)]) == 0
+    log_ca_inv = json.loads(capsys.readouterr().out)["sequence"]["logCaInv"]
+    # r_1 = 2 against t_1 = 1, then r_k = t_k = 1
+    assert log_ca_inv == [log_ca_inv[0]] * 50
+    assert log_ca_inv[0] == pytest.approx(0.5 * math.log(3.0 / (2.0 * math.sqrt(2.0))), rel=1e-15)
 
 
 def test_json_payload_shape():
@@ -135,6 +171,12 @@ def test_json_payload_shape():
     assert set(data) == {"logCaInv", "bounded", "tailBound", "note"}
     assert isinstance(seq, CaSequence)
     assert len(data["logCaInv"]) == 5
+
+
+def test_constant_tower_matches_lists():
+    spec = TruncationSpec.constant(4, 1.0, 1000)
+    assert spec.r_seq.tolist() == [4.0] * 1000 and spec.t_seq.tolist() == [1.0] * 1000
+    assert spec.r_seq.dtype == np.float64 and not spec.r_seq.flags.writeable
 
 
 @pytest.mark.parametrize("max_n", [1, 2])
