@@ -14,6 +14,11 @@ For a symmetric positive-definite weight A the derived objects needed by
 the kernel and transform modules (square roots, determinants,
 normalization constants, and on first read the block restrictions R and
 T and the harmonic-mean block S) are held by an :class:`OperatorContext`.
+
+A map, and so a context, may hold a leading weight axis: an (m, 2n, 2n)
+stack of m weights, each field then an array over the stack whose row i
+has the bits of the one-weight field of weight i.  ``build_context`` of
+one 2n x 2n weight is the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -42,19 +47,12 @@ __all__ = [
     "build_context",
     "sqrt_spd",
     "inv_sqrt_spd",
-    "to_real_coords",
     "to_complex_coords",
 ]
 
 SYMMETRY_RTOL = 1e-12
 SPD_EIG_RTOL = 1e-10  # smallest eigenvalue must exceed this times ||A||
 REAL_FORM_RTOL = 1e-12
-
-
-def to_real_coords(z: np.ndarray) -> np.ndarray:
-    """(x + iy) in C^n -> (x, y) in R^{2n}."""
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
 
 
 def to_complex_coords(v: np.ndarray) -> np.ndarray:
@@ -66,28 +64,29 @@ def to_complex_coords(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RealLinearMap:
-    """A real-linear operator on C^n stored as its 2n x 2n real matrix; n and
-    the fixed real-basis conventions J and sigma are read off its size."""
+    """A real-linear operator on C^n stored as its 2n x 2n real matrix, or an
+    (m, 2n, 2n) stack of them; n and the fixed real-basis conventions J and
+    sigma are read off its size."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float)
-        d = entries.shape[0] if entries.ndim == 2 else 0
-        if entries.shape != (d, d) or d == 0 or d % 2:
+        d = entries.shape[-1] if entries.ndim in (2, 3) else 0
+        if entries.shape[-2:] != (d, d) or d == 0 or d % 2:
             raise DimensionMismatchError(
                 f"expected a 2n x 2n matrix with n >= 1, got shape {entries.shape}"
             )
         if not np.all(np.isfinite(entries)):
-            i, j = np.argwhere(~np.isfinite(entries))[0]
-            raise ConfigError(f"operator entry ({i}, {j}) is {entries[i, j]}, not finite")
+            *_, i, j = where = tuple(np.argwhere(~np.isfinite(entries))[0])
+            raise ConfigError(f"operator entry ({i}, {j}) is {entries[where]}, not finite")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
         """Complex dimension."""
-        return self.entries.shape[0] // 2
+        return self.entries.shape[-1] // 2
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -113,34 +112,55 @@ class RealLinearMap:
 
     @classmethod
     def from_blocks(cls, X: np.ndarray, Y: np.ndarray) -> "RealLinearMap":
-        """The map sending a -> Xa and ia -> iYa for real vectors a."""
+        """The map sending a -> Xa and ia -> iYa for real vectors a (a stack for stacked blocks)."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
+        if X.shape != Y.shape or X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2]:
             raise DimensionMismatchError("blocks must be square matrices of equal size")
-        n = X.shape[0]
-        M = np.zeros((2 * n, 2 * n))
-        M[:n, :n] = X
-        M[n:, n:] = Y
+        n = X.shape[-1]
+        M = np.zeros(X.shape[:-2] + (2 * n, 2 * n))
+        M[..., :n, :n] = X
+        M[..., n:, n:] = Y
         return cls(M)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Apply to a complex vector."""
-        return to_complex_coords(self.entries @ to_real_coords(z))
+        """Apply to a complex vector; a stack applies each map to its own row of z."""
+        z = np.asarray(z, dtype=complex)
+        v = np.concatenate([z.real, z.imag], axis=-1)  # z as (x, y) in R^{2n}
+        return to_complex_coords((self.entries @ v[..., None])[..., 0])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
-
-
-def _two_norm(X: np.ndarray, tol: float) -> float:
-    """The 2-norm of X, or its Frobenius norm (an upper bound) when that is
-    within ``tol``: a comparison with ``tol`` comes out as the 2-norm's
-    would, and the SVD runs only when the bound cannot decide it (or
-    overflows)."""
-    bound = float(np.linalg.norm(X))
-    return bound if bound <= tol else float(np.linalg.norm(X, 2))
+    def norm(self):
+        return _per_weight(spectral_norm(self.entries))
 
 
+def spectral_norm(X: np.ndarray) -> np.ndarray:
+    """The 2-norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(X, 2, axis=(-2, -1))
+
+
+def _per_weight(x):
+    """x as a Python scalar for one weight, or as its array over a stack."""
+    return x.item() if x.ndim == 0 else x
+
+
+def _require(ok, error, *values) -> None:
+    """Raise ``error(*values)`` with the values of the first weight failing ``ok``."""
+    if ok is not np.True_ and not ok.all():  # np.True_: one weight that passed
+        first = np.flatnonzero(np.logical_not(ok))[0]
+        raise error(*(float(np.ravel(v)[first]) for v in values))
+
+
+def _two_norm(X: np.ndarray, tol):
+    """The 2-norm of X (of each matrix of a stack), or its Frobenius norm (an
+    upper bound) when that is within ``tol``: a comparison with ``tol`` comes
+    out as the 2-norm's would, and the SVD runs only when the bound cannot
+    decide it (or overflows)."""
+    bound = np.linalg.norm(X, axis=(-2, -1))  # callers ignore its overflow
+    within = bound <= tol
+    return bound if within.all() else np.where(within, bound, spectral_norm(X))
+
+
+@np.errstate(over="ignore")  # a Frobenius bound, or twice the norm, may overflow
 def require_spd(A: RealLinearMap) -> tuple[float, np.ndarray]:
     """Check that A is symmetric and positive definite as a real matrix, and
     return its 2-norm and the ascending eigenvalues of its symmetric part.
@@ -151,35 +171,35 @@ def require_spd(A: RealLinearMap) -> tuple[float, np.ndarray]:
     NotSymmetricError, IllConditionedError (positive, but below the
     threshold only through its ratio to the norm) or NotPositiveDefiniteError.
     A weight whose doubled norm overflows, so that A + A^T cannot be formed,
-    is a ConfigError.
+    is a ConfigError.  For a stack, each test raises at the first weight failing it.
     """
     E = A.entries
-    norm = float(np.linalg.norm(E, 2))
-    if not math.isfinite(2.0 * norm):
-        raise ConfigError(f"operator 2-norm {norm:.3e} is too large: twice it overflows "
-                          "the float range")
-    scale = max(norm, 1.0)
-    asym = _two_norm(E - E.T, SYMMETRY_RTOL * scale)
-    if not asym <= SYMMETRY_RTOL * scale:  # a NaN fails
-        raise NotSymmetricError(
-            f"operator is not symmetric (asymmetry {asym:.3e})", asymmetry=asym
-        )
-    eigenvalues = np.linalg.eigvalsh(0.5 * (E + E.T))
-    min_eig = float(eigenvalues[0])
-    if not min_eig > SPD_EIG_RTOL * scale:  # a NaN fails
-        if min_eig > SPD_EIG_RTOL:
-            ratio = min_eig / norm
-            raise IllConditionedError(
-                f"operator is ill-conditioned (smallest to largest eigenvalue ratio "
-                f"{ratio:.3e}, below {SPD_EIG_RTOL:.0e})",
-                min_eigenvalue=min_eig,
-                eigenvalue_ratio=ratio,
-            )
-        raise NotPositiveDefiniteError(
-            f"operator is not positive definite (min eigenvalue {min_eig:.3e})",
+    norm = spectral_norm(E)
+    _require(np.isfinite(2.0 * norm), lambda norm: ConfigError(
+        f"operator 2-norm {norm:.3e} is too large: twice it overflows the float range"), norm)
+    scale = np.maximum(norm, 1.0)
+    asym = _two_norm(E - E.mT, SYMMETRY_RTOL * scale)
+    _require(asym <= SYMMETRY_RTOL * scale, lambda asym: NotSymmetricError(  # a NaN fails
+        f"operator is not symmetric (asymmetry {asym:.3e})", asymmetry=asym), asym)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (E + E.mT))
+    min_eig = eigenvalues[..., 0]
+    _require(min_eig > SPD_EIG_RTOL * scale, _not_positive, min_eig, norm)  # a NaN fails
+    return _per_weight(norm), eigenvalues
+
+
+def _not_positive(min_eig: float, norm: float) -> NotPositiveDefiniteError:
+    if min_eig > SPD_EIG_RTOL:
+        ratio = min_eig / norm
+        return IllConditionedError(
+            f"operator is ill-conditioned (smallest to largest eigenvalue ratio "
+            f"{ratio:.3e}, below {SPD_EIG_RTOL:.0e})",
             min_eigenvalue=min_eig,
+            eigenvalue_ratio=ratio,
         )
-    return norm, eigenvalues
+    return NotPositiveDefiniteError(
+        f"operator is not positive definite (min eigenvalue {min_eig:.3e})",
+        min_eigenvalue=min_eig,
+    )
 
 
 def _split(A: RealLinearMap) -> tuple[np.ndarray, np.ndarray]:
@@ -202,42 +222,42 @@ def decompose(A: RealLinearMap) -> tuple[RealLinearMap, RealLinearMap]:
 
 
 def decomposition_residuals(A: RealLinearMap, H: RealLinearMap, K: RealLinearMap) -> dict:
-    """||A - H - K||, ||HJ - JH|| and ||KJ + JK|| in the 2-norm, each
-    relative to ||A||: zero up to rounding for (H, K) = decompose(A)."""
+    """||A - H - K||, ||HJ - JH|| and ||KJ + JK|| in the 2-norm, each relative
+    to ||A|| (per weight of a stack): zero up to rounding for (H, K) = decompose(A)."""
     J = A.J
     scale = A.norm()
     return {
-        "sum": float(np.linalg.norm(A.entries - H.entries - K.entries, 2) / scale),
-        "hCommutes": float(np.linalg.norm(H.entries @ J - J @ H.entries, 2) / scale),
-        "kAnticommutes": float(np.linalg.norm(K.entries @ J + J @ K.entries, 2) / scale),
+        "sum": _per_weight(spectral_norm(A.entries - H.entries - K.entries) / scale),
+        "hCommutes": _per_weight(spectral_norm(H.entries @ J - J @ H.entries) / scale),
+        "kAnticommutes": _per_weight(spectral_norm(K.entries @ J + J @ K.entries) / scale),
     }
 
 
 def _eigh_pd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a real symmetric
-    or complex Hermitian matrix M, once M is checked to be one (a finite
-    asymmetry within 1e-10 of its Frobenius norm, which may overflow) and
-    positive definite; raises the error of its kind, naming ``what``, if not."""
+    or complex Hermitian matrix M, or of each matrix of a stack, once M is
+    checked to be one (a finite asymmetry within 1e-10 of its Frobenius
+    norm, which may overflow) and positive definite; raises the error of its
+    kind, naming ``what``, at the first matrix that is not."""
     M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
-    adjoint = M.conj().T
+    adjoint = M.conj().mT
     with np.errstate(over="ignore", invalid="ignore"):
-        asym = float(np.linalg.norm(M - adjoint))
-        scale = max(float(np.linalg.norm(M)), 1.0)
-    if not (math.isfinite(asym) and asym <= 1e-10 * scale):
-        raise NotSymmetricError(f"{what} is not symmetric", asymmetry=asym)
+        asym = np.linalg.norm(M - adjoint, axis=(-2, -1))
+        scale = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1.0)
+    _require(np.isfinite(asym) & (asym <= 1e-10 * scale),
+             lambda a: NotSymmetricError(f"{what} is not symmetric", asymmetry=a), asym)
     vals, vecs = np.linalg.eigh(0.5 * M + 0.5 * adjoint)
-    if vals[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"{what} is not positive definite", min_eigenvalue=float(vals[0])
-        )
+    _require(~(vals[..., 0] <= 0.0),
+             lambda v: NotPositiveDefiniteError(f"{what} is not positive definite",
+                                                min_eigenvalue=v), vals[..., 0])
     return vals, vecs
 
 
 def _root(eig: tuple[np.ndarray, np.ndarray], inverse: bool = False) -> np.ndarray:
     """M^{1/2}, or M^{-1/2} if ``inverse``, from the eigendecomposition of M."""
     vals, vecs = eig
-    roots = np.sqrt(vals)
-    return (vecs / roots if inverse else vecs * roots) @ vecs.conj().T
+    roots = np.sqrt(vals)[..., None, :]
+    return (vecs / roots if inverse else vecs * roots) @ vecs.conj().mT
 
 
 def sqrt_spd(M: np.ndarray) -> np.ndarray:
@@ -262,6 +282,9 @@ class OperatorContext:
     itself (``real_preserving``).  H_matrix is the complex n x n
     (Hermitian) matrix of the complex-linear part, K_matrix the complex
     symmetric matrix C with K z = C conj(z).
+
+    A context of a stack holds each field with the stack's leading axis (a
+    scalar as an (m,) array); its real blocks need every weight real-preserving.
     """
 
     A: RealLinearMap
@@ -281,7 +304,7 @@ class OperatorContext:
 
     def _real_block(self, X: np.ndarray) -> np.ndarray:
         """The block X, read-only; the one check of the real form."""
-        if not self.real_preserving:
+        if not np.all(self.real_preserving):
             raise RealFormError(
                 "operation requires a weight that preserves the real subspace"
             )
@@ -290,17 +313,17 @@ class OperatorContext:
 
     @cached_property
     def R(self) -> np.ndarray:
-        return self._real_block(np.array(self.A.entries[:self.n, :self.n]))
+        return self._real_block(np.array(self.A.entries[..., :self.n, :self.n]))
 
     @cached_property
     def T(self) -> np.ndarray:
-        return self._real_block(np.array(self.A.entries[self.n:, self.n:]))
+        return self._real_block(np.array(self.A.entries[..., self.n:, self.n:]))
 
     @cached_property
     def S(self) -> np.ndarray:
         """2 (R^-1 + T^-1)^-1, the harmonic-mean block."""
         S = 2.0 * np.linalg.inv(np.linalg.inv(self.R) + np.linalg.inv(self.T))
-        S = 0.5 * (S + S.T)
+        S = 0.5 * (S + S.mT)
         _eigh_pd(S, "derived block S")
         return self._real_block(S)
 
@@ -320,24 +343,24 @@ class OperatorContext:
     @property
     def det_v_a(self) -> float:
         """Determinant of the weight as a real 2n x 2n matrix."""
-        return float(np.exp(self.log_det_v_a))
+        return _per_weight(np.exp(self.log_det_v_a))
 
     @property
     def det_h(self) -> float:
         """Determinant of the complex-linear part on an n-dimensional real form."""
-        return float(np.exp(self.log_det_h))
+        return _per_weight(np.exp(self.log_det_h))
 
     @property
     def det_r(self) -> float:
-        return float(np.linalg.det(self.R))
+        return _per_weight(np.linalg.det(self.R))
 
     @property
     def det_t(self) -> float:
-        return float(np.linalg.det(self.T))
+        return _per_weight(np.linalg.det(self.T))
 
     @property
     def det_s(self) -> float:
-        return float(np.linalg.det(self.S))
+        return _per_weight(np.linalg.det(self.S))
 
     def summary(self) -> dict:
         """The scalars and blocks a report shows.  A determinant among them
@@ -366,7 +389,7 @@ class OperatorContext:
 # use of them copes with an inf
 @np.errstate(over="ignore")
 def build_context(A: RealLinearMap) -> OperatorContext:
-    """Validate a weight operator and assemble what every weight has.
+    """Validate a weight operator (or each of a stack) and assemble what every weight has.
 
     The normalization constant of the reproducing kernel is computed in
     log space from eigenvalues so that large dimensions do not overflow.
@@ -375,23 +398,20 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     n = A.n
     # the first block column of a map is its action on real vectors, where
     # z = conj(z): H z = Hc z and K z = Kc conj(z) read the same block
-    Hc, Kc = (X[:n, :n] + 1j * X[n:, :n] for X in _split(A))
+    Hc, Kc = (X[..., :n, :n] + 1j * X[..., n:, :n] for X in _split(A))
     h_eig = _eigh_pd(Hc, "complex-linear part")
 
-    log_det_v_a = float(np.sum(np.log(a_vals)))
-    log_det_h = float(np.sum(np.log(h_eig[0])))
+    log_det_v_a = np.sum(np.log(a_vals), axis=-1)
+    log_det_h = np.sum(np.log(h_eig[0]), axis=-1)
 
     # c_a = (det_V A / det_V H)^{1/4} <= 1, with det_V H = (det H)^2.
-    c_a = float(np.exp(0.25 * (log_det_v_a - 2.0 * log_det_h)))
-    c_restriction = float(
-        (2.0 * np.pi) ** (-n / 4.0) * np.exp(0.25 * (log_det_v_a - log_det_h))
-    )
+    c_a = np.exp(0.25 * (log_det_v_a - 2.0 * log_det_h))
+    c_restriction = (2.0 * np.pi) ** (-n / 4.0) * np.exp(0.25 * (log_det_v_a - log_det_h))
 
     # The weight preserves the real subspace iff the off-diagonal block
     # (imaginary part of A applied to real basis vectors) vanishes.
-    E = A.entries
     tol = REAL_FORM_RTOL * norm
-    real_preserving = _two_norm(E[n:, :n], tol) <= tol
+    real_preserving = _two_norm(A.entries[..., n:, :n], tol) <= tol
 
     roots = _root(h_eig), _root(h_eig, inverse=True)
     for X in (Hc, Kc, *roots):
@@ -402,9 +422,9 @@ def build_context(A: RealLinearMap) -> OperatorContext:
         K_matrix=Kc,
         sqrt_H_matrix=roots[0],
         inv_sqrt_H_matrix=roots[1],
-        real_preserving=real_preserving,
-        log_det_v_a=log_det_v_a,
-        log_det_h=log_det_h,
-        c_a=c_a,
-        c_restriction=c_restriction,
+        real_preserving=_per_weight(real_preserving),
+        log_det_v_a=_per_weight(log_det_v_a),
+        log_det_h=_per_weight(log_det_h),
+        c_a=_per_weight(c_a),
+        c_restriction=_per_weight(c_restriction),
     )

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import orjson
 
 RENDER_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
@@ -30,14 +31,14 @@ def complex_json(value):
     return float(value)
 
 
-def fold(pick, acc: float, value: float) -> float:
-    """One step of a running ``max`` or ``min`` (``pick``) that keeps a NaN.
+def fold(pick, acc: float, values) -> float:
+    """A running ``max`` or ``min`` (``pick``) of ``acc`` and a value, or every
+    value of an array at once, that keeps a NaN.
 
     The builtins drop a NaN in second place (``max(0.0, nan)`` is 0.0), so a
     residual that went NaN would otherwise be folded away and pass."""
-    if math.isnan(acc) or math.isnan(value):
-        return math.nan
-    return pick(acc, value)
+    keep_nan = {max: np.maximum, min: np.minimum}[pick]
+    return float(keep_nan.reduce(np.ravel(values), initial=acc))
 
 
 @dataclass(frozen=True)

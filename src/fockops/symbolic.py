@@ -81,11 +81,12 @@ def exp_rows(expo, size: int):
 
 
 def bilinear_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """x.My for each row x of X and the same row y of Y, summed over the axes
-    in a fixed order from elementwise products: a row's bits do not depend
-    on the rest of the batch, as they do under a matrix product's blocking."""
-    return sum(X[:, j] * sum(M[j, k] * Y[:, k] for k in range(M.shape[1]))
-               for j in range(M.shape[0]))
+    """x.My for each row x of X and the same row y of Y, M one matrix or a
+    stack of one per row, summed over the axes in a fixed order from
+    elementwise products: a row's bits do not depend on the rest of the
+    batch, as they do under a matrix product's blocking."""
+    return sum(X[:, j] * sum(M[..., j, k] * Y[:, k] for k in range(M.shape[-1]))
+               for j in range(M.shape[-2]))
 
 
 def _as_complex_vector(v, n: int) -> np.ndarray:

@@ -12,6 +12,8 @@ import numpy as np
 from .operators import RealLinearMap
 
 __all__ = [
+    "draw_spd",
+    "spd_matrix",
     "random_spd_matrix",
     "random_spd_map",
     "random_real_preserving_map",
@@ -19,16 +21,28 @@ __all__ = [
 ]
 
 
-def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
+def orthogonal(gaussians: np.ndarray) -> np.ndarray:
+    """The Q of a QR of a matrix, or of each of a stack, signed so R has a positive diagonal."""
+    q, r = np.linalg.qr(gaussians)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def draw_spd(rng: np.random.Generator, d: int,
+             eig_low: float = 0.2, eig_high: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
+    """What ``random_spd_matrix`` draws: a Gaussian d x d matrix, then d eigenvalues."""
+    return rng.standard_normal((d, d)), rng.uniform(eig_low, eig_high, size=d)
+
+
+def spd_matrix(gaussians: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The SPD matrix of one ``draw_spd``, or the stack of m of them from an
+    (m, d, d) stack of Gaussians and (m, d) eigenvalues, once per stack."""
+    q = orthogonal(gaussians)
+    return (q * vals[..., None, :]) @ q.mT
 
 
 def random_spd_matrix(rng: np.random.Generator, d: int,
                       eig_low: float = 0.2, eig_high: float = 5.0) -> np.ndarray:
-    q = random_orthogonal(rng, d)
-    vals = rng.uniform(eig_low, eig_high, size=d)
-    return (q * vals) @ q.T
+    return spd_matrix(*draw_spd(rng, d, eig_low, eig_high))
 
 
 def random_spd_map(rng: np.random.Generator, n: int) -> RealLinearMap:

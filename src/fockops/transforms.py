@@ -94,14 +94,15 @@ def multiplier(ctx: OperatorContext, x, z):
 
     x and z are one point each (a complex comes back) or (m, n) batches
     (m values, each with the bits of a one-point call; a row out of range
-    raises RangeOverflowError for the batch).
+    raises RangeOverflowError for the batch).  The context of a stack of m
+    weights takes (m, n) batches, row i at weight i.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
     if z.ndim == 1:
         return complex(multiplier(ctx, x[None], z[None])[0])
     Hc, C = ctx.H_matrix, ctx.K_matrix
-    expo = bilinear_rows(z, Hc.T + C, x) - 0.5 * bilinear_rows(x, Hc + C, x)
+    expo = bilinear_rows(z, Hc.mT + C, x) - 0.5 * bilinear_rows(x, Hc + C, x)
     return exp_rows(expo, len(z))
 
 

@@ -80,10 +80,13 @@ class TruncationSpec:
         integer power, rounded once to a float: from k^3 past 2^53 on, the
         library ``pow`` can round it differently.  A finite power whose k^power
         overflows is refused, as Python's ``pow`` raises there; an infinite or
-        NaN power is not, and its terms are checked with the others."""
+        NaN power is not, and its terms are checked with the others.  An int
+        power from 1024 on overflows at k = 2, and is refused before any pow."""
         _require_budget(max_n)
         if isinstance(power, int):
             try:
+                if power >= 1024 and max_n >= 2:
+                    raise OverflowError
                 powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
             except OverflowError as err:
                 raise ConfigError(f"k^power overflows for power {power}") from err

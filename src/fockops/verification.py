@@ -31,6 +31,7 @@ from .operators import (
     build_context,
     decompose,
     decomposition_residuals,
+    spectral_norm,
 )
 from .quadrature import (
     MAX_NODES_PER_AXIS,
@@ -41,7 +42,8 @@ from .quadrature import (
 )
 from .report import CheckResult, fold, make_bound_check, make_check, make_strict_check
 from .symbolic import GaussPoly, Polynomial, l2_inner_product
-from .testing import random_real_preserving_map, random_spd_map, random_spd_matrix, rotated_weight
+from .testing import (draw_spd, random_real_preserving_map, random_spd_map, random_spd_matrix,
+                      rotated_weight, spd_matrix)
 from .transforms import (
     coherent_inner,
     coherent_state,
@@ -67,6 +69,7 @@ from .truncation import TruncationSpec, ca_sequence
 __all__ = ["VerifyConfig", "run_verification", "GROUPS"]
 
 log = logging.getLogger(__name__)
+check_log = logging.getLogger(__name__ + ".checks")
 
 
 @dataclass(frozen=True)
@@ -87,35 +90,48 @@ def _monomials(n: int, max_degree: int):
     return [a for a in iter_product(range(max_degree + 1), repeat=n) if sum(a) <= max_degree]
 
 
+def _stacked(draws):
+    """Draws ``(n, *columns)``, one weight each, as ``(n, *stacked columns)`` per n."""
+    groups = {}
+    for n, *columns in draws:
+        groups.setdefault(n, []).append(columns)
+    return [(n, *map(np.array, zip(*rows))) for n, rows in groups.items()]
+
+
+def _block_pairs(rng, count: int, high: int):
+    """``count`` random_real_preserving_map draws, each at an n drawn in [1, high) first."""
+    draws = [(n, *draw_spd(rng, n), *draw_spd(rng, n))
+             for n in (int(rng.integers(1, high)) for _ in range(count))]
+    return [(n, spd_matrix(GR, vR), spd_matrix(GT, vT)) for n, GR, vR, GT, vT in _stacked(draws)]
+
+
 # -- operator-core -------------------------------------------------------------
 
 
 def check_operator_core(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed)
-    worst_sum = worst_commute = worst_anticommute = 0.0
+    draws = []
+    for n in (1 + i % 3 for i in range(200)):
+        G, vals = draw_spd(rng, 2 * n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        draws.append((n, G, vals, z, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    worst_sum = worst_commute = worst_anticommute = worst_k_sym = worst_sigma_k = 0.0
     worst_h_eig = math.inf
-    worst_k_sym = worst_sigma_k = 0.0
-    for i in range(200):
-        n = 1 + i % 3
-        A = random_spd_map(rng, n)
+    for _, G, vals, z, w in _stacked(draws):
+        A = RealLinearMap(spd_matrix(G, vals))
         H, K = decompose(A)
         scale = A.norm()
         residuals = decomposition_residuals(A, H, K)
         worst_sum = fold(max, worst_sum, residuals["sum"])
         worst_commute = fold(max, worst_commute, residuals["hCommutes"])
         worst_anticommute = fold(max, worst_anticommute, residuals["kAnticommutes"])
-        worst_h_eig = fold(min, worst_h_eig, np.linalg.eigvalsh(H.entries)[0] / scale)
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lhs = np.dot(K(z), np.conj(w))
-        rhs = np.dot(K(w), np.conj(z))
-        worst_k_sym = fold(max, worst_k_sym, abs(lhs - rhs) / scale)
-        sigma = A.sigma
-        worst_sigma_k = fold(
-            max,
-            worst_sigma_k,
-            np.linalg.norm((sigma @ K.entries).T - K.entries @ sigma, 2) / scale,
-        )
+        worst_h_eig = fold(min, worst_h_eig, np.linalg.eigvalsh(H.entries)[:, 0] / scale)
+        # a complex np.dot and its scalar modulus round unlike their array forms
+        gaps = [abs(np.dot(a, np.conj(b)) - np.dot(c, np.conj(d)))
+                for a, b, c, d in zip(K(z), w, K(w), z)]
+        worst_k_sym = fold(max, worst_k_sym, np.array(gaps) / scale)
+        sigma_k = (A.sigma @ K.entries).mT - K.entries @ A.sigma
+        worst_sigma_k = fold(max, worst_sigma_k, spectral_norm(sigma_k) / scale)
 
     checks = [
         make_bound_check("decompose_sum_residual", worst_sum, 0.0, 1e-12),
@@ -126,18 +142,16 @@ def check_operator_core(cfg: VerifyConfig) -> list[CheckResult]:
         make_bound_check("sigma_k_transpose_identity", worst_sigma_k, 0.0, 1e-12),
     ]
 
-    worst_det = worst_two_t = 0.0
-    ca_high = 0.0
-    for _ in range(40):
-        A = random_real_preserving_map(rng, int(rng.integers(1, 4)))
+    worst_det = worst_two_t = ca_high = 0.0
+    for _, R, T in _block_pairs(rng, 40, 4):
+        A = RealLinearMap.from_blocks(R, T)
         ctx = build_context(A)
-        rebuilt = RealLinearMap.from_blocks(ctx.R, ctx.T)
-        if not np.array_equal(rebuilt.entries, A.entries):
+        if not np.array_equal(RealLinearMap.from_blocks(ctx.R, ctx.T).entries, A.entries):
             worst_det = math.inf
         worst_det = fold(max, worst_det, abs(ctx.det_s * ctx.det_h - ctx.det_v_a) / ctx.det_v_a)
         lhs = 2.0 * ctx.T - ctx.S
-        rhs = ctx.T @ np.linalg.inv(ctx.R) @ ctx.S
-        worst_two_t = fold(max, worst_two_t, np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
+        gap = lhs - ctx.T @ np.linalg.inv(ctx.R) @ ctx.S
+        worst_two_t = fold(max, worst_two_t, spectral_norm(gap) / spectral_norm(lhs))
         ca_high = fold(max, ca_high, ctx.c_a)
     checks.append(make_bound_check("det_s_times_det_h_equals_det_v_a", worst_det, 0.0, 1e-12))
     checks.append(make_bound_check("two_t_minus_s_factorization", worst_two_t, 0.0, 1e-12))
@@ -160,16 +174,14 @@ def check_operator_core(cfg: VerifyConfig) -> list[CheckResult]:
 def check_constant_identities(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 1)
     worst_lcons = worst_block = worst_dets = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        R = random_spd_matrix(rng, n)
-        T = random_spd_matrix(rng, n)
+    for n, R, T in _block_pairs(rng, 100, 6):
         ctx = build_context(RealLinearMap.from_blocks(R, T))
-        lcons_lhs = ctx.c_a**-2 * ctx.c_restriction**2
-        lcons_rhs = math.sqrt(ctx.det_h) / (2.0 * math.pi) ** (n / 2.0)
+        c_a_inv2 = np.float_power(ctx.c_a, -2.0)  # Python's ** to the bit; numpy's ** is not
+        lcons_lhs = c_a_inv2 * np.float_power(ctx.c_restriction, 2.0)
+        lcons_rhs = np.sqrt(ctx.det_h) / (2.0 * math.pi) ** (n / 2.0)
         worst_lcons = fold(max, worst_lcons, abs(lcons_lhs - lcons_rhs) / lcons_rhs)
-        block_rhs = ctx.det_t / (math.sqrt(ctx.det_s) * float(np.linalg.det(ctx.L)))
-        worst_block = fold(max, worst_block, abs(ctx.c_a**-2 - block_rhs) / block_rhs)
+        block_rhs = ctx.det_t / (np.sqrt(ctx.det_s) * np.linalg.det(ctx.L))
+        worst_block = fold(max, worst_block, abs(c_a_inv2 - block_rhs) / block_rhs)
         worst_dets = fold(max, worst_dets, abs(ctx.det_s - ctx.det_v_a / ctx.det_h) / ctx.det_s)
     golden = build_context(
         RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]]))
@@ -190,19 +202,17 @@ def check_determinant_identities(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 2)
     worst_identity = 0.0
     min_strict_margin = math.inf
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        R = random_spd_matrix(rng, n)
-        T = random_spd_matrix(rng, n)
+    for n, R, T in _block_pairs(rng, 100, 6):
         D = build_context(RealLinearMap.from_blocks(R, T)).D
-        det_rt = float(np.linalg.det(R)) * float(np.linalg.det(T))
-        det_mean = float(np.linalg.det(0.5 * (R + T)))
+        det_rt = np.linalg.det(R) * np.linalg.det(T)
+        det_mean = np.linalg.det(0.5 * (R + T))
         inner = (D - np.linalg.inv(D)) / math.sqrt(2.0)
-        lhs = det_rt / det_mean**2
-        rhs = float(np.linalg.det(np.eye(n) + inner @ inner)) ** -2
-        worst_identity = fold(max, worst_identity, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-        if np.linalg.norm(R - T) > 1e-6:
-            min_strict_margin = fold(min, min_strict_margin, det_mean - math.sqrt(det_rt))
+        lhs = det_rt / np.float_power(det_mean, 2.0)
+        rhs = np.float_power(np.linalg.det(np.eye(n) + inner @ inner), -2.0)
+        worst_identity = fold(max, worst_identity, abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs)))
+        # a one-matrix Frobenius norm rounds unlike a stacked one
+        differ = [np.linalg.norm(r - t) > 1e-6 for r, t in zip(R, T)]
+        min_strict_margin = fold(min, min_strict_margin, (det_mean - np.sqrt(det_rt))[differ])
     R = random_spd_matrix(rng, 3)
     det_r = float(np.linalg.det(R))
     equal = make_check("determinant_inequality_equality_at_matching_blocks",
@@ -305,29 +315,32 @@ def check_unitary_between_spaces(cfg: VerifyConfig) -> list[CheckResult]:
 # -- transforms -------------------------------------------------------------------
 
 
-def _cocycle_ctx(rng, n):
-    if rng.uniform() < 0.5:
-        return build_context(random_real_preserving_map(rng, n))
-    r, t = rng.uniform(0.3, 4.0, size=2)
-    A = RealLinearMap.from_blocks(r * np.eye(n), t * np.eye(n))
-    return build_context(
-        rotated_weight(A, rng.uniform(0.1, math.pi), axis=int(rng.integers(n)))
-    )
-
-
 def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 6)
     checks = []
 
-    worst = 0.0
+    draws = []  # each weight real-preserving, or with probability 1/2 a rotated diagonal one
     for i in range(500):
         n = 1 + i % 2
-        ctx = _cocycle_ctx(rng, n)
+        # unread fillers keep every row's columns the same shape for _stacked
+        E, spd = np.zeros((2 * n, 2 * n)), [np.eye(n), np.ones(n)] * 2
+        if blocks := rng.uniform() < 0.5:
+            spd = [*draw_spd(rng, n), *draw_spd(rng, n)]  # E assembled per stack below
+        else:
+            r, t = rng.uniform(0.3, 4.0, size=2)
+            A = RealLinearMap.from_blocks(r * np.eye(n), t * np.eye(n))
+            E = rotated_weight(A, rng.uniform(0.1, math.pi), axis=int(rng.integers(n))).entries
         x, y = rng.standard_normal(n), rng.standard_normal(n)
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lhs = multiplier(ctx, x, z) * multiplier(ctx, y, z - x)
-        rhs = multiplier(ctx, x + y, z)
-        worst = fold(max, worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        draws.append((n, blocks, E, *spd, x, y, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    worst = 0.0
+    for _, blocks, E, GR, vR, GT, vT, x, y, z in _stacked(draws):
+        E[blocks] = RealLinearMap.from_blocks(spd_matrix(GR[blocks], vR[blocks]),
+                                              spd_matrix(GT[blocks], vT[blocks])).entries
+        ctx = build_context(RealLinearMap(E))
+        values = (multiplier(ctx, x, z), multiplier(ctx, y, z - x), multiplier(ctx, x + y, z))
+        # products and moduli of Python complexes: numpy's round differently
+        worst = fold(max, worst, [abs(a * b - c) / max(abs(a * b), abs(c))
+                                  for a, b, c in zip(*(v.tolist() for v in values))])
     checks.append(make_bound_check("multiplier_cocycle_max_residual", worst, 0.0, 1e-12))
 
     worst = 0.0
@@ -584,8 +597,9 @@ def run_verification(cfg: VerifyConfig) -> dict:
     """Run every group and assemble a deterministic report payload.
 
     The payload has no ``config`` entry: the CLI records the configuration
-    as the user gave it.  Each group's check count and wall time go to the
-    debug log, never into the payload."""
+    as the user gave it.  Each group's check count and wall time, and each
+    check's residual, tolerance and headroom, go to the debug log, never
+    into the payload."""
     groups = {}
     all_passed = True
     total = 0
@@ -594,6 +608,11 @@ def run_verification(cfg: VerifyConfig) -> dict:
         results = fn(cfg)
         log.debug("verify group %s: %d checks in %.3fs", name, len(results),
                   time.perf_counter() - started)
+        for c in results:
+            defined = 0.0 < c.residual < math.inf and 0.0 < c.tolerance < math.inf
+            headroom = f"{math.log10(c.tolerance / c.residual):.2f}" if defined else "undefined"
+            check_log.debug("verify check %s/%s: residual %.3e, tolerance %.3e, headroom %s",
+                            name, c.name, c.residual, c.tolerance, headroom)
         groups[name] = [c.to_json() for c in results]
         total += len(results)
         all_passed = all_passed and all(c.passed for c in results)

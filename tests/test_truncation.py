@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,27 @@ def test_perturbation_power_outcomes_follow_python_pow(power, message):
     else:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TruncationSpec.perturbation(1.3, 0.7, power, max_n)
+
+
+@pytest.mark.parametrize("power", [256_000_000, 2**63 - 1])
+def test_a_huge_int_power_is_refused_before_its_exact_power_is_built(power):
+    # 2^power alone is past the float maximum; building it as an exact
+    # integer took 1.8 s and 135 MB at 256,000,000
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match=f"^k\\^power overflows for power {power}$"):
+        TruncationSpec.perturbation(1.3, 0.7, power, 2)
+    assert time.perf_counter() - started < 0.1
+
+
+def test_int_power_overflow_boundary():
+    spec = TruncationSpec.perturbation(1e-100, 0.7, 1023, 2)
+    assert spec.r_seq.tolist() == [1e-100 + 0.7, 1e-100 + 0.7 / 2**1023]
+    with pytest.raises(ConfigError, match="^k\\^power overflows for power 1024$"):
+        TruncationSpec.perturbation(1e-100, 0.7, 1024, 2)
+    with pytest.raises(ConfigError, match="^k\\^power overflows for power 1023$"):
+        TruncationSpec.perturbation(1e-100, 0.7, 1023, 3)  # 3^1023 overflows
+    # 1^power is 1 for every power: a tower of one term has no overflow
+    assert TruncationSpec.perturbation(1.3, 0.7, 2**63 - 1, 1).r_seq.tolist() == [1.3 + 0.7]
 
 
 def test_truncate_with_an_infinite_power_exits_0(tmp_path, capsys):

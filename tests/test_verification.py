@@ -5,11 +5,13 @@ each function once per grid, and its node count stays within the rules."""
 import logging
 import math
 
+import numpy as np
 import pytest
 
 import fockops.verification as verification
 from fockops import ConfigError, GaussPoly, kernel_section
 from fockops.quadrature import MAX_NODES_PER_AXIS, _hermite_rule
+from fockops.report import fold, make_bound_check, make_strict_check
 from fockops.verification import VerifyConfig, run_verification
 
 
@@ -18,10 +20,48 @@ def _by_name(results):
 
 
 def test_nan_multiplier_fails_cocycle_check(monkeypatch):
-    monkeypatch.setattr(verification, "multiplier", lambda ctx, x, z: complex(math.nan))
+    # the check evaluates the multiplier on a batch of points per stack of weights
+    monkeypatch.setattr(verification, "multiplier",
+                        lambda ctx, x, z: np.full(len(z), complex(math.nan)))
     check = _by_name(verification.check_transform_tower(VerifyConfig()))[
         "multiplier_cocycle_max_residual"
     ]
+    assert not check.passed
+    assert math.isnan(check.residual)
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_a_nan_row_of_a_stack_folds_to_nan_and_fails(row):
+    residuals = np.array([1e-14, 2e-14, 3e-14])
+    residuals[row] = math.nan
+    worst = fold(max, 0.0, residuals)
+    assert math.isnan(worst)
+    assert not make_bound_check("decompose_sum_residual", worst, 0.0, 1e-12).passed
+    eigenvalues = np.array([0.3, 0.2, 0.5])
+    eigenvalues[row] = math.nan
+    lowest = fold(min, math.inf, eigenvalues)
+    assert math.isnan(lowest)
+    assert not make_strict_check("decompose_h_positive", lowest, 0.0).passed
+
+
+def test_fold_keeps_a_nan_it_starts_from():
+    assert math.isnan(fold(max, math.nan, np.array([1.0, 2.0])))
+    assert math.isnan(fold(min, math.nan, np.array([1.0, 2.0])))
+    assert fold(max, 0.0, np.array([1.0, 3.0, 2.0])) == 3.0
+    assert fold(min, math.inf, np.array([], dtype=float)) == math.inf
+
+
+def test_nan_row_of_decomposition_residuals_fails_operator_core(monkeypatch):
+    residuals = verification.decomposition_residuals
+
+    def one_nan_row(A, H, K):
+        out = dict(residuals(A, H, K))
+        out["sum"] = out["sum"].copy()
+        out["sum"][len(out["sum"]) // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(verification, "decomposition_residuals", one_nan_row)
+    check = _by_name(verification.check_operator_core(VerifyConfig()))["decompose_sum_residual"]
     assert not check.passed
     assert math.isnan(check.residual)
 
@@ -51,6 +91,27 @@ def test_each_group_logs_name_count_and_seconds(monkeypatch, caplog):
         assert record.levelno == logging.DEBUG
         assert record.args[:2] == (name, len(checks))
         assert record.args[2] >= 0.0
+
+
+def test_each_check_logs_residual_tolerance_and_headroom(monkeypatch, caplog):
+    groups = {
+        "kernel-constants": verification.check_constant_identities,
+        "truncation-diagnostics": verification.check_truncation,
+    }
+    monkeypatch.setattr(verification, "GROUPS", groups)
+    with caplog.at_level(logging.DEBUG, logger="fockops"):
+        report = run_verification(VerifyConfig())
+    lines = [r.getMessage() for r in caplog.records if r.name == "fockops.verification.checks"]
+    assert len(lines) == report["checkCount"]
+    checks = [(group, c) for group, results in report["groups"].items() for c in results]
+    for line, (group, c) in zip(lines, checks):
+        assert line.startswith(f"verify check {group}/{c['name']}: residual ")
+        headroom = line.rsplit(" ", 1)[1]
+        if 0.0 < c["residual"] and 0.0 < c["tolerance"]:
+            assert float(headroom) == pytest.approx(math.log10(c["tolerance"] / c["residual"]),
+                                                    abs=0.005)
+        else:
+            assert headroom == "undefined"
 
 
 def test_reproducing_property_evaluates_each_kernel_section_once(monkeypatch):
