@@ -34,7 +34,7 @@ checked after the operator and the function, one point at a time, and
 before a target reads a real block and may raise ``requires_real_form``; a ragged
 or wrongly sized ``A``, ``R``, ``T``, ``P`` or ``b``, a weight whose
 reported determinant is beyond the float range, non-finite truncate
-eigenvalues or a pair whose product is not a normal float, an eval
+eigenvalues or a pair whose product is not normal or whose factor overflows, an eval
 function with a key its kind never reads, with a non-finite ``P``, ``b``
 or ``coeff``, past MAX_FUNCTION_COEFFS or with coefficients beyond the
 float range, a Gaussian whose form, added to a transform's kernel, is

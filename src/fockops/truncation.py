@@ -3,19 +3,20 @@
 For commuting blocks with simultaneous eigenvalues (r_k, t_k), the
 kernel normalization across the first n coordinates is
 
-    log c_n^{-1} = (1/2) * sum_{k<=n} log[(r_k + t_k) / (2 sqrt(r_k t_k))],
+    log c_n^{-1} = (1/2) * sum_{k<=n} log1p(q_k^2 / (2 sqrt(r_k t_k))),
+    q_k = (r_k - t_k) / (sqrt(r_k) + sqrt(t_k)),
 
-a nondecreasing partial sum with per-term factor >= 1 (equality exactly
-at r_k = t_k).  Whether evaluation functionals survive as n grows is
-governed by whether this sum stays bounded; the verdict reported here
-extrapolates the tail from the observed increments and is a labeled
-heuristic, not a proof.
+the log of the factor (r_k + t_k) / (2 sqrt(r_k t_k)) without its cancellation near
+r_k = t_k.  With r_k = t_k (1 + eps_k) each term is at most eps_k^2 / (16 (1 + eps_k)),
+and by Kakutani's dichotomy for product measures (the Hilbert-Schmidt condition of
+Feldman-Hajek) the sum, and with it the evaluation functionals, stays bounded exactly
+when sum eps_k^2 converges.  The verdict is that criterion for the tower's family.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -25,63 +26,73 @@ from .quadrature import NODE_BUDGET
 
 __all__ = ["TruncationSpec", "CaSequence", "ca_sequence"]
 
-TAIL_BUDGET = 1e-3
-DECAY_MARGIN = 0.05
-
 
 @dataclass(frozen=True, eq=False)
 class TruncationSpec:
     """Simultaneous eigenvalue data for the two blocks, plus a depth.
 
-    The sequences are kept as read-only float64 copies; every entry must be
-    positive and finite, and each of the first max_n products r_k t_k a
-    normal float."""
+    The sequences are kept as read-only float64 copies of positive finite entries;
+    for each of the first max_n pairs, the product r_k t_k is a normal float and the
+    factor within the float range.  ``increments`` holds their terms of log c_n^{-1};
+    a generator sets ``verdict``, the (bounded, tail bound, note) of its family."""
 
     r_seq: np.ndarray
     t_seq: np.ndarray
     max_n: int
+    increments: np.ndarray = field(init=False, repr=False)
+    verdict: tuple = field(init=False, default=(None, None, "a finite list decides nothing"))
 
     def __post_init__(self):
         r = np.array(self.r_seq, dtype=float)
         t = np.array(self.t_seq, dtype=float)
         r.flags.writeable = t.flags.writeable = False
-        if self.max_n < 1:
+        n = self.max_n
+        if n < 1:
             raise ConfigError("max_n must be positive")
-        if len(r) < self.max_n or len(t) < self.max_n:
+        if len(r) < n or len(t) < n:
             raise ConfigError("eigenvalue sequences shorter than max_n")
         # one test for both conditions: NaN fails every comparison
         if not ((r > 0) & (r < math.inf)).all() or not ((t > 0) & (t < math.inf)).all():
             raise ConfigError("eigenvalues must be positive and finite")
         with np.errstate(over="ignore"):
-            products = r[: self.max_n] * t[: self.max_n]
-        bad = np.flatnonzero(~((products >= np.finfo(float).tiny) & (products < math.inf)))
-        if bad.size:
+            products = r[:n] * t[:n]
+        normal = (products >= np.finfo(float).tiny) & (products < math.inf)
+        if (bad := np.flatnonzero(~normal)).size:
             k = int(bad[0])
             raise ConfigError(f"eigenvalue product r_{k + 1} t_{k + 1} = {r[k]} * {t[k]} "
                               "is not a normal float")
+        # q (q / (2 sqrt(r t))) overflows only where the excess itself does
+        q = (r[:n] - t[:n]) / (np.sqrt(r[:n]) + np.sqrt(t[:n]))
+        with np.errstate(over="ignore"):
+            excess = q * (q / (2.0 * np.sqrt(products)))
+        if (bad := np.flatnonzero(np.isinf(excess))).size:
+            k = int(bad[0])
+            raise ConfigError(f"factor (r_{k + 1} + t_{k + 1}) / (2 sqrt(r_{k + 1} t_{k + 1})) "
+                              f"for {r[k]} and {t[k]} is beyond the float range")
+        increments = 0.5 * np.log1p(excess)
+        increments.flags.writeable = False
         object.__setattr__(self, "r_seq", r)
         object.__setattr__(self, "t_seq", t)
+        object.__setattr__(self, "increments", increments)
 
     @classmethod
     def constant(cls, r: float, t: float, max_n: int) -> "TruncationSpec":
         _require_budget(max_n)
-        return cls(np.full(max_n, float(r)), np.full(max_n, float(t)), max_n)
+        spec = cls(np.full(max_n, float(r)), np.full(max_n, float(t)), max_n)
+        object.__setattr__(spec, "verdict", (True, 0.0, "constant family, r = t: every term is 0")
+                           if float(r) == float(t) else
+                           (False, None, "constant family, r != t: the sums grow linearly"))
+        return spec
 
     @classmethod
-    def perturbation(
-        cls, base: float, amplitude: float, power: float, max_n: int
-    ) -> "TruncationSpec":
+    def perturbation(cls, base: float, amplitude: float, power: float,
+                     max_n: int) -> "TruncationSpec":
         """r_k = base + amplitude / k^power against t_k = base.
 
-        k^power is what Python's ``pow(k, power)`` gives, to the bit.  For a
-        float power that is the C library's ``pow``, which ``np.float_power``
-        runs over the whole tower; ``np.power`` may use a vectorized loop that
-        differs from it in the last bit.  An int power keeps Python's exact
-        integer power, rounded once to a float: from k^3 past 2^53 on, the
-        library ``pow`` can round it differently.  A finite power whose k^power
-        overflows is refused, as Python's ``pow`` raises there; an infinite or
-        NaN power is not, and its terms are checked with the others.  An int
-        power from 1024 on overflows at k = 2, and is refused before any pow."""
+        k^power has the bits of Python's ``pow(k, power)``: ``np.float_power`` (not
+        ``np.power``) for a float power; for an int, the exact integer power rounded once,
+        which the C ``pow`` may not match past 2^53.  A finite power whose k^power overflows
+        is refused, an int one from 1024 on before any pow; inf and NaN terms are checked below."""
         _require_budget(max_n)
         if isinstance(power, int):
             try:
@@ -98,7 +109,9 @@ class TruncationSpec:
         # a term beyond the float range is refused with the others below
         with np.errstate(all="ignore"):
             r = base + amplitude / powers
-        return cls(r, np.full_like(r, base), max_n)
+        spec = cls(r, np.full_like(r, base), max_n)
+        object.__setattr__(spec, "verdict", _perturbation_verdict(base, amplitude, power, max_n))
+        return spec
 
 
 def _require_budget(max_n: int) -> None:
@@ -107,57 +120,43 @@ def _require_budget(max_n: int) -> None:
         raise NodeBudgetError(f"max_n {max_n} exceeds the budget of {NODE_BUDGET} terms")
 
 
+def _perturbation_verdict(base: float, amplitude: float, power: float, max_n: int) -> tuple:
+    """eps_k = amplitude / (base k^power): the sum is bounded iff power > 1/2, and
+    by the integral test on eps_k^2 / (16 (1 + eps_k)) the terms past N = max_n
+    add at most (amplitude / base)^2 / (16 (1 + eps_min)) N^(1 - 2 power) / (2 power - 1),
+    eps_min = min(0, eps_{N+1}).  Taken in log space, past the float range it is None."""
+    if amplitude == 0 or power > float(np.finfo(float).max):  # inf, or an int past every float
+        return True, 0.0, "perturbation family, eps_k = 0 from k = 2 on: the sums are final"
+    if power != power:  # NaN, without converting an int
+        return None, None, "perturbation family, NaN power: eps_k is undefined past k = 1"
+    if not power > 0.5:
+        return False, None, "perturbation family, power <= 1/2: sum eps_k^2 diverges"
+    note = "perturbation family, power > 1/2: sum eps_k^2 converges; tailBound bounds the rest"
+    log_scale = math.log(abs(amplitude)) - math.log(base)  # log |eps_1|
+    eps_min = -math.exp(log_scale - power * math.log(max_n + 1)) if amplitude < 0 else 0.0
+    log_tail = (2.0 * (log_scale + (0.5 - power) * math.log(max_n))
+                - math.log(16.0 * (1.0 + eps_min) * (2.0 * power - 1.0)))
+    if log_tail > math.log(np.finfo(float).max):
+        return True, None, note + ", but not in the float range"
+    return True, math.exp(log_tail), note
+
+
 @dataclass(frozen=True, eq=False)
 class CaSequence:
     """Partial normalization constants and the boundedness verdict."""
 
     log_ca_inv: np.ndarray  # log c_n^{-1}, length max_n
-    bounded: bool
+    bounded: bool | None  # None: no verdict
     tail_bound: float | None
     verdict_note: str
 
-    def to_json(self) -> dict:
-        return {
-            "logCaInv": self.log_ca_inv,  # rendered from its buffer
-            "bounded": self.bounded,
-            "tailBound": self.tail_bound,
-            "note": self.verdict_note,
-        }
-
-
-def _tail_estimate(increments: np.ndarray) -> tuple[bool, float | None, str]:
-    n = increments.shape[0]
-    tiny = 1e-15
-    if float(increments[-1]) <= tiny and float(np.max(increments[n // 2 :])) <= tiny:
-        return True, 0.0, "increments vanish; partial sums are constant"
-    if n < 3:
-        return False, None, f"too few terms ({n}) to extrapolate the tail"
-    window = max(3, min(20, n // 2))
-    ks = np.arange(n - window + 1, n + 1, dtype=float)
-    ds = np.maximum(increments[-window:], 1e-300)
-    slope = float(np.polyfit(np.log(ks), np.log(ds), 1)[0])
-    if slope < -1.0 - DECAY_MARGIN:
-        tail = float(ds[-1]) * n / (-slope - 1.0)
-        note = (
-            f"power-law extrapolation (exponent {slope:.2f}) of the local "
-            f"quadratic model log-factor ~ eps^2/8; heuristic, not a proof"
-        )
-        return tail <= TAIL_BUDGET, tail, note
-    return False, None, (
-        f"increments decay with exponent {slope:.2f} >= -1; partial sums diverge "
-        f"under the local quadratic model (heuristic)"
-    )
+    def to_json(self) -> dict:  # logCaInv is rendered from its buffer
+        return {"logCaInv": self.log_ca_inv, "bounded": self.bounded,
+                "tailBound": self.tail_bound, "note": self.verdict_note}
 
 
 def ca_sequence(spec: TruncationSpec) -> CaSequence:
-    """Log-domain partial normalization constants plus a boundedness verdict."""
-    r = spec.r_seq[: spec.max_n]
-    t = spec.t_seq[: spec.max_n]
-    factors = (r + t) / (2.0 * np.sqrt(r * t))
-    # at least 1 - 4 * 2^-53 for a normal product r t; the clamp drops that rounding
-    increments = 0.5 * np.log(np.maximum(factors, 1.0))
-    log_ca_inv = np.cumsum(increments)
+    """Log-domain partial normalization constants, with the verdict of the spec's family."""
+    log_ca_inv = np.cumsum(spec.increments)
     log_ca_inv.flags.writeable = False
-    bounded, tail, note = _tail_estimate(increments)
-    return CaSequence(log_ca_inv, bounded, tail, note)
-
+    return CaSequence(log_ca_inv, *spec.verdict)

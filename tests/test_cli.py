@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -426,7 +427,7 @@ def test_truncate_constant_and_explicit(tmp_path, capsys):
     )
     code, out = run_cli(capsys, "truncate", "--config", cfg)
     assert code == 0
-    assert json.loads(out)["sequence"]["bounded"] is True
+    assert json.loads(out)["sequence"]["bounded"] is None  # a finite list decides nothing
 
 
 @pytest.mark.parametrize("text", [
@@ -1018,6 +1019,22 @@ def test_truncate_products_outside_the_normal_range_are_config_errors(tmp_path, 
     assert error["kind"] == "config_invalid"
     assert f"product r_{k} t_{k} = " in error["message"]
     assert error["message"].endswith("is not a normal float")
+
+
+def test_truncate_factor_beyond_the_float_range_is_config_error(tmp_path, capsys):
+    # r_1 t_1 = 8.5e-16 is normal, but (r_1 + t_1) / (2 sqrt(r_1 t_1)) overflows: this
+    # exited 0 with "logCaInv": [null] and numpy's overflow warning on stderr
+    cfg = write_config(tmp_path, "cfg.json", {"r": [1.7e308], "t": [5e-324], "maxN": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["truncate", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == "config_invalid"
+    assert error["message"] == ("factor (r_1 + t_1) / (2 sqrt(r_1 t_1)) for 1.7e+308 and "
+                                "5e-324 is beyond the float range")
 
 
 def test_report_lands_on_a_text_only_stdout(tmp_path):

@@ -5,8 +5,10 @@ import math
 import re
 import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fockops import CaSequence, RealLinearMap, TruncationSpec, build_context, ca_sequence
 from fockops.cli import main
@@ -202,12 +204,12 @@ def test_constant_tower_matches_lists():
 
 
 @pytest.mark.parametrize("max_n", [1, 2])
-def test_too_few_terms_give_no_verdict(max_n):
+def test_constant_family_decides_at_any_depth(max_n):
     seq = ca_sequence(TruncationSpec.constant(4.0, 1.0, max_n))
     assert seq.log_ca_inv[-1] == pytest.approx(scalar_log_ca_inv(4.0, 1.0, max_n), rel=1e-13)
     assert not seq.bounded
     assert seq.tail_bound is None
-    assert "too few terms" in seq.verdict_note
+    assert "constant family" in seq.verdict_note
 
 
 @pytest.mark.parametrize("max_n", [0, -3])
@@ -239,3 +241,86 @@ def test_sequence_is_read_only():
     seq = ca_sequence(TruncationSpec.constant(4.0, 1.0, 3))
     with pytest.raises(ValueError, match="read-only"):
         seq.log_ca_inv[0] = 0.0
+
+
+# ROADMAP direction 2's table: (amplitude, power) of r_k = 1 + amplitude / k^power
+# against t_k = 1 at maxN 10^6, and whether sum eps_k^2 converges, 2 power > 1.
+# The fitted power-law tail reported every row wrong, the last one by chance.
+@pytest.mark.parametrize("amplitude, power, bounded", [
+    (0.5, 0.52, True),
+    (0.5, 0.6, True),
+    (1e-8, 0.3, False),
+    (1e-6, 0.3, False),
+    (1e-4, 0.3, False),
+])
+def test_perturbation_verdict_follows_the_family(amplitude, power, bounded):
+    spec = TruncationSpec.perturbation(1.0, amplitude, power, 10**6)
+    seq = ca_sequence(spec)
+    assert seq.bounded is bounded
+    assert seq.verdict_note.startswith("perturbation family")
+    assert (seq.tail_bound is not None and math.isfinite(seq.tail_bound)) is bounded
+    # r_k - t_k is exact: eps_k = r_k - 1, and each term is log1p(eps^2 / (4 (1 + eps))) / 4
+    eps = spec.r_seq - 1.0
+    want = math.fsum(0.25 * np.log1p(eps * eps / (4.0 * (1.0 + eps))))
+    assert seq.log_ca_inv[-1] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("base, amplitude, power", [
+    (1.2, 0.6, 1.7), (1.0, 1e-6, 0.3), (1.0, 0.5, 0.52),
+])
+def test_partial_sum_matches_mpmath(base, amplitude, power):
+    # the factor (r + t) / (2 sqrt(r t)) of the tower's own floats, at 50 digits
+    spec = TruncationSpec.perturbation(base, amplitude, power, 2000)
+    with mpmath.workdps(50):
+        want = mpmath.fsum(
+            mpmath.log((mpmath.mpf(r) + mpmath.mpf(t)) / (2 * mpmath.sqrt(mpmath.mpf(r) * t)))
+            for r, t in zip(spec.r_seq.tolist(), spec.t_seq.tolist())) / 2
+        assert abs(ca_sequence(spec).log_ca_inv[-1] / want - 1) <= 1e-14
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(base=st.floats(1.0, 2.0),
+       amplitude=st.floats(-0.9, 5.0),
+       power=st.one_of(st.floats(0.05, 0.5), st.floats(0.5, 3.0), st.integers(1, 3)),
+       max_n=st.integers(1, 200))
+def test_verdict_and_tail_bound_property(base, amplitude, power, max_n):
+    seq = ca_sequence(TruncationSpec.perturbation(base, amplitude, power, max_n))
+    assert seq.bounded is (amplitude == 0 or power > 0.5)
+    if not seq.bounded:
+        assert seq.tail_bound is None
+        return
+    deeper = TruncationSpec.perturbation(base, amplitude, power, 10 * max_n)
+    assert ca_sequence(deeper).log_ca_inv[max_n - 1] == seq.log_ca_inv[-1]
+    # S_10N - S_N, summed without the rounding of the two partial sums
+    assert math.isfinite(seq.tail_bound)
+    assert seq.tail_bound >= math.fsum(deeper.increments[max_n:])
+
+
+def test_tail_bound_is_taken_in_log_space():
+    # (amplitude / base)^2 = 1e320 overflows, the bound does not
+    seq = ca_sequence(TruncationSpec.perturbation(1e-80, 1e80, 10.0, 1000))
+    want = mpmath.mpf(10) ** 320 / 16 * mpmath.mpf(1000) ** -19 / 19
+    assert seq.bounded and seq.tail_bound == pytest.approx(float(want), rel=1e-12)
+    # one past the float range is no bound, never inf
+    seq = ca_sequence(TruncationSpec.perturbation(1e-100, 1e100, 0.6, 10))
+    assert seq.bounded and seq.tail_bound is None
+
+
+@pytest.mark.parametrize("power, bounded", [
+    (math.nan, None), (-math.inf, False), (math.inf, True), (10**400, True),
+])
+def test_powers_past_the_float_range_at_depth_one(power, bounded):
+    # 1^power is 1, so only a tower of one term takes them
+    seq = ca_sequence(TruncationSpec.perturbation(1.0, 0.5, power, 1))
+    assert seq.bounded is bounded
+    assert seq.tail_bound == (0.0 if bounded else None)
+
+
+def test_factor_beyond_the_float_range_is_refused():
+    # r_2 t_2 = 8.5e-16 is normal, but r_2 / (2 sqrt(r_2 t_2)) overflows
+    with pytest.raises(ConfigError, match=re.escape("factor (r_2 + t_2) / (2 sqrt(r_2 t_2))")):
+        TruncationSpec((1.0, 1.7e308), (1.0, 5e-324), 2)
+    # its largest finite neighbours stay
+    assert ca_sequence(TruncationSpec((1e300,), (1e-300,), 1)).log_ca_inv[0] == 345.0411903588269
+    assert ca_sequence(TruncationSpec((1.7976931348623157e308,), (1.0,), 1)).log_ca_inv[0] \
+        == pytest.approx(0.5 * math.log(math.sqrt(1.7976931348623157e308) / 2), rel=1e-15)
