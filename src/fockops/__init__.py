@@ -63,7 +63,6 @@ from .transforms import (
     density_s,
     ground_state,
     heat_convolve,
-    heat_density,
     heat_kernel,
     hermite_function,
     kernel_from_densities,
@@ -71,7 +70,6 @@ from .transforms import (
     phase_factor,
     restrict,
     restrict_adjoint,
-    restriction_gram,
     restriction_modulus,
     sb_eigenfunction,
     segal_bargmann,

@@ -90,6 +90,17 @@ def make_bound_check(name: str, value: float, bound: float, tolerance: float) ->
     return CheckResult(name, value, bound, overshoot, tolerance)
 
 
+def make_relative_check(name: str, got, want, tolerance: float,
+                        floor: float = 1.0) -> CheckResult:
+    """Bound check, by 0 within ``tolerance``, of the worst relative gap
+    ``|g - w| / max(floor, |w|)`` over the pairs of ``got`` and ``want``; a
+    NaN or an infinity in any pair fails it.  ``floor`` must be positive, as
+    a zero reference divides by it.  Each gap is taken in the scalar types
+    given: a Python complex and a numpy one round a modulus differently."""
+    gaps = [abs(g - w) / max(floor, abs(w)) for g, w in zip(got, want, strict=True)]
+    return make_bound_check(name, fold(max, 0.0, gaps), 0.0, tolerance)
+
+
 def make_strict_check(name: str, value: float, limit: float, above: bool = True) -> CheckResult:
     """Check value > limit (value < limit if not ``above``) with tolerance 0,
     as the bound that the float next to ``limit`` on that side states, so

@@ -45,11 +45,9 @@ __all__ = [
     "translate",
     "restrict",
     "restrict_adjoint",
-    "heat_density",
     "heat_kernel",
     "heat_convolve",
     "phase_factor",
-    "restriction_gram",
     "restriction_modulus",
     "segal_bargmann_classical_fn",
     "segal_bargmann",
@@ -181,15 +179,9 @@ def _adjoint_kernel(ctx: OperatorContext):
 
 
 def restrict_adjoint(ctx: OperatorContext, h: GaussPoly) -> GaussPoly:
-    """Adjoint of the weighted restriction, as a symbolic function of z."""
+    """Adjoint of the weighted restriction, as a symbolic function of z; the
+    Gram operator R R* is ``restrict(ctx, restrict_adjoint(ctx, h))``."""
     return _closed_form(h, _adjoint_kernel(ctx))
-
-
-def restriction_gram(ctx: OperatorContext, h: GaussPoly, x) -> complex:
-    """The Gram operator R R* of the restriction map, at a real point."""
-    x = np.asarray(x, dtype=float)
-    damp = ctx.c_restriction * math.exp(-0.5 * float(np.dot(x, ctx.R @ x)))
-    return damp * restrict_adjoint(ctx, h).evaluate(x)
 
 
 def _modulus_kernel(ctx: OperatorContext):
@@ -212,15 +204,11 @@ def _heat_coeff(P: np.ndarray) -> float:
 
 
 def heat_kernel(P, t: float) -> GaussPoly:
-    """Normalized Gaussian with precision P/t (so t acts as time)."""
+    """Normalized Gaussian with precision P/t (so t acts as time); its density
+    at the rows of X is ``heat_kernel(P, t).evaluate_many(X).real``."""
     P = np.asarray(P, dtype=float)
     Pt = P / t
     return GaussPoly.gaussian(Pt, coeff=_heat_coeff(Pt))
-
-
-def heat_density(P, t: float, x) -> float:
-    """Pointwise value of the heat family member at time t."""
-    return float(heat_kernel(P, t).evaluate(np.asarray(x, dtype=float)).real)
 
 
 def heat_convolve(P, t: float, h: GaussPoly) -> GaussPoly:

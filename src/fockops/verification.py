@@ -40,7 +40,8 @@ from .quadrature import (
     mc_integrate,
     rule_range_error,
 )
-from .report import CheckResult, fold, make_bound_check, make_check, make_strict_check
+from .report import (CheckResult, fold, make_bound_check, make_check, make_relative_check,
+                     make_strict_check)
 from .symbolic import GaussPoly, Polynomial, l2_inner_product
 from .testing import (draw_spd, random_real_preserving_map, random_spd_map, random_spd_matrix,
                       rotated_weight, spd_matrix)
@@ -51,12 +52,11 @@ from .transforms import (
     density_s,
     ground_state,
     heat_convolve,
-    heat_density,
     heat_kernel,
     kernel_from_densities,
     multiplier,
     restrict,
-    restriction_gram,
+    restrict_adjoint,
     restriction_modulus,
     segal_bargmann_classical_fn,
     segal_bargmann_fn,
@@ -88,6 +88,12 @@ class VerifyConfig:
 
 def _monomials(n: int, max_degree: int):
     return [a for a in iter_product(range(max_degree + 1), repeat=n) if sum(a) <= max_degree]
+
+
+def _complex_rows(rng, k: int, n: int) -> np.ndarray:
+    """k points of C^n, row i drawn as ``standard_normal(n) + 1j * standard_normal(n)``."""
+    re, im = rng.standard_normal((k, 2, n)).transpose(1, 0, 2)
+    return re + 1j * im
 
 
 def _stacked(draws):
@@ -226,16 +232,14 @@ def check_determinant_identities(cfg: VerifyConfig) -> list[CheckResult]:
 
 def check_kernel_geometry(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 3)
-    worst_herm = 0.0
+    swapped, direct = [], []  # conj K(w, z) against K(z, w)
     worst_gram = 0.0
     for _ in range(20):
         ctx = build_context(random_spd_map(rng, 2))
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        kzw = kernel(ctx, z, w)
-        worst_herm = fold(
-            max, worst_herm, abs(kzw - np.conj(kernel(ctx, w, z))) / max(1.0, abs(kzw))
-        )
+        zw = _complex_rows(rng, 2, 2)
+        kzw, kwz = kernel(ctx, zw, zw[::-1]).tolist()
+        direct.append(kzw)
+        swapped.append(np.conj(kwz))
         pts = 0.8 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
         # one batch of the 36 pairs (pts[a], pts[b]), row 6a + b
         gram = kernel(ctx, np.repeat(pts, 6, axis=0), np.tile(pts, (6, 1))).reshape(6, 6)
@@ -245,7 +249,7 @@ def check_kernel_geometry(cfg: VerifyConfig) -> list[CheckResult]:
     ctx1 = build_context(random_spd_map(rng, 1))
     unit = fock_norm(ctx1, one, fock_rule(ctx1, cfg.nodes))
     return [
-        make_bound_check("kernel_hermitian_symmetry_max_residual", worst_herm, 0.0, 1e-13),
+        make_relative_check("kernel_hermitian_symmetry_max_residual", swapped, direct, 1e-13),
         make_bound_check("kernel_gram_negative_eigenvalue_fraction", worst_gram, 0.0, 1e-10),
         make_check("unit_function_norm", unit, 1.0, 1e-8),
     ]
@@ -256,6 +260,7 @@ def check_reproducing_property(cfg: VerifyConfig) -> list[CheckResult]:
     checks = []
     for n, count, nodes in ((1, 3, cfg.nodes), (2, 2, 20)):
         worst = 0.0
+        monomials = [GaussPoly.monomial(n, alpha) for alpha in _monomials(n, 4)]
         for _ in range(count):
             # moderate conditioning keeps the fixed node budget convergent
             ctx = build_context(random_real_preserving_map(rng, n, 0.5, 2.5))
@@ -264,7 +269,6 @@ def check_reproducing_property(cfg: VerifyConfig) -> list[CheckResult]:
             norm = np.linalg.norm(w)
             if norm > 1.0:
                 w = w / norm
-            monomials = [GaussPoly.monomial(n, alpha) for alpha in _monomials(n, 4)]
             gram = fock_gram(ctx, monomials, [kernel_section(ctx, w)], rule)
             for F, lhs in zip(monomials, gram[:, 0].tolist()):
                 rhs = F.evaluate(w)
@@ -343,21 +347,18 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
                                   for a, b, c in zip(*(v.tolist() for v in values))])
     checks.append(make_bound_check("multiplier_cocycle_max_residual", worst, 0.0, 1e-12))
 
-    worst = 0.0
+    moved, plain = [], []
     for n in (1, 2):
         ctx = build_context(random_real_preserving_map(rng, n))
         F = GaussPoly.from_polynomial(
             Polynomial(n, {tuple(np.eye(1, n, 0, dtype=int)[0]): 1.0, (0,) * n: 0.5})
         )
         y = rng.standard_normal(n)
-        moved = restrict(ctx, translate(ctx, y, F))
-        plain = restrict(ctx, F)
-        for _ in range(6):
-            x = rng.standard_normal(n)
-            lhs = moved.evaluate(x)
-            rhs = plain.evaluate(x - y)
-            worst = fold(max, worst, abs(lhs - rhs) / max(1e-9, abs(rhs)))
-    checks.append(make_bound_check("restriction_intertwining_max_residual", worst, 0.0, 1e-12))
+        X = rng.standard_normal((6, n))
+        moved += restrict(ctx, translate(ctx, y, F)).evaluate_many(X).tolist()
+        plain += restrict(ctx, F).evaluate_many(X - y).tolist()
+    checks.append(make_relative_check("restriction_intertwining_max_residual", moved, plain,
+                                      1e-12, floor=1e-9))
 
     ctx = build_context(
         RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]]))
@@ -379,54 +380,42 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
     )
     checks.append(make_strict_check("translation_norm_shifts_without_real_form", change, 1e-3))
 
-    pts = [rng.standard_normal(2) for _ in range(3)]
+    X = rng.standard_normal((3, 2))
     M = rng.standard_normal((2, 2))
-    resid = 0.0
+    composed, target = [], []
     for P, t, s in ((np.diag([4.0, 1.0]), 1.0, 1.0), (M @ M.T + 0.5 * np.eye(2), 0.7, 1.9)):
         # kernel_t * kernel_s against kernel_{t+s}
-        composed = heat_convolve(P, t, heat_kernel(P, s))
-        for x in pts:
-            target = heat_density(P, t + s, x)
-            resid = fold(max, resid, abs(composed.evaluate(x) - target) / max(1.0, abs(target)))
-    checks.append(make_bound_check("heat_semigroup_max_residual", resid, 0.0, 1e-12))
+        composed += heat_convolve(P, t, heat_kernel(P, s)).evaluate_many(X).tolist()
+        target += heat_kernel(P, t + s).evaluate_many(X).real.tolist()
+    checks.append(make_relative_check("heat_semigroup_max_residual", composed, target, 1e-12))
 
     h = GaussPoly(Polynomial(1, {(1,): 0.6, (0,): 1.0}), np.array([[2.0]]), np.zeros(1), 0.0)
-    Hn = 0.5 * (ctx.R + ctx.T)
-    heat_route = heat_convolve(Hn, 1.0, h)
-    worst_gram = worst_mod = 0.0
-    for x in ([0.0], [0.4], [-0.9]):
-        lhs = restriction_gram(ctx, h, x)
-        rhs = heat_route.evaluate(x)
-        worst_gram = fold(max, worst_gram, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        twice = restriction_modulus(ctx, restriction_modulus(ctx, h)).evaluate(x)
-        worst_mod = fold(max, worst_mod, abs(twice - lhs) / max(1.0, abs(lhs)))
-    checks.append(make_bound_check("gram_equals_heat_convolution_max_residual", worst_gram, 0.0, 1e-6))
-    checks.append(make_bound_check("modulus_squares_to_gram_max_residual", worst_mod, 0.0, 1e-6))
+    X = np.array([[0.0], [0.4], [-0.9]])
+    gram = restrict(ctx, restrict_adjoint(ctx, h)).evaluate_many(X).tolist()
+    heat_route = heat_convolve(0.5 * (ctx.R + ctx.T), 1.0, h).evaluate_many(X).tolist()
+    twice = restriction_modulus(ctx, restriction_modulus(ctx, h)).evaluate_many(X).tolist()
+    checks.append(make_relative_check("gram_equals_heat_convolution_max_residual", gram,
+                                      heat_route, 1e-6))
+    checks.append(make_relative_check("modulus_squares_to_gram_max_residual", twice, gram, 1e-6))
 
-    g0 = ground_state(1)
-    fn = segal_bargmann_classical_fn(g0)
-    grid = [0.0, 1.0, -0.5, 0.4 + 1.1j, -2.0j]
-    worst = 0.0
-    for z in grid:
-        worst = fold(max, worst, abs(fn.evaluate([z]) - 1.0))
-    checks.append(make_bound_check("classical_transform_ground_state_max_residual", worst, 0.0, 1e-8))
+    Z = np.array([[0.0], [1.0], [-0.5], [0.4 + 1.1j], [-2.0j]])
+    ground = segal_bargmann_classical_fn(ground_state(1)).evaluate_many(Z).tolist()
+    checks.append(make_relative_check("classical_transform_ground_state_max_residual", ground,
+                                      [1.0] * len(ground), 1e-8))
 
     identity_ctx = build_context(RealLinearMap.identity(1))
-    worst = 0.0
     f = GaussPoly(Polynomial(1, {(1,): 0.5, (0,): 1.0}), np.array([[1.8]]), np.zeros(1), 0.1)
-    weighted, classical = segal_bargmann_fn(identity_ctx, f), segal_bargmann_classical_fn(f)
-    for z in grid:
-        lhs = weighted.evaluate([z])
-        rhs = classical.evaluate([z])
-        worst = fold(max, worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    checks.append(make_bound_check("weighted_transform_identity_reduction_max_residual", worst, 0.0, 1e-10))
+    weighted = segal_bargmann_fn(identity_ctx, f).evaluate_many(Z).tolist()
+    classical = segal_bargmann_classical_fn(f).evaluate_many(Z).tolist()
+    checks.append(make_relative_check("weighted_transform_identity_reduction_max_residual",
+                                      weighted, classical, 1e-10))
 
-    worst = _transform_gram_residual(ctx, cfg)
-    checks.append(make_bound_check("transform_gram_preservation_max_residual", worst, 0.0, 1e-6))
+    checks.append(_transform_gram_check(ctx, identity_ctx, cfg))
     return checks
 
 
-def _transform_gram_residual(ctx, cfg: VerifyConfig) -> float:
+def _transform_gram_check(ctx, identity_ctx, cfg: VerifyConfig) -> CheckResult:
+    """The three transforms' images keep the Gram matrices of their sources."""
     rule = fock_rule(ctx, max(cfg.nodes, 60))
     lebesgue = [
         weighted_ground_state(ctx),
@@ -436,7 +425,6 @@ def _transform_gram_residual(ctx, cfg: VerifyConfig) -> float:
     ]
     weighted_images = [segal_bargmann_fn(ctx, f) for f in lebesgue]
     classical_images = [segal_bargmann_classical_fn(f) for f in lebesgue]
-    identity_ctx = build_context(RealLinearMap.identity(1))
     identity_rule = fock_rule(identity_ctx, max(cfg.nodes, 60))
 
     rho_s = density_s(ctx)
@@ -448,69 +436,42 @@ def _transform_gram_residual(ctx, cfg: VerifyConfig) -> float:
     ]
     gaussian_images = [segal_bargmann_gaussian_fn(ctx, f) for f in gaussian_sources]
 
-    weighted_gram = fock_gram(ctx, weighted_images, weighted_images, rule).tolist()
-    classical_gram = fock_gram(
-        identity_ctx, classical_images, classical_images, identity_rule
-    ).tolist()
-    gaussian_gram = fock_gram(ctx, gaussian_images, gaussian_images, rule).tolist()
-
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            src = l2_inner_product(lebesgue[i], lebesgue[j])
-            worst = fold(max, worst, abs(src - weighted_gram[i][j]) / max(1.0, abs(src)))
-            worst = fold(max, worst, abs(src - classical_gram[i][j]) / max(1.0, abs(src)))
-            src = l2_inner_product(gaussian_sources[i], gaussian_sources[j], weight=rho_s)
-            worst = fold(max, worst, abs(src - gaussian_gram[i][j]) / max(1.0, abs(src)))
-    return worst
+    grams = (fock_gram(ctx, weighted_images, weighted_images, rule),
+             fock_gram(identity_ctx, classical_images, classical_images, identity_rule),
+             fock_gram(ctx, gaussian_images, gaussian_images, rule))
+    lebesgue_src = [l2_inner_product(f, g) for f in lebesgue for g in lebesgue]
+    gaussian_src = [l2_inner_product(f, g, weight=rho_s)
+                    for f in gaussian_sources for g in gaussian_sources]
+    return make_relative_check("transform_gram_preservation_max_residual",
+                               np.concatenate([gram.ravel() for gram in grams]).tolist(),
+                               lebesgue_src * 2 + gaussian_src, 1e-6)
 
 
 def check_gaussian_formulation(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 7)
-    checks = []
-
-    worst_closed = 0.0
-    worst_quad = 0.0
-    worst_gram = 0.0
+    # per dimension: three points (w, z), each family of values against the kernel it gives
+    got, want = ([], [], []), ([], [], [])
     for n in (1, 2):
         ctx = build_context(random_real_preserving_map(rng, n))
-        for _ in range(3):
-            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            state = coherent_state_fn(ctx, w)
-            got = segal_bargmann_gaussian_fn(ctx, state).evaluate(z)
-            want = kernel(ctx, z, np.conj(w))
-            worst_closed = fold(max, worst_closed, abs(got - want) / max(1.0, abs(want)))
-            got = kernel_from_densities(ctx, z, w)
-            want = kernel(ctx, z, w)
-            worst_quad = fold(max, worst_quad, abs(got - want) / max(1.0, abs(want)))
-            lhs = coherent_inner(ctx, w, z)
-            rhs = kernel(ctx, w, z)
-            worst_gram = fold(max, worst_gram, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    checks.append(make_bound_check("coherent_transform_gives_kernel_max_residual", worst_closed, 0.0, 1e-8))
-    checks.append(make_bound_check("kernel_density_integral_max_residual", worst_quad, 0.0, 1e-6))
-    checks.append(make_bound_check("coherent_gram_equals_kernel_gram_max_residual", worst_gram, 0.0, 1e-6))
-
-    golden = build_context(
-        RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]]))
-    )
-    checks.append(
-        make_check(
-            "golden_coherent_state_origin",
-            coherent_state(golden, [0.0], [0.0]),
-            math.sqrt(1.0 / 1.6),
-            1e-6,
-        )
-    )
-    checks.append(
-        make_check(
-            "golden_coherent_norm_squared",
-            coherent_inner(golden, [0.0], [0.0]),
-            1.25,
-            1e-6,
-        )
-    )
-    return checks
+        WZ = _complex_rows(rng, 6, n)
+        W, Z = WZ[0::2], WZ[1::2]
+        got[0].extend(segal_bargmann_gaussian_fn(ctx, coherent_state_fn(ctx, w)).evaluate(z)
+                      for w, z in zip(W, Z))
+        want[0].extend(kernel(ctx, Z, np.conj(W)).tolist())
+        got[1].extend(kernel_from_densities(ctx, z, w) for w, z in zip(W, Z))
+        want[1].extend(kernel(ctx, Z, W).tolist())
+        got[2].extend(coherent_inner(ctx, w, z) for w, z in zip(W, Z))
+        want[2].extend(kernel(ctx, W, Z).tolist())
+    names = ("coherent_transform_gives_kernel_max_residual", "kernel_density_integral_max_residual",
+             "coherent_gram_equals_kernel_gram_max_residual")
+    golden = build_context(RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]])))
+    return [
+        *(make_relative_check(name, g, w, tolerance)
+          for name, tolerance, g, w in zip(names, (1e-8, 1e-6, 1e-6), got, want)),
+        make_check("golden_coherent_state_origin", coherent_state(golden, [0.0], [0.0]),
+                   math.sqrt(1.0 / 1.6), 1e-6),
+        make_check("golden_coherent_norm_squared", coherent_inner(golden, [0.0], [0.0]), 1.25, 1e-6),
+    ]
 
 
 # -- quadrature ---------------------------------------------------------------------
@@ -555,13 +516,11 @@ def check_quadrature(cfg: VerifyConfig) -> list[CheckResult]:
 
 def check_truncation(cfg: VerifyConfig) -> list[CheckResult]:
     seq = ca_sequence(TruncationSpec.constant(4.0, 1.0, 20))
-    worst = 0.0
-    for n in range(1, 21):
-        want = 0.5 * n * math.log(1.25)
-        worst = fold(max, worst, abs(seq.log_ca_inv[n - 1] - want) / want)
+    power_law = [0.5 * n * math.log(1.25) for n in range(1, 21)]
     equal = ca_sequence(TruncationSpec.constant(2.5, 2.5, 20))
     checks = [
-        make_bound_check("scalar_tower_power_law_max_residual", worst, 0.0, 1e-12),
+        make_relative_check("scalar_tower_power_law_max_residual", seq.log_ca_inv.tolist(),
+                            power_law, 1e-12, floor=1e-300),
         make_check("scalar_tower_unequal_blocks_diverge", float(not seq.bounded), 1.0, 0.0),
         make_check("scalar_tower_equal_blocks_bounded", float(equal.bounded), 1.0, 0.0),
     ]

@@ -16,6 +16,7 @@ from fockops.report import (
     fold,
     make_bound_check,
     make_check,
+    make_relative_check,
     make_strict_check,
     render_json,
 )
@@ -75,6 +76,43 @@ def test_fold_keeps_nan_on_either_side(pick):
     assert math.isnan(fold(pick, 0.0, math.nan))
     assert math.isnan(fold(pick, math.nan, 0.0))
     assert fold(pick, 1.0, 2.0) == pick(1.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), math.inf, -math.inf,
+                                 complex(0.0, math.inf)])
+@pytest.mark.parametrize("side", ["got", "want"])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_relative_check_fails_on_a_non_finite_value_anywhere(bad, side, at):
+    pairs = {"got": [1.0, 2.0 + 1e-14j, 3.0], "want": [1.0, 2.0, 3.0 + 1e-15]}
+    pairs[side][at] = bad
+    check = make_relative_check("x", pairs["got"], pairs["want"], 1e-12)
+    assert not check.passed
+    assert math.isnan(check.residual)
+
+
+def test_relative_check_divides_a_zero_reference_by_its_floor():
+    check = make_relative_check("x", [0.0, 1e-310], [0.0, 0.0], 1e-9, floor=1e-300)
+    assert check.lhs == 1e-310 / 1e-300 and check.passed
+    assert make_relative_check("x", [], [], 0.0).passed
+    with pytest.raises(ValueError):
+        make_relative_check("x", [1.0], [1.0, 2.0], 1e-12)
+
+
+def test_relative_check_has_the_bits_of_the_per_pair_fold():
+    # the scalar types of the hermitian check: a Python complex and numpy's conjugate of one
+    rng = np.random.default_rng(23)
+    direct = (rng.standard_normal(500) * np.exp(rng.uniform(-30, 30, 500))).tolist()
+    direct = [complex(a, b) for a, b in zip(direct, rng.standard_normal(500).tolist())]
+    swapped = [np.conj(w * complex(1.0, 1e-15)) for w in direct]
+    worst = 0.0
+    for got, want in zip(swapped, direct):
+        gap = abs(want - got) / max(1.0, abs(want))
+        one = make_relative_check("x", [got], [want], 1.0).lhs
+        assert struct.pack("<d", one) == struct.pack("<d", gap)
+        worst = fold(max, worst, gap)
+    check = make_relative_check("x", swapped, direct, 1.0)
+    assert struct.pack("<d", check.lhs) == struct.pack("<d", worst)
+    assert (check.rhs, check.residual, check.tolerance) == (0.0, worst, 1.0)
 
 
 CRAFTED = {

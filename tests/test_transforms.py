@@ -24,7 +24,6 @@ from fockops import (
     fock_rule,
     ground_state,
     heat_convolve,
-    heat_density,
     heat_kernel,
     hermite_function,
     kernel,
@@ -35,7 +34,6 @@ from fockops import (
     phase_factor,
     restrict,
     restrict_adjoint,
-    restriction_gram,
     restriction_modulus,
     sb_eigenfunction,
     segal_bargmann,
@@ -46,7 +44,7 @@ from fockops import (
     weighted_ground_state,
 )
 from fockops.symbolic import integrate_gausspoly as _gp_integral
-from fockops.report import fold
+from fockops.report import make_relative_check
 from fockops.transforms import (
     _adjoint_kernel,
     _classical_kernel,
@@ -252,28 +250,25 @@ def test_heat_kernel_normalization_closed_form():
 
 
 def test_heat_density_standard_value():
-    assert heat_density(np.eye(1), 1.0, [0.0]) == pytest.approx(
-        (2 * math.pi) ** -0.5, rel=1e-14
-    )
+    density = heat_kernel(np.eye(1), 1.0).evaluate_many(np.zeros((1, 1))).real
+    assert density.tolist() == pytest.approx([(2 * math.pi) ** -0.5], rel=1e-14)
 
 
-def semigroup_residual(P, t: float, s: float, points) -> float:
-    """Max deviation of (kernel_t * kernel_s) from kernel_{t+s} on points."""
-    composed = heat_convolve(P, t, heat_kernel(P, s))
-    worst = 0.0
-    for x in points:
-        target = heat_density(P, t + s, x)
-        worst = fold(max, worst, abs(composed.evaluate(x) - target) / max(1.0, abs(target)))
-    return worst
+def semigroup_check(P, t: float, s: float, points):
+    """(kernel_t * kernel_s) against kernel_{t+s} on points, within 1e-12."""
+    X = np.array(points)
+    composed = heat_convolve(P, t, heat_kernel(P, s)).evaluate_many(X).tolist()
+    target = heat_kernel(P, t + s).evaluate_many(X).real.tolist()
+    return make_relative_check("heat_semigroup", composed, target, 1e-12)
 
 
 def test_semigroup_property_closed_form():
     pts = [np.array([0.3, -0.2]), np.array([1.1, 0.4]), np.zeros(2)]
-    assert semigroup_residual(np.diag([4.0, 1.0]), 1.0, 1.0, pts) <= 1e-12
+    assert semigroup_check(np.diag([4.0, 1.0]), 1.0, 1.0, pts).passed
     rng = np.random.default_rng(8)
     M = rng.standard_normal((2, 2))
     P = M @ M.T + 0.5 * np.eye(2)
-    assert semigroup_residual(P, 0.6, 1.7, [rng.standard_normal(2)]) <= 1e-12
+    assert semigroup_check(P, 0.6, 1.7, [rng.standard_normal(2)]).passed
 
 
 # -- phase factor ------------------------------------------------------------------
@@ -319,7 +314,7 @@ def test_gram_classical_is_heat_convolution():
     g = GaussPoly(Polynomial(1, {(2,): 1.0, (0,): 1.0}), np.array([[1.5]]), np.zeros(1), 0.0)
     conv = heat_convolve(np.eye(1), 1.0, g)
     for x in ([0.0], [0.5], [-1.1]):
-        assert restriction_gram(ctx, g, x) == pytest.approx(
+        assert restrict(ctx, restrict_adjoint(ctx, g)).evaluate(x) == pytest.approx(
             conv.evaluate(x), rel=1e-12
         )
 
@@ -336,10 +331,9 @@ def test_modulus_squares_to_gram():
     ctx = diag_ctx()
     h = GaussPoly(Polynomial(1, {(1,): 0.6, (0,): 1.0}), np.array([[2.0]]), np.zeros(1), 0.0)
     twice = restriction_modulus(ctx, restriction_modulus(ctx, h))
+    gram = restrict(ctx, restrict_adjoint(ctx, h))
     for x in ([0.0], [0.4], [-0.9]):
-        assert twice.evaluate(x) == pytest.approx(
-            restriction_gram(ctx, h, x), rel=1e-6
-        )
+        assert twice.evaluate(x) == pytest.approx(gram.evaluate(x), rel=1e-6)
 
 
 def test_modulus_quadrature_path_matches_closed_form():
@@ -446,7 +440,6 @@ _X, _Z, _F = np.array([0.3, -0.2]), np.array([0.4 + 0.1j, -0.5 + 0.3j]), GaussPo
 NEEDS_REAL_FORM = {
     "restrict": lambda ctx: restrict(ctx, _F),
     "restrict_adjoint": lambda ctx: restrict_adjoint(ctx, _F),
-    "restriction_gram": lambda ctx: restriction_gram(ctx, _F, _X),
     "restriction_modulus": lambda ctx: restriction_modulus(ctx, _F),
     "segal_bargmann_fn": lambda ctx: segal_bargmann_fn(ctx, _F),
     "segal_bargmann": lambda ctx: segal_bargmann(ctx, _F, _Z),
@@ -689,7 +682,7 @@ def test_quadrature_route_integrates_nothing_of_a_batch_that_leaves_the_range(na
 
 
 @pytest.mark.parametrize("fn", [
-    restrict_adjoint, restriction_gram, segal_bargmann, kernel_from_densities, _quadrature,
+    restrict_adjoint, segal_bargmann, kernel_from_densities, _quadrature,
 ])
 def test_transforms_take_no_quadrature_rule(fn):
     # the rule is built from the kernel; a caller's rule could only be wrong

@@ -1,9 +1,13 @@
-"""The verify suite itself: a NaN residual fails its check, each group
-reports its progress on the debug log, the quadrature checks evaluate
-each function once per grid, and its node count stays within the rules."""
+"""The verify suite itself: a NaN residual fails its check, the report has
+what the benchmark's verify gate asks of it, each group reports its progress
+on the debug log, the quadrature checks evaluate each function once per
+grid, and its node count stays within the rules."""
 
+import importlib.util
 import logging
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,6 +79,46 @@ def test_nan_density_kernel_fails_integral_check(monkeypatch):
     ]
     assert not check.passed
     assert math.isnan(check.residual)
+
+
+@pytest.mark.parametrize("row", range(5))
+def test_a_nan_row_of_a_batched_check_fails_it(monkeypatch, row):
+    # the classical transform of the ground state, evaluated once on five points
+    ground, classical_fn = verification.ground_state(1), verification.segal_bargmann_classical_fn
+
+    def one_nan_row(image):
+        def evaluate_many(Z):
+            values = image.evaluate_many(Z)
+            values[row] = complex(math.nan)
+            return values
+        return SimpleNamespace(evaluate_many=evaluate_many)
+
+    monkeypatch.setattr(verification, "ground_state", lambda n: ground)
+    monkeypatch.setattr(verification, "segal_bargmann_classical_fn",
+                        lambda g: one_nan_row(classical_fn(g)) if g is ground else classical_fn(g))
+    checks = _by_name(verification.check_transform_tower(VerifyConfig()))
+    check = checks.pop("classical_transform_ground_state_max_residual")
+    assert not check.passed
+    assert math.isnan(check.residual)
+    assert all(c.passed for c in checks.values())
+
+
+def _perfbench_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_passes_the_benchmark_verify_gate():
+    # what perfbench/run.py's check_verify asks of the default report
+    report = run_verification(VerifyConfig())
+    checks = [c for group in report["groups"].values() for c in group]
+    assert report["pass"] is True
+    assert report["checkCount"] == len(checks) == _perfbench_inputs().VERIFY_CHECKS
+    assert len({c["name"] for c in checks}) == len(checks)
+    assert all(c["pass"] is True and math.isfinite(c["residual"]) for c in checks)
 
 
 def test_each_group_logs_name_count_and_seconds(monkeypatch, caplog):
