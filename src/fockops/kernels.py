@@ -29,9 +29,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .operators import OperatorContext
+from .operators import OperatorContext, to_complex_coords
 from .quadrature import QuadratureRule, sampled, weighted_sum
-from .symbolic import GaussPoly, bilinear_rows, exp_rows
+from .symbolic import GaussPoly, bilinear_rows, exp_rows, pointwise
 
 __all__ = [
     "measure_density",
@@ -50,14 +50,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
+@pointwise
 def measure_density(ctx: OperatorContext, z):
-    """Density of the Gaussian measure at z (with respect to dx dy).
-
-    z is one point (a float comes back) or an (m, n) batch (m values, each
-    with the bits of a one-point call)."""
+    """Density of the Gaussian measure at z (with respect to dx dy)."""
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 1:
-        return float(measure_density(ctx, z[None])[0].real)
     V = np.concatenate([z.real, z.imag], axis=1)
     expo = 0.5 * ctx.log_det_v_a - bilinear_rows(V, ctx.A.entries, V)
     return math.pi ** (-ctx.n) * exp_rows(expo, len(z))
@@ -73,16 +69,11 @@ def _kernel_exponent(ctx: OperatorContext, z: np.ndarray, w: np.ndarray) -> np.n
     ) - 2.0 * math.log(ctx.c_a)
 
 
+@pointwise
 def kernel(ctx: OperatorContext, z, w):
-    """Reproducing kernel at (z, w); holomorphic in z, antiholomorphic in w.
-
-    z and w are points (a complex comes back) or (m, n) batches (m values,
-    each with the bits of a one-point call); a row whose exponent leaves the
-    range raises RangeOverflowError for the batch."""
+    """Reproducing kernel at (z, w); holomorphic in z, antiholomorphic in w."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if z.ndim == 1:
-        return complex(kernel(ctx, z[None], w[None])[0])
     return exp_rows(_kernel_exponent(ctx, z, w), len(z))
 
 
@@ -96,11 +87,10 @@ def kernel_section(ctx: OperatorContext, w) -> GaussPoly:
     )
 
 
+@pointwise
 def eval_functional_norm(ctx: OperatorContext, z):
-    """Operator norm of F -> F(z), the square root of the kernel diagonal;
-    at one point or at each row of a batch, as :func:`kernel`."""
-    norm = np.sqrt(np.real(kernel(ctx, z, z)))
-    return norm if np.ndim(z) > 1 else float(norm)
+    """Operator norm of F -> F(z), the square root of the kernel diagonal."""
+    return np.sqrt(np.real(kernel(ctx, z, z)))
 
 
 def weighted_to_classical(ctx: OperatorContext, F: GaussPoly) -> GaussPoly:
@@ -131,14 +121,6 @@ def fock_rule(ctx: OperatorContext, nodes_per_axis: int) -> QuadratureRule:
                           scaling=2.0 * ctx.A.entries)
 
 
-def _complex_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """The rule's nodes as points of C^n, and their weights; the real
-    coordinates are not kept."""
-    X, W = rule.grid()
-    n = X.shape[1] // 2
-    return X[:, :n] + 1j * X[:, n:], W
-
-
 def fock_gram(
     ctx: OperatorContext,
     Fs: Sequence[GaussPoly],
@@ -163,7 +145,9 @@ def fock_gram(
         raise ConfigError("rule scaling is not 2A; build the rule with fock_rule(ctx, nodes)")
 
     started = time.perf_counter()
-    Z, W = _complex_grid(rule)
+    X, W = rule.grid()
+    Z = to_complex_coords(X)
+    del X  # the real coordinates are not kept: they would raise peak memory
     columns = [np.conj(sampled(G.evaluate_many, Z)) for G in Gs]
     by_id = {id(G): column for G, column in zip(Gs, columns)}
     out = np.empty((len(Fs), len(columns)), dtype=complex)

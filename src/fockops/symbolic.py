@@ -33,15 +33,17 @@ complex product with zero imaginary parts rounds its real part once, as
 the real product does, so each value is that of the complex computation,
 returned as complex128.
 
-Every point function of the package ends in :func:`exp_rows`, the one
-guard of the float range for the exponential of its quadratic form.
+Three helpers hold the point functions' contract: :func:`pointwise`, the
+one place a point becomes its one-row batch; :func:`bilinear_rows`, the
+row sum whose bits do not depend on the batch; and :func:`exp_rows`, the
+one guard of the float range for the exponential of a quadratic form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, wraps
 from types import MappingProxyType
 
 import numpy as np
@@ -59,6 +61,7 @@ __all__ = [
     "l2_inner_product",
     "exp_rows",
     "bilinear_rows",
+    "pointwise",
 ]
 
 EXP_OVERFLOW = 700.0
@@ -87,6 +90,22 @@ def bilinear_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
     batch, as they do under a matrix product's blocking."""
     return sum(X[:, j] * sum(M[..., j, k] * Y[:, k] for k in range(M.shape[-1]))
                for j in range(M.shape[-2]))
+
+
+def pointwise(batch):
+    """``batch(context, *args)``, written for (m, n) batches, also at one point.
+    A call whose last argument is 1-D lifts each 1-D argument after the
+    context to its one-row batch and returns row 0 as a Python float or
+    complex, with the bits that row has in any batch; the context, any other
+    argument (a field) and any call on a batch pass unchanged.  A row out of
+    range raises RangeOverflowError for the whole batch (:func:`exp_rows`)."""
+    @wraps(batch)
+    def call(context, *args):
+        if np.ndim(args[-1]) != 1:
+            return batch(context, *args)
+        rows = (np.asarray(a)[None] if np.ndim(a) == 1 else a for a in args)
+        return batch(context, *rows)[0].item()
+    return call
 
 
 def _as_complex_vector(v, n: int) -> np.ndarray:

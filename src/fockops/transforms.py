@@ -38,6 +38,7 @@ from .symbolic import (
     convolve_gaussian,
     exp_rows,
     l2_inner_product,
+    pointwise,
 )
 
 __all__ = [
@@ -80,6 +81,7 @@ def multiplier_exponential(ctx: OperatorContext, x) -> GaussPoly:
     return GaussPoly.gaussian(np.zeros((ctx.n, ctx.n)), b, -0.5 * weight_quad)
 
 
+@pointwise
 def multiplier(ctx: OperatorContext, x, z):
     """Cocycle m(x, z) making translation a representation on the space.
 
@@ -88,17 +90,11 @@ def multiplier(ctx: OperatorContext, x, z):
     x, y, which holds exactly when the complex-linear part of the weight
     preserves the real subspace (any block-diagonal weight, or one whose
     complex-linear part is real; not every SPD weight in these
-    coordinates).
-
-    x and z are one point each (a complex comes back) or (m, n) batches
-    (m values, each with the bits of a one-point call; a row out of range
-    raises RangeOverflowError for the batch).  The context of a stack of m
-    weights takes (m, n) batches, row i at weight i.
+    coordinates).  The context of a stack of m weights takes (m, n)
+    batches, row i at weight i.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 1:
-        return complex(multiplier(ctx, x[None], z[None])[0])
     Hc, C = ctx.H_matrix, ctx.K_matrix
     expo = bilinear_rows(z, Hc.mT + C, x) - 0.5 * bilinear_rows(x, Hc + C, x)
     return exp_rows(expo, len(z))
@@ -148,6 +144,7 @@ def _closed_form(h: GaussPoly, kernel) -> GaussPoly:
     return (convolve_gaussian(1.0, G, h) * GaussPoly.gaussian(-E)).times_scalar(s)
 
 
+@pointwise
 def _quadrature(kernel, field, z):
     """The transform with kernel = (s, G, E) of a black-box field at z:
 
@@ -156,15 +153,9 @@ def _quadrature(kernel, field, z):
     by tensor Gauss-Hermite quadrature with QUADRATURE_NODES nodes per axis;
     ``field`` needs only ``evaluate_many``.  It shares no arithmetic with the
     closed form beyond the kernel, so each route is the other's oracle.
-
-    ``z`` is one point (a complex value comes back) or an (m, n) batch (an
-    array of m values).  A point is its one-row batch: each row carries the
-    bits of a one-point call.  A row whose exponent leaves the range raises
-    RangeOverflowError for the batch before the field is evaluated anywhere.
+    The range is checked for every row before the field is evaluated anywhere.
     """
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 1:
-        return complex(_quadrature(kernel, field, z[None])[0])
     s, G, E = kernel
     # the shift exp(Im z.G Im z/2) of _convolve_at and the envelope, as one exponent
     expo = 0.5 * bilinear_rows(z.imag, G, z.imag)
@@ -256,16 +247,15 @@ def segal_bargmann_fn(ctx: OperatorContext, f: GaussPoly) -> GaussPoly:
     return _closed_form(f, _sb_kernel(ctx))
 
 
+@pointwise
 def segal_bargmann(ctx: OperatorContext, f, z):
-    """Weighted Segal-Bargmann transform at a complex point, or at each row
-    of an (m, n) batch.  The one shim that keeps both routes, only because the
-    benchmark calls it both ways: a GaussPoly is mapped once by
-    :func:`segal_bargmann_fn` and evaluated, any other field goes to :func:`_quadrature`."""
+    """Weighted Segal-Bargmann transform at complex points.  The one shim
+    that keeps both routes, only because the benchmark calls it both ways: a
+    GaussPoly is mapped once by :func:`segal_bargmann_fn` and evaluated, any
+    other field goes to :func:`_quadrature`."""
     if not isinstance(f, GaussPoly):
         return _quadrature(_sb_kernel(ctx), f, z)
-    z = np.asarray(z, dtype=complex)
-    image = segal_bargmann_fn(ctx, f)
-    return image.evaluate(z) if z.ndim == 1 else image.evaluate_many(z)
+    return segal_bargmann_fn(ctx, f).evaluate_many(np.asarray(z, dtype=complex))
 
 
 def density_s(ctx: OperatorContext) -> GaussPoly:
@@ -304,15 +294,11 @@ def coherent_state_fn(ctx: OperatorContext, z) -> GaussPoly:
     )
 
 
+@pointwise
 def coherent_state(ctx: OperatorContext, x, z):
-    """Coherent-state value; real when both arguments are real.  x and z are
-    one point each (a complex comes back) or (m, n) batches (m values, each
-    with the bits of a one-point call; a row out of range raises
-    RangeOverflowError for the batch)."""
+    """Coherent-state value; real when both arguments are real."""
     x = np.asarray(x, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 1:
-        return complex(coherent_state(ctx, x[None], z[None])[0])
     T, S = ctx.T, ctx.S
     coeff = _heat_coeff(T) / _heat_coeff(S)
     expo = (-0.5 * bilinear_rows(x, T - S, x) + bilinear_rows(x, T, z)

@@ -96,6 +96,11 @@ def _complex_rows(rng, k: int, n: int) -> np.ndarray:
     return re + 1j * im
 
 
+def _golden_context():
+    """The scalar weight R = 4, T = 1, whose constants have closed forms."""
+    return build_context(RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]])))
+
+
 def _stacked(draws):
     """Draws ``(n, *columns)``, one weight each, as ``(n, *stacked columns)`` per n."""
     groups = {}
@@ -119,8 +124,7 @@ def check_operator_core(cfg: VerifyConfig) -> list[CheckResult]:
     draws = []
     for n in (1 + i % 3 for i in range(200)):
         G, vals = draw_spd(rng, 2 * n)
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        draws.append((n, G, vals, z, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        draws.append((n, G, vals, *_complex_rows(rng, 2, n)))
     worst_sum = worst_commute = worst_anticommute = worst_k_sym = worst_sigma_k = 0.0
     worst_h_eig = math.inf
     for _, G, vals, z, w in _stacked(draws):
@@ -189,14 +193,11 @@ def check_constant_identities(cfg: VerifyConfig) -> list[CheckResult]:
         block_rhs = ctx.det_t / (np.sqrt(ctx.det_s) * np.linalg.det(ctx.L))
         worst_block = fold(max, worst_block, abs(c_a_inv2 - block_rhs) / block_rhs)
         worst_dets = fold(max, worst_dets, abs(ctx.det_s - ctx.det_v_a / ctx.det_h) / ctx.det_s)
-    golden = build_context(
-        RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]]))
-    )
     return [
         make_bound_check("constant_consistency_max_residual", worst_lcons, 0.0, 1e-12),
         make_bound_check("kernel_constant_block_form_max_residual", worst_block, 0.0, 1e-12),
         make_bound_check("det_s_formula_max_residual", worst_dets, 0.0, 1e-12),
-        make_check("golden_scalar_kernel_constant", golden.c_a**-2, 1.25, 1e-14),
+        make_check("golden_scalar_kernel_constant", _golden_context().c_a**-2, 1.25, 1e-14),
     ]
 
 
@@ -265,7 +266,7 @@ def check_reproducing_property(cfg: VerifyConfig) -> list[CheckResult]:
             # moderate conditioning keeps the fixed node budget convergent
             ctx = build_context(random_real_preserving_map(rng, n, 0.5, 2.5))
             rule = fock_rule(ctx, nodes)
-            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            w = _complex_rows(rng, 1, n)[0]
             norm = np.linalg.norm(w)
             if norm > 1.0:
                 w = w / norm
@@ -335,7 +336,7 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
             A = RealLinearMap.from_blocks(r * np.eye(n), t * np.eye(n))
             E = rotated_weight(A, rng.uniform(0.1, math.pi), axis=int(rng.integers(n))).entries
         x, y = rng.standard_normal(n), rng.standard_normal(n)
-        draws.append((n, blocks, E, *spd, x, y, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        draws.append((n, blocks, E, *spd, x, y, _complex_rows(rng, 1, n)[0]))
     worst = 0.0
     for _, blocks, E, GR, vR, GT, vT, x, y, z in _stacked(draws):
         E[blocks] = RealLinearMap.from_blocks(spd_matrix(GR[blocks], vR[blocks]),
@@ -360,9 +361,7 @@ def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
     checks.append(make_relative_check("restriction_intertwining_max_residual", moved, plain,
                                       1e-12, floor=1e-9))
 
-    ctx = build_context(
-        RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]]))
-    )
+    ctx = _golden_context()
     rule = fock_rule(ctx, cfg.nodes)
     worst = 0.0
     for F in (GaussPoly.constant(1, 1.0), GaussPoly.monomial(1, (1,))):
@@ -464,7 +463,7 @@ def check_gaussian_formulation(cfg: VerifyConfig) -> list[CheckResult]:
         want[2].extend(kernel(ctx, W, Z).tolist())
     names = ("coherent_transform_gives_kernel_max_residual", "kernel_density_integral_max_residual",
              "coherent_gram_equals_kernel_gram_max_residual")
-    golden = build_context(RealLinearMap.from_blocks(np.array([[4.0]]), np.array([[1.0]])))
+    golden = _golden_context()
     return [
         *(make_relative_check(name, g, w, tolerance)
           for name, tolerance, g, w in zip(names, (1e-8, 1e-6, 1e-6), got, want)),

@@ -1,11 +1,14 @@
 """Point evaluation in batches: a point is the one-row batch, so a row's
 bits do not depend on the batch it is evaluated in."""
 
+import inspect
+
 import mpmath
 import numpy as np
 import pytest
 
 import fockops as fo
+from fockops.symbolic import pointwise
 from fockops.testing import random_real_preserving_map, random_spd_matrix
 
 HERMITE = fo.hermite_function((3, 2))
@@ -80,6 +83,44 @@ def test_rows_out_of_range_are_the_errors_of_one_point_calls(name):
     alone = function(ctx, *(c[~over] for c in coords))
     one_point = [function(ctx, *(c[i] for c in coords)) for i in np.flatnonzero(~over)]
     np.testing.assert_array_equal(_bits(alone), _bits(one_point))
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_a_point_gives_a_python_scalar(name):
+    ctx, coords = _setup(name, 0.8)
+    value = TARGETS[name][1](ctx, *(c[0] for c in coords))
+    assert type(value) is (float if name in ("measure_density", "eval_norm") else complex)
+
+
+def test_pointwise_makes_a_point_its_one_row_batch():
+    calls = []
+
+    @pointwise
+    def batch(context, field, x, z):
+        """A complex batch function."""
+        calls.append((context, field, x, z))
+        return context[0] * field(np.asarray(x, dtype=float)[:, 0] + z[:, 0])
+
+    # a kernel's (s, G, E) has no array shape; it and the field pass as they are
+    context, field = (2.0, np.eye(1), None), lambda v: v * (1.0 + 0.3j)
+    X, Z = np.array([[0.1], [0.7]]), np.array([[0.2 + 0.4j], [0.1 - 0.3j]])
+    out = batch(context, field, X, Z)
+    assert all(a is b for a, b in zip(calls[-1], (context, field, X, Z)))
+    assert out.shape == (2,)
+
+    value = batch(context, field, [0.1], Z[0])  # a list is a point too
+    assert calls[-1][0] is context and calls[-1][1] is field
+    assert [a.shape for a in calls[-1][2:]] == [(1, 1), (1, 1)]
+    assert type(value) is complex
+    np.testing.assert_array_equal(_bits(value), _bits(out[0]))
+
+    @pointwise
+    def real(context, x):
+        return context * np.asarray(x)[:, 0]
+
+    assert type(real(2.0, [0.25])) is float and real(2.0, [0.25]) == 0.5
+    assert batch.__name__ == "batch" and batch.__doc__ == "A complex batch function."
+    assert list(inspect.signature(batch).parameters) == ["context", "field", "x", "z"]
 
 
 def _mp_sum_form(u, M, v):

@@ -176,6 +176,31 @@ def test_only_exp_rows_raises_a_range_overflow():
     assert not found
 
 
+POINT_FUNCTIONS = {
+    "kernels.py": {"measure_density", "kernel", "eval_functional_norm"},
+    "transforms.py": {"multiplier", "_quadrature", "segal_bargmann", "coherent_state"},
+}
+
+
+def test_only_pointwise_lifts_a_point_to_a_batch():
+    """symbolic.pointwise is the one place a point becomes its one-row batch:
+    no other module tests for a 1-D point or takes row 0 of a lifted one, and
+    the point functions are the ones it decorates.  symbolic.py is exempt,
+    since Horner and composition read ``c.ndim == 1`` of coefficient arrays."""
+    found = []
+    for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
+        if path.name == "symbolic.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name}:{lineno}" for lineno, line in enumerate(text.splitlines(), 1)
+                  if "ndim == 1" in line or "[None])[0]" in line]
+        decorated = {node.name for node in ast.walk(ast.parse(text))
+                     if isinstance(node, ast.FunctionDef)
+                     and any(ast.unparse(d) == "pointwise" for d in node.decorator_list)}
+        assert decorated == POINT_FUNCTIONS.get(path.name, set()), path.name
+    assert not found
+
+
 @pytest.mark.parametrize("make", [
     lambda: fockops.RealLinearMap.identity(1),
     lambda: fockops.build_context(fockops.RealLinearMap.identity(1)),
