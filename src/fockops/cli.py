@@ -13,12 +13,14 @@ schemas use.  It decides as JSON Schema 2020-12 does, except that an
 ``integer`` is a JSON integer literal (``10.0`` is not one), and its message
 names the path of the first bad value (``config.eval.target``).  Unknown
 keys are rejected, and so is an integer outside the 64-bit range, there or
-in ``--seed`` and ``--nodes``.  Reports are strict JSON in UTF-8 on stdout
-or ``--out``, rendered by ``report.render_json`` with sorted keys, so
-identical configurations and seeds produce byte-identical files: a
-non-finite value is ``null``, a float is written with its shortest
-round-trip digits, in an exponent notation that may differ from Python's
-(``1e-8``, not ``1e-08``).  Wall-clock timing goes to stderr only.  A
+in ``--seed`` and ``--nodes``.  Each eval function kind and each truncate
+form is one entry of FUNCTIONS or TRUNCATE_FORMS: the keys it reads, from
+which its schema form is generated, and its builder.  Reports are strict
+JSON in UTF-8 on stdout or ``--out``, rendered by ``report.render_json``
+with sorted keys, so identical configurations and seeds produce
+byte-identical files: a non-finite value is ``null``, a float is written
+with its shortest round-trip digits, in an exponent notation that may
+differ from Python's (``1e-8``, not ``1e-08``).  Wall-clock timing goes to stderr only.  A
 verify config holds ``seed`` and ``nodes``: ``--nodes`` sets the n=1 Fock
 rules, the n=2 rules keep 20 nodes and three checks take no fewer than 60;
 every other sample size is fixed.  A verify check passes if and only if
@@ -76,6 +78,7 @@ from .operators import (
     decomposition_residuals,
     to_complex_coords,
 )
+from .quadrature import MAX_NODES_PER_AXIS
 from .report import complex_json, render_json
 from .symbolic import GaussPoly, Polynomial
 from .transforms import (
@@ -94,7 +97,8 @@ from .verification import VerifyConfig, run_verification
 log = logging.getLogger("fockops")
 
 NUMBER_GRID = {"type": "array", "items": {"type": "array", "items": {"type": "number"}}}
-NUMBER_LIST = {"type": "array", "items": {"type": "number"}}
+NUMBER = {"type": "number"}
+NUMBER_LIST = {"type": "array", "items": NUMBER}
 
 OPERATOR_SCHEMA = {
     "oneOf": [
@@ -131,20 +135,62 @@ INT64 = range(-2**63, 2**63)
 MAX_FUNCTION_COEFFS = 10_000
 
 ALPHA = {"type": "array", "items": {"type": "integer", "minimum": 0}}
-GAUSSIAN_KEYS = {"P": NUMBER_GRID, "b": NUMBER_LIST, "coeff": {"type": "number"}}
+GAUSSIAN_KEYS = {"P": NUMBER_GRID, "b": NUMBER_LIST, "coeff": NUMBER}
 
-# eval function kind -> the keys its function reads besides "kind"
-FUNCTION_KEYS = {
-    "hermite": {"alpha": ALPHA},
-    "sb_eigenfunction": {"alpha": ALPHA},
-    "ground_state": {},
-    "gaussian": GAUSSIAN_KEYS,
-    "monomial_gaussian": {"alpha": ALPHA, **GAUSSIAN_KEYS},
+
+def _float_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The config value of ``key`` as a float array of ``shape``; a ragged or
+    wrongly sized one is a config error that names the key."""
+    what = f"{shape[0]}x{shape[1]}" if len(shape) == 2 else f"of length {shape[0]}"
+    try:
+        array = np.asarray(value, dtype=float)
+    except ValueError:  # rows of unequal lengths
+        raise ConfigError(f"{key} must be {what}, got ragged rows") from None
+    if array.shape != shape:
+        raise ConfigError(f"{key} must be {what}, got shape {array.shape}")
+    return array
+
+
+def _alpha(spec: dict, n: int) -> list[int]:
+    """The multi-index of a function spec, zeros if it has none, checked
+    before anything is built: its transform must fit in MAX_FUNCTION_COEFFS
+    dense coefficients."""
+    alpha = spec.get("alpha", [0] * n)
+    if len(alpha) != n:
+        raise ConfigError(f"alpha must have length {n}")
+    if (sum(alpha) + 1) ** n > MAX_FUNCTION_COEFFS:
+        raise ConfigError(
+            f"alpha of total degree {sum(alpha)} in dimension {n} needs (degree + 1)^n "
+            f"coefficients, more than {MAX_FUNCTION_COEFFS}"
+        )
+    return alpha
+
+
+def _gaussian(spec: dict, n: int) -> GaussPoly:
+    """coeff x^alpha exp(-x.Px/2 + b.x): a plain Gaussian when alpha is zeros."""
+    alpha = _alpha(spec, n)
+    P = _float_array(spec.get("P", np.eye(n)), "P", (n, n))
+    b = _float_array(spec.get("b", np.zeros(n)), "b", (n,))
+    coeff = spec.get("coeff", 1.0)
+    for key, value in (("P", P), ("b", b), ("coeff", coeff)):
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"function key '{key}' holds a non-finite number")
+    return GaussPoly(Polynomial.monomial(n, alpha, coeff), P, b, 0.0)
+
+
+# eval function kind -> (the keys its function reads besides "kind", its
+# build from the spec and the dimension)
+FUNCTIONS = {
+    "hermite": ({"alpha": ALPHA}, lambda spec, n: hermite_function(_alpha(spec, n))),
+    "sb_eigenfunction": ({"alpha": ALPHA}, lambda spec, n: sb_eigenfunction(_alpha(spec, n))),
+    "ground_state": ({}, lambda spec, n: ground_state(n)),
+    "gaussian": (GAUSSIAN_KEYS, _gaussian),
+    "monomial_gaussian": ({"alpha": ALPHA, **GAUSSIAN_KEYS}, _gaussian),
 }
 
 # one form per kind, so a key the kind never reads is rejected
 FUNCTION_SCHEMA = {
-    "properties": {"kind": {"enum": list(FUNCTION_KEYS)}},
+    "properties": {"kind": {"enum": list(FUNCTIONS)}},
     "required": ["kind"],
     "oneOf": [
         {
@@ -153,8 +199,17 @@ FUNCTION_SCHEMA = {
             "required": ["kind"],
             "additionalProperties": False,
         }
-        for kind, keys in FUNCTION_KEYS.items()
+        for kind, (keys, _) in FUNCTIONS.items()
     ],
+}
+
+# truncate "kind" (None: explicit eigenvalue lists) -> (the keys its tower
+# reads besides "kind" and "maxN", its build from their values and then maxN)
+TRUNCATE_FORMS = {
+    None: ({"r": NUMBER_LIST, "t": NUMBER_LIST}, TruncationSpec),
+    "constant": ({"r": NUMBER, "t": NUMBER}, TruncationSpec.constant),
+    "perturbation": ({"base": NUMBER, "amplitude": NUMBER, "power": NUMBER},
+                     TruncationSpec.perturbation),
 }
 
 # eval target -> the point coordinates it reads, in order, and its batch
@@ -209,36 +264,14 @@ CONFIG_SCHEMAS = {
             {
                 "type": "object",
                 "properties": {
-                    "r": NUMBER_LIST,
-                    "t": NUMBER_LIST,
+                    **({"kind": {"const": kind}} if kind else {}),
+                    **keys,
                     "maxN": {"type": "integer", "minimum": 1},
                 },
-                "required": ["r", "t", "maxN"],
+                "required": [*(["kind"] if kind else []), *keys, "maxN"],
                 "additionalProperties": False,
-            },
-            {
-                "type": "object",
-                "properties": {
-                    "kind": {"const": "constant"},
-                    "r": {"type": "number"},
-                    "t": {"type": "number"},
-                    "maxN": {"type": "integer", "minimum": 1},
-                },
-                "required": ["kind", "r", "t", "maxN"],
-                "additionalProperties": False,
-            },
-            {
-                "type": "object",
-                "properties": {
-                    "kind": {"const": "perturbation"},
-                    "base": {"type": "number"},
-                    "amplitude": {"type": "number"},
-                    "power": {"type": "number"},
-                    "maxN": {"type": "integer", "minimum": 1},
-                },
-                "required": ["kind", "base", "amplitude", "power", "maxN"],
-                "additionalProperties": False,
-            },
+            }
+            for kind, (keys, _) in TRUNCATE_FORMS.items()
         ]
     },
 }
@@ -349,19 +382,6 @@ def load_config(path: str | None, command: str, overrides: dict) -> dict:
     return config
 
 
-def _float_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """The config value of ``key`` as a float array of ``shape``; a ragged or
-    wrongly sized one is a config error that names the key."""
-    what = f"{shape[0]}x{shape[1]}" if len(shape) == 2 else f"of length {shape[0]}"
-    try:
-        array = np.asarray(value, dtype=float)
-    except ValueError:  # rows of unequal lengths
-        raise ConfigError(f"{key} must be {what}, got ragged rows") from None
-    if array.shape != shape:
-        raise ConfigError(f"{key} must be {what}, got shape {array.shape}")
-    return array
-
-
 def operator_from_config(data: dict) -> RealLinearMap:
     n = data["n"]
     if "A" in data:
@@ -388,44 +408,6 @@ def cmd_decompose(config: dict) -> dict:
         "residuals": residuals,
         "pass": all(v <= 1e-12 for v in residuals.values()),
     }
-
-
-def _alpha(spec: dict, n: int) -> list[int]:
-    """The multi-index of a function spec, checked before anything is built:
-    its transform must fit in MAX_FUNCTION_COEFFS dense coefficients."""
-    alpha = spec.get("alpha", [0] * n)
-    if len(alpha) != n:
-        raise ConfigError(f"alpha must have length {n}")
-    if (sum(alpha) + 1) ** n > MAX_FUNCTION_COEFFS:
-        raise ConfigError(
-            f"alpha of total degree {sum(alpha)} in dimension {n} needs (degree + 1)^n "
-            f"coefficients, more than {MAX_FUNCTION_COEFFS}"
-        )
-    return alpha
-
-
-def _build_function(spec: dict, n: int):
-    kind = spec["kind"]
-    if kind == "hermite":
-        return hermite_function(_alpha(spec, n))
-    if kind == "sb_eigenfunction":
-        return sb_eigenfunction(_alpha(spec, n))
-    if kind == "ground_state":
-        return ground_state(n)
-    if kind in ("gaussian", "monomial_gaussian"):
-        alpha = _alpha(spec, n) if kind == "monomial_gaussian" else None
-        P = _float_array(spec.get("P", np.eye(n)), "P", (n, n))
-        b = _float_array(spec.get("b", np.zeros(n)), "b", (n,))
-        coeff = spec.get("coeff", 1.0)
-        for key, value in (("P", P), ("b", b), ("coeff", coeff)):
-            if not np.all(np.isfinite(value)):
-                raise ConfigError(f"function key '{key}' holds a non-finite number")
-        out = GaussPoly.gaussian(P, b=b, coeff=coeff)
-        if alpha is not None:
-            out = GaussPoly(
-                out.poly * Polynomial.monomial(n, alpha), out.P, out.b, out.gamma
-            )
-        return out
 
 
 def _checked_batch(points: list, keys: tuple, n: int) -> list[np.ndarray] | None:
@@ -494,7 +476,8 @@ def cmd_eval(config: dict) -> dict:
     if target.endswith("_transform"):
         if "function" not in spec:
             raise ConfigError(f"target {target!r} needs a 'function' entry")
-        fn = _build_function(spec["function"], ctx.n)
+        _, build = FUNCTIONS[spec["function"]["kind"]]
+        fn = build(spec["function"], ctx.n)
     keys, evaluate = EVAL_TARGETS[target]
     coords = [c if key == "x" else to_complex_coords(c)
               for key, c in zip(keys, _coordinates(points, keys, ctx.n))]
@@ -537,15 +520,8 @@ def cmd_verify(config: dict) -> dict:
 
 
 def cmd_truncate(config: dict) -> dict:
-    if config.get("kind") == "constant":
-        spec = TruncationSpec.constant(config["r"], config["t"], config["maxN"])
-    elif config.get("kind") == "perturbation":
-        spec = TruncationSpec.perturbation(
-            config["base"], config["amplitude"], config["power"], config["maxN"]
-        )
-    else:
-        spec = TruncationSpec(tuple(config["r"]), tuple(config["t"]), config["maxN"])
-    seq = ca_sequence(spec)
+    keys, build = TRUNCATE_FORMS[config.get("kind")]
+    seq = ca_sequence(build(*(config[key] for key in keys), config["maxN"]))
     return {
         "command": "truncate",
         "config": config,
@@ -630,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--seed", type=int, help="override the configured seed")
             p.add_argument("--nodes", type=int,
-                           help="override the nodes per axis of the n=1 Fock rules (at most 370)")
+                           help="override the nodes per axis of the n=1 Fock rules "
+                                f"(at most {MAX_NODES_PER_AXIS})")
     return parser
 
 

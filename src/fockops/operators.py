@@ -150,17 +150,7 @@ def _require(ok, error, *values) -> None:
         raise error(*(float(np.ravel(v)[first]) for v in values))
 
 
-def _two_norm(X: np.ndarray, tol):
-    """The 2-norm of X (of each matrix of a stack), or its Frobenius norm (an
-    upper bound) when that is within ``tol``: a comparison with ``tol`` comes
-    out as the 2-norm's would, and the SVD runs only when the bound cannot
-    decide it (or overflows)."""
-    bound = np.linalg.norm(X, axis=(-2, -1))  # callers ignore its overflow
-    within = bound <= tol
-    return bound if within.all() else np.where(within, bound, spectral_norm(X))
-
-
-@np.errstate(over="ignore")  # a Frobenius bound, or twice the norm, may overflow
+@np.errstate(over="ignore")  # twice the norm may overflow
 def require_spd(A: RealLinearMap) -> tuple[float, np.ndarray]:
     """Check that A is symmetric and positive definite as a real matrix, and
     return its 2-norm and the ascending eigenvalues of its symmetric part.
@@ -178,7 +168,7 @@ def require_spd(A: RealLinearMap) -> tuple[float, np.ndarray]:
     _require(np.isfinite(2.0 * norm), lambda norm: ConfigError(
         f"operator 2-norm {norm:.3e} is too large: twice it overflows the float range"), norm)
     scale = np.maximum(norm, 1.0)
-    asym = _two_norm(E - E.mT, SYMMETRY_RTOL * scale)
+    asym = spectral_norm(E - E.mT)
     _require(asym <= SYMMETRY_RTOL * scale, lambda asym: NotSymmetricError(  # a NaN fails
         f"operator is not symmetric (asymmetry {asym:.3e})", asymmetry=asym), asym)
     eigenvalues = np.linalg.eigvalsh(0.5 * (E + E.mT))
@@ -385,8 +375,8 @@ class OperatorContext:
         return out
 
 
-# a weight near the float maximum overflows Frobenius norms, and each
-# use of them copes with an inf
+# c_restriction of a large weight in many dimensions overflows: it is inf
+# then, without a warning
 @np.errstate(over="ignore")
 def build_context(A: RealLinearMap) -> OperatorContext:
     """Validate a weight operator (or each of a stack) and assemble what every weight has.
@@ -411,7 +401,7 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     # The weight preserves the real subspace iff the off-diagonal block
     # (imaginary part of A applied to real basis vectors) vanishes.
     tol = REAL_FORM_RTOL * norm
-    real_preserving = _two_norm(A.entries[..., n:, :n], tol) <= tol
+    real_preserving = spectral_norm(A.entries[..., n:, :n]) <= tol
 
     roots = _root(h_eig), _root(h_eig, inverse=True)
     for X in (Hc, Kc, *roots):

@@ -316,10 +316,12 @@ def coherent_inner(ctx: OperatorContext, w, z) -> complex:
 def kernel_from_densities(ctx: OperatorContext, z, w) -> complex:
     """Reproducing kernel as a Gaussian-density integral, by quadrature.
 
-    The integrand (two shifted T-densities over the S-density) decays
-    with precision 2T - S, so the rule is scaled to that block and
-    recentered at the real part of the integrand's stationary point;
-    what remains under the quadrature weight is bounded and analytic.
+    The integrand (two shifted T-densities over the S-density) is entire
+    and decays with precision 2T - S in every real direction, so by Cauchy
+    the contour R^n may move to R^n + i Im c, c its stationary point.
+    There it is a constant multiple of the weight of the rule scaled to
+    2T - S and centred at Re c, so this tests the Gaussian-measure
+    identity, not the rule's convergence.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -329,12 +331,12 @@ def kernel_from_densities(ctx: OperatorContext, z, w) -> complex:
         * coherent_state_fn(ctx, np.conj(w))
         * density_s(ctx)
     )
-    center = np.linalg.solve(decay, (ctx.T @ (z + np.conj(w))).real)
-    # divide out the rule's Gaussian so the node sum is the integral
-    counter_weight = GaussPoly.gaussian(-decay, -(decay @ center),
-                                        0.5 * float(center @ decay @ center))
+    center = np.linalg.solve(decay, ctx.T @ (z + np.conj(w)))
+    # divide out the rule's Gaussian moved to the contour through c: what is
+    # left is that constant, and the node sum is the integral
+    counter_weight = GaussPoly.gaussian(-decay, -(decay @ center), 0.5 * (center @ decay @ center))
     flat = total * counter_weight
-    return lebesgue_integral(decay, QUADRATURE_NODES, center, flat.evaluate_many)
+    return lebesgue_integral(decay, QUADRATURE_NODES, center.real, flat.evaluate_many)
 
 
 # -- reference real-domain functions -------------------------------------------

@@ -1046,3 +1046,70 @@ def test_report_lands_on_a_text_only_stdout(tmp_path):
     assert code == 0
     report = json.loads(stream.getvalue())
     assert report["command"] == "truncate" and len(report["sequence"]["logCaInv"]) == 3
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+def _times_monomial(g, alpha):
+    return fo.GaussPoly(g.poly * fo.Polynomial.monomial(g.n, alpha), g.P, g.b, g.gamma)
+
+
+_P = [[2.0, 0.3], [0.3, 1.0]]
+_B = [0.1, -0.2]
+
+
+# a spec of every eval function kind, given its keys or none of them, and the
+# GaussPoly the library builds for it
+FUNCTION_CASES = [
+    ({"kind": "hermite", "alpha": [2, 1]}, lambda: fo.hermite_function([2, 1])),
+    ({"kind": "hermite"}, lambda: fo.hermite_function([0, 0])),
+    ({"kind": "sb_eigenfunction", "alpha": [0, 3]}, lambda: fo.sb_eigenfunction([0, 3])),
+    ({"kind": "ground_state"}, lambda: fo.ground_state(2)),
+    ({"kind": "gaussian", "P": _P, "b": _B, "coeff": -1.5},
+     lambda: fo.GaussPoly.gaussian(np.array(_P), np.array(_B), coeff=-1.5)),
+    ({"kind": "gaussian"}, lambda: fo.GaussPoly.gaussian(np.eye(2), np.zeros(2), coeff=1.0)),
+    ({"kind": "monomial_gaussian", "alpha": [2, 1], "P": _P, "b": _B, "coeff": -1.5},
+     lambda: _times_monomial(fo.GaussPoly.gaussian(np.array(_P), np.array(_B), coeff=-1.5),
+                             [2, 1])),
+    ({"kind": "monomial_gaussian", "alpha": [1, 0]},
+     lambda: _times_monomial(fo.GaussPoly.gaussian(np.eye(2), np.zeros(2)), [1, 0])),
+]
+
+
+@pytest.mark.parametrize("spec, want", FUNCTION_CASES)
+def test_each_function_kind_builds_the_library_function_bit_for_bit(spec, want):
+    keys, build = fo.cli.FUNCTIONS[spec["kind"]]
+    assert set(spec) - {"kind"} <= set(keys)
+    got, want = build(spec, 2), want()
+    assert _bits(got.poly.coeffs) == _bits(want.poly.coeffs)
+    assert _bits(got.P) == _bits(want.P) and _bits(got.b) == _bits(want.b)
+    assert _bits(got.gamma) == _bits(want.gamma)
+
+
+# a config of every truncate form and the tower its library generator builds
+TRUNCATE_CASES = [
+    ({"r": [1.0, 2.0, 3], "t": [1.0, 1.5, 2.0], "maxN": 3},
+     lambda: fo.TruncationSpec([1.0, 2.0, 3.0], [1.0, 1.5, 2.0], 3)),
+    ({"kind": "constant", "r": 4, "t": 1.0, "maxN": 20},
+     lambda: fo.TruncationSpec.constant(4, 1.0, 20)),
+    ({"kind": "perturbation", "base": 1.0, "amplitude": 0.5, "power": 2, "maxN": 50},
+     lambda: fo.TruncationSpec.perturbation(1.0, 0.5, 2, 50)),
+]
+
+
+def test_cases_cover_every_function_kind_and_truncate_form():
+    assert {spec["kind"] for spec, _ in FUNCTION_CASES} == set(fo.cli.FUNCTIONS)
+    assert [config.get("kind") for config, _ in TRUNCATE_CASES] == list(fo.cli.TRUNCATE_FORMS)
+
+
+@pytest.mark.parametrize("config, want", TRUNCATE_CASES)
+def test_each_truncate_form_gives_its_generators_sequence(config, want):
+    keys, _ = fo.cli.TRUNCATE_FORMS[config.get("kind")]
+    assert set(config) - {"kind", "maxN"} == set(keys)
+    got = fo.cli.cmd_truncate(config)["sequence"]
+    want = fo.ca_sequence(want()).to_json()
+    assert _bits(got["logCaInv"]) == _bits(want["logCaInv"])
+    assert (got["bounded"], got["tailBound"], got["note"]) == (
+        want["bounded"], want["tailBound"], want["note"])

@@ -208,3 +208,10 @@ def test_verify_nodes_bound_is_the_last_hermite_rule_in_the_float_range():
     with pytest.raises(ConfigError) as from_config:
         VerifyConfig(nodes=371)
     assert str(from_config.value) == str(from_rule.value)
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_verify_passes_at_seeds_whose_kernel_points_sit_far_off_the_real_axis(seed):
+    # the density integral of the kernel missed by 8e-2 at seed 1 and 1.2e-6 at
+    # seed 4 while its rule was centred on the real axis
+    assert run_verification(VerifyConfig(seed=seed))["pass"]
