@@ -21,16 +21,14 @@ quadrature.
 
 from __future__ import annotations
 
-import logging
 import math
-import time
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
 from .operators import OperatorContext, to_complex_coords
-from .quadrature import QuadratureRule, sampled, weighted_sum
+from .quadrature import QuadratureRule, grid_sums, sampled
 from .symbolic import GaussPoly, bilinear_rows, exp_rows, pointwise
 
 __all__ = [
@@ -46,8 +44,6 @@ __all__ = [
     "fock_norm",
     "normalized_monomial",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @pointwise
@@ -129,11 +125,14 @@ def fock_gram(
 ) -> np.ndarray:
     """The matrix of <F_i, G_j> in the weighted space, by tensor quadrature.
 
-    The grid is built once and each G_j evaluated on it once; the F_i are
-    streamed one row at a time, so memory holds the G columns and one row.
-    An F_i that is also some G_j (the same object) takes the conjugate of
-    that column, bit for bit its values, instead of a second evaluation.
-    Every entry is reduced exactly as a single inner product would be.
+    The grid is built once and reduced in chunks of 16,384 nodes (the
+    quadrature module's one grid reduction): in each chunk every G_j is
+    evaluated once and the F_i are streamed one row at a time, so memory
+    holds one chunk of each G column and one row.  An F_i that is also some
+    G_j (the same object) takes the conjugate of that column, bit for bit
+    its values, instead of a second evaluation.  Every entry is reduced
+    exactly as a single inner product would be.  A non-finite value is
+    named by the first chunk that has one, not the first function.
     The rule must be one :func:`fock_rule` builds for ``ctx``: a rule for
     another Gaussian would weight the integrand wrongly.
     """
@@ -144,20 +143,18 @@ def fock_gram(
     if not np.array_equal(rule.scaling, 2.0 * ctx.A.entries):
         raise ConfigError("rule scaling is not 2A; build the rule with fock_rule(ctx, nodes)")
 
-    started = time.perf_counter()
+    def products(rows, start):
+        Z = to_complex_coords(rows)
+        columns = [np.conj(sampled(G.evaluate_many, Z, start=start)) for G in Gs]
+        by_id = {id(G): column for G, column in zip(Gs, columns)}
+        for F in Fs:
+            row = (np.conj(by_id[id(F)]) if id(F) in by_id
+                   else sampled(F.evaluate_many, Z, start=start))
+            for column in columns:
+                yield sampled(np.multiply, row, column, start=start)
+
     X, W = rule.grid()
-    Z = to_complex_coords(X)
-    del X  # the real coordinates are not kept: they would raise peak memory
-    columns = [np.conj(sampled(G.evaluate_many, Z)) for G in Gs]
-    by_id = {id(G): column for G, column in zip(Gs, columns)}
-    out = np.empty((len(Fs), len(columns)), dtype=complex)
-    for i, F in enumerate(Fs):
-        row = np.conj(by_id[id(F)]) if id(F) in by_id else sampled(F.evaluate_many, Z)
-        for j, column in enumerate(columns):
-            out[i, j] = weighted_sum(sampled(np.multiply, row, column), W)
-    log.debug("fock_gram dim %d, %d nodes, %dx%d in %.3fs", rule.dim, W.shape[0],
-              out.shape[0], out.shape[1], time.perf_counter() - started)
-    return out
+    return np.array(grid_sums(X, W, products), dtype=complex).reshape(len(Fs), len(Gs))
 
 
 def fock_inner_product(

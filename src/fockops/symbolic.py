@@ -87,8 +87,11 @@ def bilinear_rows(X: np.ndarray, M: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """x.My for each row x of X and the same row y of Y, M one matrix or a
     stack of one per row, summed over the axes in a fixed order from
     elementwise products: a row's bits do not depend on the rest of the
-    batch, as they do under a matrix product's blocking."""
-    return sum(X[:, j] * sum(M[..., j, k] * Y[:, k] for k in range(M.shape[-1]))
+    batch, as they do under a matrix product's blocking.  The outer product
+    is a ufunc call: from 256 KiB numpy would run ``X[:, j] * temporary`` in
+    place in the temporary, operands swapped, which rounds a complex product
+    differently."""
+    return sum(np.multiply(X[:, j], sum(M[..., j, k] * Y[:, k] for k in range(M.shape[-1])))
                for j in range(M.shape[-2]))
 
 
@@ -241,10 +244,14 @@ class Polynomial:
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
         """p at the rows of Z, as complex values; real coefficients at real
-        rows run in float64, with the real parts of the complex run."""
+        rows run in float64, with the real parts of the complex run, on
+        contiguous copies of the columns (a copy did not pay for complex)."""
         Z = _rows(Z, self._real is not None)
-        c = self.coeffs if np.iscomplexobj(Z) else self._real
-        out = _horner(c, [Z[:, j] for j in range(self.n)])
+        if np.iscomplexobj(Z):
+            c, columns = self.coeffs, Z.T
+        else:
+            c, columns = self._real, np.ascontiguousarray(Z.T)
+        out = _horner(c, list(columns))
         return np.full(Z.shape[0], out, dtype=complex) if np.ndim(out) == 0 \
             else out.astype(complex, copy=False)
 

@@ -162,7 +162,8 @@ def _quadrature(kernel, field, z):
     if E is not None:
         expo = expo + 0.5 * bilinear_rows(z, E, z)
     envelope = s * exp_rows(expo, len(z))
-    return envelope * np.array([_convolve_at(G, field, w) for w in z], dtype=complex)
+    # np.multiply, not `*`, for the reason bilinear_rows gives
+    return np.multiply(envelope, np.array([_convolve_at(G, field, w) for w in z], dtype=complex))
 
 
 def _adjoint_kernel(ctx: OperatorContext):

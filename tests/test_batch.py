@@ -37,15 +37,15 @@ TARGETS = {
 }
 
 
-def _setup(name: str, far: float):
-    """A block weight at n=2 and 200 seeded points, every tenth one scaled by ``far``."""
+def _setup(name: str, far: float, rows: int = 200):
+    """A block weight at n=2 and ``rows`` seeded points, every tenth one scaled by ``far``."""
     rng = np.random.default_rng(list(TARGETS).index(name) + 70)
     ctx = fo.build_context(random_real_preserving_map(rng, 2, 0.5, 2.5))
-    scale = np.where(np.arange(200) % 10 == 3, far, 0.8)[:, None]
+    scale = np.where(np.arange(rows) % 10 == 3, far, 0.8)[:, None]
     coords = []
     for key in TARGETS[name][0]:
-        real = scale * rng.standard_normal((200, 2))
-        coords.append(real if key == "x" else real + 1j * scale * rng.standard_normal((200, 2)))
+        real = scale * rng.standard_normal((rows, 2))
+        coords.append(real if key == "x" else real + 1j * scale * rng.standard_normal((rows, 2)))
     return ctx, coords
 
 
@@ -63,6 +63,19 @@ def test_rows_carry_the_bits_of_one_point_calls(name):
     scalar = [function(ctx, *(c[i] for c in coords)) for i in range(200)]
     np.testing.assert_array_equal(_bits(batch), _bits(one_row))
     np.testing.assert_array_equal(_bits(batch), _bits(scalar))
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_rows_of_a_long_batch_carry_the_bits_of_one_point_calls(name):
+    # from 256 KiB (16,384 complex rows) numpy runs `array * temporary` in
+    # place in the temporary, with the operands swapped, which rounds a
+    # complex product differently; 207 rows of a 20,000-row batch
+    ctx, coords = _setup(name, 0.8, rows=20_000)
+    function = TARGETS[name][1]
+    batch = function(ctx, *coords)
+    sample = np.arange(0, 20_000, 97)
+    one_point = [function(ctx, *(c[i] for c in coords)) for i in sample]
+    np.testing.assert_array_equal(_bits(batch[sample]), _bits(one_point))
 
 
 @pytest.mark.parametrize("name", sorted(set(TARGETS) - {"measure_density"}))

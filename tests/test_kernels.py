@@ -209,7 +209,7 @@ def test_fock_rule_for_another_gaussian_is_rejected():
 
 
 
-@pytest.mark.parametrize("n, nodes", [(1, 40), (2, 12)])
+@pytest.mark.parametrize("n, nodes", [(1, 40), (2, 12), (2, 20)])  # 20^4 nodes: ten chunks
 def test_fock_gram_entries_equal_single_inner_products_bit_for_bit(n, nodes):
     rng = np.random.default_rng(61 + n)
     ctx = build_context(random_real_preserving_map(rng, n))
@@ -279,15 +279,17 @@ def test_fock_gram_evaluates_a_function_given_as_row_and_column_once(monkeypatch
 
 
 def test_fock_gram_logs_one_debug_line_per_call(caplog):
+    # the grid reduction's line: dim, nodes, chunks and seconds
     ctx = diag_ctx()
     fams = [normalized_monomial(1, (k,)) for k in range(3)]
     with caplog.at_level(logging.DEBUG, logger="fockops"):
         fock_gram(ctx, fams, fams[:2], fock_rule(ctx, 30))
-    records = [r for r in caplog.records if r.name == "fockops.kernels"]
+    records = [r for r in caplog.records if r.name.startswith("fockops")]
     assert len(records) == 1
+    assert records[0].name == "fockops.quadrature"
     assert records[0].levelno == logging.DEBUG
-    assert records[0].args[:4] == (2, 900, 3, 2)
-    assert records[0].args[4] >= 0.0
+    assert records[0].args[:3] == (2, 900, 1)
+    assert records[0].args[3] >= 0.0
 
 
 def test_classical_to_weighted_identity_weight_is_identity_map():

@@ -201,6 +201,27 @@ def test_only_pointwise_lifts_a_point_to_a_batch():
     assert not found
 
 
+def test_only_the_chunk_loop_reduces_a_tensor_grid():
+    """quadrature.grid_sums is the one tensor-grid reduction: every function
+    that builds a grid reduces it there, and the blocked sums it is built on
+    are taken only by it, by the whole-array _block_sum, and through that by
+    mc_integrate, which draws its samples in one call."""
+    callers = {}
+    for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+                    callers.setdefault(name, set()).add(f"{path.stem}.{func.name}")
+    assert callers["_block_sums"] == {"quadrature._block_sum", "quadrature.grid_sums"}
+    assert callers["_block_sum"] == {"quadrature.mc_integrate"}
+    assert callers["grid"] <= callers["grid_sums"]
+    assert callers["grid_sums"] == {"quadrature.integrate", "quadrature.integrate_shifted",
+                                    "kernels.fock_gram"}
+
+
 @pytest.mark.parametrize("make", [
     lambda: fockops.RealLinearMap.identity(1),
     lambda: fockops.build_context(fockops.RealLinearMap.identity(1)),

@@ -141,6 +141,14 @@ def test_infinite_integrand_is_named_as_inf():
         integrate(rule, late_nan)
 
 
+@pytest.mark.parametrize("value, kind", [(np.nan, "NaN"), (np.inf, "inf")])
+def test_a_non_finite_value_in_a_later_chunk_is_named_by_its_grid_node(value, kind):
+    rule = QuadratureRule(dim=3, nodes_per_axis=40)  # 64,000 nodes, four chunks
+    node = rule.grid()[0][20_000]
+    with pytest.raises(EvaluatorError, match=f"{kind} at node 20000$"):
+        integrate(rule, lambda X: np.where((X == node).all(axis=1), value, 1.0))
+
+
 def test_mc_rejects_infinite_samples():
     def spike(X):
         out = np.ones(X.shape[0])
@@ -265,3 +273,28 @@ def test_block_sum_short_and_tail_inputs():
     assert _block_sum(short) == float(np.sum(short))
     x = np.full(2 * BLOCK + 5, 0.5)
     assert _block_sum(x) == 0.5 * x.size
+
+
+@pytest.mark.parametrize("nodes", [4095, 4096, 4225, 16_384, 16_641, 20_480, 64_000, 160_000])
+def test_chunked_reduction_has_the_bits_of_the_whole_array_block_sum(nodes, monkeypatch):
+    # random grids of these node counts: a tail alone; one block; a block and
+    # a tail; one chunk; a chunk joined by a tail; a chunk and a last chunk of
+    # one block; the ladder's 40^3 and verify's 20^4 grids
+    rng = np.random.default_rng(nodes)
+    X = rng.standard_normal((nodes, 2))
+    W = rng.uniform(0.0, 2.0 / nodes, nodes)
+    center = np.array([0.25, -0.5])
+    monkeypatch.setattr(QuadratureRule, "grid",
+                        lambda self, center=None: (X if center is None else X + center, W))
+
+    def f(X):
+        return np.exp(2.0 * X[:, 0]) * np.exp(3j * X[:, 1]) - 1e3 * X[:, 1]
+
+    def whole(X):
+        prods = f(X) * W
+        return complex(_block_sum(prods.real), _block_sum(prods.imag))
+
+    rule = QuadratureRule(dim=2, nodes_per_axis=2)
+    for got, want in ((integrate(rule, f), whole(X)),
+                      (integrate_shifted(rule, center, f), whole(X + center))):
+        assert np.array([got]).view(np.uint64).tolist() == np.array([want]).view(np.uint64).tolist()

@@ -31,7 +31,8 @@ from fockops import (
 )
 from numpy.polynomial.polynomial import polyder
 
-from fockops.symbolic import _derivative, _smoothed
+from fockops.quadrature import QuadratureRule
+from fockops.symbolic import _derivative, _horner, _smoothed
 
 
 def brute_integral_1d(f, half_width=12.0, m=60001):
@@ -384,6 +385,19 @@ def test_complex_data_at_real_points_keeps_the_complex_route_property(case, part
     g = GaussPoly(Polynomial.from_coeffs(poly), P, b, gamma)
     np.testing.assert_array_equal(bits(g.evaluate_many(X)),
                                   bits(g.evaluate_many(X.astype(complex))))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 10), (2, 6), (3, 4), (3, 6)])
+def test_float64_horner_has_the_same_bits_on_contiguous_and_strided_columns(n, degree):
+    # the ladder's rungs: a Hermite function on a 40-node rule in each axis
+    rng = np.random.default_rng(degree)
+    M = rng.standard_normal((n, n))
+    X, _ = QuadratureRule(n, 40, scaling=M @ M.T + n * np.eye(n)).grid(rng.standard_normal(n))
+    c = hermite_function((degree,) * n).poly.coeffs.real
+    strided = _horner(c, list(X.T))
+    contiguous = _horner(c, list(np.ascontiguousarray(X.T)))
+    assert strided.dtype == np.float64 and strided.shape == (40**n,)
+    np.testing.assert_array_equal(strided.view(np.uint64), contiguous.view(np.uint64))
 
 
 def test_overflowing_real_polynomial_on_the_quadrature_route_is_an_evaluator_failure():

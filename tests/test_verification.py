@@ -166,21 +166,23 @@ def test_reproducing_property_evaluates_each_kernel_section_once(monkeypatch):
         sections.append(section)
         return section
 
-    calls = []
+    rows = {}
     evaluate_many = GaussPoly.evaluate_many
 
     def counted(self, Z):
-        if any(self is s for s in sections):
-            calls.append(Z.shape[0])
+        for i, s in enumerate(sections):
+            if self is s:
+                rows[i] = rows.get(i, 0) + Z.shape[0]
         return evaluate_many(self, Z)
 
     monkeypatch.setattr(verification, "kernel_section", recorded_section)
     monkeypatch.setattr(GaussPoly, "evaluate_many", counted)
     checks = verification.check_reproducing_property(VerifyConfig())
     assert all(c.passed for c in checks)
-    # three contexts at n=1 and two at n=2, one section each
+    # three contexts at n=1 and two at n=2, one section each, evaluated chunk
+    # by chunk at each node of its grid once: 40^2 and 20^4 nodes
     assert len(sections) == 5
-    assert len(calls) == 5
+    assert rows == {0: 1600, 1: 1600, 2: 1600, 3: 160_000, 4: 160_000}
 
 
 def test_space_unitary_computes_each_classical_norm_once(monkeypatch):
