@@ -116,11 +116,14 @@ class QuadratureRule:
 
 def _require_finite(values: np.ndarray, where: str, start: int) -> None:
     """Raise naming the first non-finite value, by its index plus ``start``,
-    before any weighting can turn an inf into a NaN or hide it."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        kind = "NaN" if np.isnan(values[bad[0]]) else "inf"
-        raise EvaluatorError(f"integrand produced {kind} at {where} {start + bad[0]}")
+    before any weighting can turn an inf into a NaN or hide it.  All finite
+    takes one pass; only a failure looks for the first bad index."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    bad = np.flatnonzero(~finite)[0]
+    kind = "NaN" if np.isnan(values[bad]) else "inf"
+    raise EvaluatorError(f"integrand produced {kind} at {where} {start + bad}")
 
 
 def _block_sums(x: np.ndarray) -> list[float]:

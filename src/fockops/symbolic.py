@@ -3,7 +3,13 @@
 One term type carries the whole closed class:
 
 * :class:`Polynomial`: one read-only dense coefficient array, evaluated
-  and composed with affine maps by nested Horner.
+  and composed with affine maps by nested Horner.  A block of coefficients
+  times rows within a budget (256 KiB complex) is evaluated one axis at a
+  time, every line of the axis in one product and one sum per power: few
+  rows, as at a point, would otherwise pay a Python call per coefficient
+  slab.  A larger block, a quadrature chunk, goes slab by slab, skipping
+  all-zero slabs, as arithmetic on every line would cost more there.  The
+  bits are the same either way (:func:`_horner`).
 
 * :class:`GaussPoly`: ``p(x) * exp(-x.Px/2 + b.x + g)`` with ``p`` a
   :class:`Polynomial` and ``P`` complex symmetric; ``x.Px`` is the
@@ -66,6 +72,9 @@ __all__ = [
 
 EXP_OVERFLOW = 700.0
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# coefficients times rows past which _horner evaluates a block slab by slab:
+# 256 KiB of complex values
+_HORNER_VALUES = 16_384
 
 
 def exp_rows(expo, size: int):
@@ -139,21 +148,63 @@ def _rows(X, real: bool) -> np.ndarray:
 
 
 def _horner(c: np.ndarray, columns: list):
-    """sum_a c[a] prod_j columns[j]**a_j by nested Horner along the first
-    axis, skipping all-zero slabs: a scalar or a fresh (m,) array, real
-    for real c and real columns."""
-    leaf, acc = c.ndim == 1, 0j if np.iscomplexobj(c) else 0.0
-    for slab in (c.tolist() if leaf else c)[::-1]:  # Python scalars on the last axis
-        # numpy rounds a one-element in-place complex product differently from
-        # the same product in a longer array, so a one-row batch (and the
-        # first scaling of a scalar) multiplies out of place
-        if isinstance(acc, np.ndarray) and acc.size > 1:
-            acc *= columns[0]
-        elif isinstance(acc, np.ndarray) or acc:  # nothing to scale before the first term
-            acc = acc * columns[0]
-        if slab if leaf else slab.any():
-            acc += slab if leaf else _horner(slab, columns[1:])  # in place once an array
-    return acc
+    """sum_a c[a] prod_j columns[j]**a_j by nested Horner: a scalar or a
+    fresh (m,) array, real for real c and real columns.  Along an axis, a
+    line of values v_0, ..., v_d starts from its highest nonzero term,
+    0 + v_t, and then takes a product with the column and adds the next
+    term at each lower power, leaving out the terms of all-zero slabs.
+
+    The size of the block decides the order; the bits are the same.  Past
+    _HORNER_VALUES coefficients times rows, the first axis slab by slab,
+    each slab again a block, skipping all-zero slabs, with in-place
+    products on long rows.  A single axis takes this loop at any size, over
+    Python-scalar coefficients: it is one axis at a time already, and
+    cheaper than arrays.  Within the budget, one axis at a time, last axis
+    first, all lines of an axis at once: one product and one sum per power,
+    on temporaries of at most _HORNER_VALUES values.  There a zero term
+    adds -0, which changes no value, and a line is overwritten where it
+    starts.  Few rows, a point as the closed routes evaluate one, would pay
+    a Python call per slab; many rows, a quadrature chunk, would pay for
+    arithmetic on every zero line, in temporaries past a core's cache."""
+    zero = 0j if np.iscomplexobj(c) else 0.0
+    if c.ndim == 1 or c.size * len(columns[0]) > _HORNER_VALUES:
+        leaf, acc = c.ndim == 1, zero
+        for slab in (c.tolist() if leaf else c)[::-1]:  # Python scalars on the last axis
+            # numpy rounds a one-element in-place complex product differently from
+            # the same product in a longer array, so a one-row batch (and the
+            # first scaling of a scalar) multiplies out of place
+            if isinstance(acc, np.ndarray) and acc.size > 1:
+                acc *= columns[0]
+            elif isinstance(acc, np.ndarray) or acc:  # nothing to scale before the first term
+                acc = acc * columns[0]
+            if slab if leaf else slab.any():
+                acc += slab if leaf else _horner(slab, columns[1:])  # in place once an array
+        return acc
+    nonzero = c != 0
+    values, start_row = np.where(nonzero, c, -zero)[..., None], np.zeros(len(columns[0]), c.dtype)
+    for axis in reversed(range(c.ndim)):
+        d = c.shape[axis]
+        nonzero = nonzero.reshape(-1, d)
+        values = values.reshape(nonzero.shape + values.shape[-1:])
+        top = d - 1 - nonzero[:, ::-1].argmax(axis=1)  # an all-zero line reads d - 1
+        starts, x = set(top.tolist()), columns[axis][None]
+        # until its start a line holds a zero, or at an infinite coordinate a
+        # NaN (numpy warns of it), which the start overwrites
+        acc = values[:, -1] + start_row
+        for j in range(d - 2, -1, -1):
+            # numpy rounds a complex product differently with its operands
+            # swapped, or with one element broadcast from another shape: the
+            # accumulator comes first, and the column is a (1, m) row
+            acc = np.multiply(acc, x)
+            acc += values[:, j]
+            if j in starts:
+                start = top == j
+                acc[start] = values[start, j] + start_row
+        nonzero = nonzero.any(axis=1)
+        if axis:  # an all-zero line is a zero term of the next axis
+            acc[~nonzero] = -zero
+        values = acc
+    return values[0] if nonzero[0] else zero  # an all-zero block is the scalar zero
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,9 +4,11 @@ Closed forms are checked against brute-force numerical integration on
 fine grids, which stays independent of the completing-the-square path.
 """
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.hermite_e import hermegauss
 
@@ -32,7 +34,7 @@ from fockops import (
 from numpy.polynomial.polynomial import polyder
 
 from fockops.quadrature import QuadratureRule
-from fockops.symbolic import _derivative, _horner, _smoothed
+from fockops.symbolic import _HORNER_VALUES, _derivative, _horner, _smoothed
 
 
 def brute_integral_1d(f, half_width=12.0, m=60001):
@@ -398,6 +400,158 @@ def test_float64_horner_has_the_same_bits_on_contiguous_and_strided_columns(n, d
     contiguous = _horner(c, list(np.ascontiguousarray(X.T)))
     assert strided.dtype == np.float64 and strided.shape == (40**n,)
     np.testing.assert_array_equal(strided.view(np.uint64), contiguous.view(np.uint64))
+
+
+# -- the evaluator's two halves against the slab-by-slab recursion -------------
+
+def horner_oracle(c: np.ndarray, columns: list):
+    """Nested Horner along the first axis for every block, skipping all-zero
+    slabs: the reference whose bits ``_horner`` keeps at every size."""
+    leaf, acc = c.ndim == 1, 0j if np.iscomplexobj(c) else 0.0
+    for slab in (c.tolist() if leaf else c)[::-1]:
+        if isinstance(acc, np.ndarray) and acc.size > 1:
+            acc *= columns[0]
+        elif isinstance(acc, np.ndarray) or acc:
+            acc = acc * columns[0]
+        if slab if leaf else slab.any():
+            acc += slab if leaf else horner_oracle(slab, columns[1:])
+    return acc
+
+
+def row_bits(out, rows: int, dtype) -> np.ndarray:
+    """The raw bits of an evaluator's result, a scalar read as every row's."""
+    return np.array(np.broadcast_to(out, (rows,)), dtype=dtype).view(np.uint64).reshape(rows, -1)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(9,), (1, 13), (13, 1), (5, 6), (1, 1, 9), (2, 1, 9),
+                                   (4, 5, 3), (7, 7, 7), (3, 2, 4, 3)])
+def test_horner_has_the_bits_of_the_slab_recursion_at_every_batch_size(shape, kind):
+    rng = np.random.default_rng(sum(shape) + len(kind))
+    c = rng.standard_normal(shape)
+    if kind == "complex":  # with imaginary parts of -0, as a conjugated real term has
+        c = c + 1j * rng.standard_normal(shape)
+        c.imag[rng.random(shape) < 0.2] = -0.0
+    c[rng.random(shape) < 0.4] = 0
+    budget_rows = _HORNER_VALUES // c.size
+    for rows in (1, 2, budget_rows, budget_rows + 1, 20_000):
+        X = 1.5 * rng.standard_normal((rows, len(shape)))
+        if kind == "complex":
+            X = X + 1j * rng.standard_normal(X.shape)
+        want = row_bits(horner_oracle(c, list(X.T)), rows, c.dtype)
+        for columns in (list(X.T), list(np.ascontiguousarray(X.T))):
+            np.testing.assert_array_equal(row_bits(_horner(c, columns), rows, c.dtype), want,
+                                          err_msg=f"{rows} rows")
+        for i in {0, rows // 2, rows - 1, *rng.integers(0, rows, 3).tolist()}:
+            one = _horner(c, [x[i:i + 1] for x in X.T])
+            np.testing.assert_array_equal(row_bits(one, 1, c.dtype)[0], want[i],
+                                          err_msg=f"row {i} of {rows}")
+
+
+@pytest.mark.parametrize("route", ["real", "complex", "complex conjugated"])
+@pytest.mark.parametrize("coeffs", ["hermite (6, 6, 6)", "signed zeros"])
+def test_horner_edge_rows_have_the_bits_of_the_slab_recursion(coeffs, route):
+    # Powers past the float range, inf coordinates and signed zeros: the
+    # evaluator multiplies all-zero slabs that the recursion skips, where
+    # 0 * inf would show, and lines of the second array start below their
+    # top power.  Real points on the complex route leave signed-zero
+    # imaginary parts.  A NaN coordinate is left out: the sign of a NaN it
+    # carries through differs between numpy's loops.
+    X = np.array([[1e60, 1, 1], [1, 1e60, 1], [1, 1, 1e60], [-1e60, 1e60, 1], [np.inf, 1, 1],
+                  [1, -np.inf, 0.5], [0.5, -1, np.inf], *itertools.product([0.0, -0.0, 1, -2], repeat=3)])
+    if coeffs == "signed zeros":
+        # no term without x_1, so rows with x_1 = +-0 give zeros of either sign
+        rng = np.random.default_rng(5)
+        c = rng.choice([0.0, -0.0, 1.0, -0.5], (5, 4, 6)) * (1 - 1j)
+        c[rng.random(c.shape) < 0.3] = 0
+        c[0] = 0
+    else:
+        c = hermite_function((6, 6, 6)).poly.coeffs
+    if route == "real":
+        c = c.real.copy()
+    else:
+        X = X.astype(complex)
+        X.imag[::2] = -0.0
+        c = np.conj(c) if route == "complex conjugated" else c
+    with np.errstate(all="ignore"):
+        want = row_bits(horner_oracle(c, list(X.T)), len(X), c.dtype)
+        assert not np.isfinite(want.view(c.dtype)).all()
+        assert coeffs != "signed zeros" or np.signbit(want.view(float)[want.view(float) == 0]).any()
+        np.testing.assert_array_equal(row_bits(_horner(c, list(X.T)), len(X), c.dtype), want)
+        for i, row in enumerate(X):
+            one = _horner(c, [np.array([x]) for x in row])
+            np.testing.assert_array_equal(row_bits(one, 1, c.dtype)[0], want[i], err_msg=f"row {i}")
+
+
+def signed_arrays(shape, kind: str, parts):
+    """Arrays of the values ``parts``; complex ones with parts of their own."""
+    real = arrays(float, shape, elements=st.sampled_from(parts))
+    if kind == "real":
+        return real
+
+    def pair(re, im):
+        z = re.astype(complex)
+        z.imag = im  # keeps an imaginary -0, which 1j * im would not
+        return z
+
+    return st.builds(pair, real, arrays(float, shape, elements=st.sampled_from(parts[:4])))
+
+
+@st.composite
+def signed_cases(draw):
+    """Coefficients of zeros of either sign and +-1, and rows of those, 2
+    and infinities."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    kind = draw(st.sampled_from(["real", "complex"]))
+    c = draw(signed_arrays(shape, kind, [0.0, -0.0, 1.0, -1.0, 0.5]))
+    rows = draw(st.integers(1, 30))
+    return c, draw(signed_arrays((rows, len(shape)), kind,
+                                 [0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf]))
+
+
+# Each line's first term is 0 + v_t, which drops an imaginary -0 of v_t: on
+# the first line at its top power, then on one that starts below it.  At
+# these rows the sign of a zero result shows whether it was dropped.  In the
+# third, 2 x_1 + x_2 + 1 at x_2 = inf, the line 2 x_1 starts below its top
+# power in x_2: taken from x_2's first power it would read 0 * inf, a NaN.
+@PROPERTY
+@given(case=signed_cases())
+@example(case=(np.array([[1.0, 1.0], [2.0, 0.0]]), np.array([[1.0, np.inf]])))
+@example(case=(np.array([[-0.0, complex(-1, -0.0)], [1 + 1j, 0]]),
+               np.array([[complex(-0.0, 0.0), 0j]])))
+@example(case=(np.array([[complex(-1, -0.0), 1 + 1j, 0], [-0.0, -0.0, 0]]),
+               np.array([[0j, complex(-0.0, -0.0)]])))
+def test_horner_has_the_bits_of_the_slab_recursion_at_zeros_and_infinities_property(case):
+    # Lines that start below their top power, zero terms of either sign and
+    # infinite coordinates, where a step the recursion skips would show
+    c, X = case
+    rows = len(X)
+    with np.errstate(all="ignore"):
+        want = row_bits(horner_oracle(c, list(X.T)), rows, c.dtype)
+        np.testing.assert_array_equal(row_bits(_horner(c, list(X.T)), rows, c.dtype), want)
+        for i in range(rows):
+            one = _horner(c, [x[i:i + 1] for x in X.T])
+            np.testing.assert_array_equal(row_bits(one, 1, c.dtype)[0], want[i], err_msg=f"row {i}")
+
+
+def test_one_point_of_a_degree_18_image_enters_the_evaluator_once_per_axis(monkeypatch):
+    # The benchmark ladder's top rung: the Segal-Bargmann image of a (6, 6, 6)
+    # Hermite function is a 19x19x19 block with 715 terms.  Slab by slab, one
+    # call per nonzero slab, a point enters the evaluator 210 times.
+    rng = np.random.default_rng(36)
+    R, T = rng.standard_normal((2, 3, 3))
+    ctx = build_context(RealLinearMap.from_blocks(R @ R.T + 0.5 * np.eye(3), T @ T.T / 3))
+    F = segal_bargmann_fn(ctx, hermite_function((6, 6, 6)))
+    assert F.poly.coeffs.shape == (19, 19, 19)
+    calls = []
+
+    def counted(c, columns):
+        calls.append(c.shape)
+        return _horner(c, columns)
+
+    monkeypatch.setattr("fockops.symbolic._horner", counted)
+    F.evaluate(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    assert len(calls) <= 3
 
 
 def test_overflowing_real_polynomial_on_the_quadrature_route_is_an_evaluator_failure():
