@@ -125,7 +125,7 @@ def fock_gram(
 ) -> np.ndarray:
     """The matrix of <F_i, G_j> in the weighted space, by tensor quadrature.
 
-    The grid is built once and reduced in chunks of 16,384 nodes (the
+    The grid is built and reduced in chunks of 16,384 nodes (the
     quadrature module's one grid reduction): in each chunk every G_j is
     evaluated once and the F_i are streamed one row at a time, so memory
     holds one chunk of each G column and one row.  An F_i that is also some
@@ -153,8 +153,7 @@ def fock_gram(
             for column in columns:
                 yield sampled(np.multiply, row, column, start=start)
 
-    X, W = rule.grid()
-    return np.array(grid_sums(X, W, products), dtype=complex).reshape(len(Fs), len(Gs))
+    return np.array(grid_sums(rule, None, products), dtype=complex).reshape(len(Fs), len(Gs))
 
 
 def fock_inner_product(

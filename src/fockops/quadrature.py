@@ -19,7 +19,9 @@ so its temporaries fit in a core's L2 cache where whole-grid ones (2.5 MB
 per complex column at 160,000 nodes) do not, and keeps each chunk's block
 sums.  The blocks are those of the whole array and ``fsum`` is correctly
 rounded, so the result has the bits of :func:`_block_sum` on the whole
-array of weighted values.
+array of weighted values.  A grid shape's unscaled nodes and weights are
+enumerated once (:func:`_unit_grid`, which keeps the last shape), and each
+chunk's nodes are scaled and centred from them when the loop reaches it.
 """
 
 from __future__ import annotations
@@ -82,10 +84,9 @@ class QuadratureRule:
     def __post_init__(self):
         if self.dim < 1 or self.nodes_per_axis < 1:
             raise ConfigError("quadrature dimensions and node counts must be positive")
-        total = self.nodes_per_axis**self.dim
-        if total > NODE_BUDGET:
+        if self.size > NODE_BUDGET:
             raise NodeBudgetError(
-                f"{self.nodes_per_axis}^{self.dim} = {total} nodes exceeds the "
+                f"{self.nodes_per_axis}^{self.dim} = {self.size} nodes exceeds the "
                 f"budget of {NODE_BUDGET}"
             )
         _hermite_rule(self.nodes_per_axis)  # refuses a rule beyond the float range
@@ -100,18 +101,37 @@ class QuadratureRule:
         # validates SPD as a side effect
         object.__setattr__(self, "_transform", math.sqrt(2.0) * inv_sqrt_spd(scaling))
 
+    @property
+    def size(self) -> int:
+        """The number of grid nodes."""
+        return self.nodes_per_axis**self.dim
+
     def nodes_1d(self) -> tuple[np.ndarray, np.ndarray]:
         return _hermite_rule(self.nodes_per_axis)
 
-    def grid(self, center: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """All nodes (lexicographic) and their probability weights."""
-        u, w = self.nodes_1d()
-        U = u[np.indices((self.nodes_per_axis,) * self.dim).reshape(self.dim, -1).T]
-        W = reduce(np.multiply.outer, [w] * self.dim).ravel() / math.pi ** (self.dim / 2.0)
-        X = U @ self._transform.T
+    def grid(self, center: np.ndarray | None = None, start: int = 0,
+             stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes ``start`` to ``stop`` (lexicographic; all by default) and
+        their read-only probability weights, scaled from the shape's
+        :func:`_unit_grid`."""
+        U, W = _unit_grid(self.nodes_per_axis, self.dim)
+        X = U[start:stop] @ self._transform.T
         if center is not None:
-            X = X + np.asarray(center, dtype=float)[None, :]
-        return X, W
+            X += np.asarray(center, dtype=float)[None, :]
+        return X, W[start:stop]
+
+
+@lru_cache(maxsize=1)
+def _unit_grid(k: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unscaled Gauss-Hermite nodes of a k^dim grid (lexicographic) and
+    their probability weights, read-only.  Only the last shape is kept: a
+    Gram or a run of shifted integrals asks for one shape many times."""
+    u, w = _hermite_rule(k)
+    U = u[np.indices((k,) * dim).reshape(dim, -1).T]
+    W = reduce(np.multiply.outer, [w] * dim).ravel() / math.pi ** (dim / 2.0)
+    U.flags.writeable = False
+    W.flags.writeable = False
+    return U, W
 
 
 def _require_finite(values: np.ndarray, where: str, start: int) -> None:
@@ -150,28 +170,31 @@ def sampled(f, *args, where: str = "node", start: int = 0) -> np.ndarray:
     return values
 
 
-def grid_sums(X: np.ndarray, W: np.ndarray, integrands) -> list[complex]:
-    """The weighted node sums over the grid (X, W) of each integrand, where
-    ``integrands(rows, start)`` yields, integrand by integrand, the
-    :func:`sampled` values at ``rows``, the grid rows from node ``start``.
+def grid_sums(rule: QuadratureRule, center, integrands) -> list[complex]:
+    """The weighted node sums over the grid of ``rule`` centred at ``center``
+    (None for the origin) of each integrand, where ``integrands(rows, start)``
+    yields, integrand by integrand, the :func:`sampled` values at ``rows``,
+    the grid rows from node ``start``.
 
     The one tensor-grid reduction: it walks the grid in chunks of CHUNK
-    nodes, the tail of fewer than BLOCK nodes joining the last chunk, so
-    memory holds one chunk of each value.  Each chunk keeps the pairwise sums
+    nodes, the tail of fewer than BLOCK nodes joining the last chunk, and
+    builds each chunk's rows with ``rule.grid``, so memory holds one chunk of
+    each value and no whole grid of nodes.  Each chunk keeps the pairwise sums
     of its whole blocks, and the last one its tail's; one ``fsum`` over them
     has the bits of :func:`_block_sum` on the whole array.  Chunks run in node
     order, so an error names the first failing chunk's first bad node."""
     started = time.perf_counter()
-    size = W.shape[0]
+    size = rule.size
     bounds = [0, *range(CHUNK, size - BLOCK + 1, CHUNK), size]
     sums = defaultdict(lambda: ([], []))  # integrand -> real and imaginary block sums
     for start, stop in zip(bounds, bounds[1:]):
-        for k, values in enumerate(integrands(X[start:stop], start)):
-            prods = values * W[start:stop]
+        X, W = rule.grid(center, start, stop)
+        for k, values in enumerate(integrands(X, start)):
+            prods = values * W
             for parts, x in zip(sums[k], (prods.real, prods.imag)):
                 blocks = _block_sums(x)
                 parts += blocks if stop == size else blocks[:-1]  # only the last has a tail
-    log.debug("grid reduction dim %d, %d nodes, %d chunks in %.3fs", X.shape[1], size,
+    log.debug("grid reduction dim %d, %d nodes, %d chunks in %.3fs", rule.dim, size,
               len(bounds) - 1, time.perf_counter() - started)
     return [complex(math.fsum(re), math.fsum(im)) for re, im in sums.values()]
 
@@ -181,14 +204,13 @@ def integrate(rule: QuadratureRule, f) -> complex:
 
     ``f`` maps an (m, dim) array of points to m values.
     """
-    X, W = rule.grid()
-    return grid_sums(X, W, lambda rows, start: [sampled(f, rows, start=start)])[0]
+    return grid_sums(rule, None, lambda rows, start: [sampled(f, rows, start=start)])[0]
 
 
 def integrate_shifted(rule: QuadratureRule, center, f) -> complex:
     """Same expectation with the Gaussian recentered at ``center``."""
-    X, W = rule.grid(center=np.asarray(center, dtype=float))
-    return grid_sums(X, W, lambda rows, start: [sampled(f, rows, start=start)])[0]
+    center = np.asarray(center, dtype=float)
+    return grid_sums(rule, center, lambda rows, start: [sampled(f, rows, start=start)])[0]
 
 
 def lebesgue_integral(P, nodes_per_axis: int, center, f) -> complex:

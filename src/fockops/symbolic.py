@@ -384,8 +384,9 @@ class GaussPoly:
         return -0.5 * bilinear_rows(X, P, X) + linear + gamma
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """The term at the rows of X, each row with the bits of a one-row
-        call; a row out of range raises RangeOverflowError for the batch.
+        """The term at the rows of X, each finite row with the bits of a
+        one-row call (a NaN result may differ in its sign bit); a row out of
+        range raises RangeOverflowError for the batch.
         A zero polynomial is zero everywhere, its exponent unread."""
         X = np.asarray(X)
         out = np.zeros(X.shape[0], dtype=complex)
@@ -506,11 +507,10 @@ def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
     as one product in place of its Python loop over the degree.  It scales
     by 1 first, as ``polyder`` does, which fixes the signs of zero
     coefficients, and a constant axis keeps one zero row."""
-    c = np.moveaxis(c, axis, 0)
-    if len(c) == 1:
-        return np.moveaxis(c * 0, 0, axis)
-    powers = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
-    return np.moveaxis(c[1:] * 1 * powers, 0, axis)
+    if c.shape[axis] == 1:
+        return c * 0
+    powers = np.arange(1, c.shape[axis]).reshape((-1,) + (1,) * (c.ndim - 1 - axis))
+    return c[(slice(None),) * axis + (slice(1, None),)] * 1 * powers
 
 
 def _require_smoothable(poly: Polynomial, cov: np.ndarray) -> None:
@@ -539,7 +539,8 @@ def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
     term = out = poly.coeffs.astype(np.clongdouble)
     cov, axes = np.asarray(cov).astype(np.clongdouble), range(poly.n)
     for k in range(1, poly.degree() // 2 + 1):
-        term = reduce(_padded_add, [cov[i, j] / (2 * k) * _derivative(_derivative(term, i), j)
+        firsts = [_derivative(term, i) for i in axes]
+        term = reduce(_padded_add, [cov[i, j] / (2 * k) * _derivative(firsts[i], j)
                                     for i in axes for j in axes])
         out = _padded_add(out, term)
     return Polynomial.from_coeffs(out.astype(complex))

@@ -202,10 +202,11 @@ def test_only_pointwise_lifts_a_point_to_a_batch():
 
 
 def test_only_the_chunk_loop_reduces_a_tensor_grid():
-    """quadrature.grid_sums is the one tensor-grid reduction: every function
-    that builds a grid reduces it there, and the blocked sums it is built on
-    are taken only by it, by the whole-array _block_sum, and through that by
-    mc_integrate, which draws its samples in one call."""
+    """quadrature.grid_sums is the one tensor-grid reduction and the only
+    function in the package that builds grid nodes, a chunk at a time from the
+    shape's cached unit grid; the blocked sums it is built on are taken only
+    by it, by the whole-array _block_sum, and through that by mc_integrate,
+    which draws its samples in one call."""
     callers = {}
     for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -217,7 +218,8 @@ def test_only_the_chunk_loop_reduces_a_tensor_grid():
                     callers.setdefault(name, set()).add(f"{path.stem}.{func.name}")
     assert callers["_block_sums"] == {"quadrature._block_sum", "quadrature.grid_sums"}
     assert callers["_block_sum"] == {"quadrature.mc_integrate"}
-    assert callers["grid"] <= callers["grid_sums"]
+    assert callers["grid"] == {"quadrature.grid_sums"}
+    assert callers["_unit_grid"] == {"quadrature.grid"}
     assert callers["grid_sums"] == {"quadrature.integrate", "quadrature.integrate_shifted",
                                     "kernels.fock_gram"}
 

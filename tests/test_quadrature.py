@@ -1,6 +1,7 @@
 """Tensor Gauss-Hermite rules and the Monte Carlo fallback."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fockops import (
     integrate_shifted,
     mc_integrate,
 )
-from fockops.quadrature import BLOCK, _block_sum
+from fockops.quadrature import BLOCK, _block_sum, _unit_grid
 
 
 def gaussian_moment(m):
@@ -284,8 +285,9 @@ def test_chunked_reduction_has_the_bits_of_the_whole_array_block_sum(nodes, monk
     X = rng.standard_normal((nodes, 2))
     W = rng.uniform(0.0, 2.0 / nodes, nodes)
     center = np.array([0.25, -0.5])
-    monkeypatch.setattr(QuadratureRule, "grid",
-                        lambda self, center=None: (X if center is None else X + center, W))
+    monkeypatch.setattr(QuadratureRule, "size", nodes)
+    monkeypatch.setattr(QuadratureRule, "grid", lambda self, center=None, start=0, stop=None: (
+        (X if center is None else X + center)[start:stop], W[start:stop]))
 
     def f(X):
         return np.exp(2.0 * X[:, 0]) * np.exp(3j * X[:, 1]) - 1e3 * X[:, 1]
@@ -298,3 +300,92 @@ def test_chunked_reduction_has_the_bits_of_the_whole_array_block_sum(nodes, monk
     for got, want in ((integrate(rule, f), whole(X)),
                       (integrate_shifted(rule, center, f), whole(X + center))):
         assert np.array([got]).view(np.uint64).tolist() == np.array([want]).view(np.uint64).tolist()
+
+
+def whole_grid_oracle(rule, center=None):
+    """The whole grid in one piece, the reference every chunk must match:
+    every node index, the weights' outer product, one product with the
+    transform and the centre added to a copy."""
+    u, w = rule.nodes_1d()
+    k, dim = rule.nodes_per_axis, rule.dim
+    U = u[np.indices((k,) * dim).reshape(dim, -1).T]
+    W = reduce(np.multiply.outer, [w] * dim).ravel() / math.pi ** (dim / 2.0)
+    X = U @ rule._transform.T
+    if center is not None:
+        X = X + np.asarray(center, dtype=float)[None, :]
+    return X, W
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("k, dim", [
+    (370, 1),  # less than one block
+    (64, 2), (16, 3), (8, 4),  # one block exactly
+    (143, 2),  # a chunk joined by a tail of 4,065 nodes
+    (200, 2),  # 40,000: two chunks and a last one of 7,232
+    (40, 3),  # the ladder's grid
+    (20, 4),  # verify's grid
+])
+@pytest.mark.parametrize("centred", [False, True])
+def test_each_chunk_of_the_grid_has_the_bits_of_the_whole_grid(k, dim, centred, monkeypatch):
+    rng = np.random.default_rng(k * dim)
+    M = rng.standard_normal((dim, dim))
+    rule = QuadratureRule(dim, k, scaling=M @ M.T + dim * np.eye(dim))
+    center = rng.standard_normal(dim) if centred else None
+    X, W = whole_grid_oracle(rule, center)
+    got = rule.grid(center)
+    assert same_bits(got[0], X) and same_bits(got[1], W)
+    # every chunk the reduction asks for, then ranges of 4,095, 4,096,
+    # 20,479 and 40,000 rows from the first node and from node 4,097
+    chunks, grid = [], QuadratureRule.grid
+    monkeypatch.setattr(QuadratureRule, "grid", lambda self, *args: (
+        chunks.append(args[1:]) or grid(self, *args)))
+    if centred:
+        integrate_shifted(rule, center, lambda X: np.ones(len(X)))
+    else:
+        integrate(rule, lambda X: np.ones(len(X)))
+    monkeypatch.undo()
+    assert chunks[0][0] == 0 and chunks[-1][1] == rule.size
+    ranges = chunks + [(start, start + rows) for start in (0, 4097)
+                       for rows in (4095, 4096, 20_479, 40_000) if start + rows <= rule.size]
+    for start, stop in ranges:
+        got = rule.grid(center, start, stop)
+        assert same_bits(got[0], X[start:stop]) and same_bits(got[1], W[start:stop])
+
+
+def test_the_unit_grid_keeps_one_read_only_shape():
+    for dim, k in ((2, 30), (3, 12), (2, 30)):
+        rule = QuadratureRule(dim, k)
+        assert integrate(rule, lambda X: np.ones(len(X))) == pytest.approx(1.0, rel=1e-13)
+        assert _unit_grid.cache_info().currsize == 1
+        U, W = _unit_grid(k, dim)
+        assert U.shape == (k**dim, dim) and W.shape == (k**dim,)
+        for a in (U, W):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            rule.grid()[1][0] = 1.0
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_an_integrand_that_writes_into_its_rows_leaves_the_next_integration_unchanged(shifted):
+    rule = QuadratureRule(3, 40, scaling=np.diag([1.0, 2.0, 0.5]))  # four chunks
+    center = np.array([0.5, -1.0, 2.0])
+
+    def run(f):
+        return integrate_shifted(rule, center, f) if shifted else integrate(rule, f)
+
+    def f(X):
+        return np.exp(1j * X[:, 0]) * X[:, 1] ** 2 + X[:, 2]
+
+    def scribble(X):
+        values = f(X)
+        X[:] = 1e6
+        return values
+
+    want = run(f)
+    assert run(scribble) == want
+    assert run(f) == want
+    assert np.array_equal(center, [0.5, -1.0, 2.0])
