@@ -207,14 +207,50 @@ def integrate(rule: QuadratureRule, f) -> complex:
     return grid_sums(rule, None, lambda rows, start: [sampled(f, rows, start=start)])[0]
 
 
-def integrate_shifted(rule: QuadratureRule, center, f) -> complex:
-    """Same expectation with the Gaussian recentered at ``center``."""
+def _tensor_phase(rule: QuadratureRule, phase):
+    """exp(i phase.(X - center)) on the rows of the grid X of ``rule`` centred
+    anywhere, as ``rows(start, stop)`` for nodes ``start`` to ``stop``.
+
+    X - center is U T^T, so the factor is the tensor product of the one-axis
+    vectors exp(i c_d u), c = T^T phase, in the grid's lexicographic order:
+    n k exponentials in all.  The product of all but the last vector is
+    built once; a range takes the rows of it that it spans times the last
+    vector, so every range has the bits of the whole outer product."""
+    u, _ = rule.nodes_1d()
+    k = rule.nodes_per_axis
+    c = rule._transform.T @ np.asarray(phase, dtype=float)
+    factors = [np.exp(1j * (c_d * u)) for c_d in c.tolist()]
+    if rule.dim == 1:
+        return lambda start, stop: factors[0][start:stop]
+    lead = reduce(np.multiply.outer, factors[:-1]).ravel()
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        first = start // k
+        block = np.multiply.outer(lead[first:-(-stop // k)], factors[-1]).ravel()
+        return block[start - first * k:stop - first * k]
+
+    return rows
+
+
+def integrate_shifted(rule: QuadratureRule, center, f, phase=None) -> complex:
+    """Same expectation with the Gaussian recentered at ``center``; with a real
+    vector ``phase``, the expectation of f(X) exp(i phase.(X - center)), whose
+    oscillating factor comes from :func:`_tensor_phase`, with no exponential
+    per node."""
     center = np.asarray(center, dtype=float)
-    return grid_sums(rule, center, lambda rows, start: [sampled(f, rows, start=start)])[0]
+    oscillation = None if phase is None else _tensor_phase(rule, phase)
+
+    def values(X, start):
+        if oscillation is None:
+            return f(X)
+        return np.multiply(f(X), oscillation(start, start + len(X)))
+
+    return grid_sums(rule, center, lambda X, start: [sampled(values, X, start, start=start)])[0]
 
 
-def lebesgue_integral(P, nodes_per_axis: int, center, f) -> complex:
-    """The integral of exp(-(x-c).P(x-c)/2) f(x) dx over R^n, c = ``center``:
+def lebesgue_integral(P, nodes_per_axis: int, center, f, phase=None) -> complex:
+    """The integral of exp(-(x-c).P(x-c)/2) f(x) dx over R^n, c = ``center``,
+    with f(x) times exp(i phase.(x-c)) if ``phase`` is given:
     (2 pi)^{n/2} det(P)^{-1/2} times :func:`integrate_shifted` on the rule of
     ``nodes_per_axis`` nodes scaled to P."""
     P = np.asarray(P, dtype=float)
@@ -222,7 +258,7 @@ def lebesgue_integral(P, nodes_per_axis: int, center, f) -> complex:
     rule = QuadratureRule(dim=n, nodes_per_axis=nodes_per_axis, scaling=P)
     log_det = float(np.sum(np.log(np.linalg.eigvalsh(P))))
     const = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * log_det)
-    return const * integrate_shifted(rule, center, f)
+    return const * integrate_shifted(rule, center, f, phase)
 
 
 def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:

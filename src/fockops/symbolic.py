@@ -524,7 +524,9 @@ def _require_smoothable(poly: Polynomial, cov: np.ndarray) -> None:
     log_c = math.log(abs(poly.coeffs[tuple(terms[0])]))
     for i, a in enumerate(terms[0].tolist()):
         k, var = np.arange(1.0, a // 2 + 1), abs(cov[i, i])
-        top = np.cumsum(np.log((a - 2 * k + 2) * (a - 2 * k + 1) * var / (2 * k))).max(initial=0.0)
+        with np.errstate(divide="ignore"):  # a zero variance: log 0 = -inf, no growth
+            top = np.cumsum(np.log((a - 2 * k + 2) * (a - 2 * k + 1) * var / (2 * k))).max(
+                initial=0.0)
         if log_c + top > LOG_FLOAT_MAX + math.log(2.0):
             raise ConfigError(f"smoothing y_{i + 1}^{a} by a Gaussian of variance {var:.3g} "
                               f"gives a coefficient near 1e{(log_c + top) / math.log(10.0):.0f}, "
@@ -534,16 +536,46 @@ def _require_smoothable(poly: Polynomial, cov: np.ndarray) -> None:
 def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
     """y -> E[p(y + u)], u centred Gaussian of complex symmetric covariance
     cov: the heat operator exp(d.cov d / 2) p, a series ending at half the degree.
-    Its terms can dwarf their sum (Hermite p): it runs in long double, rounded once."""
+    Its terms can dwarf their sum (Hermite p): it runs in long double, rounded once.
+
+    Each step sums its pairs (i, j) of axes in order and leaves out those
+    whose cov entry is 0 (a diagonal cov keeps n of n^2).  Their products are
+    zeros, which move no value, only the sign of a zero sum, so the bits are
+    those of the sum over every pair while pair (0, 0), which that sum starts
+    from, is kept and every step's sum is finite and holds no -0; otherwise
+    the series is summed over every pair."""
     _require_smoothable(poly, cov)
-    term = out = poly.coeffs.astype(np.clongdouble)
-    cov, axes = np.asarray(cov).astype(np.clongdouble), range(poly.n)
-    for k in range(1, poly.degree() // 2 + 1):
-        firsts = [_derivative(term, i) for i in axes]
-        term = reduce(_padded_add, [cov[i, j] / (2 * k) * _derivative(firsts[i], j)
-                                    for i in axes for j in axes])
-        out = _padded_add(out, term)
+    cov = np.asarray(cov).astype(np.clongdouble)
+    every = [(i, j) for i in range(poly.n) for j in range(poly.n)]
+    out = None
+    if cov[0, 0] != 0:
+        out = _heat_series(poly, cov, [(i, j) for i, j in every if cov[i, j] != 0])
+    if out is None:
+        out = _heat_series(poly, cov, every)
     return Polynomial.from_coeffs(out.astype(complex))
+
+
+def _heat_series(poly: Polynomial, cov: np.ndarray, pairs: list) -> np.ndarray | None:
+    """The long double coefficients of exp(d.cov d / 2) p, each step summed
+    over ``pairs`` in order.  If they are not every pair, a step's sum is
+    padded with +0 to the shape of the step before, which the sum over every
+    pair has for n >= 2, and None is returned for a sum that holds a -0 or
+    a value that is not finite."""
+    term = out = poly.coeffs.astype(np.clongdouble)
+    partial = len(pairs) < poly.n**2
+    for k in range(1, poly.degree() // 2 + 1):
+        firsts = {i: _derivative(term, i) for i in {i for i, _ in pairs}}
+        shape = term.shape
+        term = reduce(_padded_add, [cov[i, j] / (2 * k) * _derivative(firsts[i], j)
+                                    for i, j in pairs])
+        if partial:
+            if not all(np.isfinite(x).all() and not (np.signbit(x) & (x == 0)).any()
+                       for x in (term.real, term.imag)):
+                return None
+            if term.shape != shape:
+                term = _padded_add(np.zeros(shape, term.dtype), term)
+        out = _padded_add(out, term)
+    return out
 
 
 def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) -> complex:

@@ -224,6 +224,19 @@ def test_only_the_chunk_loop_reduces_a_tensor_grid():
                                     "kernels.fock_gram"}
 
 
+def test_the_quadrature_route_takes_no_exponential_per_node():
+    """transforms._convolve_at hands its oscillating factor to the rule as a
+    phase vector, whose tensor product takes n k exponentials; a call of an
+    exponential or a sine in it would take one per grid node."""
+    tree = ast.parse((ROOT / "src" / "fockops" / "transforms.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_convolve_at"]
+    calls = {ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
+    assert "lebesgue_integral" in calls
+    assert not {call for call in calls
+                if call.rsplit(".", 1)[-1] in {"exp", "expm1", "exp_rows", "cos", "sin"}}
+
+
 @pytest.mark.parametrize("make", [
     lambda: fockops.RealLinearMap.identity(1),
     lambda: fockops.build_context(fockops.RealLinearMap.identity(1)),

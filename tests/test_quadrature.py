@@ -17,7 +17,7 @@ from fockops import (
     integrate_shifted,
     mc_integrate,
 )
-from fockops.quadrature import BLOCK, _block_sum, _unit_grid
+from fockops.quadrature import BLOCK, _block_sum, _tensor_phase, _unit_grid, lebesgue_integral
 
 
 def gaussian_moment(m):
@@ -389,3 +389,90 @@ def test_an_integrand_that_writes_into_its_rows_leaves_the_next_integration_unch
     assert run(scribble) == want
     assert run(f) == want
     assert np.array_equal(center, [0.5, -1.0, 2.0])
+
+
+def whole_grid_phase(rule, phase):
+    """exp(i phase.(X - center)) on the whole grid in one piece: the outer
+    product of the one-axis factors, the reference every range must match."""
+    u, _ = rule.nodes_1d()
+    c = rule._transform.T @ np.asarray(phase, float)
+    return reduce(np.multiply.outer, [np.exp(1j * (v * u)) for v in c.tolist()]).ravel()
+
+
+@pytest.mark.parametrize("k, dim", [
+    (1, 1), (1, 2), (1, 3), (1, 4),  # one node: the scalar loop of a complex product
+    (2, 4), (3, 3),  # a range of one row of the leading product is 2 or 3 values
+    (370, 1), (143, 2), (29, 3), (13, 4),  # 20,449, 24,389 and 28,561 nodes
+    (40, 3), (20, 4),  # the ladder's and verify's grids
+])
+def test_each_chunk_of_the_phase_has_the_bits_of_the_whole_outer_product(k, dim):
+    rng = np.random.default_rng(7 * k + dim)
+    M = rng.standard_normal((dim, dim))
+    rule = QuadratureRule(dim, k, scaling=M @ M.T + dim * np.eye(dim))
+    phase, center = rng.standard_normal(dim), rng.standard_normal(dim)
+    whole = whole_grid_phase(rule, phase)
+    rows = _tensor_phase(rule, phase)
+    # every chunk the reduction asks for, then single rows, ranges across a
+    # row of the leading product and ranges that start and stop off its rows
+    lengths = []
+    integrate_shifted(rule, center, lambda X: lengths.append(len(X)) or np.ones(len(X)), phase)
+    starts = np.cumsum([0, *lengths]).tolist()
+    size = rule.size
+    assert starts[-1] == size
+    ranges = [*zip(starts, starts[1:]), (0, 1), (size - 1, size), (0, size)]
+    for start in {1, k - 1, k + 1, 3 * k // 2, 4097, size // 2}:
+        for rows_wanted in (1, 2, k, k + 1, 5000, 40_000):
+            if 0 <= start < start + rows_wanted <= size:
+                ranges.append((start, start + rows_wanted))
+    for start, stop in ranges:
+        assert same_bits(rows(start, stop), whole[start:stop]), (start, stop)
+
+
+@pytest.mark.parametrize("k, dim", [(40, 1), (40, 2), (40, 3), (20, 4)])
+def test_the_phase_is_the_dense_oscillating_factor(k, dim):
+    # the ladder's kernels G = R + T, R and T with eigenvalues in [0.5, 2.5],
+    # at points z of scale 0.5: the factor exp(-i (a - X).G Im z), a = Re z
+    rng = np.random.default_rng(dim)
+    for _ in range(4):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        G = (q * rng.uniform(1.0, 5.0, dim)) @ q.T
+        G = 0.5 * (G + G.T)
+        z = 0.5 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        rule = QuadratureRule(dim, k, scaling=G)
+        X, _ = rule.grid(z.real)
+        dense = np.exp(-1j * ((z.real - X) @ (G @ z.imag)))
+        assert np.max(np.abs(_tensor_phase(rule, G @ z.imag)(0, rule.size) - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("k, dim", [(1, 2), (370, 1), (143, 2), (40, 3)])
+def test_a_phased_integral_has_the_bits_of_the_whole_array_sum(k, dim):
+    rng = np.random.default_rng(k + dim)
+    rule = QuadratureRule(dim, k, scaling=np.diag(rng.uniform(0.5, 2.5, dim)))
+    phase, center = rng.standard_normal(dim), rng.standard_normal(dim)
+
+    def f(X):
+        return X[:, 0] ** 2 + 1j * X[:, -1] - 0.5
+
+    X, W = rule.grid(center)
+    prods = f(X) * whole_grid_phase(rule, phase) * W
+    want = complex(_block_sum(prods.real), _block_sum(prods.imag))
+    got = integrate_shifted(rule, center, f, phase)
+    assert np.array([got]).view(np.uint64).tolist() == np.array([want]).view(np.uint64).tolist()
+
+
+def test_a_phased_lebesgue_integral_is_the_gaussian_fourier_transform():
+    # int exp(-(x-c).P(x-c)/2) exp(i t.(x-c)) dx = (2 pi)^{n/2} det(P)^{-1/2} exp(-t.P^{-1}t/2)
+    P = np.array([[1.5, 0.3, 0.0], [0.3, 0.8, -0.2], [0.0, -0.2, 2.0]])
+    t, c = np.array([0.7, -1.1, 0.4]), np.array([0.2, -0.3, 0.5])
+    want = (2 * math.pi) ** 1.5 / math.sqrt(np.linalg.det(P)) * math.exp(
+        -0.5 * t @ np.linalg.solve(P, t))
+    got = lebesgue_integral(P, 40, c, lambda X: np.ones(len(X)), phase=t)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-14 * want)
+
+
+def test_a_non_finite_integrand_under_a_phase_is_named_by_its_grid_node():
+    rule = QuadratureRule(dim=3, nodes_per_axis=40)
+    node = rule.grid(np.ones(3))[0][20_000]
+    with pytest.raises(EvaluatorError, match="NaN at node 20000$"):
+        integrate_shifted(rule, np.ones(3), lambda X: np.where((X == node).all(axis=1), np.nan, 1),
+                          np.array([0.5, 0.1, -0.2]))

@@ -5,6 +5,7 @@ fine grids, which stays independent of the completing-the-square path.
 """
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from fockops import (
 from numpy.polynomial.polynomial import polyder
 
 from fockops.quadrature import QuadratureRule
-from fockops.symbolic import _HORNER_VALUES, _derivative, _horner, _smoothed
+from fockops.symbolic import _HORNER_VALUES, _derivative, _horner, _padded_add, _smoothed
 
 
 def brute_integral_1d(f, half_width=12.0, m=60001):
@@ -290,6 +291,87 @@ def test_smoothed_matches_gauss_hermite_expectation_property(data):
     want = np.dot(w, p.evaluate_many(X))
     got = _smoothed(p, C).evaluate(y)
     assert abs(got - want) <= 1e-11 * np.dot(w, magnitude(p, X))
+
+
+def all_pairs_smoothed(poly, cov):
+    """The heat series summed over every covariance pair (i, j), zero or not:
+    the reference that the series leaving out zero pairs must match."""
+    term = out = poly.coeffs.astype(np.clongdouble)
+    cov, axes = np.asarray(cov).astype(np.clongdouble), range(poly.n)
+    for k in range(1, poly.degree() // 2 + 1):
+        firsts = [_derivative(term, i) for i in axes]
+        term = reduce(_padded_add, [cov[i, j] / (2 * k) * _derivative(firsts[i], j)
+                                    for i in axes for j in axes])
+        out = _padded_add(out, term)
+    return Polynomial.from_coeffs(out.astype(complex))
+
+
+def _covariance(kind, rng, n):
+    M = rng.standard_normal((n, n))
+    dense = M @ M.T + 0.5 * np.eye(n)
+    diagonal = np.diag(rng.uniform(0.2, 2.0, n))
+    if kind == "dense":
+        return dense
+    if kind == "complex-dense":
+        return dense + 0.3j * (M + M.T)
+    if kind == "diagonal":
+        return diagonal
+    if kind == "negative-zero":  # -0.0 off the diagonal and in one dense entry pair
+        cov = diagonal.copy()
+        cov[~np.eye(n, dtype=bool)] = -0.0
+        return cov
+    if kind == "dense-negative-zero":
+        cov = dense.copy()
+        cov[0, -1] = cov[-1, 0] = -0.0
+        return cov
+    if kind in ("zero-first-diagonal-entry", "zero-last-diagonal-entry"):
+        cov = dense.copy()
+        cov[(0, 0) if kind == "zero-first-diagonal-entry" else (-1, -1)] = 0.0
+        return cov
+    return np.zeros((n, n))
+
+
+def _smoothing_inputs(rng, n):
+    """Hermite products, as l2_inner_product takes them, a monomial, whose
+    size is checked before the series runs (a zero variance must not warn),
+    and random polynomials with zero, -0.0 and complex coefficients."""
+    yield Polynomial.monomial(n, (4,) * n, -1.5)
+    for degree in (2, 5 if n < 4 else 3):
+        f = hermite_function((degree,) * n)
+        yield (f * f.conjugated()).poly
+    for _ in range(6):
+        shape = tuple(rng.integers(1, 6, size=n).tolist())
+        c = rng.standard_normal(shape) * (rng.random(shape) < 0.6)
+        c[rng.random(shape) < 0.2] = -0.0
+        yield Polynomial.from_coeffs(c)
+        yield Polynomial.from_coeffs(c + 1j * rng.standard_normal(shape) * (rng.random(shape) < .3))
+
+
+@pytest.mark.parametrize("kind", [
+    "diagonal", "negative-zero", "zero-first-diagonal-entry", "zero-last-diagonal-entry",
+    "dense", "complex-dense", "dense-negative-zero", "zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_smoothing_leaves_out_zero_pairs_with_the_bits_of_every_pair(kind, n):
+    rng = np.random.default_rng(n)
+    for p in _smoothing_inputs(rng, n):
+        cov = _covariance(kind, rng, n)
+        got, want = _smoothed(p, cov).coeffs, all_pairs_smoothed(p, cov).coeffs
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (kind, p.coeffs)
+
+
+def test_smoothing_a_hermite_product_on_a_diagonal_covariance_takes_the_diagonal_pairs(
+        monkeypatch):
+    import fockops.symbolic as symbolic
+
+    f = hermite_function((6, 6, 6))
+    p = (f * f.conjugated()).poly
+    calls = []
+    monkeypatch.setattr(symbolic, "_derivative", lambda c, axis: calls.append(axis) or
+                        _derivative(c, axis))
+    _smoothed(p, 0.5 * np.eye(3))
+    # two derivatives along each of the three axes per step, not 3 + 9
+    assert len(calls) == 6 * (p.degree() // 2)
 
 
 # variance -> the first degree d at which smoothing y^d leaves the float range:
