@@ -7,7 +7,8 @@ eval        evaluate kernels, transforms, and coherent states at points
 verify      run the full identity suite; exit 0 only if everything passes
 truncate    partial normalization constants along a diagonal tower
 
-Configuration is a JSON file (``--config``), checked against CONFIG_SCHEMAS
+Configuration is a JSON file (``--config``), read as ``json.load`` reads
+it (``parse_json``: orjson where that gives the same), checked against CONFIG_SCHEMAS
 by ``_schema_error``, an in-tree checker of the JSON Schema keywords those
 schemas use.  It decides as JSON Schema 2020-12 does, except that an
 ``integer`` is a JSON integer literal (``10.0`` is not one), and its message
@@ -45,13 +46,16 @@ Gauss-Hermite rule leaves the float range, refused before any group
 runs, ...), ``node_budget`` for a truncate generator's
 ``maxN`` past NODE_BUDGET, ``output_unwritable`` for an ``--out`` or
 ``--csv`` path that cannot be written.  Set FOCK_LOG to a level name (e.g.
-DEBUG) for progress logging; any other value means WARNING.
+DEBUG) for progress logging, with one line per stage of a command (parse,
+command, render, write) and its seconds; any other value means WARNING.
+A command imports only the modules it runs: truncate loads neither the
+transforms nor the verification suite.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import io
 import json
 import logging
 import math
@@ -61,6 +65,9 @@ import time
 from itertools import chain
 
 import numpy as np
+import orjson
+
+import fockops
 
 from . import __version__
 from .errors import (
@@ -70,7 +77,6 @@ from .errors import (
     OutputUnwritableError,
     RangeOverflowError,
 )
-from .kernels import eval_functional_norm, kernel, measure_density
 from .operators import (
     RealLinearMap,
     build_context,
@@ -80,19 +86,11 @@ from .operators import (
 )
 from .quadrature import MAX_NODES_PER_AXIS
 from .report import complex_json, render_json
-from .symbolic import GaussPoly, Polynomial
-from .transforms import (
-    coherent_state,
-    ground_state,
-    hermite_function,
-    multiplier,
-    sb_eigenfunction,
-    segal_bargmann,
-    segal_bargmann_classical_fn,
-    segal_bargmann_gaussian_fn,
-)
 from .truncation import TruncationSpec, ca_sequence
-from .verification import VerifyConfig, run_verification
+
+# kernels, symbolic, transforms and verification are reached through the
+# package (fockops.kernels.kernel), which imports each on its first use, so
+# truncate never loads them and only verify loads the verification suite
 
 log = logging.getLogger("fockops")
 
@@ -166,7 +164,7 @@ def _alpha(spec: dict, n: int) -> list[int]:
     return alpha
 
 
-def _gaussian(spec: dict, n: int) -> GaussPoly:
+def _gaussian(spec: dict, n: int) -> fockops.symbolic.GaussPoly:
     """coeff x^alpha exp(-x.Px/2 + b.x): a plain Gaussian when alpha is zeros."""
     alpha = _alpha(spec, n)
     P = _float_array(spec.get("P", np.eye(n)), "P", (n, n))
@@ -175,15 +173,18 @@ def _gaussian(spec: dict, n: int) -> GaussPoly:
     for key, value in (("P", P), ("b", b), ("coeff", coeff)):
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"function key '{key}' holds a non-finite number")
-    return GaussPoly(Polynomial.monomial(n, alpha, coeff), P, b, 0.0)
+    symbolic = fockops.symbolic
+    return symbolic.GaussPoly(symbolic.Polynomial.monomial(n, alpha, coeff), P, b, 0.0)
 
 
 # eval function kind -> (the keys its function reads besides "kind", its
 # build from the spec and the dimension)
 FUNCTIONS = {
-    "hermite": ({"alpha": ALPHA}, lambda spec, n: hermite_function(_alpha(spec, n))),
-    "sb_eigenfunction": ({"alpha": ALPHA}, lambda spec, n: sb_eigenfunction(_alpha(spec, n))),
-    "ground_state": ({}, lambda spec, n: ground_state(n)),
+    "hermite": ({"alpha": ALPHA},
+                lambda spec, n: fockops.transforms.hermite_function(_alpha(spec, n))),
+    "sb_eigenfunction": ({"alpha": ALPHA},
+                         lambda spec, n: fockops.transforms.sb_eigenfunction(_alpha(spec, n))),
+    "ground_state": ({}, lambda spec, n: fockops.transforms.ground_state(n)),
     "gaussian": (GAUSSIAN_KEYS, _gaussian),
     "monomial_gaussian": ({"alpha": ALPHA, **GAUSSIAN_KEYS}, _gaussian),
 }
@@ -213,17 +214,21 @@ TRUNCATE_FORMS = {
 }
 
 # eval target -> the point coordinates it reads, in order, and its batch
-# evaluation at them; a lambda looks the function up when it runs, so a
-# wrapper installed on this module's name is the one called
+# evaluation at them; a lambda looks the function up in its module when it
+# runs, so a wrapper installed there is the one called
 EVAL_TARGETS = {
-    "measure_density": (("z",), lambda ctx, fn, z: measure_density(ctx, z)),
-    "kernel": (("z", "w"), lambda ctx, fn, z, w: kernel(ctx, z, w)),
-    "eval_norm": (("z",), lambda ctx, fn, z: eval_functional_norm(ctx, z)),
-    "multiplier": (("x", "z"), lambda ctx, fn, x, z: multiplier(ctx, x, z)),
-    "coherent_state": (("x", "z"), lambda ctx, fn, x, z: coherent_state(ctx, x, z)),
-    "classical_transform": (("z",), lambda ctx, fn, z: segal_bargmann_classical_fn(fn).evaluate_many(z)),
-    "weighted_transform": (("z",), lambda ctx, fn, z: segal_bargmann(ctx, fn, z)),
-    "gaussian_transform": (("z",), lambda ctx, fn, z: segal_bargmann_gaussian_fn(ctx, fn).evaluate_many(z)),
+    "measure_density": (("z",), lambda ctx, fn, z: fockops.kernels.measure_density(ctx, z)),
+    "kernel": (("z", "w"), lambda ctx, fn, z, w: fockops.kernels.kernel(ctx, z, w)),
+    "eval_norm": (("z",), lambda ctx, fn, z: fockops.kernels.eval_functional_norm(ctx, z)),
+    "multiplier": (("x", "z"), lambda ctx, fn, x, z: fockops.transforms.multiplier(ctx, x, z)),
+    "coherent_state": (("x", "z"),
+                       lambda ctx, fn, x, z: fockops.transforms.coherent_state(ctx, x, z)),
+    "classical_transform": (("z",), lambda ctx, fn, z:
+                            fockops.transforms.segal_bargmann_classical_fn(fn).evaluate_many(z)),
+    "weighted_transform": (("z",),
+                           lambda ctx, fn, z: fockops.transforms.segal_bargmann(ctx, fn, z)),
+    "gaussian_transform": (("z",), lambda ctx, fn, z:
+                           fockops.transforms.segal_bargmann_gaussian_fn(ctx, fn).evaluate_many(z)),
 }
 
 CONFIG_SCHEMAS = {
@@ -363,20 +368,74 @@ def _parse_int(text: str) -> int:
     return value
 
 
+# a config's bytes with each digit read as "0", "." kept and any other byte
+# read as " ": an integer literal of 19 or more digits, which orjson reads as
+# a float from 2^64 on or below -2^63, then starts the text or follows a " "
+# (a digit run in a string or an exponent may too, which only costs the
+# json route)
+DIGIT_MARKS = bytes(ord("0") if chr(c) in "0123456789" else c if chr(c) == "." else ord(" ")
+                    for c in range(256))
+LONG_DIGITS = b"0" * 19
+
+# deepest nesting taken from orjson, which has no depth limit: json.loads
+# recurses once a level and reads this depth on any sane stack, and what is
+# deeper it reads or refuses with a RecursionError
+ORJSON_DEPTH = 100
+
+
+def _has_long_integer(raw: bytes) -> bool:
+    marks = raw.translate(DIGIT_MARKS)
+    return marks.startswith(LONG_DIGITS) or b" " + LONG_DIGITS in marks
+
+
+def _nests_deeper(value, depth: int) -> bool:
+    """Whether a JSON value nests lists and objects more than ``depth``
+    deep (``[]`` is 1 deep), walked a level at a time."""
+    level = [[value]]  # the lists and objects at one depth, here 0
+    for _ in range(depth + 1):
+        level = [item for container in level
+                 for item in (container.values() if type(container) is dict else container)
+                 if type(item) is list or type(item) is dict]
+        if not level:
+            return False
+    return True
+
+
+def parse_json(raw: bytes):
+    """The JSON value of a config file's bytes, as ``json.load`` of the
+    file opened as UTF-8 text with _parse_int gives it.  orjson reads it
+    when it can: it gives the same values, float bits included, and refuses
+    NaN, Infinity, 1e400 and lone surrogates.  What it refuses, a config
+    with a long integer literal and one nested past ORJSON_DEPTH take that
+    json route, whose value or error is the result."""
+    if not _has_long_integer(raw):
+        try:
+            value = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if not _nests_deeper(value, ORJSON_DEPTH):
+                return value
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    return json.loads(text, parse_int=_parse_int)
+
+
 def load_config(path: str | None, command: str, overrides: dict) -> dict:
     if path is None:
         config = {}
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                config = json.load(fh, parse_int=_parse_int)
-        except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, huge int
+            with open(path, "rb") as fh:
+                config = parse_json(fh.read())
+        # ValueError: bad JSON, bad UTF-8, huge int; RecursionError: deep nesting
+        except (OSError, ValueError, RecursionError) as err:
             raise ConfigError(str(err)) from err
     overrides = {k: v for k, v in overrides.items() if v is not None}
     for key, value in overrides.items():
         if value not in INT64:
             raise ConfigError(f"invalid configuration: --{key} is outside the 64-bit range")
-    config = {**config, **overrides}
+    if isinstance(config, dict):  # any other value fails the schema's "type"
+        config = {**config, **overrides}
     if error := _schema_error(config, CONFIG_SCHEMAS[command]):
         raise ConfigError("invalid configuration: {} {}".format(*error))
     return config
@@ -514,7 +573,8 @@ def cmd_eval(config: dict) -> dict:
 
 
 def cmd_verify(config: dict) -> dict:
-    report = run_verification(VerifyConfig(**config))
+    verification = fockops.verification
+    report = verification.run_verification(verification.VerifyConfig(**config))
     report["config"] = config
     return report
 
@@ -539,6 +599,8 @@ COMMANDS = {
 
 
 def write_csv(path: str, report: dict) -> None:
+    import csv
+
     rows = report["values"]
     keys = sorted({k for row in rows for k in row["point"]})
     widths = {key: max(len(row["point"].get(key, [])) for row in rows) for key in keys}
@@ -563,7 +625,18 @@ def write_csv(path: str, report: dict) -> None:
 def render_report(report: dict) -> str:
     report = dict(report)
     report["versions"] = {"fockops": __version__, "numpy": np.__version__}
-    return render_json(report) + "\n"
+    return render_json(report, newline=True)
+
+
+# characters of a report encoded and written at a time, so that no encoded
+# copy of a whole report is built
+WRITE_SLICE = 1 << 20
+
+
+def write_utf8(stream, text: str) -> None:
+    """``text`` as UTF-8 bytes on the binary ``stream``, a slice at a time."""
+    for start in range(0, len(text), WRITE_SLICE):
+        stream.write(text[start:start + WRITE_SLICE].encode("utf-8"))
 
 
 def write_stdout(text: str) -> None:
@@ -573,21 +646,24 @@ def write_stdout(text: str) -> None:
         sys.stdout.write(text)
         return
     sys.stdout.flush()
-    buffer.write(text.encode("utf-8"))
+    write_utf8(buffer, text)
     buffer.flush()
 
 
 def write_outputs(args: argparse.Namespace, text: str, report: dict) -> None:
-    """The report to ``--out`` and the values to ``--csv``, where given; a
-    file that cannot be written is an ``output_unwritable`` error."""
+    """The report to ``--out`` and the values to ``--csv``, where given, and
+    then the report to stdout if there is no ``--out``; a file that cannot
+    be written is an ``output_unwritable`` error."""
     try:
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(args.out, "wb") as fh:
+                write_utf8(fh, text)
         if args.command == "eval" and args.csv:
             write_csv(args.csv, report)
     except OSError as err:
         raise OutputUnwritableError(str(err)) from err
+    if not args.out:
+        write_stdout(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,6 +687,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stage(command: str, name: str, run, *args):
+    """``run(*args)``, its seconds logged at DEBUG as the stage ``name``."""
+    started = time.perf_counter()
+    result = run(*args)
+    log.debug("%s stage %s: %.3fs", command, name, time.perf_counter() - started)
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     # getLevelName maps a level name to its number and anything else to a string
     level = logging.getLevelName(os.environ.get("FOCK_LOG", "WARNING").upper())
@@ -625,18 +709,16 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.perf_counter()
     try:
-        config = load_config(args.config, args.command, overrides)
-        report = COMMANDS[args.command](config)
+        config = _stage(args.command, "parse", load_config, args.config, args.command, overrides)
+        report = _stage(args.command, "command", COMMANDS[args.command], config)
         elapsed = time.perf_counter() - started
-        text = render_report(report)
-        write_outputs(args, text, report)
+        text = _stage(args.command, "render", render_report, report)
+        _stage(args.command, "write", write_outputs, args, text, report)
     except FockError as err:
-        write_stdout(render_json({"error": err.payload()}) + "\n")
+        write_stdout(render_json({"error": err.payload()}, newline=True))
         log.error("%s failed: %s", args.command, err)
         return 2
 
-    if not args.out:
-        write_stdout(text)
     print(f"{args.command}: {'pass' if report['pass'] else 'FAIL'} in {elapsed:.2f}s",
           file=sys.stderr)
     return 0 if report["pass"] else 1

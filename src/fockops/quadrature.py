@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import ConfigError, EvaluatorError, NodeBudgetError
 from .operators import inv_sqrt_spd
@@ -60,6 +59,10 @@ def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's k-node rule, refused unless its nodes are finite and its
     weights sum to sqrt(pi): past MAX_NODES_PER_AXIS they underflow, then
     are NaN."""
+    # numpy.polynomial loads with the first rule: truncate, which imports
+    # this module for its budgets, builds none
+    from numpy.polynomial.hermite import hermgauss
+
     with np.errstate(all="ignore"):
         u, w = hermgauss(k)
     if not (np.isfinite(u).all() and abs(w.sum() - math.sqrt(math.pi)) <= 1e-12):

@@ -13,15 +13,17 @@ import orjson
 RENDER_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
-def render_json(value) -> str:
+def render_json(value, *, newline: bool = False) -> str:
     """Strict JSON text of ``value``: keys sorted, two-space indent, UTF-8
     text unescaped, a non-finite float as ``null`` and every other float as
     its shortest round-trip digits, in orjson's notation (``1e-7``,
     ``1e16``, ``0.00001`` where Python writes ``1e-07``, ``1e+16``,
     ``1e-05``).  float64 numpy arrays are encoded from their buffer.  What
     orjson cannot encode, such as an integer outside 64 bits, raises
-    ``orjson.JSONEncodeError``, a TypeError."""
-    return orjson.dumps(value, option=RENDER_OPTIONS).decode()
+    ``orjson.JSONEncodeError``, a TypeError.  With ``newline`` the text
+    ends in one, appended by orjson, so that the text is built once."""
+    option = RENDER_OPTIONS | orjson.OPT_APPEND_NEWLINE if newline else RENDER_OPTIONS
+    return orjson.dumps(value, option=option).decode()
 
 
 def complex_json(value):

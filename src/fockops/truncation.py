@@ -27,14 +27,40 @@ from .quadrature import NODE_BUDGET
 __all__ = ["TruncationSpec", "CaSequence", "ca_sequence"]
 
 
+TINY = np.finfo(float).tiny  # the smallest normal float
+
+# terms of a tower taken per pass: the blocks of the arrays a pass reads
+# and makes, 128 KB apiece, stay in L2, and no temporary spans the tower
+BLOCK = 16_384
+
+
+def _blocks(n: int):
+    """The (start, stop) of each BLOCK-term block of n terms, in order."""
+    return ((start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: one that is already read-only
+    float64, as the generators build theirs, is kept as it is; anything
+    else is copied."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 \
+            and not values.flags.writeable:
+        return values
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class TruncationSpec:
     """Simultaneous eigenvalue data for the two blocks, plus a depth.
 
-    The sequences are kept as read-only float64 copies of positive finite entries;
-    for each of the first max_n pairs, the product r_k t_k is a normal float and the
-    factor within the float range.  ``increments`` holds their terms of log c_n^{-1};
-    a generator sets ``verdict``, the (bounded, tail bound, note) of its family."""
+    The sequences are kept as read-only float64 arrays of positive finite
+    entries (see _read_only); for each of the first max_n pairs, the product
+    r_k t_k is a normal float and the factor within the float range.
+    ``increments`` holds their terms of log c_n^{-1}, built a BLOCK at a
+    time; a generator sets ``verdict``, the (bounded, tail bound, note) of
+    its family."""
 
     r_seq: np.ndarray
     t_seq: np.ndarray
@@ -43,33 +69,37 @@ class TruncationSpec:
     verdict: tuple = field(init=False, default=(None, None, "a finite list decides nothing"))
 
     def __post_init__(self):
-        r = np.array(self.r_seq, dtype=float)
-        t = np.array(self.t_seq, dtype=float)
-        r.flags.writeable = t.flags.writeable = False
+        r, t = _read_only(self.r_seq), _read_only(self.t_seq)
         n = self.max_n
         if n < 1:
             raise ConfigError("max_n must be positive")
         if len(r) < n or len(t) < n:
             raise ConfigError("eigenvalue sequences shorter than max_n")
-        # one test for both conditions: NaN fails every comparison
-        if not ((r > 0) & (r < math.inf)).all() or not ((t > 0) & (t < math.inf)).all():
+        # one test for both conditions: NaN fails every comparison, and the
+        # minimum of an array that holds one is NaN
+        if not all(x.min() > 0 and x.max() < math.inf for x in (r, t)):
             raise ConfigError("eigenvalues must be positive and finite")
-        with np.errstate(over="ignore"):
-            products = r[:n] * t[:n]
-        normal = (products >= np.finfo(float).tiny) & (products < math.inf)
-        if (bad := np.flatnonzero(~normal)).size:
-            k = int(bad[0])
-            raise ConfigError(f"eigenvalue product r_{k + 1} t_{k + 1} = {r[k]} * {t[k]} "
-                              "is not a normal float")
-        # q (q / (2 sqrt(r t))) overflows only where the excess itself does
-        q = (r[:n] - t[:n]) / (np.sqrt(r[:n]) + np.sqrt(t[:n]))
-        with np.errstate(over="ignore"):
-            excess = q * (q / (2.0 * np.sqrt(products)))
-        if (bad := np.flatnonzero(np.isinf(excess))).size:
-            k = int(bad[0])
+        increments = np.empty(n)
+        overflow = None  # the first term whose factor is beyond the float range
+        for start, stop in _blocks(n):
+            rb, tb = r[start:stop], t[start:stop]
+            with np.errstate(over="ignore"):
+                products = rb * tb
+            if not (products.min() >= TINY and products.max() < math.inf):
+                k = start + int(np.argmin((products >= TINY) & (products < math.inf)))
+                raise ConfigError(f"eigenvalue product r_{k + 1} t_{k + 1} = {r[k]} * {t[k]} "
+                                  "is not a normal float")
+            # q (q / (2 sqrt(r t))) overflows only where the excess itself does
+            q = (rb - tb) / (np.sqrt(rb) + np.sqrt(tb))
+            with np.errstate(over="ignore"):
+                excess = q * (q / (2.0 * np.sqrt(products)))
+            if overflow is None and excess.max() == math.inf:
+                overflow = start + int(np.argmax(excess))
+            np.multiply(np.log1p(excess, out=excess), 0.5, out=increments[start:stop])
+        # a product that is not normal is refused first, wherever it lies
+        if (k := overflow) is not None:
             raise ConfigError(f"factor (r_{k + 1} + t_{k + 1}) / (2 sqrt(r_{k + 1} t_{k + 1})) "
                               f"for {r[k]} and {t[k]} is beyond the float range")
-        increments = 0.5 * np.log1p(excess)
         increments.flags.writeable = False
         object.__setattr__(self, "r_seq", r)
         object.__setattr__(self, "t_seq", t)
@@ -78,7 +108,7 @@ class TruncationSpec:
     @classmethod
     def constant(cls, r: float, t: float, max_n: int) -> "TruncationSpec":
         _require_budget(max_n)
-        spec = cls(np.full(max_n, float(r)), np.full(max_n, float(t)), max_n)
+        spec = cls(_repeated(r, max_n), _repeated(t, max_n), max_n)
         object.__setattr__(spec, "verdict", (True, 0.0, "constant family, r = t: every term is 0")
                            if float(r) == float(t) else
                            (False, None, "constant family, r != t: the sums grow linearly"))
@@ -87,31 +117,45 @@ class TruncationSpec:
     @classmethod
     def perturbation(cls, base: float, amplitude: float, power: float,
                      max_n: int) -> "TruncationSpec":
-        """r_k = base + amplitude / k^power against t_k = base.
+        """r_k = base + amplitude / k^power against t_k = base, built a BLOCK at a time.
 
         k^power has the bits of Python's ``pow(k, power)``: ``np.float_power`` (not
         ``np.power``) for a float power; for an int, the exact integer power rounded once,
         which the C ``pow`` may not match past 2^53.  A finite power whose k^power overflows
         is refused, an int one from 1024 on before any pow; inf and NaN terms are checked below."""
         _require_budget(max_n)
-        if isinstance(power, int):
-            try:
-                if power >= 1024 and max_n >= 2:
-                    raise OverflowError
-                powers = np.fromiter(map(pow, range(1, max_n + 1), repeat(power)), float)
-            except OverflowError as err:
-                raise ConfigError(f"k^power overflows for power {power}") from err
-        else:
-            with np.errstate(over="ignore", under="ignore"):
-                powers = np.float_power(np.arange(1.0, max_n + 1), power)
-            if math.isfinite(power) and np.isinf(powers).any():
-                raise ConfigError(f"k^power overflows for power {power}")
-        # a term beyond the float range is refused with the others below
-        with np.errstate(all="ignore"):
-            r = base + amplitude / powers
-        spec = cls(r, np.full_like(r, base), max_n)
+        if isinstance(power, int) and power >= 1024 and max_n >= 2:
+            raise ConfigError(f"k^power overflows for power {power}")
+        r = np.empty(max_n)
+        for start, stop in _blocks(max_n):
+            powers = _powers(start + 1, stop + 1, power)
+            # a term beyond the float range is refused with the others below
+            with np.errstate(all="ignore"):
+                r[start:stop] = base + amplitude / powers
+        r.flags.writeable = False
+        spec = cls(r, _repeated(base, max_n), max_n)
         object.__setattr__(spec, "verdict", _perturbation_verdict(base, amplitude, power, max_n))
         return spec
+
+
+def _repeated(value: float, n: int) -> np.ndarray:
+    """``value`` n times, as a read-only float64 array that stores it once."""
+    return np.broadcast_to(np.float64(value), (n,))
+
+
+def _powers(start: int, stop: int, power: float) -> np.ndarray:
+    """k^power for k from ``start`` below ``stop``, as TruncationSpec.perturbation
+    takes them; one that overflows is a config error."""
+    if isinstance(power, int):
+        try:
+            return np.fromiter(map(pow, range(start, stop), repeat(power)), float, stop - start)
+        except OverflowError as err:
+            raise ConfigError(f"k^power overflows for power {power}") from err
+    with np.errstate(over="ignore", under="ignore"):
+        powers = np.float_power(np.arange(float(start), stop), power)
+    if math.isfinite(power) and np.isinf(powers).any():
+        raise ConfigError(f"k^power overflows for power {power}")
+    return powers
 
 
 def _require_budget(max_n: int) -> None:

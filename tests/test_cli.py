@@ -1113,3 +1113,36 @@ def test_each_truncate_form_gives_its_generators_sequence(config, want):
     assert _bits(got["logCaInv"]) == _bits(want["logCaInv"])
     assert (got["bounded"], got["tailBound"], got["note"]) == (
         want["bounded"], want["tailBound"], want["note"])
+
+
+def test_each_cli_stage_logs_its_seconds_and_the_report_stays(tmp_path, capsys, caplog):
+    import logging
+
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "constant", "r": 2.0, "t": 1.0, "maxN": 5})
+    _, quiet = run_cli(capsys, "truncate", "--config", cfg)
+    with caplog.at_level(logging.DEBUG, logger="fockops"):
+        code, out = run_cli(capsys, "truncate", "--config", cfg)
+    assert code == 0 and out == quiet
+    stages = [record for record in caplog.records
+              if record.name == "fockops" and "stage" in record.msg]
+    assert [record.args[:2] for record in stages] == [
+        ("truncate", "parse"), ("truncate", "command"), ("truncate", "render"),
+        ("truncate", "write")]
+    for record in stages:
+        assert record.levelno == logging.DEBUG and record.args[2] >= 0.0
+        assert record.getMessage().endswith("s")
+
+
+def test_a_report_written_a_slice_at_a_time_has_the_same_bytes(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "constant", "r": 2.0, "t": 1.0,
+                                              "maxN": 300})
+    code, whole = run_cli(capsys, "truncate", "--config", cfg)
+    assert code == 0 and whole.endswith("}\n")
+    monkeypatch.setattr(fo.cli, "WRITE_SLICE", 7)
+    out = tmp_path / "report.json"
+    assert main(["truncate", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == whole.encode()
+    # a character of several bytes that a slice ends on is written whole
+    stream = io.BytesIO()
+    fo.cli.write_utf8(stream, "ab€déf" * 5)
+    assert stream.getvalue() == ("ab€déf" * 5).encode("utf-8")

@@ -3,9 +3,13 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -261,3 +265,94 @@ def test_verify_config_fields_are_the_verify_config_keys():
 
     keys = CONFIG_SCHEMAS["verify"]["properties"]
     assert sorted(field.name for field in fields(VerifyConfig)) == sorted(keys)
+
+
+# fockops.__all__ as the package listed it when it imported every module
+PUBLIC_NAMES = {
+    "CaSequence", "CallableField", "ConfigError", "DimensionMismatchError", "DivergenceError",
+    "EvaluatorError", "FockError", "GaussPoly", "HolomorphicFunction", "IllConditionedError",
+    "NodeBudgetError", "NotPositiveDefiniteError", "NotSymmetricError", "OperatorContext",
+    "OutputUnwritableError", "Polynomial", "QuadratureRule", "RangeOverflowError",
+    "RealFormError", "RealLinearMap", "TruncationSpec", "UnsupportedFormError",
+    "build_context", "ca_sequence", "classical_to_weighted", "coherent_inner", "coherent_state",
+    "coherent_state_fn", "convolve_gaussian", "decompose", "density_s", "errors",
+    "eval_functional_norm", "fock_gram", "fock_inner_product", "fock_norm", "fock_rule",
+    "gaussian_integral", "ground_state", "heat_convolve", "heat_kernel", "hermite_function",
+    "integrate", "integrate_gausspoly", "integrate_shifted", "inv_sqrt_spd", "kernel",
+    "kernel_from_densities", "kernel_section", "kernels", "l2_inner_product", "mc_integrate",
+    "measure_density", "multiplier", "normalized_monomial", "operators", "phase_factor",
+    "quadrature", "require_spd", "restrict", "restrict_adjoint", "restriction_modulus",
+    "sb_eigenfunction", "segal_bargmann", "segal_bargmann_classical_fn", "segal_bargmann_fn",
+    "segal_bargmann_gaussian_fn", "sqrt_spd", "symbolic", "transforms", "translate",
+    "truncation", "weighted_ground_state", "weighted_to_classical",
+}
+
+
+def _fresh(code: str, *argv: str) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports fockops from
+    this checkout and writes no bytecode, as the benchmark runs it."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+# runs the CLI on argv, then prints the fockops modules it loaded
+LOADED_BY_MAIN = """
+import sys
+import fockops.cli
+fockops.cli.main(sys.argv[1:])
+print(*sorted(name for name in sys.modules if name.startswith("fockops")))
+"""
+
+
+def test_truncate_loads_only_the_modules_it_runs(tmp_path):
+    config = tmp_path / "truncate.json"
+    config.write_text('{"kind": "constant", "r": 2.0, "t": 1.0, "maxN": 10}')
+    loaded = _fresh(LOADED_BY_MAIN, "truncate", "--config", str(config),
+                    "--out", str(tmp_path / "report.json")).split()
+    assert set(loaded) == {"fockops", "fockops.cli", "fockops.errors", "fockops.operators",
+                           "fockops.quadrature", "fockops.report", "fockops.truncation"}
+    assert not {"fockops.symbolic", "fockops.transforms", "fockops.kernels",
+                "fockops.verification"} & set(loaded)
+
+
+@pytest.mark.parametrize("target", ["kernel", "weighted_transform"])
+def test_eval_leaves_the_verification_suite_unloaded(tmp_path, target):
+    config = tmp_path / "eval.json"
+    config.write_text(json.dumps({
+        "operator": {"n": 1, "R": [[2.0]], "T": [[1.0]]},
+        "eval": {"target": target, "points": [{"z": [0.1, 0.2], "w": [0.0, 0.3]}
+                                              if target == "kernel" else {"z": [0.1, 0.2]}],
+                 **({} if target == "kernel" else {"function": {"kind": "ground_state"}})},
+    }))
+    loaded = set(_fresh(LOADED_BY_MAIN, "eval", "--config", str(config),
+                        "--out", str(tmp_path / "report.json")).split())
+    assert "fockops.kernels" in loaded if target == "kernel" else "fockops.transforms" in loaded
+    assert not {"fockops.verification", "fockops.testing"} & loaded
+
+
+def test_import_fockops_loads_only_the_error_types():
+    loaded = _fresh("import sys, fockops\n"
+                    "print(*sorted(m for m in sys.modules if m.startswith('fockops')))").split()
+    assert loaded == ["fockops", "fockops.errors"]
+
+
+def test_the_public_names_are_the_same_and_each_resolves():
+    assert set(fockops.__all__) == PUBLIC_NAMES
+    assert len(fockops.__all__) == len(PUBLIC_NAMES)
+    assert PUBLIC_NAMES <= set(dir(fockops))
+    resolves = ("import fockops\n"
+                "print(all(hasattr(fockops, name) for name in fockops.__all__))")
+    assert _fresh(resolves).split() == ["True"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fockops.no_such_name  # noqa: B018
+
+
+def test_submodules_resolve_as_attributes_of_a_bare_import():
+    # perfbench/child.py reads fockops.verification and fockops.operators
+    # after importing only fockops and fockops.cli
+    code = ("import fockops, fockops.cli\n"
+            "print(fockops.verification.VerifyConfig.__name__,"
+            " fockops.operators.to_complex_coords.__name__, fockops.testing.__name__)")
+    assert _fresh(code).split() == ["VerifyConfig", "to_complex_coords", "fockops.testing"]

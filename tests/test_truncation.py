@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockops import CaSequence, RealLinearMap, TruncationSpec, build_context, ca_sequence
+from fockops import truncation
 from fockops.cli import main
 from fockops.errors import ConfigError, NodeBudgetError
 from fockops.quadrature import NODE_BUDGET
@@ -324,3 +325,70 @@ def test_factor_beyond_the_float_range_is_refused():
     assert ca_sequence(TruncationSpec((1e300,), (1e-300,), 1)).log_ca_inv[0] == 345.0411903588269
     assert ca_sequence(TruncationSpec((1.7976931348623157e308,), (1.0,), 1)).log_ca_inv[0] \
         == pytest.approx(0.5 * math.log(math.sqrt(1.7976931348623157e308) / 2), rel=1e-15)
+
+
+BLOCK = truncation.BLOCK
+
+
+def _whole_array_increments(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The terms of log c_n^{-1} as one expression over the whole tower."""
+    q = (r - t) / (np.sqrt(r) + np.sqrt(t))
+    return 0.5 * np.log1p(q * (q / (2.0 * np.sqrt(r * t))))
+
+
+def _tower(form: str, max_n: int):
+    """A spec of ``form`` and the r and t it must hold, built whole."""
+    if form == "constant":
+        return (TruncationSpec.constant(2.5, 0.75, max_n),
+                np.full(max_n, 2.5), np.full(max_n, 0.75))
+    if form == "perturbation":
+        power = 1.6180424104532907
+        r = 1.3 + 0.7 / np.float_power(np.arange(1.0, max_n + 1), power)
+        return TruncationSpec.perturbation(1.3, 0.7, power, max_n), r, np.full(max_n, 1.3)
+    rng = np.random.default_rng(max_n)
+    r, t = rng.uniform(0.1, 10.0, size=(2, max_n + 3))  # longer than the tower
+    return TruncationSpec(r.tolist(), t.tolist(), max_n), r, t
+
+
+@pytest.mark.parametrize("max_n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK // 2])
+@pytest.mark.parametrize("form", ["constant", "perturbation", "explicit"])
+def test_the_blocked_tower_has_the_bits_of_the_whole_array_formula(form, max_n):
+    spec, r, t = _tower(form, max_n)
+    assert spec.r_seq.tobytes() == r.tobytes() and spec.t_seq.tolist() == t.tolist()
+    want = _whole_array_increments(r[:max_n], t[:max_n])
+    assert spec.increments.tobytes() == want.tobytes()
+    assert ca_sequence(spec).log_ca_inv.tobytes() == np.cumsum(want).tobytes()
+    assert not (spec.r_seq.flags.writeable or spec.t_seq.flags.writeable
+                or spec.increments.flags.writeable)
+
+
+def _refusal(r: np.ndarray, t: np.ndarray) -> str:
+    with pytest.raises(ConfigError) as caught:
+        TruncationSpec(r.tolist(), t.tolist(), len(r))
+    return str(caught.value)
+
+
+def test_a_fault_in_a_later_block_names_its_own_term():
+    n = 5 * BLOCK // 2
+    r, t = np.full(n, 2.0), np.full(n, 1.0)
+    late = 2 * BLOCK + 5
+    # r_k t_k = 8.5e-16 is normal, but the factor overflows
+    r[late], t[late] = 1.7e308, 5e-324
+    assert _refusal(r, t) == (f"factor (r_{late + 1} + t_{late + 1}) / "
+                              f"(2 sqrt(r_{late + 1} t_{late + 1})) "
+                              "for 1.7e+308 and 5e-324 is beyond the float range")
+    # the first of two such terms is named
+    r[BLOCK + 1], t[BLOCK + 1] = 1.7e308, 5e-324
+    assert f"r_{BLOCK + 2} + t_{BLOCK + 2}" in _refusal(r, t)
+
+
+def test_a_product_that_is_not_normal_is_refused_before_an_earlier_overflow():
+    # the whole-array checks refused every product that is not normal before
+    # any factor beyond the float range, wherever the two lie
+    n = 5 * BLOCK // 2
+    r, t = np.full(n, 2.0), np.full(n, 1.0)
+    r[3], t[3] = 1.7e308, 5e-324
+    late = 2 * BLOCK + 5
+    r[late] = t[late] = 1e-160
+    assert _refusal(r, t) == (f"eigenvalue product r_{late + 1} t_{late + 1} = "
+                              "1e-160 * 1e-160 is not a normal float")
