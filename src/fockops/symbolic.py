@@ -2,14 +2,14 @@
 
 One term type carries the whole closed class:
 
-* :class:`Polynomial`: one read-only dense coefficient array, evaluated
-  and composed with affine maps by nested Horner.  A block of coefficients
-  times rows within a budget (256 KiB complex) is evaluated one axis at a
-  time, every line of the axis in one product and one sum per power: few
-  rows, as at a point, would otherwise pay a Python call per coefficient
-  slab.  A larger block, a quadrature chunk, goes slab by slab, skipping
-  all-zero slabs, as arithmetic on every line would cost more there.  The
-  bits are the same either way (:func:`_horner`).
+* :class:`Polynomial`: one read-only dense coefficient array, whose zeros
+  are +0, evaluated and composed with affine maps by nested Horner.  A
+  block of coefficients times rows within a budget (256 KiB complex) is
+  evaluated one axis at a time, every line of the axis in one product and
+  one sum per power: few rows, as at a point, would otherwise pay a Python
+  call per coefficient slab.  A larger block, a quadrature chunk, goes slab
+  by slab, skipping all-zero slabs, as arithmetic on every line would cost
+  more there.  The bits are the same either way (:func:`_horner`).
 
 * :class:`GaussPoly`: ``p(x) * exp(-x.Px/2 + b.x + g)`` with ``p`` a
   :class:`Polynomial` and ``P`` complex symmetric; ``x.Px`` is the
@@ -25,11 +25,11 @@ One term type carries the whole closed class:
 Gaussian integrals and convolutions are evaluated by completing the
 square; the polynomial factor is averaged against the centred Gaussian
 of covariance ``C = Q^{-1}`` by the heat operator ``exp(½ ∂·C∂)``
-(:func:`_smoothed`), whose series ends after half the degree (the Wick
-sums, term by term).  Complex symmetric quadratic forms with
-positive-definite real part keep their eigenvalues in the right half
-plane, so the principal branch of ``det^{-1/2}`` used here is the
-analytic continuation of the real SPD formula.
+(:func:`_smoothed`) over the nonzero entries of ``C``, whose series ends
+after half the degree (the Wick sums, term by term).  Complex symmetric
+quadratic forms with positive-definite real part keep their eigenvalues in
+the right half plane, so the principal branch of ``det^{-1/2}`` used here
+is the analytic continuation of the real SPD formula.
 
 Real terms at real points are evaluated in float64 with the same bits:
 at a float array of points (the quadrature routes pass one) the Horner
@@ -235,7 +235,8 @@ def _compose(c: np.ndarray, lines: list) -> np.ndarray:
 class Polynomial:
     """Polynomial in n complex variables: ``coeffs[a_1, ..., a_n]``, a read-only
     complex array cut to the largest power of each variable present, is the
-    coefficient of x_1^a_1 ... x_n^a_n; ``terms`` views the nonzero ones.
+    coefficient of x_1^a_1 ... x_n^a_n; ``terms`` views the nonzero ones.  Its
+    zeros, in either part, are +0: only :meth:`from_coeffs` stores the array.
     ``_real`` is the real part of ``coeffs`` when it is all there is, else None."""
 
     __slots__ = ("n", "coeffs", "_real")
@@ -254,9 +255,10 @@ class Polynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "Polynomial":
-        """The polynomial with the dense coefficient array ``coeffs``."""
+        """The polynomial with the dense coefficient array ``coeffs``; + 0.0
+        makes each -0 a +0 and keeps the bits of every other value."""
         out, c = cls.__new__(cls), np.asarray(coeffs, dtype=complex)
-        out.coeffs = c[tuple(slice(ix.max() + 1 if ix.size else 1) for ix in np.nonzero(c))].copy()
+        out.coeffs = c[tuple(slice(ix.max() + 1 if ix.size else 1) for ix in np.nonzero(c))] + 0.0
         out.coeffs.flags.writeable, out.n = False, c.ndim
         out._real = None if out.coeffs.imag.any() else out.coeffs.real
         return out
@@ -538,44 +540,22 @@ def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
     cov: the heat operator exp(d.cov d / 2) p, a series ending at half the degree.
     Its terms can dwarf their sum (Hermite p): it runs in long double, rounded once.
 
-    Each step sums its pairs (i, j) of axes in order and leaves out those
-    whose cov entry is 0 (a diagonal cov keeps n of n^2).  Their products are
-    zeros, which move no value, only the sign of a zero sum, so the bits are
-    those of the sum over every pair while pair (0, 0), which that sum starts
-    from, is kept and every step's sum is finite and holds no -0; otherwise
-    the series is summed over every pair."""
+    Each step sums, in order, the pairs (i, j) of axes with a nonzero cov
+    entry (a diagonal cov keeps n of n^2); with none, p is its own result.
+    A zero pair adds zeros, which change only the sign of a zero sum, and a
+    Polynomial stores every zero as +0: the bits are those of every pair's sum."""
     _require_smoothable(poly, cov)
     cov = np.asarray(cov).astype(np.clongdouble)
-    every = [(i, j) for i in range(poly.n) for j in range(poly.n)]
-    out = None
-    if cov[0, 0] != 0:
-        out = _heat_series(poly, cov, [(i, j) for i, j in every if cov[i, j] != 0])
-    if out is None:
-        out = _heat_series(poly, cov, every)
-    return Polynomial.from_coeffs(out.astype(complex))
-
-
-def _heat_series(poly: Polynomial, cov: np.ndarray, pairs: list) -> np.ndarray | None:
-    """The long double coefficients of exp(d.cov d / 2) p, each step summed
-    over ``pairs`` in order.  If they are not every pair, a step's sum is
-    padded with +0 to the shape of the step before, which the sum over every
-    pair has for n >= 2, and None is returned for a sum that holds a -0 or
-    a value that is not finite."""
+    pairs = [(i, j) for i in range(poly.n) for j in range(poly.n) if cov[i, j] != 0]
+    if not pairs:
+        return poly
     term = out = poly.coeffs.astype(np.clongdouble)
-    partial = len(pairs) < poly.n**2
     for k in range(1, poly.degree() // 2 + 1):
         firsts = {i: _derivative(term, i) for i in {i for i, _ in pairs}}
-        shape = term.shape
         term = reduce(_padded_add, [cov[i, j] / (2 * k) * _derivative(firsts[i], j)
                                     for i, j in pairs])
-        if partial:
-            if not all(np.isfinite(x).all() and not (np.signbit(x) & (x == 0)).any()
-                       for x in (term.real, term.imag)):
-                return None
-            if term.shape != shape:
-                term = _padded_add(np.zeros(shape, term.dtype), term)
         out = _padded_add(out, term)
-    return out
+    return Polynomial.from_coeffs(out.astype(complex))
 
 
 def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) -> complex:

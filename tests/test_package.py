@@ -241,6 +241,56 @@ def test_the_quadrature_route_takes_no_exponential_per_node():
                 if call.rsplit(".", 1)[-1] in {"exp", "expm1", "exp_rows", "cos", "sin"}}
 
 
+def _stores(target, value):
+    """The (target, value) pairs of an assignment, tuples taken apart; a value
+    that cannot be matched to its target is None."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        values = value.elts if isinstance(value, ast.Tuple) and len(value.elts) == len(
+            target.elts) else [None] * len(target.elts)
+        for t, v in zip(target.elts, values):
+            yield from _stores(t, v)
+    else:
+        yield target, value
+
+
+def test_only_from_coeffs_stores_a_coefficient_array():
+    """Polynomial.from_coeffs is the one place a coefficient array is stored,
+    so every zero in one is +0: no other code in the package assigns or sets
+    ``coeffs``, and Polynomial.__init__ only copies the ``coeffs`` of a
+    from_coeffs result."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "fockops").glob("*.py"))}
+    (polynomial,) = [node for node in trees["symbolic.py"].body
+                     if isinstance(node, ast.ClassDef) and node.name == "Polynomial"]
+    methods = {f.name: f for f in polynomial.body if isinstance(f, ast.FunctionDef)}
+    home, init = ({id(node) for node in ast.walk(methods[name])}
+                  for name in ("from_coeffs", "__init__"))
+    built = {f"{target.id}.coeffs" for node in ast.walk(methods["__init__"])
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+             and ast.unparse(node.value.func).endswith(".from_coeffs")
+             for target in node.targets if isinstance(target, ast.Name)}
+    found, homes = [], []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "setattr" in ast.unparse(node.func) and any(
+                    isinstance(arg, ast.Constant) and arg.value == "coeffs" for arg in node.args):
+                found.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Assign):
+                pairs = [pair for target in node.targets for pair in _stores(target, node.value)]
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                pairs = [(node.target, None)]
+            else:
+                continue
+            for target, value in pairs:
+                if isinstance(target, ast.Attribute) and target.attr == "coeffs":
+                    if id(node) in home:
+                        homes.append(f"{name}:{node.lineno}")
+                    elif id(node) not in init or value is None or ast.unparse(value) not in built:
+                        found.append(f"{name}:{node.lineno}")
+    assert not found
+    assert len(homes) == 1
+
+
 @pytest.mark.parametrize("make", [
     lambda: fockops.RealLinearMap.identity(1),
     lambda: fockops.build_context(fockops.RealLinearMap.identity(1)),

@@ -372,6 +372,10 @@ def test_smoothing_a_hermite_product_on_a_diagonal_covariance_takes_the_diagonal
     _smoothed(p, 0.5 * np.eye(3))
     # two derivatives along each of the three axes per step, not 3 + 9
     assert len(calls) == 6 * (p.degree() // 2)
+    calls.clear()
+    # a -0 coefficient takes the same two pairs, not a second series over all four
+    _smoothed(Polynomial.from_coeffs([[-0.0, 0.4, -1.8]]), np.diag([0.1, -0.8]))
+    assert len(calls) == 4
 
 
 # variance -> the first degree d at which smoothing y^d leaves the float range:
@@ -403,12 +407,33 @@ def test_smoothing_is_refused_exactly_where_its_series_leaves_the_float_range(
 @given(p=polynomials())
 def test_terms_view_rebuilds_the_polynomial_property(p):
     again = Polynomial(p.n, p.terms)
-    np.testing.assert_array_equal(again.coeffs, p.coeffs)
+    np.testing.assert_array_equal(bits(again.coeffs), bits(p.coeffs))
     assert all(type(a) is int for alpha in p.terms for a in alpha)
     with pytest.raises(TypeError):
         p.terms[(0,) * p.n] = 1.0
     with pytest.raises(ValueError):
         p.coeffs[(0,) * p.n] = 1.0
+
+
+def test_a_polynomial_stores_its_zeros_as_plus_zero_and_keeps_every_other_bit():
+    rng = np.random.default_rng(8)
+    pool = [0.0, -0.0, 1.5, -2.5, 1e-300, -np.inf]
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)).tolist())
+        c = np.empty(shape, complex)
+        c.real, c.imag = rng.choice(pool, size=shape), rng.choice(pool, size=shape)
+        p = Polynomial.from_coeffs(c)
+        raw = c[tuple(map(slice, p.coeffs.shape))]
+        for part in (np.real, np.imag):
+            stored, given = part(p.coeffs), part(raw)
+            assert not np.signbit(stored[stored == 0]).any()
+            assert np.array_equal(bits(stored[given != 0]), bits(given[given != 0]))
+        assert np.array_equal(bits(Polynomial(p.n, p.terms).coeffs), bits(p.coeffs))
+    f = hermite_function((3, 4))
+    conj = f.conjugated().poly.coeffs
+    parts = conj.view(float)
+    assert not f.poly.coeffs.imag.any() and not np.signbit(parts[parts == 0]).any()
+    assert np.array_equal(bits(conj), bits(f.poly.coeffs))
 
 
 # -- real terms at real points: float64 arithmetic, complex bits ----------------
@@ -511,7 +536,7 @@ def row_bits(out, rows: int, dtype) -> np.ndarray:
 def test_horner_has_the_bits_of_the_slab_recursion_at_every_batch_size(shape, kind):
     rng = np.random.default_rng(sum(shape) + len(kind))
     c = rng.standard_normal(shape)
-    if kind == "complex":  # with imaginary parts of -0, as a conjugated real term has
+    if kind == "complex":  # raw arrays with imaginary parts of -0: _horner takes any array
         c = c + 1j * rng.standard_normal(shape)
         c.imag[rng.random(shape) < 0.2] = -0.0
     c[rng.random(shape) < 0.4] = 0
