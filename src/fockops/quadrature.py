@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import ConfigError, EvaluatorError, NodeBudgetError
+from .errors import ConfigError, DimensionMismatchError, EvaluatorError, NodeBudgetError
 from .operators import inv_sqrt_spd
 
 log = logging.getLogger(__name__)
@@ -116,12 +116,37 @@ class QuadratureRule:
              stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``start`` to ``stop`` (lexicographic; all by default) and
         their read-only probability weights, scaled from the shape's
-        :func:`_unit_grid`."""
+        :func:`_unit_grid` by one product with the transform and, for a
+        ``center`` (a real vector of length ``dim``, :func:`_real_vector`),
+        shifted column by column: one add per column, each a loop over the
+        rows, where a row-wise broadcast would loop over dim values at a
+        time; the bits are the same."""
         U, W = _unit_grid(self.nodes_per_axis, self.dim)
         X = U[start:stop] @ self._transform.T
         if center is not None:
-            X += np.asarray(center, dtype=float)[None, :]
+            for j, c in enumerate(_real_vector(center, self.dim, "center").tolist()):
+                X[:, j] += c
         return X, W[start:stop]
+
+
+def _real_vector(v, dim: int, what: str) -> np.ndarray:
+    """``v`` as a float64 vector of length ``dim``: DimensionMismatchError for
+    any other shape, ConfigError for a complex dtype or a non-finite value,
+    each naming ``what`` and the value passed."""
+    a = np.asarray(v)
+    if a.shape != (dim,):
+        raise DimensionMismatchError(f"{what} must be a real vector of length {dim}, "
+                                     f"got shape {a.shape}: {_shown(a)}")
+    if np.iscomplexobj(a):
+        raise ConfigError(f"{what} must be real, got {_shown(a)}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{what} must be finite, got {_shown(a)}")
+    return a
+
+
+def _shown(a: np.ndarray) -> str:
+    return np.array2string(a, threshold=8, separator=", ")
 
 
 @lru_cache(maxsize=1)
@@ -221,7 +246,7 @@ def _tensor_phase(rule: QuadratureRule, phase):
     vector, so every range has the bits of the whole outer product."""
     u, _ = rule.nodes_1d()
     k = rule.nodes_per_axis
-    c = rule._transform.T @ np.asarray(phase, dtype=float)
+    c = rule._transform.T @ phase
     factors = [np.exp(1j * (c_d * u)) for c_d in c.tolist()]
     if rule.dim == 1:
         return lambda start, stop: factors[0][start:stop]
@@ -239,8 +264,10 @@ def integrate_shifted(rule: QuadratureRule, center, f, phase=None) -> complex:
     """Same expectation with the Gaussian recentered at ``center``; with a real
     vector ``phase``, the expectation of f(X) exp(i phase.(X - center)), whose
     oscillating factor comes from :func:`_tensor_phase`, with no exponential
-    per node."""
-    center = np.asarray(center, dtype=float)
+    per node.  ``center`` and ``phase`` are checked once, by
+    :func:`_real_vector`, before any node is built."""
+    center = _real_vector(center, rule.dim, "center")
+    phase = None if phase is None else _real_vector(phase, rule.dim, "phase")
     oscillation = None if phase is None else _tensor_phase(rule, phase)
 
     def values(X, start):

@@ -207,25 +207,37 @@ def _horner(c: np.ndarray, columns: list):
     return values[0] if nonzero[0] else zero  # an all-zero block is the scalar zero
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of coefficient arrays: a shifted-slice add per nonzero entry of
-    the sparser one."""
-    a, b = sorted((a, b), key=np.count_nonzero)
+def _terms(c: np.ndarray) -> list:
+    """The nonzero entries of a coefficient array, as (index, value) pairs in
+    C order."""
+    return [(alpha, c[alpha]) for alpha in map(tuple, np.argwhere(c).tolist())]
+
+
+def _mul(a: np.ndarray, b: np.ndarray, b_terms: list) -> np.ndarray:
+    """Product of coefficient arrays, given b's :func:`_terms`, so that a
+    factor used at every step of a composition is searched once: a
+    shifted-slice add of each nonzero entry of the sparser one, a on a tie,
+    times the other array."""
+    if np.count_nonzero(a) <= len(b_terms):
+        terms, other = _terms(a), b
+    else:
+        terms, other = b_terms, a
     out = np.zeros(np.add(a.shape, b.shape) - 1, dtype=complex)
-    for alpha in np.argwhere(a):
-        out[tuple(map(slice, alpha, alpha + b.shape))] += a[tuple(alpha)] * b
+    for alpha, value in terms:
+        out[tuple(slice(i, i + d) for i, d in zip(alpha, other.shape))] += value * other
     return out
 
 
 def _compose(c: np.ndarray, lines: list) -> np.ndarray:
     """Coefficients of q(L_1(w), ..., L_n(w)) for the linear forms ``lines``,
+    each a coefficient array and its :func:`_terms`, read once by the caller,
     where c holds q's coefficients in the last c.ndim of them: nested Horner,
-    one product with a linear form per step."""
+    one :func:`_mul` with a linear form per step."""
     n = len(lines)
     acc = np.zeros((1,) * n, dtype=complex)
     for slab in c[::-1]:
         if acc.any():
-            acc = _mul(acc, lines[n - c.ndim])
+            acc = _mul(acc, *lines[n - c.ndim])
         if slab.any():
             acc = _padded_add(acc, np.reshape(slab, (1,) * n) if c.ndim == 1
                               else _compose(slab, lines))
@@ -288,7 +300,7 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return Polynomial.from_coeffs(self.coeffs * complex(other))
-        return Polynomial.from_coeffs(_mul(self.coeffs, other.coeffs))
+        return Polynomial.from_coeffs(_mul(self.coeffs, other.coeffs, _terms(other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -315,7 +327,7 @@ class Polynomial:
         d = np.zeros(n) if d is None else _as_complex_vector(d, n)
         lines = [Polynomial(n, {(0,) * n: d[j], **dict(zip(map(tuple, unit), M[j]))}).coeffs
                  for j in range(n)]
-        return Polynomial.from_coeffs(_compose(self.coeffs, lines))
+        return Polynomial.from_coeffs(_compose(self.coeffs, [(L, _terms(L)) for L in lines]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,28 +389,42 @@ class GaussPoly:
     def exponent_many(self, X: np.ndarray):
         """-x.Px/2 + b.x + gamma at each row of X, row by row; gamma itself
         for a pure polynomial; a float64 array for real P, b and gamma at
-        real rows."""
+        real rows.
+
+        The sums of :func:`bilinear_rows` and of b.x leave out the products
+        with zero entries of P and b: a Hermite field, P = I and b = 0, takes
+        n products with their entries where it took n^2 + n.  A sum starts
+        from the integer 0, so it never holds -0, and a product with a zero
+        entry is a zero that changes no such sum: at a finite row the bits
+        are those of every product.  A row that is inf or NaN only in
+        variables the exponent does not read gets the finite exponent of the
+        others, as no product 0 * inf is taken (the CLI refuses non-finite
+        rows before evaluation)."""
         if not self.P.any() and not self.b.any():
             return self.gamma
         X = _rows(X, self._real_exponent is not None)
         P, b, gamma = (self.P, self.b, self.gamma) if np.iscomplexobj(X) else self._real_exponent
-        linear = sum(b[j] * X[:, j] for j in range(self.n))
-        return -0.5 * bilinear_rows(X, P, X) + linear + gamma
+        linear = sum(b[j] * X[:, j] for j in np.flatnonzero(b).tolist())
+        # np.multiply for the reason bilinear_rows gives
+        quadratic = sum(np.multiply(X[:, j], sum(P[j, k] * X[:, k] for k in ks))
+                        for j, ks in enumerate(map(np.flatnonzero, P)) if ks.size)
+        return -0.5 * quadratic + linear + gamma
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
         """The term at the rows of X, each finite row with the bits of a
         one-row call (a NaN result may differ in its sign bit); a row out of
-        range raises RangeOverflowError for the batch.
+        range raises RangeOverflowError for the batch.  Each value is the
+        polynomial's times the exponential, plus 0.0 in place, so a -0 reads
+        +0 and every other value keeps its bits.
         A zero polynomial is zero everywhere, its exponent unread."""
         X = np.asarray(X)
-        out = np.zeros(X.shape[0], dtype=complex)
         if self.poly.is_zero():
-            return out
+            return np.zeros(X.shape[0], dtype=complex)
         # exp of a real exponent is taken in complex, as numpy's real exp can
         # differ from it in the last bit
         gauss = exp_rows(np.asarray(self.exponent_many(X), dtype=complex), X.shape[0])
-        # summed into zeros, so a value of -0 reads +0, the bits reports carry
-        out += self.poly.evaluate_many(X) * gauss
+        out = self.poly.evaluate_many(X) * gauss
+        out += 0.0  # -0 reads +0, the bits reports carry
         return out
 
     def evaluate(self, x) -> complex:

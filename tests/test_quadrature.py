@@ -8,6 +8,7 @@ import pytest
 
 from fockops import (
     ConfigError,
+    DimensionMismatchError,
     EvaluatorError,
     GaussPoly,
     NodeBudgetError,
@@ -18,6 +19,8 @@ from fockops import (
     mc_integrate,
 )
 from fockops.quadrature import BLOCK, _block_sum, _tensor_phase, _unit_grid, lebesgue_integral
+
+from conftest import same_bits
 
 
 def gaussian_moment(m):
@@ -299,7 +302,7 @@ def test_chunked_reduction_has_the_bits_of_the_whole_array_block_sum(nodes, monk
     rule = QuadratureRule(dim=2, nodes_per_axis=2)
     for got, want in ((integrate(rule, f), whole(X)),
                       (integrate_shifted(rule, center, f), whole(X + center))):
-        assert np.array([got]).view(np.uint64).tolist() == np.array([want]).view(np.uint64).tolist()
+        assert same_bits(got, want)
 
 
 def whole_grid_oracle(rule, center=None):
@@ -314,10 +317,6 @@ def whole_grid_oracle(rule, center=None):
     if center is not None:
         X = X + np.asarray(center, dtype=float)[None, :]
     return X, W
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("k, dim", [
@@ -457,7 +456,7 @@ def test_a_phased_integral_has_the_bits_of_the_whole_array_sum(k, dim):
     prods = f(X) * whole_grid_phase(rule, phase) * W
     want = complex(_block_sum(prods.real), _block_sum(prods.imag))
     got = integrate_shifted(rule, center, f, phase)
-    assert np.array([got]).view(np.uint64).tolist() == np.array([want]).view(np.uint64).tolist()
+    assert same_bits(got, want)
 
 
 def test_a_phased_lebesgue_integral_is_the_gaussian_fourier_transform():
@@ -476,3 +475,45 @@ def test_a_non_finite_integrand_under_a_phase_is_named_by_its_grid_node():
     with pytest.raises(EvaluatorError, match="NaN at node 20000$"):
         integrate_shifted(rule, np.ones(3), lambda X: np.where((X == node).all(axis=1), np.nan, 1),
                           np.array([0.5, 0.1, -0.2]))
+
+
+# a centre or a phase that is not a finite real vector of length dim, with the
+# error each call raises and the text it shows of the value
+MALFORMED = {
+    "a short center": ({"center": [0.1]}, DimensionMismatchError, r"length 2, got shape \(1,\)"),
+    "a center of 3 values": ({"center": [0.1, 0.2, 0.3]}, DimensionMismatchError,
+                             r"got shape \(3,\): \[0\.1, 0\.2, 0\.3\]"),
+    "a 2-D center": ({"center": [[0.1, 0.2]]}, DimensionMismatchError, r"got shape \(1, 2\)"),
+    "a phase of the wrong length": ({"phase": [1.0]}, DimensionMismatchError,
+                                    r"phase must be a real vector of length 2"),
+    "a complex center": ({"center": [0.1 + 0.5j, 0.0]}, ConfigError,
+                         r"center must be real, got \[0\.1\+0\.5j, "),
+    "a complex phase": ({"phase": np.array([1.0, 2j])}, ConfigError, r"phase must be real"),
+    "a non-finite center": ({"center": [0.1, np.nan]}, ConfigError,
+                            r"center must be finite, got \[0\.1, nan\]"),
+    "a non-finite phase": ({"phase": [np.inf, 0.0]}, ConfigError,
+                           r"phase must be finite, got \[inf,  0\.\]"),
+}
+
+
+@pytest.mark.parametrize("case, entry", [
+    (case, entry) for case in sorted(MALFORMED)
+    for entry in ("grid", "integrate_shifted", "lebesgue_integral")
+    if not (entry == "grid" and "phase" in MALFORMED[case][0])])  # grid takes no phase
+def test_a_malformed_center_or_phase_is_refused_before_any_node(case, entry):
+    given, error, text = MALFORMED[case]
+    rule, calls = QuadratureRule(2, 5), []
+
+    def f(X):
+        calls.append(len(X))
+        return np.ones(len(X))
+
+    args = {"center": [0.1, 0.2], "phase": None, **given}
+    with pytest.raises(error, match=text):
+        if entry == "grid":
+            rule.grid(args["center"])
+        elif entry == "integrate_shifted":
+            integrate_shifted(rule, args["center"], f, args["phase"])
+        else:
+            lebesgue_integral(np.eye(2), 5, args["center"], f, args["phase"])
+    assert not calls
