@@ -67,9 +67,14 @@ def _kernel_exponent(ctx: OperatorContext, z: np.ndarray, w: np.ndarray) -> np.n
 
 @pointwise
 def kernel(ctx: OperatorContext, z, w):
-    """Reproducing kernel at (z, w); holomorphic in z, antiholomorphic in w."""
+    """Reproducing kernel at (z, w); holomorphic in z, antiholomorphic in w.
+    A batch call takes z and w of one (m, n) shape, DimensionMismatchError
+    for any other."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
+    if z.shape != w.shape or z.ndim != 2 or z.shape[1] != ctx.n:
+        raise DimensionMismatchError(f"the kernel in {ctx.n} variables takes z and w of one "
+                                     f"shape (m, {ctx.n}), got {z.shape} and {w.shape}")
     return exp_rows(_kernel_exponent(ctx, z, w), len(z))
 
 

@@ -9,7 +9,10 @@ One term type carries the whole closed class:
   one sum per power: few rows, as at a point, would otherwise pay a Python
   call per coefficient slab.  A larger block, a quadrature chunk, goes slab
   by slab, skipping all-zero slabs, as arithmetic on every line would cost
-  more there.  The bits are the same either way (:func:`_horner`).
+  more there.  The bits are the same either way (:func:`_horner`).  A
+  composition is nested Horner one axis at a time too, the lines of an
+  axis in one batch, each with the bits of its own Horner scheme
+  (:func:`_compose`).
 
 * :class:`GaussPoly`: ``p(x) * exp(-x.Px/2 + b.x + g)`` with ``p`` a
   :class:`Polynomial` and ``P`` complex symmetric; ``x.Px`` is the
@@ -54,7 +57,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, RangeOverflowError, UnsupportedFormError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    DivergenceError,
+    RangeOverflowError,
+    UnsupportedFormError,
+)
 
 __all__ = [
     "Polynomial",
@@ -127,6 +136,19 @@ def _as_complex_vector(v, n: int) -> np.ndarray:
     return v
 
 
+def _require_rows(X: np.ndarray, n: int) -> None:
+    """DimensionMismatchError unless X is a batch of points in n variables."""
+    if X.ndim != 2 or X.shape[1] != n:
+        width = X.shape[1] if X.ndim == 2 else f"shape {X.shape}"
+        raise DimensionMismatchError(f"a function of {n} variables takes rows of width {n}, "
+                                     f"got rows of width {width}")
+
+
+def _require_same_n(n: int, m: int) -> None:
+    if n != m:
+        raise DimensionMismatchError(f"polynomials in {n} and {m} variables do not combine")
+
+
 def _sym(M: np.ndarray) -> np.ndarray:
     """The symmetric part of M, halved before the sum so no finite entry overflows."""
     return 0.5 * M + 0.5 * M.T
@@ -163,7 +185,9 @@ def _horner(c: np.ndarray, columns: list):
     first, all lines of an axis at once: one product and one sum per power,
     on temporaries of at most _HORNER_VALUES values.  There a zero term
     adds -0, which changes no value, and a line is overwritten where it
-    starts.  Few rows, a point as the closed routes evaluate one, would pay
+    starts, 0 + v_t, except at the first axis taken when its column is
+    finite and no coefficient has a part of -0: there the line's +-0 prefix
+    plus v_t is v_t already.  Few rows, a point as the closed routes evaluate one, would pay
     a Python call per slab; many rows, a quadrature chunk, would pay for
     arithmetic on every zero line, in temporaries past a core's cache."""
     zero = 0j if np.iscomplexobj(c) else 0.0
@@ -182,14 +206,22 @@ def _horner(c: np.ndarray, columns: list):
         return acc
     nonzero = c != 0
     values, start_row = np.where(nonzero, c, -zero)[..., None], np.zeros(len(columns[0]), c.dtype)
+    # At the first axis a line holds +-0 until its start, and +-0 + v_t is
+    # v_t when no part of v_t is -0 (a stored coefficient's zeros are +0):
+    # at a finite coordinate the start changes no bit.  At an infinite one
+    # the line holds 0 * inf, a NaN (numpy warns of it), which the start
+    # overwrites; at later axes v_t, a computed value, can be a zero whose
+    # sign the start fixes.
+    minus_zero = np.iscomplexobj(c) and (np.ascontiguousarray(c).view(np.uint64) == 1 << 63).any()
+    first_starts = minus_zero or not np.isfinite(columns[-1]).all()
     for axis in reversed(range(c.ndim)):
         d = c.shape[axis]
         nonzero = nonzero.reshape(-1, d)
         values = values.reshape(nonzero.shape + values.shape[-1:])
-        top = d - 1 - nonzero[:, ::-1].argmax(axis=1)  # an all-zero line reads d - 1
-        starts, x = set(top.tolist()), columns[axis][None]
-        # until its start a line holds a zero, or at an infinite coordinate a
-        # NaN (numpy warns of it), which the start overwrites
+        starts, x = (), columns[axis][None]
+        if axis < c.ndim - 1 or first_starts:
+            top = d - 1 - nonzero[:, ::-1].argmax(axis=1)  # an all-zero line reads d - 1
+            starts = set(top.tolist())
         acc = values[:, -1] + start_row
         for j in range(d - 2, -1, -1):
             # numpy rounds a complex product differently with its operands
@@ -214,10 +246,10 @@ def _terms(c: np.ndarray) -> list:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, b_terms: list) -> np.ndarray:
-    """Product of coefficient arrays, given b's :func:`_terms`, so that a
-    factor used at every step of a composition is searched once: a
+    """Product of coefficient arrays, given b's :func:`_terms`: a
     shifted-slice add of each nonzero entry of the sparser one, a on a tie,
-    times the other array."""
+    times the other array.  :func:`_times_form` applies the same rule to
+    each row of a batch."""
     if np.count_nonzero(a) <= len(b_terms):
         terms, other = _terms(a), b
     else:
@@ -228,20 +260,66 @@ def _mul(a: np.ndarray, b: np.ndarray, b_terms: list) -> np.ndarray:
     return out
 
 
+def _times_form(acc: np.ndarray, L: np.ndarray, L_terms: list) -> np.ndarray:
+    """Each row of the batch ``acc`` times the linear form L, with the bits of
+    ``_mul(row, L, L_terms)``.  A row with at most as many nonzeros as L has,
+    the tie included, is _mul's scalar side: entry k of its product sums
+    row[a] * L[k - a] over the row's nonzero entries a in C order, which is
+    L's terms b = k - a in reverse C order.  Any other row sums
+    L[b] * row[k - b] over L's terms in C order.  The two groups are taken
+    apart, each term's shifted product added to a group at once, with the
+    first operand of _mul's product first.  A zero entry of the row adds
+    only a signed zero, which changes no other value and which
+    :meth:`Polynomial.from_coeffs` stores as +0."""
+    out = np.zeros((len(acc), *(a + b - 1 for a, b in zip(acc.shape[1:], L.shape))),
+                   dtype=complex)
+    few = np.count_nonzero(acc.reshape(len(acc), -1), axis=1) <= len(L_terms)
+    for group, terms, acc_first in ((few, L_terms[::-1], True), (~few, L_terms, False)):
+        if group.all():  # one group: no copies
+            return _shifted_sums(out, acc, terms, acc_first)
+        if group.any():
+            out[group] = _shifted_sums(np.zeros_like(out[group]), acc[group], terms, acc_first)
+    return out
+
+
+def _shifted_sums(out, acc, terms, acc_first: bool):
+    """out, with each row of acc times each term of a form added at the
+    term's power, in the order of ``terms``."""
+    for beta, value in terms:
+        # numpy rounds a complex product differently with its operands swapped
+        out[(slice(None), *(slice(b, b + s) for b, s in zip(beta, acc.shape[1:])))] += \
+            acc * value if acc_first else value * acc
+    return out
+
+
 def _compose(c: np.ndarray, lines: list) -> np.ndarray:
     """Coefficients of q(L_1(w), ..., L_n(w)) for the linear forms ``lines``,
     each a coefficient array and its :func:`_terms`, read once by the caller,
-    where c holds q's coefficients in the last c.ndim of them: nested Horner,
-    one :func:`_mul` with a linear form per step."""
-    n = len(lines)
-    acc = np.zeros((1,) * n, dtype=complex)
-    for slab in c[::-1]:
-        if acc.any():
-            acc = _mul(acc, *lines[n - c.ndim])
-        if slab.any():
-            acc = _padded_add(acc, np.reshape(slab, (1,) * n) if c.ndim == 1
-                              else _compose(slab, lines))
-    return acc
+    where c holds q's coefficients: nested Horner one axis at a time, last
+    axis first.  The lines of an axis that hold a nonzero run together, each
+    a row of one batch whose entries are coefficient arrays in w (at the last
+    axis c's values, later the previous axis's results): one
+    :func:`_times_form` with the axis's linear form and one add per power.
+    Every line keeps the bits of its own Horner scheme with :func:`_mul`.  A
+    line that has not started holds zeros, whose products and sums only
+    carry the sign of a zero; all-zero lines are not computed and read as
+    zeros at the next axis."""
+    n = c.ndim
+    values = c.reshape(c.shape + (1,) * n)
+    for axis in reversed(range(n)):
+        box = values.shape[-n:]
+        values = values.reshape((-1, c.shape[axis]) + box)
+        live = values.reshape(len(values), -1).any(axis=1)
+        if not live.any():  # q is zero
+            return np.zeros((1,) * n, dtype=complex)
+        part = values[live]
+        acc = part[:, -1]
+        for j in range(c.shape[axis] - 2, -1, -1):
+            acc = _times_form(acc, *lines[axis])
+            acc[(slice(None), *map(slice, box))] += part[:, j]
+        values = np.zeros((len(values),) + acc.shape[1:], dtype=complex)
+        values[live] = acc
+    return values[0]
 
 
 class Polynomial:
@@ -295,11 +373,13 @@ class Polynomial:
         return not self.coeffs.any()
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        _require_same_n(self.n, other.n)
         return Polynomial.from_coeffs(_padded_add(self.coeffs.copy(), other.coeffs))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return Polynomial.from_coeffs(self.coeffs * complex(other))
+        _require_same_n(self.n, other.n)
         return Polynomial.from_coeffs(_mul(self.coeffs, other.coeffs, _terms(other.coeffs)))
 
     __rmul__ = __mul__
@@ -308,10 +388,12 @@ class Polynomial:
         return complex(self.evaluate_many(np.asarray(z, dtype=complex)[None, :])[0])
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        """p at the rows of Z, as complex values; real coefficients at real
+        """p at the rows of Z, (m, n) points (DimensionMismatchError for any
+        other shape), as complex values; real coefficients at real
         rows run in float64, with the real parts of the complex run, on
         contiguous copies of the columns (a copy did not pay for complex)."""
         Z = _rows(Z, self._real is not None)
+        _require_rows(Z, self.n)
         if np.iscomplexobj(Z):
             c, columns = self.coeffs, Z.T
         else:
@@ -321,9 +403,13 @@ class Polynomial:
             else out.astype(complex, copy=False)
 
     def compose_affine(self, M: np.ndarray | None, d=None) -> "Polynomial":
-        """The polynomial w -> p(M w + d)."""
+        """The polynomial w -> p(M w + d), M an n x n matrix (the identity if
+        None) and d a vector of length n (zero if None)."""
         n, unit = self.n, np.eye(self.n, dtype=int)
         M = unit if M is None else np.asarray(M, dtype=complex)
+        if M.shape != (n, n):
+            raise DimensionMismatchError(f"a polynomial in {n} variables composes with a "
+                                         f"matrix of shape ({n}, {n}), got {M.shape}")
         d = np.zeros(n) if d is None else _as_complex_vector(d, n)
         lines = [Polynomial(n, {(0,) * n: d[j], **dict(zip(map(tuple, unit), M[j]))}).coeffs
                  for j in range(n)]
@@ -411,13 +497,15 @@ class GaussPoly:
         return -0.5 * quadratic + linear + gamma
 
     def evaluate_many(self, X: np.ndarray) -> np.ndarray:
-        """The term at the rows of X, each finite row with the bits of a
+        """The term at the rows of X, (m, n) points (DimensionMismatchError for
+        any other shape), each finite row with the bits of a
         one-row call (a NaN result may differ in its sign bit); a row out of
         range raises RangeOverflowError for the batch.  Each value is the
         polynomial's times the exponential, plus 0.0 in place, so a -0 reads
         +0 and every other value keeps its bits.
         A zero polynomial is zero everywhere, its exponent unread."""
         X = np.asarray(X)
+        _require_rows(X, self.n)
         if self.poly.is_zero():
             return np.zeros(X.shape[0], dtype=complex)
         # exp of a real exponent is taken in complex, as numpy's real exp can
@@ -451,7 +539,8 @@ class GaussPoly:
         )
 
     def compose_linear(self, M: np.ndarray) -> "GaussPoly":
-        """The function x -> f(M x)."""
+        """The function x -> f(M x): M must be n x n, which
+        :meth:`Polynomial.compose_affine` checks before any product."""
         M = np.asarray(M, dtype=complex)
         return GaussPoly(self.poly.compose_affine(M), M.T @ self.P @ M, M.T @ self.b, self.gamma)
 

@@ -359,9 +359,18 @@ def _sb_norm(degree: int) -> float:
         ) from err
 
 
+def _multi_index(alpha) -> tuple:
+    """alpha as a tuple of ints: ConfigError unless it has at least one entry
+    and none negative."""
+    alpha = tuple(int(a) for a in alpha)
+    if not alpha or min(alpha) < 0:
+        raise ConfigError(f"a multi-index needs one or more entries, none negative; got {alpha}")
+    return alpha
+
+
 def hermite_function(alpha) -> GaussPoly:
     """Product Hermite function: H_alpha(x) times exp(-|x|^2 / 2)."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _multi_index(alpha)
     n = len(alpha)
     poly = Polynomial.from_coeffs(reduce(np.multiply.outer, [_hermite_coeffs(a) for a in alpha]))
     return GaussPoly(poly, np.eye(n), np.zeros(n), 0.0)
@@ -370,7 +379,7 @@ def hermite_function(alpha) -> GaussPoly:
 def sb_eigenfunction(alpha) -> GaussPoly:
     """Orthonormal L^2 family mapped onto the normalized monomials by the
     classical transform: scaled Hermite polynomials under exp(-|x|^2)."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _multi_index(alpha)
     n = len(alpha)
     poly = Polynomial.from_coeffs(reduce(np.multiply.outer, [
         _hermite_coeffs(a, math.sqrt(2.0)) / _sb_norm(a) for a in alpha

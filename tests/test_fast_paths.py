@@ -1,15 +1,32 @@
 """Fast paths against the code they replaced, kept here verbatim: the sparse
-Gaussian exponent, the in-place +0 of a term's values, the composition that
-reads each linear form's nonzero terms once and the column-wise grid shift
-all keep every bit of the old results."""
+Gaussian exponent, the in-place +0 of a term's values, the composition one
+axis at a time, the few-row evaluation without the start overwrites that
+change no bit, and the column-wise grid shift all keep every bit of the old
+results."""
+
+import itertools
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fockops import GaussPoly, Polynomial, QuadratureRule, RangeOverflowError, hermite_function
+from fockops import (
+    GaussPoly,
+    Polynomial,
+    QuadratureRule,
+    RangeOverflowError,
+    RealLinearMap,
+    build_context,
+    classical_to_weighted,
+    hermite_function,
+    segal_bargmann_fn,
+)
 from fockops.quadrature import CHUNK, _unit_grid
 from fockops.symbolic import (
+    _HORNER_VALUES,
     _as_complex_vector,
+    _horner,
     _mul,
     _padded_add,
     _rows,
@@ -69,6 +86,37 @@ def old_compose_affine(self, M, d=None):
     lines = [Polynomial(n, {(0,) * n: d[j], **dict(zip(map(tuple, unit), M[j]))}).coeffs
              for j in range(n)]
     return Polynomial.from_coeffs(old_compose(self.coeffs, lines))
+
+
+def old_few_row_horner(c, columns):
+    """_horner within its budget, at two or more axes, before the first axis
+    left out the start overwrites."""
+    zero = 0j if np.iscomplexobj(c) else 0.0
+    nonzero = c != 0
+    values, start_row = np.where(nonzero, c, -zero)[..., None], np.zeros(len(columns[0]), c.dtype)
+    for axis in reversed(range(c.ndim)):
+        d = c.shape[axis]
+        nonzero = nonzero.reshape(-1, d)
+        values = values.reshape(nonzero.shape + values.shape[-1:])
+        top = d - 1 - nonzero[:, ::-1].argmax(axis=1)  # an all-zero line reads d - 1
+        starts, x = set(top.tolist()), columns[axis][None]
+        # until its start a line holds a zero, or at an infinite coordinate a
+        # NaN (numpy warns of it), which the start overwrites
+        acc = values[:, -1] + start_row
+        for j in range(d - 2, -1, -1):
+            # numpy rounds a complex product differently with its operands
+            # swapped, or with one element broadcast from another shape: the
+            # accumulator comes first, and the column is a (1, m) row
+            acc = np.multiply(acc, x)
+            acc += values[:, j]
+            if j in starts:
+                start = top == j
+                acc[start] = values[start, j] + start_row
+        nonzero = nonzero.any(axis=1)
+        if axis:  # an all-zero line is a zero term of the next axis
+            acc[~nonzero] = -zero
+        values = acc
+    return values[0] if nonzero[0] else zero  # an all-zero block is the scalar zero
 
 
 def old_grid(self, center=None, start=0, stop=None):
@@ -222,6 +270,169 @@ def test_on_a_tie_the_first_factor_stays_the_scalar():
     # acc = 3 + 2x meets the line 0.1 + 0.7x: two nonzeros each
     acc, line = np.array([3.0 + 0.1j, 2.0 - 0.3j]), np.array([0.1 + 1e-3j, 0.7 + 0.2j])
     assert same_bits(_mul(acc, line, _terms(line)), old_mul(acc, line))
+
+
+def affine_forms(rng, n, counts, kind):
+    """M and d whose linear forms L_j (row j of M, then d_j) have counts[j]
+    nonzero terms at random places."""
+    Md = np.zeros((n, n + 1), complex)
+    for j, k in enumerate(counts):
+        places = rng.choice(n + 1, k, replace=False)
+        Md[j, places] = sparse(rng, k, 1.0, kind)
+    return Md[:, :n], Md[:, n]
+
+
+def test_compositions_by_forms_of_one_to_four_terms_keep_their_bits(monkeypatch):
+    # the line's rule in both directions, with the tie, in one batch of lines
+    # that starts at different powers
+    orders, mul = Counter(), old_mul
+
+    def counted(a, b):
+        orders[int(np.sign(np.count_nonzero(a) - np.count_nonzero(b)))] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(sys.modules[__name__], "old_mul", counted)
+    rng = np.random.default_rng(33)
+    for _ in range(160):
+        n = int(rng.integers(1, 4))
+        counts = rng.integers(1, n + 2, n)
+        M, d = affine_forms(rng, n, counts, rng.choice(["real", "complex"]))
+        p = Polynomial.from_coeffs(sparse(rng, tuple(rng.integers(1, 6, n)), 0.5,
+                                          rng.choice(["real", "complex"])))
+        got, want = p.compose_affine(M, d), old_compose_affine(p, M, d)
+        assert same_bits(got.coeffs, want.coeffs), (p.coeffs, M, d)
+    assert min(orders[-1], orders[0], orders[1]) > 50, orders
+
+
+SIGNED = np.array([[-0.0, 1.0, -0.0], [0.0, -0.0, 0.0], [2.5, -0.0, -1.0]])
+ZERO_LINES = np.arange(60.0).reshape(3, 4, 5) - 30
+ZERO_LINES[1] = ZERO_LINES[0, 2] = ZERO_LINES[2, 1] = ZERO_LINES[2, :, 3:] = 0
+COMPOSITIONS = {
+    "-0 entries in p, M and d": (Polynomial.from_coeffs(SIGNED), np.array([[-0.0, 1.5], [2.0, -0.0]]),
+                                 np.array([-0.0, 0.5])),
+    "-0 parts of complex entries": (Polynomial.from_coeffs(SIGNED + 1j * SIGNED[::-1]),
+                                    np.array([[1 - 0j, complex(-0.0, 2)], [0.5j, -1]]),
+                                    np.array([complex(0.3, -0.0), 0])),
+    "all-zero lines and slabs": (Polynomial.from_coeffs(ZERO_LINES),
+                                 np.array([[0.2, 0, 1], [0, 1.5, 0], [1, 0, -0.7]]), None),
+    "an all-zero array": (Polynomial(3), np.ones((3, 3)), np.ones(3)),
+    "zero forms": (Polynomial.from_coeffs([[1.0, 2.0], [3.0, 4.0]]), np.zeros((2, 2)), None),
+    "one zero form": (Polynomial.from_coeffs([[1.0, 2.0], [3.0, 4.0]]), np.array([[0, 0], [1, 2]]),
+                      np.array([0, 0.5])),
+    "real, identity": (Polynomial.from_coeffs(np.arange(24.0).reshape(2, 3, 4) - 11), None,
+                       np.array([0.5, -1.0, 2.0])),
+    "complex, dense": (Polynomial.from_coeffs(np.arange(24.0).reshape(2, 3, 4) * (1 - 0.5j)),
+                       np.arange(9.0).reshape(3, 3) * (0.3 + 0.2j) - 1, np.ones(3) * 1j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITIONS))
+def test_a_named_composition_keeps_its_bits(name):
+    p, M, d = COMPOSITIONS[name]
+    assert same_bits(p.compose_affine(M, d).coeffs, old_compose_affine(p, M, d).coeffs)
+
+
+def ladder_context(rng, n):
+    R, T = rng.standard_normal((2, n, n))
+    return build_context(RealLinearMap.from_blocks(R @ R.T + 0.5 * np.eye(n), T @ T.T / 3))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 10), (2, 6), (3, 4), (3, 6)])
+def test_the_ladder_compositions_keep_their_bits(monkeypatch, n, degree):
+    # every composition of the transform and the lift of a Hermite input: the
+    # smoothed polynomial under the stationary point's affine map, and the
+    # input under sqrt(H)
+    calls = []
+    compose = Polynomial.compose_affine
+
+    def recorded(p, M, d=None):
+        calls.append((p, M, d))
+        return compose(p, M, d)
+
+    monkeypatch.setattr(Polynomial, "compose_affine", recorded)
+    ctx, f = ladder_context(np.random.default_rng(degree * n), n), hermite_function((degree,) * n)
+    segal_bargmann_fn(ctx, f)
+    classical_to_weighted(ctx, f)
+    monkeypatch.undo()
+    assert len(calls) == 2 and calls[0][2] is not None
+    for p, M, d in calls:
+        assert same_bits(p.compose_affine(M, d).coeffs, old_compose_affine(p, M, d).coeffs)
+
+
+# -- a few rows, without the start overwrites of the first axis -----------------
+
+
+def assert_few_rows_keep_their_bits(c, X):
+    """_horner at the rows X, as a batch and one row at a time, against the
+    old few-row evaluator."""
+    assert c.ndim > 1 and c.size * len(X) <= _HORNER_VALUES  # the path under test
+    with np.errstate(all="ignore"):
+        assert same_bits(_horner(c, list(X.T)), old_few_row_horner(c, list(X.T))), (c, X)
+        for row in X:
+            columns = [np.array([x]) for x in row]
+            assert same_bits(_horner(c, columns), old_few_row_horner(c, columns)), (c, row)
+
+
+# -x y^2 - y z at x = 0, y < 0, z = 0: the line of y's first power is
+# -1 * 0 + (-0) = -0 in z, and for x^0 y's line starts there, below its top
+# power.  Its start reads +0 where -0 * y + (-0) would be -0, and the value
+# is -0 only through it.
+INNER_ZERO = np.zeros((2, 3, 2))
+INNER_ZERO[1, 2, 0] = INNER_ZERO[0, 1, 1] = -1.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_a_line_that_starts_at_an_exact_zero_keeps_the_sign_of_its_start(kind):
+    p = Polynomial.from_coeffs(INNER_ZERO)
+    X = np.array([[0.0, -1.0, 0.0], [0.0, -2.0, 0.0], [1.0, -1.0, 0.5], [0.0, -0.5, -0.0]])
+    c = p._real if kind == "real" else p.coeffs
+    if kind == "complex":
+        X = X + 0j
+    assert np.signbit(np.real(old_few_row_horner(c, [x[:1] for x in X.T]))).all()
+    assert_few_rows_keep_their_bits(c, X)
+
+
+def test_a_start_value_with_a_part_of_minus_zero_keeps_its_overwrite():
+    # conj(1 + i x_1), a raw array with imaginary parts of -0, at conj(0, -1):
+    # along x_2 the line of x_1^0 starts below its top at 1 - 0i.  Its prefix
+    # there has an imaginary part of -0, which would keep that -0; the
+    # overwrite, 1 - 0i plus +0, drops it, and so does the value
+    c, X = np.conj([[1, 0], [1j, 0]]), np.conj([[0j, -1 + 0j]])
+    assert same_bits(old_few_row_horner(c, list(X.T)), [1 + 0j])
+    assert_few_rows_keep_their_bits(c, X)
+
+
+def test_random_few_row_evaluations_keep_their_bits():
+    # stored coefficients, real and complex, and raw arrays whose conjugate
+    # has imaginary parts of -0, at rows of zeros of either sign, negative
+    # coordinates, infinities and NaN
+    rng = np.random.default_rng(27)
+    coords = [0.0, -0.0, 1.0, -1.0, -2.0, 0.5, np.inf, -np.inf, np.nan]
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        shape = tuple(rng.integers(1, 5, n))
+        p = Polynomial.from_coeffs(rng.choice([0.0, 0.0, 1.0, -1.0, -0.5], shape)
+                                   * rng.choice([1.0, 1 - 1j, 1j]))
+        X = rng.choice(coords, (int(rng.integers(1, 7)), n))
+        if p._real is not None:
+            assert_few_rows_keep_their_bits(p._real, X)
+        Z = X.astype(complex)
+        Z.imag = rng.choice(coords[:6], X.shape)  # keeps a real inf or NaN as it is
+        assert_few_rows_keep_their_bits(p.coeffs, Z)
+        assert_few_rows_keep_their_bits(np.conj(p.coeffs), Z)
+
+
+@pytest.mark.parametrize("n, degree", [(2, 6), (3, 4), (3, 6)])
+def test_the_ladder_images_keep_their_bits_at_a_point(n, degree):
+    rng = np.random.default_rng(n + degree)
+    ctx, f = ladder_context(rng, n), hermite_function((degree,) * n)
+    Z = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+    for F in (segal_bargmann_fn(ctx, f), classical_to_weighted(ctx, f)):
+        for z in Z:
+            columns = [np.array([x]) for x in z]
+            assert same_bits(_horner(F.poly.coeffs, columns),
+                             old_few_row_horner(F.poly.coeffs, columns))
+        assert_few_rows_keep_their_bits(F.poly.coeffs, Z[:2])
 
 
 # -- grid rows ---------------------------------------------------------------------

@@ -347,3 +347,12 @@ def test_determinant_groups_pass_at_another_seed():
     # det R det T / det((R+T)/2)^2 = det(I + (D - D^-1)^2 / 2)^-2 = 0.64 at R = 4, T = 1
     D = diag_ctx().D[0, 0]
     assert (1.0 + (D - 1.0 / D) ** 2 / 2.0) ** -2 == pytest.approx(0.64, abs=1e-12)
+
+
+@pytest.mark.parametrize("z_shape, w_shape", [((3, 2), (2, 2)), ((3, 2), (3, 3)), ((2, 3), (2, 3))])
+def test_kernel_of_batches_of_other_shapes_is_a_dimension_mismatch(z_shape, w_shape):
+    # 3 rows of z against 2 of w were a broadcast ValueError; rows of width 3
+    # at n = 2 were read as their first two coordinates
+    ctx = build_context(RealLinearMap.from_blocks(np.diag([4.0, 2.0]), np.diag([1.0, 0.5])))
+    with pytest.raises(DimensionMismatchError, match=r"z and w of one shape \(m, 2\)"):
+        kernel(ctx, np.ones(z_shape), np.ones(w_shape))

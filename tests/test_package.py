@@ -241,6 +241,17 @@ def test_the_quadrature_route_takes_no_exponential_per_node():
                 if call.rsplit(".", 1)[-1] in {"exp", "expm1", "exp_rows", "cos", "sin"}}
 
 
+def test_composition_runs_one_axis_at_a_time():
+    """symbolic._compose takes every line of an axis in one batched product:
+    it neither calls itself, slab by slab, nor _mul, once per line and power."""
+    tree = ast.parse((ROOT / "src" / "fockops" / "symbolic.py").read_text(encoding="utf-8"))
+    (function,) = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_compose"]
+    calls = {ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
+    assert "_times_form" in calls
+    assert not calls & {"_compose", "_mul"}
+
+
 def _stores(target, value):
     """The (target, value) pairs of an assignment, tuples taken apart; a value
     that cannot be matched to its target is None."""

@@ -16,6 +16,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from fockops import (
     CallableField,
     ConfigError,
+    DimensionMismatchError,
     DivergenceError,
     EvaluatorError,
     GaussPoly,
@@ -747,6 +748,34 @@ def test_derivative_is_polyder_to_the_bit():
 ])
 def test_malformed_symbolic_terms_are_unsupported_forms(build, match):
     with pytest.raises(UnsupportedFormError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("build, match", [
+    # a row one coordinate too wide was read as its first two
+    (lambda: hermite_function((3, 2)).evaluate_many([[0.3, -0.4, 5.0]]),
+     "2 variables takes rows of width 2, got rows of width 3"),
+    (lambda: GaussPoly(Polynomial(2), np.eye(2), np.zeros(2), 0.0).evaluate_many(np.ones((4, 3))),
+     "2 variables takes rows of width 2, got rows of width 3"),
+    (lambda: Polynomial.from_coeffs(np.ones((2, 2))).evaluate_many(np.ones((3, 1))),
+     "2 variables takes rows of width 2, got rows of width 1"),
+    (lambda: Polynomial.from_coeffs(np.ones((2, 2))).evaluate_many(np.ones(2)),
+     r"got rows of width shape \(2,\)"),
+    # a 3 x 3 map at n = 2 gave the result of its leading 2 x 2 block
+    (lambda: Polynomial.from_coeffs(np.ones((2, 2))).compose_affine(np.eye(3)),
+     r"2 variables composes with a matrix of shape \(2, 2\), got \(3, 3\)"),
+    (lambda: hermite_function((3, 2)).compose_linear(np.eye(3)),
+     r"2 variables composes with a matrix of shape \(2, 2\), got \(3, 3\)"),
+    (lambda: Polynomial.from_coeffs(np.ones(3)).compose_affine(np.ones((1, 2))),
+     r"got \(1, 2\)"),
+    (lambda: l2_inner_product(hermite_function((3, 2)), hermite_function((1,))),
+     "polynomials in 2 and 1 variables"),
+    (lambda: hermite_function((3, 2)) * hermite_function((1,)), "polynomials in 2 and 1 variables"),
+    (lambda: Polynomial.from_coeffs(np.ones(3)) + Polynomial.from_coeffs(np.ones((2, 2))),
+     "polynomials in 1 and 2 variables"),
+])
+def test_dimension_faults_are_dimension_mismatch_errors(build, match):
+    with pytest.raises(DimensionMismatchError, match=match):
         build()
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from fockops import (
     CallableField,
+    ConfigError,
     GaussPoly,
     coherent_state_fn,
     Polynomial,
@@ -806,3 +807,11 @@ def test_quadrature_route_against_mpmath_and_the_closed_form(n, degree, to_mpmat
             quad, (_mp_hermite_transform(Rm, Tm, degree, [mpmath.mpc(v) for v in z.tolist()])
                    for z in Z)))
     assert worst <= 1.05 * to_mpmath
+
+
+@pytest.mark.parametrize("build", [hermite_function, sb_eigenfunction])
+@pytest.mark.parametrize("alpha", [(), (2, -1)])
+def test_a_multi_index_that_is_empty_or_negative_is_a_config_error(build, alpha):
+    # () was a TypeError from reduce; a negative degree read as degree 0
+    with pytest.raises(ConfigError, match="multi-index needs one or more entries, none negative"):
+        build(alpha)
