@@ -49,12 +49,20 @@ runs, ...), ``node_budget`` for a truncate generator's
 DEBUG) for progress logging, with one line per stage of a command (parse,
 command, render, write) and its seconds; any other value means WARNING.
 A command imports only the modules it runs: truncate loads neither the
-transforms nor the verification suite.
+transforms nor the verification suite.  As the process entry (``python -m
+fockops.cli``, the ``fockops`` script: ``main()`` reading ``sys.argv``) the
+CLI freezes the heap its imports built, so that the cyclic collector walks
+it neither during the command nor at exit; ``main(argv)`` with a list, as
+tests and library callers make it, leaves the collector as it found it.  A
+report's 1-D float64 array is written up to its final run of bit-identical
+values, and that run's line once and repeated (``report.render_json``): a
+bounded truncate sequence ends in a long run of its limit.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import logging
@@ -696,6 +704,12 @@ def _stage(command: str, name: str, run, *args):
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its exit code.  With no ``argv`` it is the process
+    entry and reads ``sys.argv``: it freezes the heap its imports built
+    (``gc.freeze``), for good, so that no collection walks it again, nor the
+    one at exit.  A call with a list leaves the collector as it found it."""
+    if argv is None:
+        gc.freeze()
     # getLevelName maps a level name to its number and anything else to a string
     level = logging.getLevelName(os.environ.get("FOCK_LOG", "WARNING").upper())
     logging.basicConfig(stream=sys.stderr,

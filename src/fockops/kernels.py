@@ -48,8 +48,12 @@ __all__ = [
 
 @pointwise
 def measure_density(ctx: OperatorContext, z):
-    """Density of the Gaussian measure at z (with respect to dx dy)."""
+    """Density of the Gaussian measure at z (with respect to dx dy).  A batch
+    call takes z of shape (m, n), DimensionMismatchError for any other."""
     z = np.asarray(z, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != ctx.n:
+        raise DimensionMismatchError(f"the density in {ctx.n} variables takes z of shape "
+                                     f"(m, {ctx.n}), got {z.shape}")
     V = np.concatenate([z.real, z.imag], axis=1)
     expo = 0.5 * ctx.log_det_v_a - bilinear_rows(V, ctx.A.entries, V)
     return math.pi ** (-ctx.n) * exp_rows(expo, len(z))
@@ -79,8 +83,12 @@ def kernel(ctx: OperatorContext, z, w):
 
 
 def kernel_section(ctx: OperatorContext, w) -> GaussPoly:
-    """The kernel at fixed second argument, as a symbolic function of z."""
+    """The kernel at fixed second argument, as a symbolic function of z; w
+    of shape (n,), DimensionMismatchError for any other."""
     w = np.asarray(w, dtype=complex)
+    if w.shape != (ctx.n,):
+        raise DimensionMismatchError(f"the kernel section in {ctx.n} variables takes w of "
+                                     f"shape ({ctx.n},), got {w.shape}")
     wbar = np.conj(w)
     C = ctx.K_matrix
     return GaussPoly.gaussian(

@@ -12,6 +12,49 @@ import orjson
 
 RENDER_OPTIONS = orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
+# dicts within dicts that render_json searches for a final run; an array
+# nested deeper is rendered by orjson whole, with the same bytes
+RUN_DEPTH = 8
+# lines of a final run joined as one string: the join takes a short list of
+# one repeated block, not a reference per value
+RUN_BLOCK = 1024
+# what stands for the i-th such array while the rest of the value renders
+RUN_MARKER = "\x00final run {}\x00"
+
+
+def _final_run(value) -> int:
+    """The length of the final run of bit-identical values of a C-contiguous
+    1-D float64 array, 0 for any other value.  Bits, not ``==``: 0.0 and
+    -0.0 render differently, and NaNs with other payloads alike."""
+    if (type(value) is not np.ndarray or value.dtype != np.float64 or len(value.shape) != 1
+            or not value.size or not value.flags.c_contiguous):
+        return 0
+    bits = value.view(np.uint64)[::-1]
+    changed = bits != bits[0]
+    return int(changed.argmax()) if changed.any() else value.size
+
+
+def _mark_runs(value, depth: int, runs: list):
+    """``value`` with each array held as a dict value, in dicts up to
+    RUN_DEPTH deep, whose final run has two values or more replaced by a
+    marker string; ``runs`` gets (marker, array, depth, run length) of each.
+    Dicts on the way are copied, never changed."""
+    if depth > RUN_DEPTH:
+        return value
+    copy = None
+    for key, item in value.items():
+        if type(item) is dict:
+            new = _mark_runs(item, depth + 1, runs)
+        elif (length := _final_run(item)) > 1:
+            new = RUN_MARKER.format(len(runs))
+            runs.append((new, item, depth, length))
+        else:
+            continue
+        if new is not item:
+            copy = copy or dict(value)
+            copy[key] = new
+    return value if copy is None else copy
+
 
 def render_json(value, *, newline: bool = False) -> str:
     """Strict JSON text of ``value``: keys sorted, two-space indent, UTF-8
@@ -21,9 +64,40 @@ def render_json(value, *, newline: bool = False) -> str:
     ``1e-05``).  float64 numpy arrays are encoded from their buffer.  What
     orjson cannot encode, such as an integer outside 64 bits, raises
     ``orjson.JSONEncodeError``, a TypeError.  With ``newline`` the text
-    ends in one, appended by orjson, so that the text is built once."""
+    ends in one, appended by orjson, so that the text is built once.
+
+    A 1-D float64 array held as a dict value is written up to the start of
+    its final run of bit-identical values, and that run's line once, then
+    repeated in the one join that builds the text: the bytes of orjson's
+    whole-array rendering, without rendering each copy (a bounded truncate
+    sequence ends in a long run of its limit).  Each array's place in the
+    text is a marker string; should any marker not occur exactly once
+    there, the value is rendered by orjson whole."""
     option = RENDER_OPTIONS | orjson.OPT_APPEND_NEWLINE if newline else RENDER_OPTIONS
-    return orjson.dumps(value, option=option).decode()
+    runs: list = []
+    marked = _mark_runs(value, 1, runs) if type(value) is dict else value
+    text = orjson.dumps(marked, option=option).decode()
+    if not runs:
+        return text
+    places = []
+    for marker, array, depth, length in runs:
+        quoted = orjson.dumps(marker).decode()
+        if text.count(quoted) != 1:  # the value holds a marker itself
+            return orjson.dumps(value, option=option).decode()
+        places.append((text.index(quoted), len(quoted), array, depth, length))
+    pieces, done = [], 0
+    for at, size, array, depth, length in sorted(places, key=lambda place: place[0]):
+        # the array up to the run's first value, indented to its depth,
+        # without its closing "\n]"
+        head = orjson.dumps(array[:array.size - length + 1], option=RENDER_OPTIONS).decode()
+        head = head[:-2].replace("\n", "\n" + "  " * depth)
+        repeat = ",\n" + head[head.rindex("\n") + 1:]
+        blocks, rest = divmod(length - 1, RUN_BLOCK)
+        pieces += [text[done:at], head, *[repeat * RUN_BLOCK] * blocks, repeat * rest,
+                   "\n" + "  " * depth + "]"]
+        done = at + size
+    pieces.append(text[done:])
+    return "".join(pieces)
 
 
 def complex_json(value):

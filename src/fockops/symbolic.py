@@ -485,7 +485,10 @@ class GaussPoly:
         are those of every product.  A row that is inf or NaN only in
         variables the exponent does not read gets the finite exponent of the
         others, as no product 0 * inf is taken (the CLI refuses non-finite
-        rows before evaluation)."""
+        rows before evaluation).  X must be (m, n) points,
+        DimensionMismatchError for any other shape."""
+        X = np.asarray(X)
+        _require_rows(X, self.n)
         if not self.P.any() and not self.b.any():
             return self.gamma
         X = _rows(X, self._real_exponent is not None)

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, exit codes, reports, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -1146,3 +1147,50 @@ def test_a_report_written_a_slice_at_a_time_has_the_same_bytes(tmp_path, capsys,
     stream = io.BytesIO()
     fo.cli.write_utf8(stream, "ab€déf" * 5)
     assert stream.getvalue() == ("ab€déf" * 5).encode("utf-8")
+
+
+def _collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("case", ["pass", "config-error", "output-unwritable"])
+def test_main_with_a_list_leaves_the_collector_as_it_found_it(tmp_path, capsys, case):
+    config = {"kind": "constant", "r": 2.0, "t": 1.0, "maxN": 5}
+    if case == "config-error":
+        config["maxN"] = 0
+    argv = ["truncate", "--config", write_config(tmp_path, "cfg.json", config)]
+    if case == "output-unwritable":
+        argv += ["--out", str(tmp_path)]
+    before = _collector_state()
+    code, out = run_cli(capsys, *argv)
+    assert _collector_state() == before
+    assert code == (0 if case == "pass" else 2)
+    if code:
+        kind = "config_invalid" if case == "config-error" else "output_unwritable"
+        assert json.loads(out)["error"]["kind"] == kind
+
+
+# runs the CLI as its process entry, main() reading sys.argv, then prints
+# its exit code and the size of the frozen heap
+PROCESS_ENTRY = """
+import gc, sys
+from fockops.cli import main
+sys.argv = ["fockops", *sys.argv[1:]]
+code = main()
+print(code, gc.get_freeze_count())
+"""
+
+
+def test_the_process_entry_freezes_its_heap_and_writes_the_same_report(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {"kind": "perturbation", "base": 0.5,
+                                              "amplitude": 0.3, "power": 2.0, "maxN": 20_000})
+    frozen, in_process = tmp_path / "frozen.json", tmp_path / "in-process.json"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PROCESS_ENTRY, "truncate", "--config", cfg,
+                           "--out", str(frozen)], capture_output=True, text=True, env=env,
+                          check=True)
+    code, count = map(int, proc.stdout.split())
+    assert code == 0 and count > 0
+    assert main(["truncate", "--config", cfg, "--out", str(in_process)]) == 0
+    assert frozen.read_bytes() == in_process.read_bytes()

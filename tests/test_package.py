@@ -145,6 +145,28 @@ def test_no_module_imports_a_private_name_of_another():
     assert not private
 
 
+def test_only_the_process_entry_freezes_the_heap():
+    """gc.freeze is called once, in the CLI's process entry, and no module
+    disables, unfreezes, tunes or runs the collector: a library user's
+    collector is never touched."""
+    calls, imported = {}, []
+    for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> the innermost function around it (ast.walk goes outside in)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, f"{path.stem}.{func.name}") for node in ast.walk(func))
+            if isinstance(func, ast.ImportFrom) and func.module == "gc":
+                imported.append(path.name)
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and getattr(call.func.value, "id", None) == "gc"):
+                calls.setdefault(call.func.attr, []).append(owner.get(call, path.stem))
+    assert not imported
+    assert calls.pop("freeze") == ["cli.main"]
+    assert not {"disable", "unfreeze", "set_threshold", "collect"} & calls.keys()
+
+
 def test_only_the_report_module_builds_a_check():
     """Every check comes from a constructor in report.py, so none can state
     its own pass rule."""

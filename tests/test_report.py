@@ -6,12 +6,15 @@ import math
 import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockops.cli import cmd_truncate
 from fockops.report import (
+    RENDER_OPTIONS,
+    RUN_MARKER,
     CheckResult,
     fold,
     make_bound_check,
@@ -225,3 +228,106 @@ def test_check_with_a_complex_side_renders_both_as_re_im(lhs, rhs):
     assert out["rhs"] == {"re": complex(rhs).real, "im": complex(rhs).imag}
     assert out["residual"] == pytest.approx(2 / math.sqrt(5), rel=1e-15)
     assert out["pass"] is False
+
+
+# bit patterns a report array may hold: both zeros, NaNs of two payloads,
+# both infinities, the smallest subnormal, and two plain values; drawn from
+# a short list, neighbours often repeat, so arrays end in runs of any length
+RUN_BITS = [np.float64(x).view(np.uint64).item()
+            for x in (0.0, -0.0, np.inf, -np.inf, 5e-324, 1.5, -2.25)] + [
+    0x7FF8000000000000, 0xFFF8000000000001]
+
+
+def _bits_array(bits) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+def _nested(array, depth: int, siblings: dict) -> dict:
+    """``array`` held as a dict value ``depth`` dicts deep, next to ``siblings``
+    at every level."""
+    value = {"logCaInv": array, **siblings}
+    for level in range(depth - 1):
+        value = {f"level{level}": value, **siblings}
+    return value
+
+
+def _orjson_whole(value, newline: bool = False) -> str:
+    option = RENDER_OPTIONS | orjson.OPT_APPEND_NEWLINE if newline else RENDER_OPTIONS
+    return orjson.dumps(value, option=option).decode()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(prefix=st.lists(st.sampled_from(RUN_BITS), max_size=12),
+       last=st.sampled_from(RUN_BITS), run=st.integers(0, 40), depth=st.integers(1, 3),
+       newline=st.booleans())
+def test_render_json_writes_a_final_run_with_the_bytes_of_orjson(prefix, last, run, depth,
+                                                                 newline):
+    # run 0 leaves the prefix's own final run; an empty prefix makes the
+    # whole array one run
+    array = _bits_array(prefix + [last] * run)
+    siblings = {"note": "a sibling", "values": [array, {"inner": array}]}
+    value = _nested(array, depth, siblings)
+    assert render_json(value, newline=newline) == _orjson_whole(value, newline)
+
+
+@pytest.mark.parametrize("array", [
+    _bits_array([]), _bits_array([RUN_BITS[0]]), _bits_array(RUN_BITS[:2]),
+    _bits_array(RUN_BITS[:1] * 5 + RUN_BITS[1:2] * 5), _bits_array(RUN_BITS[7:9] * 4),
+    _bits_array(RUN_BITS[:1] * 7), np.full(6, np.nan), np.arange(12.0)[::2],
+    np.full(5, 2.0, dtype=np.float32),
+], ids=["empty", "one-value", "no-run", "zero-then-negative-zero", "two-nan-payloads",
+        "whole-array", "nan-run", "strided", "float32"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_render_json_matches_orjson_on_edge_arrays(array, depth):
+    value = _nested(array, depth, {"inList": [array]})
+    if not array.flags.c_contiguous:  # orjson refuses it, and so does the renderer
+        with pytest.raises(TypeError):
+            render_json(value)
+        return
+    assert render_json(value) == _orjson_whole(value)
+
+
+def test_render_json_splits_zero_and_negative_zero_runs():
+    text = render_json({"a": np.array([1.0, 0.0, 0.0, -0.0, -0.0, -0.0])})
+    assert text.split() == ["{", '"a":', "[", "1.0,", "0.0,", "0.0,", "-0.0,", "-0.0,",
+                            "-0.0", "]", "}"]
+
+
+@pytest.mark.parametrize("text", [
+    RUN_MARKER.format(0), RUN_MARKER.format(1), "x" + RUN_MARKER.format(0) + "y",
+    RUN_MARKER.format(0)[1:], '"' + RUN_MARKER.format(0) + '"',
+], ids=["marker-0", "marker-1", "inside", "partial", "quoted"])
+def test_render_json_keeps_its_bytes_when_a_string_holds_the_marker(text):
+    # an error payload, a config echo or a key may hold any text, the run
+    # marker too
+    array = np.array([0.5, 1.0, 1.0, 1.0])
+    for value in ({"error": {"kind": "x", "message": text}, "sequence": {"logCaInv": array}},
+                  {"config": {text: 1.0}, "sequence": {"logCaInv": array}},
+                  {"a": array, "b": array[1:], "config": [text]}):
+        assert render_json(value, newline=True) == _orjson_whole(value, newline=True)
+
+
+def test_render_json_leaves_its_value_unchanged():
+    array = np.array([0.5, 1.0, 1.0])
+    value = {"sequence": {"logCaInv": array}}
+    render_json(value)
+    assert value == {"sequence": {"logCaInv": array}} and value["sequence"]["logCaInv"] is array
+
+
+@pytest.mark.parametrize("config, run", [
+    ({"kind": "constant", "r": 0.7, "t": 0.7, "maxN": 5000}, 5000),
+    ({"kind": "constant", "r": 0.5, "t": 0.8, "maxN": 5000}, 1),
+    ({"kind": "perturbation", "base": 0.5, "amplitude": 0.3, "power": 2.0, "maxN": 200_000},
+     None),
+    ({"kind": "perturbation", "base": 0.5, "amplitude": 0.3, "power": 0.4, "maxN": 200_000}, 1),
+], ids=["constant-equal", "constant-apart", "perturbation-convergent",
+        "perturbation-divergent"])
+def test_truncate_reports_have_the_bytes_of_the_whole_array_rendering(config, run):
+    # r = t is one run of zeros, r != t and a divergent tower none; a
+    # convergent tower ends in a long run of its limit
+    report = cmd_truncate(config)
+    values = report["sequence"]["logCaInv"]
+    final = len(values) - np.flatnonzero(values != values[-1])[-1] - 1 \
+        if (values != values[-1]).any() else len(values)
+    assert final == run if run is not None else final > len(values) // 2
+    assert render_json(report, newline=True) == _orjson_whole(report, newline=True)

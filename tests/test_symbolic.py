@@ -779,6 +779,16 @@ def test_dimension_faults_are_dimension_mismatch_errors(build, match):
         build()
 
 
+@pytest.mark.parametrize("f", [hermite_function((3, 2)), GaussPoly.monomial(2, (1, 2))],
+                         ids=["hermite", "pure-polynomial"])
+def test_exponent_of_rows_of_another_width_is_a_dimension_mismatch(f):
+    # the Hermite exponent of [0.3, -0.4, 5.0] at n = 2 was -0.125, its third
+    # coordinate unread
+    for X in ([[0.3, -0.4, 5.0]], [0.3, -0.4], np.ones((2, 1))):
+        with pytest.raises(DimensionMismatchError, match="takes rows of width 2, got"):
+            f.exponent_many(X)
+
+
 def test_zero_term_collapses_to_the_zero_polynomial_whatever_its_gaussian():
     zero = GaussPoly(Polynomial(2), 3.0 * np.eye(2), np.ones(2), 1.0)
     assert zero.as_polynomial().is_zero()
