@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
 from .operators import OperatorContext, to_complex_coords
-from .quadrature import QuadratureRule, grid_sums, sampled
+from .quadrature import QuadratureRule, grid_sums
 from .symbolic import GaussPoly, bilinear_rows, exp_rows, pointwise
 
 __all__ = [
@@ -144,8 +144,18 @@ def fock_gram(
     holds one chunk of each G column and one row.  An F_i that is also some
     G_j (the same object) takes the conjugate of that column, bit for bit
     its values, instead of a second evaluation.  Every entry is reduced
-    exactly as a single inner product would be.  A non-finite value is
-    named by the first chunk that has one, not the first function.
+    exactly as a single inner product would be; each product F_i conj(G_j)
+    is an array built here, which the reduction weights in place.
+
+    Finiteness is read from each chunk's block sums: a chunk runs unchecked,
+    and only one with a non-finite block sum is evaluated again with every
+    value checked, the columns first, then each row and its products, so a
+    non-finite value is named by the first chunk that has one, not the
+    first function, and an overflowing product by the node where it
+    overflows.  Finite products
+    whose block sum overflows give an inf or NaN entry with numpy's
+    overflow warning, as without the first pass.  Each value must have
+    shape (m,) at m rows, DimensionMismatchError for any other.
     The rule must be one :func:`fock_rule` builds for ``ctx``: a rule for
     another Gaussian would weight the integrand wrongly.
     """
@@ -156,15 +166,14 @@ def fock_gram(
     if not np.array_equal(rule.scaling, 2.0 * ctx.A.entries):
         raise ConfigError("rule scaling is not 2A; build the rule with fock_rule(ctx, nodes)")
 
-    def products(rows, start):
+    def products(rows, start, sample):
         Z = to_complex_coords(rows)
-        columns = [np.conj(sampled(G.evaluate_many, Z, start=start)) for G in Gs]
+        columns = [np.conj(sample(G.evaluate_many, Z)) for G in Gs]
         by_id = {id(G): column for G, column in zip(Gs, columns)}
         for F in Fs:
-            row = (np.conj(by_id[id(F)]) if id(F) in by_id
-                   else sampled(F.evaluate_many, Z, start=start))
+            row = np.conj(by_id[id(F)]) if id(F) in by_id else sample(F.evaluate_many, Z)
             for column in columns:
-                yield sampled(np.multiply, row, column, start=start)
+                yield sample(np.multiply, row, column), True
 
     return np.array(grid_sums(rule, None, products), dtype=complex).reshape(len(Fs), len(Gs))
 

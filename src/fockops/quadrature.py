@@ -22,6 +22,19 @@ rounded, so the result has the bits of :func:`_block_sum` on the whole
 array of weighted values.  A grid shape's unscaled nodes and weights are
 enumerated once (:func:`_unit_grid`, which keeps the last shape), and each
 chunk's nodes are scaled and centred from them when the loop reaches it.
+
+An integrand at m rows returns m values, shape (m,); any other shape, a
+scalar included, is a DimensionMismatchError.  Finiteness is read from the
+block sums: a chunk runs as one unchecked pass under a single
+``np.errstate``, and a non-finite value always leaves a non-finite real or
+imaginary block sum (inf times a weight, inf times an underflowed weight of
+0, and NaN all propagate).  Only a chunk with a non-finite block sum runs
+again as the checked pass, :func:`sampled` on every value, which raises the
+EvaluatorError naming the first bad node.  Finite values whose block sum
+overflows pass the checked pass too, and give the inf or NaN sum with
+numpy's overflow warning, as a checked evaluation always did.  The weighting
+overwrites only arrays the reduction built (a product), never one a
+caller's function returned.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -176,9 +189,10 @@ def _require_finite(values: np.ndarray, where: str, start: int) -> None:
 
 def _block_sums(x: np.ndarray) -> list[float]:
     """numpy's pairwise sum of each whole ``BLOCK``-value block of a real 1-D
-    array, then of the tail."""
+    array, then of the tail if there is one (``fsum`` ignores a zero)."""
     whole = x.size - x.size % BLOCK
-    return [*x[:whole].reshape(-1, BLOCK).sum(axis=1).tolist(), float(x[whole:].sum())]
+    sums = x[:whole].reshape(-1, BLOCK).sum(axis=1).tolist()
+    return sums + [float(x[whole:].sum())] if whole < x.size else sums
 
 
 def _block_sum(x: np.ndarray) -> float:
@@ -187,44 +201,103 @@ def _block_sum(x: np.ndarray) -> float:
     return math.fsum(_block_sums(x))
 
 
+def _values(f, *args, where: str = "node") -> np.ndarray:
+    """``f(*args)`` as complex values, one per row of ``args[0]``:
+    DimensionMismatchError for any other shape, a scalar included, naming
+    the row count and the shape returned.  No finiteness check: the first
+    pass of a :func:`grid_sums` chunk, which reads finiteness from its block
+    sums, evaluates by it alone."""
+    values = np.asarray(f(*args), dtype=complex)
+    m = len(args[0])
+    if values.shape != (m,):
+        raise DimensionMismatchError(f"an integrand at {m} {where}s must return {m} values, "
+                                     f"shape ({m},), got shape {values.shape}")
+    return values
+
+
 def sampled(f, *args, where: str = "node", start: int = 0) -> np.ndarray:
-    """``f(*args)`` as complex values: the one place an integrand is evaluated.
+    """``f(*args)`` as complex values of shape (m,), m the rows of
+    ``args[0]`` (:func:`_values`): the checked evaluation of an integrand.
     It runs under ``np.errstate``, so a value past the float range is not a
     numpy warning but an inf or a NaN, which :func:`_require_finite` refuses,
-    naming the row as ``start`` plus its index."""
+    naming the row as ``start`` plus its index.  :func:`grid_sums` calls it
+    only for a chunk whose unchecked pass left a non-finite block sum;
+    ``mc_integrate`` calls it on every sample."""
     with np.errstate(all="ignore"):
-        values = np.asarray(f(*args), dtype=complex)
+        values = _values(f, *args, where=where)
     _require_finite(values, where, start)
     return values
 
 
+def _chunk_sums(integrands, X, W, start: int, sample) -> list[list[float]]:
+    """The real and imaginary block sums, in turn, of each integrand's
+    weighted values on one chunk, evaluated by ``sample``; only the last
+    chunk has a tail.  An array the reduction built is weighted in place,
+    the ``DD->D`` loop of ``values * W``; an array a caller's function
+    returned, or a single value (numpy rounds a one-element in-place
+    product differently), out of place."""
+    parts = []
+    for values, owned in integrands(X, start, sample):
+        prods = np.multiply(values, W, out=values) if owned and values.size > 1 else values * W
+        parts += [_block_sums(prods.real), _block_sums(prods.imag)]
+    return parts
+
+
 def grid_sums(rule: QuadratureRule, center, integrands) -> list[complex]:
     """The weighted node sums over the grid of ``rule`` centred at ``center``
-    (None for the origin) of each integrand, where ``integrands(rows, start)``
-    yields, integrand by integrand, the :func:`sampled` values at ``rows``,
-    the grid rows from node ``start``.
+    (None for the origin) of each integrand, where
+    ``integrands(rows, start, sample)`` yields, integrand by integrand, a
+    pair: the values ``sample(f, *args)`` builds at ``rows``, the grid rows
+    from node ``start``, and whether the array is one the integrands built
+    themselves (a product), which the weighting may overwrite.
 
     The one tensor-grid reduction: it walks the grid in chunks of CHUNK
     nodes, the tail of fewer than BLOCK nodes joining the last chunk, and
     builds each chunk's rows with ``rule.grid``, so memory holds one chunk of
     each value and no whole grid of nodes.  Each chunk keeps the pairwise sums
     of its whole blocks, and the last one its tail's; one ``fsum`` over them
-    has the bits of :func:`_block_sum` on the whole array.  Chunks run in node
-    order, so an error names the first failing chunk's first bad node."""
+    has the bits of :func:`_block_sum` on the whole array.
+
+    Finiteness is read from the block sums.  A chunk first runs as one
+    unchecked pass under a single ``np.errstate`` (``sample`` is
+    :func:`_values`), and one scan of its block sums decides it: a
+    non-finite value always leaves a non-finite real or imaginary block sum,
+    as inf times a weight, inf times an underflowed weight of 0, and NaN all
+    propagate.  Only a chunk with a non-finite block sum, or whose pass
+    raised, runs again as the checked pass (``sample`` is :func:`sampled`,
+    weighting and sums outside ``np.errstate``), which raises the
+    EvaluatorError naming its first bad node, or the error the pass raised,
+    in the order of a checked evaluation.  Finite values whose block sum
+    overflows pass that check: the rerun's sum gives the result of a
+    checked evaluation, inf or NaN, with numpy's overflow warning kept.
+    Chunks run in node order, so an error names the first failing chunk's
+    first bad node."""
     started = time.perf_counter()
     size = rule.size
     bounds = [0, *range(CHUNK, size - BLOCK + 1, CHUNK), size]
-    sums = defaultdict(lambda: ([], []))  # integrand -> real and imaginary block sums
+    sums = defaultdict(list)  # real and imaginary block sums of each integrand, in turn
+    reruns = 0
     for start, stop in zip(bounds, bounds[1:]):
         X, W = rule.grid(center, start, stop)
-        for k, values in enumerate(integrands(X, start)):
-            prods = values * W
-            for parts, x in zip(sums[k], (prods.real, prods.imag)):
-                blocks = _block_sums(x)
-                parts += blocks if stop == size else blocks[:-1]  # only the last has a tail
-    log.debug("grid reduction dim %d, %d nodes, %d chunks in %.3fs", rule.dim, size,
-              len(bounds) - 1, time.perf_counter() - started)
-    return [complex(math.fsum(re), math.fsum(im)) for re, im in sums.values()]
+        failure = None
+        try:
+            with np.errstate(all="ignore"):
+                parts = _chunk_sums(integrands, X, W, start, _values)
+            finite = np.isfinite([s for blocks in parts for s in blocks]).all()
+        except Exception as err:  # raised again below unless the checked pass raises first
+            failure, finite = err, False
+        if not finite:
+            reruns += 1
+            checked = partial(sampled, start=start)
+            parts = _chunk_sums(integrands, X, W, start, checked)
+            if failure is not None:
+                raise failure
+        for k, blocks in enumerate(parts):
+            sums[k] += blocks
+    log.debug("grid reduction dim %d, %d nodes, %d chunks in %.3fs, %d rerun checked",
+              rule.dim, size, len(bounds) - 1, time.perf_counter() - started, reruns)
+    sums = list(sums.values())
+    return [complex(math.fsum(re), math.fsum(im)) for re, im in zip(sums[::2], sums[1::2])]
 
 
 def integrate(rule: QuadratureRule, f) -> complex:
@@ -232,7 +305,7 @@ def integrate(rule: QuadratureRule, f) -> complex:
 
     ``f`` maps an (m, dim) array of points to m values.
     """
-    return grid_sums(rule, None, lambda rows, start: [sampled(f, rows, start=start)])[0]
+    return grid_sums(rule, None, lambda rows, start, sample: [(sample(f, rows), False)])[0]
 
 
 def _tensor_phase(rule: QuadratureRule, phase):
@@ -273,9 +346,10 @@ def integrate_shifted(rule: QuadratureRule, center, f, phase=None) -> complex:
     def values(X, start):
         if oscillation is None:
             return f(X)
-        return np.multiply(f(X), oscillation(start, start + len(X)))
+        return np.multiply(_values(f, X), oscillation(start, start + len(X)))
 
-    return grid_sums(rule, center, lambda X, start: [sampled(values, X, start, start=start)])[0]
+    return grid_sums(rule, center, lambda X, start, sample:
+                     [(sample(values, X, start), oscillation is not None)])[0]
 
 
 def lebesgue_integral(P, nodes_per_axis: int, center, f, phase=None) -> complex:

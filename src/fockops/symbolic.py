@@ -4,12 +4,13 @@ One term type carries the whole closed class:
 
 * :class:`Polynomial`: one read-only dense coefficient array, whose zeros
   are +0, evaluated and composed with affine maps by nested Horner.  A
-  block of coefficients times rows within a budget (256 KiB complex) is
-  evaluated one axis at a time, every line of the axis in one product and
-  one sum per power: few rows, as at a point, would otherwise pay a Python
-  call per coefficient slab.  A larger block, a quadrature chunk, goes slab
-  by slab, skipping all-zero slabs, as arithmetic on every line would cost
-  more there.  The bits are the same either way (:func:`_horner`).  A
+  block of coefficients times rows within a budget (256 KiB complex), or
+  any block at no more than 64 rows, is evaluated one axis at a time,
+  every line of the axis in one product and one sum per power: few rows,
+  as at a point, would otherwise pay a Python call per coefficient slab.
+  A larger block at more rows, a quadrature chunk, goes slab by slab,
+  skipping all-zero slabs, as arithmetic on every line would cost more
+  there.  The bits are the same either way (:func:`_horner`).  A
   composition is nested Horner one axis at a time too, the lines of an
   axis in one batch, each with the bits of its own Horner scheme
   (:func:`_compose`).
@@ -81,9 +82,10 @@ __all__ = [
 
 EXP_OVERFLOW = 700.0
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-# coefficients times rows past which _horner evaluates a block slab by slab:
-# 256 KiB of complex values
+# coefficients times rows past which _horner evaluates a block slab by slab,
+# 256 KiB of complex values, unless the rows are at most _HORNER_ROWS
 _HORNER_VALUES = 16_384
+_HORNER_ROWS = 64
 
 
 def exp_rows(expo, size: int):
@@ -176,22 +178,25 @@ def _horner(c: np.ndarray, columns: list):
     0 + v_t, and then takes a product with the column and adds the next
     term at each lower power, leaving out the terms of all-zero slabs.
 
-    The size of the block decides the order; the bits are the same.  Past
-    _HORNER_VALUES coefficients times rows, the first axis slab by slab,
-    each slab again a block, skipping all-zero slabs, with in-place
-    products on long rows.  A single axis takes this loop at any size, over
-    Python-scalar coefficients: it is one axis at a time already, and
-    cheaper than arrays.  Within the budget, one axis at a time, last axis
+    The size of the block and the rows decide the order; the bits are the
+    same.  Past _HORNER_VALUES coefficients times rows and past _HORNER_ROWS
+    rows, the first axis slab by slab, each slab again a block, skipping
+    all-zero slabs, with in-place products on long rows.  A single axis
+    takes this loop at any size, over Python-scalar coefficients: it is one
+    axis at a time already, and cheaper than arrays.  Within the budget, or
+    at most _HORNER_ROWS rows of any block, one axis at a time, last axis
     first, all lines of an axis at once: one product and one sum per power,
-    on temporaries of at most _HORNER_VALUES values.  There a zero term
+    on temporaries of the block's lines times the rows.  There a zero term
     adds -0, which changes no value, and a line is overwritten where it
     starts, 0 + v_t, except at the first axis taken when its column is
     finite and no coefficient has a part of -0: there the line's +-0 prefix
-    plus v_t is v_t already.  Few rows, a point as the closed routes evaluate one, would pay
-    a Python call per slab; many rows, a quadrature chunk, would pay for
-    arithmetic on every zero line, in temporaries past a core's cache."""
+    plus v_t is v_t already.  Few rows, a point as the closed routes evaluate
+    one, would pay a Python call per slab, even of a large block; many rows,
+    a quadrature chunk, would pay for arithmetic on every zero line, in
+    temporaries past a core's cache."""
     zero = 0j if np.iscomplexobj(c) else 0.0
-    if c.ndim == 1 or c.size * len(columns[0]) > _HORNER_VALUES:
+    rows = len(columns[0])
+    if c.ndim == 1 or (c.size * rows > _HORNER_VALUES and rows > _HORNER_ROWS):
         leaf, acc = c.ndim == 1, zero
         for slab in (c.tolist() if leaf else c)[::-1]:  # Python scalars on the last axis
             # numpy rounds a one-element in-place complex product differently from
@@ -446,6 +451,12 @@ class GaussPoly:
         real = not (P.imag.any() or b.imag.any() or self.gamma.imag)
         object.__setattr__(self, "_real_exponent",
                            (P.real, b.real, self.gamma.real) if real else None)
+        # a constant exponent's factor exp(gamma), taken once for a finite
+        # gamma in range; past EXP_OVERFLOW evaluation raises, as exp_rows does
+        constant = (not (P.any() or b.any()) and np.isfinite(self.gamma)
+                    and self.gamma.real <= EXP_OVERFLOW)
+        object.__setattr__(self, "_constant_factor",
+                           np.exp(np.asarray(self.gamma, dtype=complex)) if constant else None)
 
     @property
     def n(self) -> int:
@@ -506,14 +517,23 @@ class GaussPoly:
         range raises RangeOverflowError for the batch.  Each value is the
         polynomial's times the exponential, plus 0.0 in place, so a -0 reads
         +0 and every other value keeps its bits.
-        A zero polynomial is zero everywhere, its exponent unread."""
+        A zero polynomial is zero everywhere, its exponent unread.  With
+        P = 0 and b = 0 the exponential is the scalar exp(gamma) taken when
+        the term was built, the bits of taking it per call; a gamma whose
+        real part is past EXP_OVERFLOW raises RangeOverflowError here.
+        Values are not checked for finiteness: the quadrature reduction
+        reads it from its block sums and names a non-finite value's node,
+        and a finite value past what a block sum can hold gives that sum's
+        inf with numpy's overflow warning."""
         X = np.asarray(X)
         _require_rows(X, self.n)
         if self.poly.is_zero():
             return np.zeros(X.shape[0], dtype=complex)
-        # exp of a real exponent is taken in complex, as numpy's real exp can
-        # differ from it in the last bit
-        gauss = exp_rows(np.asarray(self.exponent_many(X), dtype=complex), X.shape[0])
+        gauss = self._constant_factor
+        if gauss is None:
+            # exp of a real exponent is taken in complex, as numpy's real exp
+            # can differ from it in the last bit
+            gauss = exp_rows(np.asarray(self.exponent_many(X), dtype=complex), X.shape[0])
         out = self.poly.evaluate_many(X) * gauss
         out += 0.0  # -0 reads +0, the bits reports carry
         return out

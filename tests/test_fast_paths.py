@@ -1,17 +1,22 @@
 """Fast paths against the code they replaced, kept here verbatim: the sparse
 Gaussian exponent, the in-place +0 of a term's values, the composition one
 axis at a time, the few-row evaluation without the start overwrites that
-change no bit, and the column-wise grid shift all keep every bit of the old
-results."""
+change no bit, the column-wise grid shift, both Horner paths at any row
+count, the constant exponent taken once, and the grid reduction that reads
+finiteness from its block sums and weights its own products in place all
+keep every bit of the old results, and every error of the old checks."""
 
 import itertools
+import logging
+import math
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 from fockops import (
+    EvaluatorError,
     GaussPoly,
     Polynomial,
     QuadratureRule,
@@ -19,10 +24,24 @@ from fockops import (
     RealLinearMap,
     build_context,
     classical_to_weighted,
+    fock_gram,
+    fock_rule,
     hermite_function,
+    integrate,
+    integrate_shifted,
+    kernel_section,
     segal_bargmann_fn,
+    symbolic,
 )
-from fockops.quadrature import CHUNK, _unit_grid
+from fockops.operators import to_complex_coords
+from fockops.quadrature import (
+    BLOCK,
+    CHUNK,
+    _real_vector,
+    _require_finite,
+    _tensor_phase,
+    _unit_grid,
+)
 from fockops.symbolic import (
     _HORNER_VALUES,
     _as_complex_vector,
@@ -435,6 +454,60 @@ def test_the_ladder_images_keep_their_bits_at_a_point(n, degree):
         assert_few_rows_keep_their_bits(F.poly.coeffs, Z[:2])
 
 
+ROW_COUNTS = [*range(1, 17), 24, 31, 32, 33, 63, 64, 65, 100, 128, 255, 256]
+
+
+def both_paths(monkeypatch, c, columns):
+    """_horner slab by slab, then one axis at a time, at any block and rows,
+    each as an (m,) array (a path may return a constant as a scalar)."""
+    out = []
+    for values, rows in ((0, 0), (10**12, 10**12)):
+        monkeypatch.setattr(symbolic, "_HORNER_VALUES", values)
+        monkeypatch.setattr(symbolic, "_HORNER_ROWS", rows)
+        out.append(np.broadcast_to(_horner(c, columns), columns[0].shape))
+    monkeypatch.undo()
+    return out
+
+
+def test_a_large_block_takes_one_axis_at_a_time_at_few_rows(monkeypatch):
+    c = np.ones((19, 19, 19))
+    calls = []
+    monkeypatch.setattr(symbolic, "_horner", lambda c, cols: calls.append(c.shape) or
+                        _horner(c, cols))
+    for rows, recursed in ((symbolic._HORNER_ROWS, False), (symbolic._HORNER_ROWS + 1, True)):
+        calls.clear()
+        _horner(c, list(np.ones((3, rows))))
+        assert bool(calls) is recursed, rows  # the slab path calls itself per slab
+
+
+@pytest.mark.parametrize("n, degree", [(2, 6), (3, 4), (3, 6)])
+def test_both_horner_paths_keep_their_bits_at_one_to_256_rows(monkeypatch, n, degree):
+    rng = np.random.default_rng(10 * n + degree)
+    ctx, f = ladder_context(rng, n), hermite_function((degree,) * n)
+    blocks = [segal_bargmann_fn(ctx, f).poly.coeffs, f.poly._real]
+    for m in ROW_COUNTS:
+        X = rng.standard_normal((m, n))
+        for c, rows in ((blocks[0], X + 1j * rng.standard_normal((m, n))), (blocks[1], X)):
+            slabs, axes = both_paths(monkeypatch, c, list(rows.T))
+            assert same_bits(slabs, axes), (n, degree, m)
+
+
+def test_random_blocks_keep_their_bits_on_both_horner_paths(monkeypatch):
+    rng = np.random.default_rng(41)
+    coords = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, np.nan]
+    for m in ROW_COUNTS:
+        n = int(rng.integers(2, 5))
+        p = Polynomial.from_coeffs(sparse(rng, tuple(rng.integers(1, 7, n)), 0.5,
+                                          rng.choice(["real", "complex"])))
+        X = np.where(rng.random((m, n)) < 0.1, rng.choice(coords, (m, n)),
+                     rng.standard_normal((m, n)))
+        with np.errstate(all="ignore"):
+            for c, rows in ((p.coeffs, X + 1j * rng.standard_normal((m, n))), (p._real, X)):
+                if c is not None:
+                    slabs, axes = both_paths(monkeypatch, c, list(rows.T))
+                    assert same_bits(slabs, axes), (c, rows)
+
+
 # -- grid rows ---------------------------------------------------------------------
 
 
@@ -452,3 +525,287 @@ def test_grid_rows_shifted_column_by_column_keep_the_bits_of_the_broadcast(dim, 
     for start, stop in ranges:
         got, want = rule.grid(center, start, stop), old_grid(rule, center, start, stop)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (start, stop)
+
+
+# -- the grid reduction: finiteness from the block sums ------------------------
+
+
+def old_sampled(f, *args, where="node", start=0):
+    with np.errstate(all="ignore"):
+        values = np.asarray(f(*args), dtype=complex)
+    _require_finite(values, where, start)
+    return values
+
+
+def old_block_sums(x):
+    whole = x.size - x.size % BLOCK
+    return [*x[:whole].reshape(-1, BLOCK).sum(axis=1).tolist(), float(x[whole:].sum())]
+
+
+def old_grid_sums(rule, center, integrands):
+    size = rule.size
+    bounds = [0, *range(CHUNK, size - BLOCK + 1, CHUNK), size]
+    sums = defaultdict(lambda: ([], []))  # integrand -> real and imaginary block sums
+    for start, stop in zip(bounds, bounds[1:]):
+        X, W = rule.grid(center, start, stop)
+        for k, values in enumerate(integrands(X, start)):
+            prods = values * W
+            for parts, x in zip(sums[k], (prods.real, prods.imag)):
+                blocks = old_block_sums(x)
+                parts += blocks if stop == size else blocks[:-1]  # only the last has a tail
+    return [complex(math.fsum(re), math.fsum(im)) for re, im in sums.values()]
+
+
+def old_integrate(rule, f):
+    return old_grid_sums(rule, None, lambda rows, start: [old_sampled(f, rows, start=start)])[0]
+
+
+def old_integrate_shifted(rule, center, f, phase=None):
+    center = _real_vector(center, rule.dim, "center")
+    phase = None if phase is None else _real_vector(phase, rule.dim, "phase")
+    oscillation = None if phase is None else _tensor_phase(rule, phase)
+
+    def values(X, start):
+        if oscillation is None:
+            return f(X)
+        return np.multiply(f(X), oscillation(start, start + len(X)))
+
+    return old_grid_sums(rule, center,
+                         lambda X, start: [old_sampled(values, X, start, start=start)])[0]
+
+
+def old_fock_gram(ctx, Fs, Gs, rule):
+    def products(rows, start):
+        Z = to_complex_coords(rows)
+        columns = [np.conj(old_sampled(G.evaluate_many, Z, start=start)) for G in Gs]
+        by_id = {id(G): column for G, column in zip(Gs, columns)}
+        for F in Fs:
+            row = (np.conj(by_id[id(F)]) if id(F) in by_id
+                   else old_sampled(F.evaluate_many, Z, start=start))
+            for column in columns:
+                yield old_sampled(np.multiply, row, column, start=start)
+
+    return np.array(old_grid_sums(rule, None, products), dtype=complex).reshape(len(Fs), len(Gs))
+
+
+def node_values(rng, m):
+    """Complex values at m nodes, each part drawn from normal values, +-0,
+    subnormals and values whose product with a weight is subnormal."""
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, 3e-305])
+    def part():
+        x = rng.standard_normal(m) * np.exp(rng.uniform(-30, 30, m))
+        return np.where(rng.random(m) < 0.3, rng.choice(pool, m), x)
+    return part() + 1j * part()
+
+
+def field_at_nodes(rule, values, center=None):
+    """The function that returns ``values`` at the grid nodes, row for row,
+    a fresh array each call."""
+    X = rule.grid(center)[0]
+    index = {row.tobytes(): i for i, row in enumerate(X)}
+    return lambda Y: values[[index[row.tobytes()] for row in Y]]
+
+
+# k^dim nodes: one node; below, at and past a BLOCK; below, at and past a
+# CHUNK; a tail that joins its chunk, and one that makes a chunk of its own
+GRID_SHAPES = [(1, 1), (2, 1), (3, 1), (4, 1), (1, 5), (1, 370), (2, 63), (2, 64), (2, 65),
+               (3, 16), (4, 8), (2, 127), (2, 128), (2, 129), (3, 26), (4, 11), (4, 12),
+               (2, 143), (2, 144), (3, 40)]
+
+
+@pytest.mark.parametrize("dim, k", GRID_SHAPES)
+def test_integrals_keep_the_bits_of_the_checked_reduction(dim, k):
+    rng = np.random.default_rng(dim * 1000 + k)
+    M = rng.standard_normal((dim, dim))
+    rule = QuadratureRule(dim, k, scaling=M @ M.T + dim * np.eye(dim))
+    center, phase = rng.standard_normal(dim), rng.standard_normal(dim)
+    values = node_values(rng, rule.size)
+    f = field_at_nodes(rule, values)
+    assert same_bits(integrate(rule, f), old_integrate(rule, f))
+    shifted = field_at_nodes(rule, values, center)
+    for p in (None, phase):
+        assert same_bits(integrate_shifted(rule, center, shifted, p),
+                         old_integrate_shifted(rule, center, shifted, p))
+
+
+def gram_context(rng, n):
+    R, T = rng.standard_normal((2, n, n))
+    return build_context(RealLinearMap.from_blocks(R @ R.T + n * np.eye(n), T @ T.T / 4))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (1, 64), (1, 128), (1, 129), (1, 200),
+                                  (2, 11), (2, 12)])
+def test_grams_keep_the_bits_of_the_checked_reduction(n, k):
+    # an F that is also a G, monomials (a constant exponent), and terms with
+    # a complex constant exponent, one of exp(700) and a tiny one
+    rng = np.random.default_rng(n * 100 + k)
+    ctx = gram_context(rng, n)
+    rule = fock_rule(ctx, k)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    section = kernel_section(ctx, 0.3 * w)
+    zeros = (np.zeros((n, n)), np.zeros(n))
+    constants = [GaussPoly(Polynomial.monomial(n, (1,) * n, 1e-300), *zeros, complex(700.0, 0.3)),
+                 GaussPoly(Polynomial.constant(n, 1.0), *zeros, complex(-740.0, 2.0)),
+                 GaussPoly(Polynomial.monomial(n, (2,) + (0,) * (n - 1)), *zeros, 0.5 - 1.5j)]
+    monomials = [GaussPoly.monomial(n, (a,) + (0,) * (n - 1)) for a in range(4)]
+    Fs = [*monomials, section, *constants]
+    Gs = [section, monomials[1], constants[2]]
+    assert same_bits(fock_gram(ctx, Fs, Gs, rule), old_fock_gram(ctx, Fs, Gs, rule))
+    assert same_bits(fock_gram(ctx, Gs, Gs, rule), old_fock_gram(ctx, Gs, Gs, rule))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5 - 1.5j, complex(-1e3, 7.0), complex(700.0, 0.0),
+                                   complex(700.0, -3.0), complex(-0.0, -0.0), complex(0.0, np.pi)])
+def test_a_constant_exponent_keeps_the_bits_of_taking_it_per_call(gamma):
+    rng = np.random.default_rng(7)
+    f = GaussPoly(Polynomial.from_coeffs([[1.0, -2.0j], [0.5, 3.0]]), np.zeros((2, 2)),
+                  [0.0, -0.0], gamma)
+    assert f._constant_factor is not None  # the path under test
+    for m in (1, 2, 3, 64, 5000):
+        for X in (rng.standard_normal((m, 2)), rng.standard_normal((m, 2)) * (1 + 1j)):
+            assert same_bits(f.evaluate_many(X), old_evaluate_many(f, X)), (gamma, m)
+
+
+@pytest.mark.parametrize("gamma", [np.nextafter(700.0, np.inf), complex(700.5, 1.0), 1e308])
+def test_a_constant_exponent_past_the_bound_raises_with_the_same_exponents(gamma):
+    f = GaussPoly(Polynomial.constant(1, 1.0), np.zeros((1, 1)), [0.0], gamma)
+    X = np.array([[0.5], [-1.0], [2.0]])
+    errors = []
+    for evaluate in (GaussPoly.evaluate_many, old_evaluate_many):
+        with pytest.raises(RangeOverflowError) as caught:
+            evaluate(f, X)
+        errors.append(caught.value)
+    assert errors[0].payload() == errors[1].payload()
+    assert same_bits(errors[0].exponents, errors[1].exponents)
+
+
+def test_weighting_in_place_keeps_the_bits_of_the_product_at_every_length():
+    rng = np.random.default_rng(11)
+    W = rng.random(CHUNK + BLOCK) * np.exp(rng.uniform(-700, 0, CHUNK + BLOCK))
+    for m in [*range(2, 40), 8191, 8192, 8193, CHUNK - 1, CHUNK + 1, CHUNK + BLOCK - 1]:
+        values = node_values(rng, m)
+        want = values * W[:m]
+        assert same_bits(np.multiply(values, W[:m], out=values), want), m
+
+
+def test_a_callers_array_is_weighted_out_of_place():
+    rule = QuadratureRule(2, 30)
+    arr = node_values(np.random.default_rng(3), rule.size)
+    kept = arr.copy()
+    for integral in (lambda: integrate(rule, lambda X: arr),
+                     lambda: integrate_shifted(rule, [0.1, -0.2], lambda X: arr)):
+        assert same_bits(integral(), integral())
+        assert same_bits(arr, kept)
+
+
+class _Column:
+    """A function of n variables at the grid of a rule: ``value`` at the
+    node ``node`` (an index into the whole grid), ``base`` elsewhere."""
+
+    def __init__(self, rule, node, value, base=1.0):
+        self.target = to_complex_coords(rule.grid()[0][node])
+        self.value, self.base = value, base
+
+    def evaluate_many(self, Z):
+        out = np.full(len(Z), self.base, dtype=complex)
+        out[(Z == self.target).all(axis=1)] = self.value
+        return out
+
+
+def raised(call):
+    with pytest.raises(Exception) as caught:  # noqa: B017 (compared, not assumed)
+        call()
+    return type(caught.value), str(caught.value)
+
+
+# 200^2 nodes: chunks [0, 16384), [16384, 32768) and [32768, 40000)
+PARITY_NODES = [start + offset for start, stop in ((0, CHUNK), (CHUNK, 2 * CHUNK),
+                                                   (2 * CHUNK, 40_000))
+                for offset in (0, (stop - start) // 2, stop - start - 1)]
+
+
+@pytest.mark.parametrize("place", ["column", "row", "product"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_value_raises_the_checked_error(place, value):
+    ctx = build_context(RealLinearMap.identity(1))
+    rule = fock_rule(ctx, 200)
+    one = GaussPoly.constant(1, 1.0)
+    messages = set()
+    for node in PARITY_NODES:
+        if place == "product":  # finite factors whose product is +-inf, or inf - inf
+            big = 1e200 * (1 + 1j if np.isnan(value) else np.sign(value))
+            Fs, Gs = [_Column(rule, node, big), one], [one, _Column(rule, node, 1e200)]
+        else:
+            spike = _Column(rule, node, value)
+            Fs, Gs = ([one, spike], [one, one]) if place == "row" else ([one, one], [one, spike])
+        got = raised(lambda: fock_gram(ctx, Fs, Gs, rule))
+        assert got == raised(lambda: old_fock_gram(ctx, Fs, Gs, rule))
+        assert got[0] is EvaluatorError and got[1].endswith(f" at node {node}"), got
+        messages.add(got[1])
+    assert len(messages) == len(PARITY_NODES)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_integrand_raises_the_checked_error(value):
+    rule = QuadratureRule(2, 200)
+    center, phase = np.array([0.3, -0.1]), np.array([0.5, 2.0])
+    for node in PARITY_NODES:
+        for grid_center, call, old in ((None, lambda f: integrate(rule, f),
+                                        lambda f: old_integrate(rule, f)),
+                                       (center, lambda f: integrate_shifted(rule, center, f, phase),
+                                        lambda f: old_integrate_shifted(rule, center, f, phase))):
+            target = rule.grid(grid_center)[0][node]
+            f = lambda X: np.where((X == target).all(axis=1), value, 1.0)  # noqa: E731
+            got = raised(lambda: call(f))
+            assert got == raised(lambda: old(f))
+            assert got[0] is EvaluatorError and got[1].endswith(f" at node {node}"), got
+
+
+def test_an_error_after_a_non_finite_value_in_its_chunk_is_the_checked_error():
+    # the unchecked pass meets the out-of-range exponent of the second column
+    # first; the checked pass names the NaN of the first column, as before
+    ctx = build_context(RealLinearMap.identity(1))
+    rule = fock_rule(ctx, 200)
+    one = GaussPoly.constant(1, 1.0)
+    growing = GaussPoly(Polynomial.constant(1, 1.0), -10 * np.eye(1), [0.0], 0.0)
+    with pytest.raises(RangeOverflowError):  # at the outer nodes of the first chunk
+        growing.evaluate_many(to_complex_coords(rule.grid(None, 0, CHUNK)[0]))
+    Gs = [_Column(rule, 5, np.nan), growing]
+    got = raised(lambda: fock_gram(ctx, [one], Gs, rule))
+    assert got == raised(lambda: old_fock_gram(ctx, [one], Gs, rule))
+    assert got == (EvaluatorError, "integrand produced NaN at node 5")
+
+
+def test_an_error_of_the_unchecked_pass_stands_if_the_checked_pass_raises_none():
+    # an integrand that fails only at its first call: the checked pass runs
+    # clean, and the error of the one evaluation a checked reduction made is
+    # raised
+    def failing_once():
+        calls = []
+
+        def f(X):
+            calls.append(len(X))
+            if len(calls) == 1:
+                raise ValueError("first call")
+            return np.ones(len(X))
+        return f
+
+    rule = QuadratureRule(2, 10)
+    got = raised(lambda: integrate(rule, failing_once()))
+    assert got == raised(lambda: old_integrate(rule, failing_once())) == (ValueError, "first call")
+
+
+def test_finite_values_whose_block_sum_overflows_keep_the_result_and_the_warning(caplog):
+    # three weights of the largest float sum past it: the unchecked pass
+    # leaves an inf block sum, and the checked rerun sums it as before, with
+    # numpy's overflow warning
+    rule, huge = QuadratureRule(1, 3), np.finfo(float).max
+    f = lambda X: np.full(len(X), huge)  # noqa: E731
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        want = old_integrate(rule, f)
+    with caplog.at_level(logging.DEBUG, logger="fockops"), \
+            pytest.warns(RuntimeWarning, match="overflow"):
+        got = integrate(rule, f)
+    assert same_bits(got, want) and got.real == np.inf
+    (record,) = [r for r in caplog.records if r.name == "fockops.quadrature"]
+    assert record.args[-1] == 1  # one chunk rerun through the checked pass

@@ -251,6 +251,30 @@ def test_fock_gram_names_a_non_finite_column_value(value, kind):
         fock_gram(ctx, [_Spike(7, value)], [one], fock_rule(ctx, 10))
 
 
+class _Values:
+    """A function whose evaluation returns ``shape(m)`` ones at m rows."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def evaluate_many(self, Z):
+        return np.ones(self.shape(len(Z)))
+
+
+@pytest.mark.parametrize("shape, got", [(lambda m: m - 1, r"\(99,\)"),
+                                        (lambda m: (m, 2), r"\(100, 2\)"),
+                                        (lambda m: (), r"\(\)")],
+                         ids=["one short", "pairs", "a scalar"])
+def test_fock_gram_refuses_a_function_of_the_wrong_shape(shape, got):
+    ctx = diag_ctx()
+    one = GaussPoly.constant(1, 1.0)
+    match = rf"at 100 nodes must return 100 values, shape \(100,\), got shape {got}$"
+    with pytest.raises(DimensionMismatchError, match=match):
+        fock_gram(ctx, [one], [_Values(shape)], fock_rule(ctx, 10))
+    with pytest.raises(DimensionMismatchError, match=match):
+        fock_gram(ctx, [_Values(shape)], [one], fock_rule(ctx, 10))
+
+
 @pytest.mark.parametrize("f", [
     GaussPoly(Polynomial.monomial(1, (4,), 1e308), np.eye(1), np.zeros(1), 0.0),
     GaussPoly.constant(1, 1e200),  # finite values whose product overflows

@@ -231,8 +231,9 @@ def test_only_the_chunk_loop_reduces_a_tensor_grid():
     """quadrature.grid_sums is the one tensor-grid reduction and the only
     function in the package that builds grid nodes, a chunk at a time from the
     shape's cached unit grid; the blocked sums it is built on are taken only
-    by it, by the whole-array _block_sum, and through that by mc_integrate,
-    which draws its samples in one call."""
+    by its pass over one chunk, _chunk_sums, which nothing else calls, by the
+    whole-array _block_sum, and through that by mc_integrate, which draws its
+    samples in one call."""
     callers = {}
     for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -242,7 +243,8 @@ def test_only_the_chunk_loop_reduces_a_tensor_grid():
                 if isinstance(call, ast.Call):
                     name = getattr(call.func, "attr", getattr(call.func, "id", None))
                     callers.setdefault(name, set()).add(f"{path.stem}.{func.name}")
-    assert callers["_block_sums"] == {"quadrature._block_sum", "quadrature.grid_sums"}
+    assert callers["_block_sums"] == {"quadrature._block_sum", "quadrature._chunk_sums"}
+    assert callers["_chunk_sums"] == {"quadrature.grid_sums"}
     assert callers["_block_sum"] == {"quadrature.mc_integrate"}
     assert callers["grid"] == {"quadrature.grid_sums"}
     assert callers["_unit_grid"] == {"quadrature.grid"}

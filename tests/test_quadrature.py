@@ -153,6 +153,42 @@ def test_a_non_finite_value_in_a_later_chunk_is_named_by_its_grid_node(value, ki
         integrate(rule, lambda X: np.where((X == node).all(axis=1), value, 1.0))
 
 
+# an integrand at m rows must return shape (m,): one value short, a column
+# of pairs, and a scalar
+WRONG_SHAPES = {"one short": lambda X: np.ones(len(X) - 1),
+                "(m, 2)": lambda X: np.ones((len(X), 2)),
+                "a scalar": lambda X: 1.0}
+WANT_SHAPES = {"one short": r"\(24,\)", "(m, 2)": r"\(25, 2\)", "a scalar": r"\(\)"}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_an_integrand_of_the_wrong_shape_is_a_dimension_mismatch(name):
+    rule = QuadratureRule(2, 5)
+    f = WRONG_SHAPES[name]
+    match = rf"at 25 nodes must return 25 values, shape \(25,\), got shape {WANT_SHAPES[name]}$"
+    with pytest.raises(DimensionMismatchError, match=match):
+        integrate(rule, f)
+
+
+@pytest.mark.parametrize("phase", [None, [0.5, -1.0]], ids=["plain", "phase"])
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_a_shifted_integrand_of_the_wrong_shape_is_a_dimension_mismatch(name, phase):
+    match = rf"at 25 nodes must return 25 values, shape \(25,\), got shape {WANT_SHAPES[name]}$"
+    with pytest.raises(DimensionMismatchError, match=match):
+        integrate_shifted(QuadratureRule(2, 5), [0.1, 0.2], WRONG_SHAPES[name], phase)
+
+
+@pytest.mark.parametrize("f, shape", [(lambda X: np.ones(5), r"\(5,\)"),
+                                      (lambda X: np.ones((1000, 2)), r"\(1000, 2\)"),
+                                      (lambda X: 1.0, r"\(\)")],
+                         ids=["five values", "pairs", "a scalar"])
+def test_a_monte_carlo_integrand_of_the_wrong_shape_is_a_dimension_mismatch(f, shape):
+    # five values summed and divided by 1,000 samples read 0.005
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"at 1000 samples must return 1000 values, .*got shape {shape}$"):
+        mc_integrate(1, 1000, np.eye(2), f)
+
+
 def test_mc_rejects_infinite_samples():
     def spike(X):
         out = np.ones(X.shape[0])

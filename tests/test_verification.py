@@ -121,6 +121,16 @@ def test_report_passes_the_benchmark_verify_gate():
     assert all(c["pass"] is True and math.isfinite(c["residual"]) for c in checks)
 
 
+def test_default_verify_reruns_no_grid_chunk_through_the_checked_pass(caplog):
+    # the grid reduction's line ends with the chunks whose block sums were
+    # not finite: at the default config no integrand leaves the float range
+    with caplog.at_level(logging.DEBUG, logger="fockops.quadrature"):
+        run_verification(VerifyConfig())
+    lines = [r for r in caplog.records if r.getMessage().startswith("grid reduction")]
+    assert len(lines) > 40
+    assert {r.args[-1] for r in lines} == {0}
+
+
 def test_each_group_logs_name_count_and_seconds(monkeypatch, caplog):
     groups = {
         "kernel-constants": verification.check_constant_identities,
