@@ -23,6 +23,10 @@ class FockError(Exception):
 
 
 class DimensionMismatchError(FockError):
+    """Arguments whose dimensions disagree: a point that is not a length-n
+    vector, a batch that is not (m, n) or whose m differs from another's,
+    or a matrix, a rule or an operand of another dimension."""
+
     kind = "dimension_mismatch"
 
 
@@ -87,7 +91,10 @@ class EvaluatorError(FockError):
 
 
 class UnsupportedFormError(FockError):
-    """A symbolic operation was asked of a function outside the closed class."""
+    """A symbolic operation was asked of a function outside the closed class:
+    a malformed multi-index, or a term collapsed to a polynomial whose
+    Gaussian part is not trivial.  A disagreement of dimensions is a
+    DimensionMismatchError."""
 
     kind = "unsupported_form"
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError
 from .operators import OperatorContext, to_complex_coords
 from .quadrature import QuadratureRule, grid_sums
-from .symbolic import GaussPoly, bilinear_rows, exp_rows, pointwise
+from .symbolic import GaussPoly, as_vector, bilinear_rows, exp_rows, pointwise, require_rows
 
 __all__ = [
     "measure_density",
@@ -48,12 +48,9 @@ __all__ = [
 
 @pointwise
 def measure_density(ctx: OperatorContext, z):
-    """Density of the Gaussian measure at z (with respect to dx dy).  A batch
-    call takes z of shape (m, n), DimensionMismatchError for any other."""
+    """Density of the Gaussian measure at z (with respect to dx dy)."""
     z = np.asarray(z, dtype=complex)
-    if z.ndim != 2 or z.shape[1] != ctx.n:
-        raise DimensionMismatchError(f"the density in {ctx.n} variables takes z of shape "
-                                     f"(m, {ctx.n}), got {z.shape}")
+    require_rows(ctx.n, z)
     V = np.concatenate([z.real, z.imag], axis=1)
     expo = 0.5 * ctx.log_det_v_a - bilinear_rows(V, ctx.A.entries, V)
     return math.pi ** (-ctx.n) * exp_rows(expo, len(z))
@@ -71,25 +68,16 @@ def _kernel_exponent(ctx: OperatorContext, z: np.ndarray, w: np.ndarray) -> np.n
 
 @pointwise
 def kernel(ctx: OperatorContext, z, w):
-    """Reproducing kernel at (z, w); holomorphic in z, antiholomorphic in w.
-    A batch call takes z and w of one (m, n) shape, DimensionMismatchError
-    for any other."""
+    """Reproducing kernel at (z, w); holomorphic in z, antiholomorphic in w."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if z.shape != w.shape or z.ndim != 2 or z.shape[1] != ctx.n:
-        raise DimensionMismatchError(f"the kernel in {ctx.n} variables takes z and w of one "
-                                     f"shape (m, {ctx.n}), got {z.shape} and {w.shape}")
+    require_rows(ctx.n, z, w)
     return exp_rows(_kernel_exponent(ctx, z, w), len(z))
 
 
 def kernel_section(ctx: OperatorContext, w) -> GaussPoly:
-    """The kernel at fixed second argument, as a symbolic function of z; w
-    of shape (n,), DimensionMismatchError for any other."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (ctx.n,):
-        raise DimensionMismatchError(f"the kernel section in {ctx.n} variables takes w of "
-                                     f"shape ({ctx.n},), got {w.shape}")
-    wbar = np.conj(w)
+    """The kernel at fixed second argument, as a symbolic function of z."""
+    wbar = np.conj(as_vector(w, ctx.n, "w"))
     C = ctx.K_matrix
     return GaussPoly.gaussian(
         -np.conj(C), ctx.H_matrix.T @ wbar, 0.5 * np.dot(wbar, C @ wbar), ctx.c_a**-2
@@ -191,8 +179,10 @@ def fock_norm(ctx: OperatorContext, F: GaussPoly, rule: QuadratureRule) -> float
 
 
 def normalized_monomial(n: int, alpha) -> GaussPoly:
-    """z^alpha / sqrt(alpha!), an orthonormal family in the classical space."""
-    alpha = tuple(int(a) for a in alpha)
-    norm = math.sqrt(math.prod(math.factorial(a) for a in alpha))
-    return GaussPoly.monomial(n, alpha, 1.0 / norm)
+    """z^alpha / sqrt(alpha!), an orthonormal family in the classical space.
+    The monomial refuses a bad multi-index before any factorial is taken;
+    its coefficient 1.0 times 1/norm is 1/norm, bit for bit."""
+    monomial = GaussPoly.monomial(n, alpha)
+    (alpha,) = monomial.poly.terms
+    return monomial.times_scalar(1.0 / math.sqrt(math.prod(map(math.factorial, alpha))))
 

@@ -143,13 +143,14 @@ class QuadratureRule:
 
 
 def _real_vector(v, dim: int, what: str) -> np.ndarray:
-    """``v`` as a float64 vector of length ``dim``: DimensionMismatchError for
-    any other shape, ConfigError for a complex dtype or a non-finite value,
-    each naming ``what`` and the value passed."""
-    a = np.asarray(v)
-    if a.shape != (dim,):
-        raise DimensionMismatchError(f"{what} must be a real vector of length {dim}, "
-                                     f"got shape {a.shape}: {_shown(a)}")
+    """``v`` as a float64 vector of length ``dim``: its shape checked by
+    :func:`~fockops.symbolic.as_vector`, then ConfigError for a complex dtype
+    or a non-finite value, naming ``what`` and the value passed."""
+    # imported here: truncate imports this module for its budgets and loads
+    # no symbolic calculus
+    from .symbolic import as_vector
+
+    a = as_vector(v, dim, what, None)
     if np.iscomplexobj(a):
         raise ConfigError(f"{what} must be real, got {_shown(a)}")
     a = a.astype(float, copy=False)

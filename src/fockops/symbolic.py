@@ -43,10 +43,14 @@ complex product with zero imaginary parts rounds its real part once, as
 the real product does, so each value is that of the complex computation,
 returned as complex128.
 
-Three helpers hold the point functions' contract: :func:`pointwise`, the
-one place a point becomes its one-row batch; :func:`bilinear_rows`, the
-row sum whose bits do not depend on the batch; and :func:`exp_rows`, the
-one guard of the float range for the exponential of a quadratic form.
+Four helpers hold the point functions' contract: :func:`pointwise`, the
+one place a point becomes its one-row batch; :func:`require_rows`, the one
+check that a batch in n variables is (m, n), one m for all batches of a
+call; :func:`bilinear_rows`, the row sum whose bits do not depend on the
+batch; and :func:`exp_rows`, the one guard of the float range for the
+exponential of a quadratic form.  :func:`as_vector` is the one check that
+a single vector argument (a shift, a linear term, a centre) has length n.
+Any other shape is a DimensionMismatchError from one of the two checks.
 """
 
 from __future__ import annotations
@@ -78,6 +82,8 @@ __all__ = [
     "exp_rows",
     "bilinear_rows",
     "pointwise",
+    "require_rows",
+    "as_vector",
 ]
 
 EXP_OVERFLOW = 700.0
@@ -131,19 +137,23 @@ def pointwise(batch):
     return call
 
 
-def _as_complex_vector(v, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
+def require_rows(n: int, *batches: np.ndarray) -> None:
+    """DimensionMismatchError unless every batch is (m, n) points, one m for
+    all, naming the shape each batch has."""
+    shape = batches[0].shape
+    if len(shape) != 2 or shape[1] != n or any(X.shape != shape for X in batches[1:]):
+        got = " and ".join(str(X.shape) for X in batches)
+        raise DimensionMismatchError(f"points in {n} variables come in batches of shape "
+                                     f"(m, {n}), one m for all; got {got}")
+
+
+def as_vector(v, n: int, what: str, dtype=complex) -> np.ndarray:
+    """``v`` as an array, of ``dtype`` unless that is None:
+    DimensionMismatchError naming ``what`` and its shape unless that is (n,)."""
+    v = np.asarray(v, dtype=dtype)
     if v.shape != (n,):
-        raise UnsupportedFormError(f"expected a vector of length {n}, got {v.shape}")
+        raise DimensionMismatchError(f"{what} must be a vector of shape ({n},), got {v.shape}")
     return v
-
-
-def _require_rows(X: np.ndarray, n: int) -> None:
-    """DimensionMismatchError unless X is a batch of points in n variables."""
-    if X.ndim != 2 or X.shape[1] != n:
-        width = X.shape[1] if X.ndim == 2 else f"shape {X.shape}"
-        raise DimensionMismatchError(f"a function of {n} variables takes rows of width {n}, "
-                                     f"got rows of width {width}")
 
 
 def _require_same_n(n: int, m: int) -> None:
@@ -250,32 +260,21 @@ def _terms(c: np.ndarray) -> list:
     return [(alpha, c[alpha]) for alpha in map(tuple, np.argwhere(c).tolist())]
 
 
-def _mul(a: np.ndarray, b: np.ndarray, b_terms: list) -> np.ndarray:
-    """Product of coefficient arrays, given b's :func:`_terms`: a
-    shifted-slice add of each nonzero entry of the sparser one, a on a tie,
-    times the other array.  :func:`_times_form` applies the same rule to
-    each row of a batch."""
-    if np.count_nonzero(a) <= len(b_terms):
-        terms, other = _terms(a), b
-    else:
-        terms, other = b_terms, a
-    out = np.zeros(np.add(a.shape, b.shape) - 1, dtype=complex)
-    for alpha, value in terms:
-        out[tuple(slice(i, i + d) for i, d in zip(alpha, other.shape))] += value * other
-    return out
-
-
 def _times_form(acc: np.ndarray, L: np.ndarray, L_terms: list) -> np.ndarray:
-    """Each row of the batch ``acc`` times the linear form L, with the bits of
-    ``_mul(row, L, L_terms)``.  A row with at most as many nonzeros as L has,
-    the tie included, is _mul's scalar side: entry k of its product sums
-    row[a] * L[k - a] over the row's nonzero entries a in C order, which is
-    L's terms b = k - a in reverse C order.  Any other row sums
-    L[b] * row[k - b] over L's terms in C order.  The two groups are taken
-    apart, each term's shifted product added to a group at once, with the
-    first operand of _mul's product first.  A zero entry of the row adds
-    only a signed zero, which changes no other value and which
-    :meth:`Polynomial.from_coeffs` stores as +0."""
+    """Each row of the batch ``acc`` times the coefficient array L, given L's
+    :func:`_terms`: the product of two arrays is a shifted-slice add of each
+    nonzero entry of the sparser one, the row on a tie, times the other
+    array.  A row with at most as many nonzeros as L has, the tie included,
+    is the scalar side: entry k of its product sums row[a] * L[k - a] over
+    the row's nonzero entries a in C order, which is L's terms b = k - a in
+    reverse C order, the row's entry the first operand.  Any other row sums
+    L[b] * row[k - b] over L's terms in C order, L's entry first.  The two
+    groups are taken apart, each term's shifted product added to a group at
+    once.  A zero entry of the row adds only a signed zero, which changes no
+    other value and which :meth:`Polynomial.from_coeffs` stores as +0.  In
+    both groups each product pairs a nonzero entry of L with every entry of
+    the row: an inf of L meets the row's zeros (a NaN), an inf of the row
+    meets none of L's."""
     out = np.zeros((len(acc), *(a + b - 1 for a, b in zip(acc.shape[1:], L.shape))),
                    dtype=complex)
     few = np.count_nonzero(acc.reshape(len(acc), -1), axis=1) <= len(L_terms)
@@ -305,7 +304,7 @@ def _compose(c: np.ndarray, lines: list) -> np.ndarray:
     a row of one batch whose entries are coefficient arrays in w (at the last
     axis c's values, later the previous axis's results): one
     :func:`_times_form` with the axis's linear form and one add per power.
-    Every line keeps the bits of its own Horner scheme with :func:`_mul`.  A
+    Every line keeps the bits of its own Horner scheme of products.  A
     line that has not started holds zeros, whose products and sums only
     carry the sign of a zero; all-zero lines are not computed and read as
     zeros at the next axis."""
@@ -385,7 +384,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return Polynomial.from_coeffs(self.coeffs * complex(other))
         _require_same_n(self.n, other.n)
-        return Polynomial.from_coeffs(_mul(self.coeffs, other.coeffs, _terms(other.coeffs)))
+        return Polynomial.from_coeffs(
+            _times_form(self.coeffs[None], other.coeffs, _terms(other.coeffs))[0])
 
     __rmul__ = __mul__
 
@@ -398,7 +398,7 @@ class Polynomial:
         rows run in float64, with the real parts of the complex run, on
         contiguous copies of the columns (a copy did not pay for complex)."""
         Z = _rows(Z, self._real is not None)
-        _require_rows(Z, self.n)
+        require_rows(self.n, Z)
         if np.iscomplexobj(Z):
             c, columns = self.coeffs, Z.T
         else:
@@ -415,7 +415,7 @@ class Polynomial:
         if M.shape != (n, n):
             raise DimensionMismatchError(f"a polynomial in {n} variables composes with a "
                                          f"matrix of shape ({n}, {n}), got {M.shape}")
-        d = np.zeros(n) if d is None else _as_complex_vector(d, n)
+        d = np.zeros(n) if d is None else as_vector(d, n, "d")
         lines = [Polynomial(n, {(0,) * n: d[j], **dict(zip(map(tuple, unit), M[j]))}).coeffs
                  for j in range(n)]
         return Polynomial.from_coeffs(_compose(self.coeffs, [(L, _terms(L)) for L in lines]))
@@ -438,10 +438,10 @@ class GaussPoly:
     gamma: complex
 
     def __post_init__(self):
-        P = _sym(np.asarray(self.P, dtype=complex))
-        b = np.asarray(self.b, dtype=complex)
-        if P.shape != (self.poly.n, self.poly.n) or b.shape != (self.poly.n,):
-            raise UnsupportedFormError("GaussPoly dimensions disagree")
+        n, P = self.poly.n, np.asarray(self.P, dtype=complex)
+        if P.shape != (n, n):  # before _sym, which would broadcast a row to a square
+            raise DimensionMismatchError(f"P must be a matrix of shape ({n}, {n}), got {P.shape}")
+        P, b = _sym(P), as_vector(self.b, n, "b")
         P.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "P", P)
@@ -499,7 +499,7 @@ class GaussPoly:
         rows before evaluation).  X must be (m, n) points,
         DimensionMismatchError for any other shape."""
         X = np.asarray(X)
-        _require_rows(X, self.n)
+        require_rows(self.n, X)
         if not self.P.any() and not self.b.any():
             return self.gamma
         X = _rows(X, self._real_exponent is not None)
@@ -526,7 +526,7 @@ class GaussPoly:
         and a finite value past what a block sum can hold gives that sum's
         inf with numpy's overflow warning."""
         X = np.asarray(X)
-        _require_rows(X, self.n)
+        require_rows(self.n, X)
         if self.poly.is_zero():
             return np.zeros(X.shape[0], dtype=complex)
         gauss = self._constant_factor
@@ -569,7 +569,7 @@ class GaussPoly:
 
     def shifted(self, d) -> "GaussPoly":
         """The function x -> f(x + d)."""
-        d = _as_complex_vector(d, self.n)
+        d = as_vector(d, self.n, "d")
         return GaussPoly(
             self.poly.compose_affine(None, d),
             self.P,
@@ -704,7 +704,7 @@ def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) 
     """
     Q = _sym(np.asarray(Q, dtype=complex))
     n = Q.shape[0]
-    b = _as_complex_vector(b, n)
+    b = as_vector(b, n, "b")
     _require_decaying(Q, "gaussian integral")
     mean = np.linalg.solve(Q, b)
     base = (
@@ -737,7 +737,8 @@ def convolve_gaussian(prefactor: complex, G: np.ndarray, h: GaussPoly) -> GaussP
     G = _sym(np.asarray(G, dtype=complex))
     n = G.shape[0]
     if h.n != n:
-        raise UnsupportedFormError("kernel and function dimensions disagree")
+        raise DimensionMismatchError(f"a kernel of shape {G.shape} convolves terms in {n} "
+                                     f"variables, got one in {h.n}")
     Q = G + h.P
     _require_decaying(Q, "gaussian convolution")
     Qinv = _sym(np.linalg.inv(Q))

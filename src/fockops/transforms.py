@@ -28,17 +28,19 @@ from functools import reduce
 import numpy as np
 from numpy.polynomial.hermite import herm2poly
 
-from .errors import ConfigError
+from .errors import ConfigError, NotPositiveDefiniteError
 from .operators import OperatorContext
 from .quadrature import lebesgue_integral
 from .symbolic import (
     GaussPoly,
     Polynomial,
+    as_vector,
     bilinear_rows,
     convolve_gaussian,
     exp_rows,
     l2_inner_product,
     pointwise,
+    require_rows,
 )
 
 __all__ = [
@@ -74,7 +76,7 @@ QUADRATURE_NODES = 40
 
 def multiplier_exponential(ctx: OperatorContext, x) -> GaussPoly:
     """The multiplier m(x, .) as a symbolic exponential-linear function of z."""
-    x = np.asarray(x, dtype=float)
+    x = as_vector(x, ctx.n, "x", float)
     Hc, C = ctx.H_matrix, ctx.K_matrix
     b = Hc.T @ x + C @ x
     weight_quad = complex(np.dot((Hc + C) @ x, x))
@@ -95,6 +97,7 @@ def multiplier(ctx: OperatorContext, x, z):
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=complex)
+    require_rows(ctx.n, x, z)
     Hc, C = ctx.H_matrix, ctx.K_matrix
     expo = bilinear_rows(z, Hc.mT + C, x) - 0.5 * bilinear_rows(x, Hc + C, x)
     return exp_rows(expo, len(z))
@@ -152,6 +155,7 @@ def _quadrature(kernel, field, z):
     """
     z = np.asarray(z, dtype=complex)
     s, G, E = kernel
+    require_rows(len(G), z)
     # the shift exp(Im z.G Im z/2) of _convolve_at and the envelope, as one exponent
     expo = 0.5 * bilinear_rows(z.imag, G, z.imag)
     if E is not None:
@@ -186,23 +190,34 @@ def restriction_modulus(ctx: OperatorContext, h: GaussPoly) -> GaussPoly:
 
 
 def _heat_coeff(P: np.ndarray) -> float:
-    log_det = float(np.sum(np.log(np.linalg.eigvalsh(P))))
-    return math.exp(0.5 * log_det) * (2.0 * math.pi) ** (-P.shape[0] / 2.0)
+    """The normalising constant of the Gaussian of SPD precision P:
+    NotPositiveDefiniteError naming the smallest eigenvalue of any other P."""
+    eig = np.linalg.eigvalsh(P)
+    if not eig[0] > 0.0:
+        raise NotPositiveDefiniteError(f"a Gaussian's precision is not positive definite (min "
+                                       f"eigenvalue {eig[0]:.3e})", min_eigenvalue=float(eig[0]))
+    return math.exp(0.5 * float(np.sum(np.log(eig)))) * (2.0 * math.pi) ** (-P.shape[0] / 2.0)
+
+
+def _heat(P, t: float) -> tuple[float, np.ndarray]:
+    """The constant and the precision P/t of the time-t heat kernel:
+    ConfigError unless t is positive and finite."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise ConfigError(f"a heat kernel's time must be positive and finite, got {t}")
+    Pt = np.asarray(P, dtype=float) / t
+    return _heat_coeff(Pt), Pt
 
 
 def heat_kernel(P, t: float) -> GaussPoly:
     """Normalized Gaussian with precision P/t (so t acts as time); its density
     at the rows of X is ``heat_kernel(P, t).evaluate_many(X).real``."""
-    P = np.asarray(P, dtype=float)
-    Pt = P / t
-    return GaussPoly.gaussian(Pt, coeff=_heat_coeff(Pt))
+    coeff, Pt = _heat(P, t)
+    return GaussPoly.gaussian(Pt, coeff=coeff)
 
 
 def heat_convolve(P, t: float, h: GaussPoly) -> GaussPoly:
     """Closed-form convolution of the time-t kernel with a GaussPoly."""
-    P = np.asarray(P, dtype=float)
-    Pt = P / t
-    return convolve_gaussian(_heat_coeff(Pt), Pt, h)
+    return convolve_gaussian(*_heat(P, t), h)
 
 
 # -- phase factor --------------------------------------------------------------
@@ -211,7 +226,7 @@ def heat_convolve(P, t: float, h: GaussPoly) -> GaussPoly:
 def phase_factor(ctx: OperatorContext, x) -> complex:
     """exp(i Im <x, Kx>); identically 1 when the weight preserves the
     real subspace."""
-    x = np.asarray(x, dtype=float)
+    x = as_vector(x, ctx.n, "x", float)
     inner = complex(np.dot(x, np.conj(ctx.K_matrix @ x)))
     return complex(np.exp(1j * inner.imag))
 
@@ -279,7 +294,7 @@ def coherent_state_fn(ctx: OperatorContext, z) -> GaussPoly:
     membership in the S-weighted L^2 space is what the positivity of
     2T - S guarantees.
     """
-    z = np.asarray(z, dtype=complex)
+    z = as_vector(z, ctx.n, "a coherent state's point")
     T, S = ctx.T, ctx.S
     coeff = _heat_coeff(T) / _heat_coeff(S)
     return GaussPoly(
@@ -295,6 +310,7 @@ def coherent_state(ctx: OperatorContext, x, z):
     """Coherent-state value; real when both arguments are real."""
     x = np.asarray(x, dtype=complex)
     z = np.asarray(z, dtype=complex)
+    require_rows(ctx.n, x, z)
     T, S = ctx.T, ctx.S
     coeff = _heat_coeff(T) / _heat_coeff(S)
     expo = (-0.5 * bilinear_rows(x, T - S, x) + bilinear_rows(x, T, z)

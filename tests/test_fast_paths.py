@@ -30,6 +30,7 @@ from fockops import (
     integrate,
     integrate_shifted,
     kernel_section,
+    normalized_monomial,
     segal_bargmann_fn,
     symbolic,
 )
@@ -44,12 +45,12 @@ from fockops.quadrature import (
 )
 from fockops.symbolic import (
     _HORNER_VALUES,
-    _as_complex_vector,
     _horner,
-    _mul,
     _padded_add,
     _rows,
     _terms,
+    _times_form,
+    as_vector,
     bilinear_rows,
     exp_rows,
 )
@@ -101,10 +102,16 @@ def old_compose(c, lines):
 def old_compose_affine(self, M, d=None):
     n, unit = self.n, np.eye(self.n, dtype=int)
     M = unit if M is None else np.asarray(M, dtype=complex)
-    d = np.zeros(n) if d is None else _as_complex_vector(d, n)
+    d = np.zeros(n) if d is None else as_vector(d, n, "d")
     lines = [Polynomial(n, {(0,) * n: d[j], **dict(zip(map(tuple, unit), M[j]))}).coeffs
              for j in range(n)]
     return Polynomial.from_coeffs(old_compose(self.coeffs, lines))
+
+
+def old_normalized_monomial(n, alpha):
+    alpha = tuple(int(a) for a in alpha)
+    norm = math.sqrt(math.prod(math.factorial(a) for a in alpha))
+    return GaussPoly.monomial(n, alpha, 1.0 / norm)
 
 
 def old_few_row_horner(c, columns):
@@ -282,13 +289,46 @@ def test_on_a_tie_the_first_factor_stays_the_scalar():
         b = sparse(rng, tuple(rng.integers(1, 4, 2)), 0.6, "complex")
         ties += np.count_nonzero(a) == np.count_nonzero(b)
         want = old_mul(a, b)
-        assert same_bits(_mul(a, b, _terms(b)), want)
+        assert same_bits(_times_form(a[None], b, _terms(b))[0], want)
         product = Polynomial.from_coeffs(a) * Polynomial.from_coeffs(b)
         assert same_bits(product.coeffs, Polynomial.from_coeffs(want).coeffs)
     assert ties > 20
     # acc = 3 + 2x meets the line 0.1 + 0.7x: two nonzeros each
     acc, line = np.array([3.0 + 0.1j, 2.0 - 0.3j]), np.array([0.1 + 1e-3j, 0.7 + 0.2j])
-    assert same_bits(_mul(acc, line, _terms(line)), old_mul(acc, line))
+    assert same_bits(_times_form(acc[None], line, _terms(line))[0], old_mul(acc, line))
+
+
+def test_random_products_keep_the_bits_of_the_shifted_slice_add():
+    # Polynomial.__mul__ is one row of _times_form: sparse pairs at n = 1-3,
+    # real or complex, some of small integers, each side the sparser
+    rng = np.random.default_rng(37)
+    for _ in range(1000):
+        n = int(rng.integers(1, 4))
+        a, b = (sparse(rng, tuple(rng.integers(1, 5, n)), rng.uniform(0.2, 1.0),
+                       rng.choice(["real", "complex"])) for _ in range(2))
+        if rng.random() < 0.3:
+            a, b = np.round(4 * a), np.round(4 * b)
+        product = Polynomial.from_coeffs(a) * Polynomial.from_coeffs(b)
+        assert same_bits(product.coeffs, Polynomial.from_coeffs(old_mul(a, b)).coeffs), (a, b)
+
+
+def test_a_non_finite_coefficient_meets_the_zeros_of_the_row_only_from_the_form():
+    # each product pairs a nonzero entry of the form with every entry of the
+    # row: the shifted-slice add paired the sparser side's nonzeros instead
+    zero_row, nan_form = Polynomial.from_coeffs([0.0]), Polynomial.from_coeffs([0.0, np.nan])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan((zero_row * nan_form).coeffs[1])  # old_mul: 0
+        inf_row = Polynomial.from_coeffs([np.inf]) * Polynomial.from_coeffs([0.0, 2.0])
+    assert inf_row.coeffs[0] == 0 and np.isinf(inf_row.coeffs[1].real)  # old_mul: nan, inf
+
+
+@pytest.mark.parametrize("n, alpha", [(1, (0,)), (1, (7,)), (2, (2, 5)), (3, (1, 0, 4)),
+                                      (2, np.array([3, 3]))])
+def test_a_normalized_monomial_keeps_its_bits(n, alpha):
+    got, want = normalized_monomial(n, alpha), old_normalized_monomial(n, alpha)
+    for part in ("P", "b", "gamma"):
+        assert same_bits(getattr(got, part), getattr(want, part))
+    assert same_bits(got.poly.coeffs, want.poly.coeffs)
 
 
 def affine_forms(rng, n, counts, kind):

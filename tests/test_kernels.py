@@ -379,7 +379,8 @@ def test_kernel_of_batches_of_other_shapes_is_a_dimension_mismatch(z_shape, w_sh
     # 3 rows of z against 2 of w were a broadcast ValueError; rows of width 3
     # at n = 2 were read as their first two coordinates
     ctx = build_context(RealLinearMap.from_blocks(np.diag([4.0, 2.0]), np.diag([1.0, 0.5])))
-    with pytest.raises(DimensionMismatchError, match=r"z and w of one shape \(m, 2\)"):
+    with pytest.raises(DimensionMismatchError, match=re.escape(
+            f"batches of shape (m, 2), one m for all; got {z_shape} and {w_shape}")):
         kernel(ctx, np.ones(z_shape), np.ones(w_shape))
 
 
@@ -388,7 +389,7 @@ def test_measure_density_of_rows_of_another_width_is_a_dimension_mismatch():
     ctx = build_context(RealLinearMap.from_blocks(np.diag([4.0, 2.0]), np.diag([1.0, 0.5])))
     for z in (np.array([0.3 + 0.1j, -0.2 + 0.4j, 5 + 5j]), np.ones((4, 3)), np.ones((4, 1))):
         with pytest.raises(DimensionMismatchError,
-                           match=rf"z of shape \(m, 2\), got \(\d, {z.shape[-1]}\)"):
+                           match=rf"\(m, 2\), one m for all; got \(\d, {z.shape[-1]}\)$"):
             measure_density(ctx, z)
 
 
@@ -397,5 +398,5 @@ def test_kernel_section_at_a_w_of_another_length_is_a_dimension_mismatch():
     ctx = build_context(RealLinearMap.from_blocks(np.diag([4.0, 2.0]), np.diag([1.0, 0.5])))
     for w in (np.ones(3), np.ones(1), np.ones((1, 2))):
         with pytest.raises(DimensionMismatchError,
-                           match=re.escape(f"w of shape (2,), got {w.shape}")):
+                           match=re.escape(f"w must be a vector of shape (2,), got {w.shape}")):
             kernel_section(ctx, w)

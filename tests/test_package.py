@@ -227,6 +227,49 @@ def test_only_pointwise_lifts_a_point_to_a_batch():
     assert not found
 
 
+def _functions():
+    """(module stem, definition) of every function and method in the package."""
+    for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                yield path.stem, node
+
+
+def _calls(function) -> set:
+    """The names a function calls, bare or as an attribute."""
+    return {ast.unparse(node.func).split(".")[-1] for node in ast.walk(function)
+            if isinstance(node, ast.Call)}
+
+
+def test_every_point_function_runs_the_shared_batch_check():
+    """Each function ``pointwise`` decorates calls symbolic.require_rows, or a
+    function that does (an evaluator, another point function), so a batch
+    of another shape never reaches its arithmetic."""
+    functions = list(_functions())
+    checking = {"require_rows"}
+    while grown := {f.name for _, f in functions if _calls(f) & checking} - checking:
+        checking |= grown
+    unchecked = [f"{stem}.{f.name}" for stem, f in functions
+                 if any(ast.unparse(d) == "pointwise" for d in f.decorator_list)
+                 and not _calls(f) & checking]
+    assert not unchecked
+
+
+# the dimension contracts outside symbolic.py that are no point's or vector's
+# shape: a weight's matrix, its blocks, a rule's dimension, an integrand's values
+OTHER_DIMENSION_CONTRACTS = {"operators.__post_init__", "operators.from_blocks",
+                             "kernels.fock_gram", "quadrature._values"}
+
+
+def test_only_symbolic_checks_the_shape_of_a_point_or_a_vector():
+    """symbolic.require_rows and symbolic.as_vector are the one check of a
+    point's, a batch's or a vector's shape: no other module builds a
+    DimensionMismatchError but for the other contracts."""
+    builders = {f"{stem}.{f.name}" for stem, f in _functions() if stem != "symbolic"
+                and "DimensionMismatchError" in _calls(f)}
+    assert builders == OTHER_DIMENSION_CONTRACTS
+
+
 def test_only_the_chunk_loop_reduces_a_tensor_grid():
     """quadrature.grid_sums is the one tensor-grid reduction and the only
     function in the package that builds grid nodes, a chunk at a time from the

@@ -516,12 +516,14 @@ def test_a_non_finite_integrand_under_a_phase_is_named_by_its_grid_node():
 # a centre or a phase that is not a finite real vector of length dim, with the
 # error each call raises and the text it shows of the value
 MALFORMED = {
-    "a short center": ({"center": [0.1]}, DimensionMismatchError, r"length 2, got shape \(1,\)"),
+    "a short center": ({"center": [0.1]}, DimensionMismatchError,
+                       r"^center must be a vector of shape \(2,\), got \(1,\)$"),
     "a center of 3 values": ({"center": [0.1, 0.2, 0.3]}, DimensionMismatchError,
-                             r"got shape \(3,\): \[0\.1, 0\.2, 0\.3\]"),
-    "a 2-D center": ({"center": [[0.1, 0.2]]}, DimensionMismatchError, r"got shape \(1, 2\)"),
+                             r"^center must be a vector of shape \(2,\), got \(3,\)$"),
+    "a 2-D center": ({"center": [[0.1, 0.2]]}, DimensionMismatchError,
+                     r"^center must be a vector of shape \(2,\), got \(1, 2\)$"),
     "a phase of the wrong length": ({"phase": [1.0]}, DimensionMismatchError,
-                                    r"phase must be a real vector of length 2"),
+                                    r"^phase must be a vector of shape \(2,\), got \(1,\)$"),
     "a complex center": ({"center": [0.1 + 0.5j, 0.0]}, ConfigError,
                          r"center must be real, got \[0\.1\+0\.5j, "),
     "a complex phase": ({"phase": np.array([1.0, 2j])}, ConfigError, r"phase must be real"),

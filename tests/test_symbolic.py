@@ -5,6 +5,7 @@ fine grids, which stays independent of the completing-the-square path.
 """
 
 import itertools
+import re
 from functools import reduce
 
 import numpy as np
@@ -30,6 +31,7 @@ from fockops import (
     hermite_function,
     integrate_gausspoly,
     l2_inner_product,
+    normalized_monomial,
     segal_bargmann,
     segal_bargmann_fn,
 )
@@ -738,13 +740,8 @@ def test_derivative_is_polyder_to_the_bit():
 @pytest.mark.parametrize("build, match", [
     (lambda: Polynomial(2, {(1,): 1.0}), r"bad multi-index \(1,\) for n=2"),
     (lambda: Polynomial(1, {(-1,): 1.0}), r"bad multi-index \(-1,\) for n=1"),
-    (lambda: GaussPoly(Polynomial.constant(2, 1.0), np.eye(1), np.zeros(2), 0.0),
-     "GaussPoly dimensions disagree"),
-    (lambda: GaussPoly(Polynomial.constant(1, 1.0), np.eye(1), np.zeros(2), 0.0),
-     "GaussPoly dimensions disagree"),
-    (lambda: GaussPoly.constant(2, 1.0).shifted([1.0]), r"expected a vector of length 2, got \(1,\)"),
-    (lambda: convolve_gaussian(1.0, np.eye(2), GaussPoly.constant(1, 1.0)),
-     "kernel and function dimensions disagree"),
+    # normalized_monomial ended in math.factorial's ValueError
+    (lambda: normalized_monomial(1, (-1,)), r"^bad multi-index \(-1,\) for n=1$"),
 ])
 def test_malformed_symbolic_terms_are_unsupported_forms(build, match):
     with pytest.raises(UnsupportedFormError, match=match):
@@ -752,15 +749,27 @@ def test_malformed_symbolic_terms_are_unsupported_forms(build, match):
 
 
 @pytest.mark.parametrize("build, match", [
+    # these four were UnsupportedFormErrors
+    (lambda: GaussPoly(Polynomial.constant(2, 1.0), np.eye(1), np.zeros(2), 0.0),
+     r"P must be a matrix of shape \(2, 2\), got \(1, 1\)"),
+    (lambda: GaussPoly(Polynomial.constant(1, 1.0), np.eye(1), np.zeros(2), 0.0),
+     r"b must be a vector of shape \(1,\), got \(2,\)"),
+    (lambda: GaussPoly.constant(2, 1.0).shifted([1.0]),
+     r"d must be a vector of shape \(2,\), got \(1,\)"),
+    (lambda: convolve_gaussian(1.0, np.eye(2), GaussPoly.constant(1, 1.0)),
+     r"a kernel of shape \(2, 2\) convolves terms in 2 variables, got one in 1"),
+    # a 1 x 2 P at n = 2 was broadcast to the 2 x 2 matrix of ones
+    (lambda: GaussPoly(Polynomial.constant(2, 1.0), np.ones((1, 2)), np.zeros(2), 0.0),
+     r"P must be a matrix of shape \(2, 2\), got \(1, 2\)"),
     # a row one coordinate too wide was read as its first two
     (lambda: hermite_function((3, 2)).evaluate_many([[0.3, -0.4, 5.0]]),
-     "2 variables takes rows of width 2, got rows of width 3"),
+     r"batches of shape \(m, 2\), one m for all; got \(1, 3\)$"),
     (lambda: GaussPoly(Polynomial(2), np.eye(2), np.zeros(2), 0.0).evaluate_many(np.ones((4, 3))),
-     "2 variables takes rows of width 2, got rows of width 3"),
+     r"batches of shape \(m, 2\), one m for all; got \(4, 3\)$"),
     (lambda: Polynomial.from_coeffs(np.ones((2, 2))).evaluate_many(np.ones((3, 1))),
-     "2 variables takes rows of width 2, got rows of width 1"),
+     r"batches of shape \(m, 2\), one m for all; got \(3, 1\)$"),
     (lambda: Polynomial.from_coeffs(np.ones((2, 2))).evaluate_many(np.ones(2)),
-     r"got rows of width shape \(2,\)"),
+     r"batches of shape \(m, 2\), one m for all; got \(2,\)$"),
     # a 3 x 3 map at n = 2 gave the result of its leading 2 x 2 block
     (lambda: Polynomial.from_coeffs(np.ones((2, 2))).compose_affine(np.eye(3)),
      r"2 variables composes with a matrix of shape \(2, 2\), got \(3, 3\)"),
@@ -785,7 +794,8 @@ def test_exponent_of_rows_of_another_width_is_a_dimension_mismatch(f):
     # the Hermite exponent of [0.3, -0.4, 5.0] at n = 2 was -0.125, its third
     # coordinate unread
     for X in ([[0.3, -0.4, 5.0]], [0.3, -0.4], np.ones((2, 1))):
-        with pytest.raises(DimensionMismatchError, match="takes rows of width 2, got"):
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"(m, 2), one m for all; got {np.shape(X)}")):
             f.exponent_many(X)
 
 

@@ -11,6 +11,7 @@ from fockops import (
     CallableField,
     ConfigError,
     GaussPoly,
+    NotPositiveDefiniteError,
     coherent_state_fn,
     Polynomial,
     RangeOverflowError,
@@ -258,6 +259,29 @@ def test_heat_kernel_normalization_closed_form():
 def test_heat_density_standard_value():
     density = heat_kernel(np.eye(1), 1.0).evaluate_many(np.zeros((1, 1))).real
     assert density.tolist() == pytest.approx([(2 * math.pi) ** -0.5], rel=1e-14)
+
+
+HEAT_BUILDS = {
+    "heat_kernel": lambda P, t: heat_kernel(P, t).evaluate_many(np.zeros((1, len(P)))),
+    "heat_convolve": lambda P, t: heat_convolve(P, t, GaussPoly.constant(len(P), 1.0)),
+}
+
+
+@pytest.mark.parametrize("build", HEAT_BUILDS.values(), ids=HEAT_BUILDS)
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+def test_a_heat_time_that_is_not_positive_and_finite_is_a_config_error(build, t):
+    # a time of -1 gave nan+nanj with only a RuntimeWarning from log, 0 a
+    # division by zero
+    with pytest.raises(ConfigError, match=f"time must be positive and finite, got {t}$"):
+        build(np.eye(1), t)
+
+
+@pytest.mark.parametrize("build", HEAT_BUILDS.values(), ids=HEAT_BUILDS)
+def test_a_heat_precision_that_is_not_spd_names_its_smallest_eigenvalue(build):
+    # [[1, 2], [2, 1]] has eigenvalues -1 and 3: the constant was nan+nanj
+    with pytest.raises(NotPositiveDefiniteError, match=r"\(min eigenvalue -1\.000e\+00\)$") as err:
+        build(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
+    assert err.value.min_eigenvalue == pytest.approx(-1.0, rel=1e-14)
 
 
 def semigroup_check(P, t: float, s: float, points):
