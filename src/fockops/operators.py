@@ -124,8 +124,17 @@ class RealLinearMap:
         return cls(M)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Apply to a complex vector; a stack applies each map to its own row of z."""
+        """Apply to a complex vector of length n; a stack of m maps applies each
+        to its own row of an (m, n) batch z.  Any other shape of z is a
+        DimensionMismatchError of symbolic's shape checks."""
+        # imported here: truncate imports this module and loads no symbolic calculus
+        from .symbolic import as_vector, require_rows
+
         z = np.asarray(z, dtype=complex)
+        if self.entries.ndim == 2:
+            as_vector(z, self.n, "z")
+        else:  # the stack's x blocks, (m, n), fix the batch's row count
+            require_rows(self.n, z, self.entries[:, 0, :self.n])
         v = np.concatenate([z.real, z.imag], axis=-1)  # z as (x, y) in R^{2n}
         return to_complex_coords((self.entries @ v[..., None])[..., 0])
 

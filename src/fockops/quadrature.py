@@ -44,7 +44,7 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -106,11 +106,7 @@ class QuadratureRule:
                 f"budget of {NODE_BUDGET}"
             )
         _hermite_rule(self.nodes_per_axis)  # refuses a rule beyond the float range
-        scaling = np.eye(self.dim) if self.scaling is None else np.asarray(self.scaling, float)
-        if scaling.shape != (self.dim, self.dim):
-            raise ConfigError(
-                f"scaling must be {self.dim}x{self.dim}, got {scaling.shape}"
-            )
+        scaling = np.eye(self.dim) if self.scaling is None else _scaling(self.scaling, self.dim)
         scaling = np.array(scaling)
         scaling.flags.writeable = False
         object.__setattr__(self, "scaling", scaling)
@@ -121,6 +117,13 @@ class QuadratureRule:
     def size(self) -> int:
         """The number of grid nodes."""
         return self.nodes_per_axis**self.dim
+
+    @cached_property
+    def mass(self) -> float:
+        """The Lebesgue mass of the rule's Gaussian, the integral of exp(-x.Px/2)
+        dx over R^dim for P = ``scaling``: (2 pi)^{dim/2} det(P)^{-1/2}."""
+        log_det = float(np.sum(np.log(np.linalg.eigvalsh(self.scaling))))
+        return (2.0 * math.pi) ** (self.dim / 2.0) * math.exp(-0.5 * log_det)
 
     def nodes_1d(self) -> tuple[np.ndarray, np.ndarray]:
         return _hermite_rule(self.nodes_per_axis)
@@ -140,6 +143,14 @@ class QuadratureRule:
             for j, c in enumerate(_real_vector(center, self.dim, "center").tolist()):
                 X[:, j] += c
         return X, W[start:stop]
+
+
+def _scaling(scaling, dim: int) -> np.ndarray:
+    """A precision matrix as float64: ConfigError unless it is dim x dim."""
+    scaling = np.asarray(scaling, dtype=float)
+    if scaling.shape != (dim, dim):
+        raise ConfigError(f"scaling must be {dim}x{dim}, got {scaling.shape}")
+    return scaling
 
 
 def _real_vector(v, dim: int, what: str) -> np.ndarray:
@@ -353,31 +364,19 @@ def integrate_shifted(rule: QuadratureRule, center, f, phase=None) -> complex:
                      [(sample(values, X, start), oscillation is not None)])[0]
 
 
-def lebesgue_integral(P, nodes_per_axis: int, center, f, phase=None) -> complex:
-    """The integral of exp(-(x-c).P(x-c)/2) f(x) dx over R^n, c = ``center``,
-    with f(x) times exp(i phase.(x-c)) if ``phase`` is given:
-    (2 pi)^{n/2} det(P)^{-1/2} times :func:`integrate_shifted` on the rule of
-    ``nodes_per_axis`` nodes scaled to P."""
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    rule = QuadratureRule(dim=n, nodes_per_axis=nodes_per_axis, scaling=P)
-    log_det = float(np.sum(np.log(np.linalg.eigvalsh(P))))
-    const = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * log_det)
-    return const * integrate_shifted(rule, center, f, phase)
-
-
 def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     """Monte Carlo Gaussian expectation with a counter-based generator.
 
     Returns the estimate and its standard error; a sum of the samples or a
     standard error beyond the float range is an EvaluatorError.  The same
     seed always reproduces the same sample stream.  The samples hold at
-    most NODE_BUDGET coordinates, as a quadrature grid does.
+    most NODE_BUDGET coordinates, as a quadrature grid does.  A ``scaling``
+    that is not square is a ConfigError, as in QuadratureRule.
     """
     if samples < 1000:
         raise ConfigError("mc_integrate needs at least 1000 samples")
-    scaling = np.asarray(scaling, dtype=float)
-    dim = scaling.shape[0]
+    dim = len(scaling) if np.ndim(scaling) else 1
+    scaling = _scaling(scaling, dim)
     if samples * dim > NODE_BUDGET:
         raise NodeBudgetError(
             f"{samples} samples in dimension {dim} = {samples * dim} coordinates exceeds "

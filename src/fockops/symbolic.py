@@ -49,8 +49,9 @@ check that a batch in n variables is (m, n), one m for all batches of a
 call; :func:`bilinear_rows`, the row sum whose bits do not depend on the
 batch; and :func:`exp_rows`, the one guard of the float range for the
 exponential of a quadratic form.  :func:`as_vector` is the one check that
-a single vector argument (a shift, a linear term, a centre) has length n.
-Any other shape is a DimensionMismatchError from one of the two checks.
+a single vector argument (a shift, a linear term, a centre) has length n,
+and :func:`as_matrix` that a matrix is n x n before any arithmetic reads it.
+Any other shape is a DimensionMismatchError from one of these checks.
 """
 
 from __future__ import annotations
@@ -84,14 +85,14 @@ __all__ = [
     "pointwise",
     "require_rows",
     "as_vector",
+    "as_matrix",
 ]
 
 EXP_OVERFLOW = 700.0
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # coefficients times rows past which _horner evaluates a block slab by slab,
-# 256 KiB of complex values, unless the rows are at most _HORNER_ROWS
+# 256 KiB of complex values
 _HORNER_VALUES = 16_384
-_HORNER_ROWS = 64
 
 
 def exp_rows(expo, size: int):
@@ -156,6 +157,17 @@ def as_vector(v, n: int, what: str, dtype=complex) -> np.ndarray:
     return v
 
 
+def as_matrix(M, n: int | None, what: str, dtype=complex) -> np.ndarray:
+    """``M`` as an array of ``dtype``: DimensionMismatchError naming ``what``
+    and its shape unless that is (n, n), or square of any size if n is None.
+    A caller checks before any arithmetic, which would broadcast a row."""
+    M = np.asarray(M, dtype=dtype)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or n not in (None, M.shape[0]):
+        want = "a square matrix" if n is None else f"a matrix of shape ({n}, {n})"
+        raise DimensionMismatchError(f"{what} must be {want}, got {M.shape}")
+    return M
+
+
 def _require_same_n(n: int, m: int) -> None:
     if n != m:
         raise DimensionMismatchError(f"polynomials in {n} and {m} variables do not combine")
@@ -188,25 +200,22 @@ def _horner(c: np.ndarray, columns: list):
     0 + v_t, and then takes a product with the column and adds the next
     term at each lower power, leaving out the terms of all-zero slabs.
 
-    The size of the block and the rows decide the order; the bits are the
-    same.  Past _HORNER_VALUES coefficients times rows and past _HORNER_ROWS
-    rows, the first axis slab by slab, each slab again a block, skipping
-    all-zero slabs, with in-place products on long rows.  A single axis
-    takes this loop at any size, over Python-scalar coefficients: it is one
-    axis at a time already, and cheaper than arrays.  Within the budget, or
-    at most _HORNER_ROWS rows of any block, one axis at a time, last axis
-    first, all lines of an axis at once: one product and one sum per power,
-    on temporaries of the block's lines times the rows.  There a zero term
-    adds -0, which changes no value, and a line is overwritten where it
-    starts, 0 + v_t, except at the first axis taken when its column is
-    finite and no coefficient has a part of -0: there the line's +-0 prefix
-    plus v_t is v_t already.  Few rows, a point as the closed routes evaluate
-    one, would pay a Python call per slab, even of a large block; many rows,
-    a quadrature chunk, would pay for arithmetic on every zero line, in
-    temporaries past a core's cache."""
+    The block's coefficients times the rows decide the order; the bits are
+    the same.  Past _HORNER_VALUES, the first axis slab by slab, each slab
+    again a block, skipping all-zero slabs, with in-place products on long
+    rows.  A single axis takes this loop at any size, over Python-scalar
+    coefficients: it is one axis at a time already, and cheaper than arrays.
+    Within the budget, one axis at a time, last axis first, all lines of an
+    axis at once: one product and one sum per power, on temporaries of the
+    block's lines times the rows.  There a zero term adds -0, which changes
+    no value, and a line is overwritten where it starts, 0 + v_t, except at
+    the first axis taken when its column is finite and no coefficient has a
+    part of -0: there the line's +-0 prefix plus v_t is v_t already.  Few
+    rows, a point as the closed routes evaluate one, would pay a Python call
+    per slab; many rows, a quadrature chunk, would pay for arithmetic on
+    every zero line, in temporaries past a core's cache."""
     zero = 0j if np.iscomplexobj(c) else 0.0
-    rows = len(columns[0])
-    if c.ndim == 1 or (c.size * rows > _HORNER_VALUES and rows > _HORNER_ROWS):
+    if c.ndim == 1 or c.size * len(columns[0]) > _HORNER_VALUES:
         leaf, acc = c.ndim == 1, zero
         for slab in (c.tolist() if leaf else c)[::-1]:  # Python scalars on the last axis
             # numpy rounds a one-element in-place complex product differently from
@@ -411,10 +420,7 @@ class Polynomial:
         """The polynomial w -> p(M w + d), M an n x n matrix (the identity if
         None) and d a vector of length n (zero if None)."""
         n, unit = self.n, np.eye(self.n, dtype=int)
-        M = unit if M is None else np.asarray(M, dtype=complex)
-        if M.shape != (n, n):
-            raise DimensionMismatchError(f"a polynomial in {n} variables composes with a "
-                                         f"matrix of shape ({n}, {n}), got {M.shape}")
+        M = unit if M is None else as_matrix(M, n, "M")
         d = np.zeros(n) if d is None else as_vector(d, n, "d")
         lines = [Polynomial(n, {(0,) * n: d[j], **dict(zip(map(tuple, unit), M[j]))}).coeffs
                  for j in range(n)]
@@ -438,10 +444,8 @@ class GaussPoly:
     gamma: complex
 
     def __post_init__(self):
-        n, P = self.poly.n, np.asarray(self.P, dtype=complex)
-        if P.shape != (n, n):  # before _sym, which would broadcast a row to a square
-            raise DimensionMismatchError(f"P must be a matrix of shape ({n}, {n}), got {P.shape}")
-        P, b = _sym(P), as_vector(self.b, n, "b")
+        n = self.poly.n
+        P, b = _sym(as_matrix(self.P, n, "P")), as_vector(self.b, n, "b")
         P.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "P", P)
@@ -702,9 +706,8 @@ def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) 
     Q must have SPD real part; the polynomial factor is averaged with
     covariance Q^{-1} around the stationary point Q^{-1} b.
     """
-    Q = _sym(np.asarray(Q, dtype=complex))
-    n = Q.shape[0]
-    b = as_vector(b, n, "b")
+    n = poly.n
+    Q, b = _sym(as_matrix(Q, n, "Q")), as_vector(b, n, "b")
     _require_decaying(Q, "gaussian integral")
     mean = np.linalg.solve(Q, b)
     base = (
@@ -734,11 +737,8 @@ def convolve_gaussian(prefactor: complex, G: np.ndarray, h: GaussPoly) -> GaussP
     Completing the square in x leaves another polynomial-times-Gaussian in
     z, so the class is closed under convolution with Gaussian kernels.
     """
-    G = _sym(np.asarray(G, dtype=complex))
-    n = G.shape[0]
-    if h.n != n:
-        raise DimensionMismatchError(f"a kernel of shape {G.shape} convolves terms in {n} "
-                                     f"variables, got one in {h.n}")
+    n = h.n
+    G = _sym(as_matrix(G, n, "G"))
     Q = G + h.P
     _require_decaying(Q, "gaussian convolution")
     Qinv = _sym(np.linalg.inv(Q))

@@ -30,10 +30,11 @@ from numpy.polynomial.hermite import herm2poly
 
 from .errors import ConfigError, NotPositiveDefiniteError
 from .operators import OperatorContext
-from .quadrature import lebesgue_integral
+from .quadrature import QuadratureRule, integrate_shifted
 from .symbolic import (
     GaussPoly,
     Polynomial,
+    as_matrix,
     as_vector,
     bilinear_rows,
     convolve_gaussian,
@@ -121,18 +122,6 @@ def restrict(ctx: OperatorContext, F: GaussPoly) -> GaussPoly:
     return GaussPoly(F.poly * ctx.c_restriction, ctx.R + F.P, F.b, F.gamma)
 
 
-def _convolve_at(G: np.ndarray, h, z: np.ndarray) -> complex:
-    """Quadrature value of the convolution (exp(-u.Gu/2) * h)(z) at complex z.
-
-    The rule is scaled to G and recentred at Re(z), so its weight is the
-    kernel itself.  The leftover imaginary shift is the oscillating factor
-    exp(i (x - Re z).G Im z), linear in the node, which the rule takes as a
-    tensor product of one-axis factors (no exponential per node), times
-    exp(Im z.G Im z/2), which is left to the caller.
-    """
-    return lebesgue_integral(G, QUADRATURE_NODES, z.real, h.evaluate_many, phase=G @ z.imag)
-
-
 def _closed_form(h: GaussPoly, kernel) -> GaussPoly:
     """s exp(z.Ez/2) (exp(-u.Gu/2) * h)(z) for kernel = (s, G, E), by
     completing the square; E None means no envelope."""
@@ -152,17 +141,23 @@ def _quadrature(kernel, field, z):
     ``field`` needs only ``evaluate_many``.  It shares no arithmetic with the
     closed form beyond the kernel, so each route is the other's oracle.
     The range is checked for every row before the field is evaluated anywhere.
+    One rule scaled to G, recentred at Re z, serves every row; the phase vector
+    G Im z gives the factor exp(i (x - Re z).G Im z) with no exponential per
+    node, and exp(Im z.G Im z/2) is left to the envelope.
     """
     z = np.asarray(z, dtype=complex)
     s, G, E = kernel
     require_rows(len(G), z)
-    # the shift exp(Im z.G Im z/2) of _convolve_at and the envelope, as one exponent
+    # the shift exp(Im z.G Im z/2) and the envelope, as one exponent
     expo = 0.5 * bilinear_rows(z.imag, G, z.imag)
     if E is not None:
         expo = expo + 0.5 * bilinear_rows(z, E, z)
     envelope = s * exp_rows(expo, len(z))
+    rule = QuadratureRule(len(G), QUADRATURE_NODES, scaling=G)
+    values = [rule.mass * integrate_shifted(rule, w.real, field.evaluate_many, G @ w.imag)
+              for w in z]
     # np.multiply, not `*`, for the reason bilinear_rows gives
-    return np.multiply(envelope, np.array([_convolve_at(G, field, w) for w in z], dtype=complex))
+    return np.multiply(envelope, np.array(values, dtype=complex))
 
 
 def _adjoint_kernel(ctx: OperatorContext):
@@ -201,10 +196,11 @@ def _heat_coeff(P: np.ndarray) -> float:
 
 def _heat(P, t: float) -> tuple[float, np.ndarray]:
     """The constant and the precision P/t of the time-t heat kernel:
-    ConfigError unless t is positive and finite."""
+    ConfigError unless t is positive and finite, DimensionMismatchError
+    unless P is square."""
     if not (math.isfinite(t) and t > 0.0):
         raise ConfigError(f"a heat kernel's time must be positive and finite, got {t}")
-    Pt = np.asarray(P, dtype=float) / t
+    Pt = as_matrix(P, None, "a heat kernel's P", float) / t
     return _heat_coeff(Pt), Pt
 
 
@@ -348,7 +344,8 @@ def kernel_from_densities(ctx: OperatorContext, z, w) -> complex:
     # left is that constant, and the node sum is the integral
     counter_weight = GaussPoly.gaussian(-decay, -(decay @ center), 0.5 * (center @ decay @ center))
     flat = total * counter_weight
-    return lebesgue_integral(decay, QUADRATURE_NODES, center.real, flat.evaluate_many)
+    rule = QuadratureRule(ctx.n, QUADRATURE_NODES, scaling=decay)
+    return rule.mass * integrate_shifted(rule, center.real, flat.evaluate_many)
 
 
 # -- reference real-domain functions -------------------------------------------

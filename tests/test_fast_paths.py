@@ -2,7 +2,8 @@
 Gaussian exponent, the in-place +0 of a term's values, the composition one
 axis at a time, the few-row evaluation without the start overwrites that
 change no bit, the column-wise grid shift, both Horner paths at any row
-count, the constant exponent taken once, and the grid reduction that reads
+count, the constant exponent taken once, a rule's Lebesgue mass in place of
+the constant of each integral, and the grid reduction that reads
 finiteness from its block sums and weights its own products in place all
 keep every bit of the old results, and every error of the old checks."""
 
@@ -151,6 +152,16 @@ def old_grid(self, center=None, start=0, stop=None):
     if center is not None:
         X += np.asarray(center, dtype=float)[None, :]
     return X, W[start:stop]
+
+
+def old_lebesgue_constant(P):
+    """The constant of quadrature.lebesgue_integral, which QuadratureRule.mass
+    replaced."""
+    P = np.asarray(P, dtype=float)
+    n = P.shape[0]
+    log_det = float(np.sum(np.log(np.linalg.eigvalsh(P))))
+    const = (2.0 * math.pi) ** (n / 2.0) * math.exp(-0.5 * log_det)
+    return const
 
 
 # -- the Gaussian exponent and a term's values -----------------------------------
@@ -501,23 +512,11 @@ def both_paths(monkeypatch, c, columns):
     """_horner slab by slab, then one axis at a time, at any block and rows,
     each as an (m,) array (a path may return a constant as a scalar)."""
     out = []
-    for values, rows in ((0, 0), (10**12, 10**12)):
+    for values in (0, 10**12):
         monkeypatch.setattr(symbolic, "_HORNER_VALUES", values)
-        monkeypatch.setattr(symbolic, "_HORNER_ROWS", rows)
         out.append(np.broadcast_to(_horner(c, columns), columns[0].shape))
     monkeypatch.undo()
     return out
-
-
-def test_a_large_block_takes_one_axis_at_a_time_at_few_rows(monkeypatch):
-    c = np.ones((19, 19, 19))
-    calls = []
-    monkeypatch.setattr(symbolic, "_horner", lambda c, cols: calls.append(c.shape) or
-                        _horner(c, cols))
-    for rows, recursed in ((symbolic._HORNER_ROWS, False), (symbolic._HORNER_ROWS + 1, True)):
-        calls.clear()
-        _horner(c, list(np.ones((3, rows))))
-        assert bool(calls) is recursed, rows  # the slab path calls itself per slab
 
 
 @pytest.mark.parametrize("n, degree", [(2, 6), (3, 4), (3, 6)])
@@ -565,6 +564,18 @@ def test_grid_rows_shifted_column_by_column_keep_the_bits_of_the_broadcast(dim, 
     for start, stop in ranges:
         got, want = rule.grid(center, start, stop), old_grid(rule, center, start, stop)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (start, stop)
+
+
+# -- a rule's Lebesgue mass ----------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_rules_mass_keeps_the_bits_of_the_lebesgue_constant(dim):
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(40):
+        M = rng.standard_normal((dim, dim)) * rng.uniform(0.1, 3.0)
+        P = M @ M.T + rng.uniform(0.01, 2.0) * np.eye(dim)
+        assert same_bits(QuadratureRule(dim, 3, scaling=P).mass, old_lebesgue_constant(P))
 
 
 # -- the grid reduction: finiteness from the block sums ------------------------

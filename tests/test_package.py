@@ -296,16 +296,24 @@ def test_only_the_chunk_loop_reduces_a_tensor_grid():
 
 
 def test_the_quadrature_route_takes_no_exponential_per_node():
-    """transforms._convolve_at hands its oscillating factor to the rule as a
-    phase vector, whose tensor product takes n k exponentials; a call of an
-    exponential or a sine in it would take one per grid node."""
+    """transforms._quadrature hands each row's oscillating factor to the rule
+    as a phase vector, whose tensor product takes n k exponentials; a call of
+    an exponential or a sine in the row loop would take one per grid node.
+    The envelope's one exp_rows per batch runs outside the loop."""
     tree = ast.parse((ROOT / "src" / "fockops" / "transforms.py").read_text(encoding="utf-8"))
     (function,) = [node for node in ast.walk(tree)
-                   if isinstance(node, ast.FunctionDef) and node.name == "_convolve_at"]
-    calls = {ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
-    assert "lebesgue_integral" in calls
-    assert not {call for call in calls
-                if call.rsplit(".", 1)[-1] in {"exp", "expm1", "exp_rows", "cos", "sin"}}
+                   if isinstance(node, ast.FunctionDef) and node.name == "_quadrature"]
+    (loop,) = [node for node in ast.walk(function)
+               if isinstance(node, (ast.For, ast.ListComp, ast.GeneratorExp))]
+    calls = [node for node in ast.walk(loop) if isinstance(node, ast.Call)]
+    (shifted,) = [call for call in calls if ast.unparse(call.func) == "integrate_shifted"]
+    assert len(shifted.args) == 4 and not shifted.keywords
+    assert ast.unparse(shifted.args[2]) == "field.evaluate_many"
+    assert ast.unparse(shifted.args[3]) == "G @ w.imag"
+    assert not {name for name in map(ast.unparse, (call.func for call in calls))
+                if name.rsplit(".", 1)[-1] in {"exp", "expm1", "exp_rows", "cos", "sin"}}
+    assert [ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)
+            ].count("exp_rows") == 1
 
 
 def test_composition_runs_one_axis_at_a_time():

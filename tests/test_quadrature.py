@@ -18,7 +18,7 @@ from fockops import (
     integrate_shifted,
     mc_integrate,
 )
-from fockops.quadrature import BLOCK, _block_sum, _tensor_phase, _unit_grid, lebesgue_integral
+from fockops.quadrature import BLOCK, _block_sum, _tensor_phase, _unit_grid
 
 from conftest import same_bits
 
@@ -501,7 +501,8 @@ def test_a_phased_lebesgue_integral_is_the_gaussian_fourier_transform():
     t, c = np.array([0.7, -1.1, 0.4]), np.array([0.2, -0.3, 0.5])
     want = (2 * math.pi) ** 1.5 / math.sqrt(np.linalg.det(P)) * math.exp(
         -0.5 * t @ np.linalg.solve(P, t))
-    got = lebesgue_integral(P, 40, c, lambda X: np.ones(len(X)), phase=t)
+    rule = QuadratureRule(3, 40, scaling=P)
+    got = rule.mass * integrate_shifted(rule, c, lambda X: np.ones(len(X)), t)
     assert got == pytest.approx(want, rel=1e-13, abs=1e-14 * want)
 
 
@@ -536,7 +537,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case, entry", [
     (case, entry) for case in sorted(MALFORMED)
-    for entry in ("grid", "integrate_shifted", "lebesgue_integral")
+    for entry in ("grid", "integrate_shifted")
     if not (entry == "grid" and "phase" in MALFORMED[case][0])])  # grid takes no phase
 def test_a_malformed_center_or_phase_is_refused_before_any_node(case, entry):
     given, error, text = MALFORMED[case]
@@ -550,8 +551,6 @@ def test_a_malformed_center_or_phase_is_refused_before_any_node(case, entry):
     with pytest.raises(error, match=text):
         if entry == "grid":
             rule.grid(args["center"])
-        elif entry == "integrate_shifted":
-            integrate_shifted(rule, args["center"], f, args["phase"])
         else:
-            lebesgue_integral(np.eye(2), 5, args["center"], f, args["phase"])
+            integrate_shifted(rule, args["center"], f, args["phase"])
     assert not calls

@@ -1,27 +1,35 @@
 """One shape contract for every point and vector argument: a point in n
 variables is a vector of length n, a batch of points is (m, n), and the
 batches of one call share m.  Any other shape is a DimensionMismatchError,
-raised by one of the two checks of ``fockops.symbolic``."""
+raised by one of the shape checks of ``fockops.symbolic``.  A matrix is
+checked the same way, before any arithmetic reads it, and a map applies to
+a vector of its own length, or a stack of m maps to an (m, n) batch."""
 
 import numpy as np
 import pytest
 
 from fockops import (
     CallableField,
+    ConfigError,
     DimensionMismatchError,
+    GaussPoly,
+    Polynomial,
     QuadratureRule,
     RealLinearMap,
     build_context,
     coherent_inner,
     coherent_state,
     coherent_state_fn,
+    convolve_gaussian,
     eval_functional_norm,
     gaussian_integral,
+    heat_kernel,
     hermite_function,
     integrate_shifted,
     kernel,
     kernel_from_densities,
     kernel_section,
+    mc_integrate,
     measure_density,
     multiplier,
     phase_factor,
@@ -96,3 +104,72 @@ def test_a_point_or_vector_of_another_shape_is_a_dimension_mismatch(name, shapes
 def test_each_entry_takes_the_shapes_of_the_contract(name):
     call, shapes = ENTRIES[name]
     call(*arguments(shapes))
+
+
+ONE = Polynomial.constant(N, 1.0)
+ROW = [[2.0, 1.0]]  # a 1 x 2 row, which symmetrizing would broadcast to 2 x 2
+
+# case -> (a call with a matrix of another shape, the error, its message)
+MATRIX_FAULTS = {
+    "convolve_gaussian, G a row": (
+        lambda: convolve_gaussian(1.0, ROW, GaussPoly.constant(N, 1.0)),
+        DimensionMismatchError, r"G must be a matrix of shape \(2, 2\), got \(1, 2\)"),
+    "convolve_gaussian, G too small": (
+        lambda: convolve_gaussian(1.0, [[2.0]], GaussPoly.constant(N, 1.0)),
+        DimensionMismatchError, r"G must be a matrix of shape \(2, 2\), got \(1, 1\)"),
+    "gaussian_integral, Q a row": (
+        lambda: gaussian_integral(ONE, ROW, [0.0, 0.0]),
+        DimensionMismatchError, r"Q must be a matrix of shape \(2, 2\), got \(1, 2\)"),
+    "gaussian_integral, Q and b too small": (
+        lambda: gaussian_integral(ONE, [[2.0]], [0.0]),
+        DimensionMismatchError, r"Q must be a matrix of shape \(2, 2\), got \(1, 1\)"),
+    "gaussian_integral, Q and b too large": (
+        lambda: gaussian_integral(Polynomial.constant(1, 1.0), np.eye(N), np.zeros(N)),
+        DimensionMismatchError, r"Q must be a matrix of shape \(1, 1\), got \(2, 2\)"),
+    "heat_kernel, P a row": (
+        lambda: heat_kernel([[1.0, 2.0]], 1.0),
+        DimensionMismatchError, r"P must be a square matrix, got \(1, 2\)"),
+    "heat_kernel, P a vector": (
+        lambda: heat_kernel([1.0, 2.0], 1.0),
+        DimensionMismatchError, r"P must be a square matrix, got \(2,\)"),
+    "mc_integrate, scaling a row": (
+        lambda: mc_integrate(1, 1000, [[1.0, 0.0]], lambda X: np.ones(len(X))),
+        ConfigError, r"scaling must be 1x1, got \(1, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_FAULTS)
+def test_a_matrix_of_another_shape_is_refused_before_any_arithmetic(case):
+    # a row was symmetrized to a 2 x 2 matrix with a negative eigenvalue
+    # (DivergenceError), a short Q ended in an IndexError and a non-square P
+    # in numpy's LinAlgError; mc_integrate called the row not symmetric
+    call, error, text = MATRIX_FAULTS[case]
+    with pytest.raises(error, match=text):
+        call()
+
+
+SINGLE = RealLinearMap.identity(N)
+STACK = RealLinearMap.from_blocks(np.stack([np.diag([4.0, 2.0])] * M),
+                                  np.stack([np.diag([1.0, 0.5])] * M))
+
+
+@pytest.mark.parametrize("weights, shape", [
+    pytest.param(SINGLE, (N + 1,), id="one map, too wide"),
+    pytest.param(SINGLE, (N - 1,), id="one map, too narrow"),
+    pytest.param(SINGLE, BATCH, id="one map, a batch"),
+    pytest.param(STACK, POINT, id="a stack, one vector"),
+    pytest.param(STACK, (M - 1, N), id="a stack, another row count"),
+    pytest.param(STACK, (M, N + 1), id="a stack, rows too wide"),
+])
+def test_a_map_applied_to_another_shape_is_a_dimension_mismatch(weights, shape):
+    # numpy's matmul raised ValueError, or broadcast one vector to every map
+    # of a stack and one map to every row of a batch
+    with pytest.raises(DimensionMismatchError, match=rf"\(m, {N}\)|\({N},\)"):
+        weights(np.full(shape, 0.1 + 0.2j))
+
+
+@pytest.mark.parametrize("weights, shape", [(SINGLE, POINT), (STACK, BATCH)],
+                         ids=["one map", "a stack"])
+def test_a_map_applies_to_the_shapes_of_the_contract(weights, shape):
+    z = np.full(shape, 0.1 + 0.2j)
+    assert weights(z).shape == shape

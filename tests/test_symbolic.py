@@ -757,7 +757,7 @@ def test_malformed_symbolic_terms_are_unsupported_forms(build, match):
     (lambda: GaussPoly.constant(2, 1.0).shifted([1.0]),
      r"d must be a vector of shape \(2,\), got \(1,\)"),
     (lambda: convolve_gaussian(1.0, np.eye(2), GaussPoly.constant(1, 1.0)),
-     r"a kernel of shape \(2, 2\) convolves terms in 2 variables, got one in 1"),
+     r"G must be a matrix of shape \(1, 1\), got \(2, 2\)"),
     # a 1 x 2 P at n = 2 was broadcast to the 2 x 2 matrix of ones
     (lambda: GaussPoly(Polynomial.constant(2, 1.0), np.ones((1, 2)), np.zeros(2), 0.0),
      r"P must be a matrix of shape \(2, 2\), got \(1, 2\)"),
@@ -772,9 +772,9 @@ def test_malformed_symbolic_terms_are_unsupported_forms(build, match):
      r"batches of shape \(m, 2\), one m for all; got \(2,\)$"),
     # a 3 x 3 map at n = 2 gave the result of its leading 2 x 2 block
     (lambda: Polynomial.from_coeffs(np.ones((2, 2))).compose_affine(np.eye(3)),
-     r"2 variables composes with a matrix of shape \(2, 2\), got \(3, 3\)"),
+     r"M must be a matrix of shape \(2, 2\), got \(3, 3\)"),
     (lambda: hermite_function((3, 2)).compose_linear(np.eye(3)),
-     r"2 variables composes with a matrix of shape \(2, 2\), got \(3, 3\)"),
+     r"M must be a matrix of shape \(2, 2\), got \(3, 3\)"),
     (lambda: Polynomial.from_coeffs(np.ones(3)).compose_affine(np.ones((1, 2))),
      r"got \(1, 2\)"),
     (lambda: l2_inner_product(hermite_function((3, 2)), hermite_function((1,))),

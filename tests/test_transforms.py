@@ -14,6 +14,7 @@ from fockops import (
     NotPositiveDefiniteError,
     coherent_state_fn,
     Polynomial,
+    QuadratureRule,
     RangeOverflowError,
     RealFormError,
     RealLinearMap,
@@ -45,6 +46,7 @@ from fockops import (
     translate,
     weighted_ground_state,
 )
+from fockops import transforms
 from fockops.symbolic import integrate_gausspoly as _gp_integral
 from fockops.report import make_relative_check
 from fockops.transforms import (
@@ -62,6 +64,8 @@ from fockops.testing import (
     random_spd_matrix,
     rotated_weight,
 )
+
+from conftest import same_bits
 
 
 def diag_ctx(r=4.0, t=1.0):
@@ -698,6 +702,26 @@ def test_batch_of_points_matches_single_point_calls(name):
         for z, value in zip(Z, batch):
             one = single(z)
             assert (value.real, value.imag) == (one.real, one.imag)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_the_quadrature_route_builds_one_rule_for_a_batch(monkeypatch, name):
+    # the rule is scaled to the kernel's G, which no row changes: one rule
+    # and its mass serve the batch, and each row keeps the bits of its
+    # one-row call
+    _, kernel = ROUTES[name]
+    rng = np.random.default_rng(43)
+    ctx = build_context(random_real_preserving_map(rng, 2, 0.5, 2.5))
+    Z = _points(name, 0.6 * rng.standard_normal((4, 2)) + 0.4j * rng.standard_normal((4, 2)))
+    field = CallableField(2, hermite_function((3, 1)).evaluate_many)
+    singles = [_quadrature(kernel(ctx), field, z) for z in Z]
+    rules = []
+    monkeypatch.setattr(transforms, "QuadratureRule",
+                        lambda *args, **kwargs: rules.append(QuadratureRule(*args, **kwargs))
+                        or rules[-1])
+    batch = _quadrature(kernel(ctx), field, Z)
+    assert len(rules) == 1
+    assert same_bits(batch, np.array(singles))
 
 
 def test_quadrature_route_refuses_a_point_whose_shift_leaves_the_range():
