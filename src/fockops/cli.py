@@ -8,8 +8,12 @@ verify      run the full identity suite; exit 0 only if everything passes
 truncate    partial normalization constants along a diagonal tower
 
 Configuration is a JSON file (``--config``), read as ``json.load`` reads
-it (``parse_json``: orjson where that gives the same), checked against CONFIG_SCHEMAS
-by ``_schema_error``, an in-tree checker of the JSON Schema keywords those
+it (``parse_json``, its route decided on the bytes: orjson where that gives
+the same, for at most ORJSON_OPENERS opening brackets; json, which refuses
+deep nesting with a RecursionError, past them; a config within the bound
+nested past json's limit is read whole and refused by the checks below),
+checked against CONFIG_SCHEMAS by ``_schema_error``, an in-tree checker of
+the JSON Schema keywords those
 schemas use.  It decides as JSON Schema 2020-12 does, except that an
 ``integer`` is a JSON integer literal (``10.0`` is not one), and its message
 names the path of the first bad value (``config.eval.target``).  Unknown
@@ -385,10 +389,12 @@ DIGIT_MARKS = bytes(ord("0") if chr(c) in "0123456789" else c if chr(c) == "." e
                     for c in range(256))
 LONG_DIGITS = b"0" * 19
 
-# deepest nesting taken from orjson, which has no depth limit: json.loads
-# recurses once a level and reads this depth on any sane stack, and what is
-# deeper it reads or refuses with a RecursionError
-ORJSON_DEPTH = 100
+# most opening brackets ("[" and "{", in strings too: an upper bound on the
+# depth) of a config that orjson reads.  orjson 3.8.3 has no depth limit and
+# recurses on the C stack: on an 8 MB stack it parses 51,875 nested objects
+# and crashes at 52,500, and nested arrays cost less a level.  The largest
+# benchmark config, the cli-batch kernel config, holds 30,010.
+ORJSON_OPENERS = 40_000
 
 
 def _has_long_integer(raw: bytes) -> bool:
@@ -396,34 +402,21 @@ def _has_long_integer(raw: bytes) -> bool:
     return marks.startswith(LONG_DIGITS) or b" " + LONG_DIGITS in marks
 
 
-def _nests_deeper(value, depth: int) -> bool:
-    """Whether a JSON value nests lists and objects more than ``depth``
-    deep (``[]`` is 1 deep), walked a level at a time."""
-    level = [[value]]  # the lists and objects at one depth, here 0
-    for _ in range(depth + 1):
-        level = [item for container in level
-                 for item in (container.values() if type(container) is dict else container)
-                 if type(item) is list or type(item) is dict]
-        if not level:
-            return False
-    return True
-
-
 def parse_json(raw: bytes):
     """The JSON value of a config file's bytes, as ``json.load`` of the
-    file opened as UTF-8 text with _parse_int gives it.  orjson reads it
-    when it can: it gives the same values, float bits included, and refuses
-    NaN, Infinity, 1e400 and lone surrogates.  What it refuses, a config
-    with a long integer literal and one nested past ORJSON_DEPTH take that
-    json route, whose value or error is the result."""
-    if not _has_long_integer(raw):
+    file opened as UTF-8 text with _parse_int gives it, its route decided on
+    the bytes before any parser runs.  orjson reads a config of at most
+    ORJSON_OPENERS brackets and no long integer literal: it gives the same
+    values, float bits included, and refuses NaN, Infinity, 1e400 and lone
+    surrogates, which then take the json route.  Every other config takes
+    it at once, and json refuses one nested past its recursion limit with a
+    RecursionError.  A config within the bound nested that deep is read
+    whole, and the schema or the point checks refuse it."""
+    if raw.count(b"[") + raw.count(b"{") <= ORJSON_OPENERS and not _has_long_integer(raw):
         try:
-            value = orjson.loads(raw)
+            return orjson.loads(raw)
         except orjson.JSONDecodeError:
             pass
-        else:
-            if not _nests_deeper(value, ORJSON_DEPTH):
-                return value
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
     return json.loads(text, parse_int=_parse_int)
 
@@ -633,7 +626,7 @@ def write_csv(path: str, report: dict) -> None:
 def render_report(report: dict) -> str:
     report = dict(report)
     report["versions"] = {"fockops": __version__, "numpy": np.__version__}
-    return render_json(report, newline=True)
+    return render_json(report)
 
 
 # characters of a report encoded and written at a time, so that no encoded
@@ -729,7 +722,7 @@ def main(argv: list[str] | None = None) -> int:
         text = _stage(args.command, "render", render_report, report)
         _stage(args.command, "write", write_outputs, args, text, report)
     except FockError as err:
-        write_stdout(render_json({"error": err.payload()}, newline=True))
+        write_stdout(render_json({"error": err.payload()}))
         log.error("%s failed: %s", args.command, err)
         return 2
 

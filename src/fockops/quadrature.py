@@ -63,6 +63,13 @@ CHUNK = 4 * BLOCK
 MAX_NODES_PER_AXIS = 370
 
 
+def require_integer(value, what: str) -> None:
+    """ConfigError naming ``what`` unless ``value`` is an integer, which a
+    bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def rule_range_error(k: int) -> ConfigError:
     return ConfigError(f"a Gauss-Hermite rule of {k} nodes per axis is beyond the float range")
 
@@ -98,6 +105,10 @@ class QuadratureRule:
     scaling: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        from .symbolic import as_matrix  # imported here, as in _real_vector
+
+        require_integer(self.dim, "dim")
+        require_integer(self.nodes_per_axis, "nodes_per_axis")
         if self.dim < 1 or self.nodes_per_axis < 1:
             raise ConfigError("quadrature dimensions and node counts must be positive")
         if self.size > NODE_BUDGET:
@@ -106,7 +117,8 @@ class QuadratureRule:
                 f"budget of {NODE_BUDGET}"
             )
         _hermite_rule(self.nodes_per_axis)  # refuses a rule beyond the float range
-        scaling = np.eye(self.dim) if self.scaling is None else _scaling(self.scaling, self.dim)
+        scaling = np.eye(self.dim) if self.scaling is None else \
+            as_matrix(self.scaling, self.dim, "scaling", float)
         scaling = np.array(scaling)
         scaling.flags.writeable = False
         object.__setattr__(self, "scaling", scaling)
@@ -145,33 +157,19 @@ class QuadratureRule:
         return X, W[start:stop]
 
 
-def _scaling(scaling, dim: int) -> np.ndarray:
-    """A precision matrix as float64: ConfigError unless it is dim x dim."""
-    scaling = np.asarray(scaling, dtype=float)
-    if scaling.shape != (dim, dim):
-        raise ConfigError(f"scaling must be {dim}x{dim}, got {scaling.shape}")
-    return scaling
-
-
 def _real_vector(v, dim: int, what: str) -> np.ndarray:
-    """``v`` as a float64 vector of length ``dim``: its shape checked by
-    :func:`~fockops.symbolic.as_vector`, then ConfigError for a complex dtype
-    or a non-finite value, naming ``what`` and the value passed."""
+    """``v`` as a float64 vector of length ``dim``: its shape and finiteness
+    checked by :func:`~fockops.symbolic.as_vector`, then ConfigError for a
+    complex dtype, naming ``what`` and the value passed."""
     # imported here: truncate imports this module for its budgets and loads
     # no symbolic calculus
     from .symbolic import as_vector
 
     a = as_vector(v, dim, what, None)
     if np.iscomplexobj(a):
-        raise ConfigError(f"{what} must be real, got {_shown(a)}")
-    a = a.astype(float, copy=False)
-    if not np.isfinite(a).all():
-        raise ConfigError(f"{what} must be finite, got {_shown(a)}")
-    return a
-
-
-def _shown(a: np.ndarray) -> str:
-    return np.array2string(a, threshold=8, separator=", ")
+        raise ConfigError(f"{what} must be real, got "
+                          f"{np.array2string(a, threshold=8, separator=', ')}")
+    return a.astype(float, copy=False)
 
 
 @lru_cache(maxsize=1)
@@ -370,13 +368,15 @@ def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     Returns the estimate and its standard error; a sum of the samples or a
     standard error beyond the float range is an EvaluatorError.  The same
     seed always reproduces the same sample stream.  The samples hold at
-    most NODE_BUDGET coordinates, as a quadrature grid does.  A ``scaling``
-    that is not square is a ConfigError, as in QuadratureRule.
+    most NODE_BUDGET coordinates, as a quadrature grid does.  ``scaling``
+    is checked as in QuadratureRule, square of any size.
     """
+    from .symbolic import as_matrix  # imported here, as in _real_vector
+
     if samples < 1000:
         raise ConfigError("mc_integrate needs at least 1000 samples")
-    dim = len(scaling) if np.ndim(scaling) else 1
-    scaling = _scaling(scaling, dim)
+    scaling = as_matrix(scaling, None, "scaling", float)
+    dim = len(scaling)
     if samples * dim > NODE_BUDGET:
         raise NodeBudgetError(
             f"{samples} samples in dimension {dim} = {samples * dim} coordinates exceeds "

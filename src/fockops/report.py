@@ -56,15 +56,15 @@ def _mark_runs(value, depth: int, runs: list):
     return value if copy is None else copy
 
 
-def render_json(value, *, newline: bool = False) -> str:
+def render_json(value) -> str:
     """Strict JSON text of ``value``: keys sorted, two-space indent, UTF-8
     text unescaped, a non-finite float as ``null`` and every other float as
     its shortest round-trip digits, in orjson's notation (``1e-7``,
     ``1e16``, ``0.00001`` where Python writes ``1e-07``, ``1e+16``,
     ``1e-05``).  float64 numpy arrays are encoded from their buffer.  What
     orjson cannot encode, such as an integer outside 64 bits, raises
-    ``orjson.JSONEncodeError``, a TypeError.  With ``newline`` the text
-    ends in one, appended by orjson, so that the text is built once.
+    ``orjson.JSONEncodeError``, a TypeError.  The text ends in a newline,
+    appended by orjson, so that the text is built once.
 
     A 1-D float64 array held as a dict value is written up to the start of
     its final run of bit-identical values, and that run's line once, then
@@ -73,7 +73,7 @@ def render_json(value, *, newline: bool = False) -> str:
     sequence ends in a long run of its limit).  Each array's place in the
     text is a marker string; should any marker not occur exactly once
     there, the value is rendered by orjson whole."""
-    option = RENDER_OPTIONS | orjson.OPT_APPEND_NEWLINE if newline else RENDER_OPTIONS
+    option = RENDER_OPTIONS | orjson.OPT_APPEND_NEWLINE
     runs: list = []
     marked = _mark_runs(value, 1, runs) if type(value) is dict else value
     text = orjson.dumps(marked, option=option).decode()

@@ -51,7 +51,8 @@ batch; and :func:`exp_rows`, the one guard of the float range for the
 exponential of a quadratic form.  :func:`as_vector` is the one check that
 a single vector argument (a shift, a linear term, a centre) has length n,
 and :func:`as_matrix` that a matrix is n x n before any arithmetic reads it.
-Any other shape is a DimensionMismatchError from one of these checks.
+Any other shape is a DimensionMismatchError from one of these checks, and a
+NaN or infinite entry of such a vector or matrix a ConfigError.
 """
 
 from __future__ import annotations
@@ -150,22 +151,34 @@ def require_rows(n: int, *batches: np.ndarray) -> None:
 
 def as_vector(v, n: int, what: str, dtype=complex) -> np.ndarray:
     """``v`` as an array, of ``dtype`` unless that is None:
-    DimensionMismatchError naming ``what`` and its shape unless that is (n,)."""
+    DimensionMismatchError naming ``what`` and its shape unless that is (n,),
+    then ConfigError unless its entries are finite (:func:`_finite`)."""
     v = np.asarray(v, dtype=dtype)
     if v.shape != (n,):
         raise DimensionMismatchError(f"{what} must be a vector of shape ({n},), got {v.shape}")
-    return v
+    return _finite(v, what)
 
 
 def as_matrix(M, n: int | None, what: str, dtype=complex) -> np.ndarray:
     """``M`` as an array of ``dtype``: DimensionMismatchError naming ``what``
-    and its shape unless that is (n, n), or square of any size if n is None.
-    A caller checks before any arithmetic, which would broadcast a row."""
+    and its shape unless that is (n, n), or square of any size if n is None,
+    then ConfigError unless its entries are finite (:func:`_finite`).  A
+    caller checks before any arithmetic, which would broadcast a row."""
     M = np.asarray(M, dtype=dtype)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or n not in (None, M.shape[0]):
         want = "a square matrix" if n is None else f"a matrix of shape ({n}, {n})"
         raise DimensionMismatchError(f"{what} must be {want}, got {M.shape}")
-    return M
+    return _finite(M, what)
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a``, or ConfigError naming ``what`` and showing ``a`` if an entry is
+    NaN or infinite, before it can pass for an asymmetric or indefinite
+    matrix or build a term of NaNs."""
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{what} must be finite, got "
+                          f"{np.array2string(a, threshold=8, separator=', ')}")
+    return a
 
 
 def _require_same_n(n: int, m: int) -> None:

@@ -22,7 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ConfigError, NodeBudgetError
-from .quadrature import NODE_BUDGET
+from .quadrature import NODE_BUDGET, require_integer
 
 __all__ = ["TruncationSpec", "CaSequence", "ca_sequence"]
 
@@ -71,6 +71,7 @@ class TruncationSpec:
     def __post_init__(self):
         r, t = _read_only(self.r_seq), _read_only(self.t_seq)
         n = self.max_n
+        require_integer(n, "max_n")
         if n < 1:
             raise ConfigError("max_n must be positive")
         if len(r) < n or len(t) < n:
@@ -159,7 +160,9 @@ def _powers(start: int, stop: int, power: float) -> np.ndarray:
 
 
 def _require_budget(max_n: int) -> None:
-    """Refuse a generated tower of more than NODE_BUDGET terms before it is built."""
+    """Refuse a generated tower of more than NODE_BUDGET terms, or of a
+    max_n that is no integer, before it is built."""
+    require_integer(max_n, "max_n")
     if max_n > NODE_BUDGET:
         raise NodeBudgetError(f"max_n {max_n} exceeds the budget of {NODE_BUDGET} terms")
 

@@ -14,6 +14,8 @@ import fockops.cli as cli
 from fockops.cli import _parse_int, load_config, main
 from fockops.errors import ConfigError
 
+from conftest import run_cli_process
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # an eval config whose points hold the raw value under test: the schema
@@ -49,7 +51,7 @@ VALUES = {
     "control character": b'"a\tb"',
     "leading zero": b"01",
     "a long integer in a key": b'{"12345678901234567890": 1}',
-    "nested at orjson's depth": b"[" * cli.ORJSON_DEPTH + b"]" * cli.ORJSON_DEPTH,
+    "nested at orjson's depth": b"[" * 100 + b"]" * 100,
     "nested past orjson's depth": b"[" * 150 + b"]" * 150,
     "nested 100,000 deep": b"[" * 100_000 + b"]" * 100_000,
     "nested 100,000 deep, unclosed": b"[" * 100_000,
@@ -160,3 +162,56 @@ def test_a_config_that_is_no_object_is_config_invalid(tmp_path, capsys, raw, wha
         "kind": "config_invalid",
         "message": f"invalid configuration: config is {what}, not an object",
     }
+
+
+def _point(z: bytes) -> bytes:
+    """An eval config of one kernel point whose "z" is ``z``."""
+    return HEAD + b'{"z": ' + z + b', "w": [0.0, 0.0]}' + TAIL
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"a": ' * 60_000 + b"1" + b"}" * 60_000,
+    b"[" * 300_000 + b"]" * 300_000,
+    _point(b"[" * 140_000 + b"]" * 140_000),
+], ids=["60,000 objects", "300,000 arrays", "a point of 140,000 arrays"])
+def test_a_config_nested_past_orjsons_stack_is_config_invalid_in_a_process(tmp_path, raw):
+    # orjson recursed on the C stack until the CLI died of a segfault, exit 139
+    path = tmp_path / "deep.json"
+    path.write_bytes(raw)
+    proc = run_cli_process("eval", "--config", str(path))
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "config_invalid" and "recursion" in error["message"]
+
+
+def test_a_point_nested_5000_deep_is_config_invalid_in_a_process(tmp_path):
+    # within ORJSON_OPENERS, orjson reads it whole and the point check refuses it
+    path = tmp_path / "deep.json"
+    path.write_bytes(_point(b"[" * 5000 + b"]" * 5000))
+    proc = run_cli_process("eval", "--config", str(path))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == {
+        "kind": "config_invalid",
+        "message": "invalid configuration: point 0 'z' is not a list of numbers"}
+
+
+@pytest.mark.parametrize("extra, route", [(0, "orjson"), (1, "json")])
+def test_the_opening_brackets_of_the_bytes_pick_the_route(tmp_path, monkeypatch, extra, route):
+    # 3 openers a point and the rest in a string: a config of ORJSON_OPENERS
+    # openers is read by orjson, one more sends it to json unread
+    count, rest = divmod(cli.ORJSON_OPENERS - HEAD.count(b"[") - HEAD.count(b"{"), 3)
+    points = [b'{"z": [0.5], "w": [0.25]}'] * count + [b'"' + b"[" * rest + b"{" * extra + b'"']
+    raw = HEAD + b", ".join(points) + TAIL
+    assert raw.count(b"[") + raw.count(b"{") == cli.ORJSON_OPENERS + extra
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    want = json.loads(raw)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the other route ran")
+
+    if route == "json":
+        monkeypatch.setattr(cli.orjson, "loads", refuse)
+    else:
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(loads=refuse, dumps=json.dumps))
+    assert _same(load_config(str(path), "eval", {}), want)

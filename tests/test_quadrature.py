@@ -111,9 +111,14 @@ def test_hermite_rules_past_the_float_range_rejected(k):
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(dim=2, nodes_per_axis=0), "must be positive"),
-    (dict(dim=2, nodes_per_axis=5, scaling=np.eye(3)), "scaling must be 2x2"),
-], ids=["zero-nodes", "scaling-shape"])
+    (dict(dim=1, nodes_per_axis=True), "^nodes_per_axis must be an integer, got True$"),
+    (dict(dim=1, nodes_per_axis=2.5), "^nodes_per_axis must be an integer, got 2.5$"),
+    (dict(dim=True, nodes_per_axis=5), "^dim must be an integer, got True$"),
+    (dict(dim=2.0, nodes_per_axis=5), "^dim must be an integer, got 2.0$"),
+], ids=["zero-nodes", "bool-nodes", "float-nodes", "bool-dim", "float-dim"])
 def test_malformed_rule_is_config_error(kwargs, message):
+    # a bool built a rule of one node or one axis, a float node count ended in
+    # numpy's TypeError
     with pytest.raises(ConfigError, match=message):
         QuadratureRule(**kwargs)
 

@@ -163,7 +163,7 @@ def _strict(text: str):
 def test_render_json_matches_stdlib_indent_2(value):
     # Where neither escaping nor float notation differs, the bytes are still
     # exactly those of the standard library.
-    assert render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert render_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [
@@ -199,7 +199,7 @@ def test_render_json_matches_stdlib_on_truncate_report():
     report = cmd_truncate({"kind": "perturbation", "base": 1.2, "amplitude": 0.4,
                            "power": 1.7, "maxN": 2000})
     assert render_json(report) == json.dumps(report, sort_keys=True, indent=2,
-                                             default=np.ndarray.tolist)
+                                             default=np.ndarray.tolist) + "\n"
 
 
 # float64 arrays of any bit pattern: NaNs of every payload, infinities, -0.0
@@ -251,23 +251,20 @@ def _nested(array, depth: int, siblings: dict) -> dict:
     return value
 
 
-def _orjson_whole(value, newline: bool = False) -> str:
-    option = RENDER_OPTIONS | orjson.OPT_APPEND_NEWLINE if newline else RENDER_OPTIONS
-    return orjson.dumps(value, option=option).decode()
+def _orjson_whole(value) -> str:
+    return orjson.dumps(value, option=RENDER_OPTIONS | orjson.OPT_APPEND_NEWLINE).decode()
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(prefix=st.lists(st.sampled_from(RUN_BITS), max_size=12),
-       last=st.sampled_from(RUN_BITS), run=st.integers(0, 40), depth=st.integers(1, 3),
-       newline=st.booleans())
-def test_render_json_writes_a_final_run_with_the_bytes_of_orjson(prefix, last, run, depth,
-                                                                 newline):
+       last=st.sampled_from(RUN_BITS), run=st.integers(0, 40), depth=st.integers(1, 3))
+def test_render_json_writes_a_final_run_with_the_bytes_of_orjson(prefix, last, run, depth):
     # run 0 leaves the prefix's own final run; an empty prefix makes the
     # whole array one run
     array = _bits_array(prefix + [last] * run)
     siblings = {"note": "a sibling", "values": [array, {"inner": array}]}
     value = _nested(array, depth, siblings)
-    assert render_json(value, newline=newline) == _orjson_whole(value, newline)
+    assert render_json(value) == _orjson_whole(value)
 
 
 @pytest.mark.parametrize("array", [
@@ -304,7 +301,7 @@ def test_render_json_keeps_its_bytes_when_a_string_holds_the_marker(text):
     for value in ({"error": {"kind": "x", "message": text}, "sequence": {"logCaInv": array}},
                   {"config": {text: 1.0}, "sequence": {"logCaInv": array}},
                   {"a": array, "b": array[1:], "config": [text]}):
-        assert render_json(value, newline=True) == _orjson_whole(value, newline=True)
+        assert render_json(value) == _orjson_whole(value)
 
 
 def test_render_json_leaves_its_value_unchanged():
@@ -330,4 +327,4 @@ def test_truncate_reports_have_the_bytes_of_the_whole_array_rendering(config, ru
     final = len(values) - np.flatnonzero(values != values[-1])[-1] - 1 \
         if (values != values[-1]).any() else len(values)
     assert final == run if run is not None else final > len(values) // 2
-    assert render_json(report, newline=True) == _orjson_whole(report, newline=True)
+    assert render_json(report) == _orjson_whole(report)

@@ -3,7 +3,11 @@ variables is a vector of length n, a batch of points is (m, n), and the
 batches of one call share m.  Any other shape is a DimensionMismatchError,
 raised by one of the shape checks of ``fockops.symbolic``.  A matrix is
 checked the same way, before any arithmetic reads it, and a map applies to
-a vector of its own length, or a stack of m maps to an (m, n) batch."""
+a vector of its own length, or a stack of m maps to an (m, n) batch.  A NaN
+or infinite entry of a vector or a matrix is a ConfigError of the same
+checks."""
+
+import re
 
 import numpy as np
 import pytest
@@ -134,7 +138,10 @@ MATRIX_FAULTS = {
         DimensionMismatchError, r"P must be a square matrix, got \(2,\)"),
     "mc_integrate, scaling a row": (
         lambda: mc_integrate(1, 1000, [[1.0, 0.0]], lambda X: np.ones(len(X))),
-        ConfigError, r"scaling must be 1x1, got \(1, 2\)"),
+        DimensionMismatchError, r"scaling must be a square matrix, got \(1, 2\)"),
+    "QuadratureRule, scaling too large": (
+        lambda: QuadratureRule(N, 5, scaling=np.eye(N + 1)),
+        DimensionMismatchError, r"scaling must be a matrix of shape \(2, 2\), got \(3, 3\)"),
 }
 
 
@@ -145,6 +152,47 @@ def test_a_matrix_of_another_shape_is_refused_before_any_arithmetic(case):
     # in numpy's LinAlgError; mc_integrate called the row not symmetric
     call, error, text = MATRIX_FAULTS[case]
     with pytest.raises(error, match=text):
+        call()
+
+
+NAN, INF = float("nan"), float("inf")
+ONE_1 = GaussPoly.constant(1, 1.0)
+
+# case -> (a call with a NaN or infinite entry in a matrix or vector, the
+# name its ConfigError gives the argument)
+NON_FINITE = {
+    "QuadratureRule, scaling with NaN": (
+        lambda: QuadratureRule(N, 5, scaling=[[1.0, NAN], [NAN, 1.0]]), "scaling"),
+    "QuadratureRule, scaling inf": (lambda: QuadratureRule(1, 5, scaling=[[INF]]), "scaling"),
+    "mc_integrate, scaling NaN": (
+        lambda: mc_integrate(1, 1000, [[NAN]], lambda X: np.ones(len(X))), "scaling"),
+    "heat_kernel, P inf": (lambda: heat_kernel([[INF]], 1.0), "a heat kernel's P"),
+    "heat_kernel, P NaN": (lambda: heat_kernel([[NAN]], 1.0), "a heat kernel's P"),
+    "convolve_gaussian, G NaN": (lambda: convolve_gaussian(1.0, [[NAN]], ONE_1), "G"),
+    "gaussian_integral, Q NaN": (
+        lambda: gaussian_integral(Polynomial.constant(1, 1.0), [[NAN]], [0.0]), "Q"),
+    "gaussian_integral, b inf": (
+        lambda: gaussian_integral(Polynomial.constant(1, 1.0), [[1.0]], [INF]), "b"),
+    "GaussPoly, P NaN": (lambda: GaussPoly(ONE_1.poly, [[NAN]], [0.0], 0.0), "P"),
+    "GaussPoly, b inf": (lambda: GaussPoly(ONE_1.poly, [[1.0]], [-INF], 0.0), "b"),
+    "GaussPoly.shifted, d NaN": (lambda: F.shifted([NAN, 0.0]), "d"),
+    "Polynomial.compose_affine, M inf": (
+        lambda: F.poly.compose_affine([[INF, 0.0], [0.0, 1.0]]), "M"),
+    "translate, x NaN": (lambda: translate(CTX, [NAN, 0.0], F), "d"),  # its shift of F
+    "phase_factor, x inf": (lambda: phase_factor(CTX, [0.0, INF]), "x"),
+    "kernel_section, w NaN": (lambda: kernel_section(CTX, [NAN, 0.0]), "w"),
+    "coherent_state_fn, z NaN": (
+        lambda: coherent_state_fn(CTX, [0.0, complex(0.0, NAN)]), "a coherent state's point"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_a_non_finite_matrix_or_vector_is_a_config_error(case):
+    # a NaN scaling was not symmetric and a NaN P not positive definite, an
+    # inf P gave a term of inf+nanj, a NaN G or Q an overflowing norm, and
+    # the vectors built terms of NaNs
+    call, what = NON_FINITE[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(what)} must be finite, got "):
         call()
 
 

@@ -219,6 +219,18 @@ def test_non_positive_depth_is_config_error(max_n):
         TruncationSpec([1.0], [1.0], max_n)
 
 
+@pytest.mark.parametrize("make, value", [
+    (lambda: TruncationSpec([1.0, 2.0], [1.0, 1.0], 1.5), "1.5"),
+    (lambda: TruncationSpec([1.0, 2.0], [1.0, 1.0], True), "True"),
+    (lambda: TruncationSpec.constant(2.0, 1.0, 2.5), "2.5"),
+    (lambda: TruncationSpec.perturbation(1.0, 0.5, 2.0, True), "True"),
+], ids=["explicit-float", "explicit-bool", "constant-float", "perturbation-bool"])
+def test_a_depth_that_is_no_integer_is_config_error(make, value):
+    # a float ended in numpy's TypeError and a bool built a tower of one term
+    with pytest.raises(ConfigError, match=f"^max_n must be an integer, got {value}$"):
+        make()
+
+
 @pytest.mark.parametrize("make, k", [
     (lambda: TruncationSpec.constant(1e-200, 1e-200, 3), 1),
     (lambda: TruncationSpec.constant(1e200, 1e200, 3), 1),
