@@ -52,12 +52,14 @@ exponential of a quadratic form.  :func:`as_vector` is the one check that
 a single vector argument (a shift, a linear term, a centre) has length n,
 and :func:`as_matrix` that a matrix is n x n before any arithmetic reads it.
 Any other shape is a DimensionMismatchError from one of these checks, and a
-NaN or infinite entry of such a vector or matrix a ConfigError.
+NaN or infinite entry of such a vector or matrix a ConfigError, as is one
+that is not a number.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import reduce, wraps
 from types import MappingProxyType
@@ -150,25 +152,39 @@ def require_rows(n: int, *batches: np.ndarray) -> None:
 
 
 def as_vector(v, n: int, what: str, dtype=complex) -> np.ndarray:
-    """``v`` as an array, of ``dtype`` unless that is None:
+    """``v`` as an array, of ``dtype`` unless that is None (:func:`_numeric`):
     DimensionMismatchError naming ``what`` and its shape unless that is (n,),
     then ConfigError unless its entries are finite (:func:`_finite`)."""
-    v = np.asarray(v, dtype=dtype)
+    v = _numeric(v, what, dtype)
     if v.shape != (n,):
         raise DimensionMismatchError(f"{what} must be a vector of shape ({n},), got {v.shape}")
     return _finite(v, what)
 
 
 def as_matrix(M, n: int | None, what: str, dtype=complex) -> np.ndarray:
-    """``M`` as an array of ``dtype``: DimensionMismatchError naming ``what``
-    and its shape unless that is (n, n), or square of any size if n is None,
-    then ConfigError unless its entries are finite (:func:`_finite`).  A
-    caller checks before any arithmetic, which would broadcast a row."""
-    M = np.asarray(M, dtype=dtype)
+    """``M`` as an array of ``dtype`` (:func:`_numeric`): DimensionMismatchError
+    naming ``what`` and its shape unless that is (n, n), or square of any size
+    if n is None, then ConfigError unless its entries are finite
+    (:func:`_finite`).  A caller checks before any arithmetic, which would
+    broadcast a row."""
+    M = _numeric(M, what, dtype)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or n not in (None, M.shape[0]):
         want = "a square matrix" if n is None else f"a matrix of shape ({n}, {n})"
         raise DimensionMismatchError(f"{what} must be {want}, got {M.shape}")
     return _finite(M, what)
+
+
+def _numeric(a, what: str, dtype) -> np.ndarray:
+    """``a`` as an array of ``dtype`` (its own if None), or ConfigError naming
+    ``what`` unless that array holds numbers: a string, an object or a
+    ragged nesting is refused here, not in numpy's ValueError or TypeError."""
+    try:
+        array = np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.dtype.kind not in "biufc":
+        raise ConfigError(f"{what} must be an array of numbers, got {reprlib.repr(a)}")
+    return array
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:

@@ -17,6 +17,7 @@ __all__ = [
     "random_spd_matrix",
     "random_spd_map",
     "random_real_preserving_map",
+    "plane_rotated",
     "rotated_weight",
 ]
 
@@ -67,19 +68,25 @@ def random_real_preserving_map(
     )
 
 
+def plane_rotated(M: np.ndarray, theta: float, axis: int = 0) -> np.ndarray:
+    """G^T M G for a 2n x 2n array M and G the rotation by theta in the
+    (x_j, y_j) plane, j = ``axis``: the entries of :func:`rotated_weight`,
+    unvalidated, for callers that validate a whole stack at once."""
+    d = M.shape[-1]
+    G = np.eye(d)
+    i, j = axis, d // 2 + axis
+    c, s = np.cos(theta), np.sin(theta)
+    G[i, i] = c
+    G[i, j] = -s
+    G[j, i] = s
+    G[j, j] = c
+    return G.T @ M @ G
+
+
 def rotated_weight(A: RealLinearMap, theta: float, axis: int = 0) -> RealLinearMap:
     """Conjugate a weight by a rotation in one (x_j, y_j) plane.
 
     Mixes the real and imaginary directions, producing weights that are
     SPD but do not preserve the real subspace.
     """
-    n = A.n
-    d = 2 * n
-    G = np.eye(d)
-    i, j = axis, n + axis
-    c, s = np.cos(theta), np.sin(theta)
-    G[i, i] = c
-    G[i, j] = -s
-    G[j, i] = s
-    G[j, j] = c
-    return RealLinearMap(G.T @ A.entries @ G)
+    return RealLinearMap(plane_rotated(A.entries, theta, axis))

@@ -43,8 +43,8 @@ from .quadrature import (
 from .report import (CheckResult, fold, make_bound_check, make_check, make_relative_check,
                      make_strict_check)
 from .symbolic import GaussPoly, Polynomial, l2_inner_product
-from .testing import (draw_spd, random_real_preserving_map, random_spd_map, random_spd_matrix,
-                      rotated_weight, spd_matrix)
+from .testing import (draw_spd, plane_rotated, random_real_preserving_map, random_spd_map,
+                      random_spd_matrix, rotated_weight, spd_matrix)
 from .transforms import (
     coherent_inner,
     coherent_state,
@@ -119,16 +119,23 @@ def _block_pairs(rng, count: int, high: int):
 # -- operator-core -------------------------------------------------------------
 
 
+def _core_draws(rng):
+    """operator-core's 200 weights and point pairs, as ``(n, E, z, w)`` stacks
+    per n, E not yet validated.  A draw takes what ``random_spd_matrix`` and
+    ``_complex_rows(rng, 2, n)`` take, in their order; its normals become
+    complex points once per stack, with the bits of the per-draw route."""
+    draws = [(n, *draw_spd(rng, 2 * n), *rng.standard_normal((4, n)))
+             for n in (1 + i % 3 for i in range(200))]
+    return [(n, spd_matrix(G, vals), z_re + 1j * z_im, w_re + 1j * w_im)
+            for n, G, vals, z_re, z_im, w_re, w_im in _stacked(draws)]
+
+
 def check_operator_core(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed)
-    draws = []
-    for n in (1 + i % 3 for i in range(200)):
-        G, vals = draw_spd(rng, 2 * n)
-        draws.append((n, G, vals, *_complex_rows(rng, 2, n)))
     worst_sum = worst_commute = worst_anticommute = worst_k_sym = worst_sigma_k = 0.0
     worst_h_eig = math.inf
-    for _, G, vals, z, w in _stacked(draws):
-        A = RealLinearMap(spd_matrix(G, vals))
+    for _, E, z, w in _core_draws(rng):
+        A = RealLinearMap(E)
         H, K = decompose(A)
         scale = A.norm()
         residuals = decomposition_residuals(A, H, K)
@@ -320,27 +327,42 @@ def check_unitary_between_spaces(cfg: VerifyConfig) -> list[CheckResult]:
 # -- transforms -------------------------------------------------------------------
 
 
-def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
-    rng = np.random.default_rng(cfg.seed + 6)
-    checks = []
-
-    draws = []  # each weight real-preserving, or with probability 1/2 a rotated diagonal one
+def _tower_draws(rng):
+    """transform-tower's 500 weights and points, as ``(n, E, x, y, z)`` stacks
+    per n, E not yet validated.  Each weight is real-preserving, or with
+    probability 1/2 a diagonal one rotated in one plane.  A draw takes what
+    the per-draw route takes (``RealLinearMap.from_blocks`` of two
+    ``draw_spd``, or ``rotated_weight``; two real points; ``_complex_rows(rng,
+    1, n)``), in its order, and every entry has that route's bits: a rotated
+    weight is :func:`plane_rotated` of its diagonal array, and the blocks and
+    the complex points are built once per stack."""
+    # unread fillers, one per n, keep every row's columns the same shape for _stacked
+    fillers = {n: [np.zeros((2 * n, 2 * n)), *[np.eye(n), np.ones(n)] * 2] for n in (1, 2)}
+    draws = []
     for i in range(500):
         n = 1 + i % 2
-        # unread fillers keep every row's columns the same shape for _stacked
-        E, spd = np.zeros((2 * n, 2 * n)), [np.eye(n), np.ones(n)] * 2
+        E, *spd = fillers[n]
         if blocks := rng.uniform() < 0.5:
             spd = [*draw_spd(rng, n), *draw_spd(rng, n)]  # E assembled per stack below
         else:
             r, t = rng.uniform(0.3, 4.0, size=2)
-            A = RealLinearMap.from_blocks(r * np.eye(n), t * np.eye(n))
-            E = rotated_weight(A, rng.uniform(0.1, math.pi), axis=int(rng.integers(n))).entries
-        x, y = rng.standard_normal(n), rng.standard_normal(n)
-        draws.append((n, blocks, E, *spd, x, y, _complex_rows(rng, 1, n)[0]))
+            E = plane_rotated(np.diag(np.repeat([r, t], n)), rng.uniform(0.1, math.pi),
+                              int(rng.integers(n)))
+        draws.append((n, blocks, E, *spd, *rng.standard_normal((4, n))))
+    stacks = []
+    for n, blocks, E, GR, vR, GT, vT, x, y, z_re, z_im in _stacked(draws):
+        E[blocks, :n, :n] = spd_matrix(GR[blocks], vR[blocks])
+        E[blocks, n:, n:] = spd_matrix(GT[blocks], vT[blocks])
+        stacks.append((n, E, x, y, z_re + 1j * z_im))
+    return stacks
+
+
+def check_transform_tower(cfg: VerifyConfig) -> list[CheckResult]:
+    rng = np.random.default_rng(cfg.seed + 6)
+    checks = []
+
     worst = 0.0
-    for _, blocks, E, GR, vR, GT, vT, x, y, z in _stacked(draws):
-        E[blocks] = RealLinearMap.from_blocks(spd_matrix(GR[blocks], vR[blocks]),
-                                              spd_matrix(GT[blocks], vT[blocks])).entries
+    for _, E, x, y, z in _tower_draws(rng):
         ctx = build_context(RealLinearMap(E))
         values = (multiplier(ctx, x, z), multiplier(ctx, y, z - x), multiplier(ctx, x + y, z))
         # products and moduli of Python complexes: numpy's round differently

@@ -18,7 +18,11 @@ from fockops import (
     require_spd,
     sqrt_spd,
 )
-from fockops.testing import random_spd_map, random_real_preserving_map, rotated_weight
+from fockops.operators import spectral_norm
+from fockops.testing import (plane_rotated, random_real_preserving_map, random_spd_map,
+                             rotated_weight)
+
+from conftest import same_bits
 
 
 def diag_weight(r=4.0, t=1.0):
@@ -311,3 +315,54 @@ def test_context_matrices_are_read_only():
     for name in ("H_matrix", "K_matrix", "sqrt_H_matrix", "inv_sqrt_H_matrix"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(ctx, name)[0, 0] = 50
+
+
+_RNG = np.random.default_rng(5)
+NAN, INF = float("nan"), float("inf")
+SPECTRAL_CASES = {
+    "one matrix": _RNG.standard_normal((4, 4)),
+    "one complex matrix": _RNG.standard_normal((3, 3)) + 1j * _RNG.standard_normal((3, 3)),
+    "a stack": _RNG.standard_normal((5, 4, 4)),
+    "a stack of stacks": _RNG.standard_normal((2, 3, 2, 2)),
+    "a rectangular stack": _RNG.standard_normal((3, 2, 5)),
+    "a zero matrix": np.zeros((3, 3)),
+    "a stack of zero matrices": np.zeros((2, 2, 2)),
+    "an integer matrix": np.array([[3, 0], [4, 1]]),
+    "an inf entry": np.array([[1.0, INF], [0.0, 1.0]]),
+    "a NaN entry": np.array([[1.0, NAN], [0.0, 1.0]]),
+    "a NaN in a stack": np.stack([np.eye(2), np.array([[NAN, 0.0], [0.0, 1.0]])]),
+}
+
+
+def _outcome(norm, X):
+    """The value's type and bits, or the error's type and message."""
+    try:
+        value = norm(X)
+    except np.linalg.LinAlgError as err:
+        return type(err), str(err)
+    return type(value), np.asarray(value).dtype, np.asarray(value).shape, value
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_spectral_norm_is_numpys_2_norm(case):
+    # the first singular value of LAPACK's svd, where norm takes their maximum
+    X = SPECTRAL_CASES[case]
+    got = _outcome(spectral_norm, X)
+    want = _outcome(lambda X: np.linalg.norm(X, 2, axis=(-2, -1)), X)
+    assert got[:-1] == want[:-1]
+    if got[0] is not np.linalg.LinAlgError:
+        assert same_bits(got[-1], want[-1])
+    if "NaN" in case:
+        assert got[0] is np.linalg.LinAlgError
+    elif X.ndim == 2:
+        assert got[0] is np.float64
+
+
+@pytest.mark.parametrize("n, axis", [(1, 0), (2, 0), (2, 1), (3, 2)])
+def test_rotated_weight_is_the_plane_rotation_of_its_entries(n, axis):
+    A = random_spd_map(np.random.default_rng(n + axis), n)
+    rotated = rotated_weight(A, 0.7, axis)
+    assert same_bits(rotated.entries, plane_rotated(A.entries, 0.7, axis))
+    assert np.allclose(np.linalg.eigvalsh(rotated.entries), np.linalg.eigvalsh(A.entries),
+                       rtol=0.0, atol=1e-12)
+    assert np.array_equal(plane_rotated(A.entries, 0.0, axis), A.entries)

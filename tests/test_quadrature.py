@@ -1,6 +1,7 @@
 """Tensor Gauss-Hermite rules and the Monte Carlo fallback."""
 
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -14,11 +15,17 @@ from fockops import (
     NodeBudgetError,
     Polynomial,
     QuadratureRule,
+    build_context,
+    fock_gram,
+    fock_rule,
     integrate,
     integrate_shifted,
+    kernel_section,
     mc_integrate,
 )
-from fockops.quadrature import BLOCK, _block_sum, _tensor_phase, _unit_grid
+import fockops.quadrature as quadrature
+from fockops.quadrature import BLOCK, CHUNK, _block_sum, _block_sums, _tensor_phase, _unit_grid
+from fockops.testing import random_real_preserving_map
 
 from conftest import same_bits
 
@@ -281,6 +288,20 @@ def test_mc_rejects_tiny_sample_counts():
         mc_integrate(1, 10, np.eye(1), lambda X: np.ones(X.shape[0]))
 
 
+@pytest.mark.parametrize("samples", [1000.5, np.float64(2000), 2000.0, True],
+                         ids=["float", "numpy-float", "integral-float", "bool"])
+def test_mc_sample_count_that_is_no_integer_is_config_error(samples):
+    # a float count ended in numpy's TypeError from standard_normal
+    message = f"^samples must be an integer, got {re.escape(repr(samples))}$"
+    with pytest.raises(ConfigError, match=message):
+        mc_integrate(1, samples, np.eye(1), lambda X: np.ones(X.shape[0]))
+
+
+def test_mc_takes_a_numpy_integer_sample_count():
+    est, _ = mc_integrate(1, np.int64(1000), np.eye(1), lambda X: np.ones(X.shape[0]))
+    assert est == 1.0
+
+
 def test_mc_reproducible_for_same_seed():
     f = lambda X: np.tanh(X[:, 0])
     a, _ = mc_integrate(42, 5000, np.eye(1), f)
@@ -402,6 +423,8 @@ def test_the_unit_grid_keeps_one_read_only_shape():
         assert _unit_grid.cache_info().currsize == 1
         U, W = _unit_grid(k, dim)
         assert U.shape == (k**dim, dim) and W.shape == (k**dim,)
+        # the layout the chunk products are fast on (see _unit_grid)
+        assert U.flags.f_contiguous and not U.flags.c_contiguous
         for a in (U, W):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -559,3 +582,44 @@ def test_a_malformed_center_or_phase_is_refused_before_any_node(case, entry):
         else:
             integrate_shifted(rule, args["center"], f, args["phase"])
     assert not calls
+
+
+def _buffered_chunk_sums(integrands, X, W, start, sample):
+    """The chunk pass with every product casting the float weights through
+    numpy's buffer, as it did before a Gram's weights were cast once."""
+    parts = []
+    for values, owned in integrands(X, start, sample):
+        prods = np.multiply(values, W, out=values) if owned and values.size > 1 else values * W
+        parts += [_block_sums(prods.real), _block_sums(prods.imag)]
+    return parts
+
+
+@pytest.mark.parametrize("rows", [1, 2, BLOCK - 1, BLOCK + 1, CHUNK, CHUNK + BLOCK - 1])
+def test_a_grams_weights_cast_once_have_the_bits_of_the_buffered_cast(rows):
+    # products near underflow: out of place, numpy's product with a complex
+    # operand rounds some of them to a zero of the other sign
+    rng = np.random.default_rng(rows)
+    W = rng.uniform(0.0, 1.0, rows) * 10.0 ** rng.integers(-323, 1, rows)
+    W[::97] = 0.0
+    columns = [(rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
+               * 10.0 ** rng.integers(-300, 300, rows) for _ in range(5)]
+    columns[3][::13] = complex(-0.0, 0.0)
+
+    def integrands(X, start, sample):
+        # the fourth is a caller's array, weighted out of place
+        return ((values.copy(), k != 3) for k, values in enumerate(columns))
+
+    with np.errstate(all="ignore"):
+        got = quadrature._chunk_sums(integrands, None, W, 0, None)
+        want = _buffered_chunk_sums(integrands, None, W, 0, None)
+    assert same_bits(np.array(got), np.array(want))
+
+
+def test_a_fock_gram_has_the_bits_of_the_buffered_weighting(monkeypatch):
+    ctx = build_context(random_real_preserving_map(np.random.default_rng(3), 2, 0.5, 2.5))
+    rule = fock_rule(ctx, 12)  # 20,736 nodes: a whole chunk and a tail
+    Fs = [GaussPoly.monomial(2, alpha) for alpha in ((0, 0), (1, 0), (2, 1), (0, 3))]
+    Gs = [kernel_section(ctx, [0.3 - 0.2j, -0.1 + 0.4j]), Fs[2]]
+    got = fock_gram(ctx, Fs, Gs, rule)
+    monkeypatch.setattr(quadrature, "_chunk_sums", _buffered_chunk_sums)
+    assert same_bits(got, fock_gram(ctx, Fs, Gs, rule))

@@ -5,7 +5,7 @@ raised by one of the shape checks of ``fockops.symbolic``.  A matrix is
 checked the same way, before any arithmetic reads it, and a map applies to
 a vector of its own length, or a stack of m maps to an (m, n) batch.  A NaN
 or infinite entry of a vector or a matrix is a ConfigError of the same
-checks."""
+checks, and so is one that is not a number."""
 
 import re
 
@@ -193,6 +193,32 @@ def test_a_non_finite_matrix_or_vector_is_a_config_error(case):
     # the vectors built terms of NaNs
     call, what = NON_FINITE[case]
     with pytest.raises(ConfigError, match=f"^{re.escape(what)} must be finite, got "):
+        call()
+
+
+# case -> (a call with a matrix or vector that does not hold numbers, the
+# name its ConfigError gives the argument)
+NON_NUMERIC = {
+    "integrate_shifted, center a string": (
+        lambda: integrate_shifted(QuadratureRule(1, 3), ["a"], lambda X: np.ones(len(X))),
+        "center"),
+    "QuadratureRule.grid, center of None": (lambda: RULE.grid([None, None]), "center"),
+    "GaussPoly.gaussian, P a string": (lambda: GaussPoly.gaussian([["a"]]), "P"),
+    "QuadratureRule, scaling a string": (lambda: QuadratureRule(1, 5, scaling=[["x"]]), "scaling"),
+    "mc_integrate, scaling ragged": (
+        lambda: mc_integrate(1, 1000, [[1.0], [0.0, 1.0]], lambda X: np.ones(len(X))), "scaling"),
+    "heat_kernel, P a string": (lambda: heat_kernel([["a"]], 1.0), "a heat kernel's P"),
+    "phase_factor, x strings": (lambda: phase_factor(CTX, ["a", "b"]), "x"),
+    "kernel_section, w with a dict": (lambda: kernel_section(CTX, [{}, 0.0]), "w"),
+}
+
+
+@pytest.mark.parametrize("case", NON_NUMERIC)
+def test_a_matrix_or_vector_of_no_numbers_is_a_config_error(case):
+    # numpy's TypeError from isfinite, or its ValueError from a cast to
+    # complex or float ("complex() arg is a malformed string")
+    call, what = NON_NUMERIC[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(what)} must be an array of numbers, got "):
         call()
 
 

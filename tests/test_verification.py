@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 import fockops.verification as verification
-from fockops import ConfigError, GaussPoly, kernel_section
+from fockops import ConfigError, GaussPoly, RealLinearMap, kernel_section
 from fockops.quadrature import MAX_NODES_PER_AXIS, _hermite_rule
 from fockops.report import fold, make_bound_check, make_strict_check
+from fockops.testing import draw_spd, rotated_weight, spd_matrix
 from fockops.verification import VerifyConfig, run_verification
+
+from conftest import same_bits
 
 
 def _by_name(results):
@@ -227,3 +230,54 @@ def test_verify_passes_at_seeds_whose_kernel_points_sit_far_off_the_real_axis(se
     # the density integral of the kernel missed by 8e-2 at seed 1 and 1.2e-6 at
     # seed 4 while its rule was centred on the real axis
     assert run_verification(VerifyConfig(seed=seed))["pass"]
+
+
+def _reference_core_draws(rng):
+    """operator-core's draws as the suite built them draw by draw: each
+    draw's points by _complex_rows, the weights stacked per n."""
+    draws = []
+    for n in (1 + i % 3 for i in range(200)):
+        G, vals = draw_spd(rng, 2 * n)
+        draws.append((n, G, vals, *verification._complex_rows(rng, 2, n)))
+    return [(n, spd_matrix(G, vals), z, w)
+            for n, G, vals, z, w in verification._stacked(draws)]
+
+
+def _reference_tower_draws(rng):
+    """transform-tower's draws as the suite built them draw by draw, each a
+    validated RealLinearMap.from_blocks or rotated_weight, its points by
+    _complex_rows."""
+    draws = []
+    for i in range(500):
+        n = 1 + i % 2
+        E, spd = np.zeros((2 * n, 2 * n)), [np.eye(n), np.ones(n)] * 2
+        if blocks := rng.uniform() < 0.5:
+            spd = [*draw_spd(rng, n), *draw_spd(rng, n)]
+        else:
+            r, t = rng.uniform(0.3, 4.0, size=2)
+            A = RealLinearMap.from_blocks(r * np.eye(n), t * np.eye(n))
+            E = rotated_weight(A, rng.uniform(0.1, math.pi), axis=int(rng.integers(n))).entries
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        draws.append((n, blocks, E, *spd, x, y, verification._complex_rows(rng, 1, n)[0]))
+    stacks = []
+    for n, blocks, E, GR, vR, GT, vT, x, y, z in verification._stacked(draws):
+        E[blocks] = RealLinearMap.from_blocks(spd_matrix(GR[blocks], vR[blocks]),
+                                              spd_matrix(GT[blocks], vT[blocks])).entries
+        stacks.append((n, E, x, y, z))
+    return stacks
+
+
+@pytest.mark.parametrize("draws, reference", [
+    (verification._core_draws, _reference_core_draws),
+    (verification._tower_draws, _reference_tower_draws),
+], ids=["operator-core", "transform-tower"])
+@pytest.mark.parametrize("seed", range(4))
+def test_the_stacked_draws_have_the_bits_of_the_per_draw_route(draws, reference, seed):
+    # the same generator calls in the same order, and every array bit for bit
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = draws(rng), reference(reference_rng)
+    assert [s[0] for s in got] == [s[0] for s in want]
+    for stack, reference_stack in zip(got, want):
+        for a, b in zip(stack[1:], reference_stack[1:], strict=True):
+            assert same_bits(a, b)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
