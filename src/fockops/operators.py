@@ -47,6 +47,7 @@ __all__ = [
     "build_context",
     "sqrt_spd",
     "inv_sqrt_spd",
+    "eigh_pd",
     "to_complex_coords",
 ]
 
@@ -236,7 +237,7 @@ def decomposition_residuals(A: RealLinearMap, H: RealLinearMap, K: RealLinearMap
     }
 
 
-def _eigh_pd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+def eigh_pd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a real symmetric
     or complex Hermitian matrix M, or of each matrix of a stack, once M is
     checked to be one (a finite asymmetry within 1e-10 of its Frobenius
@@ -251,8 +252,9 @@ def _eigh_pd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
              lambda a: NotSymmetricError(f"{what} is not symmetric", asymmetry=a), asym)
     vals, vecs = np.linalg.eigh(0.5 * M + 0.5 * adjoint)
     _require(~(vals[..., 0] <= 0.0),
-             lambda v: NotPositiveDefiniteError(f"{what} is not positive definite",
-                                                min_eigenvalue=v), vals[..., 0])
+             lambda v: NotPositiveDefiniteError(f"{what} is not positive definite (min "
+                                                f"eigenvalue {v:.3e})", min_eigenvalue=v),
+             vals[..., 0])
     return vals, vecs
 
 
@@ -265,13 +267,13 @@ def _root(eig: tuple[np.ndarray, np.ndarray], inverse: bool = False) -> np.ndarr
 
 def sqrt_spd(M: np.ndarray) -> np.ndarray:
     """Principal square root of an SPD (or Hermitian positive-definite) matrix."""
-    return _root(_eigh_pd(M, "matrix"))
+    return _root(eigh_pd(M, "matrix"))
 
 
 def inv_sqrt_spd(M: np.ndarray) -> np.ndarray:
     """Inverse of the principal square root of an SPD (or Hermitian
     positive-definite) matrix."""
-    return _root(_eigh_pd(M, "matrix"), inverse=True)
+    return _root(eigh_pd(M, "matrix"), inverse=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,12 +329,12 @@ class OperatorContext:
         """2 (R^-1 + T^-1)^-1, the harmonic-mean block."""
         S = 2.0 * np.linalg.inv(np.linalg.inv(self.R) + np.linalg.inv(self.T))
         S = 0.5 * (S + S.mT)
-        _eigh_pd(S, "derived block S")
+        eigh_pd(S, "derived block S")
         return self._real_block(S)
 
     @cached_property
     def L(self) -> np.ndarray:
-        return self._real_block(_root(_eigh_pd(2.0 * self.T - self.S, "derived block 2T - S")))
+        return self._real_block(_root(eigh_pd(2.0 * self.T - self.S, "derived block 2T - S")))
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -402,7 +404,7 @@ def build_context(A: RealLinearMap) -> OperatorContext:
     # the first block column of a map is its action on real vectors, where
     # z = conj(z): H z = Hc z and K z = Kc conj(z) read the same block
     Hc, Kc = (X[..., :n, :n] + 1j * X[..., n:, :n] for X in _split(A))
-    h_eig = _eigh_pd(Hc, "complex-linear part")
+    h_eig = eigh_pd(Hc, "complex-linear part")
 
     log_det_v_a = np.sum(np.log(a_vals), axis=-1)
     log_det_h = np.sum(np.log(h_eig[0]), axis=-1)

@@ -133,8 +133,11 @@ class QuadratureRule:
     @cached_property
     def mass(self) -> float:
         """The Lebesgue mass of the rule's Gaussian, the integral of exp(-x.Px/2)
-        dx over R^dim for P = ``scaling``: (2 pi)^{dim/2} det(P)^{-1/2}."""
-        log_det = float(np.sum(np.log(np.linalg.eigvalsh(self.scaling))))
+        dx over R^dim for P = ``scaling``: (2 pi)^{dim/2} det(P)^{-1/2}, its
+        log-determinant that of every Gaussian (symbolic.gaussian_log_det)."""
+        from .symbolic import gaussian_log_det  # imported here, as in _real_vector
+
+        log_det = gaussian_log_det(self.scaling, "a rule's scaling")
         return (2.0 * math.pi) ** (self.dim / 2.0) * math.exp(-0.5 * log_det)
 
     def nodes_1d(self) -> tuple[np.ndarray, np.ndarray]:

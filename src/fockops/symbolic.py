@@ -33,7 +33,11 @@ of covariance ``C = Q^{-1}`` by the heat operator ``exp(½ ∂·C∂)``
 after half the degree (the Wick sums, term by term).  Complex symmetric
 quadratic forms with positive-definite real part keep their eigenvalues in
 the right half plane, so the principal branch of ``det^{-1/2}`` used here
-is the analytic continuation of the real SPD formula.
+is the analytic continuation of the real SPD formula.  One function,
+:func:`gaussian_log_det`, checks that a Gaussian decays and returns the
+``log det`` on that branch: the integrals and convolutions here, the heat
+kernels of ``transforms`` and a quadrature rule's mass take their
+``det^{-1/2}`` from it.
 
 Real terms at real points are evaluated in float64 with the same bits:
 at a float array of points (the quadrature routes pass one) the Horner
@@ -89,6 +93,7 @@ __all__ = [
     "require_rows",
     "as_vector",
     "as_matrix",
+    "gaussian_log_det",
 ]
 
 EXP_OVERFLOW = 700.0
@@ -647,32 +652,31 @@ class CallableField:
         return np.asarray(self.fn(np.asarray(X, dtype=float)), dtype=complex)
 
 
-def _require_decaying(Q: np.ndarray, what: str) -> None:
-    """Nothing if Q's real part is positive definite.  A Q whose Frobenius
-    norm (a scaled sum, as ``hypot`` takes it) overflows is refused as beyond
-    the float range before its eigenvalues, which would round a
-    positive-definite Q to a singular one."""
+def gaussian_log_det(Q: np.ndarray, what: str):
+    """log det Q on the branch continuous from real SPD matrices, once Q is
+    checked to be the quadratic form of a decaying Gaussian: its real part
+    positive definite.  The one positivity check and the one determinant of
+    a Gaussian's normaliser ``(2 pi)^{n/2} det(Q)^{-1/2}``.
+
+    A Q whose Frobenius norm (a scaled sum, as ``hypot`` takes it) overflows
+    is a ConfigError, beyond the float range, before its eigenvalues, which
+    would round a positive-definite Q to a singular one; a Q whose real part
+    is not positive definite a DivergenceError naming ``what`` and its
+    smallest eigenvalue.  The eigenvalues of a complex symmetric Q with SPD
+    real part stay in the open right half plane, so the principal logarithm
+    of each is the analytic continuation; a real Q sums the logarithms of
+    the eigenvalues its check found."""
     with np.errstate(over="ignore"):
         if not math.isfinite(math.hypot(*np.abs(Q).ravel())):
             raise ConfigError(f"{what}: quadratic form is beyond the float range "
                               "(its Frobenius norm overflows)")
-    min_eig = float(np.linalg.eigvalsh(0.5 * Q.real + 0.5 * Q.real.T)[0])
-    if min_eig <= 0.0:
+    eig = np.linalg.eigvalsh(0.5 * Q.real + 0.5 * Q.real.T)
+    if (min_eig := float(eig[0])) <= 0.0:
         raise DivergenceError(
             f"{what}: quadratic form has non-positive real part "
             f"(min eigenvalue {min_eig:.3e}); the integral diverges"
         )
-
-
-def _sqrt_det_inv(Q: np.ndarray) -> complex:
-    """det(Q)^{-1/2} on the branch continuous from real SPD matrices.
-
-    Eigenvalues of a complex symmetric Q with SPD real part stay in the
-    open right half plane, so the principal logarithm per eigenvalue is
-    the correct analytic continuation.
-    """
-    vals = np.linalg.eigvals(Q)
-    return complex(np.exp(-0.5 * np.sum(np.log(vals))))
+    return np.sum(np.log(np.linalg.eigvals(Q) if np.iscomplexobj(Q) else eig))
 
 
 def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
@@ -737,14 +741,10 @@ def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) 
     """
     n = poly.n
     Q, b = _sym(as_matrix(Q, n, "Q")), as_vector(b, n, "b")
-    _require_decaying(Q, "gaussian integral")
+    sqrt_det_inv = complex(np.exp(-0.5 * gaussian_log_det(Q, "gaussian integral")))
     mean = np.linalg.solve(Q, b)
-    base = (
-        complex(np.exp(gamma + 0.5 * np.dot(b, mean)))
-        * (2.0 * np.pi) ** (n / 2.0)
-        * _sqrt_det_inv(Q)
-    )
-    return base * _smoothed(poly, np.linalg.inv(Q)).evaluate(mean)
+    base = complex(np.exp(gamma + 0.5 * np.dot(b, mean))) * (2.0 * np.pi) ** (n / 2.0)
+    return base * sqrt_det_inv * _smoothed(poly, np.linalg.inv(Q)).evaluate(mean)
 
 
 def integrate_gausspoly(g: GaussPoly) -> complex:
@@ -769,9 +769,9 @@ def convolve_gaussian(prefactor: complex, G: np.ndarray, h: GaussPoly) -> GaussP
     n = h.n
     G = _sym(as_matrix(G, n, "G"))
     Q = G + h.P
-    _require_decaying(Q, "gaussian convolution")
+    sqrt_det_inv = complex(np.exp(-0.5 * gaussian_log_det(Q, "gaussian convolution")))
     Qinv = _sym(np.linalg.inv(Q))
-    scale = prefactor * (2.0 * np.pi) ** (n / 2.0) * _sqrt_det_inv(Q)
+    scale = prefactor * (2.0 * np.pi) ** (n / 2.0) * sqrt_det_inv
 
     c0 = Qinv @ h.b
     P_new = _sym(G - G @ Qinv @ G)

@@ -28,8 +28,8 @@ from functools import reduce
 import numpy as np
 from numpy.polynomial.hermite import herm2poly
 
-from .errors import ConfigError, NotPositiveDefiniteError
-from .operators import OperatorContext
+from .errors import ConfigError
+from .operators import OperatorContext, eigh_pd
 from .quadrature import QuadratureRule, integrate_shifted
 from .symbolic import (
     GaussPoly,
@@ -39,6 +39,7 @@ from .symbolic import (
     bilinear_rows,
     convolve_gaussian,
     exp_rows,
+    gaussian_log_det,
     l2_inner_product,
     pointwise,
     require_rows,
@@ -185,22 +186,22 @@ def restriction_modulus(ctx: OperatorContext, h: GaussPoly) -> GaussPoly:
 
 
 def _heat_coeff(P: np.ndarray) -> float:
-    """The normalising constant of the Gaussian of SPD precision P:
-    NotPositiveDefiniteError naming the smallest eigenvalue of any other P."""
-    eig = np.linalg.eigvalsh(P)
-    if not eig[0] > 0.0:
-        raise NotPositiveDefiniteError(f"a Gaussian's precision is not positive definite (min "
-                                       f"eigenvalue {eig[0]:.3e})", min_eigenvalue=float(eig[0]))
-    return math.exp(0.5 * float(np.sum(np.log(eig)))) * (2.0 * math.pi) ** (-P.shape[0] / 2.0)
+    """The normalising constant of the Gaussian of SPD precision P."""
+    return math.exp(0.5 * gaussian_log_det(P, "a Gaussian's precision")) \
+        * (2.0 * math.pi) ** (-P.shape[0] / 2.0)
 
 
 def _heat(P, t: float) -> tuple[float, np.ndarray]:
     """The constant and the precision P/t of the time-t heat kernel:
     ConfigError unless t is positive and finite, DimensionMismatchError
-    unless P is square."""
+    unless P is square, ConfigError unless P/t is finite, and the error of
+    :func:`~fockops.operators.eigh_pd` unless P/t is symmetric and positive
+    definite."""
     if not (math.isfinite(t) and t > 0.0):
         raise ConfigError(f"a heat kernel's time must be positive and finite, got {t}")
-    Pt = as_matrix(P, None, "a heat kernel's P", float) / t
+    with np.errstate(over="ignore"):  # an overflow is refused as not finite
+        Pt = as_matrix(as_matrix(P, None, "a heat kernel's P", float) / t, None, "P/t", float)
+    eigh_pd(Pt, "a Gaussian's precision")
     return _heat_coeff(Pt), Pt
 
 

@@ -27,6 +27,7 @@ from fockops import (
     classical_to_weighted,
     fock_gram,
     fock_rule,
+    gaussian_integral,
     hermite_function,
     integrate,
     integrate_shifted,
@@ -34,6 +35,7 @@ from fockops import (
     normalized_monomial,
     segal_bargmann_fn,
     symbolic,
+    transforms,
 )
 from fockops.operators import to_complex_coords
 from fockops.quadrature import (
@@ -576,6 +578,47 @@ def test_a_rules_mass_keeps_the_bits_of_the_lebesgue_constant(dim):
         M = rng.standard_normal((dim, dim)) * rng.uniform(0.1, 3.0)
         P = M @ M.T + rng.uniform(0.01, 2.0) * np.eye(dim)
         assert same_bits(QuadratureRule(dim, 3, scaling=P).mass, old_lebesgue_constant(P))
+
+
+# -- a Gaussian's normaliser: one log-determinant ------------------------------
+
+
+def old_sqrt_det_inv(Q):
+    """symbolic._sqrt_det_inv, the det(Q)^{-1/2} of gaussian_integral and
+    convolve_gaussian, which gaussian_log_det replaced."""
+    vals = np.linalg.eigvals(Q)
+    return complex(np.exp(-0.5 * np.sum(np.log(vals))))
+
+
+def old_heat_coeff(P):
+    """transforms._heat_coeff before it took gaussian_log_det."""
+    eig = np.linalg.eigvalsh(P)
+    return math.exp(0.5 * float(np.sum(np.log(eig)))) * (2.0 * math.pi) ** (-P.shape[0] / 2.0)
+
+
+def symmetric_spd(rng, n):
+    """A random SPD matrix whose two triangles have the same bits."""
+    M = rng.standard_normal((n, n)) * rng.uniform(0.1, 3.0)
+    P = M @ M.T + rng.uniform(0.01, 2.0) * np.eye(n)
+    return 0.5 * P + 0.5 * P.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_gaussian_normalisers_keep_the_bits_of_the_old_formulas(n):
+    # the old QuadratureRule.mass is old_lebesgue_constant
+    rng = np.random.default_rng(420 + n)
+    for _ in range(50):
+        P = symmetric_spd(rng, n)
+        Y = rng.standard_normal((n, n)) * rng.uniform(0.1, 3.0)
+        Q = symmetric_spd(rng, n) + 1j * (0.5 * Y + 0.5 * Y.T)  # SPD real part
+        assert same_bits(transforms._heat_coeff(P), old_heat_coeff(P))
+        assert same_bits(QuadratureRule(n, 3, scaling=P).mass, old_lebesgue_constant(P))
+        for F in (P.astype(complex), Q):  # gaussian_integral takes Q as complex
+            got = complex(np.exp(-0.5 * symbolic.gaussian_log_det(F, "Q")))
+            assert same_bits(got, old_sqrt_det_inv(F))
+            value = gaussian_integral(Polynomial.constant(n, 1.0), F, np.zeros(n))
+            assert same_bits(value, complex(1.0) * (2.0 * np.pi) ** (n / 2.0)
+                             * old_sqrt_det_inv(F) * complex(1.0))
 
 
 # -- the grid reduction: finiteness from the block sums ------------------------

@@ -12,6 +12,7 @@ from fockops import (
     ConfigError,
     GaussPoly,
     NotPositiveDefiniteError,
+    NotSymmetricError,
     coherent_state_fn,
     Polynomial,
     QuadratureRule,
@@ -256,7 +257,7 @@ def test_restrict_adjoint_divergence_guard():
 
 
 def test_heat_kernel_normalization_closed_form():
-    for P, t in ((np.eye(1), 0.7), (np.diag([4.0, 1.0]), 2.3)):
+    for P, t in ((np.eye(1), 0.7), (np.diag([4.0, 1.0]), 2.3), ([[1.0, 0.25], [0.25, 1.0]], 1.0)):
         assert _gp_integral(heat_kernel(P, t)) == pytest.approx(1.0, rel=1e-13)
 
 
@@ -286,6 +287,33 @@ def test_a_heat_precision_that_is_not_spd_names_its_smallest_eigenvalue(build):
     with pytest.raises(NotPositiveDefiniteError, match=r"\(min eigenvalue -1\.000e\+00\)$") as err:
         build(np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0)
     assert err.value.min_eigenvalue == pytest.approx(-1.0, rel=1e-14)
+
+
+# lower triangle that of the identity, symmetric part [[1, .25], [.25, 1]]
+ASYMMETRIC_P = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+
+def test_a_heat_kernel_of_an_asymmetric_precision_is_refused():
+    # its constant read only the lower triangle, while the Gaussian reads the
+    # symmetric part: the kernel integrated to 1.0328, not 1
+    with pytest.raises(NotSymmetricError, match=r"^a Gaussian's precision is not symmetric$"):
+        heat_kernel(ASYMMETRIC_P, 1.0)
+
+
+def test_a_heat_convolution_with_an_asymmetric_precision_is_refused():
+    # it turned the Gaussian exp(-|x|^2/2), of mass 2 pi, into one of mass 6.489
+    h = GaussPoly.gaussian(np.eye(2))
+    assert _gp_integral(h) == pytest.approx(2 * math.pi, rel=1e-14)
+    with pytest.raises(NotSymmetricError, match=r"^a Gaussian's precision is not symmetric$"):
+        heat_convolve(ASYMMETRIC_P, 1.0, h)
+
+
+@pytest.mark.parametrize("build", HEAT_BUILDS.values(), ids=HEAT_BUILDS)
+def test_a_heat_precision_past_the_float_range_over_its_time_is_a_config_error(build):
+    # P/t of inf entries: not positive definite (min eigenvalue nan) at n = 2,
+    # and a ConfigError only from the term built at n = 1
+    with pytest.raises(ConfigError, match=r"^P/t must be finite, got "):
+        build(1e200 * np.eye(2), 1e-200)
 
 
 def semigroup_check(P, t: float, s: float, points):
