@@ -35,9 +35,11 @@ quadratic forms with positive-definite real part keep their eigenvalues in
 the right half plane, so the principal branch of ``det^{-1/2}`` used here
 is the analytic continuation of the real SPD formula.  One function,
 :func:`gaussian_log_det`, checks that a Gaussian decays and returns the
-``log det`` on that branch: the integrals and convolutions here, the heat
-kernels of ``transforms`` and a quadrature rule's mass take their
-``det^{-1/2}`` from it.
+``log det`` on that branch: the heat kernels of ``transforms`` and a
+quadrature rule's mass take their ``det^{-1/2}`` from it, and one more,
+:func:`complete_square`, gives every closed Gaussian integral its mass, its
+covariance (the one inverse of ``Q``) and its centre ``C b``: the integrals
+and convolutions here and the kernel's density integral in ``transforms``.
 
 Real terms at real points are evaluated in float64 with the same bits:
 at a float array of points (the quadrature routes pass one) the Horner
@@ -94,6 +96,7 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "gaussian_log_det",
+    "complete_square",
 ]
 
 EXP_OVERFLOW = 700.0
@@ -733,18 +736,34 @@ def _smoothed(poly: Polynomial, cov: np.ndarray) -> Polynomial:
     return Polynomial.from_coeffs(out.astype(complex))
 
 
+def complete_square(poly: Polynomial, Q: np.ndarray, b: np.ndarray, what: str):
+    """The completed square of p(y) exp(-y.Qy/2 + b.y), Q complex symmetric
+    and b a vector of length n: the Lebesgue mass (2 pi)^{n/2} det(Q)^{-1/2},
+    the covariance C = Q^{-1}, the centre c = C b and p smoothed by C, so that
+    the term is mass * exp(b.c/2) times the mean of p(c + u), u ~ N(0, C).
+
+    Q passes the one positivity check (:func:`gaussian_log_det`) first; C is
+    the one factorization of Q, and a C beyond the float range (a Q with a
+    subnormal eigenvalue) is a ConfigError naming ``what``."""
+    log_det = gaussian_log_det(Q, what)
+    with np.errstate(all="ignore"):  # a C beyond the float range is refused below
+        C = _sym(np.linalg.inv(Q))
+    if not np.isfinite(C).all():
+        raise ConfigError(f"{what}: the covariance Q^-1 is beyond the float range")
+    mass = (2.0 * np.pi) ** (len(Q) / 2.0) * complex(np.exp(-0.5 * log_det))
+    return mass, C, C @ b, _smoothed(poly, C)
+
+
 def gaussian_integral(poly: Polynomial, Q: np.ndarray, b, gamma: complex = 0.0) -> complex:
     """Integral over R^n of p(y) exp(-y.Qy/2 + b.y + gamma) dy.
 
     Q must have SPD real part; the polynomial factor is averaged with
-    covariance Q^{-1} around the stationary point Q^{-1} b.
+    covariance Q^{-1} around the stationary point Q^{-1} b
+    (:func:`complete_square`).
     """
-    n = poly.n
-    Q, b = _sym(as_matrix(Q, n, "Q")), as_vector(b, n, "b")
-    sqrt_det_inv = complex(np.exp(-0.5 * gaussian_log_det(Q, "gaussian integral")))
-    mean = np.linalg.solve(Q, b)
-    base = complex(np.exp(gamma + 0.5 * np.dot(b, mean))) * (2.0 * np.pi) ** (n / 2.0)
-    return base * sqrt_det_inv * _smoothed(poly, np.linalg.inv(Q)).evaluate(mean)
+    Q, b = _sym(as_matrix(Q, poly.n, "Q")), as_vector(b, poly.n, "b")
+    mass, _, centre, smoothed = complete_square(poly, Q, b, "gaussian integral")
+    return complex(np.exp(gamma + 0.5 * np.dot(b, centre))) * mass * smoothed.evaluate(centre)
 
 
 def integrate_gausspoly(g: GaussPoly) -> complex:
@@ -766,16 +785,10 @@ def convolve_gaussian(prefactor: complex, G: np.ndarray, h: GaussPoly) -> GaussP
     Completing the square in x leaves another polynomial-times-Gaussian in
     z, so the class is closed under convolution with Gaussian kernels.
     """
-    n = h.n
-    G = _sym(as_matrix(G, n, "G"))
-    Q = G + h.P
-    sqrt_det_inv = complex(np.exp(-0.5 * gaussian_log_det(Q, "gaussian convolution")))
-    Qinv = _sym(np.linalg.inv(Q))
-    scale = prefactor * (2.0 * np.pi) ** (n / 2.0) * sqrt_det_inv
-
-    c0 = Qinv @ h.b
-    P_new = _sym(G - G @ Qinv @ G)
+    G = _sym(as_matrix(G, h.n, "G"))
+    mass, C, c0, smoothed = complete_square(h.poly, G + h.P, h.b, "gaussian convolution")
+    P_new = _sym(G - G @ C @ G)
     gamma_new = h.gamma + 0.5 * np.dot(h.b, c0)
-    # h's polynomial averaged around the stationary point x0(z) = Qinv G z + c0
-    poly_new = _smoothed(h.poly, Qinv).compose_affine(Qinv @ G, c0)
-    return GaussPoly(poly_new * scale, P_new, G @ c0, gamma_new)
+    # h's polynomial averaged around the stationary point x0(z) = C G z + c0
+    poly_new = smoothed.compose_affine(C @ G, c0)
+    return GaussPoly(poly_new * (prefactor * mass), P_new, G @ c0, gamma_new)

@@ -37,6 +37,7 @@ from .symbolic import (
     as_matrix,
     as_vector,
     bilinear_rows,
+    complete_square,
     convolve_gaussian,
     exp_rows,
     gaussian_log_det,
@@ -327,26 +328,19 @@ def kernel_from_densities(ctx: OperatorContext, z, w) -> complex:
 
     The integrand (two shifted T-densities over the S-density) is entire
     and decays with precision 2T - S in every real direction, so by Cauchy
-    the contour R^n may move to R^n + i Im c, c its stationary point.
-    There it is a constant multiple of the weight of the rule scaled to
-    2T - S and centred at Re c, so this tests the Gaussian-measure
-    identity, not the rule's convergence.
+    the contour R^n may move to R^n + i Im c, c the centre of its completed
+    square (:func:`~fockops.symbolic.complete_square`).  There it is a
+    constant multiple of the weight of the rule scaled to 2T - S and centred
+    at Re c, so this tests the Gaussian-measure identity, not the rule's
+    convergence.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    decay = 2.0 * ctx.T - ctx.S
-    total = (
-        coherent_state_fn(ctx, z)
-        * coherent_state_fn(ctx, np.conj(w))
-        * density_s(ctx)
-    )
-    center = np.linalg.solve(decay, ctx.T @ (z + np.conj(w)))
-    # divide out the rule's Gaussian moved to the contour through c: what is
+    total = coherent_state_fn(ctx, z) * coherent_state_fn(ctx, np.conj(w)) * density_s(ctx)
+    mass, _, center, _ = complete_square(total.poly, total.P, total.b, "the kernel's integrand")
+    # divide out total's Gaussian moved to the contour through c: what is
     # left is that constant, and the node sum is the integral
-    counter_weight = GaussPoly.gaussian(-decay, -(decay @ center), 0.5 * (center @ decay @ center))
-    flat = total * counter_weight
-    rule = QuadratureRule(ctx.n, QUADRATURE_NODES, scaling=decay)
-    return rule.mass * integrate_shifted(rule, center.real, flat.evaluate_many)
+    flat = total * GaussPoly.gaussian(-total.P, -total.b, 0.5 * np.dot(total.b, center))
+    rule = QuadratureRule(ctx.n, QUADRATURE_NODES, scaling=total.P.real)
+    return mass * integrate_shifted(rule, center.real, flat.evaluate_many)
 
 
 # -- reference real-domain functions -------------------------------------------

@@ -191,3 +191,23 @@ def test_kernel_and_weighted_transform_rows_against_mpmath():
                               (transforms[i], _mp_weighted_transform(Rm, Tm, x))):
                 worst = max(worst, float(abs(mpmath.mpc(got) - want) / abs(want)))
     assert worst <= 1e-13
+
+
+def test_kernel_from_densities_against_mpmath():
+    # the Gaussian-measure form of the kernel takes its mass and centre from
+    # the completed square of its integrand; it must give the 50-digit kernel
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for _ in range(3):
+        R, T = (random_spd_matrix(rng, 2, 0.5, 2.5) for _ in range(2))
+        ctx = fo.build_context(fo.RealLinearMap.from_blocks(R, T))
+        Z, W = (0.6 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+                for _ in range(2))
+        with mpmath.workdps(50):
+            Rm, Tm = mpmath.matrix(R.tolist()), mpmath.matrix(T.tolist())
+            for z, w in zip(Z, W):
+                want = _mp_kernel(Rm, Tm, [mpmath.mpc(v) for v in z.tolist()],
+                                  [mpmath.mpc(v) for v in w.tolist()])
+                got = fo.kernel_from_densities(ctx, z, w)
+                worst = max(worst, float(abs(mpmath.mpc(got) - want) / abs(want)))
+    assert worst <= 1e-12

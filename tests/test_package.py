@@ -227,6 +227,24 @@ def test_only_pointwise_lifts_a_point_to_a_batch():
     assert not found
 
 
+def test_only_the_completed_square_inverts_a_gaussians_form():
+    """symbolic.complete_square is the one place a Gaussian's quadratic form is
+    solved or inverted: no np.linalg.solve or np.linalg.inv call appears
+    anywhere else in symbolic.py or transforms.py, so the centres of a
+    Gaussian integral, a convolution and the kernel's density integral are
+    one formula."""
+    found = []
+    for stem in ("symbolic", "transforms"):
+        tree = ast.parse((ROOT / "src" / "fockops" / f"{stem}.py").read_text(encoding="utf-8"))
+        # ast.walk meets an outer function before an inner one: a call maps to its innermost
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        found += [f"{stem}.{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func).endswith(("linalg.solve", "linalg.inv"))]
+    assert found == ["symbolic.complete_square"]
+
+
 def _functions():
     """(module stem, definition) of every function and method in the package."""
     for path in sorted((ROOT / "src" / "fockops").glob("*.py")):

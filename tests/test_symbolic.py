@@ -8,6 +8,7 @@ import itertools
 import re
 from functools import reduce
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,6 +29,7 @@ from fockops import (
     build_context,
     convolve_gaussian,
     gaussian_integral,
+    heat_kernel,
     hermite_function,
     integrate_gausspoly,
     l2_inner_product,
@@ -131,6 +133,84 @@ def test_gaussian_integral_2d_cross_terms_vs_brute_force():
 def test_gaussian_integral_divergence_detected():
     with pytest.raises(DivergenceError):
         gaussian_integral(Polynomial.constant(1, 1.0), np.array([[-1.0]]), np.zeros(1))
+
+
+def _mp_gaussian_integral(poly, Q, b):
+    """The integral of p(y) exp(-y.Qy/2 + b.y) at 50 digits, n <= 2: the
+    square completed around c = Q^-1 b, det(Q)^-1/2 the product of the
+    principal roots of Q's eigenvalues (the branch continuous from SPD), and
+    the mean of p(c + L u) over u ~ N(0, I), L L^T = Q^-1, taken by the
+    3-point Gauss-Hermite rule on each axis, exact to degree 5."""
+    n = len(Q)
+    Qm, bm = mpmath.matrix(Q.tolist()), mpmath.matrix(b.tolist())
+    C = Qm**-1
+    c = C * bm
+    # the complex symmetric Cholesky factor of C: L L^T = C, no conjugation
+    L = mpmath.matrix(n, n)
+    L[0, 0] = mpmath.sqrt(C[0, 0])
+    if n == 2:
+        L[1, 0] = C[1, 0] / L[0, 0]
+        L[1, 1] = mpmath.sqrt(C[1, 1] - L[1, 0] ** 2)
+    nodes = [(-mpmath.sqrt(3), mpmath.mpf(1) / 6), (0, mpmath.mpf(2) / 3),
+             (mpmath.sqrt(3), mpmath.mpf(1) / 6)]
+    mean = 0
+    for rule in itertools.product(nodes, repeat=n):
+        y = L * mpmath.matrix([u for u, _ in rule]) + c
+        mean += mpmath.fprod(w for _, w in rule) * mpmath.fsum(
+            coeff * mpmath.fprod(y[j] ** a for j, a in enumerate(alpha))
+            for alpha, coeff in poly.terms.items())
+    eigenvalues = mpmath.eig(Qm)[0] if n > 1 else [Qm[0, 0]]
+    det_inv_sqrt = mpmath.fprod(1 / mpmath.sqrt(e) for e in eigenvalues)
+    b_dot_c = mpmath.fsum(bm[j] * c[j] for j in range(n))
+    return (2 * mpmath.pi) ** (mpmath.mpf(n) / 2) * det_inv_sqrt * mpmath.exp(b_dot_c / 2) * mean
+
+
+def _random_polynomial(rng, n, degree):
+    """Complex coefficients on every monomial of total degree <= degree."""
+    return Polynomial(n, {alpha: complex(*rng.standard_normal(2))
+                          for alpha in itertools.product(range(degree + 1), repeat=n)
+                          if sum(alpha) <= degree})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("form", ["real SPD", "complex symmetric"])
+def test_gaussian_integral_off_centre_against_mpmath(n, form):
+    rng = np.random.default_rng(43 + 10 * n + len(form))
+    worst = 0.0
+    with mpmath.workdps(50):
+        for degree in range(5):
+            M = rng.standard_normal((n, n))
+            Q = M @ M.T + rng.uniform(0.3, 1.5) * np.eye(n)
+            b = rng.standard_normal(n)
+            if form == "complex symmetric":
+                Y = rng.standard_normal((n, n))
+                Q, b = Q + 0.5j * (Y + Y.T), b + 1j * rng.standard_normal(n)
+            Q = 0.5 * Q + 0.5 * Q.T  # both triangles with the same bits
+            poly = _random_polynomial(rng, n, degree)
+            want = _mp_gaussian_integral(poly, Q, b)
+            got = gaussian_integral(poly, Q, b)
+            worst = max(worst, float(abs(mpmath.mpc(got) - want) / abs(want)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: gaussian_integral(Polynomial.constant(1, 1.0), [[1e-320]], [0.0]),
+     "gaussian integral"),
+    (lambda: gaussian_integral(Polynomial.constant(2, 1.0), [[1.0, 0.0], [0.0, 1e-320]],
+                               [0.0, 0.0]), "gaussian integral"),
+    (lambda: integrate_gausspoly(heat_kernel([[1e-320]], 1.0)), "gaussian integral"),
+    (lambda: convolve_gaussian(1.0, [[1e-320]], GaussPoly.constant(1, 1.0)),
+     "gaussian convolution"),
+], ids=["1x1", "2x2 one subnormal eigenvalue", "heat kernel", "convolution"])
+def test_a_subnormal_precision_is_refused_by_its_completed_square(call, what):
+    # Q^-1 overflows: the integral was NaN, the convolution a ConfigError on M
+    with pytest.raises(ConfigError, match=f"^{what}: the covariance Q\\^-1 is beyond"):
+        call()
+
+
+def test_a_tiny_normal_precision_still_integrates():
+    value = gaussian_integral(Polynomial.constant(1, 1.0), [[1e-300]], [0.0])
+    assert value == 2.5066282746309707e150
 
 
 def test_gausspoly_integral_and_inner_product():

@@ -100,6 +100,20 @@ def test_the_number_diff_reads_floats_as_bits(tmp_path):
     assert (move["path"], move["new"], move["ulps"]) == ("$.nan", quiet_one, None)
 
 
+def test_a_moved_residual_says_whether_it_got_closer_to_0():
+    old = {"checks": [{"lhs": 3e-15, "residual": 3e-15}, {"lhs": 1e-16, "residual": 1e-16},
+                      {"residual": 2e-16}, {"residual": math.nan}]}
+    new = {"checks": [{"lhs": 1e-15, "residual": 1e-15}, {"lhs": 4e-16, "residual": 4e-16},
+                      {"residual": -2e-16}, {"residual": 0.0}]}
+    moves = report_diff.number_diff(old, new)
+    assert [(m["path"], m.get("closer", "none")) for m in moves] == [
+        ("$.checks[0].lhs", "none"), ("$.checks[0].residual", True),
+        ("$.checks[1].lhs", "none"), ("$.checks[1].residual", False),
+        ("$.checks[2].residual", None), ("$.checks[3].residual", True)]
+    # a residual near 1e-16 moves by many ulps where it moves by its own size
+    assert moves[3]["ulps"] > 2**51
+
+
 def test_the_number_diff_lists_a_changed_type_length_or_key():
     moves = report_diff.number_diff({"a": 1, "b": [1.0, 2.0], "c": "x"},
                                     {"a": 1.0, "b": [1.0], "d": "x"})

@@ -19,8 +19,11 @@ parsed as JSON and compared value by value.  Floats are compared as IEEE
 bits, so a signed zero or a NaN of another payload is a move.  For each
 moved value it prints the report, the path, the old and new values, the
 distance in ulps (+0.0 one step above -0.0; none for a NaN) and the
-relative change (none from a zero), then one summary line: the reports identical, the values
-moved and the largest move in ulps.  It exits 0 when every report is
+relative change (none from a zero), and for a ``verify`` check's residual
+whether it moved closer to 0 (a NaN is farthest).  Then one summary line:
+the reports identical, the values moved, the residuals closer to 0 and
+further from it, and the largest move in ulps, which a residual near 1e-16
+makes large by a move of its own size.  It exits 0 when every report is
 identical, 1 when one is not, and 2 when a report could not be built.
 Standard library only; the trees bring their own numpy.
 """
@@ -43,6 +46,8 @@ CLI_SEEDS = (7, 11)
 CLI_REPORTS = (("kernel", "eval"), ("transform", "eval"), ("truncate", "truncate"))
 LADDER_SEEDS = (7, 11, 23)
 LADDER_VALUES = ("closed", "quadrature", "l2", "c2w_residual")
+# the note after a moved residual, by its move's "closer"
+TOWARD_ZERO = {True: ", closer to 0", False: ", further from 0", None: ", as far from 0"}
 
 
 def reports() -> list[tuple[str, str, tuple]]:
@@ -110,11 +115,16 @@ def ulps(a: float, b: float) -> int | None:
     return abs(ordered[0] - ordered[1])
 
 
+def _from_zero(x: float) -> float:
+    return math.inf if math.isnan(x) else abs(x)
+
+
 def number_diff(old, new, path: str = "$") -> list[dict]:
     """Every value of two parsed JSON documents that differs: path, old, new,
-    and for two floats their distance in ulps and relative change.  Floats
-    differ when their bits do; a key or item on one side only is a move with
-    the other side None."""
+    and for two floats their distance in ulps and relative change, and for a
+    ``residual`` whether it got closer to 0 (None at the same distance).
+    Floats differ when their bits do; a key or item on one side only is a
+    move with the other side None."""
     if isinstance(old, dict) and isinstance(new, dict):
         return [move for key in sorted(old.keys() | new.keys(), key=str)
                 for move in number_diff(old.get(key), new.get(key), f"{path}.{key}")]
@@ -124,8 +134,12 @@ def number_diff(old, new, path: str = "$") -> list[dict]:
     if isinstance(old, float) and isinstance(new, float):
         if _bits(old) == _bits(new):
             return []
-        return [{"path": path, "old": old, "new": new, "ulps": ulps(old, new),
-                 "relative": (new - old) / abs(old) if old != 0.0 else None}]
+        move = {"path": path, "old": old, "new": new, "ulps": ulps(old, new),
+                "relative": (new - old) / abs(old) if old != 0.0 else None}
+        if path.endswith(".residual"):
+            distances = _from_zero(old), _from_zero(new)
+            move["closer"] = None if distances[0] == distances[1] else distances[1] < distances[0]
+        return [move]
     if type(old) is type(new) and old == new:
         return []
     return [{"path": path, "old": old, "new": new, "ulps": None, "relative": None}]
@@ -155,12 +169,15 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name}: the bytes differ, no value moved", flush=True)
             for move in moved:
                 moves.append(move)
+                note = TOWARD_ZERO[move["closer"]] if "closer" in move else ""
                 print(f"{name} {move['path']}: {reprlib.repr(move['old'])} -> "
                       f"{reprlib.repr(move['new'])}, {move['ulps']} ulps, "
-                      f"relative {move['relative']!r}", flush=True)
+                      f"relative {move['relative']!r}{note}", flush=True)
     largest = max((m["ulps"] for m in moves if m["ulps"] is not None), default=0)
+    closer = [m["closer"] for m in moves if "closer" in m]
     print(f"report_diff: {identical} of {len(reports())} reports identical, "
-          f"{len(moves)} values moved, largest move {largest} ulps")
+          f"{len(moves)} values moved, {closer.count(True)} residuals closer to 0 and "
+          f"{closer.count(False)} further, largest move {largest} ulps")
     return 0 if identical == len(reports()) else 1
 
 
