@@ -52,8 +52,10 @@ runs, ...), ``node_budget`` for a truncate generator's
 ``--csv`` path that cannot be written.  Set FOCK_LOG to a level name (e.g.
 DEBUG) for progress logging, with one line per stage of a command (parse,
 command, render, write) and its seconds; any other value means WARNING.
-A command imports only the modules it runs: truncate loads neither the
-transforms nor the verification suite.  As the process entry (``python -m
+A command imports only the modules it runs: the CLI reaches each
+computational module through the package on first use, so truncate loads
+truncation alone, decompose operators alone, and only verify loads the
+verification suite.  As the process entry (``python -m
 fockops.cli``, the ``fockops`` script: ``main()`` reading ``sys.argv``) the
 CLI freezes the heap its imports built, so that the cyclic collector walks
 it neither during the command nor at exit; ``main(argv)`` with a list, as
@@ -83,26 +85,19 @@ import fockops
 
 from . import __version__
 from .errors import (
+    MAX_NODES_PER_AXIS,
     ConfigError,
     EvaluatorError,
     FockError,
     OutputUnwritableError,
     RangeOverflowError,
 )
-from .operators import (
-    RealLinearMap,
-    build_context,
-    decompose,
-    decomposition_residuals,
-    to_complex_coords,
-)
-from .quadrature import MAX_NODES_PER_AXIS
 from .report import complex_json, render_json
-from .truncation import TruncationSpec, ca_sequence
 
-# kernels, symbolic, transforms and verification are reached through the
-# package (fockops.kernels.kernel), which imports each on its first use, so
-# truncate never loads them and only verify loads the verification suite
+# every computational module is reached through the package
+# (fockops.operators.build_context), which imports it on its first use and
+# looks the function up when it runs: truncate loads only truncation, and
+# only verify loads the verification suite
 
 log = logging.getLogger("fockops")
 
@@ -219,10 +214,12 @@ FUNCTION_SCHEMA = {
 # truncate "kind" (None: explicit eigenvalue lists) -> (the keys its tower
 # reads besides "kind" and "maxN", its build from their values and then maxN)
 TRUNCATE_FORMS = {
-    None: ({"r": NUMBER_LIST, "t": NUMBER_LIST}, TruncationSpec),
-    "constant": ({"r": NUMBER, "t": NUMBER}, TruncationSpec.constant),
+    None: ({"r": NUMBER_LIST, "t": NUMBER_LIST},
+           lambda *values: fockops.truncation.TruncationSpec(*values)),
+    "constant": ({"r": NUMBER, "t": NUMBER},
+                 lambda *values: fockops.truncation.TruncationSpec.constant(*values)),
     "perturbation": ({"base": NUMBER, "amplitude": NUMBER, "power": NUMBER},
-                     TruncationSpec.perturbation),
+                     lambda *values: fockops.truncation.TruncationSpec.perturbation(*values)),
 }
 
 # eval target -> the point coordinates it reads, in order, and its batch
@@ -442,19 +439,21 @@ def load_config(path: str | None, command: str, overrides: dict) -> dict:
     return config
 
 
-def operator_from_config(data: dict) -> RealLinearMap:
+def operator_from_config(data: dict) -> fockops.operators.RealLinearMap:
     n = data["n"]
+    operators = fockops.operators
     if "A" in data:
-        return RealLinearMap(_float_array(data["A"], "A", (2 * n, 2 * n)))
-    return RealLinearMap.from_blocks(_float_array(data["R"], "R", (n, n)),
-                                     _float_array(data["T"], "T", (n, n)))
+        return operators.RealLinearMap(_float_array(data["A"], "A", (2 * n, 2 * n)))
+    return operators.RealLinearMap.from_blocks(_float_array(data["R"], "R", (n, n)),
+                                               _float_array(data["T"], "T", (n, n)))
 
 
 def cmd_decompose(config: dict) -> dict:
+    operators = fockops.operators
     A = operator_from_config(config["operator"])
-    ctx = build_context(A)  # raises with kind not_symmetric / not_positive_definite
-    H, K = decompose(A)
-    residuals = decomposition_residuals(A, H, K)
+    ctx = operators.build_context(A)  # raises with kind not_symmetric / not_positive_definite
+    H, K = operators.decompose(A)
+    residuals = operators.decomposition_residuals(A, H, K)
     matrices = {"H": H.entries.tolist(), "K": K.entries.tolist()}
     if ctx.real_preserving:
         matrices.update(
@@ -529,7 +528,8 @@ def _coordinates(points: list, keys: tuple, n: int) -> list[np.ndarray]:
 
 
 def cmd_eval(config: dict) -> dict:
-    ctx = build_context(operator_from_config(config["operator"]))
+    operators = fockops.operators
+    ctx = operators.build_context(operator_from_config(config["operator"]))
     spec = config["eval"]
     target, points = spec["target"], spec["points"]
     fn = None
@@ -539,7 +539,7 @@ def cmd_eval(config: dict) -> dict:
         _, build = FUNCTIONS[spec["function"]["kind"]]
         fn = build(spec["function"], ctx.n)
     keys, evaluate = EVAL_TARGETS[target]
-    coords = [c if key == "x" else to_complex_coords(c)
+    coords = [c if key == "x" else operators.to_complex_coords(c)
               for key, c in zip(keys, _coordinates(points, keys, ctx.n))]
     overflow = None
     # a transform that overflows yields non-finite values, and those fail
@@ -582,7 +582,7 @@ def cmd_verify(config: dict) -> dict:
 
 def cmd_truncate(config: dict) -> dict:
     keys, build = TRUNCATE_FORMS[config.get("kind")]
-    seq = ca_sequence(build(*(config[key] for key in keys), config["maxN"]))
+    seq = fockops.truncation.ca_sequence(build(*(config[key] for key in keys), config["maxN"]))
     return {
         "command": "truncate",
         "config": config,

@@ -1,10 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the limits they enforce.
 
 Every error that can surface through the CLI carries a stable ``kind``
 string so reports and scripts can match on it without parsing messages.
+The limits shared by more than one module live here too: NODE_BUDGET, the
+most grid nodes, Monte Carlo coordinates or tower terms a call builds;
+MAX_NODES_PER_AXIS, the largest Gauss-Hermite rule in the float range; and
+``require_integer``, the integer check of every count.  This module loads
+no numpy, so neither does ``import fockops``.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
+
+NODE_BUDGET = 10_000_000
+# the largest rule quadrature._hermite_rule accepts, for configs refused
+# before any rule is built
+MAX_NODES_PER_AXIS = 370
 
 
 class FockError(Exception):
@@ -107,3 +119,14 @@ class OutputUnwritableError(FockError):
     """A report or CSV file could not be written."""
 
     kind = "output_unwritable"
+
+
+def require_integer(value, what: str) -> None:
+    """ConfigError naming ``what`` unless ``value`` is an integer (an int or
+    a numpy integer), which a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def rule_range_error(k: int) -> ConfigError:
+    return ConfigError(f"a Gauss-Hermite rule of {k} nodes per axis is beyond the float range")

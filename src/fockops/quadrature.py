@@ -48,30 +48,18 @@ from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, EvaluatorError, NodeBudgetError
+from .errors import (MAX_NODES_PER_AXIS, NODE_BUDGET, ConfigError, DimensionMismatchError,
+                     EvaluatorError, NodeBudgetError, require_integer, rule_range_error)
 from .operators import inv_sqrt_spd
+from .symbolic import as_matrix, as_vector, gaussian_log_det
 
 log = logging.getLogger(__name__)
 
 __all__ = ["QuadratureRule", "integrate", "integrate_shifted", "mc_integrate"]
 
-NODE_BUDGET = 10_000_000
 BLOCK = 4096
 # grid nodes evaluated at once: a complex temporary of a chunk is 256 KiB
 CHUNK = 4 * BLOCK
-# the largest rule _hermite_rule accepts, for configs refused before any rule is built
-MAX_NODES_PER_AXIS = 370
-
-
-def require_integer(value, what: str) -> None:
-    """ConfigError naming ``what`` unless ``value`` is an integer, which a
-    bool is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-
-
-def rule_range_error(k: int) -> ConfigError:
-    return ConfigError(f"a Gauss-Hermite rule of {k} nodes per axis is beyond the float range")
 
 
 @lru_cache(maxsize=64)
@@ -79,8 +67,8 @@ def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's k-node rule, refused unless its nodes are finite and its
     weights sum to sqrt(pi): past MAX_NODES_PER_AXIS they underflow, then
     are NaN."""
-    # numpy.polynomial loads with the first rule: truncate, which imports
-    # this module for its budgets, builds none
+    # numpy.polynomial loads with the first rule: eval kernel loads this
+    # module through kernels and builds none
     from numpy.polynomial.hermite import hermgauss
 
     with np.errstate(all="ignore"):
@@ -105,8 +93,6 @@ class QuadratureRule:
     scaling: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        from .symbolic import as_matrix  # imported here, as in _real_vector
-
         require_integer(self.dim, "dim")
         require_integer(self.nodes_per_axis, "nodes_per_axis")
         if self.dim < 1 or self.nodes_per_axis < 1:
@@ -135,8 +121,6 @@ class QuadratureRule:
         """The Lebesgue mass of the rule's Gaussian, the integral of exp(-x.Px/2)
         dx over R^dim for P = ``scaling``: (2 pi)^{dim/2} det(P)^{-1/2}, its
         log-determinant that of every Gaussian (symbolic.gaussian_log_det)."""
-        from .symbolic import gaussian_log_det  # imported here, as in _real_vector
-
         log_det = gaussian_log_det(self.scaling, "a rule's scaling")
         return (2.0 * math.pi) ** (self.dim / 2.0) * math.exp(-0.5 * log_det)
 
@@ -164,10 +148,6 @@ def _real_vector(v, dim: int, what: str) -> np.ndarray:
     """``v`` as a float64 vector of length ``dim``: its shape and finiteness
     checked by :func:`~fockops.symbolic.as_vector`, then ConfigError for a
     complex dtype, naming ``what`` and the value passed."""
-    # imported here: truncate imports this module for its budgets and loads
-    # no symbolic calculus
-    from .symbolic import as_vector
-
     a = as_vector(v, dim, what, None)
     if np.iscomplexobj(a):
         raise ConfigError(f"{what} must be real, got "
@@ -394,8 +374,6 @@ def mc_integrate(seed: int, samples: int, scaling, f) -> tuple[complex, float]:
     bool included); ``scaling`` is checked as in QuadratureRule, square of
     any size.
     """
-    from .symbolic import as_matrix  # imported here, as in _real_vector
-
     require_integer(samples, "samples")
     if samples < 1000:
         raise ConfigError("mc_integrate needs at least 1000 samples")

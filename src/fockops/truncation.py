@@ -21,8 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigError, NodeBudgetError
-from .quadrature import NODE_BUDGET, require_integer
+from .errors import NODE_BUDGET, ConfigError, NodeBudgetError, require_integer
 
 __all__ = ["TruncationSpec", "CaSequence", "ca_sequence"]
 

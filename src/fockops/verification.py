@@ -16,6 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from .errors import MAX_NODES_PER_AXIS, rule_range_error
 from .kernels import (
     classical_to_weighted,
     fock_gram,
@@ -33,13 +34,7 @@ from .operators import (
     decomposition_residuals,
     spectral_norm,
 )
-from .quadrature import (
-    MAX_NODES_PER_AXIS,
-    QuadratureRule,
-    integrate,
-    mc_integrate,
-    rule_range_error,
-)
+from .quadrature import QuadratureRule, integrate, mc_integrate
 from .report import (CheckResult, fold, make_bound_check, make_check, make_relative_check,
                      make_strict_check)
 from .symbolic import GaussPoly, Polynomial, l2_inner_product

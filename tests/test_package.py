@@ -145,6 +145,34 @@ def test_no_module_imports_a_private_name_of_another():
     assert not private
 
 
+# every import made inside a function: the module it imports, and the
+# command that loads the function's module without running the function
+DEFERRED_IMPORTS = {
+    "cli.write_csv": ("csv", "every command but eval --csv"),
+    "operators.__call__": ("symbolic", "decompose"),
+    "quadrature._hermite_rule": ("numpy.polynomial.hermite", "eval kernel"),
+}
+
+
+def test_a_module_imports_what_it_runs_at_its_top():
+    """An import waits inside a function only where some command loads the
+    module and never runs the function; every other import is at the top of
+    its module, and the CLI reaches the computational modules through the
+    lazy package."""
+    deferred = {}
+    for path in sorted((ROOT / "src" / "fockops").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk meets an outer function before an inner one: a node maps to its innermost
+        owner = {id(node): f"{path.stem}.{f.name}" for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) in owner and isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else \
+                    [alias.name for alias in node.names]
+                deferred.setdefault(owner[id(node)], []).extend(modules)
+    assert deferred == {name: [module] for name, (module, _) in DEFERRED_IMPORTS.items()}
+
+
 def test_only_the_process_entry_freezes_the_heap():
     """gc.freeze is called once, in the CLI's process entry, and no module
     disables, unfreezes, tunes or runs the collector: a library user's
@@ -460,15 +488,28 @@ print(*sorted(name for name in sys.modules if name.startswith("fockops")))
 """
 
 
+def _loaded_by(tmp_path, command: str, config: dict) -> set:
+    """The fockops modules a fresh CLI process loads to run ``command``."""
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(config))
+    return set(_fresh(LOADED_BY_MAIN, command, "--config", str(path),
+                      "--out", str(tmp_path / "report.json")).split())
+
+
+# what any command loads: the package, the CLI, the error types and limits,
+# and the report renderer
+CLI_CORE = {"fockops", "fockops.cli", "fockops.errors", "fockops.report"}
+
+
 def test_truncate_loads_only_the_modules_it_runs(tmp_path):
-    config = tmp_path / "truncate.json"
-    config.write_text('{"kind": "constant", "r": 2.0, "t": 1.0, "maxN": 10}')
-    loaded = _fresh(LOADED_BY_MAIN, "truncate", "--config", str(config),
-                    "--out", str(tmp_path / "report.json")).split()
-    assert set(loaded) == {"fockops", "fockops.cli", "fockops.errors", "fockops.operators",
-                           "fockops.quadrature", "fockops.report", "fockops.truncation"}
-    assert not {"fockops.symbolic", "fockops.transforms", "fockops.kernels",
-                "fockops.verification"} & set(loaded)
+    loaded = _loaded_by(tmp_path, "truncate",
+                        {"kind": "constant", "r": 2.0, "t": 1.0, "maxN": 10})
+    assert loaded == CLI_CORE | {"fockops.truncation"}
+
+
+def test_decompose_loads_only_the_modules_it_runs(tmp_path):
+    loaded = _loaded_by(tmp_path, "decompose", {"operator": {"n": 1, "R": [[2.0]], "T": [[1.0]]}})
+    assert loaded == CLI_CORE | {"fockops.operators"}
 
 
 @pytest.mark.parametrize("target", ["kernel", "weighted_transform"])
@@ -483,13 +524,18 @@ def test_eval_leaves_the_verification_suite_unloaded(tmp_path, target):
     loaded = set(_fresh(LOADED_BY_MAIN, "eval", "--config", str(config),
                         "--out", str(tmp_path / "report.json")).split())
     assert "fockops.kernels" in loaded if target == "kernel" else "fockops.transforms" in loaded
-    assert not {"fockops.verification", "fockops.testing"} & loaded
+    assert not {"fockops.verification", "fockops.testing", "fockops.truncation"} & loaded
 
 
 def test_import_fockops_loads_only_the_error_types():
     loaded = _fresh("import sys, fockops\n"
                     "print(*sorted(m for m in sys.modules if m.startswith('fockops')))").split()
     assert loaded == ["fockops", "fockops.errors"]
+
+
+def test_import_fockops_loads_no_numpy():
+    """The shared limits in ``errors`` check integers by ``numbers.Integral``."""
+    assert _fresh("import sys, fockops\nprint('numpy' in sys.modules)").strip() == "False"
 
 
 def test_the_public_names_are_the_same_and_each_resolves():

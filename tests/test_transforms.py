@@ -408,6 +408,49 @@ def test_modulus_quadrature_path_matches_closed_form():
         assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 
+# -- polarization ------------------------------------------------------------------
+
+
+def _polarization_fields(rng, n):
+    """The Hermite functions of degree at most 2 per axis, and a Gaussian
+    shifted to a random centre."""
+    fields = [hermite_function(alpha) for alpha in np.ndindex(*(3,) * n)]
+    P = np.diag(rng.uniform(0.5, 2.0, n))
+    c = rng.standard_normal(n)
+    return fields + [GaussPoly(Polynomial.constant(n, 1.0), P, P @ c, -0.5 * c @ P @ c)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_restriction_adjoint_is_the_transform_of_its_modulus(n):
+    # the paper's polarization R* = U |R*|, U the weighted Segal-Bargmann
+    # transform, both sides in closed form; the worst relative residual is
+    # 5.0e-15, at n = 3
+    rng = np.random.default_rng(3)
+    ctx = build_context(random_real_preserving_map(rng, n))
+    Z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    for h in _polarization_fields(rng, n):
+        want = restrict_adjoint(ctx, h).evaluate_many(Z)
+        got = segal_bargmann_fn(ctx, restriction_modulus(ctx, h)).evaluate_many(Z)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_restriction_adjoint_is_the_quadrature_transform_of_its_modulus(n):
+    # the same polarization with U taken by quadrature of the modulus as a
+    # black box; the worst relative residual is 5.5e-15, at n = 2.  The
+    # imaginary parts stay within 1: the route's rule sits on the real axis,
+    # and with standard normal ones (|Im z| up to 3.3) it misses by 64
+    # relative at n = 1, where the oscillation exp(i x.G Im z) outruns 40 nodes
+    rng = np.random.default_rng(3)
+    ctx = build_context(random_real_preserving_map(rng, n))
+    Z = rng.standard_normal((5, n)) + 1j * rng.uniform(-1.0, 1.0, (5, n))
+    for h in _polarization_fields(rng, n):
+        want = restrict_adjoint(ctx, h).evaluate_many(Z)
+        modulus = restriction_modulus(ctx, h)
+        got = segal_bargmann(ctx, CallableField(n, modulus.evaluate_many), Z)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
 # -- classical transform -----------------------------------------------------------
 
 
